@@ -199,10 +199,16 @@ def lam_vector(n: int) -> np.ndarray:
 
 
 def popcount_vector(n: int) -> np.ndarray:
-    """Cardinality of every subset of {0, ..., n-1}, length 2**n."""
+    """Cardinality of every subset of {0, ..., n-1}, length 2**n.
+
+    Same doubling recursion as :func:`lam_vector`: appending index m adds one
+    to every mask in the upper half.
+    """
     n = check_truncation(n)
-    masks = np.arange(1 << n, dtype=np.uint64)
-    return np.bitwise_count(masks).astype(np.int64)
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        out = np.concatenate([out, out + 1])
+    return out
 
 
 def lambda_series_partial(r: float, n: int) -> float:

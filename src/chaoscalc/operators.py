@@ -272,6 +272,14 @@ class OperatorExpr:
         return Compose((self, other))
 
 
+def read_only(m: sp.csr_matrix) -> sp.csr_matrix:
+    """Lock a cached matrix's arrays, so that a caller writing into the
+    shared result gets an error instead of corrupting later lookups."""
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
 @lru_cache(maxsize=None)
 def _annihilate_matrix(k: int, n: int) -> sp.csr_matrix:
     size = 1 << n
@@ -279,7 +287,7 @@ def _annihilate_matrix(k: int, n: int) -> sp.csr_matrix:
     cols = np.array([m for m in range(size) if m & bit], dtype=np.int64)
     rows = cols ^ bit
     data = np.ones(len(cols), dtype=complex)
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    return read_only(sp.csr_matrix((data, (rows, cols)), shape=(size, size)))
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +297,7 @@ def _create_matrix(k: int, n: int) -> sp.csr_matrix:
     cols = np.array([m for m in range(size) if not m & bit], dtype=np.int64)
     rows = cols | bit
     data = np.ones(len(cols), dtype=complex)
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    return read_only(sp.csr_matrix((data, (rows, cols)), shape=(size, size)))
 
 
 _DIAGONAL_CACHE: dict = {}

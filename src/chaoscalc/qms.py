@@ -11,12 +11,12 @@ with B the transfer matrix for (j, k) and B' its adjoint. Summing the rates
 against B'B collapses to the diagonal spectral function, which gives the
 verification suite three independent evaluation routes to compare.
 
-The Euler stepper at the bottom is a demo: it is not validated, carries no
-step-size control, and nothing in the package depends on it.
+B sends each mask m of its domain D to the one mask t(m) = (m - {k}) + {j}.
+So B'XB is X gathered at t on D x D and B'B is the indicator of D: the
+dissipator is applied by index gathers, and B itself is only an oracle.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import check_truncation, popcount_vector
-from .operators import l2_annihilate, l2_create, materialize_apply
+from .operators import l2_annihilate, l2_create, materialize_apply, read_only
 from .reports import (
     CHECK,
     NEGATIVE_CONTROL,
@@ -39,7 +39,7 @@ _HERMITIAN_TOL = 1e-12
 
 
 def demo_hamiltonian(n: int) -> np.ndarray:
-    """Default Hamiltonian for demos: diagonal subset cardinality."""
+    """Dense form of the default Hamiltonian: diagonal subset cardinality."""
     return np.diag(popcount_vector(n).astype(complex))
 
 
@@ -48,10 +48,10 @@ def transfer_matrix(j: int, k: int, n: int) -> sp.csr_matrix:
     """Jump operator moving occupation k -> j, as a truncated matrix.
 
     Built by sweeping the square-integrable-side applications over basis
-    columns; treat the cached result as read-only.
+    columns. The result is cached and shared, so its arrays are read-only.
     """
     n = check_truncation(n)
-    return materialize_apply(lambda xi: l2_create(j, l2_annihilate(k, xi)), n)
+    return read_only(materialize_apply(lambda xi: l2_create(j, l2_annihilate(k, xi)), n))
 
 
 @dataclass
@@ -81,51 +81,45 @@ class GeneratorSpec:
                 raise ValueError(f"hamiltonian is not hermitian (gap {gap:.3e})")
             self.hamiltonian = h
 
-    def ham(self) -> np.ndarray:
-        if self.hamiltonian is None:
-            return demo_hamiltonian(self.truncation)
-        return self.hamiltonian
 
-
-_TERMS_CACHE: dict = {}
-
-
-def _jump_terms(w: Weight2D, n: int) -> list:
-    """Dense (rate, B, B adjoint, B'B) tuples, cached per weight and size."""
-    key = (json.dumps(w.to_json(), sort_keys=True), n)
-    if key not in _TERMS_CACHE:
-        terms = []
-        for (j, k), rate in sorted(w.entries.items()):
-            b = transfer_matrix(j, k, n).toarray()
-            b_adj = np.ascontiguousarray(b.conj().T)
-            terms.append((rate, b, b_adj, b_adj @ b))
-        _TERMS_CACHE[key] = terms
-    return _TERMS_CACHE[key]
+def _transfer_indices(j: int, k: int, n: int) -> tuple:
+    """Domain of the transfer k -> j (masks holding k, and j only if j == k)
+    and its image, as basis index arrays."""
+    bit_j, bit_k = 1 << j, 1 << k
+    masks = np.arange(1 << n)
+    dom = masks[((masks & bit_k) != 0) & ((masks & ~bit_k & bit_j) == 0)]
+    return dom, (dom & ~bit_k) | bit_j
 
 
 def dissipator_apply(w: Weight2D, n: int, x: np.ndarray) -> np.ndarray:
     """The rate-weighted jump part of the generator applied to an observable."""
     n = check_truncation(n)
     x = np.asarray(x, dtype=complex)
+    size = 1 << n
+    if x.shape != (size, size):
+        raise ValueError(f"observable shape {x.shape} does not match basis size {size}")
     out = np.zeros_like(x)
-    for rate, b, b_adj, bb in _jump_terms(w, n):
-        out += rate * (b_adj @ x @ b - 0.5 * (x @ bb + bb @ x))
-    return out
+    occ = np.zeros(size)  # sum of w(j,k) B'B, a diagonal
+    for (j, k), rate in sorted(w.entries.items()):
+        dom, img = _transfer_indices(j, k, n)
+        out[np.ix_(dom, dom)] += rate * x[np.ix_(img, img)]
+        occ[dom] += rate
+    return out - 0.5 * (x * occ[None, :] + occ[:, None] * x)
 
 
 def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
-    """Full generator: commutator with the Hamiltonian plus the dissipator."""
+    """Full generator: commutator with the Hamiltonian plus the dissipator.
+
+    The default Hamiltonian (occupancy count) is diagonal, so its commutator
+    is taken by broadcasting; a given Hamiltonian is multiplied densely.
+    """
+    out = dissipator_apply(spec.weight, spec.truncation, x)
     x = np.asarray(x, dtype=complex)
-    size = 1 << spec.truncation
-    if x.shape != (size, size):
-        raise ValueError(f"observable shape {x.shape} does not match basis size {size}")
-    h = spec.ham()
-    return 1j * (h @ x - x @ h) + dissipator_apply(spec.weight, spec.truncation, x)
-
-
-def euler_step(spec: GeneratorSpec, x: np.ndarray, dt: float) -> np.ndarray:
-    """One explicit Euler step of the observable flow. Demo only."""
-    return np.asarray(x, dtype=complex) + dt * generator_apply(spec, x)
+    if spec.hamiltonian is None:
+        h = popcount_vector(spec.truncation)
+        return out + 1j * (h[:, None] * x - x * h[None, :])
+    h = spec.hamiltonian
+    return out + 1j * (h @ x - x @ h)
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +298,14 @@ def matrix_to_json(x: np.ndarray, n: int) -> dict:
 
 
 def matrix_from_json(data: dict) -> tuple:
-    if "n" not in data or "rows" not in data:
+    if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError("matrix JSON requires 'n' and 'rows'")
     n = check_truncation(data["n"])
     size = 1 << n
-    rows = data["rows"]
-    if len(rows) != size or any(len(r) != size for r in rows):
-        raise ValueError(f"matrix JSON must be {size} x {size} for n = {n}")
-    out = np.empty((size, size), dtype=complex)
-    for i, row in enumerate(rows):
-        for j, pair in enumerate(row):
-            re, im = pair
-            out[i, j] = complex(float(re), float(im))
-    return out, n
+    try:
+        pairs = np.ascontiguousarray(data["rows"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"matrix JSON rows must hold numeric [re, im] pairs: {exc}") from exc
+    if pairs.shape != (size, size, 2):
+        raise ValueError(f"matrix JSON must be {size} x {size} [re, im] pairs for n = {n}")
+    return pairs.view(complex)[..., 0], n

@@ -142,6 +142,14 @@ class TestLambda:
         for sigma in enumerate_basis(6):
             assert pop[sigma.mask] == len(sigma)
 
+    def test_popcount_without_bitwise_count(self, monkeypatch):
+        # numpy < 2.0 has no np.bitwise_count; the declared floor is 1.24
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for n in range(11):
+            pop = popcount_vector(n)
+            assert pop.dtype == np.int64
+            assert pop.tolist() == [bin(m).count("1") for m in range(1 << n)]
+
 
 class TestEnumeration:
     def test_small(self):

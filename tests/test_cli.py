@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from chaoscalc.cli import main
 from chaoscalc.functionals import Functional
@@ -207,3 +208,16 @@ class TestQms:
         x_path = write_json(tmp_path / "x.json", matrix_to_json(np.eye(4, dtype=complex), 2))
         code, _, err = run_cli(capsys, "qms", "--weight", w_path, "--x", x_path, "--n", "3")
         assert code == 2 and "conflicts" in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [5, [[[0, 0], [0, 0], [0, 0], [0, 0]]] * 3 + [[[0, 0], [0, 0], [0, 0], 1.5]]],
+        ids=["rows-not-a-list", "cell-not-a-pair"],
+    )
+    def test_malformed_observable_is_config_error(self, tmp_path, capsys, rows):
+        w_path = write_json(tmp_path / "w.json", RUNNING_WEIGHT)
+        x_path = write_json(tmp_path / "x.json", {"n": 2, "rows": rows})
+        code, payload, err = run_cli(capsys, "qms", "--weight", w_path, "--x", x_path)
+        assert code == 2 and payload is None
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")

@@ -352,6 +352,15 @@ class TestMaterialize:
         direct = materialize(annihilate(1), n).toarray()
         assert np.array_equal(swept, direct)
 
+    @pytest.mark.parametrize("leaf", [annihilate, create])
+    def test_cached_ladder_matrix_is_read_only(self, leaf):
+        before = materialize(leaf(1), 3).toarray()
+        cached = materialize(leaf(1), 3)
+        for arr in (cached.data, cached.indices, cached.indptr):
+            with pytest.raises(ValueError):
+                arr[:] = 7
+        assert np.array_equal(materialize(leaf(1), 3).toarray(), before)
+
 
 class TestL2Side:
     def test_hand_cases(self):

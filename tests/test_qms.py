@@ -18,7 +18,6 @@ from chaoscalc.qms import (
     check_sum_identity,
     demo_hamiltonian,
     dissipator_apply,
-    euler_step,
     generator_apply,
     matrix_from_json,
     matrix_to_json,
@@ -37,6 +36,10 @@ def literal_generator(h, rate_table, x):
     return out
 
 
+def jump_rate_table(w, n):
+    return [(transfer_matrix(j, k, n).toarray(), v) for (j, k), v in sorted(w.entries.items())]
+
+
 def hand_jump_matrix_n2():
     # move occupation 1 -> 0 on masks (0, 1, 2, 3): only {1} -> {0}
     b = np.zeros((4, 4), dtype=complex)
@@ -47,6 +50,14 @@ def hand_jump_matrix_n2():
 class TestHandOracle:
     def test_transfer_matrix_matches_hand(self):
         assert np.array_equal(transfer_matrix(0, 1, 2).toarray(), hand_jump_matrix_n2())
+
+    def test_transfer_matrix_is_read_only(self):
+        before = transfer_matrix(0, 1, 3).toarray()
+        cached = transfer_matrix(0, 1, 3)
+        for arr in (cached.data, cached.indices, cached.indptr):
+            with pytest.raises(ValueError):
+                arr[:] = 7
+        assert np.array_equal(transfer_matrix(0, 1, 3).toarray(), before)
 
     def test_occupation_of_source_decays(self):
         w = Weight2D({(0, 1): 1.0})
@@ -62,25 +73,48 @@ class TestHandOracle:
         image = generator_apply(spec, x)
         assert np.allclose(image, np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-15)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_literal_expansion(self, seed):
-        rng = np.random.default_rng(seed)
-        n, size = 3, 8
+    @staticmethod
+    def random_case(rng, n):
+        """Every diagonal rate plus a random share of the off-diagonal ones,
+        and a random complex observable."""
         w = Weight2D(
             {
                 (j, k): float(rng.random())
                 for j in range(n)
                 for k in range(n)
-                if rng.random() < 0.6
+                if j == k or rng.random() < 0.6
             }
         )
-        spec = GeneratorSpec(weight=w, truncation=n)
-        rate_table = [
-            (transfer_matrix(j, k, n).toarray(), v) for (j, k), v in sorted(w.entries.items())
-        ]
+        size = 1 << n
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        expect = literal_generator(demo_hamiltonian(n), rate_table, x)
-        assert np.max(np.abs(generator_apply(spec, x) - expect)) < 1e-12
+        return w, x
+
+    @staticmethod
+    def random_hermitian(rng, size):
+        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        return (a + a.conj().T) / 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_literal_expansion(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (3, 6):
+            w, x = self.random_case(rng, n)
+            rate_table = jump_rate_table(w, n)
+            for h in (None, self.random_hermitian(rng, 1 << n)):
+                spec = GeneratorSpec(weight=w, truncation=n, hamiltonian=h)
+                dense_h = demo_hamiltonian(n) if h is None else h
+                expect = literal_generator(dense_h, rate_table, x)
+                assert np.max(np.abs(generator_apply(spec, x) - expect)) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_literal_expansion_catches_one_rate_off(self, n):
+        rng = np.random.default_rng(11)
+        w, x = self.random_case(rng, n)
+        expect = literal_generator(demo_hamiltonian(n), jump_rate_table(w, n), x)
+        (j, k), v = sorted(w.entries.items())[-1]
+        nudged = Weight2D({**w.entries, (j, k): v + 1e-6})
+        got = generator_apply(GeneratorSpec(weight=nudged, truncation=n), x)
+        assert np.max(np.abs(got - expect)) > 1e-12
 
     def test_zero_weight_leaves_commutator(self):
         rng = np.random.default_rng(9)
@@ -153,17 +187,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             generator_apply(spec, np.eye(3))
 
-    def test_euler_demo_keeps_hermitian(self):
-        rng = np.random.default_rng(4)
-        w = Weight2D({(0, 1): 1.0, (1, 0): 0.5})
-        spec = GeneratorSpec(weight=w, truncation=2)
-        x = rng.standard_normal((4, 4))
-        x = (x + x.T).astype(complex)
-        stepped = x
-        for _ in range(5):
-            stepped = euler_step(spec, stepped, 0.01)
-        assert np.max(np.abs(stepped - stepped.conj().T)) < 1e-12
-
 
 class TestMatrixJson:
     def test_roundtrip(self):
@@ -180,3 +203,18 @@ class TestMatrixJson:
             matrix_from_json({"n": 1, "rows": [[[0, 0]]]})
         with pytest.raises(ValueError):
             matrix_to_json(np.eye(3), 2)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"n": 1, "rows": 5},
+            {"n": 1, "rows": [[[0, 0], [0, 0]], [[0, 0], 7]]},
+            {"n": 1, "rows": [[[0, 0], [0, 0]], [[0, 0], [0, 0, 0]]]},
+            {"n": 1, "rows": [[[0, 0], [0, 0]], [[0, 0], ["re", 0]]]},
+            {"n": 1, "rows": [[[0, 0], [0, 0]], [[0, 0], [{}, 0]]]},
+        ],
+    )
+    def test_malformed_payloads_raise_value_error(self, payload):
+        with pytest.raises(ValueError):
+            matrix_from_json(payload)
