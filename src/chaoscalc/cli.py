@@ -25,7 +25,7 @@ from .martingale import (
 )
 from .operators import parse_expr
 from .qms import GeneratorSpec, generator_apply, matrix_from_json, matrix_to_json
-from .reports import all_ok, format_line, run_to_json
+from .reports import all_ok, format_line, run_to_json, timing_json
 from .verifier import DEFAULT_TOLERANCE, FAMILY_NAMES, run_all
 from .weights import Weight2D
 
@@ -65,8 +65,8 @@ def cmd_verify(args) -> int:
     only = None
     if args.only:
         only = [name for chunk in args.only for name in chunk.split(",") if name]
-    weight = Weight2D.from_json(_load_json(args.weight)) if args.weight else None
     try:
+        weight = Weight2D.from_json(_load_json(args.weight)) if args.weight else None
         reports, timings = run_all(
             n=args.n,
             seed=args.seed,
@@ -116,8 +116,6 @@ def _theta_params(raw: str, n: int) -> BernoulliParams:
 
 
 def cmd_simulate(args) -> int:
-    if args.exact and args.samples is not None:
-        raise ConfigError("choose either --exact or --samples, not both")
     params = _theta_params(args.theta, args.n)
     size = 1 << params.n
     eye = np.eye(size)
@@ -160,10 +158,7 @@ def cmd_simulate(args) -> int:
         "thetas": list(params.thetas),
         "n": params.n,
         "passed": passed,
-        "timing": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "seconds": time.perf_counter() - started,
-        },
+        "timing": timing_json({body["mode"]: time.perf_counter() - started}),
         **body,
     }
     _emit(payload, args.out)
@@ -249,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="Bernoulli noise Gram and moment checks")
     simulate.add_argument("--theta", default="0.5", help='float literal or JSON file (default "0.5")')
     simulate.add_argument("--n", type=int, default=8)
-    simulate.add_argument("--samples", type=int, help="Monte Carlo sample count")
-    simulate.add_argument("--exact", action="store_true", help="exact enumeration (default)")
+    simulate.add_argument("--samples", type=int, help="Monte Carlo samples (default: exact)")
     simulate.add_argument("--seed", type=int, default=42)
     simulate.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     simulate.add_argument("--out")

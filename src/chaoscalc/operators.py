@@ -16,8 +16,6 @@ matrices over the truncated basis, columns indexed by input subset mask.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -25,7 +23,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Subset, check_truncation, lam, lam_vector, popcount_vector
+from .basis import Subset, check_truncation, popcount_vector
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
 
@@ -196,23 +194,6 @@ def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
     return Functional(out, xi.truncation)
 
 
-def l2_wn_diagnostics(w: Weight2D, n: int) -> dict:
-    """Sup of theta over the truncated basis plus a boundedness caveat.
-
-    On the truncation every diagonal operator is trivially bounded; the sup
-    reported here certifies boundedness on the full space only if it is known
-    to dominate theta on every finite subset, which a finite scan cannot
-    decide. The caveat field says exactly that.
-    """
-    n = check_truncation(n)
-    sup = float(np.max(w.theta_vector(n)))
-    return {
-        "sup_theta_on_truncation": sup,
-        "bounded_on_truncation": True,
-        "caveat": "finite scan; certifies nothing beyond the truncated basis",
-    }
-
-
 def materialize_apply(
     apply_fn: Callable[[Functional], Functional], n: int
 ) -> sp.csr_matrix:
@@ -300,9 +281,6 @@ def _create_matrix(k: int, n: int) -> sp.csr_matrix:
     return read_only(sp.csr_matrix((data, (rows, cols)), shape=(size, size)))
 
 
-_DIAGONAL_CACHE: dict = {}
-
-
 @dataclass(frozen=True)
 class Annihilate(OperatorExpr):
     k: int
@@ -339,13 +317,11 @@ class Create(OperatorExpr):
 class Diagonal(OperatorExpr):
     """Multiplication by a real function of the subset.
 
-    ``name`` keys the per-truncation vector cache (only supply one per
-    distinct function); ``vector_fn`` provides a fast full-basis evaluation;
-    ``json_form`` makes the node serializable when the function has one.
+    ``vector_fn`` provides a fast full-basis evaluation; ``json_form`` makes
+    the node serializable when the function has one.
     """
 
     fn: Callable[[Subset], float]
-    name: str | None = None
     vector_fn: Callable[[int], np.ndarray] | None = None
     json_form: dict | None = None
 
@@ -354,16 +330,9 @@ class Diagonal(OperatorExpr):
 
     def vector(self, n: int) -> np.ndarray:
         n = check_truncation(n)
-        key = (self.name, n)
-        if self.name is not None and key in _DIAGONAL_CACHE:
-            return _DIAGONAL_CACHE[key]
         if self.vector_fn is not None:
-            vec = np.asarray(self.vector_fn(n), dtype=float)
-        else:
-            vec = np.array([self.fn(Subset(m)) for m in range(1 << n)], dtype=float)
-        if self.name is not None:
-            _DIAGONAL_CACHE[key] = vec
-        return vec
+            return np.asarray(self.vector_fn(n), dtype=float)
+        return np.array([self.fn(Subset(m)) for m in range(1 << n)], dtype=float)
 
     def materialize(self, n):
         return sp.diags(self.vector(n).astype(complex), format="csr")
@@ -493,44 +462,29 @@ def hop_expr(j: int, k: int) -> Compose:
     return Compose((Create(int(k)), Annihilate(int(j)), Create(int(j)), Annihilate(int(k))))
 
 
-def _weight_tag(data: dict) -> str:
-    blob = json.dumps(data, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
 def number() -> Diagonal:
     return Diagonal(
         fn=lambda s: float(len(s)),
-        name="number",
         vector_fn=lambda n: popcount_vector(n).astype(float),
         json_form={"op": "number"},
     )
 
 
-def lambda_diagonal() -> Diagonal:
-    """Multiplication by lambda(sigma); handy in tests and demos."""
-    return Diagonal(fn=lam, name="lambda", vector_fn=lam_vector)
-
-
 def gwn_expr(w: Weight2D) -> Diagonal:
     """Expression form of the 2D weighted number operator (diagonal theta)."""
-    data = w.to_json()
     return Diagonal(
         fn=w.theta,
-        name=f"theta:{_weight_tag(data)}",
         vector_fn=w.theta_vector,
-        json_form={"op": "gwn", "weight": data},
+        json_form={"op": "gwn", "weight": w.to_json()},
     )
 
 
 def wn1d_expr(u: Weight1D) -> Diagonal:
     """Expression form of the 1D weighted number operator (diagonal count)."""
-    data = u.to_json()
     return Diagonal(
         fn=u.count,
-        name=f"count:{_weight_tag(data)}",
         vector_fn=u.count_vector,
-        json_form={"op": "wn1d", "weight": data},
+        json_form={"op": "wn1d", "weight": u.to_json()},
     )
 
 

@@ -25,14 +25,7 @@ import scipy.sparse as sp
 
 from .basis import check_truncation, popcount_vector
 from .operators import l2_annihilate, l2_create, materialize_apply, read_only
-from .reports import (
-    CHECK,
-    NEGATIVE_CONTROL,
-    VerificationReport,
-    max_abs,
-    perturbed,
-    residual,
-)
+from .reports import family_reports, max_abs, perturbed, residual
 from .weights import Weight2D
 
 _HERMITIAN_TOL = 1e-12
@@ -127,12 +120,6 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _report(name, statement, res, tol, *, kind=CHECK, inputs=None, notes=()):
-    return VerificationReport.build(
-        name, statement, res, tol, kind=kind, inputs=inputs, notes=notes
-    )
-
-
 def check_sum_identity(
     w: Weight2D, n: int, tolerance: float = 1e-12, tag: str = "w"
 ) -> list:
@@ -149,7 +136,6 @@ def check_sum_identity(
             "the truncation"
         )
     size = 1 << n
-    inputs = {"n": n, "weight": tag}
     via_adjoint = np.zeros((size, size), dtype=complex)
     via_explicit = np.zeros((size, size), dtype=complex)
     for (j, k), rate in sorted(w.entries.items()):
@@ -161,38 +147,33 @@ def check_sum_identity(
         ).toarray()
         via_explicit += rate * explicit
     diagonal = np.diag(w.theta_vector(n).astype(complex))
-    return [
-        _report(
-            "exclusion-sum-adjoint-vs-explicit",
-            "sum of w(j,k) B'B with numerical adjoints equals the literal "
-            "four-fold composition",
-            residual(via_adjoint, via_explicit),
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "exclusion-sum-explicit-vs-diagonal",
-            "the composed sum equals the diagonal spectral function",
-            residual(via_explicit, diagonal),
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "exclusion-sum-adjoint-vs-diagonal",
-            "the adjoint-route sum equals the diagonal spectral function",
-            residual(via_adjoint, diagonal),
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        [
+            (
+                "exclusion-sum-adjoint-vs-explicit",
+                "sum of w(j,k) B'B with numerical adjoints equals the literal "
+                "four-fold composition",
+                residual(via_adjoint, via_explicit),
+            ),
+            (
+                "exclusion-sum-explicit-vs-diagonal",
+                "the composed sum equals the diagonal spectral function",
+                residual(via_explicit, diagonal),
+            ),
+            (
+                "exclusion-sum-adjoint-vs-diagonal",
+                "the adjoint-route sum equals the diagonal spectral function",
+                residual(via_adjoint, diagonal),
+            ),
+        ],
+        (
             "exclusion-sum-negative-control",
             "adjoint-route sum with one entry off by 1e-6 must fail",
             residual(perturbed(via_adjoint, 1e-6), diagonal),
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 def check_generator_structure(
@@ -240,45 +221,34 @@ def check_generator_structure(
     image = generator_apply(diag_spec, x_diag)
     off_diag = max_abs(image - np.diag(np.diag(image))) / max(1.0, max_abs(image))
 
-    return [
-        _report(
-            "qms-unital",
-            "the generator kills the identity observable",
-            unital,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "qms-hermiticity",
-            "the generator of the adjoint observable is the adjoint image",
-            worst_herm,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "qms-linearity",
-            "the generator is complex-linear in the observable",
-            worst_lin,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "qms-diagonal-reduction",
-            "diagonal rates and a diagonal observable stay diagonal "
-            "(classical birth-death reduction)",
-            off_diag,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        inputs,
+        tolerance,
+        [
+            ("qms-unital", "the generator kills the identity observable", unital),
+            (
+                "qms-hermiticity",
+                "the generator of the adjoint observable is the adjoint image",
+                worst_herm,
+            ),
+            (
+                "qms-linearity",
+                "the generator is complex-linear in the observable",
+                worst_lin,
+            ),
+            (
+                "qms-diagonal-reduction",
+                "diagonal rates and a diagonal observable stay diagonal "
+                "(classical birth-death reduction)",
+                off_diag,
+            ),
+        ],
+        (
             "qms-negative-control",
             "unital check with one entry off by 1e-6 must fail",
             max_abs(perturbed(generator_apply(spec, np.eye(size, dtype=complex)), 1e-6)),
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

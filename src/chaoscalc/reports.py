@@ -114,6 +114,26 @@ class VerificationReport:
         }
 
 
+def family_reports(inputs: dict, tolerance: float, checks, control) -> list:
+    """Reports of one check family, all at one tolerance and on one input.
+
+    Each entry of ``checks`` is ``(name, statement, residual, *notes)``;
+    ``control`` is the ``(name, statement, residual)`` of the family's
+    negative control, which comes last.
+    """
+    reports = [
+        VerificationReport.build(name, statement, res, tolerance, inputs=inputs, notes=notes)
+        for name, statement, res, *notes in checks
+    ]
+    name, statement, res = control
+    reports.append(
+        VerificationReport.build(
+            name, statement, res, tolerance, kind=NEGATIVE_CONTROL, inputs=inputs
+        )
+    )
+    return reports
+
+
 def all_ok(reports) -> bool:
     return all(r.ok for r in reports)
 
@@ -131,10 +151,16 @@ def run_to_json(reports, config: dict, timings: dict | None = None) -> dict:
             "not_ok": sum(1 for r in reports if not r.ok),
         },
         "all_ok": all_ok(reports),
-        "timing": {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "seconds": dict(timings or {}),
-        },
+        "timing": timing_json(timings or {}),
+    }
+
+
+def timing_json(seconds: dict) -> dict:
+    """The one nondeterministic field of every payload: a UTC timestamp and
+    wall seconds per phase."""
+    return {
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "seconds": dict(seconds),
     }
 
 

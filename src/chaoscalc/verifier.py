@@ -13,7 +13,10 @@ like a failed check.
 """
 from __future__ import annotations
 
+import itertools
 import time
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,17 +39,16 @@ from .operators import (
     materialize,
     materialize_apply,
     number,
+    number_apply,
+    number_series_partial,
     occupation,
+    series_partial_1d,
+    series_partial_2d,
+    wn1d_apply,
     wn1d_expr,
 )
-from .reports import (
-    CHECK,
-    NEGATIVE_CONTROL,
-    VerificationReport,
-    max_abs,
-    perturbed,
-    residual,
-)
+from .qms import check_generator_structure, check_sum_identity
+from .reports import family_reports, max_abs, perturbed, residual
 from .weights import Weight1D, Weight2D, theta_double_sum
 
 DEFAULT_TOLERANCE = 1e-12
@@ -58,12 +60,6 @@ _ADJOINT_NOTE = (
     "nothing is claimed about the untruncated operators"
 )
 _DUAL_NORM_NOTE = "dual norm: sum of lambda^(-2p) |coeff|^2 (adopted convention)"
-
-
-def _report(name, statement, res, tol, *, kind=CHECK, inputs=None, notes=()):
-    return VerificationReport.build(
-        name, statement, res, tol, kind=kind, inputs=inputs, notes=notes
-    )
 
 
 def random_weight2d(
@@ -107,33 +103,6 @@ def check_car(n: int, tolerance: float = 0.0) -> list:
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
     eye = sp.identity(1 << n, dtype=complex, format="csr")
-    inputs = {"n": n}
-    reports = []
-
-    equal_time = max(residual(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n))
-    reports.append(
-        _report(
-            "car-equal-time",
-            "create(k) annihilate(k) + annihilate(k) create(k) = identity",
-            equal_time,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-
-    nil = max(
-        max(max_abs(a[k] @ a[k]), max_abs(c[k] @ c[k])) for k in range(n)
-    )
-    reports.append(
-        _report(
-            "car-nilpotent",
-            "annihilate(k)^2 = 0 and create(k)^2 = 0",
-            nil,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-
     cross_aa = cross_cc = cross_ca = 0.0
     for j in range(n):
         for k in range(j + 1, n):
@@ -141,34 +110,6 @@ def check_car(n: int, tolerance: float = 0.0) -> list:
             cross_cc = max(cross_cc, residual(c[j] @ c[k], c[k] @ c[j]))
             cross_ca = max(cross_ca, residual(c[j] @ a[k], a[k] @ c[j]))
             cross_ca = max(cross_ca, residual(c[k] @ a[j], a[j] @ c[k]))
-    reports.append(
-        _report(
-            "car-cross-annihilate",
-            "annihilate(j) annihilate(k) = annihilate(k) annihilate(j), j != k",
-            cross_aa,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-    reports.append(
-        _report(
-            "car-cross-create",
-            "create(j) create(k) = create(k) create(j), j != k",
-            cross_cc,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-    reports.append(
-        _report(
-            "car-cross-mixed",
-            "create(j) annihilate(k) = annihilate(k) create(j), j != k",
-            cross_ca,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-
     masks = np.arange(1 << n, dtype=np.int64)
     occ = max(
         residual(
@@ -177,49 +118,60 @@ def check_car(n: int, tolerance: float = 0.0) -> list:
         )
         for k in range(n)
     )
-    reports.append(
-        _report(
-            "occupation-symbol",
-            "create(k) annihilate(k) acts as the membership indicator of k",
-            occ,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-
-    adjoint = max(residual(a[k].T.tocsr(), c[k]) for k in range(n))
-    reports.append(
-        _report(
-            "car-adjoint-transpose",
-            "annihilate(k) and create(k) are mutual transposes on the truncation",
-            adjoint,
-            tolerance,
-            inputs=inputs,
-            notes=(_ADJOINT_NOTE,),
-        )
-    )
-
-    corrupted = residual(perturbed(c[0] @ a[0] + a[0] @ c[0], PERTURBATION), eye)
-    reports.append(
-        _report(
+    return family_reports(
+        {"n": n},
+        tolerance,
+        [
+            (
+                "car-equal-time",
+                "create(k) annihilate(k) + annihilate(k) create(k) = identity",
+                max(residual(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n)),
+            ),
+            (
+                "car-nilpotent",
+                "annihilate(k)^2 = 0 and create(k)^2 = 0",
+                max(max(max_abs(a[k] @ a[k]), max_abs(c[k] @ c[k])) for k in range(n)),
+            ),
+            (
+                "car-cross-annihilate",
+                "annihilate(j) annihilate(k) = annihilate(k) annihilate(j), j != k",
+                cross_aa,
+            ),
+            (
+                "car-cross-create",
+                "create(j) create(k) = create(k) create(j), j != k",
+                cross_cc,
+            ),
+            (
+                "car-cross-mixed",
+                "create(j) annihilate(k) = annihilate(k) create(j), j != k",
+                cross_ca,
+            ),
+            (
+                "occupation-symbol",
+                "create(k) annihilate(k) acts as the membership indicator of k",
+                occ,
+            ),
+            (
+                "car-adjoint-transpose",
+                "annihilate(k) and create(k) are mutual transposes on the truncation",
+                max(residual(a[k].T.tocsr(), c[k]) for k in range(n)),
+                _ADJOINT_NOTE,
+            ),
+        ],
+        (
             "car-negative-control",
             "equal-time relation with one matrix entry off by 1e-6 must fail",
-            corrupted,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
-        )
+            residual(perturbed(c[0] @ a[0] + a[0] @ c[0], PERTURBATION), eye),
+        ),
     )
-    return reports
 
 
 def check_hop(n: int, tolerance: float = 0.0) -> list:
     """Closed form of the four-fold ladder product against literal composition."""
     n = check_truncation(n)
-    inputs = {"n": n}
     masks = np.arange(1 << n, dtype=np.int64)
-    worst = 0.0
-    worst_symbol = 0.0
+    worst = worst_symbol = 0.0
     first_pair = None
     for j in range(n):
         for k in range(n):
@@ -236,35 +188,31 @@ def check_hop(n: int, tolerance: float = 0.0) -> list:
             worst_symbol = max(
                 worst_symbol, residual(closed, sp.diags(symbol, format="csr"))
             )
-    reports = [
-        _report(
-            "hop-closed-form",
-            "create(k) annihilate(j) create(j) annihilate(k) equals its "
-            "membership-gated diagonal closed form",
-            worst,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "hop-symbol",
-            "the four-fold product is diagonal with symbol "
-            "[k in sigma] * (j == k or j not in sigma)",
-            worst_symbol,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n},
+        tolerance,
+        [
+            (
+                "hop-closed-form",
+                "create(k) annihilate(j) create(j) annihilate(k) equals its "
+                "membership-gated diagonal closed form",
+                worst,
+            ),
+            (
+                "hop-symbol",
+                "the four-fold product is diagonal with symbol "
+                "[k in sigma] * (j == k or j not in sigma)",
+                worst_symbol,
+            ),
+        ],
+        (
             "hop-negative-control",
             "closed form with one entry off by 1e-6 must fail",
             residual(perturbed(first_pair[0], PERTURBATION), first_pair[1])
             if first_pair is not None
             else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
-    return reports
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +227,6 @@ def check_commutation_2d(
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
     big_k = materialize(gwn_expr(w), n)
-    inputs = {"n": n, "weight": tag}
     worst_a = worst_c = worst_occ = 0.0
     control = None
     for k in range(n):
@@ -296,39 +243,30 @@ def check_commutation_2d(
         worst_c = max(worst_c, residual(lhs_c, rhs_c))
         occ_k = c[k] @ a[k]
         worst_occ = max(worst_occ, residual(big_k @ occ_k, occ_k @ big_k))
-    return [
-        _report(
-            "gwn-commute-annihilate",
-            "gwn(w) a(k) = a(k) gwn(w) + a(k) wn1d(row_k) + a(k) wn1d(col_k)"
-            " - (2 w(k,k) + colsum(k)) a(k)",
-            worst_a,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "gwn-commute-create",
-            "gwn(w) a+(k) = a+(k) gwn(w) - a+(k) wn1d(row_k) - a+(k) wn1d(col_k)"
-            " + colsum(k) a+(k)",
-            worst_c,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "gwn-commute-occupation",
-            "gwn(w) commutes with a+(k) a(k)",
-            worst_occ,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        [
+            (
+                "gwn-commute-annihilate",
+                "gwn(w) a(k) = a(k) gwn(w) + a(k) wn1d(row_k) + a(k) wn1d(col_k)"
+                " - (2 w(k,k) + colsum(k)) a(k)",
+                worst_a,
+            ),
+            (
+                "gwn-commute-create",
+                "gwn(w) a+(k) = a+(k) gwn(w) - a+(k) wn1d(row_k) - a+(k) wn1d(col_k)"
+                " + colsum(k) a+(k)",
+                worst_c,
+            ),
+            ("gwn-commute-occupation", "gwn(w) commutes with a+(k) a(k)", worst_occ),
+        ],
+        (
             "gwn-commutation-negative-control",
             "annihilator commutation with one entry off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 def check_commutation_1d(
@@ -338,7 +276,6 @@ def check_commutation_1d(
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
     nu = materialize(wn1d_expr(u), n)
-    inputs = {"n": n, "weight": tag}
     worst_a = worst_c = worst_occ = 0.0
     control = None
     for k in range(n):
@@ -350,37 +287,20 @@ def check_commutation_1d(
         worst_c = max(worst_c, residual(nu @ c[k], c[k] @ nu + u(k) * c[k]))
         occ_k = c[k] @ a[k]
         worst_occ = max(worst_occ, residual(nu @ occ_k, occ_k @ nu))
-    return [
-        _report(
-            "wn1d-commute-annihilate",
-            "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)",
-            worst_a,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "wn1d-commute-create",
-            "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)",
-            worst_c,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "wn1d-commute-occupation",
-            "wn1d(u) commutes with a+(k) a(k)",
-            worst_occ,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        [
+            ("wn1d-commute-annihilate", "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)", worst_a),
+            ("wn1d-commute-create", "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)", worst_c),
+            ("wn1d-commute-occupation", "wn1d(u) commutes with a+(k) a(k)", worst_occ),
+        ],
+        (
             "wn1d-commutation-negative-control",
             "annihilator commutation with one entry off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 def check_commutation_number(n: int, tolerance: float = DEFAULT_TOLERANCE) -> list:
@@ -390,33 +310,19 @@ def check_commutation_number(n: int, tolerance: float = DEFAULT_TOLERANCE) -> li
     nn = materialize(number(), n)
     worst_a = max(residual(nn @ a[k], a[k] @ nn - a[k]) for k in range(n))
     worst_c = max(residual(nn @ c[k], c[k] @ nn + c[k]) for k in range(n))
-    inputs = {"n": n}
-    return [
-        _report(
-            "number-commute-annihilate",
-            "number a(k) = a(k) number - a(k)",
-            worst_a,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "number-commute-create",
-            "number a+(k) = a+(k) number + a+(k)",
-            worst_c,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n},
+        tolerance,
+        [
+            ("number-commute-annihilate", "number a(k) = a(k) number - a(k)", worst_a),
+            ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", worst_c),
+        ],
+        (
             "number-commutation-negative-control",
             "number commutation with one entry off by 1e-6 must fail",
-            residual(perturbed(nn @ a[0], PERTURBATION), a[0] @ nn - a[0])
-            if n
-            else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
+            residual(perturbed(nn @ a[0], PERTURBATION), a[0] @ nn - a[0]) if n else 0.0,
         ),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +337,6 @@ def check_spectral_shifts(
     n = check_truncation(n)
     masks = np.arange(1 << n, dtype=np.int64)
     theta = w.theta_vector(n)
-    inputs = {"n": n, "weight": tag}
     worst_add = worst_remove = 0.0
     control = None
     for k in range(n):
@@ -441,58 +346,49 @@ def check_spectral_shifts(
         outside = (masks & bit) == 0
         lhs = theta[masks[outside] | bit]
         rhs = (theta - row_count - col_count + w.colsum(k))[outside]
-        scale = max(1.0, max_abs(lhs), max_abs(rhs))
-        worst_add = max(worst_add, max_abs(lhs - rhs) / scale)
+        worst_add = max(worst_add, residual(lhs, rhs))
         if control is None and lhs.size:
             bumped = lhs.copy()
             bumped[0] += PERTURBATION
-            control = max_abs(bumped - rhs) / scale
+            control = max_abs(bumped - rhs) / max(1.0, max_abs(lhs), max_abs(rhs))
         inside = ~outside
         lhs_r = theta[masks[inside] ^ bit]
         rhs_r = (theta + row_count + col_count - 2.0 * w(k, k) - w.colsum(k))[inside]
-        scale_r = max(1.0, max_abs(lhs_r), max_abs(rhs_r))
-        worst_remove = max(worst_remove, max_abs(lhs_r - rhs_r) / scale_r)
+        worst_remove = max(worst_remove, residual(lhs_r, rhs_r))
 
-    reports = [
-        _report(
+    checks = [
+        (
             "spectral-shift-add",
             "theta(sigma + {k}) = theta(sigma) - count(row_k, sigma)"
             " - count(col_k, sigma) + colsum(k), for k outside sigma",
             worst_add,
-            tolerance,
-            inputs=inputs,
         ),
-        _report(
+        (
             "spectral-shift-remove",
             "theta(sigma - {k}) = theta(sigma) + count(row_k, sigma)"
             " + count(col_k, sigma) - 2 w(k,k) - colsum(k), for k in sigma",
             worst_remove,
-            tolerance,
-            inputs=inputs,
         ),
     ]
     if w.is_exact():
         oracle = np.array([theta_double_sum(w, int(m)) for m in masks])
-        reports.append(
-            _report(
+        checks.append(
+            (
                 "theta-vs-double-sum",
                 "rearranged theta equals the literal double sum over entries",
-                max_abs(theta - oracle) / max(1.0, max_abs(theta), max_abs(oracle)),
-                tolerance,
-                inputs=inputs,
+                residual(theta, oracle),
             )
         )
-    reports.append(
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        checks,
+        (
             "spectral-shift-negative-control",
             "index-addition shift with one value off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
-        )
+        ),
     )
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +404,6 @@ def check_representations(
     tag: str = "w",
 ) -> list:
     """Partial sums of the hop/occupation series stabilize at the support bound."""
-    from .operators import (
-        number_apply,
-        number_series_partial,
-        series_partial_1d,
-        series_partial_2d,
-        wn1d_apply,
-    )
-
     n = check_truncation(n)
     if not w.is_exact():
         raise ValueError(
@@ -526,9 +414,6 @@ def check_representations(
             f"series checks need weight support within the truncation "
             f"(support bound {max(w.support_bound(), u.support_bound())}, n = {n})"
         )
-    inputs = {"n": n, "weight": tag}
-    reports = []
-
     target = materialize(gwn_expr(w), n)
     worst = 0.0
     control = None
@@ -546,25 +431,6 @@ def check_representations(
             worst = max(worst, residual(partial, target))
             if control is None:
                 control = residual(perturbed(partial, PERTURBATION), target)
-    reports.append(
-        _report(
-            "gwn-series",
-            "sum of w(j,k) hop(j,k) over j,k < m equals gwn(w) once m covers "
-            "the support",
-            worst,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-    reports.append(
-        _report(
-            "gwn-series-monotone",
-            "diagonal of the partial sums is nondecreasing in the cutoff",
-            monotone_violation,
-            tolerance,
-            inputs=inputs,
-        )
-    )
 
     rng = np.random.default_rng(0)
     probe = random_functional(rng, n)
@@ -572,28 +438,8 @@ def check_representations(
         (series_partial_1d(u, probe, cut) - wn1d_apply(u, probe)).max_abs()
         for cut in range(u.support_bound(), n + 1)
     ) / max(1.0, probe.max_abs())
-    reports.append(
-        _report(
-            "wn1d-series",
-            "sum of u(k) a+(k) a(k) over k < m equals wn1d(u) once m covers "
-            "the support",
-            worst_1d,
-            tolerance,
-            inputs=inputs,
-        )
-    )
-
     worst_num = (number_series_partial(probe, n) - number_apply(probe)).max_abs() / max(
         1.0, probe.max_abs()
-    )
-    reports.append(
-        _report(
-            "number-series",
-            "sum of a+(k) a(k) over k < n equals the number operator",
-            worst_num,
-            tolerance,
-            inputs=inputs,
-        )
     )
 
     def l2_series_term(j, k, xi):
@@ -607,28 +453,45 @@ def check_representations(
 
     l2_mat = materialize_apply(l2_series, n)
     l2_target = materialize_apply(lambda xi: l2_wn_apply(w, xi), n)
-    reports.append(
-        _report(
-            "l2-wn-series",
-            "the same series written with the square-integrable-side operators "
-            "sums to the diagonal theta action",
-            residual(l2_mat, l2_target),
-            tolerance,
-            inputs=inputs,
-        )
-    )
-
-    reports.append(
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        [
+            (
+                "gwn-series",
+                "sum of w(j,k) hop(j,k) over j,k < m equals gwn(w) once m covers "
+                "the support",
+                worst,
+            ),
+            (
+                "gwn-series-monotone",
+                "diagonal of the partial sums is nondecreasing in the cutoff",
+                monotone_violation,
+            ),
+            (
+                "wn1d-series",
+                "sum of u(k) a+(k) a(k) over k < m equals wn1d(u) once m covers "
+                "the support",
+                worst_1d,
+            ),
+            (
+                "number-series",
+                "sum of a+(k) a(k) over k < n equals the number operator",
+                worst_num,
+            ),
+            (
+                "l2-wn-series",
+                "the same series written with the square-integrable-side operators "
+                "sums to the diagonal theta action",
+                residual(l2_mat, l2_target),
+            ),
+        ],
+        (
             "representation-negative-control",
             "stabilized partial sum with one entry off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
-        )
+        ),
     )
-    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +510,6 @@ def check_riesz_intertwining(
     """Conjugation carries the square-integrable operators to the transform side."""
     n = check_truncation(n)
     rng = np.random.default_rng(seed)
-    inputs = {"n": n, "weight": tag, "trials": trials, "seed": seed}
     worst_a = worst_c = worst_w = worst_pair = 0.0
     control = None
     for _ in range(trials):
@@ -656,20 +518,15 @@ def check_riesz_intertwining(
         for k in range(n):
             lhs = riesz_embed(l2_annihilate(k, xi))
             rhs = apply_annihilate(k, embedded)
-            scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-            worst_a = max(worst_a, (lhs - rhs).max_abs() / scale)
+            worst_a = max(worst_a, residual(lhs, rhs))
             if control is None:
+                scale = max(1.0, lhs.max_abs(), rhs.max_abs())
                 control = (perturbed(lhs, PERTURBATION) - rhs).max_abs() / scale
-            lhs = riesz_embed(l2_create(k, xi))
-            rhs = apply_create(k, embedded)
             worst_c = max(
-                worst_c,
-                (lhs - rhs).max_abs() / max(1.0, lhs.max_abs(), rhs.max_abs()),
+                worst_c, residual(riesz_embed(l2_create(k, xi)), apply_create(k, embedded))
             )
-        lhs = riesz_embed(l2_wn_apply(w, xi))
-        rhs = gwn_apply(w, embedded)
         worst_w = max(
-            worst_w, (lhs - rhs).max_abs() / max(1.0, lhs.max_abs(), rhs.max_abs())
+            worst_w, residual(riesz_embed(l2_wn_apply(w, xi)), gwn_apply(w, embedded))
         )
         value = pair(embedded, xi)
         norm_sq = xi.norm(0) ** 2
@@ -677,55 +534,42 @@ def check_riesz_intertwining(
             worst_pair,
             max(abs(value.imag), abs(value.real - norm_sq)) / max(1.0, norm_sq),
         )
-    return [
-        _report(
-            "riesz-intertwining-annihilate",
-            "conjugate(l2_annihilate(k, xi)) = a(k) conjugate(xi)",
-            worst_a,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "riesz-intertwining-create",
-            "conjugate(l2_create(k, xi)) = a+(k) conjugate(xi)",
-            worst_c,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "riesz-intertwining-wn",
-            "conjugate(l2_wn(w, xi)) = gwn(w) conjugate(xi)",
-            worst_w,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "riesz-pairing-positivity",
-            "pairing of conjugate(xi) with xi is the squared plain norm",
-            worst_pair,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag, "trials": trials, "seed": seed},
+        tolerance,
+        [
+            (
+                "riesz-intertwining-annihilate",
+                "conjugate(l2_annihilate(k, xi)) = a(k) conjugate(xi)",
+                worst_a,
+            ),
+            (
+                "riesz-intertwining-create",
+                "conjugate(l2_create(k, xi)) = a+(k) conjugate(xi)",
+                worst_c,
+            ),
+            (
+                "riesz-intertwining-wn",
+                "conjugate(l2_wn(w, xi)) = gwn(w) conjugate(xi)",
+                worst_w,
+            ),
+            (
+                "riesz-pairing-positivity",
+                "pairing of conjugate(xi) with xi is the squared plain norm",
+                worst_pair,
+            ),
+        ],
+        (
             "riesz-negative-control",
             "intertwining with one coefficient off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # norm bounds
 # ---------------------------------------------------------------------------
-
-
-def _random_coeff_matrix(rng, n, trials):
-    re = rng.standard_normal((1 << n, trials))
-    im = rng.standard_normal((1 << n, trials))
-    return re + 1j * im
 
 
 def _dual_norms(coeffs: np.ndarray, lam_vec: np.ndarray, p: float) -> np.ndarray:
@@ -755,8 +599,8 @@ def check_norm_bounds(
     count = u.count_vector(n)
     two_alpha = 2.0 * w.alpha()
     beta = u.beta()
-    inputs = {"n": n, "weight": tag, "trials": trials, "seed": seed}
-    coeffs = _random_coeff_matrix(rng, n, trials)
+    shape = (1 << n, trials)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     worst_2d = worst_1d = 0.0
     for p in (0, 1, 2):
@@ -787,55 +631,46 @@ def check_norm_bounds(
     # control at the attained point: shrink the claimed constant by 1e-6
     control = max(0.0, attained - (1.0 - PERTURBATION) * 1.5) / 1.5
 
-    return [
-        _report(
-            "gwn-dual-norm-bound",
-            "dual_norm(gwn(w) phi, p+1) <= 2 alpha(w) dual_norm(phi, p)",
-            worst_2d,
-            tolerance,
-            inputs=inputs,
-            notes=(_DUAL_NORM_NOTE,),
-        ),
-        _report(
-            "wn1d-dual-norm-bound",
-            "dual_norm(wn1d(u) phi, p+1) <= beta(u) dual_norm(phi, p)",
-            worst_1d,
-            tolerance,
-            inputs=inputs,
-            notes=(_DUAL_NORM_NOTE,),
-        ),
-        _report(
-            "norm-bound-route-consistency",
-            "vectorized dual norms match the coefficient-table API",
-            route_gap,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "wn1d-bound-attained",
-            "with constant weights the 1D constant is attained on the basis "
-            "functional at {0}",
-            sharp_gap,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "remark-1d-comparison",
-            "alpha of the diagonal lift equals beta, so the sharp 1D constant "
-            "improves on the generic 2 alpha",
-            remark_gap,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag, "trials": trials, "seed": seed},
+        tolerance,
+        [
+            (
+                "gwn-dual-norm-bound",
+                "dual_norm(gwn(w) phi, p+1) <= 2 alpha(w) dual_norm(phi, p)",
+                worst_2d,
+                _DUAL_NORM_NOTE,
+            ),
+            (
+                "wn1d-dual-norm-bound",
+                "dual_norm(wn1d(u) phi, p+1) <= beta(u) dual_norm(phi, p)",
+                worst_1d,
+                _DUAL_NORM_NOTE,
+            ),
+            (
+                "norm-bound-route-consistency",
+                "vectorized dual norms match the coefficient-table API",
+                route_gap,
+            ),
+            (
+                "wn1d-bound-attained",
+                "with constant weights the 1D constant is attained on the basis "
+                "functional at {0}",
+                sharp_gap,
+            ),
+            (
+                "remark-1d-comparison",
+                "alpha of the diagonal lift equals beta, so the sharp 1D constant "
+                "improves on the generic 2 alpha",
+                remark_gap,
+            ),
+        ],
+        (
             "norm-bound-negative-control",
             "the attained constant shrunk by 1e-6 must fail",
             control,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +691,6 @@ def check_l2_lemmas(
     functions, the code path that never touches the expression engine.
     """
     n = check_truncation(n)
-    inputs = {"n": n, "weight": tag}
     eye = sp.identity(1 << n, dtype=complex, format="csr")
     d = [materialize_apply(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
     ds = [materialize_apply(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
@@ -864,21 +698,13 @@ def check_l2_lemmas(
     n_u = materialize_apply(lambda f: l2_wn1d_apply(u, f), n)
 
     car = max(residual(ds[k] @ d[k] + d[k] @ ds[k], eye) for k in range(n))
-    worst_ua = max(
-        residual(n_u @ d[k], d[k] @ n_u - u(k) * d[k]) for k in range(n)
-    )
-    worst_uc = max(
-        residual(n_u @ ds[k], ds[k] @ n_u + u(k) * ds[k]) for k in range(n)
-    )
+    worst_ua = max(residual(n_u @ d[k], d[k] @ n_u - u(k) * d[k]) for k in range(n))
+    worst_uc = max(residual(n_u @ ds[k], ds[k] @ n_u + u(k) * ds[k]) for k in range(n))
     worst_wa = worst_wc = 0.0
     control = None
     for k in range(n):
-        row = materialize_apply(
-            lambda f, k=k: l2_wn1d_apply(w.row_slice(k), f), n
-        )
-        col = materialize_apply(
-            lambda f, k=k: l2_wn1d_apply(w.col_slice(k), f), n
-        )
+        row = materialize_apply(lambda f, k=k: l2_wn1d_apply(w.row_slice(k), f), n)
+        col = materialize_apply(lambda f, k=k: l2_wn1d_apply(w.col_slice(k), f), n)
         scal = 2.0 * w(k, k) + w.colsum(k)
         lhs = s_w @ d[k]
         rhs = d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]
@@ -892,52 +718,31 @@ def check_l2_lemmas(
                 ds[k] @ s_w - ds[k] @ row - ds[k] @ col + w.colsum(k) * ds[k],
             ),
         )
-    return [
-        _report(
-            "l2-car",
-            "d+(k) d(k) + d(k) d+(k) = identity on the truncation",
-            car,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "l2-wn1d-commute-annihilate",
-            "N_u d(k) = d(k) N_u - u(k) d(k)",
-            worst_ua,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "l2-wn1d-commute-create",
-            "N_u d+(k) = d+(k) N_u + u(k) d+(k)",
-            worst_uc,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "l2-wn-commute-annihilate",
-            "S_w d(k) = d(k) S_w + d(k) N_row + d(k) N_col"
-            " - (2 w(k,k) + colsum(k)) d(k)",
-            worst_wa,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "l2-wn-commute-create",
-            "S_w d+(k) = d+(k) S_w - d+(k) N_row - d+(k) N_col + colsum(k) d+(k)",
-            worst_wc,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        [
+            ("l2-car", "d+(k) d(k) + d(k) d+(k) = identity on the truncation", car),
+            ("l2-wn1d-commute-annihilate", "N_u d(k) = d(k) N_u - u(k) d(k)", worst_ua),
+            ("l2-wn1d-commute-create", "N_u d+(k) = d+(k) N_u + u(k) d+(k)", worst_uc),
+            (
+                "l2-wn-commute-annihilate",
+                "S_w d(k) = d(k) S_w + d(k) N_row + d(k) N_col"
+                " - (2 w(k,k) + colsum(k)) d(k)",
+                worst_wa,
+            ),
+            (
+                "l2-wn-commute-create",
+                "S_w d+(k) = d+(k) S_w - d+(k) N_row - d+(k) N_col + colsum(k) d+(k)",
+                worst_wc,
+            ),
+        ],
+        (
             "l2-negative-control",
             "l2 commutation with one entry off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +759,6 @@ def check_weight_invariants(
 ) -> list:
     """Range and additivity facts about theta, count and alpha."""
     n = check_truncation(n)
-    inputs = {"n": n, "weight": tag}
     theta = w.theta_vector(n)
     cap = 2.0 * w.alpha() * popcount_vector(n)
     scale = max(1.0, max_abs(theta), max_abs(cap))
@@ -967,12 +771,11 @@ def check_weight_invariants(
         (max(0.0, w.colsum(k) - w.alpha()) for k in columns), default=0.0
     ) / max(1.0, w.alpha())
 
-    lift_gap = max_abs(
-        Weight2D.from_weight1d(u).theta_vector(n) - u.count_vector(n)
-    ) / max(1.0, u.beta())
+    count = u.count_vector(n)
+    lift = Weight2D.from_weight1d(u).theta_vector(n)
+    lift_gap = max_abs(lift - count) / max(1.0, u.beta())
 
     masks = np.arange(1 << n, dtype=np.int64)
-    count = u.count_vector(n)
     additive = 0.0
     for k in range(n):
         bit = 1 << k
@@ -990,51 +793,34 @@ def check_weight_invariants(
         float(np.max(corrupted - cap, initial=0.0)),
     ) / scale
 
-    return [
-        _report(
-            "theta-range",
-            "0 <= theta(sigma) <= 2 alpha(w) #sigma on the whole basis",
-            range_violation,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "alpha-dominates-columns",
-            "every column sum is at most alpha",
-            alpha_gap,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "lift-theta-equals-count",
-            "theta of the diagonal lift of u equals count(u, .)",
-            lift_gap,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "count-additive",
-            "count(sigma + {k}) = count(sigma) + u(k) for k outside sigma",
-            additive,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "theta-empty",
-            "theta and count vanish on the empty set",
-            empty_gap,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "weight": tag},
+        tolerance,
+        [
+            (
+                "theta-range",
+                "0 <= theta(sigma) <= 2 alpha(w) #sigma on the whole basis",
+                range_violation,
+            ),
+            ("alpha-dominates-columns", "every column sum is at most alpha", alpha_gap),
+            (
+                "lift-theta-equals-count",
+                "theta of the diagonal lift of u equals count(u, .)",
+                lift_gap,
+            ),
+            (
+                "count-additive",
+                "count(sigma + {k}) = count(sigma) + u(k) for k outside sigma",
+                additive,
+            ),
+            ("theta-empty", "theta and count vanish on the empty set", empty_gap),
+        ],
+        (
             "weight-invariant-negative-control",
             "theta with one value pushed below zero must fail the range check",
             control,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 def check_functional_invariants(
@@ -1047,7 +833,6 @@ def check_functional_invariants(
     n = check_truncation(n)
     rng = np.random.default_rng(seed)
     lam_vec = lam_vector(n)
-    inputs = {"n": n, "trials": trials, "seed": seed}
     grid = (0.0, 0.5, 1.0, 2.0)
     worst_mono = worst_dual = worst_iso = worst_cs = worst_growth = 0.0
     control = None
@@ -1056,11 +841,7 @@ def check_functional_invariants(
         phi = random_functional(rng, n)
         norms = [xi.norm(p) for p in grid]
         worst_mono = max(
-            worst_mono,
-            max(
-                (a - b) / max(1.0, b)
-                for a, b in zip(norms, norms[1:])
-            ),
+            worst_mono, max((a - b) / max(1.0, b) for a, b in zip(norms, norms[1:]))
         )
         duals = [xi.dual_norm(p) for p in grid]
         worst_dual = max(
@@ -1081,9 +862,7 @@ def check_functional_invariants(
             ) / max(1.0, xi.dual_norm(0))
         for p in (0, 1):
             bound = phi.dual_norm(p) * xi.norm(p)
-            worst_cs = max(
-                worst_cs, (abs(pair(phi, xi)) - bound) / max(1.0, bound)
-            )
+            worst_cs = max(worst_cs, (abs(pair(phi, xi)) - bound) / max(1.0, bound))
         # a table built to satisfy |coeff| <= scale * lambda^order must pass
         # the growth check together with its dual-norm consequence
         scale, order = 2.0, 1.0
@@ -1100,77 +879,40 @@ def check_functional_invariants(
                 max(0.0, outcome.dual_norm_at_next - outcome.dual_norm_cap)
                 / max(1.0, outcome.dual_norm_cap),
             )
-    return [
-        _report(
-            "norm-monotone",
-            "norm(xi, p) is nondecreasing in p",
-            worst_mono,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "dual-norm-antitone",
-            "dual_norm(xi, p) is nonincreasing in p",
-            worst_dual,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "riesz-isometry",
-            "conjugation preserves every dual norm",
-            worst_iso,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "pairing-cauchy-schwarz",
-            "|pair(phi, xi)| <= dual_norm(phi, p) norm(xi, p)",
-            worst_cs,
-            tolerance,
-            inputs=inputs,
-        ),
-        _report(
-            "growth-dual-bound",
-            "a pointwise bound of order p caps the dual norm at level p+1 "
-            "with the series constant",
-            worst_growth,
-            tolerance,
-            inputs=inputs,
-            notes=(_DUAL_NORM_NOTE,),
-        ),
-        _report(
+    return family_reports(
+        {"n": n, "trials": trials, "seed": seed},
+        tolerance,
+        [
+            ("norm-monotone", "norm(xi, p) is nondecreasing in p", worst_mono),
+            ("dual-norm-antitone", "dual_norm(xi, p) is nonincreasing in p", worst_dual),
+            ("riesz-isometry", "conjugation preserves every dual norm", worst_iso),
+            (
+                "pairing-cauchy-schwarz",
+                "|pair(phi, xi)| <= dual_norm(phi, p) norm(xi, p)",
+                worst_cs,
+            ),
+            (
+                "growth-dual-bound",
+                "a pointwise bound of order p caps the dual norm at level p+1 "
+                "with the series constant",
+                worst_growth,
+                _DUAL_NORM_NOTE,
+            ),
+        ],
+        (
             "functional-invariant-negative-control",
             "isometry with one coefficient off by 1e-6 must fail",
             control if control is not None else 0.0,
-            tolerance,
-            kind=NEGATIVE_CONTROL,
-            inputs=inputs,
         ),
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # suite assembly
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = (
-    "car",
-    "hop",
-    "commutation-2d",
-    "commutation-1d",
-    "commutation-number",
-    "spectral-shift",
-    "representation",
-    "riesz",
-    "norm-bound",
-    "l2",
-    "weight-invariant",
-    "functional-invariant",
-    "qms",
-)
 
-
-def fixture_weights(n: int, seed: int, randoms: int = 2) -> dict:
+def fixture_weights(n: int, seed: int) -> dict:
     """Named 2D fixtures: trivial, diagonal, the running two-entry one, random."""
     rng = np.random.default_rng(seed)
     out = {
@@ -1179,7 +921,7 @@ def fixture_weights(n: int, seed: int, randoms: int = 2) -> dict:
         "running": Weight2D.from_entries([(0, 1, 2.0), (1, 1, 3.0)]),
     }
     size = max(2, min(n, 4))
-    for i in range(randoms):
+    for i in range(2):
         out[f"rnd{i}"] = random_weight2d(rng, size)
     return out
 
@@ -1193,128 +935,113 @@ def fixture_weights1d(n: int, seed: int) -> dict:
     }
 
 
+class _Run(NamedTuple):
+    n: int
+    seed: int
+    tolerance: float
+    weights2d: dict
+    weights1d: dict
+    u: Weight1D  # the 1D weight of the families that take one
+
+
+# Fixture fan-outs: each maps a run to the {tag: weight} fixtures of a family.
+_each_2d = attrgetter("weights2d")
+_each_1d = attrgetter("weights1d")
+
+
+def _once(run):
+    return {None: None}
+
+
+def _series_fixture(run):
+    """The running weight, or the first 2D fixture when they were overridden."""
+    tag = "running" if "running" in run.weights2d else next(iter(run.weights2d))
+    return {tag: run.weights2d[tag]}
+
+
+def _random_fixture(run):
+    """The first random weight, or the series fixture when they were overridden."""
+    if "rnd0" in run.weights2d:
+        return {"rnd0": run.weights2d["rnd0"]}
+    return _series_fixture(run)
+
+
+def _qms_family(run, w):
+    # the generator acts on dense 2^n x 2^n observables, so qms stays at n <= 6
+    qn = min(run.n, 6)
+    return check_sum_identity(w, qn, run.tolerance) + check_generator_structure(
+        w, qn, trials=20, seed=run.seed, tolerance=run.tolerance
+    )
+
+
+# (family, fixture fan-out, call(run, weight, tag)), in run order. Adjacent
+# entries with the same fan-out run fixture by fixture, so commutation-2d and
+# spectral-shift alternate over the 2D fixtures. The calls look the check
+# functions up when they run, so wrappers installed on this module see them.
+_REGISTRY = (
+    ("car", _once, lambda r, w, tag: check_car(r.n)),
+    ("hop", _once, lambda r, w, tag: check_hop(r.n)),
+    ("commutation-2d", _each_2d,
+     lambda r, w, tag: check_commutation_2d(w, r.n, r.tolerance, tag)),
+    ("spectral-shift", _each_2d,
+     lambda r, w, tag: check_spectral_shifts(w, r.n, SHIFT_TOLERANCE, tag)),
+    ("commutation-1d", _each_1d,
+     lambda r, u, tag: check_commutation_1d(u, r.n, r.tolerance, tag)),
+    ("commutation-number", _once,
+     lambda r, w, tag: check_commutation_number(r.n, r.tolerance)),
+    ("representation", _series_fixture,
+     lambda r, w, tag: check_representations(w, r.u, r.n, r.tolerance, tag)),
+    ("riesz", _random_fixture,
+     lambda r, w, tag: check_riesz_intertwining(
+         w, r.n, seed=r.seed, tolerance=r.tolerance, tag=tag)),
+    ("norm-bound", _random_fixture,
+     lambda r, w, tag: check_norm_bounds(
+         w, r.u, r.n, seed=r.seed, tolerance=r.tolerance, tag=tag)),
+    ("l2", _random_fixture,
+     lambda r, w, tag: check_l2_lemmas(w, r.u, r.n, r.tolerance, tag)),
+    ("weight-invariant", _each_2d,
+     lambda r, w, tag: check_weight_invariants(w, r.u, r.n, r.tolerance, tag)),
+    ("functional-invariant", _once,
+     lambda r, w, tag: check_functional_invariants(r.n, 50, r.seed, r.tolerance)),
+    ("qms", _series_fixture, lambda r, w, tag: _qms_family(r, w)),
+)
+
+FAMILY_NAMES = tuple(family for family, _, _ in _REGISTRY)
+
+
 def run_all(
     n: int = 8,
     seed: int = 42,
     tolerance: float = DEFAULT_TOLERANCE,
     only=None,
     weight_override: Weight2D | None = None,
-    trials_riesz: int = 100,
-    trials_norm: int = 1000,
 ):
     """Run every family on the fixture set; returns (reports, timings).
 
     ``only`` restricts to a subset of FAMILY_NAMES. A weight override replaces
-    the 2D fixtures wholesale (tagged 'custom'). Timings are per family and
-    deliberately kept out of the reports themselves.
+    the 2D fixtures wholesale (tagged 'custom'). Timings are per family run,
+    labelled ``family``, ``family#1``, ..., and deliberately kept out of the
+    reports themselves.
     """
     n = check_truncation(n)
-    if only is not None:
-        unknown = set(only) - set(FAMILY_NAMES)
-        if unknown:
-            raise ValueError(
-                f"unknown families {sorted(unknown)}; choose from {FAMILY_NAMES}"
-            )
+    unknown = set(only or ()) - set(FAMILY_NAMES)
+    if unknown:
+        raise ValueError(f"unknown families {sorted(unknown)}; choose from {FAMILY_NAMES}")
     if weight_override is not None:
         weights2d = {"custom": weight_override}
     else:
         weights2d = fixture_weights(n, seed)
     weights1d = fixture_weights1d(n, seed)
-    u_default = weights1d["rnd"]
-
-    plans = []
-    plans.append(("car", lambda: check_car(n)))
-    plans.append(("hop", lambda: check_hop(n)))
-    for tag, w in weights2d.items():
-        plans.append(
-            (
-                "commutation-2d",
-                lambda w=w, tag=tag: check_commutation_2d(w, n, tolerance, tag),
-            )
-        )
-        plans.append(
-            (
-                "spectral-shift",
-                lambda w=w, tag=tag: check_spectral_shifts(
-                    w, n, SHIFT_TOLERANCE, tag
-                ),
-            )
-        )
-    for tag, u in weights1d.items():
-        plans.append(
-            (
-                "commutation-1d",
-                lambda u=u, tag=tag: check_commutation_1d(u, n, tolerance, tag),
-            )
-        )
-    plans.append(("commutation-number", lambda: check_commutation_number(n, tolerance)))
-    series_w = weights2d.get("running", next(iter(weights2d.values())))
-    series_tag = "running" if "running" in weights2d else next(iter(weights2d))
-    plans.append(
-        (
-            "representation",
-            lambda: check_representations(
-                series_w, weights1d["rnd"], n, tolerance, series_tag
-            ),
-        )
-    )
-    riesz_tag = "rnd0" if "rnd0" in weights2d else series_tag
-    riesz_w = weights2d[riesz_tag]
-    plans.append(
-        (
-            "riesz",
-            lambda: check_riesz_intertwining(
-                riesz_w, n, trials_riesz, seed, tolerance, riesz_tag
-            ),
-        )
-    )
-    plans.append(
-        (
-            "norm-bound",
-            lambda: check_norm_bounds(
-                riesz_w, u_default, n, trials_norm, seed, tolerance, riesz_tag
-            ),
-        )
-    )
-    plans.append(
-        ("l2", lambda: check_l2_lemmas(riesz_w, u_default, n, tolerance, riesz_tag))
-    )
-    for tag, w in weights2d.items():
-        plans.append(
-            (
-                "weight-invariant",
-                lambda w=w, tag=tag: check_weight_invariants(
-                    w, u_default, n, tolerance, tag
-                ),
-            )
-        )
-    plans.append(
-        (
-            "functional-invariant",
-            lambda: check_functional_invariants(n, 50, seed, tolerance),
-        )
-    )
-
-    def qms_family():
-        from .qms import check_generator_structure, check_sum_identity
-
-        qn = min(n, 6)
-        return check_sum_identity(series_w, qn, tolerance) + check_generator_structure(
-            series_w, qn, trials=20, seed=seed, tolerance=tolerance
-        )
-
-    plans.append(("qms", qms_family))
-
-    reports = []
-    timings = {}
-    counters = {}
-    for family, job in plans:
-        if only is not None and family not in only:
-            continue
-        index = counters.get(family, 0)
-        counters[family] = index + 1
-        label = family if index == 0 else f"{family}#{index}"
-        start = time.perf_counter()
-        reports.extend(job())
-        timings[label] = time.perf_counter() - start
+    run = _Run(n, seed, tolerance, weights2d, weights1d, weights1d["rnd"])
+    reports, timings, counts = [], {}, {}
+    for fan_out, entries in itertools.groupby(_REGISTRY, key=lambda entry: entry[1]):
+        entries = [entry for entry in entries if only is None or entry[0] in only]
+        for tag, w in fan_out(run).items():
+            for family, _, call in entries:
+                index = counts.get(family, 0)
+                counts[family] = index + 1
+                label = family if index == 0 else f"{family}#{index}"
+                start = time.perf_counter()
+                reports.extend(call(run, w, tag))
+                timings[label] = time.perf_counter() - start
     return reports, timings

@@ -26,6 +26,12 @@ from .basis import Subset, _mask_of, check_truncation
 _REL_TOL = 1e-12
 
 
+def _json_kind(data):
+    if not isinstance(data, dict):
+        raise ValueError(f"weight JSON must be an object, got {type(data).__name__}")
+    return data.get("kind")
+
+
 def _as_clean_float(v, what: str) -> float:
     value = float(v)
     if not np.isfinite(value):
@@ -107,18 +113,21 @@ class Weight1D:
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight1D":
-        if data.get("kind") != "diag1d":
+        """Weights from their JSON form; ValueError on any malformed payload."""
+        if _json_kind(data) != "diag1d":
             raise ValueError(f"expected kind 'diag1d', got {data.get('kind')!r}")
-        entries = data.get("entries", [])
-        values = {}
-        for item in entries:
-            if len(item) != 2:
-                raise ValueError(f"diag1d entry must be [k, value], got {item!r}")
-            k, v = item
-            if k in values:
-                raise ValueError(f"duplicate entry for index {k}")
-            values[int(k)] = v
-        return cls(values, sup_bound=data.get("sup_bound"))
+        try:
+            values = {}
+            for item in data.get("entries", []):
+                if len(item) != 2:
+                    raise ValueError(f"diag1d entry must be [k, value], got {item!r}")
+                k, v = item
+                if k in values:
+                    raise ValueError(f"duplicate entry for index {k}")
+                values[int(k)] = v
+            return cls(values, sup_bound=data.get("sup_bound"))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed diag1d weight JSON: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,27 +308,33 @@ class Weight2D:
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight2D":
-        kind = data.get("kind")
+        """Weights from their JSON form; ValueError on any malformed payload."""
+        kind = _json_kind(data)
         if kind == "diag1d":
             return cls.from_weight1d(Weight1D.from_json(data))
         if kind != "dense":
             raise ValueError(f"expected kind 'dense' or 'diag1d', got {kind!r}")
-        entries = {}
-        for item in data.get("entries", []):
-            if len(item) != 3:
-                raise ValueError(f"dense entry must be [j, k, value], got {item!r}")
-            j, k, v = item
-            if (int(j), int(k)) in entries:
-                raise ValueError(f"duplicate entry for pair ({j}, {k})")
-            entries[(int(j), int(k))] = v
-        sums = data.get("column_sums", "from_entries")
-        if sums == "from_entries":
-            column_sums = None
-        elif isinstance(sums, dict):
-            column_sums = {int(k): v for k, v in sums.items()}
-        else:
-            raise ValueError(f"column_sums must be 'from_entries' or a mapping, got {sums!r}")
-        return cls(entries, column_sums=column_sums, tail_bound=data.get("tail_bound", 0.0))
+        try:
+            entries = {}
+            for item in data.get("entries", []):
+                if len(item) != 3:
+                    raise ValueError(f"dense entry must be [j, k, value], got {item!r}")
+                j, k, v = item
+                if (int(j), int(k)) in entries:
+                    raise ValueError(f"duplicate entry for pair ({j}, {k})")
+                entries[(int(j), int(k))] = v
+            sums = data.get("column_sums", "from_entries")
+            if sums == "from_entries":
+                column_sums = None
+            elif isinstance(sums, dict):
+                column_sums = {int(k): v for k, v in sums.items()}
+            else:
+                raise ValueError(
+                    f"column_sums must be 'from_entries' or a mapping, got {sums!r}"
+                )
+            return cls(entries, column_sums=column_sums, tail_bound=data.get("tail_bound", 0.0))
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed dense weight JSON: {exc}") from exc
 
 
 def theta_double_sum(w: Weight2D, sigma) -> float:

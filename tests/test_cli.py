@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry point via main(argv)."""
 from __future__ import annotations
 
+import datetime
 import json
 
 import numpy as np
@@ -16,6 +17,13 @@ RUNNING_WEIGHT = {
     "entries": [[0, 1, 2.0], [1, 1, 3.0]],
     "column_sums": "from_entries",
     "tail_bound": 0.0,
+}
+
+
+MALFORMED_WEIGHTS = {
+    "negative-entry": {"kind": "dense", "entries": [[0, 1, -1.0]]},
+    "entries-not-a-list": {"kind": "dense", "entries": 5},
+    "top-level-list": [[0, 1, 2.0], [1, 1, 3.0]],
 }
 
 
@@ -141,6 +149,20 @@ class TestNorms:
         assert all(row["norm"] == 0.0 and row["dual_norm"] == 0.0 for row in payload["norms"])
 
 
+@pytest.mark.parametrize("command", ["verify", "qms"])
+@pytest.mark.parametrize(
+    "weight", list(MALFORMED_WEIGHTS.values()), ids=list(MALFORMED_WEIGHTS)
+)
+def test_malformed_weight_is_config_error(tmp_path, capsys, command, weight):
+    argv = [command, "--weight", write_json(tmp_path / "w.json", weight)]
+    if command == "qms":
+        argv += ["--x", write_json(tmp_path / "x.json", matrix_to_json(np.eye(4), 2))]
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 2 and payload is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestSimulate:
     def test_exact_default_theta(self, capsys):
         code, payload, _ = run_cli(capsys, "simulate", "--n", "5")
@@ -168,9 +190,12 @@ class TestSimulate:
         assert payload["mode"] == "monte-carlo"
         assert payload["worst_excess_over_4se"] <= 0.0
 
-    def test_exact_and_samples_conflict(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--exact", "--samples", "10")
-        assert code == 2 and "not both" in err
+    def test_timing_format_matches_verify(self, capsys):
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "3")
+        assert code == 0
+        timing = payload["timing"]
+        assert datetime.datetime.fromisoformat(timing["timestamp"]).tzinfo is not None
+        assert isinstance(timing["seconds"], dict) and set(timing["seconds"]) == {"exact"}
 
     def test_invalid_theta_literal(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--theta", "1.5", "--n", "3")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chaoscalc.basis import Subset, enumerate_basis, lam
+from chaoscalc.basis import Subset, enumerate_basis, lam, lam_vector
 from chaoscalc.functionals import Functional, pair, riesz_embed
 from chaoscalc.operators import (
     Compose,
@@ -31,8 +31,6 @@ from chaoscalc.operators import (
     l2_create,
     l2_wn1d_apply,
     l2_wn_apply,
-    l2_wn_diagnostics,
-    lambda_diagonal,
     materialize,
     materialize_apply,
     number,
@@ -301,7 +299,7 @@ class TestMaterialize:
     def test_identity_zero_diag(self):
         assert abs(materialize(identity(), 2) - sp.identity(4)).max() == 0.0
         assert materialize(zero(), 2).nnz == 0
-        lam_mat = materialize(lambda_diagonal(), 3).toarray()
+        lam_mat = materialize(Diagonal(fn=lam, vector_fn=lam_vector), 3).toarray()
         for sigma in enumerate_basis(3):
             assert lam_mat[sigma.mask, sigma.mask] == lam(sigma)
 
@@ -407,13 +405,6 @@ class TestL2Side:
         u = Weight1D({0: 2.0, 2: 1.0})
         lifted = l2_wn_apply(Weight2D.from_weight1d(u), xi)
         assert l2_wn1d_apply(u, xi).isclose(lifted, tol=1e-14)
-
-    def test_diagnostics(self, running):
-        info = l2_wn_diagnostics(running, 3)
-        # sup of theta over subsets of {0,1,2} is theta({1}) = 5
-        assert info["sup_theta_on_truncation"] == 5.0
-        assert info["bounded_on_truncation"] is True
-        assert "truncated" in info["caveat"]
 
 
 class TestJson:

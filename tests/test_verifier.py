@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from chaoscalc.functionals import Functional
 from chaoscalc.reports import (
+    CHECK,
     NEGATIVE_CONTROL,
     VerificationReport,
     all_ok,
@@ -19,6 +20,7 @@ from chaoscalc.reports import (
     run_to_json,
 )
 from chaoscalc.verifier import (
+    FAMILY_NAMES,
     check_car,
     check_commutation_1d,
     check_commutation_2d,
@@ -163,7 +165,56 @@ class TestFamilies:
         assert "theta-vs-double-sum" in names
 
 
+# (checks, negative controls) per family in run_all(n=5): one family run per
+# fixture, so five 2D fixtures give commutation-2d five controls. qms runs
+# once and carries two controls.
+FAN_OUT = {
+    "car": (7, 1),
+    "hop": (2, 1),
+    "commutation-2d": (15, 5),
+    "spectral-shift": (15, 5),
+    "commutation-1d": (9, 3),
+    "commutation-number": (2, 1),
+    "representation": (5, 1),
+    "riesz": (4, 1),
+    "norm-bound": (5, 1),
+    "l2": (5, 1),
+    "weight-invariant": (25, 5),
+    "functional-invariant": (5, 1),
+    "qms": (7, 2),
+}
+
+
 class TestRunAll:
+    def test_registry_fan_out(self):
+        _, timings = run_all(n=5, seed=11)
+        # timings keep run order: commutation-2d and spectral-shift alternate
+        # over the five 2D fixtures
+        assert list(timings) == [
+            "car",
+            "hop",
+            *(
+                label
+                for i in ("", "#1", "#2", "#3", "#4")
+                for label in (f"commutation-2d{i}", f"spectral-shift{i}")
+            ),
+            "commutation-1d",
+            "commutation-1d#1",
+            "commutation-1d#2",
+            "commutation-number",
+            "representation",
+            "riesz",
+            "norm-bound",
+            "l2",
+            *(f"weight-invariant{i}" for i in ("", "#1", "#2", "#3", "#4")),
+            "functional-invariant",
+            "qms",
+        ]
+        assert set(FAN_OUT) == set(FAMILY_NAMES)
+        for family, counts in FAN_OUT.items():
+            kinds = [r.kind for r in run_all(n=5, seed=11, only=[family])[0]]
+            assert (kinds.count(CHECK), kinds.count(NEGATIVE_CONTROL)) == counts, family
+
     def test_fixture_sets(self):
         ws = fixture_weights(5, seed=1)
         assert set(ws) == {"zero", "diag-ones", "running", "rnd0", "rnd1"}

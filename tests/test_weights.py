@@ -248,3 +248,14 @@ class TestJson:
             Weight2D.from_json(
                 {"kind": "dense", "entries": [[0, 0, 1.0], [0, 0, 2.0]]}
             )
+        # wrong JSON types raise ValueError too, not TypeError/AttributeError
+        for bad in (
+            [[0, 1, 2.0]],
+            {"kind": "dense", "entries": 5},
+            {"kind": "dense", "entries": [[0, 1, None]]},
+            {"kind": "dense", "entries": [[0, 1, 10**400]]},
+            {"kind": "dense", "entries": [], "tail_bound": [1]},
+            {"kind": "diag1d", "entries": [[[0], 1.0]]},
+        ):
+            with pytest.raises(ValueError):
+                Weight2D.from_json(bad)
