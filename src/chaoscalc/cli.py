@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -172,14 +173,21 @@ def cmd_apply(args) -> int:
     try:
         expr = parse_expr(expr_data)
         phi = Functional.from_json(phi_data)
-        result = expr.apply(phi)
+        # an overflow is reported below as one error, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = expr.apply(phi)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not np.isfinite(result.values).all():
+        raise ConfigError("the result has a non-finite coefficient (overflow)")
     _emit({"command": "apply", **result.to_json()}, args.out)
     return 0
 
 
 def cmd_norms(args) -> int:
+    for p in args.p:
+        if not math.isfinite(p):
+            raise ConfigError(f"--p must be finite, got {p}")
     try:
         phi = Functional.from_json(_load_json(args.functional))
         table = [
@@ -188,6 +196,11 @@ def cmd_norms(args) -> int:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    for row in table:
+        if not (math.isfinite(row["norm"]) and math.isfinite(row["dual_norm"])):
+            raise ConfigError(
+                f"the norms at p = {row['p']} overflow double precision; use a smaller |p|"
+            )
     payload = {
         "command": "norms",
         "truncation": phi.truncation,

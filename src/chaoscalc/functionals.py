@@ -12,24 +12,84 @@ makes the conjugation map an isometry between the two at every level p.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .basis import Subset, _mask_of, basis_size, check_truncation, lam, lam_vector
 
+# Masks are stored as int64, so a table's truncation level stays below 63.
+_MAX_TABLE_TRUNCATION = 62
+_MAX_INT64 = np.iinfo(np.int64).max
+_NO_MASKS = np.zeros(0, dtype=np.int64)
+_NO_VALUES = np.zeros(0, dtype=complex)
+
+
+def _table_truncation(n) -> int:
+    n = check_truncation(n)
+    if n > _MAX_TABLE_TRUNCATION:
+        raise ValueError(
+            f"truncation level {n} exceeds {_MAX_TABLE_TRUNCATION}, the largest "
+            "a coefficient table can index with int64 masks"
+        )
+    return n
+
+
+def _moduli(values: np.ndarray) -> np.ndarray:
+    # hypot, as Python's abs(complex) computes it; np.abs differs in the last bit
+    return np.hypot(values.real, values.imag)
+
+
+class _CoeffView(Mapping):
+    """Read-only ``{mask: complex}`` view of a table's mask and value arrays."""
+
+    __slots__ = ("_masks", "_values")
+
+    def __init__(self, masks: np.ndarray, values: np.ndarray):
+        self._masks = masks
+        self._values = values
+
+    def __getitem__(self, mask) -> complex:
+        if isinstance(mask, (int, np.integer)) and 0 <= mask <= _MAX_INT64:
+            i = int(np.searchsorted(self._masks, mask))
+            if i < len(self._masks) and self._masks[i] == mask:
+                return self._values.item(i)
+        raise KeyError(mask)
+
+    def __iter__(self):
+        return iter(self._masks.tolist())
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(self._masks.tolist(), self._values.tolist())))
+
 
 @dataclass
 class Functional:
-    """Finite coefficient table over the truncated subset basis."""
+    """Finite coefficient table over the truncated subset basis.
+
+    The table is two arrays: ``masks``, sorted, unique int64 subset masks
+    below ``2**truncation``, and ``values``, their complex coefficients, none
+    of them zero. ``coeffs`` is a read-only ``{mask: complex}`` view of both.
+    ``Functional(mapping, n)`` validates every key and value; operator
+    outputs that already meet the invariants skip that through
+    :meth:`_from_arrays`. Tables are values: the arrays are shared between a
+    table and the tables derived from it, and nothing writes into them.
+    """
 
     coeffs: Mapping
     truncation: int
+    masks: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.truncation = check_truncation(self.truncation)
+        self.truncation = _table_truncation(self.truncation)
         limit = 1 << self.truncation
         cleaned = {}
         for key, value in dict(self.coeffs).items():
@@ -39,15 +99,45 @@ class Functional:
                     f"subset {Subset(mask)!r} lies outside truncation {self.truncation}"
                 )
             c = complex(value)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at {Subset(mask)!r} is not finite: {c}")
             if c != 0:
                 cleaned[mask] = c
-        self.coeffs = cleaned
+        masks = sorted(cleaned)
+        self._set(
+            np.array(masks, dtype=np.int64),
+            np.array([cleaned[m] for m in masks], dtype=complex),
+        )
+
+    def _set(self, masks: np.ndarray, values: np.ndarray) -> None:
+        self.masks = masks
+        self.values = values
+        self.coeffs = _CoeffView(masks, values)
+
+    @classmethod
+    def _from_arrays(cls, masks: np.ndarray, values: np.ndarray, n: int) -> "Functional":
+        """Trusted constructor: the caller guarantees the table invariants
+        (masks sorted, unique, int64 and below 2**n; no zero value; n valid).
+        Nothing is checked or copied."""
+        out = object.__new__(cls)
+        out.truncation = n
+        out._set(masks, values)
+        return out
+
+    @classmethod
+    def _dropping_zeros(cls, masks: np.ndarray, values: np.ndarray, n: int) -> "Functional":
+        """Trusted constructor for values that may contain zeros (products,
+        sums); the masks must meet the invariants."""
+        if np.count_nonzero(values) == len(values):
+            return cls._from_arrays(masks, values, n)
+        keep = values != 0
+        return cls._from_arrays(masks[keep], values[keep], n)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "Functional":
-        return cls({}, n)
+        return cls._from_arrays(_NO_MASKS, _NO_VALUES, _table_truncation(n))
 
     @classmethod
     def delta(cls, sigma, n: int) -> "Functional":
@@ -56,13 +146,17 @@ class Functional:
 
     @classmethod
     def from_vector(cls, vec, n: int) -> "Functional":
-        n = check_truncation(n)
+        n = _table_truncation(n)
         vec = np.asarray(vec)
         if vec.shape != (1 << n,):
             raise ValueError(
                 f"vector length {vec.shape} does not match basis size {1 << n}"
             )
-        return cls({m: vec[m] for m in range(1 << n) if vec[m] != 0}, n)
+        masks = np.flatnonzero(vec).astype(np.int64)
+        values = np.asarray(vec[masks], dtype=complex)
+        if not np.isfinite(values).all():
+            raise ValueError("vector has a non-finite entry")
+        return cls._from_arrays(masks, values, n)
 
     # -- access ------------------------------------------------------------
 
@@ -71,20 +165,19 @@ class Functional:
         return self.coeffs.get(_mask_of(sigma), 0j)
 
     def support(self) -> list:
-        return [Subset(m) for m in sorted(self.coeffs)]
+        return [Subset(m) for m in self.masks.tolist()]
 
     def as_vector(self) -> np.ndarray:
         out = np.zeros(basis_size(self.truncation), dtype=complex)
-        for m, c in self.coeffs.items():
-            out[m] = c
+        out[self.masks] = self.values
         return out
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(_moduli(self.values))) if len(self.values) else 0.0
 
     def __iter__(self) -> Iterator:
-        for m in sorted(self.coeffs):
-            yield Subset(m), self.coeffs[m]
+        for m, c in zip(self.masks.tolist(), self.values.tolist()):
+            yield Subset(m), c
 
     # -- linear structure ----------------------------------------------------
 
@@ -92,10 +185,20 @@ class Functional:
         if not isinstance(other, Functional):
             return NotImplemented
         n = max(self.truncation, other.truncation)
-        merged = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            merged[m] = merged.get(m, 0j) + sign * c
-        return Functional(merged, n)
+        theirs = other.values if sign > 0 else -other.values
+        # Column sweeps add single-entry tables term by term, so an empty or
+        # identically indexed side skips the union of the mask arrays.
+        if not len(other.masks):
+            return Functional._from_arrays(self.masks, self.values, n)
+        if not len(self.masks):
+            return Functional._from_arrays(other.masks, theirs, n)
+        if np.array_equal(self.masks, other.masks):
+            return Functional._dropping_zeros(self.masks, self.values + theirs, n)
+        masks = np.union1d(self.masks, other.masks)
+        values = np.zeros(len(masks), dtype=complex)
+        values[np.searchsorted(masks, self.masks)] = self.values
+        values[np.searchsorted(masks, other.masks)] += theirs
+        return Functional._dropping_zeros(masks, values, n)
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -106,8 +209,9 @@ class Functional:
     def __mul__(self, scalar):
         if isinstance(scalar, Functional):
             return NotImplemented
-        z = complex(scalar)
-        return Functional({m: z * c for m, c in self.coeffs.items()}, self.truncation)
+        return Functional._dropping_zeros(
+            self.masks, complex(scalar) * self.values, self.truncation
+        )
 
     __rmul__ = __mul__
 
@@ -118,7 +222,8 @@ class Functional:
         return (
             isinstance(other, Functional)
             and self.truncation == other.truncation
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.masks, other.masks)
+            and np.array_equal(self.values, other.values)
         )
 
     def isclose(self, other: "Functional", tol: float = 1e-12) -> bool:
@@ -128,29 +233,31 @@ class Functional:
 
     # -- norms and duality ---------------------------------------------------
 
+    def _graded_norm(self, power: float) -> float:
+        # Overflow (huge |p| or coefficients) gives inf or nan rather than a
+        # warning; callers that print norms check them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = lam_vector(self.truncation)[self.masks] ** power
+            return float(np.sqrt(np.sum(weights * _moduli(self.values) ** 2)))
+
     def norm(self, p: float) -> float:
         """Graded norm with weight lambda^(2p); p = 0 is the plain l2 norm."""
-        return math.sqrt(
-            sum(lam(m) ** (2 * p) * abs(c) ** 2 for m, c in self.coeffs.items())
-        )
+        return self._graded_norm(2 * p)
 
     def dual_norm(self, p: float) -> float:
         """Dual-side norm with weight lambda^(-2p)."""
-        return math.sqrt(
-            sum(lam(m) ** (-2 * p) * abs(c) ** 2 for m, c in self.coeffs.items())
-        )
+        return self._graded_norm(-2 * p)
 
     def conjugated(self) -> "Functional":
         """Coefficient-wise complex conjugate; realizes the duality embedding."""
-        return Functional(
-            {m: c.conjugate() for m, c in self.coeffs.items()}, self.truncation
-        )
+        return Functional._from_arrays(self.masks, self.values.conj(), self.truncation)
 
     def pair(self, xi: "Functional") -> complex:
         """Bilinear pairing: sum of products of coefficients, no conjugation."""
-        if len(self.coeffs) > len(xi.coeffs):
-            return xi.pair(self)
-        return sum(c * xi.coeffs.get(m, 0j) for m, c in self.coeffs.items())
+        _, mine, theirs = np.intersect1d(
+            self.masks, xi.masks, assume_unique=True, return_indices=True
+        )
+        return complex(np.sum(self.values[mine] * xi.values[theirs]))
 
     # -- serialization -------------------------------------------------------
 
@@ -158,8 +265,8 @@ class Functional:
         return {
             "truncation": self.truncation,
             "coefficients": [
-                [Subset(m).to_json(), self.coeffs[m].real, self.coeffs[m].imag]
-                for m in sorted(self.coeffs)
+                [Subset(m).to_json(), c.real, c.imag]
+                for m, c in zip(self.masks.tolist(), self.values.tolist())
             ],
         }
 
@@ -225,17 +332,19 @@ def check_growth(phi: Functional, bound: GrowthBound, tol: float = 1e-12) -> Gro
     lambda^(-2)), since each coefficient contributes at most
     (scale * lambda^p)^2 * lambda^(-2(p+1)).
     """
+    lams = lam_vector(phi.truncation)
+    excess = _moduli(phi.values) - bound.scale * lams[phi.masks] ** bound.order
     worst = 0.0
     witness = None
-    for m, c in sorted(phi.coeffs.items()):
-        excess = abs(c) - bound.value(m)
-        if excess > worst:
-            worst = excess
-            witness = Subset(m)
+    if len(excess):
+        # argmax takes the first, i.e. smallest, mask attaining the worst excess
+        i = int(np.argmax(excess))
+        if excess[i] > 0:
+            worst = float(excess[i])
+            witness = Subset(int(phi.masks[i]))
     satisfied = worst <= tol
     if not satisfied:
         return GrowthCheckResult(False, worst, witness)
-    lams = lam_vector(phi.truncation)
     cap = bound.scale * math.sqrt(float(np.sum(lams**-2.0)))
     value = phi.dual_norm(bound.order + 1)
     holds = value <= cap * (1.0 + 1e-12) + 1e-15

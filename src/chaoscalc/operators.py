@@ -11,8 +11,9 @@ Two families act on :class:`~chaoscalc.functionals.Functional`:
   function against itself.
 
 Expressions compose with ``@``, add with ``+`` and scale with ``*``; they can
-be applied directly (sparse, dictionary-based) or materialized as scipy CSR
-matrices over the truncated basis, columns indexed by input subset mask.
+be applied directly (sparse: selections and gathers on a table's mask and
+value arrays) or materialized as scipy CSR matrices over the truncated basis,
+columns indexed by input subset mask.
 """
 from __future__ import annotations
 
@@ -42,38 +43,34 @@ def apply_annihilate(k: int, phi: Functional) -> Functional:
     """Transform-side annihilator: output at sigma reads input at sigma + {k}."""
     k = _check_index(k, phi.truncation, "annihilate")
     bit = 1 << k
-    out = {}
-    for m, c in phi.coeffs.items():
-        if m & bit:
-            out[m ^ bit] = c
-    return Functional(out, phi.truncation)
+    keep = (phi.masks & bit) != 0
+    return Functional._from_arrays(phi.masks[keep] ^ bit, phi.values[keep], phi.truncation)
 
 
 def apply_create(k: int, phi: Functional) -> Functional:
     """Transform-side creator: output at sigma containing k reads sigma - {k}."""
     k = _check_index(k, phi.truncation, "create")
     bit = 1 << k
-    out = {}
-    for m, c in phi.coeffs.items():
-        if not m & bit:
-            out[m | bit] = c
-    return Functional(out, phi.truncation)
+    keep = (phi.masks & bit) == 0
+    return Functional._from_arrays(phi.masks[keep] | bit, phi.values[keep], phi.truncation)
+
+
+def _times(phi: Functional, factors: np.ndarray) -> Functional:
+    """phi with each coefficient multiplied by the factor at its position."""
+    return Functional._dropping_zeros(phi.masks, factors * phi.values, phi.truncation)
 
 
 def apply_diagonal(fn: Callable[[Subset], complex], phi: Functional) -> Functional:
     """Multiply each coefficient by fn(sigma)."""
-    return Functional(
-        {m: fn(Subset(m)) * c for m, c in phi.coeffs.items()}, phi.truncation
-    )
+    factors = [fn(Subset(m)) for m in phi.masks.tolist()]
+    return _times(phi, np.array(factors, dtype=complex))
 
 
 def occupation_apply(k: int, phi: Functional) -> Functional:
     """create(k) after annihilate(k): multiplies by the membership indicator."""
     k = _check_index(k, phi.truncation, "occupation")
-    bit = 1 << k
-    return Functional(
-        {m: c for m, c in phi.coeffs.items() if m & bit}, phi.truncation
-    )
+    keep = (phi.masks & 1 << k) != 0
+    return Functional._from_arrays(phi.masks[keep], phi.values[keep], phi.truncation)
 
 
 def hop_apply(j: int, k: int, phi: Functional) -> Functional:
@@ -85,33 +82,25 @@ def hop_apply(j: int, k: int, phi: Functional) -> Functional:
     n = phi.truncation
     j = _check_index(j, n, "hop row")
     k = _check_index(k, n, "hop column")
-    bit_j, bit_k = 1 << j, 1 << k
-    out = {}
-    for m, c in phi.coeffs.items():
-        if m & bit_k and (j == k or not m & bit_j):
-            out[m] = c
-    return Functional(out, n)
+    bit_k = 1 << k
+    gate = bit_k | (0 if j == k else 1 << j)
+    keep = (phi.masks & gate) == bit_k
+    return Functional._from_arrays(phi.masks[keep], phi.values[keep], n)
 
 
 def gwn_apply(w: Weight2D, phi: Functional) -> Functional:
     """Weighted number operator for 2D weights: multiply by theta(sigma)."""
-    return Functional(
-        {m: w.theta(m) * c for m, c in phi.coeffs.items()}, phi.truncation
-    )
+    return _times(phi, w.theta_vector(phi.truncation)[phi.masks])
 
 
 def wn1d_apply(u: Weight1D, phi: Functional) -> Functional:
     """Weighted number operator for 1D weights: multiply by count(sigma)."""
-    return Functional(
-        {m: u.count(m) * c for m, c in phi.coeffs.items()}, phi.truncation
-    )
+    return _times(phi, u.count_vector(phi.truncation)[phi.masks])
 
 
 def number_apply(phi: Functional) -> Functional:
     """Plain number operator: multiply by the cardinality of sigma."""
-    return Functional(
-        {m: m.bit_count() * c for m, c in phi.coeffs.items()}, phi.truncation
-    )
+    return _times(phi, popcount_vector(phi.truncation)[phi.masks])
 
 
 def series_partial_2d(w: Weight2D, phi: Functional, m: int) -> Functional:
@@ -159,39 +148,31 @@ def l2_annihilate(k: int, xi: Functional) -> Functional:
     k is present, and kills it otherwise.
     """
     k = _check_index(k, xi.truncation, "l2 annihilate")
-    bit = 1 << k
-    out = {}
-    for m, c in xi.coeffs.items():
-        if m >> k & 1:
-            out[m & ~bit] = out.get(m & ~bit, 0j) + c
-    return Functional(out, xi.truncation)
+    present = (xi.masks >> k & 1).astype(bool)
+    return Functional._from_arrays(
+        xi.masks[present] - (1 << k), xi.values[present], xi.truncation
+    )
 
 
 def l2_create(k: int, xi: Functional) -> Functional:
     """Adjoint of :func:`l2_annihilate` on product-basis coefficients."""
     k = _check_index(k, xi.truncation, "l2 create")
-    bit = 1 << k
-    out = {}
-    for m, c in xi.coeffs.items():
-        if not m >> k & 1:
-            out[m | bit] = out.get(m | bit, 0j) + c
-    return Functional(out, xi.truncation)
+    absent = (xi.masks >> k & 1) == 0
+    return Functional._from_arrays(
+        xi.masks[absent] + (1 << k), xi.values[absent], xi.truncation
+    )
 
 
 def l2_wn_apply(w: Weight2D, xi: Functional) -> Functional:
     """Weighted number operator on the square-integrable side: diagonal theta."""
-    out = {}
-    for m, c in xi.coeffs.items():
-        out[m] = w.theta(m) * c
-    return Functional(out, xi.truncation)
+    out = xi.values * w.theta_vector(xi.truncation).take(xi.masks)
+    return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
 def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
     """1D weighted number operator on the square-integrable side."""
-    out = {}
-    for m, c in xi.coeffs.items():
-        out[m] = u.count(m) * c
-    return Functional(out, xi.truncation)
+    out = xi.values * u.count_vector(xi.truncation).take(xi.masks)
+    return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
 def materialize_apply(
@@ -200,14 +181,19 @@ def materialize_apply(
     """Matrix of an operator given only its action, by sweeping basis columns."""
     n = check_truncation(n)
     size = 1 << n
-    rows, cols, data = [], [], []
+    basis = np.arange(size, dtype=np.int64)
+    one = np.ones(1, dtype=complex)
+    rows, data = [], []
     for m in range(size):
-        image = apply_fn(Functional.delta(m, n))
-        for mm, c in image.coeffs.items():
-            rows.append(mm)
-            cols.append(m)
-            data.append(c)
-    return sp.csr_matrix((data, (rows, cols)), shape=(size, size), dtype=complex)
+        image = apply_fn(Functional._from_arrays(basis[m : m + 1], one, n))
+        rows.append(image.masks)
+        data.append(image.values)
+    cols = np.repeat(basis, [len(r) for r in rows])
+    return sp.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), cols)),
+        shape=(size, size),
+        dtype=complex,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +312,9 @@ class Diagonal(OperatorExpr):
     json_form: dict | None = None
 
     def apply(self, phi):
-        return apply_diagonal(self.fn, phi)
+        if self.vector_fn is None:
+            return apply_diagonal(self.fn, phi)
+        return _times(phi, self.vector(phi.truncation)[phi.masks])
 
     def vector(self, n: int) -> np.ndarray:
         n = check_truncation(n)
@@ -348,7 +336,7 @@ class Diagonal(OperatorExpr):
 @dataclass(frozen=True)
 class Identity(OperatorExpr):
     def apply(self, phi):
-        return Functional(dict(phi.coeffs), phi.truncation)
+        return Functional._from_arrays(phi.masks, phi.values, phi.truncation)
 
     def materialize(self, n):
         return sp.identity(1 << check_truncation(n), dtype=complex, format="csr")

@@ -41,10 +41,8 @@ def residual(lhs, rhs) -> float:
 def perturbed(x, eps: float = 1e-6):
     """A copy of x with one entry nudged by eps (for negative controls)."""
     if isinstance(x, Functional):
-        coeffs = dict(x.coeffs)
-        target = min(coeffs) if coeffs else 0
-        coeffs[target] = coeffs.get(target, 0j) + eps
-        return Functional(coeffs, x.truncation)
+        target = int(x.masks[0]) if len(x.masks) else 0
+        return x + eps * Functional.delta(target, x.truncation)
     if sp.issparse(x):
         bump = sp.csr_matrix(
             ([eps], ([0], [0])), shape=x.shape, dtype=complex

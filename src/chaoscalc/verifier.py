@@ -703,8 +703,13 @@ def check_l2_lemmas(
     worst_wa = worst_wc = 0.0
     control = None
     for k in range(n):
-        row = materialize_apply(lambda f, k=k: l2_wn1d_apply(w.row_slice(k), f), n)
-        col = materialize_apply(lambda f, k=k: l2_wn1d_apply(w.col_slice(k), f), n)
+        # one slice per k, so the column sweep gathers from one count vector
+        row = materialize_apply(
+            lambda f, row_k=w.row_slice(k): l2_wn1d_apply(row_k, f), n
+        )
+        col = materialize_apply(
+            lambda f, col_k=w.col_slice(k): l2_wn1d_apply(col_k, f), n
+        )
         scal = 2.0 * w(k, k) + w.colsum(k)
         lhs = s_w @ d[k]
         rhs = d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]

@@ -32,6 +32,19 @@ def _json_kind(data):
     return data.get("kind")
 
 
+def _full_basis_vector(weight, n, build) -> np.ndarray:
+    """``build(n)`` for this weight, computed once per weight and level and
+    returned read-only. Weights are frozen, so the vector never goes stale;
+    the memo holds at most one vector per truncation level."""
+    vec = None if isinstance(n, bool) else weight._vectors.get(n)
+    if vec is None:
+        n = check_truncation(n)
+        vec = build(n)
+        vec.flags.writeable = False
+        weight._vectors[n] = vec
+    return vec
+
+
 def _as_clean_float(v, what: str) -> float:
     value = float(v)
     if not np.isfinite(value):
@@ -57,6 +70,7 @@ class Weight1D:
             if value != 0.0:
                 cleaned[int(k)] = value
         object.__setattr__(self, "values", cleaned)
+        object.__setattr__(self, "_vectors", {})
         listed_sup = max(cleaned.values(), default=0.0)
         if self.sup_bound is None:
             object.__setattr__(self, "sup_bound", listed_sup)
@@ -91,8 +105,10 @@ class Weight1D:
         return sum(v for k, v in self.values.items() if mask >> k & 1)
 
     def count_vector(self, n: int) -> np.ndarray:
-        """count over the full truncated basis, length 2**n."""
-        n = check_truncation(n)
+        """count over the full truncated basis, length 2**n (read-only)."""
+        return _full_basis_vector(self, n, self._count_vector)
+
+    def _count_vector(self, n: int) -> np.ndarray:
         out = np.zeros(1 << n, dtype=float)
         masks = np.arange(1 << n, dtype=np.int64)
         for k, v in self.values.items():
@@ -153,6 +169,15 @@ class Weight2D:
         object.__setattr__(
             self, "tail_bound", _as_clean_float(self.tail_bound, "tail_bound")
         )
+        # Each column's listed entries (j, w(j, k)) and their sum, in entry
+        # order, so theta, colsum and the slices never rescan every entry.
+        columns, listed_sums = {}, {}
+        for (j, k), v in cleaned.items():
+            columns.setdefault(k, []).append((j, v))
+            listed_sums[k] = listed_sums.get(k, 0.0) + v
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_listed_sums", listed_sums)
+        object.__setattr__(self, "_vectors", {})
         if self.column_sums is not None:
             sums = {}
             for k, v in dict(self.column_sums).items():
@@ -188,7 +213,7 @@ class Weight2D:
         return self.entries.get((int(j), int(k)), 0.0)
 
     def _listed_colsum(self, k: int) -> float:
-        return sum(v for (j, kk), v in self.entries.items() if kk == k)
+        return self._listed_sums.get(k, 0.0)
 
     def colsum(self, k: int) -> float:
         """Column sum sum_j w(j, k), using a supplied closed form if present."""
@@ -199,7 +224,7 @@ class Weight2D:
 
     def alpha(self) -> float:
         """sup_k colsum(k) + tail_bound; exact when tail_bound == 0."""
-        columns = {k for (_, k) in self.entries}
+        columns = set(self._listed_sums)
         if self.column_sums is not None:
             columns |= set(self.column_sums)
         best = max((self.colsum(k) for k in columns), default=0.0)
@@ -212,7 +237,7 @@ class Weight2D:
 
     def col_slice(self, k: int) -> Weight1D:
         """The function j -> w(j, k) as one-dimensional weights."""
-        values = {j: v for (j, m), v in self.entries.items() if m == int(k)}
+        values = dict(self._columns.get(int(k), ()))
         return Weight1D(values, sup_bound=self._slice_sup(values))
 
     def _slice_sup(self, values: dict) -> float:
@@ -250,20 +275,20 @@ class Weight2D:
         total = 0.0
         for k in Subset(mask):
             total += self.entries.get((k, k), 0.0)
-            inside = sum(
-                v for (j, kk), v in self.entries.items() if kk == k and mask >> j & 1
-            )
+            inside = sum(v for j, v in self._columns.get(k, ()) if mask >> j & 1)
             total += self.colsum(k) - inside
         return total
 
     def theta_vector(self, n: int) -> np.ndarray:
-        """theta over the full truncated basis, length 2**n.
+        """theta over the full truncated basis, length 2**n (read-only).
 
         Same rearrangement as :meth:`theta`, vectorized: per-index subset sums
         of w(k,k) + colsum(k), minus the quadratic part over listed entries
         with both indices inside sigma.
         """
-        n = check_truncation(n)
+        return _full_basis_vector(self, n, self._theta_vector)
+
+    def _theta_vector(self, n: int) -> np.ndarray:
         size = 1 << n
         masks = np.arange(size, dtype=np.int64)
         out = np.zeros(size, dtype=float)

@@ -32,6 +32,11 @@ def write_json(path, data):
     return str(path)
 
 
+def assert_one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -122,6 +127,28 @@ class TestApply:
         code, _, err = run_cli(capsys, "apply", "--expr", e_path, "--functional", f_path)
         assert code == 2 and "frobnicate" in err
 
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        # 1e400 parses to inf; printing it back would not be valid JSON
+        f_path = tmp_path / "phi.json"
+        f_path.write_text('{"truncation": 2, "coefficients": [[[0], 1e400, 0.0]]}')
+        e_path = write_json(tmp_path / "id.json", {"op": "identity"})
+        code, payload, err = run_cli(
+            capsys, "apply", "--expr", e_path, "--functional", str(f_path)
+        )
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+
+    def test_overflowing_result(self, tmp_path, capsys):
+        f_path = write_json(
+            tmp_path / "phi.json", {"truncation": 2, "coefficients": [[[0], 1e300, 0.0]]}
+        )
+        e_path = write_json(
+            tmp_path / "big.json", {"op": "scale", "c": [1e300, 0.0], "arg": {"op": "identity"}}
+        )
+        code, payload, err = run_cli(capsys, "apply", "--expr", e_path, "--functional", f_path)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+
 
 class TestNorms:
     def test_vacuum_and_singleton(self, tmp_path, capsys):
@@ -147,6 +174,35 @@ class TestNorms:
         code, payload, _ = run_cli(capsys, "norms", "--functional", f_path)
         assert code == 0
         assert all(row["norm"] == 0.0 and row["dual_norm"] == 0.0 for row in payload["norms"])
+
+    def test_non_finite_coefficient(self, tmp_path, capsys):
+        f_path = write_json(
+            tmp_path / "phi.json", {"truncation": 2, "coefficients": [[[0], "nan", 0]]}
+        )
+        code, payload, err = run_cli(capsys, "norms", "--functional", f_path)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+
+    @pytest.mark.parametrize("p", ["1000", "-1000"])
+    def test_overflowing_norm(self, tmp_path, capsys, p):
+        # lambda({1}) = 2, and 2**2000 overflows on one side of the scale
+        f_path = write_json(
+            tmp_path / "phi.json", {"truncation": 2, "coefficients": [[[1], 1.0, 0.0]]}
+        )
+        code, payload, err = run_cli(capsys, "norms", "--functional", f_path, "--p", p)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert "p = " in err
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_non_finite_p(self, tmp_path, capsys, p):
+        f_path = write_json(
+            tmp_path / "phi.json", {"truncation": 2, "coefficients": [[[1], 1.0, 0.0]]}
+        )
+        code, payload, err = run_cli(capsys, "norms", "--functional", f_path, "--p", p)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert "--p" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "qms"])

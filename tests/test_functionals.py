@@ -38,6 +38,17 @@ class TestContainer:
         with pytest.raises(ValueError):
             Functional({Subset.of(3): 1.0}, 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Functional({0: 1.0, 1: bad}, 2)
+        vec = np.array([1.0, 0.0, bad, 0.0], dtype=complex)
+        with pytest.raises(ValueError, match="finite"):
+            Functional.from_vector(vec, 2)
+        data = {"truncation": 2, "coefficients": [[[1], bad.real, complex(bad).imag]]}
+        with pytest.raises(ValueError, match="finite"):
+            Functional.from_json(data)
+
     def test_delta_and_vector_roundtrip(self):
         phi = Functional.delta(Subset.of(0, 2), 3)
         vec = phi.as_vector()

@@ -1,0 +1,238 @@
+"""Coefficient-table kernels against dense routes, and the two-route guard.
+
+Every kernel works on a table's sorted mask array and its value array. Here
+random sparse tables (n <= 6, some zero and tiny values, so products can
+underflow) are checked against a dense route on ``as_vector()``: the cached
+CSR matrices for index moves, ``theta_vector``/``count_vector``/
+``popcount_vector`` for diagonals, plain vector arithmetic for the linear
+structure and ``lam_vector`` for the norms. Every output must keep the table
+invariants.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaoscalc import operators
+from chaoscalc.basis import Subset, lam_vector, popcount_vector
+from chaoscalc.functionals import Functional, GrowthBound, check_growth
+from chaoscalc.operators import (
+    annihilate,
+    apply_annihilate,
+    apply_create,
+    create,
+    gwn_apply,
+    gwn_expr,
+    hop_apply,
+    hop_expr,
+    l2_annihilate,
+    l2_create,
+    l2_wn1d_apply,
+    l2_wn_apply,
+    materialize,
+    number,
+    number_apply,
+    occupation,
+    occupation_apply,
+    wn1d_apply,
+    wn1d_expr,
+)
+from chaoscalc.verifier import check_l2_lemmas
+from chaoscalc.weights import Weight1D, Weight2D
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+coefficient = st.one_of(
+    st.just(0j),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-300 + 0j, -1e-300j, 5e-324 + 0j]),
+)
+
+
+@st.composite
+def tables(draw, n=None):
+    if n is None:
+        n = draw(st.integers(0, 6))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=1 << n, unique=True))
+    return Functional({m: draw(coefficient) for m in masks}, n)
+
+
+@st.composite
+def table_pairs(draw):
+    n = draw(st.integers(0, 6))
+    return draw(tables(n)), draw(tables(n))
+
+
+@st.composite
+def weights2d(draw, n):
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    return Weight2D(draw(st.dictionaries(pairs, st.floats(0.0, 10.0), max_size=12)))
+
+
+@st.composite
+def weights1d(draw, n):
+    index = st.integers(0, max(n - 1, 0))
+    return Weight1D(draw(st.dictionaries(index, st.floats(0.0, 10.0), max_size=6)))
+
+
+def assert_invariants(phi: Functional):
+    masks, values = phi.masks, phi.values
+    assert masks.dtype == np.int64 and values.dtype == np.complex128
+    assert masks.shape == values.shape == (len(phi.coeffs),)
+    assert np.all(np.diff(masks) > 0)
+    assert np.all(masks >= 0) and np.all(masks < 1 << phi.truncation)
+    assert np.all(values != 0)
+
+
+def assert_matches(phi: Functional, dense: np.ndarray):
+    assert_invariants(phi)
+    assert np.array_equal(phi.as_vector(), dense)
+
+
+@SETTINGS
+@given(tables())
+def test_constructor_invariants(phi):
+    assert_invariants(phi)
+    assert dict(phi.coeffs) == {
+        int(m): complex(c) for m, c in enumerate(phi.as_vector()) if c != 0
+    }
+
+
+@SETTINGS
+@given(tables(), st.data())
+def test_index_moves_match_csr(phi, data):
+    n = phi.truncation
+    if n == 0:
+        return
+    k = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    vec = phi.as_vector()
+    down = materialize(annihilate(k), n) @ vec
+    up = materialize(create(k), n) @ vec
+    assert_matches(apply_annihilate(k, phi), down)
+    assert_matches(apply_create(k, phi), up)
+    assert_matches(l2_annihilate(k, phi), down)
+    assert_matches(l2_create(k, phi), up)
+    assert_matches(occupation_apply(k, phi), materialize(occupation(k), n) @ vec)
+    assert_matches(hop_apply(j, k, phi), materialize(hop_expr(j, k), n) @ vec)
+
+
+@SETTINGS
+@given(st.data())
+def test_diagonals_match_vectors(data):
+    n = data.draw(st.integers(0, 6))
+    phi = data.draw(tables(n))
+    w = data.draw(weights2d(n))
+    u = data.draw(weights1d(n))
+    vec = phi.as_vector()
+    theta, count = w.theta_vector(n) * vec, u.count_vector(n) * vec
+    assert_matches(gwn_apply(w, phi), theta)
+    assert_matches(l2_wn_apply(w, phi), theta)
+    assert_matches(gwn_expr(w).apply(phi), theta)
+    assert_matches(wn1d_apply(u, phi), count)
+    assert_matches(l2_wn1d_apply(u, phi), count)
+    assert_matches(wn1d_expr(u).apply(phi), count)
+    assert_matches(number_apply(phi), popcount_vector(n) * vec)
+    assert_matches(number().apply(phi), popcount_vector(n) * vec)
+
+
+@SETTINGS
+@given(table_pairs(), coefficient)
+def test_linear_structure_matches_vectors(pair_of_tables, z):
+    a, b = pair_of_tables
+    va, vb = a.as_vector(), b.as_vector()
+    assert_matches(a + b, va + vb)
+    assert_matches(a - b, va - vb)
+    assert_matches(z * a, z * va)
+    assert_matches(a * z, z * va)
+    assert_matches(-a, -va)
+    assert_matches(a.conjugated(), va.conj())
+    assert (a == b) == np.array_equal(va, vb)
+
+
+@SETTINGS
+@given(table_pairs())
+def test_pair_matches_dot_product(pair_of_tables):
+    a, b = pair_of_tables
+    products = a.as_vector() * b.as_vector()
+    scale = max(1.0, float(np.sum(np.abs(products))))
+    assert abs(a.pair(b) - np.sum(products)) <= 1e-13 * scale
+    assert abs(a.pair(b) - b.pair(a)) <= 1e-13 * scale
+
+
+@SETTINGS
+@given(tables(), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]))
+def test_norms_match_lam_vector(phi, p):
+    lams, sq = lam_vector(phi.truncation), np.abs(phi.as_vector()) ** 2
+    assert phi.norm(p) == pytest.approx(math.sqrt(np.sum(lams ** (2 * p) * sq)), rel=1e-13)
+    assert phi.dual_norm(p) == pytest.approx(
+        math.sqrt(np.sum(lams ** (-2 * p) * sq)), rel=1e-13
+    )
+
+
+@SETTINGS
+@given(tables(), st.floats(0.0, 5.0), st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_growth_witness_is_smallest_worst_mask(phi, scale, order):
+    # the literal loop: the first mask, in increasing order, whose excess
+    # beats every earlier one and zero
+    worst, witness = 0.0, None
+    for m, c in sorted(phi.coeffs.items()):
+        excess = abs(c) - GrowthBound(scale, order).value(m)
+        if excess > worst:
+            worst, witness = excess, Subset(m)
+    result = check_growth(phi, GrowthBound(scale, order))
+    assert result.satisfied == (worst <= 1e-12)
+    if not result.satisfied:
+        assert result.worst_excess == worst
+        assert result.witness == witness
+
+
+def test_coefficient_view_is_read_only():
+    phi = Functional({0b10: 2.0, 0b01: 0.0}, 2)
+    assert dict(phi.coeffs) == {2: 2 + 0j} and len(phi.coeffs) == 1
+    assert phi.coeffs[2] == 2.0 and 1 not in phi.coeffs and 2**70 not in phi.coeffs
+    with pytest.raises(TypeError):
+        phi.coeffs[1] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the square-integrable side never routes through the transform side
+# ---------------------------------------------------------------------------
+
+TRANSFORM_KERNELS = (
+    "apply_annihilate",
+    "apply_create",
+    "apply_diagonal",
+    "occupation_apply",
+    "hop_apply",
+    "gwn_apply",
+    "wn1d_apply",
+    "number_apply",
+    "_times",
+)
+
+
+def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
+    n = 4
+    rng = np.random.default_rng(5)
+    w = Weight2D({(0, 1): 2.0, (1, 1): 3.0, (3, 0): 0.5, (2, 2): 1.0})
+    u = Weight1D({0: 0.5, 2: 1.5, 3: 2.0})
+    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    xi = Functional.from_vector(vec, n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the square-integrable side called a transform kernel")
+
+    for name in TRANSFORM_KERNELS:
+        monkeypatch.setattr(operators, name, forbidden)
+    for k in range(n):
+        assert_matches(l2_annihilate(k, xi), materialize(annihilate(k), n) @ vec)
+        assert_matches(l2_create(k, xi), materialize(create(k), n) @ vec)
+    assert_matches(l2_wn_apply(w, xi), w.theta_vector(n) * vec)
+    assert_matches(l2_wn1d_apply(u, xi), u.count_vector(n) * vec)
+    reports = check_l2_lemmas(w, u, n)
+    assert reports and all(r.ok for r in reports)

@@ -144,6 +144,17 @@ class TestTheta:
             assert value <= two_alpha * cardinality(sigma) + 1e-12
         assert w.theta(Subset()) == 0.0
 
+    def test_vectors_are_read_only(self, running):
+        # one vector per weight and level is kept, so writes must not land
+        vec = running.theta_vector(3)
+        assert running.theta_vector(3) is vec
+        counts = Weight1D({1: 2.0}).count_vector(3)
+        for arr in (vec, counts):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            running.theta_vector(True)
+
     def test_theta_vector_matches_scalar(self, running):
         rng = np.random.default_rng(11)
         for w in (running, random_weight(rng, 5)):
