@@ -35,13 +35,19 @@ def max_truncation() -> int:
     return value
 
 
+def as_index(k, what: str = "index") -> int:
+    """k as a plain nonnegative int; a bool, a float such as 1.7 or any other
+    non-integer is a ValueError, never truncated."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {k!r}")
+    if k < 0:
+        raise ValueError(f"{what} must be nonnegative, got {k}")
+    return int(k)
+
+
 def check_truncation(n: int) -> int:
     """Validate a truncation level and return it as a plain int."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"truncation level must be an integer, got {n!r}")
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"truncation level must be nonnegative, got {n}")
+    n = as_index(n, "truncation level")
     cap = max_truncation()
     if n > cap:
         raise ValueError(
@@ -61,11 +67,7 @@ class Subset:
     __slots__ = ("mask",)
 
     def __init__(self, mask: int = 0):
-        if not isinstance(mask, (int, np.integer)) or isinstance(mask, bool):
-            raise ValueError(f"mask must be an integer, got {mask!r}")
-        if mask < 0:
-            raise ValueError(f"mask must be nonnegative, got {mask}")
-        object.__setattr__(self, "mask", int(mask))
+        object.__setattr__(self, "mask", as_index(mask, "mask"))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subset is immutable")
@@ -75,19 +77,21 @@ class Subset:
         return cls.from_indices(indices)
 
     @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "Subset":
+    def from_indices(cls, indices: Iterable[int], n: int | None = None) -> "Subset":
+        """With ``n`` given, each index must lie below it (checked before any shift)."""
         mask = 0
         for k in indices:
-            if k < 0:
-                raise ValueError(f"indices must be nonnegative, got {k}")
-            mask |= 1 << int(k)
+            k = as_index(k)
+            if n is not None and k >= n:
+                raise ValueError(f"index {k} lies outside truncation {n}")
+            mask |= 1 << k
         return cls(mask)
 
     @classmethod
-    def from_json(cls, data) -> "Subset":
+    def from_json(cls, data, n: int | None = None) -> "Subset":
         if not isinstance(data, (list, tuple)):
             raise ValueError(f"subset JSON must be a list of indices, got {data!r}")
-        return cls.from_indices(data)
+        return cls.from_indices(data, n)
 
     def to_json(self) -> list:
         return list(self.indices())
@@ -130,9 +134,7 @@ def _mask_of(sigma) -> int:
     if isinstance(sigma, Subset):
         return sigma.mask
     if isinstance(sigma, (int, np.integer)) and not isinstance(sigma, bool):
-        if sigma < 0:
-            raise ValueError(f"mask must be nonnegative, got {sigma}")
-        return int(sigma)
+        return as_index(sigma, "mask")
     if isinstance(sigma, (list, tuple, set, frozenset)):
         return Subset.of(*sigma).mask
     raise ValueError(f"expected a Subset, a bitmask or indices, got {sigma!r}")

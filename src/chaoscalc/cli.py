@@ -2,16 +2,20 @@
 
 Subcommands: verify (identity-check families), simulate (Bernoulli noise
 Gram/moment checks), apply (operator expression to a functional), norms,
-qms (generator application). Exit codes: 0 everything passed, 1 at least
-one genuine check failed, 2 configuration or input error. All reports are
-JSON with sorted keys; wall-clock data lives in a single "timing" field so
-that two runs with the same config and seed agree byte for byte elsewhere.
+qms (generator application, sized by --x). Exit codes: 0 everything passed,
+1 at least one genuine check failed, 2 bad input: a bad flag, or a file that
+is unreadable, not UTF-8 JSON, nested too deep or malformed (loaders raise
+ValueError; :func:`main` alone turns it into one ``error:`` line). All
+reports are JSON with sorted keys; wall-clock data lives in a single
+"timing" field so that two runs with the same config and seed agree byte for
+byte elsewhere.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -31,7 +35,7 @@ from .verifier import DEFAULT_TOLERANCE, FAMILY_NAMES, run_all
 from .weights import Weight2D
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad flags, unreadable files, malformed JSON: exit code 2."""
 
 
@@ -41,7 +45,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -66,17 +71,10 @@ def cmd_verify(args) -> int:
     only = None
     if args.only:
         only = [name for chunk in args.only for name in chunk.split(",") if name]
-    try:
-        weight = Weight2D.from_json(_load_json(args.weight)) if args.weight else None
-        reports, timings = run_all(
-            n=args.n,
-            seed=args.seed,
-            tolerance=args.tol,
-            only=only,
-            weight_override=weight,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    weight = Weight2D.from_json(_load_json(args.weight)) if args.weight else None
+    reports, timings = run_all(
+        n=args.n, seed=args.seed, tolerance=args.tol, only=only, weight_override=weight
+    )
     for rep in reports:
         _say(format_line(rep))
     config = {
@@ -94,26 +92,17 @@ def cmd_verify(args) -> int:
     return 0 if all_ok(reports) else 1
 
 
+_FLOAT_LITERAL = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+
+
 def _theta_params(raw: str, n: int) -> BernoulliParams:
-    try:
-        theta = float(raw)
-    except ValueError:
-        data = _load_json(raw)
-        if isinstance(data, list):
-            data = {"thetas": data}
-        try:
-            params = BernoulliParams.from_json(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad theta file {raw}: {exc}") from exc
-        if params.n != n:
-            raise ConfigError(
-                f"theta file provides {params.n} steps but --n is {n}"
-            )
-        return params
-    try:
-        return BernoulliParams.constant(theta, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if _FLOAT_LITERAL.fullmatch(raw):
+        return BernoulliParams.constant(float(raw), n)
+    data = _load_json(raw)
+    params = BernoulliParams.from_json({"thetas": data} if isinstance(data, list) else data)
+    if params.n != n:
+        raise ConfigError(f"theta file provides {params.n} steps but --n is {n}")
+    return params
 
 
 def cmd_simulate(args) -> int:
@@ -121,39 +110,30 @@ def cmd_simulate(args) -> int:
     size = 1 << params.n
     eye = np.eye(size)
     started = time.perf_counter()
-    try:
-        if args.samples is None:
-            gram = exact_gram(params)
-            moments = conditional_moments(params)
-            gram_dev = float(np.abs(gram - eye).max())
-            passed = (
-                gram_dev <= args.tol
-                and moments.max_mean_dev <= args.tol
-                and moments.max_second_dev <= args.tol
-            )
-            body = {
-                "mode": "exact",
-                "gram_deviation": gram_dev,
-                "moments": moments.to_json(),
-            }
-        else:
-            if args.samples <= 0:
-                raise ConfigError("--samples must be positive")
-            gram, stderr = monte_carlo_gram(params, args.samples, args.seed)
-            dev = np.abs(gram - eye)
-            slack = dev - 4.0 * stderr
-            worst = int(np.argmax(slack))
-            passed = bool(slack.flat[worst] <= 1e-12)
-            body = {
-                "mode": "monte-carlo",
-                "samples": args.samples,
-                "seed": args.seed,
-                "max_deviation": float(dev.max()),
-                "worst_entry": [worst // size, worst % size],
-                "worst_excess_over_4se": float(slack.flat[worst]),
-            }
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if args.samples is None:
+        gram = exact_gram(params)
+        moments = conditional_moments(params)
+        gram_dev = float(np.abs(gram - eye).max())
+        passed = (
+            gram_dev <= args.tol
+            and moments.max_mean_dev <= args.tol
+            and moments.max_second_dev <= args.tol
+        )
+        body = {"mode": "exact", "gram_deviation": gram_dev, "moments": moments.to_json()}
+    else:
+        gram, stderr = monte_carlo_gram(params, args.samples, args.seed)
+        dev = np.abs(gram - eye)
+        slack = dev - 4.0 * stderr
+        worst = int(np.argmax(slack))
+        passed = bool(slack.flat[worst] <= 1e-12)
+        body = {
+            "mode": "monte-carlo",
+            "samples": args.samples,
+            "seed": args.seed,
+            "max_deviation": float(dev.max()),
+            "worst_entry": [worst // size, worst % size],
+            "worst_excess_over_4se": float(slack.flat[worst]),
+        }
     payload = {
         "command": "simulate",
         "thetas": list(params.thetas),
@@ -168,16 +148,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    expr_data = _load_json(args.expr)
-    phi_data = _load_json(args.functional)
-    try:
-        expr = parse_expr(expr_data)
-        phi = Functional.from_json(phi_data)
-        # an overflow is reported below as one error, not as numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = expr.apply(phi)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    expr = parse_expr(_load_json(args.expr))
+    phi = Functional.from_json(_load_json(args.functional))
+    # an overflow is reported below as one error, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = expr.apply(phi)
     if not np.isfinite(result.values).all():
         raise ConfigError("the result has a non-finite coefficient (overflow)")
     _emit({"command": "apply", **result.to_json()}, args.out)
@@ -188,14 +163,10 @@ def cmd_norms(args) -> int:
     for p in args.p:
         if not math.isfinite(p):
             raise ConfigError(f"--p must be finite, got {p}")
-    try:
-        phi = Functional.from_json(_load_json(args.functional))
-        table = [
-            {"p": p, "norm": phi.norm(p), "dual_norm": phi.dual_norm(p)}
-            for p in args.p
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    phi = Functional.from_json(_load_json(args.functional))
+    table = [
+        {"p": p, "norm": phi.norm(p), "dual_norm": phi.dual_norm(p)} for p in args.p
+    ]
     for row in table:
         if not (math.isfinite(row["norm"]) and math.isfinite(row["dual_norm"])):
             raise ConfigError(
@@ -212,23 +183,17 @@ def cmd_norms(args) -> int:
 
 
 def cmd_qms(args) -> int:
-    try:
-        weight = Weight2D.from_json(_load_json(args.weight))
-        x, n_x = matrix_from_json(_load_json(args.x))
-        n = args.n if args.n is not None else n_x
-        if n != n_x:
-            raise ConfigError(f"--n {n} conflicts with observable size for n = {n_x}")
-        ham = None
-        if args.hamiltonian:
-            ham, n_h = matrix_from_json(_load_json(args.hamiltonian))
-            if n_h != n:
-                raise ConfigError(
-                    f"hamiltonian is sized for n = {n_h}, observable for n = {n}"
-                )
-        spec = GeneratorSpec(weight, n, ham)
-        result = generator_apply(spec, x)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    weight = Weight2D.from_json(_load_json(args.weight))
+    x, n = matrix_from_json(_load_json(args.x))
+    ham = None
+    if args.hamiltonian:
+        ham, n_h = matrix_from_json(_load_json(args.hamiltonian))
+        if n_h != n:
+            raise ConfigError(f"hamiltonian is sized for n = {n_h}, observable for n = {n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = generator_apply(GeneratorSpec(weight, n, ham), x)
+    if not np.isfinite(result).all():
+        raise ConfigError("the result has a non-finite entry (overflow or non-finite input)")
     _emit({"command": "qms", "result": matrix_to_json(result, n)}, args.out)
     return 0
 
@@ -277,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     qms = sub.add_parser("qms", help="apply the Lindblad-type generator to an observable")
     qms.add_argument("--weight", required=True)
-    qms.add_argument("--x", required=True, help="observable matrix JSON file")
+    qms.add_argument("--x", required=True, help="observable matrix JSON file (sets the size)")
     qms.add_argument("--hamiltonian", help="optional Hamiltonian JSON (default: occupancy count)")
-    qms.add_argument("--n", type=int, help="truncation (default: inferred from --x)")
     qms.add_argument("--out")
     qms.set_defaults(func=cmd_qms)
     return parser
@@ -290,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -272,20 +272,30 @@ class Functional:
 
     @classmethod
     def from_json(cls, data: dict) -> "Functional":
-        if "truncation" not in data:
-            raise ValueError("functional JSON requires a 'truncation' field")
+        """Table from its JSON form; ValueError on any malformed payload."""
+        if not isinstance(data, dict) or "truncation" not in data:
+            raise ValueError("functional JSON must be an object with a 'truncation' field")
+        n = _table_truncation(data["truncation"])
+        items = data.get("coefficients", [])
+        if not isinstance(items, list):
+            raise ValueError(f"'coefficients' must be a list, got {type(items).__name__}")
         coeffs = {}
-        for item in data.get("coefficients", []):
-            if len(item) != 3:
+        for item in items:
+            if not isinstance(item, list) or len(item) != 3:
                 raise ValueError(
                     f"coefficient must be [[indices], re, im], got {item!r}"
                 )
             indices, re, im = item
-            mask = Subset.from_json(indices).mask
+            mask = Subset.from_json(indices, n).mask
             if mask in coeffs:
                 raise ValueError(f"duplicate coefficient for subset {indices!r}")
-            coeffs[mask] = complex(float(re), float(im))
-        return cls(coeffs, data["truncation"])
+            try:
+                coeffs[mask] = complex(float(re), float(im))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"coefficient at {indices!r} needs real re and im parts: {exc}"
+                ) from exc
+        return cls(coeffs, n)
 
 
 def riesz_embed(xi: Functional) -> Functional:

@@ -69,7 +69,15 @@ class BernoulliParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "BernoulliParams":
-        return cls(tuple(data["thetas"]))
+        """Parameters from their JSON form; ValueError on any malformed payload."""
+        thetas = data.get("thetas") if isinstance(data, dict) else None
+        if not isinstance(thetas, list):
+            raise ValueError("theta JSON must be an object with a 'thetas' list")
+        try:
+            values = tuple(float(t) for t in thetas)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"'thetas' must hold numbers: {exc}") from exc
+        return cls(values)
 
 
 def _check_exact_size(n: int) -> int:
@@ -105,10 +113,12 @@ def _products_over_masks(step_values: np.ndarray) -> np.ndarray:
     the product over the bits of m, built by the doubling recursion.
     """
     rows, n = step_values.shape
-    out = np.ones((rows, 1 << n))
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        out[:, mask] = out[:, mask ^ low] * step_values[:, low.bit_length() - 1]
+    out = np.empty((rows, 1 << n))
+    out[:, 0] = 1.0
+    for k in range(n):
+        h = 1 << k
+        # masks with top bit k: the products over the lower bits times step k
+        np.multiply(out[:, :h], step_values[:, k : k + 1], out=out[:, h : 2 * h])
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import Subset, check_truncation, popcount_vector
+from .basis import as_index, check_truncation, popcount_vector
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
 
@@ -58,12 +58,6 @@ def apply_create(k: int, phi: Functional) -> Functional:
 def _times(phi: Functional, factors: np.ndarray) -> Functional:
     """phi with each coefficient multiplied by the factor at its position."""
     return Functional._dropping_zeros(phi.masks, factors * phi.values, phi.truncation)
-
-
-def apply_diagonal(fn: Callable[[Subset], complex], phi: Functional) -> Functional:
-    """Multiply each coefficient by fn(sigma)."""
-    factors = [fn(Subset(m)) for m in phi.masks.tolist()]
-    return _times(phi, np.array(factors, dtype=complex))
 
 
 def occupation_apply(k: int, phi: Functional) -> Functional:
@@ -303,24 +297,18 @@ class Create(OperatorExpr):
 class Diagonal(OperatorExpr):
     """Multiplication by a real function of the subset.
 
-    ``vector_fn`` provides a fast full-basis evaluation; ``json_form`` makes
-    the node serializable when the function has one.
+    ``vector_fn(n)`` evaluates it over the full truncated basis; ``json_form``
+    makes the node serializable when the function has one.
     """
 
-    fn: Callable[[Subset], float]
-    vector_fn: Callable[[int], np.ndarray] | None = None
+    vector_fn: Callable[[int], np.ndarray]
     json_form: dict | None = None
 
     def apply(self, phi):
-        if self.vector_fn is None:
-            return apply_diagonal(self.fn, phi)
         return _times(phi, self.vector(phi.truncation)[phi.masks])
 
     def vector(self, n: int) -> np.ndarray:
-        n = check_truncation(n)
-        if self.vector_fn is not None:
-            return np.asarray(self.vector_fn(n), dtype=float)
-        return np.array([self.fn(Subset(m)) for m in range(1 << n)], dtype=float)
+        return np.asarray(self.vector_fn(check_truncation(n)), dtype=float)
 
     def materialize(self, n):
         return sp.diags(self.vector(n).astype(complex), format="csr")
@@ -425,11 +413,11 @@ class Compose(OperatorExpr):
 
 
 def annihilate(k: int) -> Annihilate:
-    return Annihilate(int(k))
+    return Annihilate(as_index(k))
 
 
 def create(k: int) -> Create:
-    return Create(int(k))
+    return Create(as_index(k))
 
 
 def identity() -> Identity:
@@ -442,38 +430,28 @@ def zero() -> Zero:
 
 def occupation(k: int) -> Compose:
     """create(k) @ annihilate(k); symbol is the membership indicator."""
-    return Compose((Create(int(k)), Annihilate(int(k))))
+    k = as_index(k)
+    return Compose((Create(k), Annihilate(k)))
 
 
 def hop_expr(j: int, k: int) -> Compose:
     """The four-fold product create(k) @ annihilate(j) @ create(j) @ annihilate(k)."""
-    return Compose((Create(int(k)), Annihilate(int(j)), Create(int(j)), Annihilate(int(k))))
+    j, k = as_index(j), as_index(k)
+    return Compose((Create(k), Annihilate(j), Create(j), Annihilate(k)))
 
 
 def number() -> Diagonal:
-    return Diagonal(
-        fn=lambda s: float(len(s)),
-        vector_fn=lambda n: popcount_vector(n).astype(float),
-        json_form={"op": "number"},
-    )
+    return Diagonal(lambda n: popcount_vector(n).astype(float), {"op": "number"})
 
 
 def gwn_expr(w: Weight2D) -> Diagonal:
     """Expression form of the 2D weighted number operator (diagonal theta)."""
-    return Diagonal(
-        fn=w.theta,
-        vector_fn=w.theta_vector,
-        json_form={"op": "gwn", "weight": w.to_json()},
-    )
+    return Diagonal(w.theta_vector, {"op": "gwn", "weight": w.to_json()})
 
 
 def wn1d_expr(u: Weight1D) -> Diagonal:
     """Expression form of the 1D weighted number operator (diagonal count)."""
-    return Diagonal(
-        fn=u.count,
-        vector_fn=u.count_vector,
-        json_form={"op": "wn1d", "weight": u.to_json()},
-    )
+    return Diagonal(u.count_vector, {"op": "wn1d", "weight": u.to_json()})
 
 
 def materialize(expr: OperatorExpr, n: int) -> sp.csr_matrix:
@@ -481,15 +459,28 @@ def materialize(expr: OperatorExpr, n: int) -> sp.csr_matrix:
     return expr.materialize(n)
 
 
-def parse_expr(data: dict) -> OperatorExpr:
-    """Rebuild an expression tree from its JSON form."""
+# Trees are applied, materialized and serialized recursively, so parsing
+# caps their depth well inside Python's recursion limit.
+_MAX_EXPR_DEPTH = 100
+
+
+def parse_expr(data: dict, _depth: int = 0) -> OperatorExpr:
+    """Rebuild an expression tree from its JSON form; ValueError on any
+    malformed payload, including one nested deeper than ``_MAX_EXPR_DEPTH``."""
     if not isinstance(data, dict) or "op" not in data:
         raise ValueError(f"operator JSON must be an object with an 'op' key, got {data!r}")
+    if _depth > _MAX_EXPR_DEPTH:
+        raise ValueError(f"operator expression nests deeper than {_MAX_EXPR_DEPTH} levels")
     op = data["op"]
-    if op == "annihilate":
-        return Annihilate(int(data["k"]))
-    if op == "create":
-        return Create(int(data["k"]))
+
+    def field(key):
+        if key not in data:
+            raise ValueError(f"operator {op!r} requires a {key!r} field")
+        return data[key]
+
+    if op in ("annihilate", "create"):
+        k = as_index(field("k"), f"{op} index 'k'")
+        return Annihilate(k) if op == "annihilate" else Create(k)
     if op == "identity":
         return Identity()
     if op == "zero":
@@ -497,14 +488,21 @@ def parse_expr(data: dict) -> OperatorExpr:
     if op == "number":
         return number()
     if op == "gwn":
-        return gwn_expr(Weight2D.from_json(data["weight"]))
+        return gwn_expr(Weight2D.from_json(field("weight")))
     if op == "wn1d":
-        return wn1d_expr(Weight1D.from_json(data["weight"]))
-    if op == "sum":
-        return Sum(tuple(parse_expr(arg) for arg in data["args"]))
+        return wn1d_expr(Weight1D.from_json(field("weight")))
+    if op in ("sum", "compose"):
+        args = field("args")
+        if not isinstance(args, list):
+            raise ValueError(f"operator {op!r} requires an 'args' list, got {args!r}")
+        parsed = tuple(parse_expr(arg, _depth + 1) for arg in args)
+        return Sum(parsed) if op == "sum" else Compose(parsed)
     if op == "scale":
-        re, im = data["c"]
-        return Scale(complex(float(re), float(im)), parse_expr(data["arg"]))
-    if op == "compose":
-        return Compose(tuple(parse_expr(arg) for arg in data["args"]))
+        c = field("c")
+        try:
+            re, im = c
+            factor = complex(float(re), float(im))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"scale factor 'c' must be [re, im], got {c!r}") from exc
+        return Scale(factor, parse_expr(field("arg"), _depth + 1))
     raise ValueError(f"unknown operator kind {op!r}")

@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import Subset, _mask_of, check_truncation
+from .basis import Subset, _mask_of, as_index, check_truncation
 
 _REL_TOL = 1e-12
 
@@ -64,11 +64,10 @@ class Weight1D:
     def __post_init__(self):
         cleaned = {}
         for k, v in dict(self.values).items():
-            if not isinstance(k, (int, np.integer)) or k < 0:
-                raise ValueError(f"weight index must be a nonnegative int, got {k!r}")
+            k = as_index(k, "weight index")
             value = _as_clean_float(v, f"weight value at {k}")
             if value != 0.0:
-                cleaned[int(k)] = value
+                cleaned[k] = value
         object.__setattr__(self, "values", cleaned)
         object.__setattr__(self, "_vectors", {})
         listed_sup = max(cleaned.values(), default=0.0)
@@ -140,7 +139,7 @@ class Weight1D:
                 k, v = item
                 if k in values:
                     raise ValueError(f"duplicate entry for index {k}")
-                values[int(k)] = v
+                values[k] = v
             return cls(values, sup_bound=data.get("sup_bound"))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed diag1d weight JSON: {exc}") from exc
@@ -159,12 +158,10 @@ class Weight2D:
         for key, v in dict(self.entries).items():
             if len(key) != 2:
                 raise ValueError(f"entry key must be a pair (j, k), got {key!r}")
-            j, k = key
-            if j < 0 or k < 0:
-                raise ValueError(f"entry indices must be nonnegative, got {key!r}")
+            j, k = (as_index(i, f"entry index in {key!r}") for i in key)
             value = _as_clean_float(v, f"weight value at {key}")
             if value != 0.0:
-                cleaned[(int(j), int(k))] = value
+                cleaned[(j, k)] = value
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(
             self, "tail_bound", _as_clean_float(self.tail_bound, "tail_bound")
@@ -181,13 +178,14 @@ class Weight2D:
         if self.column_sums is not None:
             sums = {}
             for k, v in dict(self.column_sums).items():
+                k = as_index(k, "column_sums index")
                 value = _as_clean_float(v, f"column sum at {k}")
-                listed = self._listed_colsum(int(k))
+                listed = self._listed_colsum(k)
                 if value + _REL_TOL * max(1.0, value) < listed:
                     raise ValueError(
                         f"column sum {value} at k={k} is below the listed sum {listed}"
                     )
-                sums[int(k)] = value
+                sums[k] = value
             object.__setattr__(self, "column_sums", sums)
 
     @classmethod
@@ -345,13 +343,15 @@ class Weight2D:
                 if len(item) != 3:
                     raise ValueError(f"dense entry must be [j, k, value], got {item!r}")
                 j, k, v = item
-                if (int(j), int(k)) in entries:
+                if (j, k) in entries:
                     raise ValueError(f"duplicate entry for pair ({j}, {k})")
-                entries[(int(j), int(k))] = v
+                entries[(j, k)] = v
             sums = data.get("column_sums", "from_entries")
             if sums == "from_entries":
                 column_sums = None
             elif isinstance(sums, dict):
+                if not all(k.isdecimal() for k in sums):
+                    raise ValueError(f"column_sums keys must be indices, got {list(sums)!r}")
                 column_sums = {int(k): v for k, v in sums.items()}
             else:
                 raise ValueError(

@@ -80,6 +80,17 @@ class TestSubset:
             Subset.of(-3)
         with pytest.raises(ValueError):
             Subset("0b101")
+        # an index is never truncated or read off a bool
+        for bad in (1.7, 2.0, True, "1", None):
+            with pytest.raises(ValueError):
+                Subset.from_indices([0, bad])
+        assert Subset.from_indices([np.int64(2), 0]) == Subset.of(0, 2)
+
+    def test_bound_checked_before_the_shift(self):
+        assert Subset.from_json([0, 2], n=3) == Subset.of(0, 2)
+        for index in (3, 2**70):
+            with pytest.raises(ValueError, match="outside truncation 3"):
+                Subset.from_json([index], n=3)
 
     def test_json_roundtrip(self):
         s = Subset.of(5, 0, 3)

@@ -284,11 +284,16 @@ class TestQms:
         got, _ = matrix_from_json(payload["result"])
         assert np.abs(got).max() == 0.0  # generator kills the identity
 
-    def test_size_conflict(self, tmp_path, capsys):
+    def test_hamiltonian_size_mismatch(self, tmp_path, capsys):
         w_path = write_json(tmp_path / "w.json", RUNNING_WEIGHT)
         x_path = write_json(tmp_path / "x.json", matrix_to_json(np.eye(4, dtype=complex), 2))
-        code, _, err = run_cli(capsys, "qms", "--weight", w_path, "--x", x_path, "--n", "3")
-        assert code == 2 and "conflicts" in err
+        h_path = write_json(tmp_path / "h.json", matrix_to_json(np.eye(8, dtype=complex), 3))
+        code, payload, err = run_cli(
+            capsys, "qms", "--weight", w_path, "--x", x_path, "--hamiltonian", h_path
+        )
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert "hamiltonian is sized for n = 3" in err
 
     @pytest.mark.parametrize(
         "rows",
@@ -302,3 +307,77 @@ class TestQms:
         assert code == 2 and payload is None
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+PHI = {"truncation": 3, "coefficients": [[[1], 1.0, 0.0]]}
+DEEP = "[" * 200_000 + "]" * 200_000
+
+# Each case: the subcommand and {flag: file content (bytes, text or JSON
+# data)}; the other files the subcommand requires are valid.
+BAD_INPUTS = {
+    "apply-expr-not-utf8": ("apply", {"--expr": b"\xff\xfe{}"}),
+    "simulate-theta-not-utf8": ("simulate", {"--theta": b"[0.5, \xff]"}),
+    "apply-expr-too-deep": ("apply", {"--expr": DEEP}),
+    "verify-weight-too-deep": ("verify", {"--weight": DEEP}),
+    "norms-functional-a-list": ("norms", {"--functional": ["truncation"]}),
+    "apply-functional-a-list": ("apply", {"--functional": ["truncation"]}),
+    "fractional-ladder-index": ("apply", {"--expr": {"op": "annihilate", "k": 1.9}}),
+    "fractional-subset-index": (
+        "norms", {"--functional": {"truncation": 3, "coefficients": [[[1.7], 1.0, 0.0]]}}
+    ),
+    "bool-subset-index": (
+        "norms", {"--functional": {"truncation": 3, "coefficients": [[[True], 1.0, 0.0]]}}
+    ),
+    "subset-index-past-truncation": (
+        "norms", {"--functional": {"truncation": 3, "coefficients": [[[2**70], 1.0, 0.0]]}}
+    ),
+    "fractional-weight-index": (
+        "verify", {"--weight": {"kind": "dense", "entries": [[0.6, 1.2, 2.0]]}}
+    ),
+    "fractional-diag1d-index": (
+        "qms", {"--weight": {"kind": "diag1d", "entries": [[0.5, 1.0]]}}
+    ),
+    "expression-too-deep": (
+        "apply", {"--expr": '{"op": "sum", "args": [' * 300 + '{"op": "zero"}' + "]}" * 300}
+    ),
+    "thetas-not-a-list": ("simulate", {"--theta": {"thetas": 0.5}}),
+}
+VALID = {
+    "--expr": {"op": "identity"},
+    "--functional": PHI,
+    "--weight": RUNNING_WEIGHT,
+    "--x": matrix_to_json(np.eye(4), 2),
+}
+REQUIRED = {
+    "apply": ["--expr", "--functional"], "norms": ["--functional"], "qms": ["--weight", "--x"]
+}
+
+
+def write_input(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_text(json.dumps(content))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_bad_input_is_one_error_line(tmp_path, capsys, case):
+    command, files = case
+    argv = [command, "--n", "3"] if command in ("verify", "simulate") else [command]
+    for flag in dict.fromkeys(REQUIRED.get(command, []) + list(files)):
+        content = files.get(flag, VALID.get(flag))
+        argv += [flag, write_input(tmp_path / f"{flag[2:]}.json", content)]
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 2 and payload is None
+    assert_one_error_line(err)
+
+
+def test_missing_field_is_named(tmp_path, capsys):
+    e_path = write_json(tmp_path / "expr.json", {"op": "gwn"})
+    f_path = write_json(tmp_path / "phi.json", PHI)
+    code, _, err = run_cli(capsys, "apply", "--expr", e_path, "--functional", f_path)
+    assert code == 2
+    assert err == "error: operator 'gwn' requires a 'weight' field\n"

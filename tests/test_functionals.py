@@ -224,3 +224,20 @@ class TestJson:
             Functional.from_json(
                 {"truncation": 2, "coefficients": [[[0], 1.0, 0.0], [[0], 2.0, 0.0]]}
             )
+        # wrong JSON types, non-integer and out-of-range indices raise ValueError
+        for bad in (
+            ["truncation"],
+            "truncation",
+            {"truncation": 2, "coefficients": 5},
+            {"truncation": 2, "coefficients": [5]},
+            {"truncation": 2, "coefficients": ["abc"]},
+            {"truncation": 2, "coefficients": [[[1.7], 1.0, 0.0]]},
+            {"truncation": 2, "coefficients": [[[True], 1.0, 0.0]]},
+            {"truncation": 2, "coefficients": [[[2], 1.0, 0.0]]},
+            {"truncation": 2, "coefficients": [[[2**70], 1.0, 0.0]]},
+            {"truncation": 2, "coefficients": [[[0], [1.0], 0.0]]},
+            {"truncation": 2, "coefficients": [[[0], 10**400, 0.0]]},
+            {"truncation": 2, "coefficients": [[[0], "one", 0.0]]},
+        ):
+            with pytest.raises(ValueError):
+                Functional.from_json(bad)

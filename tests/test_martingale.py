@@ -55,6 +55,15 @@ class TestParams:
         params = BernoulliParams((0.25, 0.75))
         assert BernoulliParams.from_json(params.to_json()) == params
 
+    @pytest.mark.parametrize(
+        "data",
+        [[0.5], {}, {"thetas": 0.5}, {"thetas": "0.5"}, {"thetas": [[0.5]]},
+         {"thetas": [None]}, {"thetas": ["half"]}, {"thetas": [10**400]}],
+    )
+    def test_json_bad_payloads(self, data):
+        with pytest.raises(ValueError):
+            BernoulliParams.from_json(data)
+
 
 class TestAtoms:
     def test_probs_single_step(self):
@@ -85,6 +94,13 @@ class TestAtoms:
         psi = psi_matrix(params)
         assert np.all(z[:, 0] == 1.0)
         assert np.allclose(z[:, 0b11], psi[:, 0] * psi[:, 1])
+
+    def test_z_matches_literal_products(self):
+        params = BernoulliParams((0.2, 0.5, 0.7, 0.9, 1 / 3))
+        z, psi = z_matrix(params), psi_matrix(params)
+        for mask in range(1 << params.n):
+            bits = [k for k in range(params.n) if mask >> k & 1]
+            assert np.allclose(z[:, mask], np.prod(psi[:, bits], axis=1), rtol=1e-14, atol=0)
 
     def test_exact_cap(self):
         with pytest.raises(ValueError):

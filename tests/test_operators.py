@@ -20,7 +20,6 @@ from chaoscalc.operators import (
     annihilate,
     apply_annihilate,
     apply_create,
-    apply_diagonal,
     create,
     gwn_apply,
     gwn_expr,
@@ -102,13 +101,18 @@ class TestLadderActions:
             apply_create(-1, phi)
         with pytest.raises(ValueError):
             annihilate(2).materialize(2)
+        # the constructors never truncate an index: 1.9 is not 1
+        for build in (lambda: annihilate(1.9), lambda: create(True),
+                      lambda: occupation(0.5), lambda: hop_expr(0, 1.7)):
+            with pytest.raises(ValueError, match="integer"):
+                build()
 
 
 class TestDiagonalActions:
     def test_lambda_multiplier(self):
         phi = Functional.delta(Subset.of(0, 2), 3)
-        out = apply_diagonal(lam, phi)
-        assert out.fock(Subset.of(0, 2)) == 3.0
+        out = Diagonal(lam_vector).apply(phi)
+        assert out.fock(Subset.of(0, 2)) == lam(Subset.of(0, 2)) == 3.0
 
     def test_gwn_hand_cases(self, running):
         n = 3
@@ -299,7 +303,7 @@ class TestMaterialize:
     def test_identity_zero_diag(self):
         assert abs(materialize(identity(), 2) - sp.identity(4)).max() == 0.0
         assert materialize(zero(), 2).nnz == 0
-        lam_mat = materialize(Diagonal(fn=lam, vector_fn=lam_vector), 3).toarray()
+        lam_mat = materialize(Diagonal(lam_vector), 3).toarray()
         for sigma in enumerate_basis(3):
             assert lam_mat[sigma.mask, sigma.mask] == lam(sigma)
 
@@ -428,7 +432,7 @@ class TestJson:
 
     def test_plain_diagonal_does_not_serialize(self):
         with pytest.raises(ValueError):
-            Diagonal(fn=lam).to_json()
+            Diagonal(lam_vector).to_json()
         assert number().to_json() == {"op": "number"}
 
     def test_parse_errors(self):
@@ -438,3 +442,26 @@ class TestJson:
             parse_expr({"op": "teleport"})
         with pytest.raises(ValueError):
             parse_expr([1, 2])
+        # every malformed field is a ValueError that names it
+        for bad, field in (
+            ({"op": "annihilate", "k": 1.9}, "'k'"),
+            ({"op": "create", "k": True}, "'k'"),
+            ({"op": "create"}, "'k'"),
+            ({"op": "gwn"}, "'weight'"),
+            ({"op": "wn1d", "weight": [1]}, "weight"),
+            ({"op": "sum", "args": 5}, "'args'"),
+            ({"op": "compose", "args": {"op": "zero"}}, "'args'"),
+            ({"op": "scale", "c": 2.0, "arg": {"op": "zero"}}, "'c'"),
+            ({"op": "scale", "c": [1.0, "i"], "arg": {"op": "zero"}}, "'c'"),
+            ({"op": "scale", "c": [1.0, 0.0]}, "'arg'"),
+        ):
+            with pytest.raises(ValueError, match=field):
+                parse_expr(bad)
+
+    def test_parse_depth_cap(self):
+        expr = {"op": "zero"}
+        for _ in range(100):
+            expr = {"op": "sum", "args": [expr]}
+        assert parse_expr(expr).apply(Functional.delta([0], 2)) == Functional.zero(2)
+        with pytest.raises(ValueError, match="deeper than 100"):
+            parse_expr({"op": "scale", "c": [1.0, 0.0], "arg": expr})

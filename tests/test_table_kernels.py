@@ -206,7 +206,6 @@ def test_coefficient_view_is_read_only():
 TRANSFORM_KERNELS = (
     "apply_annihilate",
     "apply_create",
-    "apply_diagonal",
     "occupation_apply",
     "hop_apply",
     "gwn_apply",

@@ -267,6 +267,12 @@ class TestJson:
             {"kind": "dense", "entries": [[0, 1, 10**400]]},
             {"kind": "dense", "entries": [], "tail_bound": [1]},
             {"kind": "diag1d", "entries": [[[0], 1.0]]},
+            # non-integer indices are rejected, not truncated
+            {"kind": "dense", "entries": [[0.6, 1.2, 2.0]]},
+            {"kind": "dense", "entries": [[True, 0, 2.0]]},
+            {"kind": "diag1d", "entries": [[1.5, 1.0]]},
+            {"kind": "dense", "entries": [], "column_sums": {"1.5": 1.0}},
+            {"kind": "dense", "entries": [], "column_sums": {"-1": 1.0}},
         ):
             with pytest.raises(ValueError):
                 Weight2D.from_json(bad)
