@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -103,14 +104,6 @@ class Subset:
         """1 if k is in the subset, else 0."""
         return self.mask >> k & 1
 
-    def with_index(self, k: int) -> "Subset":
-        """Union with {k}."""
-        return Subset(self.mask | 1 << k)
-
-    def without_index(self, k: int) -> "Subset":
-        """Difference with {k}."""
-        return Subset(self.mask & ~(1 << k))
-
     def __contains__(self, k) -> bool:
         return isinstance(k, (int, np.integer)) and k >= 0 and bool(self.mask >> int(k) & 1)
 
@@ -192,11 +185,19 @@ def lam_vector(n: int) -> np.ndarray:
 
     Built by the subset-product recursion: appending index m multiplies by m+1,
     and masks with bit m set occupy the upper half of each doubling step.
+    Built once per level and shared, so the array is read-only.
     """
-    n = check_truncation(n)
+    return _lam_vector(check_truncation(n))
+
+
+# The caches hold one array per level, so each stays below 2**(cap + 1)
+# elements for the truncation cap in force.
+@lru_cache(maxsize=None)
+def _lam_vector(n: int) -> np.ndarray:
     out = np.ones(1, dtype=float)
     for m in range(n):
         out = np.concatenate([out, out * (m + 1)])
+    out.flags.writeable = False
     return out
 
 
@@ -204,12 +205,18 @@ def popcount_vector(n: int) -> np.ndarray:
     """Cardinality of every subset of {0, ..., n-1}, length 2**n.
 
     Same doubling recursion as :func:`lam_vector`: appending index m adds one
-    to every mask in the upper half.
+    to every mask in the upper half. Built once per level and shared, so the
+    array is read-only.
     """
-    n = check_truncation(n)
+    return _popcount_vector(check_truncation(n))
+
+
+@lru_cache(maxsize=None)
+def _popcount_vector(n: int) -> np.ndarray:
     out = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         out = np.concatenate([out, out + 1])
+    out.flags.writeable = False
     return out
 
 

@@ -105,35 +105,47 @@ def _theta_params(raw: str, n: int) -> BernoulliParams:
     return params
 
 
+def _require_finite(deviations) -> None:
+    if not np.isfinite(deviations).all():
+        raise ConfigError(
+            "the Gram or moment deviations are not finite: the thetas overflow "
+            "double precision"
+        )
+
+
 def cmd_simulate(args) -> int:
     params = _theta_params(args.theta, args.n)
     size = 1 << params.n
     eye = np.eye(size)
     started = time.perf_counter()
-    if args.samples is None:
-        gram = exact_gram(params)
-        moments = conditional_moments(params)
-        gram_dev = float(np.abs(gram - eye).max())
-        passed = (
-            gram_dev <= args.tol
-            and moments.max_mean_dev <= args.tol
-            and moments.max_second_dev <= args.tol
-        )
-        body = {"mode": "exact", "gram_deviation": gram_dev, "moments": moments.to_json()}
-    else:
-        gram, stderr = monte_carlo_gram(params, args.samples, args.seed)
-        dev = np.abs(gram - eye)
-        slack = dev - 4.0 * stderr
-        worst = int(np.argmax(slack))
-        passed = bool(slack.flat[worst] <= 1e-12)
-        body = {
-            "mode": "monte-carlo",
-            "samples": args.samples,
-            "seed": args.seed,
-            "max_deviation": float(dev.max()),
-            "worst_entry": [worst // size, worst % size],
-            "worst_excess_over_4se": float(slack.flat[worst]),
-        }
+    # an overflow is reported below as one error, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if args.samples is None:
+            gram = exact_gram(params)
+            moments = conditional_moments(params)
+            gram_dev = float(np.abs(gram - eye).max())
+            _require_finite([gram_dev, *moments.mean_dev_per_step, *moments.second_dev_per_step])
+            passed = (
+                gram_dev <= args.tol
+                and moments.max_mean_dev <= args.tol
+                and moments.max_second_dev <= args.tol
+            )
+            body = {"mode": "exact", "gram_deviation": gram_dev, "moments": moments.to_json()}
+        else:
+            gram, stderr = monte_carlo_gram(params, args.samples, args.seed)
+            dev = np.abs(gram - eye)
+            slack = dev - 4.0 * stderr
+            _require_finite(slack)
+            worst = int(np.argmax(slack))
+            passed = bool(slack.flat[worst] <= 1e-12)
+            body = {
+                "mode": "monte-carlo",
+                "samples": args.samples,
+                "seed": args.seed,
+                "max_deviation": float(dev.max()),
+                "worst_entry": [worst // size, worst % size],
+                "worst_excess_over_4se": float(slack.flat[worst]),
+            }
     payload = {
         "command": "simulate",
         "thetas": list(params.thetas),

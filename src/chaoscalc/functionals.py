@@ -186,10 +186,9 @@ class Functional:
             return NotImplemented
         n = max(self.truncation, other.truncation)
         theirs = other.values if sign > 0 else -other.values
-        # Column sweeps add single-entry tables term by term, so an empty or
-        # identically indexed side skips the union of the mask arrays.
-        if not len(other.masks):
-            return Functional._from_arrays(self.masks, self.values, n)
+        # Series sums start from ``Functional.zero`` and the intertwining
+        # checks subtract tables on one support, so those two cases skip the
+        # union of the mask arrays.
         if not len(self.masks):
             return Functional._from_arrays(other.masks, theirs, n)
         if np.array_equal(self.masks, other.masks):

@@ -10,6 +10,7 @@ with a counter-based generator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BernoulliParams:
-    """Success probabilities theta_k for each step, all strictly inside (0, 1)."""
+    """Success probabilities theta_k for each step, all strictly inside (0, 1)
+    and with finite step values."""
 
     thetas: tuple
 
@@ -38,6 +40,11 @@ class BernoulliParams:
         for t in cleaned:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"theta values must lie strictly in (0, 1), got {t}")
+            if not (math.isfinite((1.0 - t) / t) and math.isfinite(t / (1.0 - t))):
+                raise ValueError(
+                    f"theta {t} gives a step value sqrt((1 - t) / t) that overflows "
+                    "double precision"
+                )
         object.__setattr__(self, "thetas", cleaned)
         check_truncation(len(cleaned))
 

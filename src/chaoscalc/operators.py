@@ -13,7 +13,10 @@ Two families act on :class:`~chaoscalc.functionals.Functional`:
 Expressions compose with ``@``, add with ``+`` and scale with ``*``; they can
 be applied directly (sparse: selections and gathers on a table's mask and
 value arrays) or materialized as scipy CSR matrices over the truncated basis,
-columns indexed by input subset mask.
+columns indexed by input subset mask. A matrix known only through a kernel
+comes from :func:`materialize_apply`, which applies the kernel once to the
+whole basis with each mask's column tagged in the bits above n; every kernel
+therefore changes only bits below n and evaluates diagonals at those bits.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ import scipy.sparse as sp
 from .basis import as_index, check_truncation, popcount_vector
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
+
+_MAX_TAGGED_TRUNCATION = 31  # 2n tag bits stay clear of an int64 mask's sign bit
 
 # ---------------------------------------------------------------------------
 # direct applications
@@ -53,6 +58,12 @@ def apply_create(k: int, phi: Functional) -> Functional:
     bit = 1 << k
     keep = (phi.masks & bit) == 0
     return Functional._from_arrays(phi.masks[keep] | bit, phi.values[keep], phi.truncation)
+
+
+def _subset_masks(phi: Functional) -> np.ndarray:
+    """phi's masks below bit n, where diagonals are evaluated; inside
+    :func:`materialize_apply` the bits above n carry a column tag."""
+    return phi.masks & ((1 << phi.truncation) - 1)
 
 
 def _times(phi: Functional, factors: np.ndarray) -> Functional:
@@ -84,17 +95,17 @@ def hop_apply(j: int, k: int, phi: Functional) -> Functional:
 
 def gwn_apply(w: Weight2D, phi: Functional) -> Functional:
     """Weighted number operator for 2D weights: multiply by theta(sigma)."""
-    return _times(phi, w.theta_vector(phi.truncation)[phi.masks])
+    return _times(phi, w.theta_vector(phi.truncation)[_subset_masks(phi)])
 
 
 def wn1d_apply(u: Weight1D, phi: Functional) -> Functional:
     """Weighted number operator for 1D weights: multiply by count(sigma)."""
-    return _times(phi, u.count_vector(phi.truncation)[phi.masks])
+    return _times(phi, u.count_vector(phi.truncation)[_subset_masks(phi)])
 
 
 def number_apply(phi: Functional) -> Functional:
     """Plain number operator: multiply by the cardinality of sigma."""
-    return _times(phi, popcount_vector(phi.truncation)[phi.masks])
+    return _times(phi, popcount_vector(phi.truncation)[_subset_masks(phi)])
 
 
 def series_partial_2d(w: Weight2D, phi: Functional, m: int) -> Functional:
@@ -159,32 +170,43 @@ def l2_create(k: int, xi: Functional) -> Functional:
 
 def l2_wn_apply(w: Weight2D, xi: Functional) -> Functional:
     """Weighted number operator on the square-integrable side: diagonal theta."""
-    out = xi.values * w.theta_vector(xi.truncation).take(xi.masks)
+    subsets = xi.masks & ((1 << xi.truncation) - 1)
+    out = xi.values * w.theta_vector(xi.truncation).take(subsets)
     return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
 def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
     """1D weighted number operator on the square-integrable side."""
-    out = xi.values * u.count_vector(xi.truncation).take(xi.masks)
+    subsets = xi.masks & ((1 << xi.truncation) - 1)
+    out = xi.values * u.count_vector(xi.truncation).take(subsets)
     return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
 def materialize_apply(
     apply_fn: Callable[[Functional], Functional], n: int
 ) -> sp.csr_matrix:
-    """Matrix of an operator given only its action, by sweeping basis columns."""
+    """Matrix of an operator given only its action, from one call of ``apply_fn``.
+
+    The whole basis goes in as one private table whose masks carry their
+    column above bit n, ``(col << n) | col``, all values 1. Every kernel
+    selects on masks, changes only bits below n (``^``, ``|``, ``+ (1 << k)``,
+    ``- (1 << k)``) and gathers diagonals at the low bits; sums merge sorted
+    masks. So no column's entries mix with another's, and each output entry
+    reads as row ``mask & (2**n - 1)``, column ``mask >> n``. The tag takes
+    2n bits of an int64 mask, so n is capped at 31. The tagged table never
+    reaches a caller; ``Functional(...)`` rejects masks at or above ``2**n``.
+    """
     n = check_truncation(n)
+    if n > _MAX_TAGGED_TRUNCATION:
+        raise ValueError(
+            f"materialize_apply needs n <= {_MAX_TAGGED_TRUNCATION}, got {n}: "
+            "a column tag takes 2n bits of an int64 mask"
+        )
     size = 1 << n
-    basis = np.arange(size, dtype=np.int64)
-    one = np.ones(1, dtype=complex)
-    rows, data = [], []
-    for m in range(size):
-        image = apply_fn(Functional._from_arrays(basis[m : m + 1], one, n))
-        rows.append(image.masks)
-        data.append(image.values)
-    cols = np.repeat(basis, [len(r) for r in rows])
+    cols = np.arange(size, dtype=np.int64)
+    image = apply_fn(Functional._from_arrays(cols << n | cols, np.ones(size, dtype=complex), n))
     return sp.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), cols)),
+        (image.values, (image.masks & (size - 1), image.masks >> n)),
         shape=(size, size),
         dtype=complex,
     )
@@ -305,7 +327,7 @@ class Diagonal(OperatorExpr):
     json_form: dict | None = None
 
     def apply(self, phi):
-        return _times(phi, self.vector(phi.truncation)[phi.masks])
+        return _times(phi, self.vector(phi.truncation)[_subset_masks(phi)])
 
     def vector(self, n: int) -> np.ndarray:
         return np.asarray(self.vector_fn(check_truncation(n)), dtype=float)

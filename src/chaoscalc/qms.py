@@ -31,17 +31,12 @@ from .weights import Weight2D
 _HERMITIAN_TOL = 1e-12
 
 
-def demo_hamiltonian(n: int) -> np.ndarray:
-    """Dense form of the default Hamiltonian: diagonal subset cardinality."""
-    return np.diag(popcount_vector(n).astype(complex))
-
-
 @lru_cache(maxsize=None)
 def transfer_matrix(j: int, k: int, n: int) -> sp.csr_matrix:
     """Jump operator moving occupation k -> j, as a truncated matrix.
 
-    Built by sweeping the square-integrable-side applications over basis
-    columns. The result is cached and shared, so its arrays are read-only.
+    Materialized from the square-integrable-side applications. The result
+    is cached and shared, so its arrays are read-only.
     """
     n = check_truncation(n)
     return read_only(materialize_apply(lambda xi: l2_create(j, l2_annihilate(k, xi)), n))

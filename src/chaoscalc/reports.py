@@ -4,11 +4,13 @@ A residual is always the largest absolute entry of (lhs - rhs), normalized
 by max(1, largest entry magnitude of either side), so tolerances mean the
 same thing across scalar, functional and matrix comparisons. A report is
 ``ok`` when a plain check passed, or when a negative control (deliberately
-corrupted input) failed as it should.
+corrupted input) failed as it should; a report whose residual is not finite
+is never ``ok``, since NaN or infinity shows the comparison itself broke.
 """
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +87,7 @@ class VerificationReport:
         if kind not in (CHECK, NEGATIVE_CONTROL):
             raise ValueError(f"unknown report kind {kind!r}")
         passed = residual <= tolerance
-        ok = passed if kind == CHECK else not passed
+        ok = math.isfinite(residual) and (passed if kind == CHECK else not passed)
         return cls(
             name=name,
             statement=statement,

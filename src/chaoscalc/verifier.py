@@ -4,7 +4,7 @@ Each ``check_*`` function verifies one family of operator identities on the
 truncated basis and returns a list of reports. Families never test a formula
 against its own implementation: closed forms are compared with literal
 compositions, rearranged sums with term-by-term oracles, expression-tree
-matrices with column sweeps of the independent application routes.
+matrices with matrices materialized from the independent application routes.
 
 Every family also emits one negative control: the same comparison with a
 single entry corrupted by 1e-6, which must fail. A control that passes means
@@ -687,8 +687,8 @@ def check_l2_lemmas(
 ) -> list:
     """The ladder/number lemmas written on the square-integrable side.
 
-    All matrices here come from column sweeps of the l2_* application
-    functions, the code path that never touches the expression engine.
+    All matrices here are materialized from the l2_* application functions,
+    the code path that never touches the expression engine.
     """
     n = check_truncation(n)
     eye = sp.identity(1 << n, dtype=complex, format="csr")
@@ -703,13 +703,8 @@ def check_l2_lemmas(
     worst_wa = worst_wc = 0.0
     control = None
     for k in range(n):
-        # one slice per k, so the column sweep gathers from one count vector
-        row = materialize_apply(
-            lambda f, row_k=w.row_slice(k): l2_wn1d_apply(row_k, f), n
-        )
-        col = materialize_apply(
-            lambda f, col_k=w.col_slice(k): l2_wn1d_apply(col_k, f), n
-        )
+        row = materialize_apply(lambda f: l2_wn1d_apply(w.row_slice(k), f), n)
+        col = materialize_apply(lambda f: l2_wn1d_apply(w.col_slice(k), f), n)
         scal = 2.0 * w(k, k) + w.colsum(k)
         lhs = s_w @ d[k]
         rhs = d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]

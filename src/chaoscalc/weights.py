@@ -312,9 +312,6 @@ class Weight2D:
         """True when all mass is listed: no tail, no closed-form slack."""
         return self.tail_bound == 0.0 and not self._has_unlisted_mass()
 
-    def is_diagonal(self) -> bool:
-        return all(j == k for (j, k) in self.entries)
-
     def to_json(self) -> dict:
         data = {
             "kind": "dense",

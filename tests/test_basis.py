@@ -53,13 +53,6 @@ class TestSubset:
         assert 0 in s and 2 in s and 1 not in s
         assert -1 not in s
 
-    def test_with_without(self):
-        s = Subset.of(1)
-        assert s.with_index(3) == Subset.of(1, 3)
-        assert s.with_index(1) == s
-        assert s.without_index(1) == Subset()
-        assert s.without_index(5) == s
-
     def test_indicator(self):
         s = Subset.of(0, 4)
         assert s.indicator(0) == 1
@@ -152,6 +145,14 @@ class TestLambda:
         pop = popcount_vector(6)
         for sigma in enumerate_basis(6):
             assert pop[sigma.mask] == len(sigma)
+
+    def test_vectors_built_once_per_level_and_read_only(self):
+        for build in (lam_vector, popcount_vector):
+            vec = build(5)
+            assert build(5) is vec and build(np.int64(5)) is vec
+            assert build(4) is not vec
+            with pytest.raises(ValueError):
+                vec[0] = 7
 
     def test_popcount_without_bitwise_count(self, monkeypatch):
         # numpy < 2.0 has no np.bitwise_count; the declared floor is 1.24

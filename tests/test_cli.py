@@ -257,6 +257,24 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--theta", "1.5", "--n", "3")
         assert code == 2 and "strictly in (0, 1)" in err
 
+    def test_overflowing_step_value(self, tmp_path, capsys):
+        # sqrt((1 - t) / t) overflows at t = 5e-324; this reported a NaN Gram
+        # deviation with numpy warnings
+        path = write_json(tmp_path / "t.json", [5e-324, 0.5])
+        for extra in ((), ("--samples", "1000")):
+            code, payload, err = run_cli(capsys, "simulate", "--n", "2", "--theta", path, *extra)
+            assert code == 2 and payload is None
+            assert_one_error_line(err)
+            assert "overflows" in err
+
+    def test_overflowing_gram(self, tmp_path, capsys):
+        # each step value is finite (1e100), but products over four steps are not
+        path = write_json(tmp_path / "t.json", [1e-200] * 4)
+        code, payload, err = run_cli(capsys, "simulate", "--n", "4", "--theta", path)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert "not finite" in err
+
 
 class TestQms:
     def test_matches_library_call(self, tmp_path, capsys):

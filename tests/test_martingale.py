@@ -46,6 +46,12 @@ class TestParams:
         with pytest.raises(ValueError):
             BernoulliParams.cycling((), 4)
 
+    @pytest.mark.parametrize("theta", [5e-324, 1e-310])
+    def test_overflowing_step_value(self, theta):
+        with pytest.raises(ValueError, match="overflows"):
+            BernoulliParams((theta, 0.5))
+        assert np.isfinite(BernoulliParams((1e-300, 1 - 1e-16)).plus_values()).all()
+
     def test_cycling(self):
         params = BernoulliParams.cycling((0.25, 1 / 3, 2 / 3, 0.9), 6)
         assert params.thetas[:4] == (0.25, 1 / 3, 2 / 3, 0.9)

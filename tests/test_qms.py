@@ -16,7 +16,6 @@ from chaoscalc.qms import (
     GeneratorSpec,
     check_generator_structure,
     check_sum_identity,
-    demo_hamiltonian,
     dissipator_apply,
     generator_apply,
     matrix_from_json,
@@ -25,6 +24,11 @@ from chaoscalc.qms import (
 )
 from chaoscalc.reports import all_ok
 from chaoscalc.weights import Weight2D
+
+
+def count_hamiltonian(n):
+    """Dense form of the default Hamiltonian: diagonal subset cardinality."""
+    return np.diag([complex(bin(m).count("1")) for m in range(1 << n)])
 
 
 def literal_generator(h, rate_table, x):
@@ -102,7 +106,7 @@ class TestHandOracle:
             rate_table = jump_rate_table(w, n)
             for h in (None, self.random_hermitian(rng, 1 << n)):
                 spec = GeneratorSpec(weight=w, truncation=n, hamiltonian=h)
-                dense_h = demo_hamiltonian(n) if h is None else h
+                dense_h = count_hamiltonian(n) if h is None else h
                 expect = literal_generator(dense_h, rate_table, x)
                 assert np.max(np.abs(generator_apply(spec, x) - expect)) < 1e-12
 
@@ -110,7 +114,7 @@ class TestHandOracle:
     def test_literal_expansion_catches_one_rate_off(self, n):
         rng = np.random.default_rng(11)
         w, x = self.random_case(rng, n)
-        expect = literal_generator(demo_hamiltonian(n), jump_rate_table(w, n), x)
+        expect = literal_generator(count_hamiltonian(n), jump_rate_table(w, n), x)
         (j, k), v = sorted(w.entries.items())[-1]
         nudged = Weight2D({**w.entries, (j, k): v + 1e-6})
         got = generator_apply(GeneratorSpec(weight=nudged, truncation=n), x)
@@ -120,7 +124,7 @@ class TestHandOracle:
         rng = np.random.default_rng(9)
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=2)
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = demo_hamiltonian(2)
+        h = count_hamiltonian(2)
         assert np.allclose(generator_apply(spec, x), 1j * (h @ x - x @ h), atol=1e-14)
         assert np.max(np.abs(dissipator_apply(Weight2D.zero(), 2, x))) == 0.0
 

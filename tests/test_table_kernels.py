@@ -6,7 +6,9 @@ underflow) are checked against a dense route on ``as_vector()``: the cached
 CSR matrices for index moves, ``theta_vector``/``count_vector``/
 ``popcount_vector`` for diagonals, plain vector arithmetic for the linear
 structure and ``lam_vector`` for the norms. Every output must keep the table
-invariants.
+invariants. The one-call ``materialize_apply``, which tags each basis column
+in the mask bits above n, is checked against a literal column-by-column sweep
+of every kernel.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from chaoscalc import operators
 from chaoscalc.basis import Subset, lam_vector, popcount_vector
 from chaoscalc.functionals import Functional, GrowthBound, check_growth
 from chaoscalc.operators import (
+    Diagonal,
     annihilate,
     apply_annihilate,
     apply_create,
@@ -34,10 +37,14 @@ from chaoscalc.operators import (
     l2_wn1d_apply,
     l2_wn_apply,
     materialize,
+    materialize_apply,
     number,
     number_apply,
+    number_series_partial,
     occupation,
     occupation_apply,
+    series_partial_1d,
+    series_partial_2d,
     wn1d_apply,
     wn1d_expr,
 )
@@ -197,6 +204,85 @@ def test_coefficient_view_is_read_only():
     assert phi.coeffs[2] == 2.0 and 1 not in phi.coeffs and 2**70 not in phi.coeffs
     with pytest.raises(TypeError):
         phi.coeffs[1] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# one-call materialization against a column-by-column sweep
+# ---------------------------------------------------------------------------
+
+
+def swept(apply_fn, n):
+    """The matrix column by column: the kernel applied to each basis delta."""
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for m in range(1 << n):
+        image = apply_fn(Functional.delta(m, n))
+        out[image.masks, m] = image.values
+    return out
+
+
+@SETTINGS
+@given(st.data())
+def test_one_call_materialize_matches_column_sweep(data):
+    n = data.draw(st.integers(1, 6))
+    j = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, n - 1))
+    cut = data.draw(st.integers(0, n))
+    w = data.draw(weights2d(n))
+    u = data.draw(weights1d(n))
+
+    def l2_hop(f):
+        return l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, f))))
+
+    kernels = {
+        "apply_annihilate": lambda f: apply_annihilate(k, f),
+        "apply_create": lambda f: apply_create(k, f),
+        "occupation_apply": lambda f: occupation_apply(k, f),
+        "hop_apply": lambda f: hop_apply(j, k, f),
+        "hop_expr": hop_expr(j, k).apply,
+        "gwn_apply": lambda f: gwn_apply(w, f),
+        "wn1d_apply": lambda f: wn1d_apply(u, f),
+        "number_apply": number_apply,
+        "gwn_expr": gwn_expr(w).apply,
+        "wn1d_expr": wn1d_expr(u).apply,
+        "number": number().apply,
+        "Diagonal(lam_vector)": Diagonal(lam_vector).apply,
+        "series_partial_2d": lambda f: series_partial_2d(w, f, cut),
+        "series_partial_1d": lambda f: series_partial_1d(u, f, cut),
+        "number_series_partial": lambda f: number_series_partial(f, cut),
+        "diagonal after index move": lambda f: gwn_apply(w, apply_create(j, f)),
+        "l2_annihilate": lambda f: l2_annihilate(k, f),
+        "l2_create": lambda f: l2_create(k, f),
+        "l2_wn_apply": lambda f: l2_wn_apply(w, f),
+        "l2_wn1d_apply": lambda f: l2_wn1d_apply(u, f),
+        "l2 four-fold hop": l2_hop,
+        "l2 sum": lambda f: l2_hop(f) + 2.5 * l2_wn_apply(w, l2_annihilate(j, f)),
+    }
+    for name, kernel in kernels.items():
+        one_call = materialize_apply(kernel, n)
+        assert one_call.shape == (1 << n, 1 << n), name
+        assert np.array_equal(one_call.toarray(), swept(kernel, n)), name
+
+
+def test_materialize_apply_calls_the_kernel_once():
+    calls = []
+
+    def kernel(f):
+        calls.append(f)
+        return hop_apply(0, 1, f)
+
+    matrix = materialize_apply(kernel, 3)
+    assert len(calls) == 1
+    assert np.array_equal(matrix.toarray(), materialize(hop_expr(0, 1), 3).toarray())
+
+
+def test_materialize_apply_caps_the_tag_at_31(monkeypatch):
+    monkeypatch.setenv("CHAOSCALC_MAX_N", "40")
+
+    def kernel(f):
+        raise AssertionError("the kernel ran past the tag cap")
+
+    with pytest.raises(ValueError, match="n <= 31"):
+        materialize_apply(kernel, 32)
 
 
 # ---------------------------------------------------------------------------

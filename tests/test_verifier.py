@@ -87,6 +87,14 @@ class TestResidualHelpers:
         line = format_line(control)
         assert line.startswith("PASS[control]")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("kind", [CHECK, NEGATIVE_CONTROL])
+    def test_non_finite_residual_is_never_ok(self, value, kind):
+        rep = VerificationReport.build("x", "s", value, 1e-12, kind=kind)
+        assert not rep.ok
+        assert not all_ok([VerificationReport.build("y", "s", 0.0, 1e-12), rep])
+        assert format_line(rep).startswith("FAIL")
+
 
 FAMILY_CALLS = [
     ("car", lambda w, u: check_car(4)),

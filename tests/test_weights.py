@@ -191,11 +191,6 @@ class TestSlices:
         # unlisted mass in some column is at most 0.5 + 0.25
         assert w.row_slice(0).beta() == pytest.approx(1.75)
 
-    def test_diagonal_flag(self, running):
-        assert not running.is_diagonal()
-        assert Weight2D.from_weight1d(Weight1D.constant(2.0, 3)).is_diagonal()
-        assert Weight2D.zero().is_diagonal()
-
 
 class TestValidation:
     def test_negative_entry(self):
