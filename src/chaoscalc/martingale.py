@@ -11,6 +11,7 @@ with a counter-based generator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +19,21 @@ import numpy as np
 from .basis import check_truncation
 from .functionals import Functional
 
-_EXACT_ENUMERATION_CAP = 13  # 4**n work/memory; past this use sampling
-_MC_BASIS_CAP = 8  # sample matrices hold 2**n columns
+# A Gram matrix over the 2**n basis products is 8 * 4**n bytes: 128 MiB at
+# n = 12 and 512 MiB at n = 13. Exact enumeration stops at 13; past this use
+# sampling.
+_EXACT_ENUMERATION_CAP = 13
+# The sampled Gram and its second moments are two such matrices, 1 MiB at
+# n = 8, and every sample costs about 4**n multiply-adds into them; the samples
+# themselves are held one block at a time.
+_MC_BASIS_CAP = 8
+# The one memory budget for working tables: a block of atoms or samples holds
+# this many bytes of basis values, so it has _BLOCK_BYTES / (8 * 2**n) rows.
+_BLOCK_BYTES = 1 << 23
+# Columns per panel of the exact Gram's upper triangle. Panels tile the
+# triangle for BLAS and take no memory beyond the Gram's own; each computes
+# its whole diagonal block, an extra _PANEL / 2**n of the work.
+_PANEL = 256
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -30,8 +44,8 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BernoulliParams:
-    """Success probabilities theta_k for each step, all strictly inside (0, 1)
-    and with finite step values."""
+    """Success probabilities theta_k for each step, all strictly inside (0, 1),
+    with finite step values and with every atom probability a normal double."""
 
     thetas: tuple
 
@@ -45,6 +59,14 @@ class BernoulliParams:
                     f"theta {t} gives a step value sqrt((1 - t) / t) that overflows "
                     "double precision"
                 )
+        smallest = [min(t, 1.0 - t) for t in cleaned]
+        if math.prod(smallest) < sys.float_info.min:
+            exponent = sum(math.log10(m) for m in smallest)
+            raise ValueError(
+                f"the smallest atom probability, prod(min(t, 1 - t)) ~ 1e{exponent:.0f}, "
+                f"is below the smallest normal double {sys.float_info.min!r}: "
+                "atom probabilities would underflow"
+            )
         object.__setattr__(self, "thetas", cleaned)
         check_truncation(len(cleaned))
 
@@ -92,9 +114,20 @@ def _check_exact_size(n: int) -> int:
     if n > _EXACT_ENUMERATION_CAP:
         raise ValueError(
             f"exact enumeration handles up to n = {_EXACT_ENUMERATION_CAP} "
-            f"(got {n}); use the sampling path instead"
+            f"(got {n}): its Gram matrix takes 8 * 4**n bytes, "
+            f"{_mib(8 * 4**_EXACT_ENUMERATION_CAP)} at n = {_EXACT_ENUMERATION_CAP} "
+            f"and {_mib(8 * 4**n)} at n = {n}; use the sampling path instead"
         )
     return n
+
+
+def _mib(nbytes: int) -> str:
+    return f"{nbytes / 2**20:g} MiB"
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a float table ``width`` columns wide that fit the block budget."""
+    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def atom_probs(params: BernoulliParams) -> np.ndarray:
@@ -117,10 +150,11 @@ def _products_over_masks(step_values: np.ndarray) -> np.ndarray:
     """Row-wise products over every index subset.
 
     Input (rows, n) of per-step values; output (rows, 2**n) whose column m is
-    the product over the bits of m, built by the doubling recursion.
+    the product over the bits of m, built by the doubling recursion. The output
+    is column-major, so every leading run of columns is contiguous for BLAS.
     """
     rows, n = step_values.shape
-    out = np.empty((rows, 1 << n))
+    out = np.empty((rows, 1 << n), order="F")
     out[:, 0] = 1.0
     for k in range(n):
         h = 1 << k
@@ -130,15 +164,72 @@ def _products_over_masks(step_values: np.ndarray) -> np.ndarray:
 
 
 def z_matrix(params: BernoulliParams) -> np.ndarray:
-    """Exact table of basis-product values: entry (atom, mask)."""
+    """Exact table of basis-product values: entry (atom, mask).
+
+    The whole 2**n x 2**n table; the functions below build it one block of
+    atoms at a time instead.
+    """
     return _products_over_masks(psi_matrix(params))
 
 
-def exact_gram(params: BernoulliParams) -> np.ndarray:
-    """Gram matrix of the product basis under the exact atom probabilities."""
-    z = z_matrix(params)
+def _atom_blocks(params: BernoulliParams):
+    """Yield (atoms, z, p) over consecutive blocks of atoms: the slice of
+    atoms, their rows of :func:`z_matrix` and their probabilities."""
+    psi = psi_matrix(params)
     p = atom_probs(params)
-    return z.T @ (p[:, None] * z)
+    rows = _block_rows(1 << params.n)
+    for start in range(0, len(p), rows):
+        atoms = slice(start, start + rows)
+        yield atoms, _products_over_masks(psi[atoms]), p[atoms]
+
+
+def _mirror_upper(gram: np.ndarray) -> None:
+    """Overwrite the strict lower triangle of a square matrix with the
+    transpose of its upper triangle, one panel-sized tile at a time."""
+    size = len(gram)
+    for j0 in range(0, size, _PANEL):
+        j1 = min(j0 + _PANEL, size)
+        for i0 in range(j1, size, _PANEL):
+            i1 = min(i0 + _PANEL, size)
+            gram[i0:i1, j0:j1] = gram[j0:j1, i0:i1].T
+        tile = gram[j0:j1, j0:j1]
+        lower = np.tril_indices(j1 - j0, -1)
+        tile[lower] = tile.T[lower]
+
+
+def exact_gram(params: BernoulliParams) -> np.ndarray:
+    """Gram matrix of the product basis under the exact atom probabilities.
+
+    Every atom is enumerated, one block of atoms at a time: with z the block's
+    basis values and p its probabilities, the panel of columns j0:j1 gains
+    ``z[:, :j1].T @ (p * z[:, j0:j1])``, its part of the upper triangle. The
+    probabilities weight one factor only, so at theta = 1/2 every term is a
+    power of two and the result is the identity exactly. Until assembly each
+    panel is packed at the start of its own columns of the result, so no
+    accumulator takes memory beyond the Gram's. The lower triangle is then the
+    mirror of the upper, and the result exactly symmetric.
+    """
+    # imported on use: loading scipy.linalg adds about 6 MB and 0.05 s to
+    # every process that imports the package, and only the Grams need it
+    from scipy.linalg.blas import dgemm
+
+    size = 1 << _check_exact_size(params.n)
+    gram = np.zeros((size, size), order="F")
+    panels = []
+    for j0 in range(0, size, _PANEL):
+        j1 = min(j0 + _PANEL, size)
+        packed = gram[:, j0:j1].ravel(order="F")[: j1 * (j1 - j0)]
+        panels.append((j0, j1, packed.reshape(j1, j1 - j0, order="F")))
+    for _, z, p in _atom_blocks(params):
+        for j0, j1, panel in panels:
+            weighted = p[:, None] * z[:, j0:j1]
+            dgemm(1.0, z[:, :j1], weighted, beta=1.0, c=panel, trans_a=1, overwrite_c=1)
+    for j0, j1, panel in panels:
+        # the source overlaps the destination; numpy copies it first
+        gram[:j1, j0:j1] = panel
+    _mirror_upper(gram)
+    # the transpose of a symmetric matrix is itself, in row-major order
+    return gram.T
 
 
 @dataclass(frozen=True)
@@ -187,30 +278,55 @@ def conditional_moments(params: BernoulliParams) -> MomentReport:
     return MomentReport(tuple(mean_devs), tuple(second_devs))
 
 
-def sample_steps(
-    params: BernoulliParams, samples: int, seed: int, stream: int = 0
-) -> np.ndarray:
-    """Draw (samples, n) step outcomes from the product measure."""
+def _sample_blocks(params: BernoulliParams, samples: int, seed: int, stream: int, rows: int):
+    """Yield step outcomes ``rows`` samples at a time, drawn in order from one
+    stream, so the blocks concatenate to the same draws whatever ``rows`` is."""
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = rng_stream(seed, stream)
     t = np.asarray(params.thetas)
-    hits = rng.random((samples, params.n)) < t
-    return np.where(hits, params.plus_values(), params.minus_values())
+    plus, minus = params.plus_values(), params.minus_values()
+    for start in range(0, samples, rows):
+        hits = rng.random((min(rows, samples - start), params.n)) < t
+        yield np.where(hits, plus, minus)
+
+
+def sample_steps(
+    params: BernoulliParams, samples: int, seed: int, stream: int = 0
+) -> np.ndarray:
+    """Draw (samples, n) step outcomes from the product measure."""
+    (steps,) = _sample_blocks(params, samples, seed, stream, rows=samples)
+    return steps
 
 
 def monte_carlo_gram(
     params: BernoulliParams, samples: int, seed: int, stream: int = 0
 ) -> tuple:
-    """Sampled Gram matrix plus a per-entry standard error estimate."""
+    """Sampled Gram matrix plus a per-entry standard error estimate.
+
+    The draws of :func:`sample_steps` are summed one block of samples at a
+    time into the upper triangles of the Gram and of the second moments, so
+    memory does not grow with ``samples``.
+    """
     n = params.n
     if n > _MC_BASIS_CAP:
         raise ValueError(
-            f"sampled Gram holds 2**n columns; capped at n = {_MC_BASIS_CAP}, got {n}"
+            f"the sampled Gram and its second moments take 16 * 4**n bytes and "
+            f"every sample costs about 4**n multiply-adds into them; capped at "
+            f"n = {_MC_BASIS_CAP} ({_mib(16 * 4**_MC_BASIS_CAP)}), got {n}"
         )
-    z = _products_over_masks(sample_steps(params, samples, seed, stream))
-    gram = z.T @ z / samples
-    second = (z * z).T @ (z * z) / samples
+    from scipy.linalg.blas import dsyrk  # imported on use, as in exact_gram
+
+    size = 1 << n
+    gram = np.zeros((size, size), order="F")
+    second = np.zeros((size, size), order="F")
+    for steps in _sample_blocks(params, samples, seed, stream, _block_rows(size)):
+        z = _products_over_masks(steps)
+        dsyrk(1.0, z, beta=1.0, c=gram, trans=1, overwrite_c=1)
+        dsyrk(1.0, z * z, beta=1.0, c=second, trans=1, overwrite_c=1)
+    for table in (gram, second):
+        _mirror_upper(table)
+        table /= samples
     variance = np.maximum(second - gram**2, 0.0)
     stderr = np.sqrt(variance / samples)
     return gram, stderr
@@ -224,10 +340,12 @@ def chaotic_expand(f, params: BernoulliParams) -> Functional:
     computed exactly over the finite sample space.
     """
     n = _check_exact_size(params.n)
-    psi = psi_matrix(params)
-    values = np.array([complex(f(tuple(row))) for row in psi])
-    weighted = atom_probs(params) * values
-    coeffs = z_matrix(params).T @ weighted
+    values = np.array([complex(f(tuple(row))) for row in psi_matrix(params)])
+    coeffs = np.zeros(1 << n, dtype=complex)
+    for atoms, z, p in _atom_blocks(params):
+        weighted = p * values[atoms]
+        coeffs.real += z.T @ weighted.real
+        coeffs.imag += z.T @ weighted.imag
     return Functional.from_vector(coeffs, n)
 
 
@@ -237,4 +355,9 @@ def reconstruct(phi: Functional, params: BernoulliParams) -> np.ndarray:
         raise ValueError(
             f"truncation {phi.truncation} does not match parameter length {params.n}"
         )
-    return z_matrix(params) @ phi.as_vector()
+    vector = phi.as_vector()
+    values = np.empty(len(vector), dtype=complex)
+    for atoms, z, _ in _atom_blocks(params):
+        values.real[atoms] = z @ vector.real
+        values.imag[atoms] = z @ vector.imag
+    return values

@@ -268,12 +268,27 @@ class TestSimulate:
             assert "overflows" in err
 
     def test_overflowing_gram(self, tmp_path, capsys):
-        # each step value is finite (1e100), but products over four steps are not
+        # each step value is finite (1e100), but products over four steps are
+        # not; the atom probability 1e-800 underflows first and is rejected
         path = write_json(tmp_path / "t.json", [1e-200] * 4)
         code, payload, err = run_cli(capsys, "simulate", "--n", "4", "--theta", path)
         assert code == 2 and payload is None
         assert_one_error_line(err)
-        assert "not finite" in err
+        assert "smallest normal double" in err
+
+    def test_underflowing_atom_probability(self, tmp_path, capsys):
+        # the atom probability 1e-400 underflowed to 0 and the exact check
+        # reported "gram_deviation": 1.0 with exit 1
+        path = write_json(tmp_path / "t.json", [1e-200, 1e-200])
+        code, payload, err = run_cli(capsys, "simulate", "--n", "2", "--theta", path)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert "smallest normal double 2.2250738585072014e-308" in err
+        # 5e-301 is a normal double: the identities hold to rounding
+        path = write_json(tmp_path / "t.json", [1e-150, 1e-150, 0.5])
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "3", "--theta", path)
+        assert code == 0 and payload["passed"]
+        assert payload["gram_deviation"] <= 1e-13
 
 
 class TestQms:

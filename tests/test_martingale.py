@@ -6,11 +6,17 @@ theta = 1/2 gives steps +/- 1 with equal weight; theta = 1/4 gives
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chaoscalc import martingale
 from chaoscalc.functionals import Functional
 from chaoscalc.martingale import (
     BernoulliParams,
@@ -50,7 +56,17 @@ class TestParams:
     def test_overflowing_step_value(self, theta):
         with pytest.raises(ValueError, match="overflows"):
             BernoulliParams((theta, 0.5))
-        assert np.isfinite(BernoulliParams((1e-300, 1 - 1e-16)).plus_values()).all()
+        # kept one at a time: together their atom probability 1e-316 underflows
+        for kept in ((1e-300,), (1 - 1e-16,)):
+            assert np.isfinite(BernoulliParams(kept).plus_values()).all()
+
+    def test_underflowing_atom_probability(self):
+        tiny = sys.float_info.min
+        for thetas in ((1e-200, 1e-200), (1e-300, 1 - 1e-16), (tiny / 2,)):
+            with pytest.raises(ValueError, match="below the smallest normal double"):
+                BernoulliParams(thetas)
+        for thetas in ((1e-150, 1e-150, 0.5), (tiny,), (0.5, 1 - 1e-16)):
+            assert min(atom_probs(BernoulliParams(thetas))) >= tiny
 
     def test_cycling(self):
         params = BernoulliParams.cycling((0.25, 1 / 3, 2 / 3, 0.9), 6)
@@ -129,6 +145,89 @@ class TestGram:
     def test_mixed_identity(self, thetas):
         g = exact_gram(BernoulliParams(thetas))
         assert np.max(np.abs(g - np.eye(len(g)))) < 1e-13
+
+
+@contextlib.contextmanager
+def blocking(rows: int, panel: int, width: int):
+    """Blocks of ``rows`` rows of a ``width``-column table, panels ``panel`` wide."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(martingale, "_BLOCK_BYTES", rows * 8 * width)
+        mp.setattr(martingale, "_PANEL", panel)
+        yield
+
+
+def dense_gram(params):
+    z, p = z_matrix(params), atom_probs(params)
+    return z.T @ (p[:, None] * z)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced while ``fn(*args)`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedGram:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        size = 1 << n
+        thetas = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+        # block and panel sizes below, equal to, above and not dividing 2**n
+        rows = data.draw(st.sampled_from([1, 3, size - 1, size, size + 5]) | st.integers(1, size))
+        panel = data.draw(st.sampled_from([1, 5, size // 2, size, 256]) | st.integers(1, size))
+        params = BernoulliParams(tuple(thetas))
+        with blocking(rows, panel, size):
+            gram = exact_gram(params)
+        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(gram - dense_gram(params))) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_symmetric_walsh_bitwise(self, n):
+        gram = exact_gram(BernoulliParams.constant(0.5, n))
+        assert np.array_equal(gram, np.eye(1 << n))
+        mixed = exact_gram(BernoulliParams.cycling((0.25, 1 / 3, 0.9), n))
+        assert np.array_equal(mixed, mixed.T)
+
+    @pytest.mark.parametrize("thetas", [(0.5,) * 6, (0.25, 1 / 3, 2 / 3, 0.9, 0.6, 0.1)])
+    def test_sampled_matches_one_shot_oracle(self, thetas):
+        params, samples = BernoulliParams(thetas), 20017  # 4 blocks of 4096 and 3633
+        steps = sample_steps(params, samples, seed=5)
+        z = np.ones((samples, 64))
+        for mask in range(64):
+            for k in range(6):
+                if mask >> k & 1:
+                    z[:, mask] *= steps[:, k]
+        gram_ref = z.T @ z / samples
+        second_ref = (z * z).T @ (z * z) / samples
+        stderr_ref = np.sqrt(np.maximum(second_ref - gram_ref**2, 0.0) / samples)
+        with blocking(4096, 256, 64):
+            gram, stderr = monte_carlo_gram(params, samples, seed=5)
+        assert np.array_equal(gram, gram.T) and np.array_equal(stderr, stderr.T)
+        if thetas[0] == 0.5:
+            # every product is +-1: the sums are exact in any order
+            assert np.array_equal(gram, gram_ref) and np.array_equal(stderr, stderr_ref)
+        assert np.allclose(gram, gram_ref, rtol=0, atol=1e-13)
+        assert np.allclose(stderr, stderr_ref, rtol=0, atol=1e-13)
+
+    def test_memory_is_bounded(self):
+        params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6)
+        small = traced_peak(monte_carlo_gram, params, 50_000, 3)
+        large = traced_peak(monte_carlo_gram, params, 400_000, 3)
+        assert large < 1.1 * small
+        params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
+        gram_bytes = 8 * 4**11
+        # the dense product held three such tables
+        assert traced_peak(exact_gram, params) < 2 * gram_bytes
+        # z_matrix is as large as the Gram; these hold a block of it at a time
+        phi = Functional.from_vector(np.arange(2048.0), 11)
+        assert traced_peak(reconstruct, phi, params) < gram_bytes
+        assert traced_peak(chaotic_expand, lambda path: path[0], params) < gram_bytes
 
 
 class TestMoments:
@@ -219,6 +318,19 @@ class TestExpansion:
         table = {tuple(row): v for row, v in zip(psi_matrix(params), values)}
         again = chaotic_expand(lambda path: table[tuple(path)], params)
         assert again.isclose(phi, tol=1e-12)
+
+    @pytest.mark.parametrize("n, rows", [(3, 8), (5, 7), (8, 100)])
+    def test_blocks_match_full_table(self, n, rows):
+        params = BernoulliParams.cycling((0.25, 0.6, 0.5, 0.9), n)
+        z, p = z_matrix(params), atom_probs(params)
+        rng = np.random.default_rng(n)
+        vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        table = {tuple(row): v for row, v in zip(psi_matrix(params), vec)}
+        with blocking(rows, 256, 1 << n):
+            expanded = chaotic_expand(lambda path: table[tuple(path)], params)
+            values = reconstruct(Functional.from_vector(vec, n), params)
+        assert np.allclose(expanded.as_vector(), z.T @ (p * vec), rtol=0, atol=1e-12)
+        assert np.allclose(values, z @ vec, rtol=0, atol=1e-12)
 
     def test_truncation_mismatch(self):
         params = BernoulliParams.constant(0.5, 3)
