@@ -31,7 +31,7 @@ from .martingale import (
 from .operators import parse_expr
 from .qms import GeneratorSpec, generator_apply, matrix_from_json, matrix_to_json
 from .reports import all_ok, format_line, run_to_json, timing_json
-from .verifier import DEFAULT_TOLERANCE, FAMILY_NAMES, run_all
+from .verifier import FAMILY_NAMES, QMS_MAX_N, TOLERANCE, run_all
 from .weights import Weight2D
 
 
@@ -72,16 +72,13 @@ def cmd_verify(args) -> int:
     if args.only:
         only = [name for chunk in args.only for name in chunk.split(",") if name]
     weight = Weight2D.from_json(_load_json(args.weight)) if args.weight else None
-    reports, timings = run_all(
-        n=args.n, seed=args.seed, tolerance=args.tol, only=only, weight_override=weight
-    )
+    reports, timings = run_all(n=args.n, seed=args.seed, only=only, weight_override=weight)
     for rep in reports:
         _say(format_line(rep))
     config = {
         "command": "verify",
         "n": args.n,
         "seed": args.seed,
-        "tolerance": args.tol,
         "only": only,
         "weight": args.weight,
     }
@@ -219,10 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run identity-check families")
-    verify.add_argument("--n", type=int, default=8, help="truncation level (default 8)")
+    verify = sub.add_parser(
+        "verify",
+        help="run identity-check families",
+        description="Run the identity-check families. Each family fixes its own "
+        f"tolerance. The qms family runs at min(n, {QMS_MAX_N}), because the "
+        "generator acts on dense 2^n x 2^n observables.",
+    )
+    verify.add_argument(
+        "--n", type=int, default=8, help="truncation level, at least 2 (default 8)"
+    )
     verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     verify.add_argument(
         "--only",
         action="append",
@@ -238,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, default=8)
     simulate.add_argument("--samples", type=int, help="Monte Carlo samples (default: exact)")
     simulate.add_argument("--seed", type=int, default=42)
-    simulate.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
+    simulate.add_argument("--tol", type=float, default=TOLERANCE)
     simulate.add_argument("--out")
     simulate.set_defaults(func=cmd_simulate)
 

@@ -174,7 +174,8 @@ def z_matrix(params: BernoulliParams) -> np.ndarray:
 
 def _atom_blocks(params: BernoulliParams):
     """Yield (atoms, z, p) over consecutive blocks of atoms: the slice of
-    atoms, their rows of :func:`z_matrix` and their probabilities."""
+    atoms, their rows of :func:`z_matrix` and their probabilities. Callers
+    delete z before asking for the next block, so one block is alive."""
     psi = psi_matrix(params)
     p = atom_probs(params)
     rows = _block_rows(1 << params.n)
@@ -224,6 +225,7 @@ def exact_gram(params: BernoulliParams) -> np.ndarray:
         for j0, j1, panel in panels:
             weighted = p[:, None] * z[:, j0:j1]
             dgemm(1.0, z[:, :j1], weighted, beta=1.0, c=panel, trans_a=1, overwrite_c=1)
+        del z, weighted
     for j0, j1, panel in panels:
         # the source overlaps the destination; numpy copies it first
         gram[:j1, j0:j1] = panel
@@ -323,7 +325,8 @@ def monte_carlo_gram(
     for steps in _sample_blocks(params, samples, seed, stream, _block_rows(size)):
         z = _products_over_masks(steps)
         dsyrk(1.0, z, beta=1.0, c=gram, trans=1, overwrite_c=1)
-        dsyrk(1.0, z * z, beta=1.0, c=second, trans=1, overwrite_c=1)
+        dsyrk(1.0, np.square(z, out=z), beta=1.0, c=second, trans=1, overwrite_c=1)
+        del z  # free the block before the next one is built
     for table in (gram, second):
         _mirror_upper(table)
         table /= samples
@@ -346,6 +349,7 @@ def chaotic_expand(f, params: BernoulliParams) -> Functional:
         weighted = p * values[atoms]
         coeffs.real += z.T @ weighted.real
         coeffs.imag += z.T @ weighted.imag
+        del z
     return Functional.from_vector(coeffs, n)
 
 
@@ -360,4 +364,5 @@ def reconstruct(phi: Functional, params: BernoulliParams) -> np.ndarray:
     for atoms, z, _ in _atom_blocks(params):
         values.real[atoms] = z @ vector.real
         values.imag[atoms] = z @ vector.imag
+        del z
     return values

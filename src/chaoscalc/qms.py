@@ -29,6 +29,8 @@ from .reports import family_reports, max_abs, perturbed, residual
 from .weights import Weight2D
 
 _HERMITIAN_TOL = 1e-12
+# The tolerance of both generator check families.
+TOLERANCE = 1e-12
 
 
 @lru_cache(maxsize=None)
@@ -115,9 +117,7 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def check_sum_identity(
-    w: Weight2D, n: int, tolerance: float = 1e-12, tag: str = "w"
-) -> list:
+def check_sum_identity(w: Weight2D, n: int, tag: str = "w") -> list:
     """Rate-weighted B'B summed three ways: adjoint, explicit, diagonal.
 
     Route one multiplies each transfer matrix by its numerical adjoint; route
@@ -144,7 +144,7 @@ def check_sum_identity(
     diagonal = np.diag(w.theta_vector(n).astype(complex))
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        TOLERANCE,
         [
             (
                 "exclusion-sum-adjoint-vs-explicit",
@@ -172,19 +172,13 @@ def check_sum_identity(
 
 
 def check_generator_structure(
-    w: Weight2D,
-    n: int,
-    trials: int = 100,
-    seed: int = 42,
-    tolerance: float = 1e-12,
-    hamiltonian: np.ndarray | None = None,
-    tag: str = "w",
+    w: Weight2D, n: int, trials: int = 100, seed: int = 42, tag: str = "w"
 ) -> list:
     """Structural facts: unital kernel, hermiticity preservation, linearity,
     and the classical (diagonal) reduction."""
     n = check_truncation(n)
     size = 1 << n
-    spec = GeneratorSpec(weight=w, truncation=n, hamiltonian=hamiltonian)
+    spec = GeneratorSpec(weight=w, truncation=n)
     rng = np.random.default_rng(seed)
     inputs = {"n": n, "weight": tag, "trials": trials, "seed": seed}
 
@@ -218,7 +212,7 @@ def check_generator_structure(
 
     return family_reports(
         inputs,
-        tolerance,
+        TOLERANCE,
         [
             ("qms-unital", "the generator kills the identity observable", unital),
             (

@@ -58,47 +58,33 @@ def perturbed(x, eps: float = 1e-6):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one identity check (or its negative control)."""
+    """Outcome of one identity check (or its negative control).
+
+    ``passed`` and ``ok`` are derived from the residual, tolerance and kind,
+    so a report cannot carry a verdict that disagrees with its residual.
+    """
 
     name: str
     statement: str
     residual: float
     tolerance: float
-    passed: bool
     kind: str = CHECK
-    ok: bool = True
     inputs: dict = field(default_factory=dict)
     notes: tuple = ()
 
-    @classmethod
-    def build(
-        cls,
-        name: str,
-        statement: str,
-        residual: float,
-        tolerance: float,
-        *,
-        kind: str = CHECK,
-        inputs: dict | None = None,
-        notes: tuple = (),
-    ) -> "VerificationReport":
-        if kind not in (CHECK, NEGATIVE_CONTROL):
-            raise ValueError(f"unknown report kind {kind!r}")
-        passed = residual <= tolerance
-        ok = math.isfinite(residual) and (passed if kind == CHECK else not passed)
-        return cls(
-            name=name,
-            statement=statement,
-            residual=float(residual),
-            tolerance=float(tolerance),
-            passed=passed,
-            kind=kind,
-            ok=ok,
-            inputs=dict(inputs or {}),
-            notes=tuple(notes),
-        )
+    def __post_init__(self):
+        if self.kind not in (CHECK, NEGATIVE_CONTROL):
+            raise ValueError(f"unknown report kind {self.kind!r}")
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
+
+    @property
+    def ok(self) -> bool:
+        return math.isfinite(self.residual) and self.passed == (self.kind == CHECK)
 
     def to_json(self) -> dict:
         return {
@@ -121,17 +107,13 @@ def family_reports(inputs: dict, tolerance: float, checks, control) -> list:
     ``control`` is the ``(name, statement, residual)`` of the family's
     negative control, which comes last.
     """
-    reports = [
-        VerificationReport.build(name, statement, res, tolerance, inputs=inputs, notes=notes)
-        for name, statement, res, *notes in checks
-    ]
-    name, statement, res = control
-    reports.append(
-        VerificationReport.build(
-            name, statement, res, tolerance, kind=NEGATIVE_CONTROL, inputs=inputs
+    entries = [(CHECK, *check) for check in checks] + [(NEGATIVE_CONTROL, *control)]
+    return [
+        VerificationReport(
+            name, statement, float(res), tolerance, kind, dict(inputs), tuple(notes)
         )
-    )
-    return reports
+        for kind, name, statement, res, *notes in entries
+    ]
 
 
 def all_ok(reports) -> bool:

@@ -51,9 +51,16 @@ from .qms import check_generator_structure, check_sum_identity
 from .reports import family_reports, max_abs, perturbed, residual
 from .weights import Weight1D, Weight2D, theta_double_sum
 
-DEFAULT_TOLERANCE = 1e-12
+# Each family's tolerance is fixed by the family, not by the caller: car and
+# hop compare 0/1 matrices and are exact, the spectral shifts add a few weight
+# entries, and every other identity carries rounding from longer sums.
+EXACT_TOLERANCE = 0.0
 SHIFT_TOLERANCE = 1e-14
+TOLERANCE = 1e-12
 PERTURBATION = 1e-6
+# The generator acts on dense 2^n x 2^n observables, so qms runs at
+# min(n, QMS_MAX_N).
+QMS_MAX_N = 6
 
 _ADJOINT_NOTE = (
     "transpose relation holds entrywise on the truncated matrices; "
@@ -62,20 +69,19 @@ _ADJOINT_NOTE = (
 _DUAL_NORM_NOTE = "dual norm: sum of lambda^(-2p) |coeff|^2 (adopted convention)"
 
 
-def random_weight2d(
-    rng: np.random.Generator, size: int, density: float = 0.5, scale: float = 1.0
-) -> Weight2D:
-    """Finitely supported random weights on [0, size) x [0, size)."""
+def random_weight2d(rng: np.random.Generator, size: int) -> Weight2D:
+    """Finitely supported random weights on [0, size) x [0, size): each entry
+    is drawn from [0, 1) with probability 1/2."""
     entries = {}
     for j in range(size):
         for k in range(size):
-            if rng.random() < density:
-                entries[(j, k)] = float(scale * rng.random())
+            if rng.random() < 0.5:
+                entries[(j, k)] = float(rng.random())
     return Weight2D(entries)
 
 
-def random_weight1d(rng: np.random.Generator, size: int, scale: float = 1.0) -> Weight1D:
-    return Weight1D({k: float(scale * rng.random()) for k in range(size)})
+def random_weight1d(rng: np.random.Generator, size: int) -> Weight1D:
+    return Weight1D({k: float(rng.random()) for k in range(size)})
 
 
 def random_functional(rng: np.random.Generator, n: int) -> Functional:
@@ -94,11 +100,11 @@ def _ladder_matrices(n: int):
 # ---------------------------------------------------------------------------
 
 
-def check_car(n: int, tolerance: float = 0.0) -> list:
+def check_car(n: int) -> list:
     """Anticommutation at equal indices, commutation across indices, nilpotency.
 
     All matrices involved have disjoint 0/1 entries, so these residuals are
-    exactly zero, not merely small; the default tolerance is 0.
+    exactly zero, not merely small; the tolerance is 0.
     """
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
@@ -120,7 +126,7 @@ def check_car(n: int, tolerance: float = 0.0) -> list:
     )
     return family_reports(
         {"n": n},
-        tolerance,
+        EXACT_TOLERANCE,
         [
             (
                 "car-equal-time",
@@ -167,7 +173,7 @@ def check_car(n: int, tolerance: float = 0.0) -> list:
     )
 
 
-def check_hop(n: int, tolerance: float = 0.0) -> list:
+def check_hop(n: int) -> list:
     """Closed form of the four-fold ladder product against literal composition."""
     n = check_truncation(n)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -190,7 +196,7 @@ def check_hop(n: int, tolerance: float = 0.0) -> list:
             )
     return family_reports(
         {"n": n},
-        tolerance,
+        EXACT_TOLERANCE,
         [
             (
                 "hop-closed-form",
@@ -220,9 +226,7 @@ def check_hop(n: int, tolerance: float = 0.0) -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_commutation_2d(
-    w: Weight2D, n: int, tolerance: float = DEFAULT_TOLERANCE, tag: str = "w"
-) -> list:
+def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
@@ -245,7 +249,7 @@ def check_commutation_2d(
         worst_occ = max(worst_occ, residual(big_k @ occ_k, occ_k @ big_k))
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        TOLERANCE,
         [
             (
                 "gwn-commute-annihilate",
@@ -269,9 +273,7 @@ def check_commutation_2d(
     )
 
 
-def check_commutation_1d(
-    u: Weight1D, n: int, tolerance: float = DEFAULT_TOLERANCE, tag: str = "u"
-) -> list:
+def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
@@ -289,7 +291,7 @@ def check_commutation_1d(
         worst_occ = max(worst_occ, residual(nu @ occ_k, occ_k @ nu))
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        TOLERANCE,
         [
             ("wn1d-commute-annihilate", "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)", worst_a),
             ("wn1d-commute-create", "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)", worst_c),
@@ -303,7 +305,7 @@ def check_commutation_1d(
     )
 
 
-def check_commutation_number(n: int, tolerance: float = DEFAULT_TOLERANCE) -> list:
+def check_commutation_number(n: int) -> list:
     """The unweighted special case: number operator against the ladder pair."""
     n = check_truncation(n)
     a, c = _ladder_matrices(n)
@@ -312,7 +314,7 @@ def check_commutation_number(n: int, tolerance: float = DEFAULT_TOLERANCE) -> li
     worst_c = max(residual(nn @ c[k], c[k] @ nn + c[k]) for k in range(n))
     return family_reports(
         {"n": n},
-        tolerance,
+        TOLERANCE,
         [
             ("number-commute-annihilate", "number a(k) = a(k) number - a(k)", worst_a),
             ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", worst_c),
@@ -330,9 +332,7 @@ def check_commutation_number(n: int, tolerance: float = DEFAULT_TOLERANCE) -> li
 # ---------------------------------------------------------------------------
 
 
-def check_spectral_shifts(
-    w: Weight2D, n: int, tolerance: float = SHIFT_TOLERANCE, tag: str = "w"
-) -> list:
+def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
     """Adding/removing an index shifts theta by row, column and diagonal terms."""
     n = check_truncation(n)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -381,7 +381,7 @@ def check_spectral_shifts(
         )
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        SHIFT_TOLERANCE,
         checks,
         (
             "spectral-shift-negative-control",
@@ -396,13 +396,7 @@ def check_spectral_shifts(
 # ---------------------------------------------------------------------------
 
 
-def check_representations(
-    w: Weight2D,
-    u: Weight1D,
-    n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    tag: str = "w",
-) -> list:
+def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """Partial sums of the hop/occupation series stabilize at the support bound."""
     n = check_truncation(n)
     if not w.is_exact():
@@ -455,7 +449,7 @@ def check_representations(
     l2_target = materialize_apply(lambda xi: l2_wn_apply(w, xi), n)
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        TOLERANCE,
         [
             (
                 "gwn-series",
@@ -500,12 +494,7 @@ def check_representations(
 
 
 def check_riesz_intertwining(
-    w: Weight2D,
-    n: int,
-    trials: int = 100,
-    seed: int = 42,
-    tolerance: float = DEFAULT_TOLERANCE,
-    tag: str = "w",
+    w: Weight2D, n: int, trials: int = 100, seed: int = 42, tag: str = "w"
 ) -> list:
     """Conjugation carries the square-integrable operators to the transform side."""
     n = check_truncation(n)
@@ -536,7 +525,7 @@ def check_riesz_intertwining(
         )
     return family_reports(
         {"n": n, "weight": tag, "trials": trials, "seed": seed},
-        tolerance,
+        TOLERANCE,
         [
             (
                 "riesz-intertwining-annihilate",
@@ -583,7 +572,6 @@ def check_norm_bounds(
     n: int,
     trials: int = 1000,
     seed: int = 42,
-    tolerance: float = DEFAULT_TOLERANCE,
     tag: str = "w",
 ) -> list:
     """One-level norm estimates for the weighted number operators.
@@ -633,7 +621,7 @@ def check_norm_bounds(
 
     return family_reports(
         {"n": n, "weight": tag, "trials": trials, "seed": seed},
-        tolerance,
+        TOLERANCE,
         [
             (
                 "gwn-dual-norm-bound",
@@ -678,13 +666,7 @@ def check_norm_bounds(
 # ---------------------------------------------------------------------------
 
 
-def check_l2_lemmas(
-    w: Weight2D,
-    u: Weight1D,
-    n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    tag: str = "w",
-) -> list:
+def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """The ladder/number lemmas written on the square-integrable side.
 
     All matrices here are materialized from the l2_* application functions,
@@ -720,7 +702,7 @@ def check_l2_lemmas(
         )
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        TOLERANCE,
         [
             ("l2-car", "d+(k) d(k) + d(k) d+(k) = identity on the truncation", car),
             ("l2-wn1d-commute-annihilate", "N_u d(k) = d(k) N_u - u(k) d(k)", worst_ua),
@@ -750,13 +732,7 @@ def check_l2_lemmas(
 # ---------------------------------------------------------------------------
 
 
-def check_weight_invariants(
-    w: Weight2D,
-    u: Weight1D,
-    n: int,
-    tolerance: float = DEFAULT_TOLERANCE,
-    tag: str = "w",
-) -> list:
+def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """Range and additivity facts about theta, count and alpha."""
     n = check_truncation(n)
     theta = w.theta_vector(n)
@@ -795,7 +771,7 @@ def check_weight_invariants(
 
     return family_reports(
         {"n": n, "weight": tag},
-        tolerance,
+        TOLERANCE,
         [
             (
                 "theta-range",
@@ -823,12 +799,7 @@ def check_weight_invariants(
     )
 
 
-def check_functional_invariants(
-    n: int,
-    trials: int = 50,
-    seed: int = 42,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list:
+def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> list:
     """Norm scale structure, pairing bounds and the growth-bound consequence."""
     n = check_truncation(n)
     rng = np.random.default_rng(seed)
@@ -881,7 +852,7 @@ def check_functional_invariants(
             )
     return family_reports(
         {"n": n, "trials": trials, "seed": seed},
-        tolerance,
+        TOLERANCE,
         [
             ("norm-monotone", "norm(xi, p) is nondecreasing in p", worst_mono),
             ("dual-norm-antitone", "dual_norm(xi, p) is nonincreasing in p", worst_dual),
@@ -938,7 +909,6 @@ def fixture_weights1d(n: int, seed: int) -> dict:
 class _Run(NamedTuple):
     n: int
     seed: int
-    tolerance: float
     weights2d: dict
     weights1d: dict
     u: Weight1D  # the 1D weight of the families that take one
@@ -967,10 +937,9 @@ def _random_fixture(run):
 
 
 def _qms_family(run, w):
-    # the generator acts on dense 2^n x 2^n observables, so qms stays at n <= 6
-    qn = min(run.n, 6)
-    return check_sum_identity(w, qn, run.tolerance) + check_generator_structure(
-        w, qn, trials=20, seed=run.seed, tolerance=run.tolerance
+    qn = min(run.n, QMS_MAX_N)
+    return check_sum_identity(w, qn) + check_generator_structure(
+        w, qn, trials=20, seed=run.seed
     )
 
 
@@ -981,58 +950,58 @@ def _qms_family(run, w):
 _REGISTRY = (
     ("car", _once, lambda r, w, tag: check_car(r.n)),
     ("hop", _once, lambda r, w, tag: check_hop(r.n)),
-    ("commutation-2d", _each_2d,
-     lambda r, w, tag: check_commutation_2d(w, r.n, r.tolerance, tag)),
-    ("spectral-shift", _each_2d,
-     lambda r, w, tag: check_spectral_shifts(w, r.n, SHIFT_TOLERANCE, tag)),
-    ("commutation-1d", _each_1d,
-     lambda r, u, tag: check_commutation_1d(u, r.n, r.tolerance, tag)),
-    ("commutation-number", _once,
-     lambda r, w, tag: check_commutation_number(r.n, r.tolerance)),
+    ("commutation-2d", _each_2d, lambda r, w, tag: check_commutation_2d(w, r.n, tag)),
+    ("spectral-shift", _each_2d, lambda r, w, tag: check_spectral_shifts(w, r.n, tag)),
+    ("commutation-1d", _each_1d, lambda r, u, tag: check_commutation_1d(u, r.n, tag)),
+    ("commutation-number", _once, lambda r, w, tag: check_commutation_number(r.n)),
     ("representation", _series_fixture,
-     lambda r, w, tag: check_representations(w, r.u, r.n, r.tolerance, tag)),
+     lambda r, w, tag: check_representations(w, r.u, r.n, tag)),
     ("riesz", _random_fixture,
-     lambda r, w, tag: check_riesz_intertwining(
-         w, r.n, seed=r.seed, tolerance=r.tolerance, tag=tag)),
+     lambda r, w, tag: check_riesz_intertwining(w, r.n, seed=r.seed, tag=tag)),
     ("norm-bound", _random_fixture,
-     lambda r, w, tag: check_norm_bounds(
-         w, r.u, r.n, seed=r.seed, tolerance=r.tolerance, tag=tag)),
-    ("l2", _random_fixture,
-     lambda r, w, tag: check_l2_lemmas(w, r.u, r.n, r.tolerance, tag)),
+     lambda r, w, tag: check_norm_bounds(w, r.u, r.n, seed=r.seed, tag=tag)),
+    ("l2", _random_fixture, lambda r, w, tag: check_l2_lemmas(w, r.u, r.n, tag)),
     ("weight-invariant", _each_2d,
-     lambda r, w, tag: check_weight_invariants(w, r.u, r.n, r.tolerance, tag)),
+     lambda r, w, tag: check_weight_invariants(w, r.u, r.n, tag)),
     ("functional-invariant", _once,
-     lambda r, w, tag: check_functional_invariants(r.n, 50, r.seed, r.tolerance)),
+     lambda r, w, tag: check_functional_invariants(r.n, 50, r.seed)),
     ("qms", _series_fixture, lambda r, w, tag: _qms_family(r, w)),
 )
 
 FAMILY_NAMES = tuple(family for family, _, _ in _REGISTRY)
 
 
-def run_all(
-    n: int = 8,
-    seed: int = 42,
-    tolerance: float = DEFAULT_TOLERANCE,
-    only=None,
-    weight_override: Weight2D | None = None,
-):
+def run_all(n: int = 8, seed: int = 42, only=None, weight_override: Weight2D | None = None):
     """Run every family on the fixture set; returns (reports, timings).
 
-    ``only`` restricts to a subset of FAMILY_NAMES. A weight override replaces
-    the 2D fixtures wholesale (tagged 'custom'). Timings are per family run,
-    labelled ``family``, ``family#1``, ..., and deliberately kept out of the
-    reports themselves.
+    ``only`` restricts to a nonempty subset of FAMILY_NAMES. A weight override
+    replaces the 2D fixtures wholesale (tagged 'custom'). Timings are per
+    family run, labelled ``family``, ``family#1``, ..., and deliberately kept
+    out of the reports themselves.
     """
     n = check_truncation(n)
+    if n < 2:
+        raise ValueError(
+            f"the check families need n >= 2, got {n}: the fixture weights sit on "
+            "indices 0 and 1"
+        )
+    if only is not None and not only:
+        raise ValueError(f"the family selection is empty; choose from {FAMILY_NAMES}")
     unknown = set(only or ()) - set(FAMILY_NAMES)
     if unknown:
         raise ValueError(f"unknown families {sorted(unknown)}; choose from {FAMILY_NAMES}")
     if weight_override is not None:
+        # theta is at most 2 alpha n on the basis, so this keeps it finite
+        if not np.isfinite(2.0 * weight_override.alpha() * n):
+            raise ValueError(
+                f"the weight's theta can reach 2 * alpha * n = 2 * "
+                f"{weight_override.alpha():g} * {n}, which overflows double precision"
+            )
         weights2d = {"custom": weight_override}
     else:
         weights2d = fixture_weights(n, seed)
     weights1d = fixture_weights1d(n, seed)
-    run = _Run(n, seed, tolerance, weights2d, weights1d, weights1d["rnd"])
+    run = _Run(n, seed, weights2d, weights1d, weights1d["rnd"])
     reports, timings, counts = [], {}, {}
     for fan_out, entries in itertools.groupby(_REGISTRY, key=lambda entry: entry[1]):
         entries = [entry for entry in entries if only is None or entry[0] in only]

@@ -172,6 +172,12 @@ class Weight2D:
         for (j, k), v in cleaned.items():
             columns.setdefault(k, []).append((j, v))
             listed_sums[k] = listed_sums.get(k, 0.0) + v
+        for k, total in listed_sums.items():
+            if not np.isfinite(total):
+                raise ValueError(
+                    f"the listed entries of column {k} sum to {total}: column sums "
+                    "must be finite"
+                )
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_listed_sums", listed_sums)
         object.__setattr__(self, "_vectors", {})

@@ -64,6 +64,29 @@ class TestVerify:
         assert code == 2 and payload is None
         assert "unknown families" in err
 
+    @pytest.mark.parametrize(
+        "argv, entries, message",
+        [
+            (["--n", "2"], [[0, 1, 1e308], [1, 1, 1e308]], "column 1"),
+            (["--n", "2"], [[0, 0, 1e308], [1, 1, 1e308]], "2 * alpha * n"),
+            (["--n", "0"], None, "n >= 2"),
+            (["--n", "1"], None, "n >= 2"),
+            (["--n", "1"], [[0, 0, 1.0]], "n >= 2"),
+            (["--only", ","], None, "empty"),
+        ],
+        ids=[
+            "column-sum-overflows", "theta-overflows", "n0", "n1", "n1-one-index", "only-empty"
+        ],
+    )
+    def test_bad_run_is_one_error_line(self, tmp_path, capsys, argv, entries, message):
+        if entries is not None:
+            weight = {"kind": "dense", "entries": entries}
+            argv = argv + ["--weight", write_json(tmp_path / "w.json", weight)]
+        code, payload, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert message in err
+
     def test_reports_stable_outside_timing(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["verify", "--n", "4", "--seed", "9", "--out", str(out_a)]) == 0

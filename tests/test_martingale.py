@@ -229,6 +229,19 @@ class TestBlockedGram:
         assert traced_peak(reconstruct, phi, params) < gram_bytes
         assert traced_peak(chaotic_expand, lambda path: path[0], params) < gram_bytes
 
+    def test_one_block_alive(self):
+        # each loop frees its 8 MiB block of basis values before the next one
+        # is built; with two blocks alive these peaks read about 1.54 x the
+        # Gram and 16.3 MiB
+        exact_gram(BernoulliParams.constant(0.5, 1))  # loads scipy.linalg untraced
+        params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
+        assert traced_peak(exact_gram, params) < 1.4 * 8 * 4**11
+        phi = Functional.from_vector(np.arange(2048.0), 11)
+        assert traced_peak(reconstruct, phi, params) < 12 * 2**20
+        assert traced_peak(chaotic_expand, lambda path: path[0], params) < 12 * 2**20
+        sampled = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 8)
+        assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 12 * 2**20
+
 
 class TestMoments:
     @pytest.mark.parametrize("theta", [0.5, 0.25, 0.9])

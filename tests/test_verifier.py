@@ -76,23 +76,21 @@ class TestResidualHelpers:
         assert empty.fock(0) == 1e-6
 
     def test_report_build(self):
-        rep = VerificationReport.build("x", "s", 0.0, 1e-12)
+        rep = VerificationReport("x", "s", 0.0, 1e-12)
         assert rep.passed and rep.ok
-        control = VerificationReport.build(
-            "x-control", "s", 1.0, 1e-12, kind=NEGATIVE_CONTROL
-        )
+        control = VerificationReport("x-control", "s", 1.0, 1e-12, kind=NEGATIVE_CONTROL)
         assert not control.passed and control.ok
         with pytest.raises(ValueError):
-            VerificationReport.build("x", "s", 0.0, 1e-12, kind="bogus")
+            VerificationReport("x", "s", 0.0, 1e-12, kind="bogus")
         line = format_line(control)
         assert line.startswith("PASS[control]")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("kind", [CHECK, NEGATIVE_CONTROL])
     def test_non_finite_residual_is_never_ok(self, value, kind):
-        rep = VerificationReport.build("x", "s", value, 1e-12, kind=kind)
+        rep = VerificationReport("x", "s", value, 1e-12, kind=kind)
         assert not rep.ok
-        assert not all_ok([VerificationReport.build("y", "s", 0.0, 1e-12), rep])
+        assert not all_ok([VerificationReport("y", "s", 0.0, 1e-12), rep])
         assert format_line(rep).startswith("FAIL")
 
 
@@ -222,6 +220,13 @@ class TestRunAll:
         for family, counts in FAN_OUT.items():
             kinds = [r.kind for r in run_all(n=5, seed=11, only=[family])[0]]
             assert (kinds.count(CHECK), kinds.count(NEGATIVE_CONTROL)) == counts, family
+
+    def test_each_family_pins_its_tolerance(self):
+        # no caller passes a tolerance, so only this notices a drifted constant
+        pinned = {"car": 0.0, "hop": 0.0, "spectral-shift": 1e-14}
+        for family in FAMILY_NAMES:
+            reports, _ = run_all(n=5, seed=11, only=[family])
+            assert {r.tolerance for r in reports} == {pinned.get(family, 1e-12)}, family
 
     def test_fixture_sets(self):
         ws = fixture_weights(5, seed=1)

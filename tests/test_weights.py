@@ -207,6 +207,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Weight2D({(0, 0): 2.0, (1, 0): 1.0}, column_sums={0: 2.5})
 
+    def test_overflowing_column_sum(self):
+        with pytest.raises(ValueError, match="column 1"):
+            Weight2D({(0, 1): 1e308, (1, 1): 1e308})
+        # one such entry per column is finite
+        assert Weight2D({(0, 0): 1e308, (1, 1): 1e308}).alpha() == 1e308
+
     def test_duplicate_triples(self):
         with pytest.raises(ValueError):
             Weight2D.from_entries([(0, 0, 1.0), (0, 0, 2.0)])
