@@ -39,9 +39,10 @@ _MAX_TAGGED_TRUNCATION = 31  # 2n tag bits stay clear of an int64 mask's sign bi
 
 
 def _check_index(k: int, n: int, what: str) -> int:
-    if not 0 <= int(k) < n:
+    k = as_index(k, f"{what} index")
+    if k >= n:
         raise ValueError(f"{what} index {k} outside truncation {n}")
-    return int(k)
+    return k
 
 
 def apply_annihilate(k: int, phi: Functional) -> Functional:

@@ -1,11 +1,15 @@
-"""Report containers and residual arithmetic shared by the check suites.
+"""Report containers and the comparison rules shared by the check suites.
 
-A residual is always the largest absolute entry of (lhs - rhs), normalized
-by max(1, largest entry magnitude of either side), so tolerances mean the
-same thing across scalar, functional and matrix comparisons. A report is
-``ok`` when a plain check passed, or when a negative control (deliberately
-corrupted input) failed as it should; a report whose residual is not finite
-is never ``ok``, since NaN or infinity shows the comparison itself broke.
+A two-sided check's residual is the largest absolute entry of (lhs - rhs),
+normalized by max(1, largest entry magnitude of either side); a one-sided
+check's is its largest entrywise excess over its bound, normalized by
+max(1, |bound|). So tolerances mean the same thing across scalar, functional
+and matrix comparisons. A negative control repeats one comparison of its
+family with the left side perturbed by a relative PERTURBATION.
+
+A report is ``ok`` when a plain check passed, or when a negative control
+failed as it should; a report whose residual is not finite is never ``ok``,
+since NaN or infinity shows the comparison itself broke.
 """
 from __future__ import annotations
 
@@ -16,10 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .basis import check_truncation
 from .functionals import Functional
 
 CHECK = "check"
 NEGATIVE_CONTROL = "negative-control"
+# A control nudges one entry by this much times max(1, largest magnitude).
+PERTURBATION = 1e-6
 
 
 def max_abs(x) -> float:
@@ -40,8 +47,18 @@ def residual(lhs, rhs) -> float:
     return gap / max(1.0, max_abs(lhs), max_abs(rhs))
 
 
-def perturbed(x, eps: float = 1e-6):
-    """A copy of x with one entry nudged by eps (for negative controls)."""
+def excess(value, bound) -> float:
+    """Largest entrywise (value - bound) / max(1, |bound|), or 0 when every
+    entry of value is within its bound; a NaN entry gives NaN."""
+    value, bound = np.asarray(value, dtype=float), np.asarray(bound, dtype=float)
+    over = (value - bound) / np.maximum(1.0, np.abs(bound))
+    return float(np.max(over, initial=0.0))
+
+
+def perturbed(x):
+    """A copy of x with its first entry nudged by
+    PERTURBATION * max(1, max_abs(x)), for negative controls."""
+    eps = PERTURBATION * max(1.0, max_abs(x))
     if isinstance(x, Functional):
         target = int(x.masks[0]) if len(x.masks) else 0
         return x + eps * Functional.delta(target, x.truncation)
@@ -56,6 +73,15 @@ def perturbed(x, eps: float = 1e-6):
     out = np.array(arr, copy=True)
     out.flat[0] = out.flat[0] + eps
     return out
+
+
+def family_level(n: int) -> int:
+    """n as a check family's truncation level: within the cap and at least 1,
+    so that the comparison each negative control repeats is made."""
+    n = check_truncation(n)
+    if n < 1:
+        raise ValueError(f"the check families need n >= 1, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -103,11 +129,19 @@ class VerificationReport:
 def family_reports(inputs: dict, tolerance: float, checks, control) -> list:
     """Reports of one check family, all at one tolerance and on one input.
 
-    Each entry of ``checks`` is ``(name, statement, residual, *notes)``;
-    ``control`` is the ``(name, statement, residual)`` of the family's
-    negative control, which comes last.
+    Each entry of ``checks`` is ``(name, statement, residual, *notes)``.
+    ``control`` is ``(name, statement, lhs, rhs)``: a comparison that one of
+    the checks makes, which the family's negative control, reported last,
+    repeats as ``residual(perturbed(lhs), rhs)``.
     """
-    entries = [(CHECK, *check) for check in checks] + [(NEGATIVE_CONTROL, *control)]
+    name, statement, lhs, rhs = control
+    statement += (
+        f", with one entry of the left side off by {PERTURBATION:g} times "
+        "max(1, its largest magnitude), must fail"
+    )
+    entries = [(CHECK, *check) for check in checks] + [
+        (NEGATIVE_CONTROL, name, statement, residual(perturbed(lhs), rhs))
+    ]
     return [
         VerificationReport(
             name, statement, float(res), tolerance, kind, dict(inputs), tuple(notes)

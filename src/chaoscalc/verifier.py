@@ -6,10 +6,13 @@ against its own implementation: closed forms are compared with literal
 compositions, rearranged sums with term-by-term oracles, expression-tree
 matrices with matrices materialized from the independent application routes.
 
-Every family also emits one negative control: the same comparison with a
-single entry corrupted by 1e-6, which must fail. A control that passes means
-the check could not have caught a real defect, and poisons the run exactly
-like a failed check.
+Every residual comes from ``reports``: a two-sided check is a ``residual``,
+a bound, monotonicity or range check an ``excess``. Every family also names
+one comparison its checks make, which ``reports.family_reports`` repeats as
+the family's negative control, with one entry of the left side nudged by an
+amount relative to its largest magnitude; the control must fail. A control
+that passes means the check could not have caught a real defect, and
+poisons the run exactly like a failed check.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ from .operators import (
     wn1d_expr,
 )
 from .qms import check_generator_structure, check_sum_identity
-from .reports import family_reports, max_abs, perturbed, residual
+from .reports import excess, family_level, family_reports, residual
 from .weights import Weight1D, Weight2D, theta_double_sum
 
 # Each family's tolerance is fixed by the family, not by the caller: car and
@@ -57,7 +60,6 @@ from .weights import Weight1D, Weight2D, theta_double_sum
 EXACT_TOLERANCE = 0.0
 SHIFT_TOLERANCE = 1e-14
 TOLERANCE = 1e-12
-PERTURBATION = 1e-6
 # The generator acts on dense 2^n x 2^n observables, so qms runs at
 # min(n, QMS_MAX_N).
 QMS_MAX_N = 6
@@ -89,6 +91,14 @@ def random_functional(rng: np.random.Generator, n: int) -> Functional:
     return Functional.from_vector(vec, n)
 
 
+def _check_trials(trials: int) -> int:
+    """A family that draws probes makes its comparisons, and takes its
+    control, on the first one, so it needs at least one."""
+    if trials < 1:
+        raise ValueError(f"the check families need trials >= 1, got {trials}")
+    return trials
+
+
 def _ladder_matrices(n: int):
     a = [materialize(annihilate(k), n) for k in range(n)]
     c = [materialize(create(k), n) for k in range(n)]
@@ -106,9 +116,10 @@ def check_car(n: int) -> list:
     All matrices involved have disjoint 0/1 entries, so these residuals are
     exactly zero, not merely small; the tolerance is 0.
     """
-    n = check_truncation(n)
+    n = family_level(n)
     a, c = _ladder_matrices(n)
     eye = sp.identity(1 << n, dtype=complex, format="csr")
+    equal_time = [(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n)]
     cross_aa = cross_cc = cross_ca = 0.0
     for j in range(n):
         for k in range(j + 1, n):
@@ -131,12 +142,15 @@ def check_car(n: int) -> list:
             (
                 "car-equal-time",
                 "create(k) annihilate(k) + annihilate(k) create(k) = identity",
-                max(residual(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n)),
+                max(residual(lhs, rhs) for lhs, rhs in equal_time),
             ),
             (
                 "car-nilpotent",
                 "annihilate(k)^2 = 0 and create(k)^2 = 0",
-                max(max(max_abs(a[k] @ a[k]), max_abs(c[k] @ c[k])) for k in range(n)),
+                max(
+                    max(residual(a[k] @ a[k], 0.0), residual(c[k] @ c[k], 0.0))
+                    for k in range(n)
+                ),
             ),
             (
                 "car-cross-annihilate",
@@ -165,27 +179,20 @@ def check_car(n: int) -> list:
                 _ADJOINT_NOTE,
             ),
         ],
-        (
-            "car-negative-control",
-            "equal-time relation with one matrix entry off by 1e-6 must fail",
-            residual(perturbed(c[0] @ a[0] + a[0] @ c[0], PERTURBATION), eye),
-        ),
+        ("car-negative-control", "equal-time relation at k = 0", *equal_time[0]),
     )
 
 
 def check_hop(n: int) -> list:
     """Closed form of the four-fold ladder product against literal composition."""
-    n = check_truncation(n)
+    n = family_level(n)
     masks = np.arange(1 << n, dtype=np.int64)
-    worst = worst_symbol = 0.0
-    first_pair = None
+    closed_forms = []
+    worst_symbol = 0.0
     for j in range(n):
         for k in range(n):
             closed = materialize_apply(lambda f: hop_apply(j, k, f), n)
-            composed = materialize(hop_expr(j, k), n)
-            if first_pair is None:
-                first_pair = (closed, composed)
-            worst = max(worst, residual(closed, composed))
+            closed_forms.append((closed, materialize(hop_expr(j, k), n)))
             in_k = masks >> k & 1
             if j == k:
                 symbol = in_k.astype(complex)
@@ -202,7 +209,7 @@ def check_hop(n: int) -> list:
                 "hop-closed-form",
                 "create(k) annihilate(j) create(j) annihilate(k) equals its "
                 "membership-gated diagonal closed form",
-                worst,
+                max(residual(lhs, rhs) for lhs, rhs in closed_forms),
             ),
             (
                 "hop-symbol",
@@ -211,13 +218,7 @@ def check_hop(n: int) -> list:
                 worst_symbol,
             ),
         ],
-        (
-            "hop-negative-control",
-            "closed form with one entry off by 1e-6 must fail",
-            residual(perturbed(first_pair[0], PERTURBATION), first_pair[1])
-            if first_pair is not None
-            else 0.0,
-        ),
+        ("hop-negative-control", "closed form at j = k = 0", *closed_forms[0]),
     )
 
 
@@ -228,20 +229,18 @@ def check_hop(n: int) -> list:
 
 def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
-    n = check_truncation(n)
+    n = family_level(n)
     a, c = _ladder_matrices(n)
     big_k = materialize(gwn_expr(w), n)
-    worst_a = worst_c = worst_occ = 0.0
-    control = None
+    sides_a = []
+    worst_c = worst_occ = 0.0
     for k in range(n):
         row = materialize(wn1d_expr(w.row_slice(k)), n)
         col = materialize(wn1d_expr(w.col_slice(k)), n)
         scal_a = 2.0 * w(k, k) + w.colsum(k)
-        lhs_a = big_k @ a[k]
-        rhs_a = a[k] @ big_k + a[k] @ row + a[k] @ col - scal_a * a[k]
-        worst_a = max(worst_a, residual(lhs_a, rhs_a))
-        if control is None:
-            control = residual(perturbed(lhs_a, PERTURBATION), rhs_a)
+        sides_a.append(
+            (big_k @ a[k], a[k] @ big_k + a[k] @ row + a[k] @ col - scal_a * a[k])
+        )
         lhs_c = big_k @ c[k]
         rhs_c = c[k] @ big_k - c[k] @ row - c[k] @ col + w.colsum(k) * c[k]
         worst_c = max(worst_c, residual(lhs_c, rhs_c))
@@ -255,7 +254,7 @@ def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
                 "gwn-commute-annihilate",
                 "gwn(w) a(k) = a(k) gwn(w) + a(k) wn1d(row_k) + a(k) wn1d(col_k)"
                 " - (2 w(k,k) + colsum(k)) a(k)",
-                worst_a,
+                max(residual(lhs, rhs) for lhs, rhs in sides_a),
             ),
             (
                 "gwn-commute-create",
@@ -267,25 +266,21 @@ def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
         ],
         (
             "gwn-commutation-negative-control",
-            "annihilator commutation with one entry off by 1e-6 must fail",
-            control if control is not None else 0.0,
+            "annihilator commutation at k = 0",
+            *sides_a[0],
         ),
     )
 
 
 def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
-    n = check_truncation(n)
+    n = family_level(n)
     a, c = _ladder_matrices(n)
     nu = materialize(wn1d_expr(u), n)
-    worst_a = worst_c = worst_occ = 0.0
-    control = None
+    sides_a = []
+    worst_c = worst_occ = 0.0
     for k in range(n):
-        lhs_a = nu @ a[k]
-        rhs_a = a[k] @ nu - u(k) * a[k]
-        worst_a = max(worst_a, residual(lhs_a, rhs_a))
-        if control is None:
-            control = residual(perturbed(lhs_a, PERTURBATION), rhs_a)
+        sides_a.append((nu @ a[k], a[k] @ nu - u(k) * a[k]))
         worst_c = max(worst_c, residual(nu @ c[k], c[k] @ nu + u(k) * c[k]))
         occ_k = c[k] @ a[k]
         worst_occ = max(worst_occ, residual(nu @ occ_k, occ_k @ nu))
@@ -293,37 +288,41 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
         {"n": n, "weight": tag},
         TOLERANCE,
         [
-            ("wn1d-commute-annihilate", "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)", worst_a),
+            (
+                "wn1d-commute-annihilate",
+                "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)",
+                max(residual(lhs, rhs) for lhs, rhs in sides_a),
+            ),
             ("wn1d-commute-create", "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)", worst_c),
             ("wn1d-commute-occupation", "wn1d(u) commutes with a+(k) a(k)", worst_occ),
         ],
         (
             "wn1d-commutation-negative-control",
-            "annihilator commutation with one entry off by 1e-6 must fail",
-            control if control is not None else 0.0,
+            "annihilator commutation at k = 0",
+            *sides_a[0],
         ),
     )
 
 
 def check_commutation_number(n: int) -> list:
     """The unweighted special case: number operator against the ladder pair."""
-    n = check_truncation(n)
+    n = family_level(n)
     a, c = _ladder_matrices(n)
     nn = materialize(number(), n)
-    worst_a = max(residual(nn @ a[k], a[k] @ nn - a[k]) for k in range(n))
+    sides_a = [(nn @ a[k], a[k] @ nn - a[k]) for k in range(n)]
     worst_c = max(residual(nn @ c[k], c[k] @ nn + c[k]) for k in range(n))
     return family_reports(
         {"n": n},
         TOLERANCE,
         [
-            ("number-commute-annihilate", "number a(k) = a(k) number - a(k)", worst_a),
+            (
+                "number-commute-annihilate",
+                "number a(k) = a(k) number - a(k)",
+                max(residual(lhs, rhs) for lhs, rhs in sides_a),
+            ),
             ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", worst_c),
         ],
-        (
-            "number-commutation-negative-control",
-            "number commutation with one entry off by 1e-6 must fail",
-            residual(perturbed(nn @ a[0], PERTURBATION), a[0] @ nn - a[0]) if n else 0.0,
-        ),
+        ("number-commutation-negative-control", "number commutation at k = 0", *sides_a[0]),
     )
 
 
@@ -334,23 +333,22 @@ def check_commutation_number(n: int) -> list:
 
 def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
     """Adding/removing an index shifts theta by row, column and diagonal terms."""
-    n = check_truncation(n)
+    n = family_level(n)
     masks = np.arange(1 << n, dtype=np.int64)
     theta = w.theta_vector(n)
-    worst_add = worst_remove = 0.0
-    control = None
+    sides_add = []
+    worst_remove = 0.0
     for k in range(n):
         bit = 1 << k
         row_count = w.row_slice(k).count_vector(n)
         col_count = w.col_slice(k).count_vector(n)
         outside = (masks & bit) == 0
-        lhs = theta[masks[outside] | bit]
-        rhs = (theta - row_count - col_count + w.colsum(k))[outside]
-        worst_add = max(worst_add, residual(lhs, rhs))
-        if control is None and lhs.size:
-            bumped = lhs.copy()
-            bumped[0] += PERTURBATION
-            control = max_abs(bumped - rhs) / max(1.0, max_abs(lhs), max_abs(rhs))
+        sides_add.append(
+            (
+                theta[masks[outside] | bit],
+                (theta - row_count - col_count + w.colsum(k))[outside],
+            )
+        )
         inside = ~outside
         lhs_r = theta[masks[inside] ^ bit]
         rhs_r = (theta + row_count + col_count - 2.0 * w(k, k) - w.colsum(k))[inside]
@@ -361,7 +359,7 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
             "spectral-shift-add",
             "theta(sigma + {k}) = theta(sigma) - count(row_k, sigma)"
             " - count(col_k, sigma) + colsum(k), for k outside sigma",
-            worst_add,
+            max(residual(lhs, rhs) for lhs, rhs in sides_add),
         ),
         (
             "spectral-shift-remove",
@@ -383,11 +381,7 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
         {"n": n, "weight": tag},
         SHIFT_TOLERANCE,
         checks,
-        (
-            "spectral-shift-negative-control",
-            "index-addition shift with one value off by 1e-6 must fail",
-            control if control is not None else 0.0,
-        ),
+        ("spectral-shift-negative-control", "index-addition shift at k = 0", *sides_add[0]),
     )
 
 
@@ -398,7 +392,7 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
 
 def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """Partial sums of the hop/occupation series stabilize at the support bound."""
-    n = check_truncation(n)
+    n = family_level(n)
     if not w.is_exact():
         raise ValueError(
             "series checks need every unit of weight mass listed explicitly"
@@ -409,32 +403,17 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
             f"(support bound {max(w.support_bound(), u.support_bound())}, n = {n})"
         )
     target = materialize(gwn_expr(w), n)
-    worst = 0.0
-    control = None
-    prev_diag = None
-    monotone_violation = 0.0
+    stabilized = []
+    diagonals = []
     for cut in range(n + 1):
         partial = materialize_apply(lambda f: series_partial_2d(w, f, cut), n)
-        diag = np.real(partial.diagonal())
-        if prev_diag is not None:
-            monotone_violation = max(
-                monotone_violation, float(np.max(prev_diag - diag, initial=0.0))
-            )
-        prev_diag = diag
+        diagonals.append(np.real(partial.diagonal()))
         if cut >= w.support_bound():
-            worst = max(worst, residual(partial, target))
-            if control is None:
-                control = residual(perturbed(partial, PERTURBATION), target)
+            stabilized.append(partial)
 
     rng = np.random.default_rng(0)
     probe = random_functional(rng, n)
-    worst_1d = max(
-        (series_partial_1d(u, probe, cut) - wn1d_apply(u, probe)).max_abs()
-        for cut in range(u.support_bound(), n + 1)
-    ) / max(1.0, probe.max_abs())
-    worst_num = (number_series_partial(probe, n) - number_apply(probe)).max_abs() / max(
-        1.0, probe.max_abs()
-    )
+    wn1d_probe = wn1d_apply(u, probe)
 
     def l2_series_term(j, k, xi):
         return l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, xi))))
@@ -455,23 +434,26 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
                 "gwn-series",
                 "sum of w(j,k) hop(j,k) over j,k < m equals gwn(w) once m covers "
                 "the support",
-                worst,
+                max(residual(partial, target) for partial in stabilized),
             ),
             (
                 "gwn-series-monotone",
                 "diagonal of the partial sums is nondecreasing in the cutoff",
-                monotone_violation,
+                max(excess(prev, cur) for prev, cur in zip(diagonals, diagonals[1:])),
             ),
             (
                 "wn1d-series",
                 "sum of u(k) a+(k) a(k) over k < m equals wn1d(u) once m covers "
                 "the support",
-                worst_1d,
+                max(
+                    residual(series_partial_1d(u, probe, cut), wn1d_probe)
+                    for cut in range(u.support_bound(), n + 1)
+                ),
             ),
             (
                 "number-series",
                 "sum of a+(k) a(k) over k < n equals the number operator",
-                worst_num,
+                residual(number_series_partial(probe, n), number_apply(probe)),
             ),
             (
                 "l2-wn-series",
@@ -482,8 +464,9 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
         ],
         (
             "representation-negative-control",
-            "stabilized partial sum with one entry off by 1e-6 must fail",
-            control if control is not None else 0.0,
+            "first stabilized partial sum against gwn(w)",
+            stabilized[0],
+            target,
         ),
     )
 
@@ -497,32 +480,25 @@ def check_riesz_intertwining(
     w: Weight2D, n: int, trials: int = 100, seed: int = 42, tag: str = "w"
 ) -> list:
     """Conjugation carries the square-integrable operators to the transform side."""
-    n = check_truncation(n)
+    n = family_level(n)
+    trials = _check_trials(trials)
     rng = np.random.default_rng(seed)
+    probes = [random_functional(rng, n) for _ in range(trials)]
     worst_a = worst_c = worst_w = worst_pair = 0.0
-    control = None
-    for _ in range(trials):
-        xi = random_functional(rng, n)
+    for xi in probes:
         embedded = riesz_embed(xi)
         for k in range(n):
-            lhs = riesz_embed(l2_annihilate(k, xi))
-            rhs = apply_annihilate(k, embedded)
-            worst_a = max(worst_a, residual(lhs, rhs))
-            if control is None:
-                scale = max(1.0, lhs.max_abs(), rhs.max_abs())
-                control = (perturbed(lhs, PERTURBATION) - rhs).max_abs() / scale
+            worst_a = max(
+                worst_a,
+                residual(riesz_embed(l2_annihilate(k, xi)), apply_annihilate(k, embedded)),
+            )
             worst_c = max(
                 worst_c, residual(riesz_embed(l2_create(k, xi)), apply_create(k, embedded))
             )
         worst_w = max(
             worst_w, residual(riesz_embed(l2_wn_apply(w, xi)), gwn_apply(w, embedded))
         )
-        value = pair(embedded, xi)
-        norm_sq = xi.norm(0) ** 2
-        worst_pair = max(
-            worst_pair,
-            max(abs(value.imag), abs(value.real - norm_sq)) / max(1.0, norm_sq),
-        )
+        worst_pair = max(worst_pair, residual(pair(embedded, xi), xi.norm(0) ** 2))
     return family_reports(
         {"n": n, "weight": tag, "trials": trials, "seed": seed},
         TOLERANCE,
@@ -550,8 +526,9 @@ def check_riesz_intertwining(
         ],
         (
             "riesz-negative-control",
-            "intertwining with one coefficient off by 1e-6 must fail",
-            control if control is not None else 0.0,
+            "annihilator intertwining at k = 0 on the first probe",
+            riesz_embed(l2_annihilate(0, probes[0])),
+            apply_annihilate(0, riesz_embed(probes[0])),
         ),
     )
 
@@ -580,7 +557,8 @@ def check_norm_bounds(
     level down the dual scale; the 1D operator costs at most beta, and that
     constant is attained on the basis functional at {0}.
     """
-    n = check_truncation(n)
+    n = family_level(n)
+    trials = _check_trials(trials)
     rng = np.random.default_rng(seed)
     lam_vec = lam_vector(n)
     theta = w.theta_vector(n)
@@ -594,30 +572,22 @@ def check_norm_bounds(
     for p in (0, 1, 2):
         base = _dual_norms(coeffs, lam_vec, p)
         lifted = _dual_norms(theta[:, None] * coeffs, lam_vec, p + 1)
-        excess = lifted - two_alpha * base
-        worst_2d = max(worst_2d, float(np.max(excess / np.maximum(1.0, two_alpha * base))))
+        worst_2d = max(worst_2d, excess(lifted, two_alpha * base))
         lifted = _dual_norms(count[:, None] * coeffs, lam_vec, p + 1)
-        excess = lifted - beta * base
-        worst_1d = max(worst_1d, float(np.max(excess / np.maximum(1.0, beta * base))))
+        worst_1d = max(worst_1d, excess(lifted, beta * base))
 
     # route consistency: the vectorized norms above against the Functional API
     probe = Functional.from_vector(coeffs[:, 0], n)
     api = gwn_apply(w, probe).dual_norm(2)
     vec = float(_dual_norms(theta[:, None] * coeffs[:, :1], lam_vec, 2)[0])
-    route_gap = abs(api - vec) / max(1.0, api)
 
     # sharpness of the 1D constant: on the basis functional at {0} (where
     # lambda = 1) a constant weight is an equality, not just a bound
-    const = Weight1D.constant(1.5, max(n, 1))
-    sharp_delta = Functional.delta(1, max(n, 1))
+    const = Weight1D.constant(1.5, n)
+    sharp_delta = Functional.delta(1, n)
     attained = l2_wn1d_apply(const, sharp_delta).dual_norm(1) / sharp_delta.dual_norm(0)
-    sharp_gap = abs(attained - 1.5) / 1.5
 
     lift_alpha = Weight2D.from_weight1d(u).alpha()
-    remark_gap = abs(lift_alpha - beta) / max(1.0, beta)
-
-    # control at the attained point: shrink the claimed constant by 1e-6
-    control = max(0.0, attained - (1.0 - PERTURBATION) * 1.5) / 1.5
 
     return family_reports(
         {"n": n, "weight": tag, "trials": trials, "seed": seed},
@@ -638,26 +608,22 @@ def check_norm_bounds(
             (
                 "norm-bound-route-consistency",
                 "vectorized dual norms match the coefficient-table API",
-                route_gap,
+                residual(api, vec),
             ),
             (
                 "wn1d-bound-attained",
                 "with constant weights the 1D constant is attained on the basis "
                 "functional at {0}",
-                sharp_gap,
+                residual(attained, 1.5),
             ),
             (
                 "remark-1d-comparison",
                 "alpha of the diagonal lift equals beta, so the sharp 1D constant "
                 "improves on the generic 2 alpha",
-                remark_gap,
+                residual(lift_alpha, beta),
             ),
         ],
-        (
-            "norm-bound-negative-control",
-            "the attained constant shrunk by 1e-6 must fail",
-            control,
-        ),
+        ("norm-bound-negative-control", "attained 1D constant against 1.5", attained, 1.5),
     )
 
 
@@ -672,7 +638,7 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     All matrices here are materialized from the l2_* application functions,
     the code path that never touches the expression engine.
     """
-    n = check_truncation(n)
+    n = family_level(n)
     eye = sp.identity(1 << n, dtype=complex, format="csr")
     d = [materialize_apply(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
     ds = [materialize_apply(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
@@ -682,17 +648,13 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     car = max(residual(ds[k] @ d[k] + d[k] @ ds[k], eye) for k in range(n))
     worst_ua = max(residual(n_u @ d[k], d[k] @ n_u - u(k) * d[k]) for k in range(n))
     worst_uc = max(residual(n_u @ ds[k], ds[k] @ n_u + u(k) * ds[k]) for k in range(n))
-    worst_wa = worst_wc = 0.0
-    control = None
+    sides_wa = []
+    worst_wc = 0.0
     for k in range(n):
         row = materialize_apply(lambda f: l2_wn1d_apply(w.row_slice(k), f), n)
         col = materialize_apply(lambda f: l2_wn1d_apply(w.col_slice(k), f), n)
         scal = 2.0 * w(k, k) + w.colsum(k)
-        lhs = s_w @ d[k]
-        rhs = d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]
-        worst_wa = max(worst_wa, residual(lhs, rhs))
-        if control is None:
-            control = residual(perturbed(lhs, PERTURBATION), rhs)
+        sides_wa.append((s_w @ d[k], d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]))
         worst_wc = max(
             worst_wc,
             residual(
@@ -711,7 +673,7 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
                 "l2-wn-commute-annihilate",
                 "S_w d(k) = d(k) S_w + d(k) N_row + d(k) N_col"
                 " - (2 w(k,k) + colsum(k)) d(k)",
-                worst_wa,
+                max(residual(lhs, rhs) for lhs, rhs in sides_wa),
             ),
             (
                 "l2-wn-commute-create",
@@ -719,11 +681,7 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
                 worst_wc,
             ),
         ],
-        (
-            "l2-negative-control",
-            "l2 commutation with one entry off by 1e-6 must fail",
-            control if control is not None else 0.0,
-        ),
+        ("l2-negative-control", "S_w annihilator commutation at k = 0", *sides_wa[0]),
     )
 
 
@@ -734,40 +692,21 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
 
 def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """Range and additivity facts about theta, count and alpha."""
-    n = check_truncation(n)
+    n = family_level(n)
     theta = w.theta_vector(n)
     cap = 2.0 * w.alpha() * popcount_vector(n)
-    scale = max(1.0, max_abs(theta), max_abs(cap))
-    range_violation = max(
-        float(np.max(-theta, initial=0.0)), float(np.max(theta - cap, initial=0.0))
-    ) / scale
-
-    columns = range(w.support_bound())
-    alpha_gap = max(
-        (max(0.0, w.colsum(k) - w.alpha()) for k in columns), default=0.0
-    ) / max(1.0, w.alpha())
-
+    columns = [w.colsum(k) for k in range(w.support_bound())]
     count = u.count_vector(n)
     lift = Weight2D.from_weight1d(u).theta_vector(n)
-    lift_gap = max_abs(lift - count) / max(1.0, u.beta())
 
     masks = np.arange(1 << n, dtype=np.int64)
     additive = 0.0
     for k in range(n):
         bit = 1 << k
         outside = (masks & bit) == 0
-        gap = count[masks[outside] | bit] - (count[outside] + u(k))
-        additive = max(additive, max_abs(gap) / max(1.0, u.beta()))
-
-    empty_gap = abs(w.theta(0)) + abs(u.count(0))
-
-    corrupted = theta.copy()
-    if corrupted.size:
-        corrupted[0] -= PERTURBATION
-    control = max(
-        float(np.max(-corrupted, initial=0.0)),
-        float(np.max(corrupted - cap, initial=0.0)),
-    ) / scale
+        additive = max(
+            additive, residual(count[masks[outside] | bit], count[outside] + u(k))
+        )
 
     return family_reports(
         {"n": n, "weight": tag},
@@ -776,64 +715,63 @@ def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") ->
             (
                 "theta-range",
                 "0 <= theta(sigma) <= 2 alpha(w) #sigma on the whole basis",
-                range_violation,
+                max(excess(-theta, 0.0), excess(theta, cap)),
             ),
-            ("alpha-dominates-columns", "every column sum is at most alpha", alpha_gap),
+            (
+                "alpha-dominates-columns",
+                "every column sum is at most alpha",
+                excess(columns, w.alpha()),
+            ),
             (
                 "lift-theta-equals-count",
                 "theta of the diagonal lift of u equals count(u, .)",
-                lift_gap,
+                residual(lift, count),
             ),
             (
                 "count-additive",
                 "count(sigma + {k}) = count(sigma) + u(k) for k outside sigma",
                 additive,
             ),
-            ("theta-empty", "theta and count vanish on the empty set", empty_gap),
+            (
+                "theta-empty",
+                "theta and count vanish on the empty set",
+                residual(np.array([w.theta(0), u.count(0)]), 0.0),
+            ),
         ],
         (
             "weight-invariant-negative-control",
-            "theta with one value pushed below zero must fail the range check",
-            control,
+            "theta of the diagonal lift of u against count(u, .)",
+            lift,
+            count,
         ),
     )
 
 
 def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> list:
     """Norm scale structure, pairing bounds and the growth-bound consequence."""
-    n = check_truncation(n)
+    n = family_level(n)
+    trials = _check_trials(trials)
     rng = np.random.default_rng(seed)
     lam_vec = lam_vector(n)
     grid = (0.0, 0.5, 1.0, 2.0)
-    worst_mono = worst_dual = worst_iso = worst_cs = worst_growth = 0.0
-    control = None
+    worst_mono = worst_dual = worst_cs = worst_growth = 0.0
+    isometry = []
     for _ in range(trials):
         xi = random_functional(rng, n)
         phi = random_functional(rng, n)
         norms = [xi.norm(p) for p in grid]
-        worst_mono = max(
-            worst_mono, max((a - b) / max(1.0, b) for a, b in zip(norms, norms[1:]))
-        )
+        worst_mono = max(worst_mono, excess(norms[:-1], norms[1:]))
         duals = [xi.dual_norm(p) for p in grid]
-        worst_dual = max(
-            worst_dual,
-            max((b - a) / max(1.0, a) for a, b in zip(duals, duals[1:])),
-        )
+        worst_dual = max(worst_dual, excess(duals[1:], duals[:-1]))
         embedded = riesz_embed(xi)
-        worst_iso = max(
-            worst_iso,
-            max(
-                abs(embedded.dual_norm(p) - xi.dual_norm(p)) / max(1.0, xi.dual_norm(p))
-                for p in (0, 1, 2)
-            ),
+        isometry.append(
+            (
+                np.array([embedded.dual_norm(p) for p in (0, 1, 2)]),
+                np.array([xi.dual_norm(p) for p in (0, 1, 2)]),
+            )
         )
-        if control is None:
-            control = abs(
-                perturbed(embedded, PERTURBATION).dual_norm(0) - xi.dual_norm(0)
-            ) / max(1.0, xi.dual_norm(0))
         for p in (0, 1):
-            bound = phi.dual_norm(p) * xi.norm(p)
-            worst_cs = max(worst_cs, (abs(pair(phi, xi)) - bound) / max(1.0, bound))
+            worst_cs = max(worst_cs, excess(abs(pair(phi, xi)), phi.dual_norm(p) * xi.norm(p)))
         # a table built to satisfy |coeff| <= scale * lambda^order must pass
         # the growth check together with its dual-norm consequence
         scale, order = 2.0, 1.0
@@ -846,9 +784,7 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
             worst_growth = max(worst_growth, 1.0)
         else:
             worst_growth = max(
-                worst_growth,
-                max(0.0, outcome.dual_norm_at_next - outcome.dual_norm_cap)
-                / max(1.0, outcome.dual_norm_cap),
+                worst_growth, excess(outcome.dual_norm_at_next, outcome.dual_norm_cap)
             )
     return family_reports(
         {"n": n, "trials": trials, "seed": seed},
@@ -856,7 +792,11 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
         [
             ("norm-monotone", "norm(xi, p) is nondecreasing in p", worst_mono),
             ("dual-norm-antitone", "dual_norm(xi, p) is nonincreasing in p", worst_dual),
-            ("riesz-isometry", "conjugation preserves every dual norm", worst_iso),
+            (
+                "riesz-isometry",
+                "conjugation preserves every dual norm",
+                max(residual(lhs, rhs) for lhs, rhs in isometry),
+            ),
             (
                 "pairing-cauchy-schwarz",
                 "|pair(phi, xi)| <= dual_norm(phi, p) norm(xi, p)",
@@ -872,8 +812,8 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
         ],
         (
             "functional-invariant-negative-control",
-            "isometry with one coefficient off by 1e-6 must fail",
-            control if control is not None else 0.0,
+            "dual norms at p = 0, 1, 2 of the first conjugated probe against its own",
+            *isometry[0],
         ),
     )
 

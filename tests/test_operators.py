@@ -107,6 +107,16 @@ class TestLadderActions:
             with pytest.raises(ValueError, match="integer"):
                 build()
 
+    def test_applies_never_truncate_an_index(self):
+        # 1.7 used to act at index 1, and True at index 1
+        phi = Functional.delta(Subset.of(1, 2), 3)
+        for apply in (lambda: apply_annihilate(1.7, phi), lambda: apply_create(2.0, phi),
+                      lambda: occupation_apply(True, phi), lambda: hop_apply(True, 2.9, phi),
+                      lambda: l2_annihilate(1.0, phi), lambda: l2_create(False, phi)):
+            with pytest.raises(ValueError, match="integer"):
+                apply()
+        assert apply_annihilate(np.int64(1), phi) == Functional.delta(Subset.of(2), 3)
+
 
 class TestDiagonalActions:
     def test_lambda_multiplier(self):

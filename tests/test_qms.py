@@ -63,6 +63,16 @@ class TestHandOracle:
                 arr[:] = 7
         assert np.array_equal(transfer_matrix(0, 1, 3).toarray(), before)
 
+    def test_transfer_matrix_checks_indices_before_the_cache(self):
+        # (1, 0, 3) is cached first; 1.0 and True hash like 1 but must not
+        # be served from its entry
+        assert transfer_matrix(1, 0, 3).nnz == 2
+        for j, k in ((1.0, 0), (True, 0), (1, 0.0), (1.5, 0)):
+            with pytest.raises(ValueError, match="integer"):
+                transfer_matrix(j, k, 3)
+        with pytest.raises(ValueError, match="outside truncation 3"):
+            transfer_matrix(3, 0, 3)
+
     def test_occupation_of_source_decays(self):
         w = Weight2D({(0, 1): 1.0})
         spec = GeneratorSpec(weight=w, truncation=2, hamiltonian=np.zeros((4, 4)))

@@ -8,11 +8,14 @@ import pytest
 import scipy.sparse as sp
 
 from chaoscalc.functionals import Functional
+from chaoscalc.qms import check_generator_structure, check_sum_identity
 from chaoscalc.reports import (
     CHECK,
     NEGATIVE_CONTROL,
     VerificationReport,
     all_ok,
+    excess,
+    family_reports,
     format_line,
     max_abs,
     perturbed,
@@ -74,6 +77,43 @@ class TestResidualHelpers:
         assert phi.fock(0b10) == 1.0 + 1e-6
         empty = perturbed(Functional.zero(1))
         assert empty.fock(0) == 1e-6
+
+    def test_perturbed_is_relative(self):
+        # the nudge is 1e-6 times max(1, largest magnitude), so the
+        # perturbation survives the residual's normalization at any scale
+        for scale in (1e-3, 1.0, 3e7, 1e200):
+            arr = np.array([0.0, scale])
+            assert perturbed(arr)[0] == 1e-6 * max(1.0, scale)
+            assert residual(perturbed(arr), arr) == pytest.approx(1e-6, rel=1e-9)
+        phi = Functional({0b01: 2.0, 0b10: -4e9}, 2)
+        assert perturbed(phi).fock(0b01) == 2.0 + 1e-6 * 4e9
+
+    def test_excess(self):
+        # entrywise: (3 - 2) / 2 and (25 - 20) / 20, normalized by max(1, |bound|)
+        assert excess([3.0, 25.0], [2.0, 20.0]) == 0.5
+        assert excess(0.5, 0.2) == pytest.approx(0.3)
+        assert excess([-3.0, -5.0], -4.0) == 0.25
+        # every bound holds: 0, however far below
+        assert excess([1.0, 19.0], [2.0, 20.0]) == 0.0
+        assert excess([], 1.0) == 0.0
+        broken = excess([1.0, float("nan")], 2.0)
+        assert np.isnan(broken)
+        assert not VerificationReport("x", "s", broken, 1e-12).ok
+
+    def test_family_reports_builds_the_control(self):
+        lhs = sp.csr_matrix(np.array([[3e8, 0.0], [0.0, 1.0]], dtype=complex))
+        rhs = lhs.copy()
+        reports = family_reports(
+            {"n": 1}, 1e-12, [("c", "s", residual(lhs, rhs))], ("c-control", "c", lhs, rhs)
+        )
+        check, control = reports
+        assert check.kind == CHECK and check.ok
+        assert control.kind == NEGATIVE_CONTROL and control.name == "c-control"
+        assert control.residual == residual(perturbed(lhs), rhs)
+        assert control.residual == pytest.approx(1e-6, rel=1e-6)
+        assert control.ok and not control.passed
+        assert control.statement.startswith("c, with one entry")
+        assert "1e-06 times max(1, its largest magnitude)" in control.statement
 
     def test_report_build(self):
         rep = VerificationReport("x", "s", 0.0, 1e-12)
@@ -171,6 +211,49 @@ class TestFamilies:
         assert "theta-vs-double-sum" in names
 
 
+# every check family, called at truncation level n
+LEVEL_CALLS = [
+    lambda n: check_car(n),
+    lambda n: check_hop(n),
+    lambda n: check_commutation_2d(Weight2D.zero(), n),
+    lambda n: check_commutation_1d(Weight1D.zero(), n),
+    lambda n: check_commutation_number(n),
+    lambda n: check_spectral_shifts(Weight2D.zero(), n),
+    lambda n: check_representations(Weight2D.zero(), Weight1D.zero(), n),
+    lambda n: check_riesz_intertwining(Weight2D.zero(), n, trials=2),
+    lambda n: check_norm_bounds(Weight2D.zero(), Weight1D.zero(), n, trials=2),
+    lambda n: check_l2_lemmas(Weight2D.zero(), Weight1D.zero(), n),
+    lambda n: check_weight_invariants(Weight2D.zero(), Weight1D.zero(), n),
+    lambda n: check_functional_invariants(n, trials=2),
+    lambda n: check_sum_identity(Weight2D.zero(), n),
+    lambda n: check_generator_structure(Weight2D.zero(), n, trials=2),
+]
+
+
+@pytest.mark.parametrize("call", LEVEL_CALLS)
+def test_each_family_needs_n_at_least_one(call):
+    # each control repeats a comparison made at index 0, so n = 0 has none
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        call(0)
+    assert all_ok(call(1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda trials: check_riesz_intertwining(Weight2D.zero(), 3, trials=trials),
+        lambda trials: check_norm_bounds(Weight2D.zero(), Weight1D.zero(), 3, trials=trials),
+        lambda trials: check_functional_invariants(3, trials=trials),
+    ],
+    ids=["riesz", "norm-bound", "functional-invariant"],
+)
+def test_probe_families_need_a_trial(call):
+    # the control repeats a comparison made on the first probe
+    with pytest.raises(ValueError, match="trials >= 1, got 0"):
+        call(0)
+    assert all_ok(call(1))
+
+
 # (checks, negative controls) per family in run_all(n=5): one family run per
 # fixture, so five 2D fixtures give commutation-2d five controls. qms runs
 # once and carries two controls.
@@ -247,6 +330,31 @@ class TestRunAll:
         assert a == b
         assert payload_a["counts"]["not_ok"] == 0
         assert payload_a["all_ok"] is True
+
+    def test_seed_117_functional_invariant_control_is_caught(self):
+        # its control used to perturb one coefficient of the conjugated probe,
+        # which moved the dual norms by 7.3e-14 here, inside the 1e-12 tolerance
+        reports, _ = run_all(n=8, seed=117, only=["functional-invariant"])
+        assert all_ok(reports)
+
+    @pytest.mark.parametrize(
+        "n,seed,big",
+        [(5, 11, None), (8, 42, None), (3, 42, 1e7), (3, 42, 1e9)],
+        ids=["n5-seed11", "n8-seed42", "entry-1e7", "entry-1e9"],
+    )
+    def test_every_control_reads_its_relative_size(self, n, seed, big):
+        # an absolute 1e-6 nudge read 6.3e-10 for functional-invariant at
+        # n = 8, seed 42, and fell below 1e-13 on weights with an entry of
+        # 1e7 or 1e9, where the residual's normalization hid it
+        override = None
+        if big is not None:
+            override = Weight2D.from_entries([(0, 0, big), (1, 0, 0.7), (1, 1, 0.1)])
+        reports, _ = run_all(n=n, seed=seed, weight_override=override)
+        controls = [r for r in reports if r.kind == NEGATIVE_CONTROL]
+        # one 2D fixture in place of five when the weight is overridden
+        assert len(controls) == (28 if big is None else 16)
+        for control in controls:
+            assert control.residual >= 1e-7, control.name
 
     def test_only_filter(self):
         reports, timings = run_all(n=4, seed=2, only=["car", "qms"])
