@@ -4,9 +4,12 @@ Step k takes the value sqrt((1 - theta_k) / theta_k) with probability
 theta_k and -sqrt(theta_k / (1 - theta_k)) otherwise, which pins the
 conditional mean at 0 and the conditional second moment at 1. Products of
 steps over a subset sigma give the basis family whose Gram matrix is the
-identity; everything here either enumerates the finite sample space exactly
-(an atom per outcome bitmask, bit k set = the positive branch) or samples it
-with a counter-based generator.
+identity. Exact mode works on the finite sample space (an atom per outcome
+bitmask, bit k set = the positive branch): atom probabilities and basis
+products both factor over steps, so the Gram matrix and the expansion maps
+are Kronecker products of per-step 2 x 2 factors, while the conditional
+moments still enumerate every atom. Sampled mode draws paths with a
+counter-based generator.
 """
 from __future__ import annotations
 
@@ -20,19 +23,19 @@ from .basis import check_truncation
 from .functionals import Functional
 
 # A Gram matrix over the 2**n basis products is 8 * 4**n bytes: 128 MiB at
-# n = 12 and 512 MiB at n = 13. Exact enumeration stops at 13; past this use
+# n = 12 and 512 MiB at n = 13. Exact mode stops at 13; past this use
 # sampling.
 _EXACT_ENUMERATION_CAP = 13
 # The sampled Gram and its second moments are two such matrices, 1 MiB at
 # n = 8, and every sample costs about 4**n multiply-adds into them; the samples
 # themselves are held one block at a time.
 _MC_BASIS_CAP = 8
-# The one memory budget for working tables: a block of atoms or samples holds
-# this many bytes of basis values, so it has _BLOCK_BYTES / (8 * 2**n) rows.
+# The one memory budget for the sampled Gram's working table: a block of
+# samples holds this many bytes of basis values, so it has
+# _BLOCK_BYTES / (8 * 2**n) rows.
 _BLOCK_BYTES = 1 << 23
-# Columns per panel of the exact Gram's upper triangle. Panels tile the
-# triangle for BLAS and take no memory beyond the Gram's own; each computes
-# its whole diagonal block, an extra _PANEL / 2**n of the work.
+# Side of the tiles in which a Gram's lower triangle is mirrored from its
+# upper triangle.
 _PANEL = 256
 
 
@@ -113,7 +116,7 @@ def _check_exact_size(n: int) -> int:
     n = check_truncation(n)
     if n > _EXACT_ENUMERATION_CAP:
         raise ValueError(
-            f"exact enumeration handles up to n = {_EXACT_ENUMERATION_CAP} "
+            f"exact mode handles up to n = {_EXACT_ENUMERATION_CAP} "
             f"(got {n}): its Gram matrix takes 8 * 4**n bytes, "
             f"{_mib(8 * 4**_EXACT_ENUMERATION_CAP)} at n = {_EXACT_ENUMERATION_CAP} "
             f"and {_mib(8 * 4**n)} at n = {n}; use the sampling path instead"
@@ -166,22 +169,10 @@ def _products_over_masks(step_values: np.ndarray) -> np.ndarray:
 def z_matrix(params: BernoulliParams) -> np.ndarray:
     """Exact table of basis-product values: entry (atom, mask).
 
-    The whole 2**n x 2**n table; the functions below build it one block of
-    atoms at a time instead.
+    The whole 2**n x 2**n table, kept as the dense reference; the exact
+    functions below use its per-step Kronecker factors instead.
     """
     return _products_over_masks(psi_matrix(params))
-
-
-def _atom_blocks(params: BernoulliParams):
-    """Yield (atoms, z, p) over consecutive blocks of atoms: the slice of
-    atoms, their rows of :func:`z_matrix` and their probabilities. Callers
-    delete z before asking for the next block, so one block is alive."""
-    psi = psi_matrix(params)
-    p = atom_probs(params)
-    rows = _block_rows(1 << params.n)
-    for start in range(0, len(p), rows):
-        atoms = slice(start, start + rows)
-        yield atoms, _products_over_masks(psi[atoms]), p[atoms]
 
 
 def _mirror_upper(gram: np.ndarray) -> None:
@@ -201,37 +192,52 @@ def _mirror_upper(gram: np.ndarray) -> None:
 def exact_gram(params: BernoulliParams) -> np.ndarray:
     """Gram matrix of the product basis under the exact atom probabilities.
 
-    Every atom is enumerated, one block of atoms at a time: with z the block's
-    basis values and p its probabilities, the panel of columns j0:j1 gains
-    ``z[:, :j1].T @ (p * z[:, j0:j1])``, its part of the upper triangle. The
-    probabilities weight one factor only, so at theta = 1/2 every term is a
-    power of two and the result is the identity exactly. Until assembly each
-    panel is packed at the start of its own columns of the result, so no
-    accumulator takes memory beyond the Gram's. The lower triangle is then the
-    mirror of the upper, and the result exactly symmetric.
+    Atom probabilities and basis products both factor over steps, so the sum
+    over atoms regroups into the Kronecker product of the per-step 2 x 2
+    Grams. It is built in place by the doubling recursion of the basis
+    masks: after step k the top-left 2**k x 2**k block holds the Gram of the
+    steps below k; step k writes ``g01 * G`` into both off-diagonal blocks
+    and ``g11 * G`` into the bottom-right one, then scales the top-left block
+    by ``g00``. The Gram is the only table held. One ``g01`` serves both
+    off-diagonal blocks, so the result is exactly symmetric, and at
+    theta = 1/2 every factor is the identity, so the result is exactly the
+    identity.
     """
-    # imported on use: loading scipy.linalg adds about 6 MB and 0.05 s to
-    # every process that imports the package, and only the Grams need it
-    from scipy.linalg.blas import dgemm
-
     size = 1 << _check_exact_size(params.n)
-    gram = np.zeros((size, size), order="F")
-    panels = []
-    for j0 in range(0, size, _PANEL):
-        j1 = min(j0 + _PANEL, size)
-        packed = gram[:, j0:j1].ravel(order="F")[: j1 * (j1 - j0)]
-        panels.append((j0, j1, packed.reshape(j1, j1 - j0, order="F")))
-    for _, z, p in _atom_blocks(params):
-        for j0, j1, panel in panels:
-            weighted = p[:, None] * z[:, j0:j1]
-            dgemm(1.0, z[:, :j1], weighted, beta=1.0, c=panel, trans_a=1, overwrite_c=1)
-        del z, weighted
-    for j0, j1, panel in panels:
-        # the source overlaps the destination; numpy copies it first
-        gram[:j1, j0:j1] = panel
-    _mirror_upper(gram)
-    # the transpose of a symmetric matrix is itself, in row-major order
-    return gram.T
+    gram = np.empty((size, size))
+    gram[0, 0] = 1.0
+    steps = zip(params.thetas, params.minus_values(), params.plus_values())
+    for k, (theta, minus, plus) in enumerate(steps):
+        # E[s**(i + j)] over the step's two atoms
+        g00 = (1.0 - theta) + theta
+        g01 = (1.0 - theta) * minus + theta * plus
+        g11 = (1.0 - theta) * minus * minus + theta * plus * plus
+        h = 1 << k
+        low = gram[:h, :h]
+        np.multiply(low, g01, out=gram[:h, h : 2 * h])
+        np.multiply(low, g01, out=gram[h : 2 * h, :h])
+        np.multiply(low, g11, out=gram[h : 2 * h, h : 2 * h])
+        low *= g00
+    return gram
+
+
+def _apply_steps(vector: np.ndarray, factors) -> np.ndarray:
+    """Apply the Kronecker product of per-step 2 x 2 matrices in place.
+
+    ``factors[k]`` is ``((a, b), (c, d))`` and acts on bit k of the index of
+    ``vector`` (length 2**n, contiguous): each pair (lo, hi) of entries that
+    differ only in bit k becomes (a lo + b hi, c lo + d hi). n passes cost
+    O(n 2**n), against O(4**n) for the full table.
+    """
+    for k, ((a, b), (c, d)) in enumerate(factors):
+        pairs = vector.reshape(-1, 2, 1 << k)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        spill = b * hi
+        hi *= d
+        hi += c * lo
+        lo *= a
+        lo += spill
+    return vector
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,9 @@ def monte_carlo_gram(
             f"every sample costs about 4**n multiply-adds into them; capped at "
             f"n = {_MC_BASIS_CAP} ({_mib(16 * 4**_MC_BASIS_CAP)}), got {n}"
         )
-    from scipy.linalg.blas import dsyrk  # imported on use, as in exact_gram
+    # imported on use: loading scipy.linalg adds about 6 MB and 0.05 s to
+    # every process that imports the package, and only this Gram needs it
+    from scipy.linalg.blas import dsyrk
 
     size = 1 << n
     gram = np.zeros((size, size), order="F")
@@ -338,31 +346,32 @@ def monte_carlo_gram(
 def chaotic_expand(f, params: BernoulliParams) -> Functional:
     """Coefficients of a functional of the noise path against the product basis.
 
-    ``f`` maps a tuple of step values (one full path) to a number; the
-    coefficient at sigma is the expectation of f times the basis product,
-    computed exactly over the finite sample space.
+    ``f`` maps a tuple of step values (one full path) to a number and is
+    called once per atom; the coefficient at sigma is the expectation of f
+    times the basis product, computed exactly over the finite sample space.
+    The table of basis products is the Kronecker product of the per-step
+    ``[[1, minus], [1, plus]]``, so its transpose is applied to the
+    probability-weighted values one step at a time.
     """
     n = _check_exact_size(params.n)
     values = np.array([complex(f(tuple(row))) for row in psi_matrix(params)])
-    coeffs = np.zeros(1 << n, dtype=complex)
-    for atoms, z, p in _atom_blocks(params):
-        weighted = p * values[atoms]
-        coeffs.real += z.T @ weighted.real
-        coeffs.imag += z.T @ weighted.imag
-        del z
-    return Functional.from_vector(coeffs, n)
+    weighted = atom_probs(params) * values
+    factors = [((1.0, 1.0), (minus, plus))
+               for minus, plus in zip(params.minus_values(), params.plus_values())]
+    return Functional.from_vector(_apply_steps(weighted, factors), n)
 
 
 def reconstruct(phi: Functional, params: BernoulliParams) -> np.ndarray:
-    """Values of a coefficient table as a function on atoms (inverse expansion)."""
+    """Values of a coefficient table as a function on atoms (inverse expansion).
+
+    Applies the table of basis products, the Kronecker product of the
+    per-step ``[[1, minus], [1, plus]]``, one step at a time.
+    """
     if phi.truncation != params.n:
         raise ValueError(
             f"truncation {phi.truncation} does not match parameter length {params.n}"
         )
-    vector = phi.as_vector()
-    values = np.empty(len(vector), dtype=complex)
-    for atoms, z, _ in _atom_blocks(params):
-        values.real[atoms] = z @ vector.real
-        values.imag[atoms] = z @ vector.imag
-        del z
-    return values
+    _check_exact_size(params.n)
+    factors = [((1.0, minus), (1.0, plus))
+               for minus, plus in zip(params.minus_values(), params.plus_values())]
+    return _apply_steps(phi.as_vector().astype(complex), factors)

@@ -3,12 +3,18 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import chaoscalc
 from chaoscalc.cli import main
 from chaoscalc.functionals import Functional
+from chaoscalc.martingale import BernoulliParams
 from chaoscalc.qms import GeneratorSpec, generator_apply, matrix_from_json, matrix_to_json
 from chaoscalc.weights import Weight2D
 
@@ -249,6 +255,37 @@ class TestSimulate:
         assert payload["mode"] == "exact"
         assert payload["gram_deviation"] == 0.0
         assert payload["thetas"] == [0.5] * 5
+
+    def test_symmetric_walsh_at_benchmark_size(self, capsys):
+        # theta = 1/2 makes every per-step Gram factor the identity exactly
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "12", "--theta", "0.5")
+        assert code == 0 and payload["passed"]
+        assert payload["gram_deviation"] == 0.0
+
+    def test_scaled_plus_values_fail(self, capsys, monkeypatch):
+        # a negative control: the factorized Gram still sees broken step values
+        plus_values = BernoulliParams.plus_values
+        monkeypatch.setattr(
+            BernoulliParams, "plus_values", lambda self: plus_values(self) * (1 + 1e-6)
+        )
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "6")
+        assert code == 1 and not payload["passed"]
+        assert 1e-6 < payload["gram_deviation"] < 1e-5
+
+    def test_exact_mode_leaves_scipy_linalg_unloaded(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from chaoscalc.cli import main\n"
+            "for argv in (['--n', '4'], ['--n', '4', '--samples', '100']):\n"
+            f"    main(['simulate', *argv, '--out', {str(tmp_path / 'out.json')!r}])\n"
+            "    print('scipy.linalg' in sys.modules)\n"
+        )
+        src = str(pathlib.Path(chaoscalc.__file__).parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src}, check=True,
+        )
+        assert result.stdout.split() == ["False", "True"]
 
     def test_theta_file_list(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", [0.25, 1 / 3, 2 / 3, 0.9])

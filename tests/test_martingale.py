@@ -176,14 +176,9 @@ class TestBlockedGram:
     @given(data=st.data())
     def test_matches_dense_oracle(self, data):
         n = data.draw(st.integers(1, 8), label="n")
-        size = 1 << n
         thetas = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
-        # block and panel sizes below, equal to, above and not dividing 2**n
-        rows = data.draw(st.sampled_from([1, 3, size - 1, size, size + 5]) | st.integers(1, size))
-        panel = data.draw(st.sampled_from([1, 5, size // 2, size, 256]) | st.integers(1, size))
         params = BernoulliParams(tuple(thetas))
-        with blocking(rows, panel, size):
-            gram = exact_gram(params)
+        gram = exact_gram(params)
         assert np.array_equal(gram, gram.T)
         assert np.max(np.abs(gram - dense_gram(params))) <= 1e-14
 
@@ -224,23 +219,67 @@ class TestBlockedGram:
         gram_bytes = 8 * 4**11
         # the dense product held three such tables
         assert traced_peak(exact_gram, params) < 2 * gram_bytes
-        # z_matrix is as large as the Gram; these hold a block of it at a time
+        # z_matrix is as large as the Gram; these never build it
         phi = Functional.from_vector(np.arange(2048.0), 11)
         assert traced_peak(reconstruct, phi, params) < gram_bytes
         assert traced_peak(chaotic_expand, lambda path: path[0], params) < gram_bytes
 
     def test_one_block_alive(self):
-        # each loop frees its 8 MiB block of basis values before the next one
-        # is built; with two blocks alive these peaks read about 1.54 x the
-        # Gram and 16.3 MiB
-        exact_gram(BernoulliParams.constant(0.5, 1))  # loads scipy.linalg untraced
+        # the exact Gram is built in place and the expansion maps work on
+        # vectors of 2**n values; the sampled Gram frees its 8 MiB block of
+        # basis values before the next one is built (two blocks alive read
+        # about 16.3 MiB)
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
-        assert traced_peak(exact_gram, params) < 1.4 * 8 * 4**11
+        assert traced_peak(exact_gram, params) < 1.05 * 8 * 4**11
         phi = Functional.from_vector(np.arange(2048.0), 11)
         assert traced_peak(reconstruct, phi, params) < 12 * 2**20
         assert traced_peak(chaotic_expand, lambda path: path[0], params) < 12 * 2**20
         sampled = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 8)
         assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 12 * 2**20
+
+
+def gram_deviations(params):
+    """Largest |G - I| of the factorized Gram and of the dense oracle, after
+    checking that the two Grams agree entry by entry."""
+    factorized, dense = exact_gram(params), dense_gram(params)
+    assert np.max(np.abs(factorized - dense)) <= 1e-12
+    eye = np.eye(1 << params.n)
+    return float(np.abs(factorized - eye).max()), float(np.abs(dense - eye).max())
+
+
+class TestGramControls:
+    """Step values that break orthonormality show in the factorized Gram as
+    they do in the dense oracle."""
+
+    def test_scaled_plus_values(self, monkeypatch):
+        plus_values = BernoulliParams.plus_values
+        monkeypatch.setattr(
+            BernoulliParams, "plus_values", lambda self: plus_values(self) * (1 + 1e-6)
+        )
+        factorized, dense = gram_deviations(BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6))
+        assert 1e-6 < factorized < 1e-5
+        assert abs(factorized - dense) <= 1e-12
+
+    def test_swapped_step(self, monkeypatch):
+        plus_values, minus_values = BernoulliParams.plus_values, BernoulliParams.minus_values
+
+        def swapped_at_step_2(own, other):
+            def values(self):
+                out = own(self)
+                out[2] = other(self)[2]
+                return out
+            return values
+
+        monkeypatch.setattr(
+            BernoulliParams, "plus_values", swapped_at_step_2(plus_values, minus_values)
+        )
+        monkeypatch.setattr(
+            BernoulliParams, "minus_values", swapped_at_step_2(minus_values, plus_values)
+        )
+        # step 2 now has mean t v- + (1 - t) v+ = sqrt(2) / 2 at theta = 1/3
+        factorized, dense = gram_deviations(BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6))
+        assert factorized > 0.5
+        assert abs(factorized - dense) <= 1e-12
 
 
 class TestMoments:
@@ -332,16 +371,15 @@ class TestExpansion:
         again = chaotic_expand(lambda path: table[tuple(path)], params)
         assert again.isclose(phi, tol=1e-12)
 
-    @pytest.mark.parametrize("n, rows", [(3, 8), (5, 7), (8, 100)])
-    def test_blocks_match_full_table(self, n, rows):
+    @pytest.mark.parametrize("n", [1, 3, 5, 8])
+    def test_butterflies_match_full_table(self, n):
         params = BernoulliParams.cycling((0.25, 0.6, 0.5, 0.9), n)
         z, p = z_matrix(params), atom_probs(params)
         rng = np.random.default_rng(n)
         vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         table = {tuple(row): v for row, v in zip(psi_matrix(params), vec)}
-        with blocking(rows, 256, 1 << n):
-            expanded = chaotic_expand(lambda path: table[tuple(path)], params)
-            values = reconstruct(Functional.from_vector(vec, n), params)
+        expanded = chaotic_expand(lambda path: table[tuple(path)], params)
+        values = reconstruct(Functional.from_vector(vec, n), params)
         assert np.allclose(expanded.as_vector(), z.T @ (p * vec), rtol=0, atol=1e-12)
         assert np.allclose(values, z @ vec, rtol=0, atol=1e-12)
 
