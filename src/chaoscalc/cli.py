@@ -23,9 +23,11 @@ import numpy as np
 
 from .functionals import Functional
 from .martingale import (
+    _EXACT_VECTOR_CAP,
+    _MC_BASIS_CAP,
     BernoulliParams,
     conditional_moments,
-    exact_gram,
+    gram_deviation,
     monte_carlo_gram,
 )
 from .operators import parse_expr
@@ -112,16 +114,12 @@ def _require_finite(deviations) -> None:
 
 def cmd_simulate(args) -> int:
     params = _theta_params(args.theta, args.n)
-    size = 1 << params.n
-    diagonal = np.diag_indices(size)
     started = time.perf_counter()
     # an overflow is reported below as one error, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if args.samples is None:
-            gram = exact_gram(params)
             moments = conditional_moments(params)
-            gram[diagonal] -= 1.0
-            gram_dev = float(max(gram.max(), -gram.min()))
+            gram_dev = gram_deviation(params)
             _require_finite([gram_dev, *moments.mean_dev_per_step, *moments.second_dev_per_step])
             passed = (
                 gram_dev <= args.tol
@@ -131,7 +129,8 @@ def cmd_simulate(args) -> int:
             body = {"mode": "exact", "gram_deviation": gram_dev, "moments": moments.to_json()}
         else:
             gram, stderr = monte_carlo_gram(params, args.samples, args.seed)
-            gram[diagonal] -= 1.0
+            size = len(gram)
+            gram[np.diag_indices(size)] -= 1.0
             dev = np.abs(gram, out=gram)
             slack = dev - 4.0 * stderr
             _require_finite(slack)
@@ -237,7 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="write the JSON report here instead of stdout")
     verify.set_defaults(func=cmd_verify)
 
-    simulate = sub.add_parser("simulate", help="Bernoulli noise Gram and moment checks")
+    simulate = sub.add_parser(
+        "simulate",
+        help="Bernoulli noise Gram and moment checks",
+        description="Check that the Bernoulli basis is orthonormal and that each step "
+        "has conditional mean 0 and second moment 1. Exact mode (the default) holds a "
+        f"few vectors of 2^n values and handles n up to {_EXACT_VECTOR_CAP}; sampled "
+        "mode (--samples) sums two 2^n x 2^n tables and handles n up to "
+        f"{_MC_BASIS_CAP}.",
+    )
     simulate.add_argument("--theta", default="0.5", help='float literal or JSON file (default "0.5")')
     simulate.add_argument("--n", type=int, default=8)
     simulate.add_argument("--samples", type=int, help="Monte Carlo samples (default: exact)")

@@ -7,9 +7,11 @@ steps over a subset sigma give the basis family whose Gram matrix is the
 identity. Exact mode works on the finite sample space (an atom per outcome
 bitmask, bit k set = the positive branch): atom probabilities and basis
 products both factor over steps, so the Gram matrix and the expansion maps
-are Kronecker products of per-step 2 x 2 factors, while the conditional
-moments still enumerate every atom. Sampled mode draws paths with a
-counter-based generator.
+are Kronecker products of per-step 2 x 2 factors. The Gram's largest
+deviation from the identity is read off those factors without building the
+Gram, and the conditional moments take one step's values over the atoms at
+a time, so the exact checks hold only a few vectors of 2**n values. Sampled
+mode draws paths with a counter-based generator.
 """
 from __future__ import annotations
 
@@ -22,13 +24,17 @@ import numpy as np
 from .basis import check_truncation
 from .functionals import Functional
 
-# A Gram matrix over the 2**n basis products is 8 * 4**n bytes: 128 MiB at
-# n = 12 and 512 MiB at n = 13. Exact mode stops at 13; past this use
-# sampling.
+# The exact tables over the 2**n basis products (the Gram, z_matrix) take
+# 8 * 4**n bytes: 512 MiB at n = 13. They stop at 13, as do psi_matrix and
+# the expansion maps.
 _EXACT_ENUMERATION_CAP = 13
-# The sampled Gram and its second moments are two such matrices, 1 MiB at
-# n = 8, and every sample costs about 4**n multiply-adds into them; the samples
-# themselves are held one block at a time.
+# The atom probabilities and the conditional moments, and so exact simulate,
+# hold a few vectors of 2**n values, 8 * 2**n bytes each: 8 MiB at n = 20.
+# A constant, so raising CHAOSCALC_MAX_N does not lift it.
+_EXACT_VECTOR_CAP = 20
+# The sampled Gram and its second moments are two 2**n x 2**n tables, 1 MiB
+# at n = 8, and every sample costs about 4**n multiply-adds into them; the
+# samples themselves are held one block at a time.
 _MC_BASIS_CAP = 8
 # The one memory budget for the sampled Gram's working table: a block of
 # samples holds this many bytes of basis values, so it has
@@ -112,14 +118,26 @@ class BernoulliParams:
         return cls(values)
 
 
-def _check_exact_size(n: int) -> int:
+def _check_table_size(n: int) -> int:
     n = check_truncation(n)
     if n > _EXACT_ENUMERATION_CAP:
         raise ValueError(
-            f"exact mode handles up to n = {_EXACT_ENUMERATION_CAP} "
-            f"(got {n}): its Gram matrix takes 8 * 4**n bytes, "
+            f"the exact tables handle up to n = {_EXACT_ENUMERATION_CAP} "
+            f"(got {n}): a 2**n x 2**n table such as the Gram takes 8 * 4**n bytes, "
             f"{_mib(8 * 4**_EXACT_ENUMERATION_CAP)} at n = {_EXACT_ENUMERATION_CAP} "
-            f"and {_mib(8 * 4**n)} at n = {n}; use the sampling path instead"
+            f"and {_mib(8 * 4**n)} at n = {n}"
+        )
+    return n
+
+
+def _check_vector_size(n: int) -> int:
+    n = check_truncation(n)
+    if n > _EXACT_VECTOR_CAP:
+        raise ValueError(
+            f"exact mode handles up to n = {_EXACT_VECTOR_CAP} (got {n}): "
+            f"each vector over the 2**n atoms takes 8 * 2**n bytes, "
+            f"{_mib(8 * 2**_EXACT_VECTOR_CAP)} at n = {_EXACT_VECTOR_CAP} "
+            f"and {_mib(8 * 2**n)} at n = {n}"
         )
     return n
 
@@ -135,15 +153,16 @@ def _block_rows(width: int) -> int:
 
 def atom_probs(params: BernoulliParams) -> np.ndarray:
     """Probability of every outcome bitmask, length 2**n."""
-    _check_exact_size(params.n)
+    _check_vector_size(params.n)
     probs = np.ones(1, dtype=float)
     for t in params.thetas:
         probs = np.concatenate([probs * (1.0 - t), probs * t])
     return probs
 
+
 def psi_matrix(params: BernoulliParams) -> np.ndarray:
     """Step values per atom: entry (a, k) is the outcome of step k on atom a."""
-    n = _check_exact_size(params.n)
+    n = _check_table_size(params.n)
     atoms = np.arange(1 << n, dtype=np.int64)
     bits = (atoms[:, None] >> np.arange(n)) & 1
     return np.where(bits == 1, params.plus_values(), params.minus_values())
@@ -203,15 +222,10 @@ def exact_gram(params: BernoulliParams) -> np.ndarray:
     theta = 1/2 every factor is the identity, so the result is exactly the
     identity.
     """
-    size = 1 << _check_exact_size(params.n)
+    size = 1 << _check_table_size(params.n)
     gram = np.empty((size, size))
     gram[0, 0] = 1.0
-    steps = zip(params.thetas, params.minus_values(), params.plus_values())
-    for k, (theta, minus, plus) in enumerate(steps):
-        # E[s**(i + j)] over the step's two atoms
-        g00 = (1.0 - theta) + theta
-        g01 = (1.0 - theta) * minus + theta * plus
-        g11 = (1.0 - theta) * minus * minus + theta * plus * plus
+    for k, (g00, g01, g11) in enumerate(_step_grams(params)):
         h = 1 << k
         low = gram[:h, :h]
         np.multiply(low, g01, out=gram[:h, h : 2 * h])
@@ -219,6 +233,39 @@ def exact_gram(params: BernoulliParams) -> np.ndarray:
         np.multiply(low, g11, out=gram[h : 2 * h, h : 2 * h])
         low *= g00
     return gram
+
+
+def _step_grams(params: BernoulliParams):
+    """Yield each step's 2 x 2 Gram ``(g00, g01, g11)``: E[s**(i + j)] over
+    the step's two atoms."""
+    steps = zip(params.thetas, params.minus_values(), params.plus_values())
+    for theta, minus, plus in steps:
+        g00 = (1.0 - theta) + theta
+        g01 = (1.0 - theta) * minus + theta * plus
+        g11 = (1.0 - theta) * minus * minus + theta * plus * plus
+        yield g00, g01, g11
+
+
+def gram_deviation(params: BernoulliParams) -> float:
+    """Largest ``|G - I|`` over the entries of :func:`exact_gram`, bit for
+    bit, in O(n) time and without building the Gram.
+
+    Entry (i, j) of the Gram is the left-to-right rounded product of one
+    factor per step: ``g00`` or ``g11`` where bit k of i and j agree, ``g01``
+    where they differ. Rounded multiplication by a nonnegative factor is
+    monotone, so the extremes over all 4**n products follow the steps: the
+    largest and smallest all-diagonal products (every diagonal factor is
+    positive) and the largest off-diagonal magnitude, a product with at
+    least one ``g01`` step. The maxima propagate NaN, so a non-finite
+    factor shows in the result.
+    """
+    dmax = dmin = 1.0
+    omax = 0.0
+    for g00, g01, g11 in _step_grams(params):
+        a01 = np.abs(g01)
+        omax = np.maximum(omax * np.maximum(np.maximum(g00, a01), g11), dmax * a01)
+        dmax, dmin = dmax * np.maximum(g00, g11), dmin * np.minimum(g00, g11)
+    return float(np.maximum(np.maximum(dmax - 1.0, 1.0 - dmin), omax))
 
 
 def _apply_steps(vector: np.ndarray, factors) -> np.ndarray:
@@ -272,15 +319,19 @@ def conditional_moments(params: BernoulliParams) -> MomentReport:
     conditional second moment must be 1, for every step. Both hold exactly up
     to floating point, whatever the theta sequence.
     """
-    n = _check_exact_size(params.n)
+    n = _check_vector_size(params.n)
     p = atom_probs(params)
-    psi = psi_matrix(params)
+    plus, minus = params.plus_values(), params.minus_values()
+    step = np.empty_like(p)
     mean_devs, second_devs = [], []
     for m in range(n):
         groups = 1 << m
+        # the outcome of step m on every atom, picked by bit m of the atom
+        branches = step.reshape(-1, 2, groups)
+        branches[:, 0], branches[:, 1] = minus[m], plus[m]
         den = p.reshape(-1, groups).sum(axis=0)
-        num1 = (p * psi[:, m]).reshape(-1, groups).sum(axis=0)
-        num2 = (p * psi[:, m] ** 2).reshape(-1, groups).sum(axis=0)
+        num1 = (p * step).reshape(-1, groups).sum(axis=0)
+        num2 = (p * step**2).reshape(-1, groups).sum(axis=0)
         mean_devs.append(float(np.max(np.abs(num1 / den))))
         second_devs.append(float(np.max(np.abs(num2 / den - 1.0))))
     return MomentReport(tuple(mean_devs), tuple(second_devs))
@@ -353,7 +404,7 @@ def chaotic_expand(f, params: BernoulliParams) -> Functional:
     ``[[1, minus], [1, plus]]``, so its transpose is applied to the
     probability-weighted values one step at a time.
     """
-    n = _check_exact_size(params.n)
+    n = _check_table_size(params.n)
     values = np.array([complex(f(tuple(row))) for row in psi_matrix(params)])
     weighted = atom_probs(params) * values
     factors = [((1.0, 1.0), (minus, plus))
@@ -371,7 +422,7 @@ def reconstruct(phi: Functional, params: BernoulliParams) -> np.ndarray:
         raise ValueError(
             f"truncation {phi.truncation} does not match parameter length {params.n}"
         )
-    _check_exact_size(params.n)
+    _check_table_size(params.n)
     factors = [((1.0, minus), (1.0, plus))
                for minus, plus in zip(params.minus_values(), params.plus_values())]
     return _apply_steps(phi.as_vector().astype(complex), factors)

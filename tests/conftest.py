@@ -1,0 +1,36 @@
+"""Negative controls shared by the library and CLI tests: step values that
+break the orthonormality of the Bernoulli basis."""
+from __future__ import annotations
+
+import pytest
+
+from chaoscalc.martingale import BernoulliParams
+
+
+@pytest.fixture
+def scaled_plus_values(monkeypatch):
+    """Every positive step value scaled by 1 + 1e-6."""
+    plus_values = BernoulliParams.plus_values
+    monkeypatch.setattr(
+        BernoulliParams, "plus_values", lambda self: plus_values(self) * (1 + 1e-6)
+    )
+
+
+@pytest.fixture
+def swapped_step(monkeypatch):
+    """The positive and negative step values exchanged at step 2."""
+    plus_values, minus_values = BernoulliParams.plus_values, BernoulliParams.minus_values
+
+    def swapped_at_step_2(own, other):
+        def values(self):
+            out = own(self)
+            out[2] = other(self)[2]
+            return out
+        return values
+
+    monkeypatch.setattr(
+        BernoulliParams, "plus_values", swapped_at_step_2(plus_values, minus_values)
+    )
+    monkeypatch.setattr(
+        BernoulliParams, "minus_values", swapped_at_step_2(minus_values, plus_values)
+    )

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 import chaoscalc
 from chaoscalc.cli import main
 from chaoscalc.functionals import Functional
-from chaoscalc.martingale import BernoulliParams
 from chaoscalc.qms import GeneratorSpec, generator_apply, matrix_from_json, matrix_to_json
 from chaoscalc.weights import Weight2D
 
@@ -262,15 +262,40 @@ class TestSimulate:
         assert code == 0 and payload["passed"]
         assert payload["gram_deviation"] == 0.0
 
-    def test_scaled_plus_values_fail(self, capsys, monkeypatch):
-        # a negative control: the factorized Gram still sees broken step values
-        plus_values = BernoulliParams.plus_values
-        monkeypatch.setattr(
-            BernoulliParams, "plus_values", lambda self: plus_values(self) * (1 + 1e-6)
-        )
+    def test_scaled_plus_values_fail(self, capsys, scaled_plus_values):
+        # a negative control: the deviation read off the factors still sees
+        # broken step values
         code, payload, _ = run_cli(capsys, "simulate", "--n", "6")
         assert code == 1 and not payload["passed"]
         assert 1e-6 < payload["gram_deviation"] < 1e-5
+
+    def test_swapped_step_fails(self, capsys, swapped_step):
+        # at theta = 1/2 the swap changes nothing; at 1/4 step 2 has mean 2 / sqrt(3)
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "6", "--theta", "0.25")
+        assert code == 1 and not payload["passed"]
+        assert payload["gram_deviation"] > 0.5
+
+    def test_exact_mode_holds_no_table(self, tmp_path):
+        # the Gram alone is 128 MiB at n = 12; exact mode holds a few vectors
+        # of 4096 values
+        argv = ["simulate", "--n", "12", "--theta", "0.3", "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 0  # warm-up, so that no first-call allocation counts
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_exact_mode_past_the_table_cap(self, capsys, monkeypatch):
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "16", "--theta", "0.3")
+        assert code == 0 and payload["passed"]
+        monkeypatch.setenv("CHAOSCALC_MAX_N", "21")
+        code, payload, err = run_cli(capsys, "simulate", "--n", "21")
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+        assert "exact mode handles up to n = 20" in err
 
     def test_exact_mode_leaves_scipy_linalg_unloaded(self, tmp_path):
         script = (

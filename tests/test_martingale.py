@@ -24,6 +24,7 @@ from chaoscalc.martingale import (
     chaotic_expand,
     conditional_moments,
     exact_gram,
+    gram_deviation,
     monte_carlo_gram,
     psi_matrix,
     reconstruct,
@@ -124,9 +125,26 @@ class TestAtoms:
             bits = [k for k in range(params.n) if mask >> k & 1]
             assert np.allclose(z[:, mask], np.prod(psi[:, bits], axis=1), rtol=1e-14, atol=0)
 
-    def test_exact_cap(self):
-        with pytest.raises(ValueError):
-            atom_probs(BernoulliParams.constant(0.5, 14))
+    def test_exact_cap(self, monkeypatch):
+        # the 2**n x 2**n tables and the per-atom expansion stop at 13
+        params = BernoulliParams.constant(0.5, 14)
+        tables = (
+            exact_gram,
+            psi_matrix,
+            z_matrix,
+            lambda p: chaotic_expand(lambda path: 0.0, p),
+            lambda p: reconstruct(Functional.zero(14), p),
+        )
+        for table in tables:
+            with pytest.raises(ValueError, match="up to n = 13 .*2048 MiB at n = 14"):
+                table(params)
+        assert len(atom_probs(params)) == 1 << 14
+        # the vectors of 2**n values stop at 20 whatever CHAOSCALC_MAX_N allows
+        monkeypatch.setenv("CHAOSCALC_MAX_N", "21")
+        params = BernoulliParams.constant(0.5, 21)
+        for vector in (atom_probs, conditional_moments):
+            with pytest.raises(ValueError, match="up to n = 20 .*16 MiB at n = 21"):
+                vector(params)
 
 
 class TestGram:
@@ -238,45 +256,67 @@ class TestBlockedGram:
         assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 12 * 2**20
 
 
+def max_deviation(gram):
+    """max |G - I| read off a whole Gram: 1 subtracted from the diagonal,
+    then the larger of the largest entry and minus the smallest."""
+    gram = gram.copy()
+    gram[np.diag_indices(len(gram))] -= 1.0
+    return float(max(gram.max(), -gram.min()))
+
+
 def gram_deviations(params):
     """Largest |G - I| of the factorized Gram and of the dense oracle, after
-    checking that the two Grams agree entry by entry."""
+    checking that the two Grams agree entry by entry and that
+    :func:`gram_deviation` reads the factorized one bit for bit."""
     factorized, dense = exact_gram(params), dense_gram(params)
     assert np.max(np.abs(factorized - dense)) <= 1e-12
-    eye = np.eye(1 << params.n)
-    return float(np.abs(factorized - eye).max()), float(np.abs(dense - eye).max())
+    deviation = max_deviation(factorized)
+    assert gram_deviation(params).hex() == deviation.hex()
+    return deviation, max_deviation(dense)
+
+
+# thetas spread over the decades towards 0 and towards 1
+EXTREME_THETAS = st.builds(
+    lambda e, near_one: 1.0 - 10.0**e if near_one else 10.0**e,
+    st.floats(-12.0, math.log10(0.95)),
+    st.booleans(),
+)
+
+
+class TestGramDeviation:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_dense(self, data):
+        n = data.draw(st.integers(0, 10), label="n")
+        thetas = st.one_of(st.floats(0.05, 0.95), EXTREME_THETAS)
+        params = BernoulliParams(tuple(data.draw(st.lists(thetas, min_size=n, max_size=n))))
+        # hex() also tells the zeros apart by sign
+        assert gram_deviation(params).hex() == max_deviation(exact_gram(params)).hex()
+
+    def test_non_finite_step_value_propagates(self, monkeypatch):
+        # NaN-blind maxima would drop a NaN factor and report a finite deviation
+        minus_values = BernoulliParams.minus_values
+
+        def nan_at_step_1(self):
+            out = minus_values(self)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(BernoulliParams, "minus_values", nan_at_step_1)
+        assert math.isnan(gram_deviation(BernoulliParams.cycling((0.25, 1 / 3), 4)))
 
 
 class TestGramControls:
-    """Step values that break orthonormality show in the factorized Gram as
-    they do in the dense oracle."""
+    """Step values that break orthonormality show in the factorized Gram and
+    in :func:`gram_deviation` as they do in the dense oracle."""
 
-    def test_scaled_plus_values(self, monkeypatch):
-        plus_values = BernoulliParams.plus_values
-        monkeypatch.setattr(
-            BernoulliParams, "plus_values", lambda self: plus_values(self) * (1 + 1e-6)
-        )
+    def test_scaled_plus_values(self, scaled_plus_values):
         factorized, dense = gram_deviations(BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6))
         assert 1e-6 < factorized < 1e-5
         assert abs(factorized - dense) <= 1e-12
 
-    def test_swapped_step(self, monkeypatch):
-        plus_values, minus_values = BernoulliParams.plus_values, BernoulliParams.minus_values
-
-        def swapped_at_step_2(own, other):
-            def values(self):
-                out = own(self)
-                out[2] = other(self)[2]
-                return out
-            return values
-
-        monkeypatch.setattr(
-            BernoulliParams, "plus_values", swapped_at_step_2(plus_values, minus_values)
-        )
-        monkeypatch.setattr(
-            BernoulliParams, "minus_values", swapped_at_step_2(minus_values, plus_values)
-        )
-        # step 2 now has mean t v- + (1 - t) v+ = sqrt(2) / 2 at theta = 1/3
+    def test_swapped_step(self, swapped_step):
+        # step 2 now has mean t v- + (1 - t) v+ = -8/3 at theta = 0.9
         factorized, dense = gram_deviations(BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6))
         assert factorized > 0.5
         assert abs(factorized - dense) <= 1e-12
