@@ -12,8 +12,11 @@ against B'B collapses to the diagonal spectral function, which gives the
 verification suite three independent evaluation routes to compare.
 
 B sends each mask m of its domain D to the one mask t(m) = (m - {k}) + {j}.
-So B'XB is X gathered at t on D x D and B'B is the indicator of D: the
-dissipator is applied by index gathers, and B itself is only an oracle.
+D is the masks with bit k set and bit j clear (only bit k set when j == k),
+and t clears bit k and sets bit j. So on the (2,)*2n view of X, with one
+axis per bit on each side, B'XB is X sliced at the image bits and placed at
+the domain bits, and B'B is the domain's indicator: the dissipator is applied
+through basic-slicing views, and B itself is only an oracle.
 """
 from __future__ import annotations
 
@@ -61,11 +64,7 @@ class GeneratorSpec:
     def __post_init__(self):
         self.truncation = check_truncation(self.truncation)
         size = 1 << self.truncation
-        if self.weight.support_bound() > self.truncation:
-            raise ValueError(
-                f"weight support bound {self.weight.support_bound()} exceeds "
-                f"truncation {self.truncation}"
-            )
+        _check_support(self.weight, self.truncation)
         if self.hamiltonian is not None:
             h = np.asarray(self.hamiltonian, dtype=complex)
             if h.shape != (size, size):
@@ -78,44 +77,83 @@ class GeneratorSpec:
             self.hamiltonian = h
 
 
-def _transfer_indices(j: int, k: int, n: int) -> tuple:
-    """Domain of the transfer k -> j (masks holding k, and j only if j == k)
-    and its image, as basis index arrays."""
-    bit_j, bit_k = 1 << j, 1 << k
-    masks = np.arange(1 << n)
-    dom = masks[((masks & bit_k) != 0) & ((masks & ~bit_k & bit_j) == 0)]
-    return dom, (dom & ~bit_k) | bit_j
+def _check_support(w: Weight2D, n: int) -> None:
+    if w.support_bound() > n:
+        raise ValueError(f"weight support bound {w.support_bound()} exceeds truncation {n}")
+
+
+def _bit_view(bits: dict, n: int) -> tuple:
+    """Basic-slicing index pinning the given bits on a (2,)*n view of the
+    basis, where axis n-1-b holds bit b."""
+    index = [slice(None)] * n
+    for b, value in bits.items():
+        index[n - 1 - b] = value
+    return tuple(index)
+
+
+def _observable(x: np.ndarray, n: int) -> np.ndarray:
+    x = np.asarray(x, dtype=complex)
+    size = 1 << n
+    if x.shape != (size, size):
+        raise ValueError(f"observable shape {x.shape} does not match basis size {size}")
+    return x
+
+
+def _apply_with_diagonal(w: Weight2D, n: int, x: np.ndarray, h) -> np.ndarray:
+    """Jump terms plus i (H X - X H) - 1/2 (X occ + occ X) for a diagonal H
+    given by its vector h, where occ = sum of w(j,k) B'B.
+
+    The jump terms are summed into zeros in the order occ is summed, and the
+    diagonal product is added last. Then on the diagonal of L(I) the terms
+    and -occ are the same rounded sum, so the generator kills the identity
+    exactly; adding each term onto the diagonal product breaks that.
+    """
+    _check_support(w, n)
+    shape = (2,) * n
+    xv = x.reshape(shape + shape)
+    acc = np.zeros(x.shape, dtype=complex)  # C order: its bit view writes through
+    av = acc.reshape(shape + shape)
+    occ = np.zeros(1 << n)
+    ov = occ.reshape(shape)
+    for (j, k), rate in sorted(w.entries.items()):
+        if j == k:
+            dom = img = _bit_view({k: 1}, n)
+        else:
+            dom, img = _bit_view({k: 1, j: 0}, n), _bit_view({k: 0, j: 1}, n)
+        av[dom + dom] += rate * xv[img + img]
+        ov[dom] += rate
+    # half + rest == -occ exactly, also where halving a subnormal rounds;
+    # for any other occ the two are equal
+    half = -0.5 * occ
+    rest = -occ - half
+    out = np.add.outer(half + 1j * h, rest - 1j * h)
+    out *= x
+    out += acc
+    return out
 
 
 def dissipator_apply(w: Weight2D, n: int, x: np.ndarray) -> np.ndarray:
     """The rate-weighted jump part of the generator applied to an observable."""
     n = check_truncation(n)
-    x = np.asarray(x, dtype=complex)
-    size = 1 << n
-    if x.shape != (size, size):
-        raise ValueError(f"observable shape {x.shape} does not match basis size {size}")
-    out = np.zeros_like(x)
-    occ = np.zeros(size)  # sum of w(j,k) B'B, a diagonal
-    for (j, k), rate in sorted(w.entries.items()):
-        dom, img = _transfer_indices(j, k, n)
-        out[np.ix_(dom, dom)] += rate * x[np.ix_(img, img)]
-        occ[dom] += rate
-    return out - 0.5 * (x * occ[None, :] + occ[:, None] * x)
+    return _apply_with_diagonal(w, n, _observable(x, n), 0.0)
 
 
 def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     """Full generator: commutator with the Hamiltonian plus the dissipator.
 
-    The default Hamiltonian (occupancy count) is diagonal, so its commutator
-    is taken by broadcasting; a given Hamiltonian is multiplied densely.
+    Each jump term B'XB is a slice of X's bit view added to a slice of an
+    accumulator, with no index arrays and no gathered copy. The default
+    Hamiltonian (occupancy count) is diagonal, so it joins the -1/2 occ of
+    the dissipator in one diagonal factor, applied to X in one product and
+    added after the jump terms, which keeps L(I) exactly 0. A given
+    Hamiltonian is multiplied densely.
     """
-    out = dissipator_apply(spec.weight, spec.truncation, x)
-    x = np.asarray(x, dtype=complex)
+    n = spec.truncation
+    x = _observable(x, n)
     if spec.hamiltonian is None:
-        h = popcount_vector(spec.truncation)
-        return out + 1j * (h[:, None] * x - x * h[None, :])
+        return _apply_with_diagonal(spec.weight, n, x, popcount_vector(n))
     h = spec.hamiltonian
-    return out + 1j * (h @ x - x @ h)
+    return _apply_with_diagonal(spec.weight, n, x, 0.0) + 1j * (h @ x - x @ h)
 
 
 # ---------------------------------------------------------------------------

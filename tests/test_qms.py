@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaoscalc.qms import (
     GeneratorSpec,
@@ -49,6 +51,21 @@ def hand_jump_matrix_n2():
     b = np.zeros((4, 4), dtype=complex)
     b[1, 2] = 1.0
     return b
+
+
+@st.composite
+def rate_tables(draw):
+    """A truncation up to 6 and rates on its index pairs, diagonal included.
+    Half the rates are tiny, so whole columns can have a subnormal sum, where
+    halving rounds."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return n, {}
+    index = st.integers(0, n - 1)
+    rates = st.floats(min_value=0.0, max_value=1e300) | st.floats(
+        min_value=0.0, max_value=2.0**-1021
+    )
+    return n, draw(st.dictionaries(st.tuples(index, index), rates, max_size=n * n))
 
 
 class TestHandOracle:
@@ -111,7 +128,7 @@ class TestHandOracle:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_literal_expansion(self, seed):
         rng = np.random.default_rng(seed)
-        for n in (3, 6):
+        for n in (3, 6, 0, 1):
             w, x = self.random_case(rng, n)
             rate_table = jump_rate_table(w, n)
             for h in (None, self.random_hermitian(rng, 1 << n)):
@@ -119,6 +136,14 @@ class TestHandOracle:
                 dense_h = count_hamiltonian(n) if h is None else h
                 expect = literal_generator(dense_h, rate_table, x)
                 assert np.max(np.abs(generator_apply(spec, x) - expect)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_dissipator_matches_literal_expansion(self, n):
+        rng = np.random.default_rng(100 + n)
+        w, x = self.random_case(rng, n)
+        no_hamiltonian = np.zeros((1 << n, 1 << n))
+        expect = literal_generator(no_hamiltonian, jump_rate_table(w, n), x)
+        assert np.max(np.abs(dissipator_apply(w, n, x) - expect)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_literal_expansion_catches_one_rate_off(self, n):
@@ -185,6 +210,31 @@ class TestStructure:
         image = generator_apply(spec, np.eye(8, dtype=complex))
         assert np.max(np.abs(image)) == 0.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(table=rate_tables(), seed=st.none() | st.integers(0, 2**32 - 1))
+    @example(table=(3, {(0, 1): 5e-324}), seed=None)
+    def test_unital_is_exact_for_any_weight(self, table, seed):
+        n, entries = table
+        w = Weight2D(entries)
+        h = None
+        if seed is not None:
+            h = TestHandOracle.random_hermitian(np.random.default_rng(seed), 1 << n)
+        identity = np.eye(1 << n)
+        spec = GeneratorSpec(weight=w, truncation=n, hamiltonian=h)
+        assert np.max(np.abs(generator_apply(spec, identity))) == 0.0
+        assert np.max(np.abs(dissipator_apply(w, n, identity))) == 0.0
+
+    @pytest.mark.parametrize("entry", [(5, 0), (0, 5)])
+    def test_weight_past_the_truncation_is_rejected(self, entry):
+        w = Weight2D({entry: 1.0})
+        message = "weight support bound 6 exceeds truncation 3"
+        with pytest.raises(ValueError, match=message):
+            dissipator_apply(w, 3, np.eye(8))
+        spec = GeneratorSpec(weight=Weight2D.zero(), truncation=3)
+        spec.weight = w
+        with pytest.raises(ValueError, match=message):
+            generator_apply(spec, np.eye(8))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GeneratorSpec(weight=Weight2D({(0, 5): 1.0}), truncation=2)
@@ -200,6 +250,43 @@ class TestStructure:
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=2)
         with pytest.raises(ValueError):
             generator_apply(spec, np.eye(3))
+
+
+class TestLayouts:
+    """An observable's memory layout and dtype never change its image."""
+
+    @staticmethod
+    def layouts(rng, n):
+        size = 1 << n
+        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        big = rng.standard_normal((2 * size, 2 * size)) + 1j * rng.standard_normal(
+            (2 * size, 2 * size)
+        )
+        return {
+            "transposed": x.T,
+            "adjoint": x.conj().T,
+            "fortran": np.asfortranarray(x),
+            "strided": big[::2, ::2],
+            "real": rng.standard_normal((size, size)),
+        }
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_layouts_give_bitwise_equal_images(self, n):
+        rng = np.random.default_rng(40 + n)
+        w, _ = TestHandOracle.random_case(rng, n)
+        h = TestHandOracle.random_hermitian(rng, 1 << n)
+        applies = {
+            "default hamiltonian": lambda x: generator_apply(GeneratorSpec(w, n), x),
+            "dense hamiltonian": lambda x: generator_apply(GeneratorSpec(w, n, h), x),
+            "dissipator": lambda x: dissipator_apply(w, n, x),
+        }
+        for layout, x in self.layouts(rng, n).items():
+            copy = np.ascontiguousarray(x, dtype=complex)
+            before, copy_before = x.copy(), copy.copy()
+            for name, apply in applies.items():
+                assert apply(x).tobytes() == apply(copy).tobytes(), (layout, name)
+                assert x.tobytes() == before.tobytes(), (layout, name)
+                assert copy.tobytes() == copy_before.tobytes(), (layout, name)
 
 
 class TestMatrixJson:
