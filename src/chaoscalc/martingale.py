@@ -11,7 +11,10 @@ are Kronecker products of per-step 2 x 2 factors. The Gram's largest
 deviation from the identity is read off those factors without building the
 Gram, and the conditional moments take one step's values over the atoms at
 a time, so the exact checks hold only a few vectors of 2**n values. Sampled
-mode draws paths with a counter-based generator.
+mode draws paths with a counter-based generator. A path is one of the 2**n
+atoms and its basis products are the same numbers every time that atom is
+drawn, so the sampled Gram counts the draws per atom and weights one table
+of basis products over the drawn atoms by those counts.
 """
 from __future__ import annotations
 
@@ -33,20 +36,26 @@ _EXACT_ENUMERATION_CAP = 13
 # A constant, so raising CHAOSCALC_MAX_N does not lift it.
 _EXACT_VECTOR_CAP = 20
 # The sampled Gram and its second moments are two 2**n x 2**n tables, 1 MiB
-# at n = 8, and every sample costs about 4**n multiply-adds into them; the
-# samples themselves are held one block at a time.
+# at n = 8, built from a table of basis products over the drawn atoms, at
+# most as large again. A sample costs O(n) to draw and count, whatever n.
 _MC_BASIS_CAP = 8
-# The one memory budget for the sampled Gram's working table: a block of
-# samples holds this many bytes of basis values, so it has
-# _BLOCK_BYTES / (8 * 2**n) rows.
-_BLOCK_BYTES = 1 << 23
+# Samples drawn per block: _BLOCK_ROWS * n uniforms, at most 1 MiB at
+# n = _MC_BASIS_CAP, so memory does not grow with the sample count.
+_BLOCK_ROWS = 1 << 14
 # Side of the tiles in which a Gram's lower triangle is mirrored from its
 # upper triangle.
 _PANEL = 256
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator; distinct streams are independent by key."""
+    """Counter-based generator; distinct streams are independent by key.
+
+    ``seed`` and ``stream`` are the two 64-bit words of the key, each in
+    [0, 2**64); ValueError otherwise.
+    """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 1 << 64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -144,11 +153,6 @@ def _check_vector_size(n: int) -> int:
 
 def _mib(nbytes: int) -> str:
     return f"{nbytes / 2**20:g} MiB"
-
-
-def _block_rows(width: int) -> int:
-    """Rows of a float table ``width`` columns wide that fit the block budget."""
-    return max(1, _BLOCK_BYTES // (8 * width))
 
 
 def atom_probs(params: BernoulliParams) -> np.ndarray:
@@ -338,24 +342,23 @@ def conditional_moments(params: BernoulliParams) -> MomentReport:
 
 
 def _sample_blocks(params: BernoulliParams, samples: int, seed: int, stream: int, rows: int):
-    """Yield step outcomes ``rows`` samples at a time, drawn in order from one
-    stream, so the blocks concatenate to the same draws whatever ``rows`` is."""
+    """Yield which steps took their positive branch, a boolean table ``rows``
+    samples at a time, drawn in order from one stream, so the blocks
+    concatenate to the same draws whatever ``rows`` is."""
     if samples <= 0:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = rng_stream(seed, stream)
     t = np.asarray(params.thetas)
-    plus, minus = params.plus_values(), params.minus_values()
     for start in range(0, samples, rows):
-        hits = rng.random((min(rows, samples - start), params.n)) < t
-        yield np.where(hits, plus, minus)
+        yield rng.random((min(rows, samples - start), params.n)) < t
 
 
 def sample_steps(
     params: BernoulliParams, samples: int, seed: int, stream: int = 0
 ) -> np.ndarray:
     """Draw (samples, n) step outcomes from the product measure."""
-    (steps,) = _sample_blocks(params, samples, seed, stream, rows=samples)
-    return steps
+    (hits,) = _sample_blocks(params, samples, seed, stream, rows=samples)
+    return np.where(hits, params.plus_values(), params.minus_values())
 
 
 def monte_carlo_gram(
@@ -363,29 +366,32 @@ def monte_carlo_gram(
 ) -> tuple:
     """Sampled Gram matrix plus a per-entry standard error estimate.
 
-    The draws of :func:`sample_steps` are summed one block of samples at a
-    time into the upper triangles of the Gram and of the second moments, so
-    memory does not grow with ``samples``.
+    The draws of :func:`sample_steps` are counted per atom (bit k set = step
+    k took its positive branch), one block of samples at a time, so memory
+    does not grow with ``samples``. Every draw of an atom carries the same
+    basis products, so the sums over samples are the sums over the drawn
+    atoms of count times products: one table of products over at most 2**n
+    atoms, built by the same recursion as for a single sample, gives the
+    Gram and the second moments. Atoms never drawn never enter a product.
     """
     n = params.n
     if n > _MC_BASIS_CAP:
         raise ValueError(
-            f"the sampled Gram and its second moments take 16 * 4**n bytes and "
-            f"every sample costs about 4**n multiply-adds into them; capped at "
-            f"n = {_MC_BASIS_CAP} ({_mib(16 * 4**_MC_BASIS_CAP)}), got {n}"
+            f"the sampled Gram, its second moments and the basis products over "
+            f"the drawn atoms are tables of up to 2**n x 2**n values, 8 * 4**n "
+            f"bytes each; capped at n = {_MC_BASIS_CAP} "
+            f"({_mib(8 * 4**_MC_BASIS_CAP)} each), got {n}"
         )
-    # imported on use: loading scipy.linalg adds about 6 MB and 0.05 s to
-    # every process that imports the package, and only this Gram needs it
-    from scipy.linalg.blas import dsyrk
-
-    size = 1 << n
-    gram = np.zeros((size, size), order="F")
-    second = np.zeros((size, size), order="F")
-    for steps in _sample_blocks(params, samples, seed, stream, _block_rows(size)):
-        z = _products_over_masks(steps)
-        dsyrk(1.0, z, beta=1.0, c=gram, trans=1, overwrite_c=1)
-        dsyrk(1.0, np.square(z, out=z), beta=1.0, c=second, trans=1, overwrite_c=1)
-        del z  # free the block before the next one is built
+    bit_weights = 1 << np.arange(n, dtype=np.int64)
+    counts = np.zeros(1 << n, dtype=np.int64)
+    for hits in _sample_blocks(params, samples, seed, stream, _BLOCK_ROWS):
+        counts += np.bincount(hits @ bit_weights, minlength=1 << n)
+    seen = np.flatnonzero(counts)
+    weights = counts[seen].astype(float)[:, None]
+    z = _products_over_masks(psi_matrix(params)[seen])
+    gram = z.T @ (weights * z)
+    z *= z
+    second = z.T @ (weights * z)
     for table in (gram, second):
         _mirror_upper(table)
         table /= samples

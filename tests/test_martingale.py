@@ -166,10 +166,10 @@ class TestGram:
 
 
 @contextlib.contextmanager
-def blocking(rows: int, panel: int, width: int):
-    """Blocks of ``rows`` rows of a ``width``-column table, panels ``panel`` wide."""
+def blocking(rows: int, panel: int):
+    """Blocks of ``rows`` samples, panels ``panel`` wide."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(martingale, "_BLOCK_BYTES", rows * 8 * width)
+        mp.setattr(martingale, "_BLOCK_ROWS", rows)
         mp.setattr(martingale, "_PANEL", panel)
         yield
 
@@ -219,7 +219,7 @@ class TestBlockedGram:
         gram_ref = z.T @ z / samples
         second_ref = (z * z).T @ (z * z) / samples
         stderr_ref = np.sqrt(np.maximum(second_ref - gram_ref**2, 0.0) / samples)
-        with blocking(4096, 256, 64):
+        with blocking(4096, 256):
             gram, stderr = monte_carlo_gram(params, samples, seed=5)
         assert np.array_equal(gram, gram.T) and np.array_equal(stderr, stderr.T)
         if thetas[0] == 0.5:
@@ -244,16 +244,50 @@ class TestBlockedGram:
 
     def test_one_block_alive(self):
         # the exact Gram is built in place and the expansion maps work on
-        # vectors of 2**n values; the sampled Gram frees its 8 MiB block of
-        # basis values before the next one is built (two blocks alive read
-        # about 16.3 MiB)
+        # vectors of 2**n values; the sampled Gram holds one block of draws
+        # (1 MiB of uniforms at n = 8) and a few 256 x 256 tables over the
+        # drawn atoms: 3.0 MiB measured, bounded with 1 MiB of margin (a
+        # table of products per sample would take 39 MiB here)
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
         assert traced_peak(exact_gram, params) < 1.05 * 8 * 4**11
         phi = Functional.from_vector(np.arange(2048.0), 11)
         assert traced_peak(reconstruct, phi, params) < 12 * 2**20
         assert traced_peak(chaotic_expand, lambda path: path[0], params) < 12 * 2**20
         sampled = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 8)
-        assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 12 * 2**20
+        assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 4 * 2**20
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_block_size_is_invisible(self, data):
+        # the Gram comes from integer draw counts, which do not depend on
+        # how the draws are split into blocks
+        n = data.draw(st.integers(0, 8), label="n")
+        thetas = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+        samples = data.draw(st.integers(1, 5000), label="samples")
+        params = BernoulliParams(tuple(thetas))
+        gram, stderr = monte_carlo_gram(params, samples, seed=9)
+        for rows in (1, 7):
+            with blocking(rows, martingale._PANEL):
+                other_gram, other_stderr = monte_carlo_gram(params, samples, seed=9)
+            assert np.array_equal(gram, other_gram)
+            assert np.array_equal(stderr, other_stderr)
+
+    def test_products_only_over_atoms(self, monkeypatch):
+        rows_seen = []
+        products = martingale._products_over_masks
+
+        def spy(step_values):
+            rows_seen.append(len(step_values))
+            return products(step_values)
+
+        monkeypatch.setattr(martingale, "_products_over_masks", spy)
+        params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6)
+        monte_carlo_gram(params, 100_000, seed=3)
+        assert rows_seen and max(rows_seen) <= 64
+
+    def test_empty_path(self):
+        gram, stderr = monte_carlo_gram(BernoulliParams(()), 10, seed=1)
+        assert np.array_equal(gram, [[1.0]]) and np.array_equal(stderr, [[0.0]])
 
 
 def max_deviation(gram):
@@ -386,6 +420,23 @@ class TestSampling:
     def test_rng_stream_is_counter_based(self):
         gen = rng_stream(42, 3)
         assert type(gen.bit_generator).__name__ == "Philox"
+
+    def test_draw_equal_to_theta_misses(self):
+        # a uniform is k / 2**53 and hits when strictly below theta, so for
+        # theta on that grid P(hit) = theta exactly; a draw equal to theta
+        # takes the negative branch
+        theta = float(rng_stream(11).random())
+        params = BernoulliParams((theta, 0.5))
+        minus = params.minus_values()[0]
+        assert sample_steps(params, 1, seed=11)[0, 0] == minus
+        gram, _ = monte_carlo_gram(params, 1, seed=11)
+        assert gram[0, 1] == minus
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_rng_stream_key_range(self, seed, stream):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            rng_stream(seed, stream)
+        rng_stream(2**64 - 1, 2**64 - 1)
 
 
 class TestExpansion:
