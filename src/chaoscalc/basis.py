@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -180,44 +179,52 @@ def basis_size(n: int) -> int:
     return 1 << check_truncation(n)
 
 
-def lam_vector(n: int) -> np.ndarray:
-    """lambda over the full truncated basis, as a float array of length 2**n.
+# lambda of bits 0-7 and of bits 8-15 of a mask, by byte value: two fixed
+# tables of integers whose product is at most 16! < 2**53.
+_LOW_BYTES = tuple(np.array([lam(b << shift) for b in range(256)]) for shift in (0, 8))
+_LOW_BITS = 16
+_BYTE_POPCOUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
-    Built by the subset-product recursion: appending index m multiplies by m+1,
-    and masks with bit m set occupy the upper half of each doubling step.
-    Built once per level and shared, so the array is read-only.
+
+def lam_at(masks) -> np.ndarray:
+    """lambda at each of the given nonnegative int64 masks, as floats.
+
+    Every value equals ``lam(mask)`` exactly. Below bit 16 each partial
+    product :func:`lam` forms is an integer under 2**53, so the two byte
+    tables give the same double in one product; from bit 16 up, the value
+    is multiplied by m + 1 for each set bit m in increasing order, as lam
+    does.
     """
-    return _lam_vector(check_truncation(n))
+    masks = np.asarray(masks, dtype=np.int64)
+    out = _LOW_BYTES[0][masks & 255] * _LOW_BYTES[1][masks >> 8 & 255]
+    width = int(masks.max()).bit_length() if masks.size else 0
+    for m in range(_LOW_BITS, width):
+        np.multiply(out, m + 1, out=out, where=(masks & 1 << m) != 0)
+    return out
 
 
-# The caches hold one array per level, so each stays below 2**(cap + 1)
-# elements for the truncation cap in force.
-@lru_cache(maxsize=None)
-def _lam_vector(n: int) -> np.ndarray:
-    out = np.ones(1, dtype=float)
-    for m in range(n):
-        out = np.concatenate([out, out * (m + 1)])
-    out.flags.writeable = False
+def lam_vector(n: int) -> np.ndarray:
+    """lambda over the full truncated basis, as a float array of length 2**n;
+    :func:`lam_at` at every mask, for the dense routes that need them all."""
+    return lam_at(np.arange(1 << check_truncation(n)))
+
+
+def popcount_at(masks) -> np.ndarray:
+    """Cardinality of the subset at each of the given nonnegative int64
+    masks, as int64. Adds up per-byte counts from a fixed table, so numpy
+    < 2.0 (no ``np.bitwise_count``) runs it too."""
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.zeros(masks.shape, dtype=np.int64)
+    width = int(masks.max()).bit_length() if masks.size else 0
+    for shift in range(0, width, 8):
+        out += _BYTE_POPCOUNTS[masks >> shift & 255]
     return out
 
 
 def popcount_vector(n: int) -> np.ndarray:
-    """Cardinality of every subset of {0, ..., n-1}, length 2**n.
-
-    Same doubling recursion as :func:`lam_vector`: appending index m adds one
-    to every mask in the upper half. Built once per level and shared, so the
-    array is read-only.
-    """
-    return _popcount_vector(check_truncation(n))
-
-
-@lru_cache(maxsize=None)
-def _popcount_vector(n: int) -> np.ndarray:
-    out = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        out = np.concatenate([out, out + 1])
-    out.flags.writeable = False
-    return out
+    """Cardinality of every subset of {0, ..., n-1}, length 2**n;
+    :func:`popcount_at` at every mask."""
+    return popcount_at(np.arange(1 << check_truncation(n)))
 
 
 def lambda_series_partial(r: float, n: int) -> float:

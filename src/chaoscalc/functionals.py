@@ -20,7 +20,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .basis import Subset, _mask_of, basis_size, check_truncation, lam, lam_vector
+from .basis import (
+    Subset, _mask_of, basis_size, check_truncation, lam, lam_at, lambda_series_partial
+)
 
 # Masks are stored as int64, so a table's truncation level stays below 63.
 _MAX_TABLE_TRUNCATION = 62
@@ -236,7 +238,7 @@ class Functional:
         # Overflow (huge |p| or coefficients) gives inf or nan rather than a
         # warning; callers that print norms check them.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = lam_vector(self.truncation)[self.masks] ** power
+            weights = lam_at(self.masks) ** power
             return float(np.sqrt(np.sum(weights * _moduli(self.values) ** 2)))
 
     def norm(self, p: float) -> float:
@@ -339,10 +341,10 @@ def check_growth(phi: Functional, bound: GrowthBound, tol: float = 1e-12) -> Gro
     The consequence probed is: a bound of order p caps the dual norm one level
     up, dual_norm(phi, p + 1) <= scale * sqrt(sum over the truncated basis of
     lambda^(-2)), since each coefficient contributes at most
-    (scale * lambda^p)^2 * lambda^(-2(p+1)).
+    (scale * lambda^p)^2 * lambda^(-2(p+1)). The sum is taken in its product
+    form, :func:`~chaoscalc.basis.lambda_series_partial`.
     """
-    lams = lam_vector(phi.truncation)
-    excess = _moduli(phi.values) - bound.scale * lams[phi.masks] ** bound.order
+    excess = _moduli(phi.values) - bound.scale * lam_at(phi.masks) ** bound.order
     worst = 0.0
     witness = None
     if len(excess):
@@ -354,7 +356,7 @@ def check_growth(phi: Functional, bound: GrowthBound, tol: float = 1e-12) -> Gro
     satisfied = worst <= tol
     if not satisfied:
         return GrowthCheckResult(False, worst, witness)
-    cap = bound.scale * math.sqrt(float(np.sum(lams**-2.0)))
+    cap = bound.scale * math.sqrt(lambda_series_partial(2.0, phi.truncation))
     value = phi.dual_norm(bound.order + 1)
     holds = value <= cap * (1.0 + 1e-12) + 1e-15
     return GrowthCheckResult(True, 0.0, None, value, cap, holds)

@@ -21,13 +21,12 @@ therefore changes only bits below n and evaluates diagonals at those bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import as_index, check_truncation, popcount_vector
+from .basis import as_index, check_truncation, popcount_at
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
 
@@ -96,17 +95,17 @@ def hop_apply(j: int, k: int, phi: Functional) -> Functional:
 
 def gwn_apply(w: Weight2D, phi: Functional) -> Functional:
     """Weighted number operator for 2D weights: multiply by theta(sigma)."""
-    return _times(phi, w.theta_vector(phi.truncation)[_subset_masks(phi)])
+    return _times(phi, w.theta_at(_subset_masks(phi)))
 
 
 def wn1d_apply(u: Weight1D, phi: Functional) -> Functional:
     """Weighted number operator for 1D weights: multiply by count(sigma)."""
-    return _times(phi, u.count_vector(phi.truncation)[_subset_masks(phi)])
+    return _times(phi, u.count_at(_subset_masks(phi)))
 
 
 def number_apply(phi: Functional) -> Functional:
     """Plain number operator: multiply by the cardinality of sigma."""
-    return _times(phi, popcount_vector(phi.truncation)[_subset_masks(phi)])
+    return _times(phi, popcount_at(_subset_masks(phi)))
 
 
 def series_partial_2d(w: Weight2D, phi: Functional, m: int) -> Functional:
@@ -172,14 +171,14 @@ def l2_create(k: int, xi: Functional) -> Functional:
 def l2_wn_apply(w: Weight2D, xi: Functional) -> Functional:
     """Weighted number operator on the square-integrable side: diagonal theta."""
     subsets = xi.masks & ((1 << xi.truncation) - 1)
-    out = xi.values * w.theta_vector(xi.truncation).take(subsets)
+    out = xi.values * w.theta_at(subsets)
     return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
 def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
     """1D weighted number operator on the square-integrable side."""
     subsets = xi.masks & ((1 << xi.truncation) - 1)
-    out = xi.values * u.count_vector(xi.truncation).take(subsets)
+    out = xi.values * u.count_at(subsets)
     return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
@@ -256,32 +255,19 @@ class OperatorExpr:
         return Compose((self, other))
 
 
-def read_only(m: sp.csr_matrix) -> sp.csr_matrix:
-    """Lock a cached matrix's arrays, so that a caller writing into the
-    shared result gets an error instead of corrupting later lookups."""
-    for arr in (m.data, m.indices, m.indptr):
-        arr.flags.writeable = False
-    return m
+def _ladder_matrix(k: int, n: int, create: bool) -> sp.csr_matrix:
+    """CSR matrix of create(k) or annihilate(k) over the truncated basis.
 
-
-@lru_cache(maxsize=None)
-def _annihilate_matrix(k: int, n: int) -> sp.csr_matrix:
+    Row r holds a single 1, in column r ^ 2**k, when bit k of r is set
+    (create) or clear (annihilate); half the rows are empty.
+    """
     size = 1 << n
     bit = 1 << k
-    cols = np.array([m for m in range(size) if m & bit], dtype=np.int64)
-    rows = cols ^ bit
-    data = np.ones(len(cols), dtype=complex)
-    return read_only(sp.csr_matrix((data, (rows, cols)), shape=(size, size)))
-
-
-@lru_cache(maxsize=None)
-def _create_matrix(k: int, n: int) -> sp.csr_matrix:
-    size = 1 << n
-    bit = 1 << k
-    cols = np.array([m for m in range(size) if not m & bit], dtype=np.int64)
-    rows = cols | bit
-    data = np.ones(len(cols), dtype=complex)
-    return read_only(sp.csr_matrix((data, (rows, cols)), shape=(size, size)))
+    rows = np.arange(size, dtype=np.int64)
+    filled = ((rows & bit) != 0) == create
+    indptr = np.concatenate(([0], np.cumsum(filled)))
+    data = np.ones(size >> 1, dtype=complex)
+    return sp.csr_matrix((data, rows[filled] ^ bit, indptr), shape=(size, size))
 
 
 @dataclass(frozen=True)
@@ -294,7 +280,7 @@ class Annihilate(OperatorExpr):
     def materialize(self, n):
         n = check_truncation(n)
         _check_index(self.k, n, "annihilate")
-        return _annihilate_matrix(self.k, n)
+        return _ladder_matrix(self.k, n, create=False)
 
     def to_json(self):
         return {"op": "annihilate", "k": self.k}
@@ -310,7 +296,7 @@ class Create(OperatorExpr):
     def materialize(self, n):
         n = check_truncation(n)
         _check_index(self.k, n, "create")
-        return _create_matrix(self.k, n)
+        return _ladder_matrix(self.k, n, create=True)
 
     def to_json(self):
         return {"op": "create", "k": self.k}
@@ -320,21 +306,22 @@ class Create(OperatorExpr):
 class Diagonal(OperatorExpr):
     """Multiplication by a real function of the subset.
 
-    ``vector_fn(n)`` evaluates it over the full truncated basis; ``json_form``
-    makes the node serializable when the function has one.
+    ``values_at(masks)`` evaluates it at an int64 array of subset masks: a
+    table's own masks when applied, every mask below ``2**n`` when
+    materialized. ``json_form`` makes the node serializable when the
+    function has one.
     """
 
-    vector_fn: Callable[[int], np.ndarray]
+    values_at: Callable[[np.ndarray], np.ndarray]
     json_form: dict | None = None
 
     def apply(self, phi):
-        return _times(phi, self.vector(phi.truncation)[_subset_masks(phi)])
-
-    def vector(self, n: int) -> np.ndarray:
-        return np.asarray(self.vector_fn(check_truncation(n)), dtype=float)
+        return _times(phi, np.asarray(self.values_at(_subset_masks(phi)), dtype=float))
 
     def materialize(self, n):
-        return sp.diags(self.vector(n).astype(complex), format="csr")
+        masks = np.arange(1 << check_truncation(n), dtype=np.int64)
+        values = np.asarray(self.values_at(masks), dtype=float)
+        return sp.diags(values.astype(complex), format="csr")
 
     def to_json(self):
         if self.json_form is None:
@@ -422,9 +409,10 @@ class Compose(OperatorExpr):
         return out
 
     def materialize(self, n):
-        size = 1 << check_truncation(n)
-        out = sp.identity(size, dtype=complex, format="csr")
-        for factor in self.factors:
+        if not self.factors:
+            return Identity().materialize(n)
+        out = self.factors[0].materialize(n)
+        for factor in self.factors[1:]:
             out = out @ factor.materialize(n)
         return out.tocsr()
 
@@ -464,17 +452,17 @@ def hop_expr(j: int, k: int) -> Compose:
 
 
 def number() -> Diagonal:
-    return Diagonal(lambda n: popcount_vector(n).astype(float), {"op": "number"})
+    return Diagonal(popcount_at, {"op": "number"})
 
 
 def gwn_expr(w: Weight2D) -> Diagonal:
     """Expression form of the 2D weighted number operator (diagonal theta)."""
-    return Diagonal(w.theta_vector, {"op": "gwn", "weight": w.to_json()})
+    return Diagonal(w.theta_at, {"op": "gwn", "weight": w.to_json()})
 
 
 def wn1d_expr(u: Weight1D) -> Diagonal:
     """Expression form of the 1D weighted number operator (diagonal count)."""
-    return Diagonal(u.count_vector, {"op": "wn1d", "weight": u.to_json()})
+    return Diagonal(u.count_at, {"op": "wn1d", "weight": u.to_json()})
 
 
 def materialize(expr: OperatorExpr, n: int) -> sp.csr_matrix:

@@ -21,13 +21,12 @@ through basic-slicing views, and B itself is only an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import as_index, check_truncation, popcount_vector
-from .operators import l2_annihilate, l2_create, materialize_apply, read_only
+from .operators import l2_annihilate, l2_create, materialize_apply
 from .reports import family_level, family_reports, max_abs, residual
 from .weights import Weight2D
 
@@ -39,18 +38,13 @@ TOLERANCE = 1e-12
 def transfer_matrix(j: int, k: int, n: int) -> sp.csr_matrix:
     """Jump operator moving occupation k -> j, as a truncated matrix.
 
-    Materialized from the square-integrable-side applications. The result
-    is cached and shared, so its arrays are read-only. The indices are
-    checked before the cache is consulted, so 1.0 or True never reads the
-    entry of 1.
+    Materialized from the square-integrable-side applications on every
+    call; each call returns a new matrix. The indices must be integers
+    below n (1.0 or True is a ValueError).
     """
     n = check_truncation(n)
-    return _transfer_matrix(as_index(j, "transfer row"), as_index(k, "transfer column"), n)
-
-
-@lru_cache(maxsize=None)
-def _transfer_matrix(j: int, k: int, n: int) -> sp.csr_matrix:
-    return read_only(materialize_apply(lambda xi: l2_create(j, l2_annihilate(k, xi)), n))
+    j, k = as_index(j, "transfer row"), as_index(k, "transfer column")
+    return materialize_apply(lambda xi: l2_create(j, l2_annihilate(k, xi)), n)
 
 
 @dataclass

@@ -34,7 +34,9 @@ def max_abs(x) -> float:
     if isinstance(x, Functional):
         return x.max_abs()
     if sp.issparse(x):
-        return float(abs(x).max()) if x.nnz else 0.0
+        x = x.tocsr()
+        x.sum_duplicates()  # one stored value per entry
+        return float(np.abs(x.data).max()) if x.nnz else 0.0
     arr = np.asarray(x)
     if arr.size == 0:
         return 0.0

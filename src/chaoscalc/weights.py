@@ -32,17 +32,29 @@ def _json_kind(data):
     return data.get("kind")
 
 
-def _full_basis_vector(weight, n, build) -> np.ndarray:
-    """``build(n)`` for this weight, computed once per weight and level and
-    returned read-only. Weights are frozen, so the vector never goes stale;
-    the memo holds at most one vector per truncation level."""
-    vec = None if isinstance(n, bool) else weight._vectors.get(n)
-    if vec is None:
-        n = check_truncation(n)
-        vec = build(n)
-        vec.flags.writeable = False
-        weight._vectors[n] = vec
-    return vec
+# Masks are nonnegative int64, so no index at or above this is ever inside.
+_MASK_BITS = 63
+# Mask-term cells per chunk of _sum_inside, which bounds its scratch memory.
+_CHUNK_CELLS = 1 << 16
+
+
+def _sum_inside(masks, pairs, terms) -> np.ndarray:
+    """At each nonnegative int64 mask, the sum of the terms whose index pair
+    (j, k) lies inside its subset, added in the given order. A term outside
+    adds 0.0, which leaves every sum as it is, so each term is added to a
+    whole chunk of masks at once."""
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.zeros(masks.shape, dtype=float)
+    kept = [(j, k, t) for (j, k), t in zip(pairs, terms) if max(j, k) < _MASK_BITS]
+    bits = np.array([(1 << j) | (1 << k) for j, k, _ in kept], dtype=np.int64)[:, None]
+    values = np.array([t for _, _, t in kept], dtype=float)[:, None]
+    step = max(1, _CHUNK_CELLS // max(1, len(kept)))
+    for lo in range(0, masks.size, step):
+        inside = (masks[lo : lo + step] & bits) == bits
+        chunk = out[lo : lo + step]
+        for row in np.where(inside, values, 0.0):
+            chunk += row
+    return out
 
 
 def _as_clean_float(v, what: str) -> float:
@@ -69,7 +81,6 @@ class Weight1D:
             if value != 0.0:
                 cleaned[k] = value
         object.__setattr__(self, "values", cleaned)
-        object.__setattr__(self, "_vectors", {})
         listed_sup = max(cleaned.values(), default=0.0)
         if self.sup_bound is None:
             object.__setattr__(self, "sup_bound", listed_sup)
@@ -103,17 +114,14 @@ class Weight1D:
         mask = _mask_of(sigma)
         return sum(v for k, v in self.values.items() if mask >> k & 1)
 
-    def count_vector(self, n: int) -> np.ndarray:
-        """count over the full truncated basis, length 2**n (read-only)."""
-        return _full_basis_vector(self, n, self._count_vector)
+    def count_at(self, masks) -> np.ndarray:
+        """count at each of the given nonnegative int64 masks, in
+        O(masks x listed values), adding them in the order :meth:`count` does."""
+        return _sum_inside(masks, [(k, k) for k in self.values], self.values.values())
 
-    def _count_vector(self, n: int) -> np.ndarray:
-        out = np.zeros(1 << n, dtype=float)
-        masks = np.arange(1 << n, dtype=np.int64)
-        for k, v in self.values.items():
-            if k < n:
-                out[(masks >> k & 1).astype(bool)] += v
-        return out
+    def count_vector(self, n: int) -> np.ndarray:
+        """count over the full truncated basis, length 2**n."""
+        return self.count_at(np.arange(1 << check_truncation(n)))
 
     def support_bound(self) -> int:
         """1 + largest listed index (0 when empty)."""
@@ -180,7 +188,6 @@ class Weight2D:
                 )
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "_listed_sums", listed_sums)
-        object.__setattr__(self, "_vectors", {})
         if self.column_sums is not None:
             sums = {}
             for k, v in dict(self.column_sums).items():
@@ -283,27 +290,22 @@ class Weight2D:
             total += self.colsum(k) - inside
         return total
 
-    def theta_vector(self, n: int) -> np.ndarray:
-        """theta over the full truncated basis, length 2**n (read-only).
+    def theta_at(self, masks) -> np.ndarray:
+        """theta at each of the given nonnegative int64 masks, in
+        O(masks x terms).
 
-        Same rearrangement as :meth:`theta`, vectorized: per-index subset sums
-        of w(k,k) + colsum(k), minus the quadratic part over listed entries
-        with both indices inside sigma.
+        Same rearrangement as :meth:`theta`, vectorized: w(k,k) + colsum(k)
+        added over k in sigma in increasing k, then each listed entry with
+        both indices inside sigma subtracted in entry order.
         """
-        return _full_basis_vector(self, n, self._theta_vector)
+        columns = sorted(set(self._listed_sums).union(self.column_sums or ()))
+        pairs = [(k, k) for k in columns] + list(self.entries)
+        terms = [self.entries.get((k, k), 0.0) + self.colsum(k) for k in columns]
+        return _sum_inside(masks, pairs, terms + [-v for v in self.entries.values()])
 
-    def _theta_vector(self, n: int) -> np.ndarray:
-        size = 1 << n
-        masks = np.arange(size, dtype=np.int64)
-        out = np.zeros(size, dtype=float)
-        for k in range(n):
-            inside_k = (masks >> k & 1).astype(bool)
-            out[inside_k] += self.entries.get((k, k), 0.0) + self.colsum(k)
-        for (j, k), v in self.entries.items():
-            if j < n and k < n:
-                both = ((masks >> j & 1) & (masks >> k & 1)).astype(bool)
-                out[both] -= v
-        return out
+    def theta_vector(self, n: int) -> np.ndarray:
+        """theta over the full truncated basis, length 2**n."""
+        return self.theta_at(np.arange(1 << check_truncation(n)))
 
     def support_bound(self) -> int:
         """1 + largest index appearing in entries or column_sums (0 if none)."""

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import chaoscalc
+from chaoscalc.basis import Subset, lam
 from chaoscalc.cli import main
 from chaoscalc.functionals import Functional
 from chaoscalc.qms import GeneratorSpec, generator_apply, matrix_from_json, matrix_to_json
-from chaoscalc.weights import Weight2D
+from chaoscalc.weights import Weight1D, Weight2D
 
 RUNNING_WEIGHT = {
     "kind": "dense",
@@ -232,6 +234,66 @@ class TestNorms:
         assert code == 2 and payload is None
         assert_one_error_line(err)
         assert "--p" in err
+
+
+def test_sparse_tables_at_truncation_62(tmp_path):
+    # Diagonals and norms are evaluated at the table's own masks, so a
+    # two-entry table at the int64 limit costs two entries, not 2**62. The
+    # run is a child process whose address space is capped at 1 GiB, so a
+    # kernel that sizes its work by 2**n fails here instead of exhausting
+    # the machine.
+    w = Weight2D.from_entries([(61, 0, 2.0), (0, 61, 1.5), (61, 61, 0.25), (3, 5, 0.75)])
+    u = Weight1D({61: 3.0, 0: 0.5})
+    expr = {
+        "op": "compose",
+        "args": [
+            {"op": "gwn", "weight": w.to_json()},
+            {"op": "number"},
+            {"op": "wn1d", "weight": u.to_json()},
+        ],
+    }
+    table = {(0, 61): 3 - 4j, (5, 61): 0.5 + 0j}
+    functional = {
+        "truncation": 62,
+        "coefficients": [[list(s), c.real, c.imag] for s, c in table.items()],
+    }
+    expr_path = write_json(tmp_path / "expr.json", expr)
+    phi_path = write_json(tmp_path / "phi.json", functional)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from chaoscalc.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(pathlib.Path(chaoscalc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "CHAOSCALC_MAX_N": "62", "OPENBLAS_NUM_THREADS": "1"}
+
+    def run(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+            timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    applied = run("apply", "--expr", expr_path, "--functional", phi_path)
+    assert applied["truncation"] == 62
+    expected = {
+        s: w.theta(Subset.of(*s)) * (len(Subset.of(*s)) * (u.count(Subset.of(*s)) * c))
+        for s, c in table.items()
+    }
+    assert {tuple(s): complex(re, im) for s, re, im in applied["coefficients"]} == expected
+
+    normed = run("norms", "--functional", phi_path)
+    assert normed["truncation"] == 62 and normed["entries"] == 2
+    # numpy's power may round differently from math.pow, so the oracle takes
+    # lambda from the scalar lam and its powers through numpy
+    lams = np.array([lam(Subset.of(*s)) for s in table])
+    moduli = np.array([abs(c) for c in table.values()])
+    for row in normed["norms"]:
+        for key, power in (("norm", 2 * row["p"]), ("dual_norm", -2 * row["p"])):
+            oracle = math.sqrt(float(np.sum(lams**power * moduli**2)))
+            assert row[key] == oracle, (key, row["p"])
 
 
 @pytest.mark.parametrize("command", ["verify", "qms"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chaoscalc.basis import Subset, enumerate_basis, lam, lam_vector
+from chaoscalc.basis import Subset, enumerate_basis, lam, lam_at
 from chaoscalc.functionals import Functional, pair, riesz_embed
 from chaoscalc.operators import (
     Compose,
@@ -121,7 +121,7 @@ class TestLadderActions:
 class TestDiagonalActions:
     def test_lambda_multiplier(self):
         phi = Functional.delta(Subset.of(0, 2), 3)
-        out = Diagonal(lam_vector).apply(phi)
+        out = Diagonal(lam_at).apply(phi)
         assert out.fock(Subset.of(0, 2)) == lam(Subset.of(0, 2)) == 3.0
 
     def test_gwn_hand_cases(self, running):
@@ -313,7 +313,7 @@ class TestMaterialize:
     def test_identity_zero_diag(self):
         assert abs(materialize(identity(), 2) - sp.identity(4)).max() == 0.0
         assert materialize(zero(), 2).nnz == 0
-        lam_mat = materialize(Diagonal(lam_vector), 3).toarray()
+        lam_mat = materialize(Diagonal(lam_at), 3).toarray()
         for sigma in enumerate_basis(3):
             assert lam_mat[sigma.mask, sigma.mask] == lam(sigma)
 
@@ -366,11 +366,12 @@ class TestMaterialize:
 
     @pytest.mark.parametrize("leaf", [annihilate, create])
     def test_cached_ladder_matrix_is_read_only(self, leaf):
+        # each call builds its own matrix, so a write into one never shows
+        # in the next
         before = materialize(leaf(1), 3).toarray()
-        cached = materialize(leaf(1), 3)
-        for arr in (cached.data, cached.indices, cached.indptr):
-            with pytest.raises(ValueError):
-                arr[:] = 7
+        first = materialize(leaf(1), 3)
+        for arr in (first.data, first.indices, first.indptr):
+            arr[:] = 0
         assert np.array_equal(materialize(leaf(1), 3).toarray(), before)
 
 
@@ -442,7 +443,7 @@ class TestJson:
 
     def test_plain_diagonal_does_not_serialize(self):
         with pytest.raises(ValueError):
-            Diagonal(lam_vector).to_json()
+            Diagonal(lam_at).to_json()
         assert number().to_json() == {"op": "number"}
 
     def test_parse_errors(self):

@@ -73,16 +73,16 @@ class TestHandOracle:
         assert np.array_equal(transfer_matrix(0, 1, 2).toarray(), hand_jump_matrix_n2())
 
     def test_transfer_matrix_is_read_only(self):
+        # each call builds its own matrix, so a write into one never shows
+        # in the next
         before = transfer_matrix(0, 1, 3).toarray()
-        cached = transfer_matrix(0, 1, 3)
-        for arr in (cached.data, cached.indices, cached.indptr):
-            with pytest.raises(ValueError):
-                arr[:] = 7
+        first = transfer_matrix(0, 1, 3)
+        for arr in (first.data, first.indices, first.indptr):
+            arr[:] = 0
         assert np.array_equal(transfer_matrix(0, 1, 3).toarray(), before)
 
-    def test_transfer_matrix_checks_indices_before_the_cache(self):
-        # (1, 0, 3) is cached first; 1.0 and True hash like 1 but must not
-        # be served from its entry
+    def test_transfer_matrix_rejects_non_integer_indices(self):
+        # 1.0 and True are not read as index 1
         assert transfer_matrix(1, 0, 3).nnz == 2
         for j, k in ((1.0, 0), (True, 0), (1, 0.0), (1.5, 0)):
             with pytest.raises(ValueError, match="integer"):

@@ -2,25 +2,29 @@
 
 Every kernel works on a table's sorted mask array and its value array. Here
 random sparse tables (n <= 6, some zero and tiny values, so products can
-underflow) are checked against a dense route on ``as_vector()``: the cached
-CSR matrices for index moves, ``theta_vector``/``count_vector``/
+underflow) are checked against a dense route on ``as_vector()``: the CSR
+matrices for index moves, ``theta_vector``/``count_vector``/
 ``popcount_vector`` for diagonals, plain vector arithmetic for the linear
 structure and ``lam_vector`` for the norms. Every output must keep the table
-invariants. The one-call ``materialize_apply``, which tags each basis column
-in the mask bits above n, is checked against a literal column-by-column sweep
-of every kernel.
+invariants. The mask evaluators behind the diagonals and norms are checked
+against the scalar oracles on masks that use all 63 bits. The one-call
+``materialize_apply``, which tags each basis column in the mask bits above
+n, is checked against a literal column-by-column sweep of every kernel.
 """
 from __future__ import annotations
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaoscalc import operators
-from chaoscalc.basis import Subset, lam_vector, popcount_vector
+import chaoscalc
+from chaoscalc import operators, weights
+from chaoscalc.basis import Subset, lam, lam_at, lam_vector, popcount_at, popcount_vector
 from chaoscalc.functionals import Functional, GrowthBound, check_growth
 from chaoscalc.operators import (
     Diagonal,
@@ -49,7 +53,7 @@ from chaoscalc.operators import (
     wn1d_expr,
 )
 from chaoscalc.verifier import check_l2_lemmas
-from chaoscalc.weights import Weight1D, Weight2D
+from chaoscalc.weights import Weight1D, Weight2D, theta_double_sum
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -198,6 +202,100 @@ def test_growth_witness_is_smallest_worst_mask(phi, scale, order):
         assert result.witness == witness
 
 
+# Indices reach past the 63 bits of an int64 mask. With small integer weight
+# values every sum is exact in any order, so theta's rearranged and
+# double-sum oracles and count's sum must agree with the evaluators bit for
+# bit. With any float values the evaluators must still match the reference
+# loops below, which fix the order of the additions.
+far_index = st.integers(0, 70) | st.sampled_from([61, 62, 63])
+small_integer = st.integers(0, 1000).map(float)
+
+
+@st.composite
+def far_weights(draw, values):
+    entries = draw(st.dictionaries(st.tuples(far_index, far_index), values, max_size=12))
+    w = Weight2D(entries)
+    if draw(st.booleans()):
+        # closed-form column sums at or above the listed ones
+        columns = draw(st.lists(far_index, max_size=4))
+        w = Weight2D(entries, column_sums={k: w.colsum(k) + draw(values) for k in columns})
+    return w, Weight1D(draw(st.dictionaries(far_index, values, max_size=6)))
+
+
+def theta_in_builder_order(w: Weight2D, mask: int) -> float:
+    """w(k,k) + colsum(k) added in increasing k, then the listed entries
+    inside sigma subtracted in entry order."""
+    total = 0.0
+    for k in Subset(mask):
+        total += w(k, k) + w.colsum(k)
+    for (j, k), v in w.entries.items():
+        if mask >> j & 1 and mask >> k & 1:
+            total -= v
+    return total
+
+
+def count_in_builder_order(u: Weight1D, mask: int) -> float:
+    """The listed values inside sigma added in entry order."""
+    total = 0.0
+    for k, v in u.values.items():
+        if mask >> k & 1:
+            total += v
+    return total
+
+
+@SETTINGS
+@given(st.data())
+def test_mask_evaluators_match_scalar_oracles(data):
+    n = data.draw(st.integers(0, 63) | st.just(63))
+    sigmas = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    masks = np.array(sigmas, dtype=np.int64)
+    integral = data.draw(st.booleans())
+    w, u = data.draw(far_weights(small_integer if integral else st.floats(0.0, 10.0)))
+    theta, count = w.theta_at(masks), u.count_at(masks)
+    assert theta.dtype == count.dtype == np.float64
+    assert theta.tolist() == [theta_in_builder_order(w, m) for m in sigmas]
+    assert count.tolist() == [count_in_builder_order(u, m) for m in sigmas]
+    if integral:
+        assert theta.tolist() == [w.theta(m) for m in sigmas]
+        if w.is_exact():
+            assert theta.tolist() == [theta_double_sum(w, m) for m in sigmas]
+        assert count.tolist() == [u.count(m) for m in sigmas]
+    assert lam_at(masks).tolist() == [lam(m) for m in sigmas]
+    assert popcount_at(masks).tolist() == [len(Subset(m)) for m in sigmas]
+
+
+def test_mask_evaluators_keep_the_builder_order(monkeypatch):
+    # many full-mantissa terms on dense and top-bit masks: a sum taken in any
+    # other order rounds differently somewhere here
+    rng = np.random.default_rng(3)
+    indices = [0, 1, 2, 3, 5, 8, 61, 62, 63, 64]
+    pairs = rng.choice(indices, size=(30, 2)).tolist()
+    entries = {(j, k): float(rng.random()) for j, k in pairs}
+    listed = Weight2D(entries)
+    w = Weight2D(entries, column_sums={k: listed.colsum(k) + 1.5 for k in (2, 9, 62)})
+    u = Weight1D({k: float(rng.random()) for k in rng.choice(indices, size=8).tolist()})
+    masks = np.concatenate([np.arange(512), rng.integers(0, 2**63 - 1, size=512)])
+    sigmas = masks.tolist()
+    theta = [theta_in_builder_order(w, m) for m in sigmas]
+    count = [count_in_builder_order(u, m) for m in sigmas]
+    assert w.theta_at(masks).tolist() == theta and u.count_at(masks).tolist() == count
+    assert lam_at(masks).tolist() == [lam(m) for m in sigmas]
+    # the same sums when the masks are worked through a few at a time
+    monkeypatch.setattr(weights, "_CHUNK_CELLS", 100)
+    assert w.theta_at(masks).tolist() == theta and u.count_at(masks).tolist() == count
+
+
+def test_package_keeps_no_cache():
+    # per-level or per-index memos grow with every level and index a process
+    # touches; kernels evaluate at the masks they are given instead
+    cache = re.compile(
+        r"\blru_cache\b|\bcached_property\b|functools\.cache\b|import[^\n]*\bcache\b"
+    )
+    package = pathlib.Path(chaoscalc.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert not cache.search(path.read_text()), path.name
+
+
 def test_coefficient_view_is_read_only():
     phi = Functional({0b10: 2.0, 0b01: 0.0}, 2)
     assert dict(phi.coeffs) == {2: 2 + 0j} and len(phi.coeffs) == 1
@@ -245,7 +343,7 @@ def test_one_call_materialize_matches_column_sweep(data):
         "gwn_expr": gwn_expr(w).apply,
         "wn1d_expr": wn1d_expr(u).apply,
         "number": number().apply,
-        "Diagonal(lam_vector)": Diagonal(lam_vector).apply,
+        "Diagonal(lam_at)": Diagonal(lam_at).apply,
         "series_partial_2d": lambda f: series_partial_2d(w, f, cut),
         "series_partial_1d": lambda f: series_partial_1d(u, f, cut),
         "number_series_partial": lambda f: number_series_partial(f, cut),

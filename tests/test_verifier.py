@@ -64,6 +64,9 @@ class TestResidualHelpers:
         a = sp.csr_matrix(np.eye(3, dtype=complex))
         assert residual(a, a) == 0.0
         assert max_abs(sp.csr_matrix((3, 3), dtype=complex)) == 0.0
+        # stored duplicates are one entry: 2 + 2 at (0, 1), in CSR or COO form
+        dup = sp.csr_matrix(([2.0, 2.0, -3.0], [1, 1, 0], [0, 2, 3, 3]), shape=(3, 3))
+        assert max_abs(dup) == max_abs(dup.tocoo()) == 4.0
         phi = Functional({0: 2.0}, 2)
         assert residual(phi, Functional({0: 1.0}, 2)) == pytest.approx(0.5)
 
