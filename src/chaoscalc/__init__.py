@@ -7,6 +7,11 @@ number operators on both the coefficient and the square-integrable side),
 `martingale` (discrete Bernoulli noise, exact and sampled Gram matrices),
 `qms` (a Lindblad-type generator built from the exclusion jump operators),
 and `verifier` (the identity-check engine behind the CLI).
+
+`scipy.sparse` and `scipy.special` are written out in full after a plain
+``import scipy``: SciPy loads a submodule on its first attribute access, so
+the numpy-only commands (`simulate`, `apply`, `norms`, `qms`) start without
+them.
 """
 
 from .basis import (

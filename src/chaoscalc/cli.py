@@ -185,7 +185,7 @@ def cmd_norms(args) -> int:
     payload = {
         "command": "norms",
         "truncation": phi.truncation,
-        "entries": len(phi.support()),
+        "entries": len(phi.masks),
         "norms": table,
     }
     _emit(payload, args.out)

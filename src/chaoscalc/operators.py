@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .basis import as_index, check_truncation, popcount_at
 from .functionals import Functional
@@ -184,7 +184,7 @@ def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
 
 def materialize_apply(
     apply_fn: Callable[[Functional], Functional], n: int
-) -> sp.csr_matrix:
+) -> scipy.sparse.csr_matrix:
     """Matrix of an operator given only its action, from one call of ``apply_fn``.
 
     The whole basis goes in as one private table whose masks carry their
@@ -205,7 +205,7 @@ def materialize_apply(
     size = 1 << n
     cols = np.arange(size, dtype=np.int64)
     image = apply_fn(Functional._from_arrays(cols << n | cols, np.ones(size, dtype=complex), n))
-    return sp.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (image.values, (image.masks & (size - 1), image.masks >> n)),
         shape=(size, size),
         dtype=complex,
@@ -223,7 +223,7 @@ class OperatorExpr:
     def apply(self, phi: Functional) -> Functional:
         raise NotImplementedError
 
-    def materialize(self, n: int) -> sp.csr_matrix:
+    def materialize(self, n: int) -> scipy.sparse.csr_matrix:
         raise NotImplementedError
 
     def to_json(self) -> dict:
@@ -255,7 +255,7 @@ class OperatorExpr:
         return Compose((self, other))
 
 
-def _ladder_matrix(k: int, n: int, create: bool) -> sp.csr_matrix:
+def _ladder_matrix(k: int, n: int, create: bool) -> scipy.sparse.csr_matrix:
     """CSR matrix of create(k) or annihilate(k) over the truncated basis.
 
     Row r holds a single 1, in column r ^ 2**k, when bit k of r is set
@@ -267,7 +267,9 @@ def _ladder_matrix(k: int, n: int, create: bool) -> sp.csr_matrix:
     filled = ((rows & bit) != 0) == create
     indptr = np.concatenate(([0], np.cumsum(filled)))
     data = np.ones(size >> 1, dtype=complex)
-    return sp.csr_matrix((data, rows[filled] ^ bit, indptr), shape=(size, size))
+    return scipy.sparse.csr_matrix(
+        (data, rows[filled] ^ bit, indptr), shape=(size, size)
+    )
 
 
 @dataclass(frozen=True)
@@ -319,9 +321,14 @@ class Diagonal(OperatorExpr):
         return _times(phi, np.asarray(self.values_at(_subset_masks(phi)), dtype=float))
 
     def materialize(self, n):
-        masks = np.arange(1 << check_truncation(n), dtype=np.int64)
-        values = np.asarray(self.values_at(masks), dtype=float)
-        return sp.diags(values.astype(complex), format="csr")
+        size = 1 << check_truncation(n)
+        values = np.asarray(self.values_at(np.arange(size, dtype=np.int64)), dtype=float)
+        # CSR straight from the nonzero values, dropping zeros as diags does
+        kept = np.flatnonzero(values)
+        indptr = np.concatenate(([0], np.cumsum(values != 0)))
+        return scipy.sparse.csr_matrix(
+            (values[kept].astype(complex), kept, indptr), shape=(size, size)
+        )
 
     def to_json(self):
         if self.json_form is None:
@@ -337,7 +344,8 @@ class Identity(OperatorExpr):
         return Functional._from_arrays(phi.masks, phi.values, phi.truncation)
 
     def materialize(self, n):
-        return sp.identity(1 << check_truncation(n), dtype=complex, format="csr")
+        size = 1 << check_truncation(n)
+        return scipy.sparse.identity(size, dtype=complex, format="csr")
 
     def to_json(self):
         return {"op": "identity"}
@@ -350,7 +358,7 @@ class Zero(OperatorExpr):
 
     def materialize(self, n):
         size = 1 << check_truncation(n)
-        return sp.csr_matrix((size, size), dtype=complex)
+        return scipy.sparse.csr_matrix((size, size), dtype=complex)
 
     def to_json(self):
         return {"op": "zero"}
@@ -368,7 +376,7 @@ class Sum(OperatorExpr):
 
     def materialize(self, n):
         size = 1 << check_truncation(n)
-        out = sp.csr_matrix((size, size), dtype=complex)
+        out = scipy.sparse.csr_matrix((size, size), dtype=complex)
         for term in self.terms:
             out = out + term.materialize(n)
         return out
@@ -465,7 +473,7 @@ def wn1d_expr(u: Weight1D) -> Diagonal:
     return Diagonal(u.count_at, {"op": "wn1d", "weight": u.to_json()})
 
 
-def materialize(expr: OperatorExpr, n: int) -> sp.csr_matrix:
+def materialize(expr: OperatorExpr, n: int) -> scipy.sparse.csr_matrix:
     """CSR matrix of an expression over the truncated basis (column = input)."""
     return expr.materialize(n)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .basis import as_index, check_truncation, popcount_vector
 from .operators import l2_annihilate, l2_create, materialize_apply
@@ -35,7 +35,7 @@ _HERMITIAN_TOL = 1e-12
 TOLERANCE = 1e-12
 
 
-def transfer_matrix(j: int, k: int, n: int) -> sp.csr_matrix:
+def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:
     """Jump operator moving occupation k -> j, as a truncated matrix.
 
     Materialized from the square-integrable-side applications on every

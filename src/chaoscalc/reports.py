@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .basis import check_truncation
 from .functionals import Functional
@@ -29,18 +29,26 @@ NEGATIVE_CONTROL = "negative-control"
 PERTURBATION = 1e-6
 
 
+def _dense(x) -> bool:
+    """Whether x is compared as a numpy array. Arrays and scalars are
+    recognized before ``scipy.sparse.issparse`` is called, so a dense
+    comparison never loads ``scipy.sparse``."""
+    dense = (np.ndarray, np.generic, int, float, complex)
+    return isinstance(x, dense) or not scipy.sparse.issparse(x)
+
+
 def max_abs(x) -> float:
     """Largest entry magnitude of a scalar, array, sparse matrix or functional."""
     if isinstance(x, Functional):
         return x.max_abs()
-    if sp.issparse(x):
-        x = x.tocsr()
-        x.sum_duplicates()  # one stored value per entry
-        return float(np.abs(x.data).max()) if x.nnz else 0.0
-    arr = np.asarray(x)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr)))
+    if _dense(x):
+        arr = np.asarray(x)
+        if arr.size == 0:
+            return 0.0
+        return float(np.max(np.abs(arr)))
+    x = x.tocsr()
+    x.sum_duplicates()  # one stored value per entry
+    return float(np.abs(x.data).max()) if x.nnz else 0.0
 
 
 def residual(lhs, rhs) -> float:
@@ -64,17 +72,15 @@ def perturbed(x):
     if isinstance(x, Functional):
         target = int(x.masks[0]) if len(x.masks) else 0
         return x + eps * Functional.delta(target, x.truncation)
-    if sp.issparse(x):
-        bump = sp.csr_matrix(
-            ([eps], ([0], [0])), shape=x.shape, dtype=complex
-        )
-        return (x + bump).tocsr()
-    arr = np.asarray(x)
-    if arr.ndim == 0:
-        return x + eps
-    out = np.array(arr, copy=True)
-    out.flat[0] = out.flat[0] + eps
-    return out
+    if _dense(x):
+        arr = np.asarray(x)
+        if arr.ndim == 0:
+            return x + eps
+        out = np.array(arr, copy=True)
+        out.flat[0] = out.flat[0] + eps
+        return out
+    bump = scipy.sparse.csr_matrix(([eps], ([0], [0])), shape=x.shape, dtype=complex)
+    return (x + bump).tocsr()
 
 
 def family_level(n: int) -> int:

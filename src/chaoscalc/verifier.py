@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .basis import check_truncation, lam_vector, popcount_vector
 from .functionals import Functional, GrowthBound, check_growth, pair, riesz_embed
@@ -118,7 +118,7 @@ def check_car(n: int) -> list:
     """
     n = family_level(n)
     a, c = _ladder_matrices(n)
-    eye = sp.identity(1 << n, dtype=complex, format="csr")
+    eye = scipy.sparse.identity(1 << n, dtype=complex, format="csr")
     equal_time = [(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n)]
     cross_aa = cross_cc = cross_ca = 0.0
     for j in range(n):
@@ -131,7 +131,7 @@ def check_car(n: int) -> list:
     occ = max(
         residual(
             materialize(occupation(k), n),
-            sp.diags((masks >> k & 1).astype(complex), format="csr"),
+            scipy.sparse.diags((masks >> k & 1).astype(complex), format="csr"),
         )
         for k in range(n)
     )
@@ -199,7 +199,7 @@ def check_hop(n: int) -> list:
             else:
                 symbol = (in_k & (1 - (masks >> j & 1))).astype(complex)
             worst_symbol = max(
-                worst_symbol, residual(closed, sp.diags(symbol, format="csr"))
+                worst_symbol, residual(closed, scipy.sparse.diags(symbol, format="csr"))
             )
     return family_reports(
         {"n": n},
@@ -639,7 +639,7 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     the code path that never touches the expression engine.
     """
     n = family_level(n)
-    eye = sp.identity(1 << n, dtype=complex, format="csr")
+    eye = scipy.sparse.identity(1 << n, dtype=complex, format="csr")
     d = [materialize_apply(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
     ds = [materialize_apply(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
     s_w = materialize_apply(lambda f: l2_wn_apply(w, f), n)

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,13 @@ class TestNorms:
         assert code == 0
         assert all(row["norm"] == 0.0 and row["dual_norm"] == 0.0 for row in payload["norms"])
 
+    def test_entries_counts_the_table(self, tmp_path, capsys):
+        dense = Functional.from_vector(np.arange(1, 17, dtype=complex), 4)
+        for phi, size in ((dense, 16), (Functional({0b101: 2.0}, 4), 1)):
+            f_path = write_json(tmp_path / "phi.json", phi.to_json())
+            code, payload, _ = run_cli(capsys, "norms", "--functional", f_path)
+            assert code == 0 and payload["entries"] == size
+
     def test_non_finite_coefficient(self, tmp_path, capsys):
         f_path = write_json(
             tmp_path / "phi.json", {"truncation": 2, "coefficients": [[[0], "nan", 0]]}
@@ -296,6 +304,67 @@ def test_sparse_tables_at_truncation_62(tmp_path):
             assert row[key] == oracle, (key, row["p"])
 
 
+def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
+    # simulate (both modes), apply, norms and qms run on numpy alone, so a
+    # cold start skips scipy.sparse (about 22 MB and 0.25 s to load),
+    # scipy.special and scipy.linalg; the first matrix loads scipy.sparse and
+    # the first zeta scipy.special
+    x = np.arange(16, dtype=complex).reshape(4, 4)
+    h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
+    expr = {
+        "op": "compose",
+        "args": [
+            {"op": "gwn", "weight": RUNNING_WEIGHT},
+            {"op": "number"},
+            {"op": "wn1d", "weight": Weight1D({1: 1.5}).to_json()},
+        ],
+    }
+    w_path = write_json(tmp_path / "w.json", RUNNING_WEIGHT)
+    x_path = write_json(tmp_path / "x.json", matrix_to_json(x, 2))
+    h_path = write_json(tmp_path / "h.json", matrix_to_json(h, 2))
+    e_path = write_json(tmp_path / "expr.json", expr)
+    f_path = write_json(
+        tmp_path / "phi.json", {"truncation": 3, "coefficients": [[[0, 1], 1.0, 0.5]]}
+    )
+    numpy_only = [
+        ["simulate", "--n", "4"],
+        ["simulate", "--n", "4", "--samples", "100"],
+        ["apply", "--expr", e_path, "--functional", f_path],
+        ["norms", "--functional", f_path],
+        ["qms", "--weight", w_path, "--x", x_path],
+        ["qms", "--weight", w_path, "--x", x_path, "--hamiltonian", h_path],
+    ]
+    out = str(tmp_path / "out.json")
+    script = textwrap.dedent(f"""
+        import json, sys
+        import chaoscalc
+        from chaoscalc.cli import main
+        lazy = ("scipy.sparse", "scipy.special", "scipy.linalg")
+        loaded = {{}}
+        for argv in {numpy_only!r}:
+            assert main([*argv, "--out", {out!r}]) == 0, argv
+        loaded["numpy-only"] = [m for m in lazy if m in sys.modules]
+        assert main(["verify", "--n", "4", "--out", {out!r}]) == 0
+        loaded["verify"] = [m for m in lazy if m in sys.modules]
+        bound = chaoscalc.lambda_series_bound(2.0)
+        loaded["bound"] = [m for m in lazy if m in sys.modules]
+        print(json.dumps({{"loaded": loaded, "bound": bound}}))
+    """)
+    src = str(pathlib.Path(chaoscalc.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["loaded"] == {
+        "numpy-only": [],
+        "verify": ["scipy.sparse"],
+        "bound": ["scipy.sparse", "scipy.special"],
+    }
+    assert seen["bound"] == math.exp(math.pi**2 / 6)
+
+
 @pytest.mark.parametrize("command", ["verify", "qms"])
 @pytest.mark.parametrize(
     "weight", list(MALFORMED_WEIGHTS.values()), ids=list(MALFORMED_WEIGHTS)
@@ -358,22 +427,6 @@ class TestSimulate:
         assert code == 2 and payload is None
         assert_one_error_line(err)
         assert "exact mode handles up to n = 20" in err
-
-    def test_exact_mode_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # loading scipy.linalg costs about 6 MB and 0.05 s; neither mode needs it
-        script = (
-            "import sys\n"
-            "from chaoscalc.cli import main\n"
-            "for argv in (['--n', '4'], ['--n', '4', '--samples', '100']):\n"
-            f"    main(['simulate', *argv, '--out', {str(tmp_path / 'out.json')!r}])\n"
-            "    print('scipy.linalg' in sys.modules)\n"
-        )
-        src = str(pathlib.Path(chaoscalc.__file__).parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src}, check=True,
-        )
-        assert result.stdout.split() == ["False", "False"]
 
     def test_theta_file_list(self, tmp_path, capsys):
         path = write_json(tmp_path / "t.json", [0.25, 1 / 3, 2 / 3, 0.9])

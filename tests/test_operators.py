@@ -364,6 +364,18 @@ class TestMaterialize:
         direct = materialize(annihilate(1), n).toarray()
         assert np.array_equal(swept, direct)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_diagonal_csr_matches_diags(self, n, running):
+        # theta vanishes wherever bit 1 is clear and the count wherever bit 2
+        # is: those zeros are dropped, as scipy's diags drops them
+        masks = np.arange(1 << n, dtype=np.int64)
+        for leaf in (gwn_expr(running), wn1d_expr(Weight1D({2: 1.5})), number()):
+            got = materialize(leaf, n)
+            want = sp.diags(leaf.values_at(masks).astype(complex), format="csr")
+            for part in ("data", "indices", "indptr"):
+                mine, theirs = getattr(got, part), getattr(want, part)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
     @pytest.mark.parametrize("leaf", [annihilate, create])
     def test_cached_ladder_matrix_is_read_only(self, leaf):
         # each call builds its own matrix, so a write into one never shows
