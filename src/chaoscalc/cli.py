@@ -32,13 +32,9 @@ from .martingale import (
 )
 from .operators import parse_expr
 from .qms import GeneratorSpec, generator_apply, matrix_from_json, matrix_to_json
-from .reports import all_ok, format_line, run_to_json, timing_json
-from .verifier import FAMILY_NAMES, QMS_MAX_N, TOLERANCE, run_all
+from .reports import TOLERANCE, all_ok, format_line, run_to_json, timing_json
+from .verifier import FAMILY_NAMES, QMS_MAX_N, run_all
 from .weights import Weight2D
-
-
-class ConfigError(ValueError):
-    """Bad flags, unreadable files, malformed JSON: exit code 2."""
 
 
 def _load_json(path: str):
@@ -46,10 +42,10 @@ def _load_json(path: str):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -59,7 +55,7 @@ def _emit(payload: dict, out: str | None) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -100,13 +96,13 @@ def _theta_params(raw: str, n: int) -> BernoulliParams:
     data = _load_json(raw)
     params = BernoulliParams.from_json({"thetas": data} if isinstance(data, list) else data)
     if params.n != n:
-        raise ConfigError(f"theta file provides {params.n} steps but --n is {n}")
+        raise ValueError(f"theta file provides {params.n} steps but --n is {n}")
     return params
 
 
 def _require_finite(deviations) -> None:
     if not np.isfinite(deviations).all():
-        raise ConfigError(
+        raise ValueError(
             "the Gram or moment deviations are not finite: the thetas overflow "
             "double precision"
         )
@@ -164,7 +160,7 @@ def cmd_apply(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         result = expr.apply(phi)
     if not np.isfinite(result.values).all():
-        raise ConfigError("the result has a non-finite coefficient (overflow)")
+        raise ValueError("the result has a non-finite coefficient (overflow)")
     _emit({"command": "apply", **result.to_json()}, args.out)
     return 0
 
@@ -172,14 +168,14 @@ def cmd_apply(args) -> int:
 def cmd_norms(args) -> int:
     for p in args.p:
         if not math.isfinite(p):
-            raise ConfigError(f"--p must be finite, got {p}")
+            raise ValueError(f"--p must be finite, got {p}")
     phi = Functional.from_json(_load_json(args.functional))
     table = [
         {"p": p, "norm": phi.norm(p), "dual_norm": phi.dual_norm(p)} for p in args.p
     ]
     for row in table:
         if not (math.isfinite(row["norm"]) and math.isfinite(row["dual_norm"])):
-            raise ConfigError(
+            raise ValueError(
                 f"the norms at p = {row['p']} overflow double precision; use a smaller |p|"
             )
     payload = {
@@ -199,11 +195,11 @@ def cmd_qms(args) -> int:
     if args.hamiltonian:
         ham, n_h = matrix_from_json(_load_json(args.hamiltonian))
         if n_h != n:
-            raise ConfigError(f"hamiltonian is sized for n = {n_h}, observable for n = {n}")
+            raise ValueError(f"hamiltonian is sized for n = {n_h}, observable for n = {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         result = generator_apply(GeneratorSpec(weight, n, ham), x)
     if not np.isfinite(result).all():
-        raise ConfigError("the result has a non-finite entry (overflow or non-finite input)")
+        raise ValueError("the result has a non-finite entry (overflow or non-finite input)")
     _emit({"command": "qms", "result": matrix_to_json(result, n)}, args.out)
     return 0
 

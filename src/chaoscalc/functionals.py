@@ -227,11 +227,6 @@ class Functional:
             and np.array_equal(self.values, other.values)
         )
 
-    def isclose(self, other: "Functional", tol: float = 1e-12) -> bool:
-        diff = self - other
-        scale = max(1.0, self.max_abs(), other.max_abs())
-        return diff.max_abs() <= tol * scale
-
     # -- norms and duality ---------------------------------------------------
 
     def _graded_norm(self, power: float) -> float:
@@ -327,19 +322,21 @@ class GrowthBound:
 
 @dataclass(frozen=True)
 class GrowthCheckResult:
-    satisfied: bool
     worst_excess: float
     witness: Subset | None
-    dual_norm_at_next: float | None = None
-    dual_norm_cap: float | None = None
-    dual_bound_holds: bool | None = None
+    dual_norm_at_next: float
+    dual_norm_cap: float
 
 
-def check_growth(phi: Functional, bound: GrowthBound, tol: float = 1e-12) -> GrowthCheckResult:
-    """Check the pointwise growth bound and, when it holds, its norm consequence.
+def check_growth(phi: Functional, bound: GrowthBound) -> GrowthCheckResult:
+    """Measure the pointwise growth bound and its norm consequence; the
+    caller judges both against its own tolerance.
 
-    The consequence probed is: a bound of order p caps the dual norm one level
-    up, dual_norm(phi, p + 1) <= scale * sqrt(sum over the truncated basis of
+    ``worst_excess`` is the largest |phi(sigma)| - bound.value(sigma), or 0
+    when none is positive, and ``witness`` the smallest mask attaining it, or
+    None. The consequence probed is: a bound of order p caps the dual norm
+    one level up, ``dual_norm_at_next`` = dual_norm(phi, p + 1) <=
+    ``dual_norm_cap`` = scale * sqrt(sum over the truncated basis of
     lambda^(-2)), since each coefficient contributes at most
     (scale * lambda^p)^2 * lambda^(-2(p+1)). The sum is taken in its product
     form, :func:`~chaoscalc.basis.lambda_series_partial`.
@@ -353,10 +350,5 @@ def check_growth(phi: Functional, bound: GrowthBound, tol: float = 1e-12) -> Gro
         if excess[i] > 0:
             worst = float(excess[i])
             witness = Subset(int(phi.masks[i]))
-    satisfied = worst <= tol
-    if not satisfied:
-        return GrowthCheckResult(False, worst, witness)
     cap = bound.scale * math.sqrt(lambda_series_partial(2.0, phi.truncation))
-    value = phi.dual_norm(bound.order + 1)
-    holds = value <= cap * (1.0 + 1e-12) + 1e-15
-    return GrowthCheckResult(True, 0.0, None, value, cap, holds)
+    return GrowthCheckResult(worst, witness, phi.dual_norm(bound.order + 1), cap)

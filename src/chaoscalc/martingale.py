@@ -42,9 +42,6 @@ _MC_BASIS_CAP = 8
 # Samples drawn per block: _BLOCK_ROWS * n uniforms, at most 1 MiB at
 # n = _MC_BASIS_CAP, so memory does not grow with the sample count.
 _BLOCK_ROWS = 1 << 14
-# Side of the tiles in which a Gram's lower triangle is mirrored from its
-# upper triangle.
-_PANEL = 256
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -200,16 +197,9 @@ def z_matrix(params: BernoulliParams) -> np.ndarray:
 
 def _mirror_upper(gram: np.ndarray) -> None:
     """Overwrite the strict lower triangle of a square matrix with the
-    transpose of its upper triangle, one panel-sized tile at a time."""
-    size = len(gram)
-    for j0 in range(0, size, _PANEL):
-        j1 = min(j0 + _PANEL, size)
-        for i0 in range(j1, size, _PANEL):
-            i1 = min(i0 + _PANEL, size)
-            gram[i0:i1, j0:j1] = gram[j0:j1, i0:i1].T
-        tile = gram[j0:j1, j0:j1]
-        lower = np.tril_indices(j1 - j0, -1)
-        tile[lower] = tile.T[lower]
+    transpose of its upper triangle."""
+    lower = np.tril_indices(len(gram), -1)
+    gram[lower] = gram.T[lower]
 
 
 def exact_gram(params: BernoulliParams) -> np.ndarray:

@@ -27,12 +27,8 @@ import scipy
 
 from .basis import as_index, check_truncation, popcount_vector
 from .operators import l2_annihilate, l2_create, materialize_apply
-from .reports import family_level, family_reports, max_abs, residual
+from .reports import TOLERANCE, family_level, family_reports, family_trials, residual
 from .weights import Weight2D
-
-_HERMITIAN_TOL = 1e-12
-# The tolerance of both generator check families.
-TOLERANCE = 1e-12
 
 
 def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:
@@ -65,9 +61,9 @@ class GeneratorSpec:
                 raise ValueError(
                     f"hamiltonian shape {h.shape} does not match basis size {size}"
                 )
-            gap = max_abs(h - h.conj().T)
-            if gap > _HERMITIAN_TOL * max(1.0, max_abs(h)):
-                raise ValueError(f"hamiltonian is not hermitian (gap {gap:.3e})")
+            gap = residual(h, h.conj().T)
+            if gap > TOLERANCE:
+                raise ValueError(f"hamiltonian is not hermitian (residual {gap:.3e})")
             self.hamiltonian = h
 
 
@@ -216,6 +212,7 @@ def check_generator_structure(
     """Structural facts: unital kernel, hermiticity preservation, linearity,
     and the classical (diagonal) reduction."""
     n = family_level(n)
+    trials = family_trials(trials)
     size = 1 << n
     spec = GeneratorSpec(weight=w, truncation=n)
     rng = np.random.default_rng(seed)

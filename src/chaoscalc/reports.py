@@ -25,6 +25,9 @@ from .functionals import Functional
 
 CHECK = "check"
 NEGATIVE_CONTROL = "negative-control"
+# Tolerance of the families that pin no other, of a Hamiltonian's hermiticity,
+# and the default of ``simulate --tol``.
+TOLERANCE = 1e-12
 # A control nudges one entry by this much times max(1, largest magnitude).
 PERTURBATION = 1e-6
 
@@ -90,6 +93,14 @@ def family_level(n: int) -> int:
     if n < 1:
         raise ValueError(f"the check families need n >= 1, got {n}")
     return n
+
+
+def family_trials(trials: int) -> int:
+    """A family that draws probes makes its comparisons, and takes its
+    control, on the first one, so it needs at least one."""
+    if trials < 1:
+        raise ValueError(f"the check families need trials >= 1, got {trials}")
+    return trials
 
 
 @dataclass(frozen=True)

@@ -252,18 +252,8 @@ class Weight2D:
         return Weight1D(values, sup_bound=self._slice_sup(values))
 
     def _slice_sup(self, values: dict) -> float:
-        listed = max(values.values(), default=0.0)
-        if self.tail_bound == 0.0 and not self._has_unlisted_mass():
-            return listed
         # any single unlisted entry is dominated by the unaccounted column mass
-        return listed + self._unlisted_mass_bound()
-
-    def _has_unlisted_mass(self) -> bool:
-        if self.column_sums is None:
-            return False
-        return any(
-            self.column_sums[k] > self._listed_colsum(k) for k in self.column_sums
-        )
+        return max(values.values(), default=0.0) + self._unlisted_mass_bound()
 
     def _unlisted_mass_bound(self) -> float:
         slack = 0.0
@@ -318,7 +308,7 @@ class Weight2D:
 
     def is_exact(self) -> bool:
         """True when all mass is listed: no tail, no closed-form slack."""
-        return self.tail_bound == 0.0 and not self._has_unlisted_mass()
+        return self._unlisted_mass_bound() == 0.0
 
     def to_json(self) -> dict:
         data = {

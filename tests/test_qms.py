@@ -245,6 +245,12 @@ class TestStructure:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             GeneratorSpec(weight=Weight2D.zero(), truncation=1, hamiltonian=bad)
+        # hermiticity is a residual: the gap is measured against max(1, |h|)
+        h = np.array([[1e6, 1e-8], [0.0, 0.0]])
+        GeneratorSpec(weight=Weight2D.zero(), truncation=1, hamiltonian=h)
+        h[0, 1] = 1e-5
+        with pytest.raises(ValueError, match="not hermitian"):
+            GeneratorSpec(weight=Weight2D.zero(), truncation=1, hamiltonian=h)
 
     def test_observable_shape_checked(self):
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=2)

@@ -196,10 +196,8 @@ def test_growth_witness_is_smallest_worst_mask(phi, scale, order):
         if excess > worst:
             worst, witness = excess, Subset(m)
     result = check_growth(phi, GrowthBound(scale, order))
-    assert result.satisfied == (worst <= 1e-12)
-    if not result.satisfied:
-        assert result.worst_excess == worst
-        assert result.witness == witness
+    assert result.worst_excess == worst
+    assert result.witness == witness
 
 
 # Indices reach past the 63 bits of an int64 mask. With small integer weight

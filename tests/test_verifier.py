@@ -1,13 +1,20 @@
 """Check families, negative controls, report payloads, run assembly."""
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chaoscalc.functionals import Functional
+import chaoscalc
+from chaoscalc import verifier
+from chaoscalc.basis import Subset
+from chaoscalc.functionals import Functional, GrowthCheckResult
+from chaoscalc.operators import hop_apply, hop_expr, materialize, materialize_apply
 from chaoscalc.qms import check_generator_structure, check_sum_identity
 from chaoscalc.reports import (
     CHECK,
@@ -247,14 +254,52 @@ def test_each_family_needs_n_at_least_one(call):
         lambda trials: check_riesz_intertwining(Weight2D.zero(), 3, trials=trials),
         lambda trials: check_norm_bounds(Weight2D.zero(), Weight1D.zero(), 3, trials=trials),
         lambda trials: check_functional_invariants(3, trials=trials),
+        lambda trials: check_generator_structure(Weight2D.zero(), 3, trials=trials),
     ],
-    ids=["riesz", "norm-bound", "functional-invariant"],
+    ids=["riesz", "norm-bound", "functional-invariant", "qms"],
 )
 def test_probe_families_need_a_trial(call):
-    # the control repeats a comparison made on the first probe
-    with pytest.raises(ValueError, match="trials >= 1, got 0"):
-        call(0)
+    # without a probe the probed checks compare nothing, and the riesz,
+    # norm-bound and functional-invariant controls repeat a comparison made
+    # on the first probe
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
+            call(trials)
     assert all_ok(call(1))
+
+
+@pytest.mark.parametrize(
+    "measured, residual_read",
+    [
+        (GrowthCheckResult(3e-6, Subset.of(0), 1.0, 2.0), 3e-6),
+        (GrowthCheckResult(0.0, None, 2.5, 2.0), 0.25),
+    ],
+    ids=["pointwise-excess", "dual-norm-over-cap"],
+)
+def test_growth_residual_reads_what_check_growth_measured(
+    monkeypatch, measured, residual_read
+):
+    # the family judges check_growth's two measurements with excess
+    monkeypatch.setattr(verifier, "check_growth", lambda phi, bound: measured)
+    reports = check_functional_invariants(3, trials=2)
+    growth = next(r for r in reports if r.name == "growth-dual-bound")
+    assert growth.residual == residual_read and not growth.ok
+
+
+def test_hop_holds_one_pair_of_matrices():
+    # each residual is folded as it is computed, and only the j = k = 0
+    # pair is kept for the control; all n^2 pairs are about 100 times one
+    # pair's bytes at n = 12
+    n = 12
+    pair = (materialize_apply(lambda f: hop_apply(0, 0, f), n), materialize(hop_expr(0, 0), n))
+    pair_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in pair)
+    tracemalloc.start()
+    try:
+        check_hop(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * pair_bytes
 
 
 # (checks, negative controls) per family in run_all(n=5): one family run per
@@ -379,3 +424,35 @@ class TestRunAll:
         big = Weight2D({(0, 9): 1.0})
         with pytest.raises(ValueError):
             run_all(n=4, weight_override=big, only=["representation"])
+
+
+def tiny_float_literals():
+    """(module, owner) of every float literal in (0, 1e-9) in the package,
+    where owner is the module-level name the literal sits under."""
+    found = []
+    for path in sorted(pathlib.Path(chaoscalc.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign):
+                owner = ", ".join(ast.unparse(t) for t in stmt.targets)
+            else:
+                owner = getattr(stmt, "name", ast.unparse(stmt)[:40])
+            found += [
+                (path.stem, owner)
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Constant)
+                and type(node.value) is float
+                and 0.0 < node.value < 1e-9
+            ]
+    return sorted(found)
+
+
+def test_tolerances_are_not_written_out_twice():
+    # every comparison rule goes through reports; the others are a family's
+    # pinned tolerance, input validation in weights, and simulate's sampled
+    # slack
+    assert tiny_float_literals() == [
+        ("cli", "cmd_simulate"),
+        ("reports", "TOLERANCE"),
+        ("verifier", "SHIFT_TOLERANCE"),
+        ("weights", "_REL_TOL"),
+    ]
