@@ -61,6 +61,8 @@ class GeneratorSpec:
                 raise ValueError(
                     f"hamiltonian shape {h.shape} does not match basis size {size}"
                 )
+            if not np.isfinite(h).all():
+                raise ValueError("hamiltonian entries must be finite")
             gap = residual(h, h.conj().T)
             if gap > TOLERANCE:
                 raise ValueError(f"hamiltonian is not hermitian (residual {gap:.3e})")
@@ -220,16 +222,17 @@ def check_generator_structure(
 
     unital = generator_apply(spec, np.eye(size, dtype=complex))
 
+    # np.maximum, unlike max, keeps a NaN residual from any trial
     worst_herm = worst_lin = 0.0
     for _ in range(trials):
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         lx = generator_apply(spec, x)
-        worst_herm = max(
+        worst_herm = np.maximum(
             worst_herm, residual(generator_apply(spec, x.conj().T), lx.conj().T)
         )
         a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-        worst_lin = max(
+        worst_lin = np.maximum(
             worst_lin,
             residual(
                 generator_apply(spec, a * x + b * y),

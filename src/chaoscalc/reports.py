@@ -54,10 +54,40 @@ def max_abs(x) -> float:
     return float(np.abs(x.data).max()) if x.nnz else 0.0
 
 
-def residual(lhs, rhs) -> float:
-    """Normalized worst-entry gap between two comparable objects."""
-    gap = max_abs(lhs - rhs)
-    return gap / max(1.0, max_abs(lhs), max_abs(rhs))
+def _block_max_abs(x, blocks: int) -> np.ndarray:
+    """Largest entry magnitude in each of ``blocks`` equal row blocks of an
+    array or sparse matrix; an empty block reads 0, a NaN entry gives NaN."""
+    shape = np.shape(x)
+    rows = shape[0] if shape else 0
+    if rows == 0 or rows % blocks:
+        raise ValueError(f"{rows} rows do not split into {blocks} equal row blocks")
+    if _dense(x):
+        arr = np.abs(np.asarray(x))
+        return arr.reshape(blocks, arr.size // blocks).max(axis=1, initial=0.0)
+    x = x.tocsr()
+    x.sum_duplicates()  # one stored value per entry
+    bounds = x.indptr[:: rows // blocks]
+    out = np.zeros(blocks)
+    filled = bounds[:-1] < bounds[1:]
+    if filled.any():
+        out[filled] = np.maximum.reduceat(np.abs(x.data), bounds[:-1][filled])
+    return out
+
+
+def residual(lhs, rhs, blocks: int = 1) -> float:
+    """Normalized worst-entry gap between two comparable objects.
+
+    With ``blocks`` > 1, lhs and rhs are stacks of that many equal row
+    blocks, and each block pair is compared, and normalized, on its own: the
+    result is the largest per-block residual, NaN when any block's is NaN.
+    """
+    if blocks == 1:
+        gap = max_abs(lhs - rhs)
+        return gap / max(1.0, max_abs(lhs), max_abs(rhs))
+    scale = np.maximum(_block_max_abs(lhs, blocks), _block_max_abs(rhs, blocks))
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as for one block
+        per_block = _block_max_abs(lhs - rhs, blocks) / np.maximum(1.0, scale)
+    return float(np.max(per_block))
 
 
 def excess(value, bound) -> float:

@@ -13,10 +13,20 @@ the family's negative control, with one entry of the left side nudged by an
 amount relative to its largest magnitude; the control must fail. A control
 that passes means the check could not have caught a real defect, and
 poisons the run exactly like a failed check.
+
+The matrix families (car, hop, the three commutation families and the l2
+lemmas) make one scipy product per identity side, not one per index: the
+per-k operands go into stacks of 2^n-row blocks (the ladder matrices one
+above the other, per-k left factors on a block diagonal, a fixed left
+factor repeated down one, per-k scalars as a diagonal), and each k's
+residual is read off its own row block with ``residual(..., blocks=b)``.
+A stack holds at most ``_STACK_ROWS`` rows, so memory stays bounded at any n.
+Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from operator import attrgetter
 from typing import NamedTuple
@@ -34,7 +44,6 @@ from .operators import (
     gwn_apply,
     gwn_expr,
     hop_apply,
-    hop_expr,
     l2_annihilate,
     l2_create,
     l2_wn1d_apply,
@@ -44,7 +53,6 @@ from .operators import (
     number,
     number_apply,
     number_series_partial,
-    occupation,
     series_partial_1d,
     series_partial_2d,
     wn1d_apply,
@@ -97,6 +105,67 @@ def _ladder_matrices(n: int):
 
 
 # ---------------------------------------------------------------------------
+# stacked operands
+# ---------------------------------------------------------------------------
+
+# Rows of one stacked operand. Each scipy product has a fixed Python-level
+# cost, so the matrix families stack their per-k operands and make one
+# product per identity; the budget caps what a stack holds. At n = 8 every
+# identity fits one or two stacks, at n = 12 a stack holds two blocks, and
+# from n = 13 on one block, so memory stays that of a few blocks at any n.
+_STACK_ROWS = 1 << 13
+
+
+def _chunks(items, n: int) -> list:
+    """items in consecutive runs of as many as one stack of 2^n-row blocks holds."""
+    items = list(items)
+    per = max(1, _STACK_ROWS >> n)
+    return [items[i : i + per] for i in range(0, len(items), per)]
+
+
+def _stack(blocks):
+    """CSR matrix with blocks[b] as its row block b."""
+    return scipy.sparse.vstack(blocks, format="csr")
+
+
+def _block_diag(blocks):
+    """Block-diagonal CSR matrix of equal square CSR blocks, assembled from
+    their arrays (``scipy.sparse.block_diag`` goes through COO)."""
+    size = blocks[0].shape[0]
+    offsets = np.cumsum([0] + [b.nnz for b in blocks])
+    return scipy.sparse.csr_matrix(
+        (
+            np.concatenate([b.data for b in blocks]),
+            np.concatenate([b.indices + i * size for i, b in enumerate(blocks)]),
+            np.concatenate([[0]] + [b.indptr[1:] + offsets[i] for i, b in enumerate(blocks)]),
+        ),
+        shape=(len(blocks) * size,) * 2,
+    )
+
+
+def _diagonals(values, size: int):
+    """CSR stack of diagonal blocks: row block b is diag(values[b*size : (b+1)*size])."""
+    rows = len(values)
+    return scipy.sparse.csr_matrix(
+        (values, np.tile(np.arange(size), rows // size), np.arange(rows + 1)),
+        shape=(rows, size),
+    )
+
+
+def _scalars(values, size: int):
+    """Block diagonal of values[b] times the 2^n identity, for 2^n = size."""
+    return scipy.sparse.diags(np.repeat(np.asarray(values, dtype=complex), size), format="csr")
+
+
+def _worst(values) -> float:
+    """The largest value as ``max`` picks it, 0 for none, but NaN when any
+    is NaN: ``max`` keeps a NaN only in first place, so a comparison that
+    broke later on would read as a pass."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
+# ---------------------------------------------------------------------------
 # exact matrix families
 # ---------------------------------------------------------------------------
 
@@ -108,24 +177,38 @@ def check_car(n: int) -> list:
     exactly zero, not merely small; the tolerance is 0.
     """
     n = family_level(n)
+    size = 1 << n
     a, c = _ladder_matrices(n)
-    eye = scipy.sparse.identity(1 << n, dtype=complex, format="csr")
-    equal_time = [(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n)]
-    cross_aa = cross_cc = cross_ca = 0.0
-    for j in range(n):
-        for k in range(j + 1, n):
-            cross_aa = max(cross_aa, residual(a[j] @ a[k], a[k] @ a[j]))
-            cross_cc = max(cross_cc, residual(c[j] @ c[k], c[k] @ c[j]))
-            cross_ca = max(cross_ca, residual(c[j] @ a[k], a[k] @ c[j]))
-            cross_ca = max(cross_ca, residual(c[k] @ a[j], a[j] @ c[k]))
-    masks = np.arange(1 << n, dtype=np.int64)
-    occ = max(
-        residual(
-            materialize(occupation(k), n),
-            scipy.sparse.diags((masks >> k & 1).astype(complex), format="csr"),
-        )
-        for k in range(n)
-    )
+    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
+    masks = np.arange(size, dtype=np.int64)
+    equal_time, nilpotent, occ, adjoint = [], [], [], []
+    for ks in _chunks(range(n), n):
+        blocks = len(ks)
+        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
+        diag_a, diag_c = _block_diag([a[k] for k in ks]), _block_diag([c[k] for k in ks])
+        occupied = diag_c @ stack_a  # create(k) annihilate(k), block by block
+        lhs, rhs = occupied + diag_a @ stack_c, _stack([eye] * blocks)
+        if not equal_time:
+            control = (lhs[:size], rhs[:size])
+        equal_time.append(residual(lhs, rhs, blocks))
+        zero = scipy.sparse.csr_matrix(stack_a.shape, dtype=complex)
+        nilpotent.append(residual(diag_a @ stack_a, zero, blocks))
+        nilpotent.append(residual(diag_c @ stack_c, zero, blocks))
+        symbol = np.concatenate([masks >> k & 1 for k in ks]).astype(complex)
+        occ.append(residual(occupied, _diagonals(symbol, size), blocks))
+        adjoint.append(residual(diag_a.T.tocsr(), diag_c, blocks))
+    cross_aa, cross_cc, cross_ca = [], [], []
+    for pairs in _chunks(((j, k) for j in range(n) for k in range(j + 1, n)), n):
+        blocks = len(pairs)
+        js, ks = zip(*pairs)
+        a_j, a_k = _stack([a[j] for j in js]), _stack([a[k] for k in ks])
+        c_j, c_k = _stack([c[j] for j in js]), _stack([c[k] for k in ks])
+        diag_aj, diag_ak = _block_diag([a[j] for j in js]), _block_diag([a[k] for k in ks])
+        diag_cj, diag_ck = _block_diag([c[j] for j in js]), _block_diag([c[k] for k in ks])
+        cross_aa.append(residual(diag_aj @ a_k, diag_ak @ a_j, blocks))
+        cross_cc.append(residual(diag_cj @ c_k, diag_ck @ c_j, blocks))
+        cross_ca.append(residual(diag_cj @ a_k, diag_ak @ c_j, blocks))
+        cross_ca.append(residual(diag_ck @ a_j, diag_aj @ c_k, blocks))
     return family_reports(
         {"n": n},
         EXACT_TOLERANCE,
@@ -133,67 +216,73 @@ def check_car(n: int) -> list:
             (
                 "car-equal-time",
                 "create(k) annihilate(k) + annihilate(k) create(k) = identity",
-                max(residual(lhs, rhs) for lhs, rhs in equal_time),
+                _worst(equal_time),
             ),
-            (
-                "car-nilpotent",
-                "annihilate(k)^2 = 0 and create(k)^2 = 0",
-                max(
-                    max(residual(a[k] @ a[k], 0.0), residual(c[k] @ c[k], 0.0))
-                    for k in range(n)
-                ),
-            ),
+            ("car-nilpotent", "annihilate(k)^2 = 0 and create(k)^2 = 0", _worst(nilpotent)),
             (
                 "car-cross-annihilate",
                 "annihilate(j) annihilate(k) = annihilate(k) annihilate(j), j != k",
-                cross_aa,
+                _worst(cross_aa),
             ),
             (
                 "car-cross-create",
                 "create(j) create(k) = create(k) create(j), j != k",
-                cross_cc,
+                _worst(cross_cc),
             ),
             (
                 "car-cross-mixed",
                 "create(j) annihilate(k) = annihilate(k) create(j), j != k",
-                cross_ca,
+                _worst(cross_ca),
             ),
             (
                 "occupation-symbol",
                 "create(k) annihilate(k) acts as the membership indicator of k",
-                occ,
+                _worst(occ),
             ),
             (
                 "car-adjoint-transpose",
                 "annihilate(k) and create(k) are mutual transposes on the truncation",
-                max(residual(a[k].T.tocsr(), c[k]) for k in range(n)),
+                _worst(adjoint),
                 _ADJOINT_NOTE,
             ),
         ],
-        ("car-negative-control", "equal-time relation at k = 0", *equal_time[0]),
+        ("car-negative-control", "equal-time relation at k = 0", *control),
     )
 
 
 def check_hop(n: int) -> list:
-    """Closed form of the four-fold ladder product against literal composition."""
+    """Closed form of the four-fold ladder product against literal composition.
+
+    The literal side multiplies the materialized ladder matrices in the
+    factor order create(k) annihilate(j) create(j) annihilate(k) of
+    ``hop_expr``; only the ladder matrices of one stack's pairs are alive.
+    """
     n = family_level(n)
-    masks = np.arange(1 << n, dtype=np.int64)
-    worst_closed = worst_symbol = 0.0
-    for j in range(n):
-        for k in range(n):
-            closed = materialize_apply(lambda f: hop_apply(j, k, f), n)
-            literal = materialize(hop_expr(j, k), n)
-            if j == k == 0:
-                control = (closed, literal)
-            worst_closed = max(worst_closed, residual(closed, literal))
-            in_k = masks >> k & 1
-            if j == k:
-                symbol = in_k.astype(complex)
-            else:
-                symbol = (in_k & (1 - (masks >> j & 1))).astype(complex)
-            worst_symbol = max(
-                worst_symbol, residual(closed, scipy.sparse.diags(symbol, format="csr"))
-            )
+    size = 1 << n
+    masks = np.arange(size, dtype=np.int64)
+    worst_closed, worst_symbol = [], []
+    for pairs in _chunks(((j, k) for j in range(n) for k in range(n)), n):
+        blocks = len(pairs)
+        js, ks = zip(*pairs)
+        ann = {i: materialize(annihilate(i), n) for i in {*js, *ks}}
+        cre = {i: materialize(create(i), n) for i in {*js, *ks}}
+        closed = _stack([materialize_apply(lambda f: hop_apply(j, k, f), n) for j, k in pairs])
+        literal = (
+            _block_diag([cre[k] for k in ks])
+            @ _block_diag([ann[j] for j in js])
+            @ _block_diag([cre[j] for j in js])
+            @ _stack([ann[k] for k in ks])
+        )
+        # drop what the stacks no longer need, so the peak stays a few pairs
+        del ann, cre
+        if not worst_closed:
+            control = (closed[:size], literal[:size])
+        worst_closed.append(residual(closed, literal, blocks))
+        del literal
+        symbol = np.concatenate(
+            [(masks >> k & 1) & (1 if j == k else 1 - (masks >> j & 1)) for j, k in pairs]
+        ).astype(complex)
+        worst_symbol.append(residual(closed, _diagonals(symbol, size), blocks))
     return family_reports(
         {"n": n},
         EXACT_TOLERANCE,
@@ -202,13 +291,13 @@ def check_hop(n: int) -> list:
                 "hop-closed-form",
                 "create(k) annihilate(j) create(j) annihilate(k) equals its "
                 "membership-gated diagonal closed form",
-                worst_closed,
+                _worst(worst_closed),
             ),
             (
                 "hop-symbol",
                 "the four-fold product is diagonal with symbol "
                 "[k in sigma] * (j == k or j not in sigma)",
-                worst_symbol,
+                _worst(worst_symbol),
             ),
         ],
         ("hop-negative-control", "closed form at j = k = 0", *control),
@@ -223,22 +312,28 @@ def check_hop(n: int) -> list:
 def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
     n = family_level(n)
+    size = 1 << n
     a, c = _ladder_matrices(n)
     big_k = materialize(gwn_expr(w), n)
-    sides_a = []
-    worst_c = worst_occ = 0.0
-    for k in range(n):
-        row = materialize(wn1d_expr(w.row_slice(k)), n)
-        col = materialize(wn1d_expr(w.col_slice(k)), n)
-        scal_a = 2.0 * w(k, k) + w.colsum(k)
-        sides_a.append(
-            (big_k @ a[k], a[k] @ big_k + a[k] @ row + a[k] @ col - scal_a * a[k])
-        )
-        lhs_c = big_k @ c[k]
-        rhs_c = c[k] @ big_k - c[k] @ row - c[k] @ col + w.colsum(k) * c[k]
-        worst_c = max(worst_c, residual(lhs_c, rhs_c))
-        occ_k = c[k] @ a[k]
-        worst_occ = max(worst_occ, residual(big_k @ occ_k, occ_k @ big_k))
+    worst_a, worst_c, worst_occ = [], [], []
+    for ks in _chunks(range(n), n):
+        blocks = len(ks)
+        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
+        diag_a, diag_c = _block_diag([a[k] for k in ks]), _block_diag([c[k] for k in ks])
+        rows = _stack([materialize(wn1d_expr(w.row_slice(k)), n) for k in ks])
+        cols = _stack([materialize(wn1d_expr(w.col_slice(k)), n) for k in ks])
+        each_k = _block_diag([big_k] * blocks)
+        scal_a = _scalars([2.0 * w(k, k) + w.colsum(k) for k in ks], size)
+        lhs_a = each_k @ stack_a
+        rhs_a = stack_a @ big_k + diag_a @ rows + diag_a @ cols - scal_a @ stack_a
+        if not worst_a:
+            control = (lhs_a[:size], rhs_a[:size])
+        worst_a.append(residual(lhs_a, rhs_a, blocks))
+        scal_c = _scalars([w.colsum(k) for k in ks], size)
+        rhs_c = stack_c @ big_k - diag_c @ rows - diag_c @ cols + scal_c @ stack_c
+        worst_c.append(residual(each_k @ stack_c, rhs_c, blocks))
+        occ = diag_c @ stack_a
+        worst_occ.append(residual(each_k @ occ, occ @ big_k, blocks))
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
@@ -247,36 +342,39 @@ def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
                 "gwn-commute-annihilate",
                 "gwn(w) a(k) = a(k) gwn(w) + a(k) wn1d(row_k) + a(k) wn1d(col_k)"
                 " - (2 w(k,k) + colsum(k)) a(k)",
-                max(residual(lhs, rhs) for lhs, rhs in sides_a),
+                _worst(worst_a),
             ),
             (
                 "gwn-commute-create",
                 "gwn(w) a+(k) = a+(k) gwn(w) - a+(k) wn1d(row_k) - a+(k) wn1d(col_k)"
                 " + colsum(k) a+(k)",
-                worst_c,
+                _worst(worst_c),
             ),
-            ("gwn-commute-occupation", "gwn(w) commutes with a+(k) a(k)", worst_occ),
+            ("gwn-commute-occupation", "gwn(w) commutes with a+(k) a(k)", _worst(worst_occ)),
         ],
-        (
-            "gwn-commutation-negative-control",
-            "annihilator commutation at k = 0",
-            *sides_a[0],
-        ),
+        ("gwn-commutation-negative-control", "annihilator commutation at k = 0", *control),
     )
 
 
 def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
     n = family_level(n)
+    size = 1 << n
     a, c = _ladder_matrices(n)
     nu = materialize(wn1d_expr(u), n)
-    sides_a = []
-    worst_c = worst_occ = 0.0
-    for k in range(n):
-        sides_a.append((nu @ a[k], a[k] @ nu - u(k) * a[k]))
-        worst_c = max(worst_c, residual(nu @ c[k], c[k] @ nu + u(k) * c[k]))
-        occ_k = c[k] @ a[k]
-        worst_occ = max(worst_occ, residual(nu @ occ_k, occ_k @ nu))
+    worst_a, worst_c, worst_occ = [], [], []
+    for ks in _chunks(range(n), n):
+        blocks = len(ks)
+        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
+        each_k = _block_diag([nu] * blocks)
+        scal = _scalars([u(k) for k in ks], size)
+        lhs_a, rhs_a = each_k @ stack_a, stack_a @ nu - scal @ stack_a
+        if not worst_a:
+            control = (lhs_a[:size], rhs_a[:size])
+        worst_a.append(residual(lhs_a, rhs_a, blocks))
+        worst_c.append(residual(each_k @ stack_c, stack_c @ nu + scal @ stack_c, blocks))
+        occ = _block_diag([c[k] for k in ks]) @ stack_a
+        worst_occ.append(residual(each_k @ occ, occ @ nu, blocks))
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
@@ -284,38 +382,43 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
             (
                 "wn1d-commute-annihilate",
                 "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)",
-                max(residual(lhs, rhs) for lhs, rhs in sides_a),
+                _worst(worst_a),
             ),
-            ("wn1d-commute-create", "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)", worst_c),
-            ("wn1d-commute-occupation", "wn1d(u) commutes with a+(k) a(k)", worst_occ),
+            (
+                "wn1d-commute-create",
+                "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)",
+                _worst(worst_c),
+            ),
+            ("wn1d-commute-occupation", "wn1d(u) commutes with a+(k) a(k)", _worst(worst_occ)),
         ],
-        (
-            "wn1d-commutation-negative-control",
-            "annihilator commutation at k = 0",
-            *sides_a[0],
-        ),
+        ("wn1d-commutation-negative-control", "annihilator commutation at k = 0", *control),
     )
 
 
 def check_commutation_number(n: int) -> list:
     """The unweighted special case: number operator against the ladder pair."""
     n = family_level(n)
+    size = 1 << n
     a, c = _ladder_matrices(n)
     nn = materialize(number(), n)
-    sides_a = [(nn @ a[k], a[k] @ nn - a[k]) for k in range(n)]
-    worst_c = max(residual(nn @ c[k], c[k] @ nn + c[k]) for k in range(n))
+    worst_a, worst_c = [], []
+    for ks in _chunks(range(n), n):
+        blocks = len(ks)
+        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
+        each_k = _block_diag([nn] * blocks)
+        lhs_a, rhs_a = each_k @ stack_a, stack_a @ nn - stack_a
+        if not worst_a:
+            control = (lhs_a[:size], rhs_a[:size])
+        worst_a.append(residual(lhs_a, rhs_a, blocks))
+        worst_c.append(residual(each_k @ stack_c, stack_c @ nn + stack_c, blocks))
     return family_reports(
         {"n": n},
         TOLERANCE,
         [
-            (
-                "number-commute-annihilate",
-                "number a(k) = a(k) number - a(k)",
-                max(residual(lhs, rhs) for lhs, rhs in sides_a),
-            ),
-            ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", worst_c),
+            ("number-commute-annihilate", "number a(k) = a(k) number - a(k)", _worst(worst_a)),
+            ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", _worst(worst_c)),
         ],
-        ("number-commutation-negative-control", "number commutation at k = 0", *sides_a[0]),
+        ("number-commutation-negative-control", "number commutation at k = 0", *control),
     )
 
 
@@ -329,8 +432,7 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
     n = family_level(n)
     masks = np.arange(1 << n, dtype=np.int64)
     theta = w.theta_vector(n)
-    sides_add = []
-    worst_remove = 0.0
+    sides_add, worst_remove = [], []
     for k in range(n):
         bit = 1 << k
         row_count = w.row_slice(k).count_vector(n)
@@ -345,20 +447,20 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
         inside = ~outside
         lhs_r = theta[masks[inside] ^ bit]
         rhs_r = (theta + row_count + col_count - 2.0 * w(k, k) - w.colsum(k))[inside]
-        worst_remove = max(worst_remove, residual(lhs_r, rhs_r))
+        worst_remove.append(residual(lhs_r, rhs_r))
 
     checks = [
         (
             "spectral-shift-add",
             "theta(sigma + {k}) = theta(sigma) - count(row_k, sigma)"
             " - count(col_k, sigma) + colsum(k), for k outside sigma",
-            max(residual(lhs, rhs) for lhs, rhs in sides_add),
+            _worst([residual(lhs, rhs) for lhs, rhs in sides_add]),
         ),
         (
             "spectral-shift-remove",
             "theta(sigma - {k}) = theta(sigma) + count(row_k, sigma)"
             " + count(col_k, sigma) - 2 w(k,k) - colsum(k), for k in sigma",
-            worst_remove,
+            _worst(worst_remove),
         ),
     ]
     if w.is_exact():
@@ -427,20 +529,22 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
                 "gwn-series",
                 "sum of w(j,k) hop(j,k) over j,k < m equals gwn(w) once m covers "
                 "the support",
-                max(residual(partial, target) for partial in stabilized),
+                _worst([residual(partial, target) for partial in stabilized]),
             ),
             (
                 "gwn-series-monotone",
                 "diagonal of the partial sums is nondecreasing in the cutoff",
-                max(excess(prev, cur) for prev, cur in zip(diagonals, diagonals[1:])),
+                _worst([excess(prev, cur) for prev, cur in zip(diagonals, diagonals[1:])]),
             ),
             (
                 "wn1d-series",
                 "sum of u(k) a+(k) a(k) over k < m equals wn1d(u) once m covers "
                 "the support",
-                max(
-                    residual(series_partial_1d(u, probe, cut), wn1d_probe)
-                    for cut in range(u.support_bound(), n + 1)
+                _worst(
+                    [
+                        residual(series_partial_1d(u, probe, cut), wn1d_probe)
+                        for cut in range(u.support_bound(), n + 1)
+                    ]
                 ),
             ),
             (
@@ -477,21 +581,16 @@ def check_riesz_intertwining(
     trials = family_trials(trials)
     rng = np.random.default_rng(seed)
     probes = [random_functional(rng, n) for _ in range(trials)]
-    worst_a = worst_c = worst_w = worst_pair = 0.0
+    worst_a, worst_c, worst_w, worst_pair = [], [], [], []
     for xi in probes:
         embedded = riesz_embed(xi)
         for k in range(n):
-            worst_a = max(
-                worst_a,
-                residual(riesz_embed(l2_annihilate(k, xi)), apply_annihilate(k, embedded)),
+            worst_a.append(
+                residual(riesz_embed(l2_annihilate(k, xi)), apply_annihilate(k, embedded))
             )
-            worst_c = max(
-                worst_c, residual(riesz_embed(l2_create(k, xi)), apply_create(k, embedded))
-            )
-        worst_w = max(
-            worst_w, residual(riesz_embed(l2_wn_apply(w, xi)), gwn_apply(w, embedded))
-        )
-        worst_pair = max(worst_pair, residual(pair(embedded, xi), xi.norm(0) ** 2))
+            worst_c.append(residual(riesz_embed(l2_create(k, xi)), apply_create(k, embedded)))
+        worst_w.append(residual(riesz_embed(l2_wn_apply(w, xi)), gwn_apply(w, embedded)))
+        worst_pair.append(residual(pair(embedded, xi), xi.norm(0) ** 2))
     return family_reports(
         {"n": n, "weight": tag, "trials": trials, "seed": seed},
         TOLERANCE,
@@ -499,22 +598,22 @@ def check_riesz_intertwining(
             (
                 "riesz-intertwining-annihilate",
                 "conjugate(l2_annihilate(k, xi)) = a(k) conjugate(xi)",
-                worst_a,
+                _worst(worst_a),
             ),
             (
                 "riesz-intertwining-create",
                 "conjugate(l2_create(k, xi)) = a+(k) conjugate(xi)",
-                worst_c,
+                _worst(worst_c),
             ),
             (
                 "riesz-intertwining-wn",
                 "conjugate(l2_wn(w, xi)) = gwn(w) conjugate(xi)",
-                worst_w,
+                _worst(worst_w),
             ),
             (
                 "riesz-pairing-positivity",
                 "pairing of conjugate(xi) with xi is the squared plain norm",
-                worst_pair,
+                _worst(worst_pair),
             ),
         ],
         (
@@ -561,13 +660,13 @@ def check_norm_bounds(
     shape = (1 << n, trials)
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    worst_2d = worst_1d = 0.0
+    worst_2d, worst_1d = [], []
     for p in (0, 1, 2):
         base = _dual_norms(coeffs, lam_vec, p)
         lifted = _dual_norms(theta[:, None] * coeffs, lam_vec, p + 1)
-        worst_2d = max(worst_2d, excess(lifted, two_alpha * base))
+        worst_2d.append(excess(lifted, two_alpha * base))
         lifted = _dual_norms(count[:, None] * coeffs, lam_vec, p + 1)
-        worst_1d = max(worst_1d, excess(lifted, beta * base))
+        worst_1d.append(excess(lifted, beta * base))
 
     # route consistency: the vectorized norms above against the Functional API
     probe = Functional.from_vector(coeffs[:, 0], n)
@@ -589,13 +688,13 @@ def check_norm_bounds(
             (
                 "gwn-dual-norm-bound",
                 "dual_norm(gwn(w) phi, p+1) <= 2 alpha(w) dual_norm(phi, p)",
-                worst_2d,
+                _worst(worst_2d),
                 _DUAL_NORM_NOTE,
             ),
             (
                 "wn1d-dual-norm-bound",
                 "dual_norm(wn1d(u) phi, p+1) <= beta(u) dual_norm(phi, p)",
-                worst_1d,
+                _worst(worst_1d),
                 _DUAL_NORM_NOTE,
             ),
             (
@@ -632,49 +731,68 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     the code path that never touches the expression engine.
     """
     n = family_level(n)
-    eye = scipy.sparse.identity(1 << n, dtype=complex, format="csr")
+    size = 1 << n
+    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
     d = [materialize_apply(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
     ds = [materialize_apply(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
     s_w = materialize_apply(lambda f: l2_wn_apply(w, f), n)
     n_u = materialize_apply(lambda f: l2_wn1d_apply(u, f), n)
 
-    car = max(residual(ds[k] @ d[k] + d[k] @ ds[k], eye) for k in range(n))
-    worst_ua = max(residual(n_u @ d[k], d[k] @ n_u - u(k) * d[k]) for k in range(n))
-    worst_uc = max(residual(n_u @ ds[k], ds[k] @ n_u + u(k) * ds[k]) for k in range(n))
-    sides_wa = []
-    worst_wc = 0.0
-    for k in range(n):
-        row = materialize_apply(lambda f: l2_wn1d_apply(w.row_slice(k), f), n)
-        col = materialize_apply(lambda f: l2_wn1d_apply(w.col_slice(k), f), n)
-        scal = 2.0 * w(k, k) + w.colsum(k)
-        sides_wa.append((s_w @ d[k], d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]))
-        worst_wc = max(
-            worst_wc,
-            residual(
-                s_w @ ds[k],
-                ds[k] @ s_w - ds[k] @ row - ds[k] @ col + w.colsum(k) * ds[k],
-            ),
+    car, worst_ua, worst_uc, worst_wa, worst_wc = [], [], [], [], []
+    for ks in _chunks(range(n), n):
+        blocks = len(ks)
+        stack_d, stack_ds = _stack([d[k] for k in ks]), _stack([ds[k] for k in ks])
+        diag_d, diag_ds = _block_diag([d[k] for k in ks]), _block_diag([ds[k] for k in ks])
+        pair_sum = diag_ds @ stack_d + diag_d @ stack_ds
+        car.append(residual(pair_sum, _stack([eye] * blocks), blocks))
+        each_u = _block_diag([n_u] * blocks)
+        scal_u = _scalars([u(k) for k in ks], size)
+        worst_ua.append(
+            residual(each_u @ stack_d, stack_d @ n_u - scal_u @ stack_d, blocks)
         )
+        worst_uc.append(
+            residual(each_u @ stack_ds, stack_ds @ n_u + scal_u @ stack_ds, blocks)
+        )
+        rows = _stack(
+            [materialize_apply(lambda f: l2_wn1d_apply(w.row_slice(k), f), n) for k in ks]
+        )
+        cols = _stack(
+            [materialize_apply(lambda f: l2_wn1d_apply(w.col_slice(k), f), n) for k in ks]
+        )
+        each_w = _block_diag([s_w] * blocks)
+        scal_a = _scalars([2.0 * w(k, k) + w.colsum(k) for k in ks], size)
+        lhs_a = each_w @ stack_d
+        rhs_a = stack_d @ s_w + diag_d @ rows + diag_d @ cols - scal_a @ stack_d
+        if not worst_wa:
+            control = (lhs_a[:size], rhs_a[:size])
+        worst_wa.append(residual(lhs_a, rhs_a, blocks))
+        scal_c = _scalars([w.colsum(k) for k in ks], size)
+        rhs_c = stack_ds @ s_w - diag_ds @ rows - diag_ds @ cols + scal_c @ stack_ds
+        worst_wc.append(residual(each_w @ stack_ds, rhs_c, blocks))
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
         [
-            ("l2-car", "d+(k) d(k) + d(k) d+(k) = identity on the truncation", car),
-            ("l2-wn1d-commute-annihilate", "N_u d(k) = d(k) N_u - u(k) d(k)", worst_ua),
-            ("l2-wn1d-commute-create", "N_u d+(k) = d+(k) N_u + u(k) d+(k)", worst_uc),
+            ("l2-car", "d+(k) d(k) + d(k) d+(k) = identity on the truncation", _worst(car)),
+            (
+                "l2-wn1d-commute-annihilate",
+                "N_u d(k) = d(k) N_u - u(k) d(k)",
+                _worst(worst_ua),
+            ),
+            ("l2-wn1d-commute-create", "N_u d+(k) = d+(k) N_u + u(k) d+(k)", _worst(worst_uc)),
             (
                 "l2-wn-commute-annihilate",
                 "S_w d(k) = d(k) S_w + d(k) N_row + d(k) N_col"
                 " - (2 w(k,k) + colsum(k)) d(k)",
-                max(residual(lhs, rhs) for lhs, rhs in sides_wa),
+                _worst(worst_wa),
             ),
             (
                 "l2-wn-commute-create",
                 "S_w d+(k) = d+(k) S_w - d+(k) N_row - d+(k) N_col + colsum(k) d+(k)",
-                worst_wc,
+                _worst(worst_wc),
             ),
         ],
-        ("l2-negative-control", "S_w annihilator commutation at k = 0", *sides_wa[0]),
+        ("l2-negative-control", "S_w annihilator commutation at k = 0", *control),
     )
 
 
@@ -693,13 +811,11 @@ def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") ->
     lift = Weight2D.from_weight1d(u).theta_vector(n)
 
     masks = np.arange(1 << n, dtype=np.int64)
-    additive = 0.0
+    additive = []
     for k in range(n):
         bit = 1 << k
         outside = (masks & bit) == 0
-        additive = max(
-            additive, residual(count[masks[outside] | bit], count[outside] + u(k))
-        )
+        additive.append(residual(count[masks[outside] | bit], count[outside] + u(k)))
 
     return family_reports(
         {"n": n, "weight": tag},
@@ -708,7 +824,7 @@ def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") ->
             (
                 "theta-range",
                 "0 <= theta(sigma) <= 2 alpha(w) #sigma on the whole basis",
-                max(excess(-theta, 0.0), excess(theta, cap)),
+                _worst([excess(-theta, 0.0), excess(theta, cap)]),
             ),
             (
                 "alpha-dominates-columns",
@@ -723,7 +839,7 @@ def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") ->
             (
                 "count-additive",
                 "count(sigma + {k}) = count(sigma) + u(k) for k outside sigma",
-                additive,
+                _worst(additive),
             ),
             (
                 "theta-empty",
@@ -747,15 +863,14 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
     rng = np.random.default_rng(seed)
     lam_vec = lam_vector(n)
     grid = (0.0, 0.5, 1.0, 2.0)
-    worst_mono = worst_dual = worst_cs = worst_growth = 0.0
-    isometry = []
+    worst_mono, worst_dual, worst_cs, worst_growth, isometry = [], [], [], [], []
     for _ in range(trials):
         xi = random_functional(rng, n)
         phi = random_functional(rng, n)
         norms = [xi.norm(p) for p in grid]
-        worst_mono = max(worst_mono, excess(norms[:-1], norms[1:]))
+        worst_mono.append(excess(norms[:-1], norms[1:]))
         duals = [xi.dual_norm(p) for p in grid]
-        worst_dual = max(worst_dual, excess(duals[1:], duals[:-1]))
+        worst_dual.append(excess(duals[1:], duals[:-1]))
         embedded = riesz_embed(xi)
         isometry.append(
             (
@@ -764,7 +879,7 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
             )
         )
         for p in (0, 1):
-            worst_cs = max(worst_cs, excess(abs(pair(phi, xi)), phi.dual_norm(p) * xi.norm(p)))
+            worst_cs.append(excess(abs(pair(phi, xi)), phi.dual_norm(p) * xi.norm(p)))
         # a table built to satisfy |coeff| <= scale * lambda^order must pass
         # the growth check together with its dual-norm consequence
         scale, order = 2.0, 1.0
@@ -773,32 +888,29 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
         )
         bounded = Functional.from_vector(scale * lam_vec**order * sample, n)
         outcome = check_growth(bounded, GrowthBound(scale, order))
-        worst_growth = max(
-            worst_growth,
-            excess(outcome.worst_excess, 0.0),
-            excess(outcome.dual_norm_at_next, outcome.dual_norm_cap),
-        )
+        worst_growth.append(excess(outcome.worst_excess, 0.0))
+        worst_growth.append(excess(outcome.dual_norm_at_next, outcome.dual_norm_cap))
     return family_reports(
         {"n": n, "trials": trials, "seed": seed},
         TOLERANCE,
         [
-            ("norm-monotone", "norm(xi, p) is nondecreasing in p", worst_mono),
-            ("dual-norm-antitone", "dual_norm(xi, p) is nonincreasing in p", worst_dual),
+            ("norm-monotone", "norm(xi, p) is nondecreasing in p", _worst(worst_mono)),
+            ("dual-norm-antitone", "dual_norm(xi, p) is nonincreasing in p", _worst(worst_dual)),
             (
                 "riesz-isometry",
                 "conjugation preserves every dual norm",
-                max(residual(lhs, rhs) for lhs, rhs in isometry),
+                _worst([residual(lhs, rhs) for lhs, rhs in isometry]),
             ),
             (
                 "pairing-cauchy-schwarz",
                 "|pair(phi, xi)| <= dual_norm(phi, p) norm(xi, p)",
-                worst_cs,
+                _worst(worst_cs),
             ),
             (
                 "growth-dual-bound",
                 "a pointwise bound of order p caps the dual norm at level p+1 "
                 "with the series constant",
-                worst_growth,
+                _worst(worst_growth),
                 _DUAL_NORM_NOTE,
             ),
         ],

@@ -9,11 +9,14 @@ the exclusion at work, decay only from the state where index 0 is free.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaoscalc import qms
 from chaoscalc.qms import (
     GeneratorSpec,
     check_generator_structure,
@@ -204,6 +207,19 @@ class TestStructure:
         names = {r.name for r in reports}
         assert "qms-unital" in names and "qms-diagonal-reduction" in names
 
+    def test_a_nan_in_a_later_trial_fails_the_check(self, monkeypatch):
+        # trial 1 makes calls 1 and 2; a NaN from trial 2's hermiticity
+        # comparison must survive the fold over trials
+        real, calls = qms.residual, []
+
+        def third_is_nan(lhs, rhs):
+            calls.append(None)
+            return np.nan if len(calls) == 3 else real(lhs, rhs)
+
+        monkeypatch.setattr(qms, "residual", third_is_nan)
+        reports = check_generator_structure(Weight2D({(0, 1): 1.0}), 2, trials=3)
+        assert [r.name for r in reports if not r.ok] == ["qms-hermiticity"]
+
     def test_unital_is_exact(self):
         w = Weight2D({(0, 1): 0.7, (2, 2): 1.3})
         spec = GeneratorSpec(weight=w, truncation=3)
@@ -251,6 +267,16 @@ class TestStructure:
         h[0, 1] = 1e-5
         with pytest.raises(ValueError, match="not hermitian"):
             GeneratorSpec(weight=Weight2D.zero(), truncation=1, hamiltonian=h)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hamiltonian_is_rejected(self, entry):
+        # a NaN hermiticity residual would compare as within tolerance, and
+        # an infinite entry would warn in the residual's subtraction
+        h = np.array([[entry, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="hamiltonian entries must be finite"):
+                GeneratorSpec(weight=Weight2D.zero(), truncation=1, hamiltonian=h)
 
     def test_observable_shape_checked(self):
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=2)

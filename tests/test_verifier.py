@@ -77,6 +77,33 @@ class TestResidualHelpers:
         phi = Functional({0: 2.0}, 2)
         assert residual(phi, Functional({0: 1.0}, 2)) == pytest.approx(0.5)
 
+    def test_residual_per_row_block(self):
+        lhs = np.array([[100.0, 0.0], [0.0, 1.0], [10.0, 0.0], [0.0, 1.0]])
+        rhs = lhs.copy()
+        rhs[3, 0] += 1.0
+        # block 1 is rows 2 and 3, normalized by its own largest entry, 10
+        assert residual(lhs, rhs, blocks=2) == residual(lhs[2:], rhs[2:]) == 1.0 / 10.0
+        assert residual(sp.csr_matrix(lhs), sp.csr_matrix(rhs), blocks=2) == 0.1
+        # one block is the unblocked residual, normalized by the whole stack
+        assert residual(lhs, rhs, blocks=1) == residual(lhs, rhs) == 1.0 / 100.0
+        # a 1D array splits into equal runs
+        assert residual(np.array([0.0, 0.0, 4.0, 5.0]), np.array([0.5, 0.0, 4.0, 5.0]), 2) == 0.5
+
+    def test_residual_empty_and_broken_blocks(self):
+        # block 0 of the stack stores no entry; block 1 differs by 2 of 4
+        lhs = sp.csr_matrix(np.array([[0, 0], [0, 0], [4, 0], [0, 1]], dtype=complex))
+        rhs = sp.csr_matrix(np.array([[0, 0], [0, 0], [4, 2], [0, 1]], dtype=complex))
+        assert residual(lhs, rhs, blocks=2) == 0.5
+        assert residual(lhs[:2], rhs[:2]) == residual(lhs, lhs, blocks=2) == 0.0
+        assert residual(np.zeros((4, 0)), np.zeros((4, 0)), blocks=2) == 0.0
+        # NaN in the last block: a fold that keeps the first value would hide it
+        for wrap in (np.asarray, sp.csr_matrix):
+            broken = np.eye(4, dtype=complex)
+            broken[3, 3] = np.nan
+            assert np.isnan(residual(wrap(np.eye(4, dtype=complex)), wrap(broken), blocks=4))
+        with pytest.raises(ValueError, match="equal row blocks"):
+            residual(np.zeros((3, 2)), np.zeros((3, 2)), blocks=2)
+
     def test_perturbed_each_kind(self):
         assert perturbed(0.0) == 1e-6
         arr = perturbed(np.zeros((2, 2)))
@@ -284,6 +311,45 @@ def test_growth_residual_reads_what_check_growth_measured(
     reports = check_functional_invariants(3, trials=2)
     growth = next(r for r in reports if r.name == "growth-dual-bound")
     assert growth.residual == residual_read and not growth.ok
+
+
+def test_nan_after_the_first_comparison_fails_spectral_shift(monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN past the first comparison of a fold read as
+    # a pass; the second call is the index-removal shift at k = 1
+    real, calls = verifier.residual, []
+
+    def second_is_nan(lhs, rhs, *blocks):
+        calls.append(None)
+        return float("nan") if len(calls) == 2 else real(lhs, rhs, *blocks)
+
+    monkeypatch.setattr(verifier, "residual", second_is_nan)
+    reports = check_spectral_shifts(Weight2D.from_entries([(0, 1, 2.0)]), 3)
+    assert not all_ok(reports)
+    assert [r.name for r in reports if not r.ok] == ["spectral-shift-remove"]
+
+
+@pytest.mark.parametrize("family,call", FAMILY_CALLS, ids=[f for f, _ in FAMILY_CALLS])
+def test_every_residual_reaches_a_report(monkeypatch, family, call, rnd_weight, rnd_u):
+    # a NaN from any one comparison leaves its family not ok, wherever it
+    # falls in a fold
+    real, calls = verifier.residual, []
+
+    def counting(lhs, rhs, *blocks):
+        calls.append(None)
+        return real(lhs, rhs, *blocks)
+
+    monkeypatch.setattr(verifier, "residual", counting)
+    call(rnd_weight, rnd_u)
+    total = len(calls)
+    for broken in sorted({2, total // 2, total} - {0}):
+        calls.clear()
+
+        def nan_at(lhs, rhs, *blocks, broken=broken):
+            calls.append(None)
+            return float("nan") if len(calls) == broken else real(lhs, rhs, *blocks)
+
+        monkeypatch.setattr(verifier, "residual", nan_at)
+        assert not all_ok(call(rnd_weight, rnd_u)), (family, broken, total)
 
 
 def test_hop_holds_one_pair_of_matrices():
