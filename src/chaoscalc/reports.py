@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from .basis import check_truncation
-from .functionals import Functional
+from .functionals import Functional, _moduli
 
 CHECK = "check"
 NEGATIVE_CONTROL = "negative-control"
@@ -54,9 +54,26 @@ def max_abs(x) -> float:
     return float(np.abs(x.data).max()) if x.nnz else 0.0
 
 
+def _run_max(moduli: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Largest of moduli[bounds[b] : bounds[b + 1]] for each block b; an
+    empty block reads 0, a NaN entry gives NaN."""
+    out = np.zeros(len(bounds) - 1)
+    filled = bounds[:-1] < bounds[1:]
+    if filled.any():
+        out[filled] = np.maximum.reduceat(moduli, bounds[:-1][filled])
+    return out
+
+
 def _block_max_abs(x, blocks: int) -> np.ndarray:
-    """Largest entry magnitude in each of ``blocks`` equal row blocks of an
-    array or sparse matrix; an empty block reads 0, a NaN entry gives NaN."""
+    """Largest entry magnitude in each of ``blocks`` blocks: the equal row
+    blocks of an array or sparse matrix, or the tags ``masks >> truncation``
+    of a tagged functional; an empty block reads 0, a NaN entry gives NaN."""
+    if isinstance(x, Functional):
+        tags = x.masks >> x.truncation
+        if len(tags) and tags[-1] >= blocks:
+            raise ValueError(f"tag {tags[-1]} lies outside {blocks} blocks")
+        bounds = np.searchsorted(tags, np.arange(blocks + 1))
+        return _run_max(_moduli(x.values), bounds)
     shape = np.shape(x)
     rows = shape[0] if shape else 0
     if rows == 0 or rows % blocks:
@@ -66,27 +83,37 @@ def _block_max_abs(x, blocks: int) -> np.ndarray:
         return arr.reshape(blocks, arr.size // blocks).max(axis=1, initial=0.0)
     x = x.tocsr()
     x.sum_duplicates()  # one stored value per entry
-    bounds = x.indptr[:: rows // blocks]
-    out = np.zeros(blocks)
-    filled = bounds[:-1] < bounds[1:]
-    if filled.any():
-        out[filled] = np.maximum.reduceat(np.abs(x.data), bounds[:-1][filled])
-    return out
+    return _run_max(np.abs(x.data), x.indptr[:: rows // blocks])
 
 
 def residual(lhs, rhs, blocks: int = 1) -> float:
     """Normalized worst-entry gap between two comparable objects.
 
-    With ``blocks`` > 1, lhs and rhs are stacks of that many equal row
-    blocks, and each block pair is compared, and normalized, on its own: the
-    result is the largest per-block residual, NaN when any block's is NaN.
+    With ``blocks`` > 1, lhs and rhs are stacks of that many blocks, and
+    each block pair is compared, and normalized, on its own: the result is
+    the largest per-block residual, NaN when any block's is NaN. The blocks
+    of an array or sparse matrix are its equal row blocks; those of a
+    tagged :class:`Functional` (one table holding a stack of tables, table
+    t's entry at sigma under mask ``(t << truncation) | sigma``) are its
+    tags, block t being the entries whose ``masks >> truncation == t``. An
+    empty block reads 0, and a tag of the gap at or above ``blocks`` raises
+    ``ValueError``.
+
+    A comparison with no gap reads 0 without measuring its sides: a NaN or
+    infinite entry on either side leaves a NaN or infinite gap, so a zero
+    gap means finite sides, which no normalization moves off 0.
     """
     if blocks == 1:
         gap = max_abs(lhs - rhs)
+        if gap == 0.0:
+            return gap
         return gap / max(1.0, max_abs(lhs), max_abs(rhs))
+    gap = _block_max_abs(lhs - rhs, blocks)
+    if not gap.any():
+        return 0.0
     scale = np.maximum(_block_max_abs(lhs, blocks), _block_max_abs(rhs, blocks))
     with np.errstate(invalid="ignore"):  # inf / inf is NaN, as for one block
-        per_block = _block_max_abs(lhs - rhs, blocks) / np.maximum(1.0, scale)
+        per_block = gap / np.maximum(1.0, scale)
     return float(np.max(per_block))
 
 

@@ -21,6 +21,11 @@ above the other, per-k left factors on a block diagonal, a fixed left
 factor repeated down one, per-k scalars as a diagonal), and each k's
 residual is read off its own row block with ``residual(..., blocks=b)``.
 A stack holds at most ``_STACK_ROWS`` rows, so memory stays bounded at any n.
+The riesz family stacks its probes the same way: as many as fill
+``_STACK_ROWS`` entries go into one tagged table, probe t's coefficient at
+sigma under mask ``(t << n) | sigma`` (the column tag of
+``materialize_apply``), each kernel runs once per k on the whole table, and
+each probe's residual is read off its own tag.
 Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
@@ -108,11 +113,13 @@ def _ladder_matrices(n: int):
 # stacked operands
 # ---------------------------------------------------------------------------
 
-# Rows of one stacked operand. Each scipy product has a fixed Python-level
-# cost, so the matrix families stack their per-k operands and make one
-# product per identity; the budget caps what a stack holds. At n = 8 every
-# identity fits one or two stacks, at n = 12 a stack holds two blocks, and
-# from n = 13 on one block, so memory stays that of a few blocks at any n.
+# Rows of one stacked operand, or entries of one tagged probe table. Each
+# scipy product and kernel call has a fixed Python-level cost, so the matrix
+# families stack their per-k operands and make one product per identity, and
+# riesz applies each kernel to a stack of probes; the budget caps what a stack
+# holds. At n = 8 every identity fits one or two stacks and a probe table
+# holds 32 probes, at n = 12 a stack holds two blocks or probes, and from
+# n = 13 on one, so memory stays that of a few blocks at any n.
 _STACK_ROWS = 1 << 13
 
 
@@ -155,6 +162,16 @@ def _diagonals(values, size: int):
 def _scalars(values, size: int):
     """Block diagonal of values[b] times the 2^n identity, for 2^n = size."""
     return scipy.sparse.diags(np.repeat(np.asarray(values, dtype=complex), size), format="csr")
+
+
+def _tagged(tables, n: int) -> Functional:
+    """One private table holding tables[t]'s entry at sigma under mask
+    ``(t << n) | sigma``, the column tag of ``materialize_apply``: every
+    kernel keeps the tag and the mask order, and ``residual(..., blocks=b)``
+    reads each table's comparison off its own tag."""
+    masks = np.concatenate([t << n | table.masks for t, table in enumerate(tables)])
+    values = np.concatenate([table.values for table in tables])
+    return Functional._from_arrays(masks, values, n)
 
 
 def _worst(values) -> float:
@@ -580,17 +597,24 @@ def check_riesz_intertwining(
     n = family_level(n)
     trials = family_trials(trials)
     rng = np.random.default_rng(seed)
-    probes = [random_functional(rng, n) for _ in range(trials)]
     worst_a, worst_c, worst_w, worst_pair = [], [], [], []
-    for xi in probes:
-        embedded = riesz_embed(xi)
+    for stack in _chunks(range(trials), n):
+        probes = [random_functional(rng, n) for _ in stack]
+        if not worst_a:
+            first = probes[0]
+            control = riesz_embed(l2_annihilate(0, first)), apply_annihilate(0, riesz_embed(first))
+        # a tagged table sums over its probes, so the pairing stays per probe
+        worst_pair.extend(residual(pair(riesz_embed(xi), xi), xi.norm(0) ** 2) for xi in probes)
+        blocks = len(probes)
+        table = _tagged(probes, n)
+        embedded = riesz_embed(table)
         for k in range(n):
-            worst_a.append(
-                residual(riesz_embed(l2_annihilate(k, xi)), apply_annihilate(k, embedded))
-            )
-            worst_c.append(residual(riesz_embed(l2_create(k, xi)), apply_create(k, embedded)))
-        worst_w.append(residual(riesz_embed(l2_wn_apply(w, xi)), gwn_apply(w, embedded)))
-        worst_pair.append(residual(pair(embedded, xi), xi.norm(0) ** 2))
+            lhs = riesz_embed(l2_annihilate(k, table))
+            worst_a.append(residual(lhs, apply_annihilate(k, embedded), blocks))
+            lhs = riesz_embed(l2_create(k, table))
+            worst_c.append(residual(lhs, apply_create(k, embedded), blocks))
+        lhs = riesz_embed(l2_wn_apply(w, table))
+        worst_w.append(residual(lhs, gwn_apply(w, embedded), blocks))
     return family_reports(
         {"n": n, "weight": tag, "trials": trials, "seed": seed},
         TOLERANCE,
@@ -619,8 +643,7 @@ def check_riesz_intertwining(
         (
             "riesz-negative-control",
             "annihilator intertwining at k = 0 on the first probe",
-            riesz_embed(l2_annihilate(0, probes[0])),
-            apply_annihilate(0, riesz_embed(probes[0])),
+            *control,
         ),
     )
 
@@ -871,15 +894,17 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
         worst_mono.append(excess(norms[:-1], norms[1:]))
         duals = [xi.dual_norm(p) for p in grid]
         worst_dual.append(excess(duals[1:], duals[:-1]))
+        # p = 0, 1, 2 sit at grid positions 0, 2, 3
         embedded = riesz_embed(xi)
         isometry.append(
             (
                 np.array([embedded.dual_norm(p) for p in (0, 1, 2)]),
-                np.array([xi.dual_norm(p) for p in (0, 1, 2)]),
+                np.array([duals[0], duals[2], duals[3]]),
             )
         )
-        for p in (0, 1):
-            worst_cs.append(excess(abs(pair(phi, xi)), phi.dual_norm(p) * xi.norm(p)))
+        pairing = abs(pair(phi, xi))
+        for p, norm in ((0, norms[0]), (1, norms[2])):
+            worst_cs.append(excess(pairing, phi.dual_norm(p) * norm))
         # a table built to satisfy |coeff| <= scale * lambda^order must pass
         # the growth check together with its dual-norm consequence
         scale, order = 2.0, 1.0

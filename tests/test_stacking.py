@@ -1,10 +1,12 @@
-"""The stacked literal route of the matrix families against a per-k oracle.
+"""The stacked routes of the verifier against per-k and per-probe oracles.
 
 car, hop, the three commutation families and the l2 lemmas stack their per-k
 operands and read each k's residual off a row block. The oracle below makes
 the same comparisons one k (or one pair) at a time, on unstacked matrices,
-in the order the families once looped; every residual, and every control's,
-must come out equal as floats, not merely close.
+in the order the families once looped. The riesz family puts a stack of
+probes into one tagged table and reads each probe's residual off its tag;
+its oracle compares one untagged probe at a time. Every residual, and every
+control's, must come out equal as floats, not merely close.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoscalc import verifier
+from chaoscalc.functionals import Functional, pair, riesz_embed
 from chaoscalc.operators import (
     annihilate,
     create,
@@ -221,3 +224,114 @@ def test_chunking_is_invisible_in_the_reports(monkeypatch, blocks):
     assert verifier._chunks(range(n), n)[0] == list(range(blocks))
     for name, (call, _) in families(w, u, n).items():
         assert call() == default[name], name
+
+
+def oracle_riesz(w, n, trials, seed):
+    """The riesz comparisons one untagged probe at a time, through the
+    transform-side kernels ``verifier`` calls."""
+    rng = np.random.default_rng(seed)
+    probes = [verifier.random_functional(rng, n) for _ in range(trials)]
+    res_a, res_c, res_w, res_pair = [], [], [], []
+    for xi in probes:
+        embedded = riesz_embed(xi)
+        for k in range(n):
+            lhs = riesz_embed(l2_annihilate(k, xi))
+            res_a.append(residual(lhs, verifier.apply_annihilate(k, embedded)))
+            lhs = riesz_embed(l2_create(k, xi))
+            res_c.append(residual(lhs, verifier.apply_create(k, embedded)))
+        res_w.append(residual(riesz_embed(l2_wn_apply(w, xi)), verifier.gwn_apply(w, embedded)))
+        res_pair.append(residual(pair(embedded, xi), xi.norm(0) ** 2))
+    first = probes[0]
+    return [
+        max(res_a),
+        max(res_c),
+        max(res_w),
+        max(res_pair),
+        control(
+            riesz_embed(l2_annihilate(0, first)),
+            verifier.apply_annihilate(0, riesz_embed(first)),
+        ),
+    ]
+
+
+def skewed(kernel):
+    """kernel with each output value scaled by 1 + 1e-9 * (sigma mod 5), sigma
+    its low n bits: every probe then reads its own nonzero residual."""
+
+    def apply(*args):
+        out = kernel(*args)
+        low = out.masks & ((1 << out.truncation) - 1)
+        return Functional._from_arrays(
+            out.masks, out.values * (1 + 1e-9 * (low % 5)), out.truncation
+        )
+
+    return apply
+
+
+TRANSFORM_KERNELS = ("apply_annihilate", "apply_create", "gwn_apply")
+
+
+@st.composite
+def riesz_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 7.3, 1e3]))
+    # entries on the two indices above n too: a kernel that evaluated a
+    # diagonal at the tagged masks would count the tag bits there
+    rnd = verifier.random_weight2d(rng, n + 2)
+    w = draw(
+        st.sampled_from(
+            [
+                Weight2D.zero(),
+                Weight2D.from_weight1d(Weight1D.constant(1.0, n + 2)),
+                Weight2D({key: scale * v for key, v in rnd.entries.items()}),
+            ]
+        )
+    )
+    trials = draw(st.integers(min_value=1, max_value=7))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return w, n, trials, seed, draw(st.booleans())
+
+
+@pytest.mark.parametrize("probes", [1, 3, None], ids=["one-probe", "three-probes", "default"])
+@settings(max_examples=20, deadline=None)
+@given(case=riesz_cases())
+def test_tagged_riesz_residuals_equal_the_per_probe_oracle(probes, case):
+    # skewed kernels make every intertwining residual nonzero and different
+    # per probe, so a table normalized as a whole would not match
+    w, n, trials, seed, skew = case
+    with pytest.MonkeyPatch.context() as mp:
+        if probes is not None:
+            mp.setattr(verifier, "_STACK_ROWS", probes << n)
+        if skew:
+            for name in TRANSFORM_KERNELS:
+                mp.setattr(verifier, name, skewed(getattr(verifier, name)))
+        reports = verifier.check_riesz_intertwining(w, n, trials=trials, seed=seed)
+        assert [r.residual for r in reports] == oracle_riesz(w, n, trials, seed)
+
+
+def leaky(kernel):
+    """kernel with its first output entry moved up into the next tag."""
+
+    def apply(*args):
+        out = kernel(*args)
+        n, mask, value = out.truncation, out.masks[:1], out.values[:1]
+        moved = Functional._from_arrays(mask + (1 << n), value, n)
+        return out - Functional._from_arrays(mask, value, n) + moved
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "kernel, name",
+    [
+        ("apply_annihilate", "riesz-intertwining-annihilate"),
+        ("apply_create", "riesz-intertwining-create"),
+        ("gwn_apply", "riesz-intertwining-wn"),
+    ],
+)
+def test_a_kernel_leaking_into_the_next_tag_fails(monkeypatch, kernel, name):
+    w = Weight2D.from_weight1d(Weight1D.constant(1.0, 4))
+    monkeypatch.setattr(verifier, kernel, leaky(getattr(verifier, kernel)))
+    reports = verifier.check_riesz_intertwining(w, 4, trials=5)
+    assert [r.name for r in reports if not r.ok] == [name]

@@ -173,6 +173,11 @@ def test_pair_matches_dot_product(pair_of_tables):
     scale = max(1.0, float(np.sum(np.abs(products))))
     assert abs(a.pair(b) - np.sum(products)) <= 1e-13 * scale
     assert abs(a.pair(b) - b.pair(a)) <= 1e-13 * scale
+    # a's conjugate shares a's support, which pairs without an intersection
+    same = a.conjugated()
+    products = a.as_vector() * same.as_vector()
+    scale = max(1.0, float(np.sum(np.abs(products))))
+    assert abs(a.pair(same) - np.sum(products)) <= 1e-13 * scale
 
 
 @SETTINGS

@@ -89,6 +89,34 @@ class TestResidualHelpers:
         # a 1D array splits into equal runs
         assert residual(np.array([0.0, 0.0, 4.0, 5.0]), np.array([0.5, 0.0, 4.0, 5.0]), 2) == 0.5
 
+    def test_residual_per_tag(self):
+        # tag 0 holds a probe of magnitude 1e6, tag 1 a small one that is off
+        # by 0.5 of 2.5: normalized by its own tag, the small gap is not hidden
+        big, small = Functional({0: 1e6, 1: 1.0}, 1), Functional({1: 2.0}, 1)
+        off = small + Functional({1: 0.5}, 1)
+        lhs, rhs = verifier._tagged([big, small], 1), verifier._tagged([big, off], 1)
+        assert lhs.masks.tolist() == [0b00, 0b01, 0b11]
+        assert residual(lhs, rhs, blocks=2) == residual(small, off) == 0.5 / 2.5
+        # one block is the unblocked residual, normalized by the whole table
+        assert residual(lhs, rhs, blocks=1) == residual(lhs, rhs) == 0.5 / 1e6
+        untagged = Functional({0: 3.0, 0b11: 4j}, 2)
+        assert residual(untagged, 2 * untagged, blocks=1) == 5.0 / 10.0
+
+    def test_residual_empty_and_broken_tags(self):
+        empty, probe = Functional.zero(2), Functional({0b10: 4.0}, 2)
+        # tag 0 stores nothing on either side and reads 0; tag 1 is off by 1 of 4
+        lhs = verifier._tagged([empty, probe], 2)
+        rhs = verifier._tagged([empty, probe + Functional({0b01: 1.0}, 2)], 2)
+        assert residual(lhs, rhs, blocks=2) == 0.25
+        assert residual(lhs, lhs, blocks=3) == residual(empty, empty, blocks=2) == 0.0
+        # NaN in the last tag: a fold that keeps the first value would hide it
+        broken = Functional._from_arrays(np.array([0b110]), np.array([np.nan + 0j]), 2)
+        stack = verifier._tagged([probe, probe], 2)
+        assert np.isnan(residual(stack, stack + broken, blocks=2))
+        # a tag at or above blocks is a table the caller did not count
+        with pytest.raises(ValueError, match="tag 2 lies outside 2 blocks"):
+            residual(verifier._tagged([empty, probe, probe], 2), lhs, blocks=2)
+
     def test_residual_empty_and_broken_blocks(self):
         # block 0 of the stack stores no entry; block 1 differs by 2 of 4
         lhs = sp.csr_matrix(np.array([[0, 0], [0, 0], [4, 0], [0, 1]], dtype=complex))
@@ -103,6 +131,21 @@ class TestResidualHelpers:
             assert np.isnan(residual(wrap(np.eye(4, dtype=complex)), wrap(broken), blocks=4))
         with pytest.raises(ValueError, match="equal row blocks"):
             residual(np.zeros((3, 2)), np.zeros((3, 2)), blocks=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_the_same_non_finite_entry_on_both_sides_is_not_a_zero_gap(self, bad):
+        # a zero gap reads 0 without measuring the sides; the same NaN or
+        # infinity on both sides must still leave a NaN gap, in every form
+        arr = np.eye(4, dtype=complex)
+        arr[3, 3] = bad
+        table = Functional._from_arrays(np.array([0b01, 0b110]), np.array([1.0, bad + 0j]), 2)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.isnan(residual(complex(bad), complex(bad)))
+            for wrap in (np.asarray, sp.csr_matrix):
+                assert np.isnan(residual(wrap(arr), wrap(arr.copy())))
+                assert np.isnan(residual(wrap(arr), wrap(arr.copy()), blocks=4))
+            assert np.isnan(residual(table, table))
+            assert np.isnan(residual(table, table, blocks=2))
 
     def test_perturbed_each_kind(self):
         assert perturbed(0.0) == 1e-6
@@ -366,6 +409,27 @@ def test_hop_holds_one_pair_of_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 16 * pair_bytes
+
+
+def test_riesz_holds_one_stack_of_probes():
+    # probes are drawn and compared one tagged table at a time: at n = 12 a
+    # table holds two probes, so 100 probes peak where one table does, while
+    # all 100 at once would be 50 tables' entries
+    n = 12
+    w = random_weight2d(np.random.default_rng(1), 4)
+    assert verifier._chunks(range(100), n)[0] == [0, 1]
+    stack_bytes = verifier._STACK_ROWS * (8 + 16)  # int64 mask, complex value
+    check_riesz_intertwining(w, n, trials=2)
+    peaks = []
+    for trials in (2, 100):
+        tracemalloc.start()
+        try:
+            check_riesz_intertwining(w, n, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 16 * stack_bytes
 
 
 # (checks, negative controls) per family in run_all(n=5): one family run per
