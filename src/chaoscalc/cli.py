@@ -3,12 +3,12 @@
 Subcommands: verify (identity-check families), simulate (Bernoulli noise
 Gram/moment checks), apply (operator expression to a functional), norms,
 qms (generator application, sized by --x). Exit codes: 0 everything passed,
-1 at least one genuine check failed, 2 bad input: a bad flag, or a file that
-is unreadable, not UTF-8 JSON, nested too deep or malformed (loaders raise
-ValueError; :func:`main` alone turns it into one ``error:`` line). All
-reports are JSON with sorted keys; wall-clock data lives in a single
-"timing" field so that two runs with the same config and seed agree byte for
-byte elsewhere.
+1 at least one genuine check failed, 2 bad input or no memory: a bad flag, a
+file that is unreadable, not UTF-8 JSON, nested too deep or malformed
+(loaders raise ValueError), or a run out of memory; :func:`main` alone turns
+either into one ``error:`` line. All reports are JSON with sorted keys;
+wall-clock data lives in a single "timing" field so that two runs with the
+same config and seed agree byte for byte elsewhere.
 """
 from __future__ import annotations
 
@@ -278,6 +278,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        at = f" at n = {args.n}" if hasattr(args, "n") else ""
+        print(f"error: {args.command}{at} ran out of memory", file=sys.stderr)
         return 2
 
 

@@ -170,8 +170,8 @@ def check_sum_identity(w: Weight2D, n: int, tag: str = "w") -> list:
     via_adjoint = np.zeros((size, size), dtype=complex)
     via_explicit = np.zeros((size, size), dtype=complex)
     for (j, k), rate in sorted(w.entries.items()):
-        b = transfer_matrix(j, k, n).toarray()
-        via_adjoint += rate * (b.conj().T @ b)
+        b = transfer_matrix(j, k, n)
+        via_adjoint += rate * (b.conj().T @ b).toarray()
         explicit = materialize_apply(
             lambda xi: l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, xi)))),
             n,

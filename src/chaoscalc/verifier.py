@@ -653,16 +653,11 @@ def check_riesz_intertwining(
 # ---------------------------------------------------------------------------
 
 
-def _dual_norms(coeffs: np.ndarray, lam_vec: np.ndarray, p: float) -> np.ndarray:
-    weights = lam_vec[:, None] ** (-2.0 * p)
-    return np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=0))
-
-
 def check_norm_bounds(
     w: Weight2D,
     u: Weight1D,
     n: int,
-    trials: int = 1000,
+    trials: int = 1,
     seed: int = 42,
     tag: str = "w",
 ) -> list:
@@ -671,30 +666,29 @@ def check_norm_bounds(
     Applying the 2D operator costs at most a factor 2*alpha when moving one
     level down the dual scale; the 1D operator costs at most beta, and that
     constant is attained on the basis functional at {0}.
+
+    Both operators are diagonal, and for a diagonal symbol d the squared ratio
+    dual_norm(d phi, p+1)^2 / dual_norm(phi, p)^2 is a mean of (|d| / lambda)^2,
+    so each bound is read off the exact operator norm max |d| / lambda, attained
+    on a basis functional, at every p. ``trials`` random probes, drawn one at a
+    time, compare the vectorized dual norm with the coefficient-table API.
     """
     n = family_level(n)
     trials = family_trials(trials)
     rng = np.random.default_rng(seed)
     lam_vec = lam_vector(n)
     theta = w.theta_vector(n)
-    count = u.count_vector(n)
-    two_alpha = 2.0 * w.alpha()
     beta = u.beta()
-    shape = (1 << n, trials)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    worst_2d, worst_1d = [], []
-    for p in (0, 1, 2):
-        base = _dual_norms(coeffs, lam_vec, p)
-        lifted = _dual_norms(theta[:, None] * coeffs, lam_vec, p + 1)
-        worst_2d.append(excess(lifted, two_alpha * base))
-        lifted = _dual_norms(count[:, None] * coeffs, lam_vec, p + 1)
-        worst_1d.append(excess(lifted, beta * base))
-
-    # route consistency: the vectorized norms above against the Functional API
-    probe = Functional.from_vector(coeffs[:, 0], n)
-    api = gwn_apply(w, probe).dual_norm(2)
-    vec = float(_dual_norms(theta[:, None] * coeffs[:, :1], lam_vec, 2)[0])
+    # the identity is linear in the probe, so scaling it keeps the squares of
+    # a huge finite theta times the probe from overflowing
+    scale = 1.0 / max(1.0, float(np.max(np.abs(theta))))
+    route = []
+    for _ in range(trials):
+        probe = scale * random_functional(rng, n)
+        api = gwn_apply(w, probe).dual_norm(2)
+        vec = float(np.sqrt(np.sum(lam_vec**-4.0 * np.abs(theta * probe.as_vector()) ** 2)))
+        route.append(residual(api, vec))
 
     # sharpness of the 1D constant: on the basis functional at {0} (where
     # lambda = 1) a constant weight is an equality, not just a bound
@@ -711,19 +705,19 @@ def check_norm_bounds(
             (
                 "gwn-dual-norm-bound",
                 "dual_norm(gwn(w) phi, p+1) <= 2 alpha(w) dual_norm(phi, p)",
-                _worst(worst_2d),
+                excess(np.abs(theta) / lam_vec, 2.0 * w.alpha()),
                 _DUAL_NORM_NOTE,
             ),
             (
                 "wn1d-dual-norm-bound",
                 "dual_norm(wn1d(u) phi, p+1) <= beta(u) dual_norm(phi, p)",
-                _worst(worst_1d),
+                excess(np.abs(u.count_vector(n)) / lam_vec, beta),
                 _DUAL_NORM_NOTE,
             ),
             (
                 "norm-bound-route-consistency",
                 "vectorized dual norms match the coefficient-table API",
-                residual(api, vec),
+                _worst(route),
             ),
             (
                 "wn1d-bound-attained",

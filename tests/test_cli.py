@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,24 @@ def run_cli(capsys, *argv):
     captured = capsys.readouterr()
     payload = json.loads(captured.out) if captured.out.strip() else None
     return code, payload, captured.err
+
+
+def run_capped(limit: int, *argv, env=None) -> subprocess.CompletedProcess:
+    """The CLI in a child process whose address space is capped at limit
+    bytes, so a kernel that sizes its work too large fails there instead of
+    exhausting the machine."""
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from chaoscalc.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(pathlib.Path(chaoscalc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", **(env or {})}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True,
+        timeout=120, env=env,
+    )
 
 
 class TestVerify:
@@ -95,6 +114,22 @@ class TestVerify:
         assert code == 2 and payload is None
         assert_one_error_line(err)
         assert message in err
+
+    def test_huge_finite_weight_passes_without_warning(self, tmp_path, capsys):
+        # the norm bounds of a 1e200 entry are finite, and the route probe is
+        # scaled by 1 / max |theta|, so no dual norm squares past the range
+        path = write_json(tmp_path / "w.json", {"kind": "dense", "entries": [[0, 0, 1e200]]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["verify", "--n", "2", "--weight", path])
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 0
+
+        def finite_only(constant):
+            raise AssertionError(f"{constant} in the report")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=finite_only)
+        assert payload["all_ok"]
 
     def test_reports_stable_outside_timing(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
@@ -246,10 +281,8 @@ class TestNorms:
 
 def test_sparse_tables_at_truncation_62(tmp_path):
     # Diagonals and norms are evaluated at the table's own masks, so a
-    # two-entry table at the int64 limit costs two entries, not 2**62. The
-    # run is a child process whose address space is capped at 1 GiB, so a
-    # kernel that sizes its work by 2**n fails here instead of exhausting
-    # the machine.
+    # two-entry table at the int64 limit costs two entries, not 2**62, and
+    # runs under a 1 GiB cap.
     w = Weight2D.from_entries([(61, 0, 2.0), (0, 61, 1.5), (61, 61, 0.25), (3, 5, 0.75)])
     u = Weight1D({61: 3.0, 0: 0.5})
     expr = {
@@ -267,20 +300,9 @@ def test_sparse_tables_at_truncation_62(tmp_path):
     }
     expr_path = write_json(tmp_path / "expr.json", expr)
     phi_path = write_json(tmp_path / "phi.json", functional)
-    script = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
-        "from chaoscalc.cli import main\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    src = str(pathlib.Path(chaoscalc.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "CHAOSCALC_MAX_N": "62", "OPENBLAS_NUM_THREADS": "1"}
 
     def run(*argv):
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv], capture_output=True, text=True,
-            timeout=120, env=env,
-        )
+        result = run_capped(2**30, *argv, env={"CHAOSCALC_MAX_N": "62"})
         assert result.returncode == 0, result.stderr
         return json.loads(result.stdout)
 
@@ -302,6 +324,28 @@ def test_sparse_tables_at_truncation_62(tmp_path):
         for key, power in (("norm", 2 * row["p"]), ("dual_norm", -2 * row["p"])):
             oracle = math.sqrt(float(np.sum(lams**power * moduli**2)))
             assert row[key] == oracle, (key, row["p"])
+
+
+def test_norm_bound_at_16_in_one_gib():
+    # the bounds are read off |theta| / lambda and the probes are drawn one
+    # at a time, so the family holds a few 2^16-entry vectors, not a
+    # 2^16 x trials table
+    result = run_capped(2**30, "verify", "--n", "16", "--only", "norm-bound")
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["all_ok"] and payload["counts"]["not_ok"] == 0
+    assert len(payload["checks"]) == 6
+
+
+def test_out_of_memory_is_one_error_line():
+    # car at n = 20 holds about 1 GB of ladder matrices, so under a 384 MiB
+    # cap one of its allocations fails within a second
+    result = run_capped(
+        384 * 2**20, "verify", "--n", "20", "--only", "car", env={"CHAOSCALC_MAX_N": "20"}
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert_one_error_line(result.stderr)
+    assert "verify at n = 20 ran out of memory" in result.stderr
 
 
 def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):

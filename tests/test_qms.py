@@ -28,6 +28,7 @@ from chaoscalc.qms import (
     transfer_matrix,
 )
 from chaoscalc.reports import all_ok
+from chaoscalc.verifier import fixture_weights
 from chaoscalc.weights import Weight2D
 
 
@@ -181,6 +182,16 @@ class TestSumIdentity:
         checks = [r for r in reports if r.kind == "check"]
         assert len(checks) == 3
         assert all(r.residual <= 1e-12 for r in checks)
+
+    @pytest.mark.parametrize(
+        "tag, pinned", [("rnd0", 2.501410741954452e-16), ("rnd1", 2.255639896519967e-16)]
+    )
+    def test_residuals_pinned(self, tag, pinned):
+        # each B'B has exact 0/1 entries whichever route multiplies it, so
+        # the residuals of verify's n = 6 fixtures stay bit for bit
+        w = fixture_weights(6, 42)[tag]
+        checks = [r.residual for r in check_sum_identity(w, 6) if r.kind == "check"]
+        assert checks == [0.0, pinned, pinned]
 
     def test_control_fails_as_it_should(self):
         reports = check_sum_identity(Weight2D({(0, 1): 1.0}), 3)

@@ -411,6 +411,48 @@ def test_hop_holds_one_pair_of_matrices():
     assert peak < 16 * pair_bytes
 
 
+@pytest.mark.parametrize(
+    "cls, method, factor, bound, expected",
+    [
+        # 2 alpha of the running weight falls to 2.0, under |theta| / lambda
+        # = 5 / 2 at the mask {1} alone; a thousand random probes at seed 42
+        # reach a ratio of only 1.79, so a bound read off them passed this
+        (Weight2D, "alpha", 0.2, "gwn-dual-norm-bound", (2.5 - 2.0) / 2.0),
+        # beta of the ramp falls to 0.7, under |count| / lambda = 7 / 8 at
+        # {7}; the thousand probes at seed 42 passed this too
+        (Weight1D, "beta", 0.1, "wn1d-dual-norm-bound", 0.875 - 0.7),
+    ],
+    ids=["gwn", "wn1d"],
+)
+def test_norm_bounds_read_the_exact_operator_norm(monkeypatch, cls, method, factor, bound, expected):
+    w, u = fixture_weights(8, 42)["running"], fixture_weights1d(8, 42)["ramp"]
+    real = getattr(cls, method)
+    monkeypatch.setattr(cls, method, lambda self: factor * real(self))
+    reports = {r.name: r for r in check_norm_bounds(w, u, 8, seed=42)}
+    assert not reports[bound].passed
+    assert reports[bound].residual == pytest.approx(expected)
+
+
+def test_norm_bound_holds_one_probe():
+    # the bounds need |theta| / lambda and |count| / lambda alone, and the
+    # route probes are drawn one at a time, so 100 probes peak where one does
+    n = 12
+    w = random_weight2d(np.random.default_rng(1), 4)
+    u = random_weight1d(np.random.default_rng(2), 4)
+    vector_bytes = 16 << n  # one complex value per basis element
+    check_norm_bounds(w, u, n)
+    peaks = []
+    for trials in (1, 100):
+        tracemalloc.start()
+        try:
+            check_norm_bounds(w, u, n, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 16 * vector_bytes
+
+
 def test_riesz_holds_one_stack_of_probes():
     # probes are drawn and compared one tagged table at a time: at n = 12 a
     # table holds two probes, so 100 probes peak where one table does, while
