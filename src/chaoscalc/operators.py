@@ -168,6 +168,11 @@ def l2_create(k: int, xi: Functional) -> Functional:
     )
 
 
+def l2_hop(j: int, k: int, xi: Functional) -> Functional:
+    """The four-fold product d+(k) d(j) d+(j) d(k), composed from the l2 moves."""
+    return l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, xi))))
+
+
 def l2_wn_apply(w: Weight2D, xi: Functional) -> Functional:
     """Weighted number operator on the square-integrable side: diagonal theta."""
     subsets = xi.masks & ((1 << xi.truncation) - 1)

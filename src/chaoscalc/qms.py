@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from .basis import as_index, check_truncation, popcount_vector
-from .operators import l2_annihilate, l2_create, materialize_apply
+from .operators import l2_annihilate, l2_create, l2_hop, materialize_apply
 from .reports import TOLERANCE, family_level, family_reports, family_trials, residual
 from .weights import Weight2D
 
@@ -172,11 +172,8 @@ def check_sum_identity(w: Weight2D, n: int, tag: str = "w") -> list:
     for (j, k), rate in sorted(w.entries.items()):
         b = transfer_matrix(j, k, n)
         via_adjoint += rate * (b.conj().T @ b).toarray()
-        explicit = materialize_apply(
-            lambda xi: l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, xi)))),
-            n,
-        ).toarray()
-        via_explicit += rate * explicit
+        explicit = materialize_apply(lambda xi: l2_hop(j, k, xi), n)
+        via_explicit += rate * explicit.toarray()
     diagonal = np.diag(w.theta_vector(n).astype(complex))
     return family_reports(
         {"n": n, "weight": tag},

@@ -21,6 +21,9 @@ above the other, per-k left factors on a block diagonal, a fixed left
 factor repeated down one, per-k scalars as a diagonal), and each k's
 residual is read off its own row block with ``residual(..., blocks=b)``.
 A stack holds at most ``_STACK_ROWS`` rows, so memory stays bounded at any n.
+One kernel, ``_commutators``, checks a diagonal D against a ladder pair
+stack by stack; the three commutation families hand it matrices from the
+expression engine, the l2 lemmas matrices from the ``l2_*`` kernels.
 The riesz family stacks its probes the same way: as many as fill
 ``_STACK_ROWS`` entries go into one tagged table, probe t's coefficient at
 sigma under mask ``(t << n) | sigma`` (the column tag of
@@ -51,6 +54,7 @@ from .operators import (
     hop_apply,
     l2_annihilate,
     l2_create,
+    l2_hop,
     l2_wn1d_apply,
     l2_wn_apply,
     materialize,
@@ -180,6 +184,11 @@ def _worst(values) -> float:
     broke later on would read as a pass."""
     values = list(values)
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
+def _shifted(values, stack, size: int):
+    """stack with row block b scaled by values[b]; unit shifts need no product."""
+    return stack if all(v == 1.0 for v in values) else _scalars(values, size) @ stack
 
 
 # ---------------------------------------------------------------------------
@@ -326,31 +335,74 @@ def check_hop(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _gwn_relation(w: Weight2D, big, wn1d_matrix, n: int) -> tuple:
+    """The relation of gwn(w), materialized as ``big``, with the slices
+    wn1d(row_k) and wn1d(col_k) materialized by ``wn1d_matrix``."""
+    return (
+        big,
+        [2.0 * w(k, k) + w.colsum(k) for k in range(n)],
+        [w.colsum(k) for k in range(n)],
+        (lambda k: wn1d_matrix(w.row_slice(k)), lambda k: wn1d_matrix(w.col_slice(k))),
+    )
+
+
+def _commutators(lower, upper, relations, occupation=False, car=False):
+    """The commutator kernel: each relation ``(D, s, t, slices)`` against the
+    ladder pair L(k) = lower[k], U(k) = upper[k], k < n, one stack of ks at a
+    time, every stack of ladders built once for all relations:
+
+        D L(k) = L(k) D + sum of L(k) S(k) - s[k] L(k),
+        D U(k) = U(k) D - sum of U(k) S(k) + t[k] U(k),
+
+    with D and each S(k) = slice(k) materialized, slices summed in order.
+    Returns one (L worst, U worst, occupation worst) per relation, the last
+    that of D U(k) L(k) = U(k) L(k) D with ``occupation``; the first
+    relation's L sides at k = 0, for the control; and the worst of
+    U(k) L(k) + L(k) U(k) = identity with ``car``, else 0.
+    """
+    n = len(lower)
+    size = 1 << n
+    sliced = car or any(slices for *_, slices in relations)
+    worst = [([], [], []) for _ in relations]
+    equal_time = []
+    for ks in _chunks(range(n), n):
+        blocks = len(ks)
+        stack_l, stack_u = _stack([lower[k] for k in ks]), _stack([upper[k] for k in ks])
+        diag_l = _block_diag([lower[k] for k in ks]) if sliced else None
+        diag_u = _block_diag([upper[k] for k in ks]) if sliced or occupation else None
+        if car:
+            eye = scipy.sparse.identity(size, dtype=complex, format="csr")
+            pair_sum = diag_u @ stack_l + diag_l @ stack_u
+            equal_time.append(residual(pair_sum, _stack([eye] * blocks), blocks))
+        occ = diag_u @ stack_l if occupation else None
+        for (big, shifts_l, shifts_u, slices), (res_l, res_u, res_occ) in zip(relations, worst):
+            each_k = _block_diag([big] * blocks)
+            parts = [_stack([slice_at(k) for k in ks]) for slice_at in slices]
+            lhs, rhs = each_k @ stack_l, stack_l @ big
+            for part in parts:
+                rhs = rhs + diag_l @ part
+            rhs = rhs - _shifted([shifts_l[k] for k in ks], stack_l, size)
+            if not worst[0][0]:
+                control = (lhs[:size], rhs[:size])
+            res_l.append(residual(lhs, rhs, blocks))
+            rhs = stack_u @ big
+            for part in parts:
+                rhs = rhs - diag_u @ part
+            rhs = rhs + _shifted([shifts_u[k] for k in ks], stack_u, size)
+            res_u.append(residual(each_k @ stack_u, rhs, blocks))
+            if occupation:
+                res_occ.append(residual(each_k @ occ, occ @ big, blocks))
+    return [tuple(map(_worst, found)) for found in worst], control, _worst(equal_time)
+
+
 def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
     n = family_level(n)
-    size = 1 << n
-    a, c = _ladder_matrices(n)
-    big_k = materialize(gwn_expr(w), n)
-    worst_a, worst_c, worst_occ = [], [], []
-    for ks in _chunks(range(n), n):
-        blocks = len(ks)
-        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
-        diag_a, diag_c = _block_diag([a[k] for k in ks]), _block_diag([c[k] for k in ks])
-        rows = _stack([materialize(wn1d_expr(w.row_slice(k)), n) for k in ks])
-        cols = _stack([materialize(wn1d_expr(w.col_slice(k)), n) for k in ks])
-        each_k = _block_diag([big_k] * blocks)
-        scal_a = _scalars([2.0 * w(k, k) + w.colsum(k) for k in ks], size)
-        lhs_a = each_k @ stack_a
-        rhs_a = stack_a @ big_k + diag_a @ rows + diag_a @ cols - scal_a @ stack_a
-        if not worst_a:
-            control = (lhs_a[:size], rhs_a[:size])
-        worst_a.append(residual(lhs_a, rhs_a, blocks))
-        scal_c = _scalars([w.colsum(k) for k in ks], size)
-        rhs_c = stack_c @ big_k - diag_c @ rows - diag_c @ cols + scal_c @ stack_c
-        worst_c.append(residual(each_k @ stack_c, rhs_c, blocks))
-        occ = diag_c @ stack_a
-        worst_occ.append(residual(each_k @ occ, occ @ big_k, blocks))
+    big = materialize(gwn_expr(w), n)
+    relation = _gwn_relation(w, big, lambda v: materialize(wn1d_expr(v), n), n)
+    [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
+        *_ladder_matrices(n), [relation], occupation=True
+    )
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
@@ -359,15 +411,15 @@ def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
                 "gwn-commute-annihilate",
                 "gwn(w) a(k) = a(k) gwn(w) + a(k) wn1d(row_k) + a(k) wn1d(col_k)"
                 " - (2 w(k,k) + colsum(k)) a(k)",
-                _worst(worst_a),
+                worst_a,
             ),
             (
                 "gwn-commute-create",
                 "gwn(w) a+(k) = a+(k) gwn(w) - a+(k) wn1d(row_k) - a+(k) wn1d(col_k)"
                 " + colsum(k) a+(k)",
-                _worst(worst_c),
+                worst_c,
             ),
-            ("gwn-commute-occupation", "gwn(w) commutes with a+(k) a(k)", _worst(worst_occ)),
+            ("gwn-commute-occupation", "gwn(w) commutes with a+(k) a(k)", worst_occ),
         ],
         ("gwn-commutation-negative-control", "annihilator commutation at k = 0", *control),
     )
@@ -376,37 +428,18 @@ def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
 def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
     n = family_level(n)
-    size = 1 << n
-    a, c = _ladder_matrices(n)
-    nu = materialize(wn1d_expr(u), n)
-    worst_a, worst_c, worst_occ = [], [], []
-    for ks in _chunks(range(n), n):
-        blocks = len(ks)
-        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
-        each_k = _block_diag([nu] * blocks)
-        scal = _scalars([u(k) for k in ks], size)
-        lhs_a, rhs_a = each_k @ stack_a, stack_a @ nu - scal @ stack_a
-        if not worst_a:
-            control = (lhs_a[:size], rhs_a[:size])
-        worst_a.append(residual(lhs_a, rhs_a, blocks))
-        worst_c.append(residual(each_k @ stack_c, stack_c @ nu + scal @ stack_c, blocks))
-        occ = _block_diag([c[k] for k in ks]) @ stack_a
-        worst_occ.append(residual(each_k @ occ, occ @ nu, blocks))
+    shifts = [u(k) for k in range(n)]
+    relation = (materialize(wn1d_expr(u), n), shifts, shifts, ())
+    [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
+        *_ladder_matrices(n), [relation], occupation=True
+    )
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
         [
-            (
-                "wn1d-commute-annihilate",
-                "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)",
-                _worst(worst_a),
-            ),
-            (
-                "wn1d-commute-create",
-                "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)",
-                _worst(worst_c),
-            ),
-            ("wn1d-commute-occupation", "wn1d(u) commutes with a+(k) a(k)", _worst(worst_occ)),
+            ("wn1d-commute-annihilate", "wn1d(u) a(k) = a(k) wn1d(u) - u(k) a(k)", worst_a),
+            ("wn1d-commute-create", "wn1d(u) a+(k) = a+(k) wn1d(u) + u(k) a+(k)", worst_c),
+            ("wn1d-commute-occupation", "wn1d(u) commutes with a+(k) a(k)", worst_occ),
         ],
         ("wn1d-commutation-negative-control", "annihilator commutation at k = 0", *control),
     )
@@ -415,25 +448,14 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
 def check_commutation_number(n: int) -> list:
     """The unweighted special case: number operator against the ladder pair."""
     n = family_level(n)
-    size = 1 << n
-    a, c = _ladder_matrices(n)
-    nn = materialize(number(), n)
-    worst_a, worst_c = [], []
-    for ks in _chunks(range(n), n):
-        blocks = len(ks)
-        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
-        each_k = _block_diag([nn] * blocks)
-        lhs_a, rhs_a = each_k @ stack_a, stack_a @ nn - stack_a
-        if not worst_a:
-            control = (lhs_a[:size], rhs_a[:size])
-        worst_a.append(residual(lhs_a, rhs_a, blocks))
-        worst_c.append(residual(each_k @ stack_c, stack_c @ nn + stack_c, blocks))
+    relation = (materialize(number(), n), [1.0] * n, [1.0] * n, ())
+    [(worst_a, worst_c, _)], control, _ = _commutators(*_ladder_matrices(n), [relation])
     return family_reports(
         {"n": n},
         TOLERANCE,
         [
-            ("number-commute-annihilate", "number a(k) = a(k) number - a(k)", _worst(worst_a)),
-            ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", _worst(worst_c)),
+            ("number-commute-annihilate", "number a(k) = a(k) number - a(k)", worst_a),
+            ("number-commute-create", "number a+(k) = a+(k) number + a+(k)", worst_c),
         ],
         ("number-commutation-negative-control", "number commutation at k = 0", *control),
     )
@@ -527,13 +549,10 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
     probe = random_functional(rng, n)
     wn1d_probe = wn1d_apply(u, probe)
 
-    def l2_series_term(j, k, xi):
-        return l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, xi))))
-
     def l2_series(xi):
         out = Functional.zero(xi.truncation)
         for (j, k), v in sorted(w.entries.items()):
-            out = out + v * l2_series_term(j, k, xi)
+            out = out + v * l2_hop(j, k, xi)
         return out
 
     l2_mat = materialize_apply(l2_series, n)
@@ -745,68 +764,41 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """The ladder/number lemmas written on the square-integrable side.
 
     All matrices here are materialized from the l2_* application functions,
-    the code path that never touches the expression engine.
+    the code path that never touches the expression engine; a test runs this
+    family with expression-tree materialization forbidden.
     """
     n = family_level(n)
-    size = 1 << n
-    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
     d = [materialize_apply(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
     ds = [materialize_apply(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
-    s_w = materialize_apply(lambda f: l2_wn_apply(w, f), n)
-    n_u = materialize_apply(lambda f: l2_wn1d_apply(u, f), n)
+    shifts = [u(k) for k in range(n)]
 
-    car, worst_ua, worst_uc, worst_wa, worst_wc = [], [], [], [], []
-    for ks in _chunks(range(n), n):
-        blocks = len(ks)
-        stack_d, stack_ds = _stack([d[k] for k in ks]), _stack([ds[k] for k in ks])
-        diag_d, diag_ds = _block_diag([d[k] for k in ks]), _block_diag([ds[k] for k in ks])
-        pair_sum = diag_ds @ stack_d + diag_d @ stack_ds
-        car.append(residual(pair_sum, _stack([eye] * blocks), blocks))
-        each_u = _block_diag([n_u] * blocks)
-        scal_u = _scalars([u(k) for k in ks], size)
-        worst_ua.append(
-            residual(each_u @ stack_d, stack_d @ n_u - scal_u @ stack_d, blocks)
-        )
-        worst_uc.append(
-            residual(each_u @ stack_ds, stack_ds @ n_u + scal_u @ stack_ds, blocks)
-        )
-        rows = _stack(
-            [materialize_apply(lambda f: l2_wn1d_apply(w.row_slice(k), f), n) for k in ks]
-        )
-        cols = _stack(
-            [materialize_apply(lambda f: l2_wn1d_apply(w.col_slice(k), f), n) for k in ks]
-        )
-        each_w = _block_diag([s_w] * blocks)
-        scal_a = _scalars([2.0 * w(k, k) + w.colsum(k) for k in ks], size)
-        lhs_a = each_w @ stack_d
-        rhs_a = stack_d @ s_w + diag_d @ rows + diag_d @ cols - scal_a @ stack_d
-        if not worst_wa:
-            control = (lhs_a[:size], rhs_a[:size])
-        worst_wa.append(residual(lhs_a, rhs_a, blocks))
-        scal_c = _scalars([w.colsum(k) for k in ks], size)
-        rhs_c = stack_ds @ s_w - diag_ds @ rows - diag_ds @ cols + scal_c @ stack_ds
-        worst_wc.append(residual(each_w @ stack_ds, rhs_c, blocks))
+    def l2_wn1d(v):
+        return materialize_apply(lambda f: l2_wn1d_apply(v, f), n)
+
+    relations = [
+        _gwn_relation(w, materialize_apply(lambda f: l2_wn_apply(w, f), n), l2_wn1d, n),
+        (l2_wn1d(u), shifts, shifts, ()),
+    ]
+    [(worst_wa, worst_wc, _), (worst_ua, worst_uc, _)], control, car = _commutators(
+        d, ds, relations, car=True
+    )
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
         [
-            ("l2-car", "d+(k) d(k) + d(k) d+(k) = identity on the truncation", _worst(car)),
-            (
-                "l2-wn1d-commute-annihilate",
-                "N_u d(k) = d(k) N_u - u(k) d(k)",
-                _worst(worst_ua),
-            ),
-            ("l2-wn1d-commute-create", "N_u d+(k) = d+(k) N_u + u(k) d+(k)", _worst(worst_uc)),
+            ("l2-car", "d+(k) d(k) + d(k) d+(k) = identity on the truncation", car),
+            ("l2-wn1d-commute-annihilate", "N_u d(k) = d(k) N_u - u(k) d(k)", worst_ua),
+            ("l2-wn1d-commute-create", "N_u d+(k) = d+(k) N_u + u(k) d+(k)", worst_uc),
             (
                 "l2-wn-commute-annihilate",
                 "S_w d(k) = d(k) S_w + d(k) N_row + d(k) N_col"
                 " - (2 w(k,k) + colsum(k)) d(k)",
-                _worst(worst_wa),
+                worst_wa,
             ),
             (
                 "l2-wn-commute-create",
                 "S_w d+(k) = d+(k) S_w - d+(k) N_row - d+(k) N_col + colsum(k) d+(k)",
-                _worst(worst_wc),
+                worst_wc,
             ),
         ],
         ("l2-negative-control", "S_w annihilator commutation at k = 0", *control),

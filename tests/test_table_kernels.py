@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaoscalc
-from chaoscalc import operators, weights
+from chaoscalc import operators, verifier, weights
 from chaoscalc.basis import Subset, lam, lam_at, lam_vector, popcount_at, popcount_vector
 from chaoscalc.functionals import Functional, GrowthBound, check_growth
 from chaoscalc.operators import (
@@ -52,7 +52,12 @@ from chaoscalc.operators import (
     wn1d_apply,
     wn1d_expr,
 )
-from chaoscalc.verifier import check_l2_lemmas
+from chaoscalc.verifier import (
+    check_commutation_1d,
+    check_commutation_2d,
+    check_commutation_number,
+    check_l2_lemmas,
+)
 from chaoscalc.weights import Weight1D, Weight2D, theta_double_sum
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -403,22 +408,63 @@ TRANSFORM_KERNELS = (
 
 
 def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
+    # the oracles are built first: they materialize expression trees, which
+    # the square-integrable side, check_l2_lemmas included, never does
     n = 4
     rng = np.random.default_rng(5)
     w = Weight2D({(0, 1): 2.0, (1, 1): 3.0, (3, 0): 0.5, (2, 2): 1.0})
     u = Weight1D({0: 0.5, 2: 1.5, 3: 2.0})
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     xi = Functional.from_vector(vec, n)
+    ladders = [
+        (materialize(annihilate(k), n) @ vec, materialize(create(k), n) @ vec) for k in range(n)
+    ]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the square-integrable side called a transform kernel")
 
     for name in TRANSFORM_KERNELS:
         monkeypatch.setattr(operators, name, forbidden)
-    for k in range(n):
-        assert_matches(l2_annihilate(k, xi), materialize(annihilate(k), n) @ vec)
-        assert_matches(l2_create(k, xi), materialize(create(k), n) @ vec)
+        # verifier holds its own references to the kernels it imports
+        if hasattr(verifier, name):
+            monkeypatch.setattr(verifier, name, forbidden)
+    monkeypatch.setattr(operators, "_ladder_matrix", forbidden)
+    monkeypatch.setattr(operators.Diagonal, "materialize", forbidden)
+    for k, (down, up) in enumerate(ladders):
+        assert_matches(l2_annihilate(k, xi), down)
+        assert_matches(l2_create(k, xi), up)
     assert_matches(l2_wn_apply(w, xi), w.theta_vector(n) * vec)
     assert_matches(l2_wn1d_apply(u, xi), u.count_vector(n) * vec)
     reports = check_l2_lemmas(w, u, n)
     assert reports and all(r.ok for r in reports)
+
+
+L2_KERNELS = (
+    "l2_annihilate",
+    "l2_create",
+    "l2_hop",
+    "l2_wn_apply",
+    "l2_wn1d_apply",
+    "materialize_apply",
+)
+
+
+def test_transform_side_is_independent_of_l2_kernels(monkeypatch):
+    # the converse: the commutation families build every matrix from
+    # expression trees
+    n = 4
+    w = Weight2D({(0, 1): 2.0, (1, 1): 3.0, (3, 0): 0.5, (2, 2): 1.0})
+    u = Weight1D({0: 0.5, 2: 1.5, 3: 2.0})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the transform side called a square-integrable kernel")
+
+    for name in L2_KERNELS:
+        monkeypatch.setattr(operators, name, forbidden)
+        monkeypatch.setattr(verifier, name, forbidden)
+    for reports in (
+        check_commutation_2d(w, n),
+        check_commutation_1d(u, n),
+        check_commutation_number(n),
+    ):
+        assert reports and all(r.ok for r in reports)

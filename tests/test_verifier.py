@@ -474,6 +474,36 @@ def test_riesz_holds_one_stack_of_probes():
     assert peaks[1] < 16 * stack_bytes
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, u, n: check_commutation_2d(w, n),
+        lambda w, u, n: check_commutation_1d(u, n),
+        lambda w, u, n: check_commutation_number(n),
+        lambda w, u, n: check_l2_lemmas(w, u, n),
+    ],
+    ids=["commutation-2d", "commutation-1d", "commutation-number", "l2"],
+)
+def test_commutator_kernel_holds_one_stack_of_ladders(monkeypatch, call):
+    # at n = 12 a stack holds two of the twelve ks, so the commutator kernel
+    # peaks well under what stacking every k at once takes; the warm call
+    # keeps the first import of scipy.sparse out of the peaks
+    n = 12
+    w = random_weight2d(np.random.default_rng(1), 4)
+    u = random_weight1d(np.random.default_rng(2), 4)
+    call(w, u, n)
+    peaks = []
+    for rows in (verifier._STACK_ROWS, 1 << 30):
+        monkeypatch.setattr(verifier, "_STACK_ROWS", rows)
+        tracemalloc.start()
+        try:
+            call(w, u, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 2
+
+
 # (checks, negative controls) per family in run_all(n=5): one family run per
 # fixture, so five 2D fixtures give commutation-2d five controls. qms runs
 # once and carries two controls.
