@@ -10,8 +10,9 @@ and `verifier` (the identity-check engine behind the CLI).
 
 `scipy.sparse` and `scipy.special` are written out in full after a plain
 ``import scipy``: SciPy loads a submodule on its first attribute access, so
-the numpy-only commands (`simulate`, `apply`, `norms`, `qms`) start without
-them.
+the numpy-only commands (`simulate`, `apply`, `norms`, `qms`, `verify`) run
+without them. Only the public CSR matrices (`materialize`,
+`materialize_apply`, `transfer_matrix`) load `scipy.sparse`.
 """
 
 from .basis import (

@@ -12,11 +12,18 @@ Two families act on :class:`~chaoscalc.functionals.Functional`:
 
 Expressions compose with ``@``, add with ``+`` and scale with ``*``; they can
 be applied directly (sparse: selections and gathers on a table's mask and
-value arrays) or materialized as scipy CSR matrices over the truncated basis,
-columns indexed by input subset mask. A matrix known only through a kernel
-comes from :func:`materialize_apply`, which applies the kernel once to the
-whole basis with each mask's column tagged in the bits above n; every kernel
-therefore changes only bits below n and evaluates diagonals at those bits.
+value arrays) or materialized over the truncated basis, columns indexed by
+input subset mask. Inside the package a matrix is a matrix table, the same
+mask and value arrays at truncation 2n with entry (r, c) under mask
+``(c << n) | r``, row block b of a stack above bit 2n: leaves are built from their own bit arithmetic, sums and
+scalings are the table's, and :func:`table_product` multiplies by a gather
+and a sort. A matrix known only through a kernel comes from
+:func:`apply_table`, which applies the kernel once to the whole basis with
+each mask's column tagged in the bits above n; every kernel therefore
+changes only bits below n and evaluates diagonals at those bits. The public
+:func:`materialize` and :func:`materialize_apply` convert a table to scipy
+CSR in one step, :func:`table_csr`, and only that step loads
+``scipy.sparse``.
 """
 from __future__ import annotations
 
@@ -62,7 +69,7 @@ def apply_create(k: int, phi: Functional) -> Functional:
 
 def _subset_masks(phi: Functional) -> np.ndarray:
     """phi's masks below bit n, where diagonals are evaluated; inside
-    :func:`materialize_apply` the bits above n carry a column tag."""
+    :func:`apply_table` the bits above n carry a column tag."""
     return phi.masks & ((1 << phi.truncation) - 1)
 
 
@@ -187,34 +194,112 @@ def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
     return Functional._dropping_zeros(xi.masks, out, xi.truncation)
 
 
-def materialize_apply(
-    apply_fn: Callable[[Functional], Functional], n: int
-) -> scipy.sparse.csr_matrix:
-    """Matrix of an operator given only its action, from one call of ``apply_fn``.
+# ---------------------------------------------------------------------------
+# matrix tables: M[r, c] of row block b under mask (b << 2n) | (c << n) | r
+# ---------------------------------------------------------------------------
+
+
+def _matrix(masks: np.ndarray, values: np.ndarray, n: int) -> Functional:
+    return Functional._from_arrays(masks, values, 2 * n)
+
+
+def _basis(n: int) -> np.ndarray:
+    """Every mask below 2^n; a matrix table takes 2n bits of an int64 mask."""
+    if n > _MAX_TAGGED_TRUNCATION:
+        raise ValueError(
+            f"matrix tables need n <= {_MAX_TAGGED_TRUNCATION}, got {n}: "
+            "a column tag takes 2n bits of an int64 mask"
+        )
+    return np.arange(1 << n, dtype=np.int64)
+
+
+def table_product(left: Functional, right: Functional) -> Functional:
+    """Blockwise product of two matrix tables: block b of the result is
+    left's block b times right's block b.
+
+    Each entry of right at (m, c) meets the entries of left's column m, one
+    run of left's sorted masks, and lands at their rows. Every ladder,
+    diagonal and stack of them has at most one entry per column, so the
+    product is a gather and one sort. Products that meet one output entry
+    are summed in increasing m, the order of a CSR product.
+    """
+    n = right.truncation // 2
+    low = (1 << n) - 1
+    keys = left.masks >> n  # (b << n) | column
+    wanted = right.masks >> 2 * n << n | (right.masks & low)  # (b << n) | row
+    start = np.searchsorted(keys, wanted)
+    count = np.searchsorted(keys, wanted, side="right") - start
+    source = np.repeat(np.arange(len(wanted)), count)
+    ends = np.cumsum(count)
+    at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + count, count)
+    masks = (right.masks[source] & ~low) | (left.masks[at] & low)
+    values = left.values[at] * right.values[source]
+    order = np.argsort(masks, kind="stable")
+    masks, values = masks[order], values[order]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = masks[1:] != masks[:-1]
+    if not first.all():
+        # the k-th product of an entry is added in the k-th pass
+        group = np.cumsum(first) - 1
+        rank = np.arange(len(masks)) - np.flatnonzero(first)[group]
+        masks, summed = masks[first], values[first]
+        for k in range(1, int(rank.max()) + 1):
+            summed[group[rank == k]] += values[rank == k]
+        values = summed
+    return Functional._dropping_zeros(masks, values, right.truncation)
+
+
+def table_transpose(table: Functional) -> Functional:
+    """Each block of a matrix table transposed: (c, r) swapped within its tag."""
+    n = table.truncation // 2
+    low = (1 << n) - 1
+    masks = (table.masks & ~((1 << 2 * n) - 1)) | (table.masks & low) << n | table.masks >> n & low
+    order = np.argsort(masks)
+    return Functional._from_arrays(masks[order], table.values[order], table.truncation)
+
+
+def table_dense(table: Functional) -> np.ndarray:
+    """A one-block matrix table as a dense 2^n x 2^n array."""
+    n = table.truncation // 2
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    out[table.masks & ((1 << n) - 1), table.masks >> n] = table.values
+    return out
+
+
+def table_csr(table: Functional) -> scipy.sparse.csr_matrix:
+    """A one-block matrix table as scipy CSR: the package's public matrix form."""
+    n = table.truncation // 2
+    size = 1 << n
+    return scipy.sparse.csr_matrix(
+        (table.values, (table.masks & (size - 1), table.masks >> n)),
+        shape=(size, size),
+        dtype=complex,
+    )
+
+
+def apply_table(apply_fn: Callable[[Functional], Functional], n: int) -> Functional:
+    """Matrix table of an operator given only its action, from one call of
+    ``apply_fn``.
 
     The whole basis goes in as one private table whose masks carry their
     column above bit n, ``(col << n) | col``, all values 1. Every kernel
     selects on masks, changes only bits below n (``^``, ``|``, ``+ (1 << k)``,
     ``- (1 << k)``) and gathers diagonals at the low bits; sums merge sorted
-    masks. So no column's entries mix with another's, and each output entry
-    reads as row ``mask & (2**n - 1)``, column ``mask >> n``. The tag takes
-    2n bits of an int64 mask, so n is capped at 31. The tagged table never
-    reaches a caller; ``Functional(...)`` rejects masks at or above ``2**n``.
+    masks. So no column's entries mix with another's, and the output masks
+    are the matrix table's ``(col << n) | row``. The tag takes 2n bits of an
+    int64 mask, so n is capped at 31. ``Functional(...)`` rejects masks at or
+    above ``2**n``, so the tagged input never reaches a caller.
     """
-    n = check_truncation(n)
-    if n > _MAX_TAGGED_TRUNCATION:
-        raise ValueError(
-            f"materialize_apply needs n <= {_MAX_TAGGED_TRUNCATION}, got {n}: "
-            "a column tag takes 2n bits of an int64 mask"
-        )
-    size = 1 << n
-    cols = np.arange(size, dtype=np.int64)
-    image = apply_fn(Functional._from_arrays(cols << n | cols, np.ones(size, dtype=complex), n))
-    return scipy.sparse.csr_matrix(
-        (image.values, (image.masks & (size - 1), image.masks >> n)),
-        shape=(size, size),
-        dtype=complex,
-    )
+    cols = _basis(check_truncation(n))
+    image = apply_fn(Functional._from_arrays(cols << n | cols, np.ones(1 << n, dtype=complex), n))
+    return _matrix(image.masks, image.values, n)
+
+
+def materialize_apply(
+    apply_fn: Callable[[Functional], Functional], n: int
+) -> scipy.sparse.csr_matrix:
+    """CSR matrix of an operator given only its action (see :func:`apply_table`)."""
+    return table_csr(apply_table(apply_fn, n))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +313,12 @@ class OperatorExpr:
     def apply(self, phi: Functional) -> Functional:
         raise NotImplementedError
 
-    def materialize(self, n: int) -> scipy.sparse.csr_matrix:
+    def table(self, n: int) -> Functional:
+        """The matrix table over the truncated basis (column = input)."""
         raise NotImplementedError
+
+    def materialize(self, n: int) -> scipy.sparse.csr_matrix:
+        return table_csr(self.table(n))
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -260,21 +349,16 @@ class OperatorExpr:
         return Compose((self, other))
 
 
-def _ladder_matrix(k: int, n: int, create: bool) -> scipy.sparse.csr_matrix:
-    """CSR matrix of create(k) or annihilate(k) over the truncated basis.
+def _ladder_table(k: int, n: int, create: bool) -> Functional:
+    """Matrix table of create(k) or annihilate(k) over the truncated basis.
 
-    Row r holds a single 1, in column r ^ 2**k, when bit k of r is set
-    (create) or clear (annihilate); half the rows are empty.
+    Column c holds a single 1, in row c ^ 2**k, when bit k of c is clear
+    (create) or set (annihilate); half the columns are empty.
     """
-    size = 1 << n
     bit = 1 << k
-    rows = np.arange(size, dtype=np.int64)
-    filled = ((rows & bit) != 0) == create
-    indptr = np.concatenate(([0], np.cumsum(filled)))
-    data = np.ones(size >> 1, dtype=complex)
-    return scipy.sparse.csr_matrix(
-        (data, rows[filled] ^ bit, indptr), shape=(size, size)
-    )
+    cols = _basis(n)
+    cols = cols[((cols & bit) == 0) == create]
+    return _matrix(cols << n | (cols ^ bit), np.ones(len(cols), dtype=complex), n)
 
 
 @dataclass(frozen=True)
@@ -284,10 +368,10 @@ class Annihilate(OperatorExpr):
     def apply(self, phi):
         return apply_annihilate(self.k, phi)
 
-    def materialize(self, n):
+    def table(self, n):
         n = check_truncation(n)
         _check_index(self.k, n, "annihilate")
-        return _ladder_matrix(self.k, n, create=False)
+        return _ladder_table(self.k, n, create=False)
 
     def to_json(self):
         return {"op": "annihilate", "k": self.k}
@@ -300,10 +384,10 @@ class Create(OperatorExpr):
     def apply(self, phi):
         return apply_create(self.k, phi)
 
-    def materialize(self, n):
+    def table(self, n):
         n = check_truncation(n)
         _check_index(self.k, n, "create")
-        return _ladder_matrix(self.k, n, create=True)
+        return _ladder_table(self.k, n, create=True)
 
     def to_json(self):
         return {"op": "create", "k": self.k}
@@ -325,15 +409,11 @@ class Diagonal(OperatorExpr):
     def apply(self, phi):
         return _times(phi, np.asarray(self.values_at(_subset_masks(phi)), dtype=float))
 
-    def materialize(self, n):
-        size = 1 << check_truncation(n)
-        values = np.asarray(self.values_at(np.arange(size, dtype=np.int64)), dtype=float)
-        # CSR straight from the nonzero values, dropping zeros as diags does
+    def table(self, n):
+        n = check_truncation(n)
+        values = np.asarray(self.values_at(_basis(n)), dtype=float)
         kept = np.flatnonzero(values)
-        indptr = np.concatenate(([0], np.cumsum(values != 0)))
-        return scipy.sparse.csr_matrix(
-            (values[kept].astype(complex), kept, indptr), shape=(size, size)
-        )
+        return _matrix(kept << n | kept, values[kept].astype(complex), n)
 
     def to_json(self):
         if self.json_form is None:
@@ -348,9 +428,9 @@ class Identity(OperatorExpr):
     def apply(self, phi):
         return Functional._from_arrays(phi.masks, phi.values, phi.truncation)
 
-    def materialize(self, n):
-        size = 1 << check_truncation(n)
-        return scipy.sparse.identity(size, dtype=complex, format="csr")
+    def table(self, n):
+        cols = _basis(check_truncation(n))
+        return _matrix(cols << n | cols, np.ones(len(cols), dtype=complex), n)
 
     def to_json(self):
         return {"op": "identity"}
@@ -361,9 +441,9 @@ class Zero(OperatorExpr):
     def apply(self, phi):
         return Functional.zero(phi.truncation)
 
-    def materialize(self, n):
-        size = 1 << check_truncation(n)
-        return scipy.sparse.csr_matrix((size, size), dtype=complex)
+    def table(self, n):
+        n = check_truncation(n)
+        return _matrix(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex), n)
 
     def to_json(self):
         return {"op": "zero"}
@@ -379,11 +459,10 @@ class Sum(OperatorExpr):
             out = out + term.apply(phi)
         return out
 
-    def materialize(self, n):
-        size = 1 << check_truncation(n)
-        out = scipy.sparse.csr_matrix((size, size), dtype=complex)
+    def table(self, n):
+        out = Zero().table(n)
         for term in self.terms:
-            out = out + term.materialize(n)
+            out = out + term.table(n)
         return out
 
     def to_json(self):
@@ -398,8 +477,8 @@ class Scale(OperatorExpr):
     def apply(self, phi):
         return self.factor * self.arg.apply(phi)
 
-    def materialize(self, n):
-        return (self.factor * self.arg.materialize(n)).tocsr()
+    def table(self, n):
+        return self.factor * self.arg.table(n)
 
     def to_json(self):
         return {
@@ -421,13 +500,13 @@ class Compose(OperatorExpr):
             out = factor.apply(out)
         return out
 
-    def materialize(self, n):
+    def table(self, n):
         if not self.factors:
-            return Identity().materialize(n)
-        out = self.factors[0].materialize(n)
+            return Identity().table(n)
+        out = self.factors[0].table(n)
         for factor in self.factors[1:]:
-            out = out @ factor.materialize(n)
-        return out.tocsr()
+            out = table_product(out, factor.table(n))
+        return out
 
     def to_json(self):
         return {"op": "compose", "args": [f.to_json() for f in self.factors]}
@@ -476,6 +555,11 @@ def gwn_expr(w: Weight2D) -> Diagonal:
 def wn1d_expr(u: Weight1D) -> Diagonal:
     """Expression form of the 1D weighted number operator (diagonal count)."""
     return Diagonal(u.count_at, {"op": "wn1d", "weight": u.to_json()})
+
+
+def matrix_table(expr: OperatorExpr, n: int) -> Functional:
+    """Matrix table of an expression over the truncated basis (column = input)."""
+    return expr.table(n)
 
 
 def materialize(expr: OperatorExpr, n: int) -> scipy.sparse.csr_matrix:

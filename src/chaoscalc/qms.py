@@ -26,7 +26,17 @@ import numpy as np
 import scipy
 
 from .basis import as_index, check_truncation, popcount_vector
-from .operators import l2_annihilate, l2_create, l2_hop, materialize_apply
+from .functionals import Functional
+from .operators import (
+    apply_table,
+    l2_annihilate,
+    l2_create,
+    l2_hop,
+    table_csr,
+    table_dense,
+    table_product,
+    table_transpose,
+)
 from .reports import TOLERANCE, family_level, family_reports, family_trials, residual
 from .weights import Weight2D
 
@@ -38,9 +48,13 @@ def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:
     call; each call returns a new matrix. The indices must be integers
     below n (1.0 or True is a ValueError).
     """
+    return table_csr(_transfer_table(j, k, n))
+
+
+def _transfer_table(j: int, k: int, n: int) -> Functional:
     n = check_truncation(n)
     j, k = as_index(j, "transfer row"), as_index(k, "transfer column")
-    return materialize_apply(lambda xi: l2_create(j, l2_annihilate(k, xi)), n)
+    return apply_table(lambda xi: l2_create(j, l2_annihilate(k, xi)), n)
 
 
 @dataclass
@@ -170,10 +184,10 @@ def check_sum_identity(w: Weight2D, n: int, tag: str = "w") -> list:
     via_adjoint = np.zeros((size, size), dtype=complex)
     via_explicit = np.zeros((size, size), dtype=complex)
     for (j, k), rate in sorted(w.entries.items()):
-        b = transfer_matrix(j, k, n)
-        via_adjoint += rate * (b.conj().T @ b).toarray()
-        explicit = materialize_apply(lambda xi: l2_hop(j, k, xi), n)
-        via_explicit += rate * explicit.toarray()
+        b = _transfer_table(j, k, n)
+        via_adjoint += rate * table_dense(table_product(table_transpose(b).conjugated(), b))
+        explicit = apply_table(lambda xi: l2_hop(j, k, xi), n)
+        via_explicit += rate * table_dense(explicit)
     diagonal = np.diag(w.theta_vector(n).astype(complex))
     return family_reports(
         {"n": n, "weight": tag},

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .basis import check_truncation
 from .functionals import Functional, _moduli
@@ -32,58 +31,36 @@ TOLERANCE = 1e-12
 PERTURBATION = 1e-6
 
 
-def _dense(x) -> bool:
-    """Whether x is compared as a numpy array. Arrays and scalars are
-    recognized before ``scipy.sparse.issparse`` is called, so a dense
-    comparison never loads ``scipy.sparse``."""
-    dense = (np.ndarray, np.generic, int, float, complex)
-    return isinstance(x, dense) or not scipy.sparse.issparse(x)
-
-
 def max_abs(x) -> float:
-    """Largest entry magnitude of a scalar, array, sparse matrix or functional."""
+    """Largest entry magnitude of a scalar, array or coefficient table."""
     if isinstance(x, Functional):
         return x.max_abs()
-    if _dense(x):
-        arr = np.asarray(x)
-        if arr.size == 0:
-            return 0.0
-        return float(np.max(np.abs(arr)))
-    x = x.tocsr()
-    x.sum_duplicates()  # one stored value per entry
-    return float(np.abs(x.data).max()) if x.nnz else 0.0
-
-
-def _run_max(moduli: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Largest of moduli[bounds[b] : bounds[b + 1]] for each block b; an
-    empty block reads 0, a NaN entry gives NaN."""
-    out = np.zeros(len(bounds) - 1)
-    filled = bounds[:-1] < bounds[1:]
-    if filled.any():
-        out[filled] = np.maximum.reduceat(moduli, bounds[:-1][filled])
-    return out
+    arr = np.asarray(x)
+    if arr.size == 0:
+        return 0.0
+    return float(np.max(np.abs(arr)))
 
 
 def _block_max_abs(x, blocks: int) -> np.ndarray:
     """Largest entry magnitude in each of ``blocks`` blocks: the equal row
-    blocks of an array or sparse matrix, or the tags ``masks >> truncation``
-    of a tagged functional; an empty block reads 0, a NaN entry gives NaN."""
+    blocks of an array, or the tags ``masks >> truncation`` of a tagged
+    table; an empty block reads 0, a NaN entry gives NaN."""
     if isinstance(x, Functional):
         tags = x.masks >> x.truncation
         if len(tags) and tags[-1] >= blocks:
             raise ValueError(f"tag {tags[-1]} lies outside {blocks} blocks")
         bounds = np.searchsorted(tags, np.arange(blocks + 1))
-        return _run_max(_moduli(x.values), bounds)
+        out = np.zeros(blocks)
+        filled = bounds[:-1] < bounds[1:]
+        if filled.any():
+            out[filled] = np.maximum.reduceat(_moduli(x.values), bounds[:-1][filled])
+        return out
     shape = np.shape(x)
     rows = shape[0] if shape else 0
     if rows == 0 or rows % blocks:
         raise ValueError(f"{rows} rows do not split into {blocks} equal row blocks")
-    if _dense(x):
-        arr = np.abs(np.asarray(x))
-        return arr.reshape(blocks, arr.size // blocks).max(axis=1, initial=0.0)
-    x = x.tocsr()
-    x.sum_duplicates()  # one stored value per entry
-    return _run_max(np.abs(x.data), x.indptr[:: rows // blocks])
+    arr = np.abs(np.asarray(x))
+    return arr.reshape(blocks, arr.size // blocks).max(axis=1, initial=0.0)
 
 
 def residual(lhs, rhs, blocks: int = 1) -> float:
@@ -92,12 +69,12 @@ def residual(lhs, rhs, blocks: int = 1) -> float:
     With ``blocks`` > 1, lhs and rhs are stacks of that many blocks, and
     each block pair is compared, and normalized, on its own: the result is
     the largest per-block residual, NaN when any block's is NaN. The blocks
-    of an array or sparse matrix are its equal row blocks; those of a
-    tagged :class:`Functional` (one table holding a stack of tables, table
-    t's entry at sigma under mask ``(t << truncation) | sigma``) are its
-    tags, block t being the entries whose ``masks >> truncation == t``. An
-    empty block reads 0, and a tag of the gap at or above ``blocks`` raises
-    ``ValueError``.
+    of an array are its equal row blocks; those of a tagged
+    :class:`Functional` (one table holding a stack of tables, table t's
+    entry at sigma under mask ``(t << truncation) | sigma``, a stack of
+    matrix tables among them) are its tags, block t being the entries
+    whose ``masks >> truncation == t``. An empty block reads 0, and a tag
+    of the gap at or above ``blocks`` raises ``ValueError``.
 
     A comparison with no gap reads 0 without measuring its sides: a NaN or
     infinite entry on either side leaves a NaN or infinite gap, so a zero
@@ -130,17 +107,14 @@ def perturbed(x):
     PERTURBATION * max(1, max_abs(x)), for negative controls."""
     eps = PERTURBATION * max(1.0, max_abs(x))
     if isinstance(x, Functional):
-        target = int(x.masks[0]) if len(x.masks) else 0
-        return x + eps * Functional.delta(target, x.truncation)
-    if _dense(x):
-        arr = np.asarray(x)
-        if arr.ndim == 0:
-            return x + eps
-        out = np.array(arr, copy=True)
-        out.flat[0] = out.flat[0] + eps
-        return out
-    bump = scipy.sparse.csr_matrix(([eps], ([0], [0])), shape=x.shape, dtype=complex)
-    return (x + bump).tocsr()
+        target = x.masks[:1] if len(x.masks) else np.zeros(1, dtype=np.int64)
+        return x + Functional._from_arrays(target, np.array([eps], dtype=complex), x.truncation)
+    arr = np.asarray(x)
+    if arr.ndim == 0:
+        return x + eps
+    out = np.array(arr, copy=True)
+    out.flat[0] = out.flat[0] + eps
+    return out
 
 
 def family_level(n: int) -> int:

@@ -15,19 +15,22 @@ that passes means the check could not have caught a real defect, and
 poisons the run exactly like a failed check.
 
 The matrix families (car, hop, the three commutation families and the l2
-lemmas) make one scipy product per identity side, not one per index: the
-per-k operands go into stacks of 2^n-row blocks (the ladder matrices one
-above the other, per-k left factors on a block diagonal, a fixed left
-factor repeated down one, per-k scalars as a diagonal), and each k's
-residual is read off its own row block with ``residual(..., blocks=b)``.
-A stack holds at most ``_STACK_ROWS`` rows, so memory stays bounded at any n.
-One kernel, ``_commutators``, checks a diagonal D against a ladder pair
-stack by stack; the three commutation families hand it matrices from the
-expression engine, the l2 lemmas matrices from the ``l2_*`` kernels.
+lemmas) work on matrix tables (see ``operators``) and make one table
+product per identity side, not one per index: the per-k operands go into
+one stack, block b tagged above bit 2n (a stack multiplies blockwise, so it
+is also the block diagonal of its blocks; a fixed factor is repeated down
+one, per-k scalars scale each block's values), and each k's residual is
+read off its own tag with ``residual(..., blocks=b)``. A stack holds at
+most ``_STACK_ROWS`` rows, so memory stays bounded at any n; no family
+loads ``scipy.sparse``. One kernel, ``_commutators``, checks a diagonal D
+against a ladder pair stack by stack, and the equal-time relation of the
+pair; the three commutation families hand it matrices from the expression
+engine, car its ladders too, the l2 lemmas matrices from the ``l2_*``
+kernels.
 The riesz family stacks its probes the same way: as many as fill
 ``_STACK_ROWS`` entries go into one tagged table, probe t's coefficient at
 sigma under mask ``(t << n) | sigma`` (the column tag of
-``materialize_apply``), each kernel runs once per k on the whole table, and
+``apply_table``), each kernel runs once per k on the whole table, and
 each probe's residual is read off its own tag.
 Every fold over comparisons keeps a NaN, wherever it falls.
 """
@@ -40,7 +43,6 @@ from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .basis import check_truncation, lam_vector, popcount_vector
 from .functionals import Functional, GrowthBound, check_growth, pair, riesz_embed
@@ -48,6 +50,7 @@ from .operators import (
     annihilate,
     apply_annihilate,
     apply_create,
+    apply_table,
     create,
     gwn_apply,
     gwn_expr,
@@ -57,15 +60,17 @@ from .operators import (
     l2_hop,
     l2_wn1d_apply,
     l2_wn_apply,
-    materialize,
-    materialize_apply,
+    matrix_table,
     number,
     number_apply,
     number_series_partial,
     series_partial_1d,
     series_partial_2d,
+    table_product,
+    table_transpose,
     wn1d_apply,
     wn1d_expr,
+    zero,
 )
 from .qms import check_generator_structure, check_sum_identity
 from .reports import TOLERANCE, excess, family_level, family_reports, family_trials, residual
@@ -108,8 +113,8 @@ def random_functional(rng: np.random.Generator, n: int) -> Functional:
 
 
 def _ladder_matrices(n: int):
-    a = [materialize(annihilate(k), n) for k in range(n)]
-    c = [materialize(create(k), n) for k in range(n)]
+    a = [matrix_table(annihilate(k), n) for k in range(n)]
+    c = [matrix_table(create(k), n) for k in range(n)]
     return a, c
 
 
@@ -118,7 +123,7 @@ def _ladder_matrices(n: int):
 # ---------------------------------------------------------------------------
 
 # Rows of one stacked operand, or entries of one tagged probe table. Each
-# scipy product and kernel call has a fixed Python-level cost, so the matrix
+# table product and kernel call has a fixed Python-level cost, so the matrix
 # families stack their per-k operands and make one product per identity, and
 # riesz applies each kernel to a stack of probes; the budget caps what a stack
 # holds. At n = 8 every identity fits one or two stacks and a probe table
@@ -134,48 +139,33 @@ def _chunks(items, n: int) -> list:
     return [items[i : i + per] for i in range(0, len(items), per)]
 
 
-def _stack(blocks):
-    """CSR matrix with blocks[b] as its row block b."""
-    return scipy.sparse.vstack(blocks, format="csr")
-
-
-def _block_diag(blocks):
-    """Block-diagonal CSR matrix of equal square CSR blocks, assembled from
-    their arrays (``scipy.sparse.block_diag`` goes through COO)."""
-    size = blocks[0].shape[0]
-    offsets = np.cumsum([0] + [b.nnz for b in blocks])
-    return scipy.sparse.csr_matrix(
-        (
-            np.concatenate([b.data for b in blocks]),
-            np.concatenate([b.indices + i * size for i, b in enumerate(blocks)]),
-            np.concatenate([[0]] + [b.indptr[1:] + offsets[i] for i, b in enumerate(blocks)]),
-        ),
-        shape=(len(blocks) * size,) * 2,
-    )
-
-
-def _diagonals(values, size: int):
-    """CSR stack of diagonal blocks: row block b is diag(values[b*size : (b+1)*size])."""
-    rows = len(values)
-    return scipy.sparse.csr_matrix(
-        (values, np.tile(np.arange(size), rows // size), np.arange(rows + 1)),
-        shape=(rows, size),
-    )
-
-
-def _scalars(values, size: int):
-    """Block diagonal of values[b] times the 2^n identity, for 2^n = size."""
-    return scipy.sparse.diags(np.repeat(np.asarray(values, dtype=complex), size), format="csr")
-
-
 def _tagged(tables, n: int) -> Functional:
     """One private table holding tables[t]'s entry at sigma under mask
-    ``(t << n) | sigma``, the column tag of ``materialize_apply``: every
+    ``(t << n) | sigma``, the column tag of ``apply_table``: every
     kernel keeps the tag and the mask order, and ``residual(..., blocks=b)``
     reads each table's comparison off its own tag."""
     masks = np.concatenate([t << n | table.masks for t, table in enumerate(tables)])
     values = np.concatenate([table.values for table in tables])
     return Functional._from_arrays(masks, values, n)
+
+
+def _stack(tables) -> Functional:
+    """One tagged matrix table holding tables[b] as its row block b; blocks
+    multiply blockwise, so a stack is also the block diagonal of its blocks."""
+    return _tagged(tables, tables[0].truncation)
+
+
+def _first(stack: Functional) -> Functional:
+    """Block 0 of a stack, for a family's control."""
+    end = np.searchsorted(stack.masks, 1 << stack.truncation)
+    return Functional._from_arrays(stack.masks[:end], stack.values[:end], stack.truncation)
+
+
+def _diagonals(values, n: int) -> Functional:
+    """Stack of diagonal blocks: block b is diag(values[b * 2^n : (b + 1) * 2^n])."""
+    at = np.flatnonzero(values)
+    rows = at & ((1 << n) - 1)
+    return Functional._from_arrays(at >> n << 2 * n | rows << n | rows, values[at], 2 * n)
 
 
 def _worst(values) -> float:
@@ -186,9 +176,12 @@ def _worst(values) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
-def _shifted(values, stack, size: int):
-    """stack with row block b scaled by values[b]; unit shifts need no product."""
-    return stack if all(v == 1.0 for v in values) else _scalars(values, size) @ stack
+def _shifted(values, stack: Functional) -> Functional:
+    """stack with block b scaled by values[b]; unit shifts need no product."""
+    if all(v == 1.0 for v in values):
+        return stack
+    factors = np.asarray(values, dtype=complex)[stack.masks >> stack.truncation]
+    return Functional._dropping_zeros(stack.masks, factors * stack.values, stack.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +193,35 @@ def check_car(n: int) -> list:
     """Anticommutation at equal indices, commutation across indices, nilpotency.
 
     All matrices involved have disjoint 0/1 entries, so these residuals are
-    exactly zero, not merely small; the tolerance is 0.
+    exactly zero, not merely small; the tolerance is 0. The equal-time
+    relation is the commutator kernel's; the other per-k checks run on its
+    stacks beside it.
     """
     n = family_level(n)
-    size = 1 << n
     a, c = _ladder_matrices(n)
-    eye = scipy.sparse.identity(size, dtype=complex, format="csr")
-    masks = np.arange(size, dtype=np.int64)
-    equal_time, nilpotent, occ, adjoint = [], [], [], []
-    for ks in _chunks(range(n), n):
+    masks = np.arange(1 << n, dtype=np.int64)
+    nothing = matrix_table(zero(), n)
+    nilpotent, occ, adjoint = [], [], []
+
+    def beside(ks, stack_a, stack_c, occupied):
         blocks = len(ks)
-        stack_a, stack_c = _stack([a[k] for k in ks]), _stack([c[k] for k in ks])
-        diag_a, diag_c = _block_diag([a[k] for k in ks]), _block_diag([c[k] for k in ks])
-        occupied = diag_c @ stack_a  # create(k) annihilate(k), block by block
-        lhs, rhs = occupied + diag_a @ stack_c, _stack([eye] * blocks)
-        if not equal_time:
-            control = (lhs[:size], rhs[:size])
-        equal_time.append(residual(lhs, rhs, blocks))
-        zero = scipy.sparse.csr_matrix(stack_a.shape, dtype=complex)
-        nilpotent.append(residual(diag_a @ stack_a, zero, blocks))
-        nilpotent.append(residual(diag_c @ stack_c, zero, blocks))
+        nilpotent.append(residual(table_product(stack_a, stack_a), nothing, blocks))
+        nilpotent.append(residual(table_product(stack_c, stack_c), nothing, blocks))
         symbol = np.concatenate([masks >> k & 1 for k in ks]).astype(complex)
-        occ.append(residual(occupied, _diagonals(symbol, size), blocks))
-        adjoint.append(residual(diag_a.T.tocsr(), diag_c, blocks))
+        occ.append(residual(occupied, _diagonals(symbol, n), blocks))
+        adjoint.append(residual(table_transpose(stack_a), stack_c, blocks))
+
+    _, _, (equal_time, control) = _commutators(a, c, [], car=True, beside=beside)
     cross_aa, cross_cc, cross_ca = [], [], []
     for pairs in _chunks(((j, k) for j in range(n) for k in range(j + 1, n)), n):
         blocks = len(pairs)
         js, ks = zip(*pairs)
         a_j, a_k = _stack([a[j] for j in js]), _stack([a[k] for k in ks])
         c_j, c_k = _stack([c[j] for j in js]), _stack([c[k] for k in ks])
-        diag_aj, diag_ak = _block_diag([a[j] for j in js]), _block_diag([a[k] for k in ks])
-        diag_cj, diag_ck = _block_diag([c[j] for j in js]), _block_diag([c[k] for k in ks])
-        cross_aa.append(residual(diag_aj @ a_k, diag_ak @ a_j, blocks))
-        cross_cc.append(residual(diag_cj @ c_k, diag_ck @ c_j, blocks))
-        cross_ca.append(residual(diag_cj @ a_k, diag_ak @ c_j, blocks))
-        cross_ca.append(residual(diag_ck @ a_j, diag_aj @ c_k, blocks))
+        cross_aa.append(residual(table_product(a_j, a_k), table_product(a_k, a_j), blocks))
+        cross_cc.append(residual(table_product(c_j, c_k), table_product(c_k, c_j), blocks))
+        cross_ca.append(residual(table_product(c_j, a_k), table_product(a_k, c_j), blocks))
+        cross_ca.append(residual(table_product(c_k, a_j), table_product(a_j, c_k), blocks))
     return family_reports(
         {"n": n},
         EXACT_TOLERANCE,
@@ -242,7 +229,7 @@ def check_car(n: int) -> list:
             (
                 "car-equal-time",
                 "create(k) annihilate(k) + annihilate(k) create(k) = identity",
-                _worst(equal_time),
+                equal_time,
             ),
             ("car-nilpotent", "annihilate(k)^2 = 0 and create(k)^2 = 0", _worst(nilpotent)),
             (
@@ -279,36 +266,32 @@ def check_car(n: int) -> list:
 def check_hop(n: int) -> list:
     """Closed form of the four-fold ladder product against literal composition.
 
-    The literal side multiplies the materialized ladder matrices in the
-    factor order create(k) annihilate(j) create(j) annihilate(k) of
-    ``hop_expr``; only the ladder matrices of one stack's pairs are alive.
+    The literal side multiplies the ladder matrix tables in the factor order
+    create(k) annihilate(j) create(j) annihilate(k) of ``hop_expr``; only the
+    ladders of one stack's pairs are alive.
     """
     n = family_level(n)
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
+    masks = np.arange(1 << n, dtype=np.int64)
     worst_closed, worst_symbol = [], []
     for pairs in _chunks(((j, k) for j in range(n) for k in range(n)), n):
         blocks = len(pairs)
         js, ks = zip(*pairs)
-        ann = {i: materialize(annihilate(i), n) for i in {*js, *ks}}
-        cre = {i: materialize(create(i), n) for i in {*js, *ks}}
-        closed = _stack([materialize_apply(lambda f: hop_apply(j, k, f), n) for j, k in pairs])
-        literal = (
-            _block_diag([cre[k] for k in ks])
-            @ _block_diag([ann[j] for j in js])
-            @ _block_diag([cre[j] for j in js])
-            @ _stack([ann[k] for k in ks])
-        )
+        ann = {i: matrix_table(annihilate(i), n) for i in {*js, *ks}}
+        cre = {i: matrix_table(create(i), n) for i in {*js, *ks}}
+        closed = _stack([apply_table(lambda f: hop_apply(j, k, f), n) for j, k in pairs])
+        literal = _stack([cre[k] for k in ks])
+        for factor in ([ann[j] for j in js], [cre[j] for j in js], [ann[k] for k in ks]):
+            literal = table_product(literal, _stack(factor))
         # drop what the stacks no longer need, so the peak stays a few pairs
         del ann, cre
         if not worst_closed:
-            control = (closed[:size], literal[:size])
+            control = (_first(closed), _first(literal))
         worst_closed.append(residual(closed, literal, blocks))
         del literal
         symbol = np.concatenate(
             [(masks >> k & 1) & (1 if j == k else 1 - (masks >> j & 1)) for j, k in pairs]
         ).astype(complex)
-        worst_symbol.append(residual(closed, _diagonals(symbol, size), blocks))
+        worst_symbol.append(residual(closed, _diagonals(symbol, n), blocks))
     return family_reports(
         {"n": n},
         EXACT_TOLERANCE,
@@ -346,7 +329,7 @@ def _gwn_relation(w: Weight2D, big, wn1d_matrix, n: int) -> tuple:
     )
 
 
-def _commutators(lower, upper, relations, occupation=False, car=False):
+def _commutators(lower, upper, relations, occupation=False, car=False, beside=None):
     """The commutator kernel: each relation ``(D, s, t, slices)`` against the
     ladder pair L(k) = lower[k], U(k) = upper[k], k < n, one stack of ks at a
     time, every stack of ladders built once for all relations:
@@ -354,52 +337,57 @@ def _commutators(lower, upper, relations, occupation=False, car=False):
         D L(k) = L(k) D + sum of L(k) S(k) - s[k] L(k),
         D U(k) = U(k) D - sum of U(k) S(k) + t[k] U(k),
 
-    with D and each S(k) = slice(k) materialized, slices summed in order.
+    with D and each S(k) = slice(k) matrix tables, slices summed in order.
     Returns one (L worst, U worst, occupation worst) per relation, the last
     that of D U(k) L(k) = U(k) L(k) D with ``occupation``; the first
-    relation's L sides at k = 0, for the control; and the worst of
-    U(k) L(k) + L(k) U(k) = identity with ``car``, else 0.
+    relation's L sides at k = 0, for the control; and, with ``car``, the
+    worst of U(k) L(k) + L(k) U(k) = identity with its sides at k = 0, else
+    (0, None). ``beside(ks, L stack, U stack, U L stack)`` runs on every
+    stack, for the checks a family makes next to these.
     """
     n = len(lower)
-    size = 1 << n
-    sliced = car or any(slices for *_, slices in relations)
     worst = [([], [], []) for _ in relations]
+    control = car_control = None
     equal_time = []
     for ks in _chunks(range(n), n):
         blocks = len(ks)
         stack_l, stack_u = _stack([lower[k] for k in ks]), _stack([upper[k] for k in ks])
-        diag_l = _block_diag([lower[k] for k in ks]) if sliced else None
-        diag_u = _block_diag([upper[k] for k in ks]) if sliced or occupation else None
+        occ = table_product(stack_u, stack_l) if occupation or car else None
         if car:
-            eye = scipy.sparse.identity(size, dtype=complex, format="csr")
-            pair_sum = diag_u @ stack_l + diag_l @ stack_u
-            equal_time.append(residual(pair_sum, _stack([eye] * blocks), blocks))
-        occ = diag_u @ stack_l if occupation else None
+            pair_sum = occ + table_product(stack_l, stack_u)
+            eye = _diagonals(np.ones(blocks << n, dtype=complex), n)
+            if car_control is None:
+                car_control = (_first(pair_sum), _first(eye))
+            equal_time.append(residual(pair_sum, eye, blocks))
+        if beside is not None:
+            beside(ks, stack_l, stack_u, occ)
         for (big, shifts_l, shifts_u, slices), (res_l, res_u, res_occ) in zip(relations, worst):
-            each_k = _block_diag([big] * blocks)
+            each_k = _stack([big] * blocks)
             parts = [_stack([slice_at(k) for k in ks]) for slice_at in slices]
-            lhs, rhs = each_k @ stack_l, stack_l @ big
+            lhs, rhs = table_product(each_k, stack_l), table_product(stack_l, each_k)
             for part in parts:
-                rhs = rhs + diag_l @ part
-            rhs = rhs - _shifted([shifts_l[k] for k in ks], stack_l, size)
-            if not worst[0][0]:
-                control = (lhs[:size], rhs[:size])
+                rhs = rhs + table_product(stack_l, part)
+            rhs = rhs - _shifted([shifts_l[k] for k in ks], stack_l)
+            if control is None:
+                control = (_first(lhs), _first(rhs))
             res_l.append(residual(lhs, rhs, blocks))
-            rhs = stack_u @ big
+            rhs = table_product(stack_u, each_k)
             for part in parts:
-                rhs = rhs - diag_u @ part
-            rhs = rhs + _shifted([shifts_u[k] for k in ks], stack_u, size)
-            res_u.append(residual(each_k @ stack_u, rhs, blocks))
+                rhs = rhs - table_product(stack_u, part)
+            rhs = rhs + _shifted([shifts_u[k] for k in ks], stack_u)
+            res_u.append(residual(table_product(each_k, stack_u), rhs, blocks))
             if occupation:
-                res_occ.append(residual(each_k @ occ, occ @ big, blocks))
-    return [tuple(map(_worst, found)) for found in worst], control, _worst(equal_time)
+                sides = table_product(each_k, occ), table_product(occ, each_k)
+                res_occ.append(residual(*sides, blocks))
+    worst_relations = [tuple(map(_worst, found)) for found in worst]
+    return worst_relations, control, (_worst(equal_time), car_control)
 
 
 def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
     n = family_level(n)
-    big = materialize(gwn_expr(w), n)
-    relation = _gwn_relation(w, big, lambda v: materialize(wn1d_expr(v), n), n)
+    big = matrix_table(gwn_expr(w), n)
+    relation = _gwn_relation(w, big, lambda v: matrix_table(wn1d_expr(v), n), n)
     [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
         *_ladder_matrices(n), [relation], occupation=True
     )
@@ -429,7 +417,7 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
     n = family_level(n)
     shifts = [u(k) for k in range(n)]
-    relation = (materialize(wn1d_expr(u), n), shifts, shifts, ())
+    relation = (matrix_table(wn1d_expr(u), n), shifts, shifts, ())
     [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
         *_ladder_matrices(n), [relation], occupation=True
     )
@@ -448,7 +436,7 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
 def check_commutation_number(n: int) -> list:
     """The unweighted special case: number operator against the ladder pair."""
     n = family_level(n)
-    relation = (materialize(number(), n), [1.0] * n, [1.0] * n, ())
+    relation = (matrix_table(number(), n), [1.0] * n, [1.0] * n, ())
     [(worst_a, worst_c, _)], control, _ = _commutators(*_ladder_matrices(n), [relation])
     return family_reports(
         {"n": n},
@@ -536,12 +524,15 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
             f"series checks need weight support within the truncation "
             f"(support bound {max(w.support_bound(), u.support_bound())}, n = {n})"
         )
-    target = materialize(gwn_expr(w), n)
+    target = matrix_table(gwn_expr(w), n)
     stabilized = []
     diagonals = []
     for cut in range(n + 1):
-        partial = materialize_apply(lambda f: series_partial_2d(w, f, cut), n)
-        diagonals.append(np.real(partial.diagonal()))
+        partial = apply_table(lambda f: series_partial_2d(w, f, cut), n)
+        rows, cols = partial.masks & ((1 << n) - 1), partial.masks >> n
+        diagonal = np.zeros(1 << n)
+        diagonal[rows[rows == cols]] = partial.values[rows == cols].real
+        diagonals.append(diagonal)
         if cut >= w.support_bound():
             stabilized.append(partial)
 
@@ -555,8 +546,8 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
             out = out + v * l2_hop(j, k, xi)
         return out
 
-    l2_mat = materialize_apply(l2_series, n)
-    l2_target = materialize_apply(lambda xi: l2_wn_apply(w, xi), n)
+    l2_mat = apply_table(l2_series, n)
+    l2_target = apply_table(lambda xi: l2_wn_apply(w, xi), n)
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
@@ -768,18 +759,18 @@ def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     family with expression-tree materialization forbidden.
     """
     n = family_level(n)
-    d = [materialize_apply(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
-    ds = [materialize_apply(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
+    d = [apply_table(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
+    ds = [apply_table(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
     shifts = [u(k) for k in range(n)]
 
     def l2_wn1d(v):
-        return materialize_apply(lambda f: l2_wn1d_apply(v, f), n)
+        return apply_table(lambda f: l2_wn1d_apply(v, f), n)
 
     relations = [
-        _gwn_relation(w, materialize_apply(lambda f: l2_wn_apply(w, f), n), l2_wn1d, n),
+        _gwn_relation(w, apply_table(lambda f: l2_wn_apply(w, f), n), l2_wn1d, n),
         (l2_wn1d(u), shifts, shifts, ()),
     ]
-    [(worst_wa, worst_wc, _), (worst_ua, worst_uc, _)], control, car = _commutators(
+    [(worst_wa, worst_wc, _), (worst_ua, worst_uc, _)], control, (car, _) = _commutators(
         d, ds, relations, car=True
     )
     return family_reports(

@@ -349,10 +349,10 @@ def test_out_of_memory_is_one_error_line():
 
 
 def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
-    # simulate (both modes), apply, norms and qms run on numpy alone, so a
-    # cold start skips scipy.sparse (about 22 MB and 0.25 s to load),
-    # scipy.special and scipy.linalg; the first matrix loads scipy.sparse and
-    # the first zeta scipy.special
+    # simulate (both modes), apply, norms, qms and verify run on numpy alone,
+    # so a cold start skips scipy.sparse (about 18 MB and 0.16 s to load),
+    # scipy.special and scipy.linalg; the first public CSR matrix loads
+    # scipy.sparse and the first zeta scipy.special
     x = np.arange(16, dtype=complex).reshape(4, 4)
     h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
     expr = {
@@ -390,6 +390,8 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
         loaded["numpy-only"] = [m for m in lazy if m in sys.modules]
         assert main(["verify", "--n", "4", "--out", {out!r}]) == 0
         loaded["verify"] = [m for m in lazy if m in sys.modules]
+        chaoscalc.materialize(chaoscalc.annihilate(0), 2)
+        loaded["materialize"] = [m for m in lazy if m in sys.modules]
         bound = chaoscalc.lambda_series_bound(2.0)
         loaded["bound"] = [m for m in lazy if m in sys.modules]
         print(json.dumps({{"loaded": loaded, "bound": bound}}))
@@ -403,7 +405,8 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
     seen = json.loads(result.stdout.splitlines()[-1])
     assert seen["loaded"] == {
         "numpy-only": [],
-        "verify": ["scipy.sparse"],
+        "verify": [],
+        "materialize": ["scipy.sparse"],
         "bound": ["scipy.sparse", "scipy.special"],
     }
     assert seen["bound"] == math.exp(math.pi**2 / 6)

@@ -1,11 +1,12 @@
 """The stacked routes of the verifier against per-k and per-probe oracles.
 
 car, hop, the three commutation families and the l2 lemmas stack their per-k
-operands and read each k's residual off a row block. The oracle below makes
-the same comparisons one k (or one pair) at a time, on unstacked matrices,
-in the order the families once looped. The riesz family puts a stack of
-probes into one tagged table and reads each probe's residual off its tag;
-its oracle compares one untagged probe at a time. Every residual, and every
+matrix tables and read each k's residual off a block tag. The oracle below
+makes the same comparisons one k (or one pair) at a time, with scipy CSR
+products of unstacked matrices, in the order the families once looped; each
+side goes into ``residual`` as an untagged matrix table. The riesz family
+puts a stack of probes into one tagged table and reads each probe's
+residual off its tag; its oracle compares one untagged probe at a time. Every residual, and every
 control's, must come out equal as floats, not merely close.
 """
 from __future__ import annotations
@@ -23,7 +24,6 @@ from chaoscalc.operators import (
     create,
     gwn_expr,
     hop_apply,
-    hop_expr,
     l2_annihilate,
     l2_create,
     l2_wn1d_apply,
@@ -31,7 +31,6 @@ from chaoscalc.operators import (
     materialize,
     materialize_apply,
     number,
-    occupation,
     wn1d_expr,
 )
 from chaoscalc.reports import perturbed, residual
@@ -45,6 +44,22 @@ def ladders(n):
     )
 
 
+def table(matrix) -> Functional:
+    """A square CSR matrix as a matrix table: entry (r, c) under mask
+    ``(c << n) | r`` at truncation 2n, stored zeros left out."""
+    coo = sp.coo_matrix(matrix)
+    coo.sum_duplicates()
+    n = coo.shape[0].bit_length() - 1
+    keep = coo.data != 0
+    masks = coo.col[keep].astype(np.int64) << n | coo.row[keep]
+    order = np.argsort(masks)
+    return Functional._from_arrays(masks[order], coo.data[keep][order].astype(complex), 2 * n)
+
+
+def compare(lhs, rhs):
+    return residual(table(lhs), table(rhs))
+
+
 def control(lhs, rhs):
     return residual(perturbed(lhs), rhs)
 
@@ -52,42 +67,44 @@ def control(lhs, rhs):
 def oracle_car(n):
     a, c = ladders(n)
     eye = sp.identity(1 << n, dtype=complex, format="csr")
+    nothing = sp.csr_matrix((1 << n, 1 << n), dtype=complex)
     masks = np.arange(1 << n)
     equal_time = [(c[k] @ a[k] + a[k] @ c[k], eye) for k in range(n)]
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    mixed = [residual(c[j] @ a[k], a[k] @ c[j]) for j, k in pairs]
-    mixed += [residual(c[k] @ a[j], a[j] @ c[k]) for j, k in pairs]
+    mixed = [compare(c[j] @ a[k], a[k] @ c[j]) for j, k in pairs]
+    mixed += [compare(c[k] @ a[j], a[j] @ c[k]) for j, k in pairs]
     return [
-        max(residual(lhs, rhs) for lhs, rhs in equal_time),
-        max(max(residual(a[k] @ a[k], 0.0), residual(c[k] @ c[k], 0.0)) for k in range(n)),
-        max([residual(a[j] @ a[k], a[k] @ a[j]) for j, k in pairs], default=0.0),
-        max([residual(c[j] @ c[k], c[k] @ c[j]) for j, k in pairs], default=0.0),
+        max(compare(lhs, rhs) for lhs, rhs in equal_time),
+        max(max(compare(a[k] @ a[k], nothing), compare(c[k] @ c[k], nothing)) for k in range(n)),
+        max([compare(a[j] @ a[k], a[k] @ a[j]) for j, k in pairs], default=0.0),
+        max([compare(c[j] @ c[k], c[k] @ c[j]) for j, k in pairs], default=0.0),
         max(mixed, default=0.0),
         max(
-            residual(
-                materialize(occupation(k), n),
+            compare(
+                c[k] @ a[k],
                 sp.diags((masks >> k & 1).astype(complex), format="csr"),
             )
             for k in range(n)
         ),
-        max(residual(a[k].T.tocsr(), c[k]) for k in range(n)),
-        control(*equal_time[0]),
+        max(compare(a[k].T.tocsr(), c[k]) for k in range(n)),
+        control(*map(table, equal_time[0])),
     ]
 
 
 def oracle_hop(n):
+    a, c = ladders(n)
     masks = np.arange(1 << n)
     closed_res, symbol_res = [], []
     for j in range(n):
         for k in range(n):
             closed = materialize_apply(lambda f: hop_apply(j, k, f), n)
-            literal = materialize(hop_expr(j, k), n)
+            literal = c[k] @ a[j] @ c[j] @ a[k]  # the factor order of hop_expr
             if j == k == 0:
                 first = (closed, literal)
-            closed_res.append(residual(closed, literal))
+            closed_res.append(compare(closed, literal))
             symbol = (masks >> k & 1) & (1 if j == k else 1 - (masks >> j & 1))
-            symbol_res.append(residual(closed, sp.diags(symbol.astype(complex), format="csr")))
-    return [max(closed_res), max(symbol_res), control(*first)]
+            symbol_res.append(compare(closed, sp.diags(symbol.astype(complex), format="csr")))
+    return [max(closed_res), max(symbol_res), control(*map(table, first))]
 
 
 def oracle_commutation_2d(w, n):
@@ -100,14 +117,14 @@ def oracle_commutation_2d(w, n):
         scal_a = 2.0 * w(k, k) + w.colsum(k)
         sides_a.append((big_k @ a[k], a[k] @ big_k + a[k] @ row + a[k] @ col - scal_a * a[k]))
         rhs_c = c[k] @ big_k - c[k] @ row - c[k] @ col + w.colsum(k) * c[k]
-        res_c.append(residual(big_k @ c[k], rhs_c))
+        res_c.append(compare(big_k @ c[k], rhs_c))
         occ_k = c[k] @ a[k]
-        res_occ.append(residual(big_k @ occ_k, occ_k @ big_k))
+        res_occ.append(compare(big_k @ occ_k, occ_k @ big_k))
     return [
-        max(residual(lhs, rhs) for lhs, rhs in sides_a),
+        max(compare(lhs, rhs) for lhs, rhs in sides_a),
         max(res_c),
         max(res_occ),
-        control(*sides_a[0]),
+        control(*map(table, sides_a[0])),
     ]
 
 
@@ -116,10 +133,10 @@ def oracle_commutation_1d(u, n):
     nu = materialize(wn1d_expr(u), n)
     sides_a = [(nu @ a[k], a[k] @ nu - u(k) * a[k]) for k in range(n)]
     return [
-        max(residual(lhs, rhs) for lhs, rhs in sides_a),
-        max(residual(nu @ c[k], c[k] @ nu + u(k) * c[k]) for k in range(n)),
-        max(residual(nu @ (c[k] @ a[k]), (c[k] @ a[k]) @ nu) for k in range(n)),
-        control(*sides_a[0]),
+        max(compare(lhs, rhs) for lhs, rhs in sides_a),
+        max(compare(nu @ c[k], c[k] @ nu + u(k) * c[k]) for k in range(n)),
+        max(compare(nu @ (c[k] @ a[k]), (c[k] @ a[k]) @ nu) for k in range(n)),
+        control(*map(table, sides_a[0])),
     ]
 
 
@@ -128,9 +145,9 @@ def oracle_commutation_number(n):
     nn = materialize(number(), n)
     sides_a = [(nn @ a[k], a[k] @ nn - a[k]) for k in range(n)]
     return [
-        max(residual(lhs, rhs) for lhs, rhs in sides_a),
-        max(residual(nn @ c[k], c[k] @ nn + c[k]) for k in range(n)),
-        control(*sides_a[0]),
+        max(compare(lhs, rhs) for lhs, rhs in sides_a),
+        max(compare(nn @ c[k], c[k] @ nn + c[k]) for k in range(n)),
+        control(*map(table, sides_a[0])),
     ]
 
 
@@ -147,14 +164,14 @@ def oracle_l2(w, u, n):
         scal = 2.0 * w(k, k) + w.colsum(k)
         sides_wa.append((s_w @ d[k], d[k] @ s_w + d[k] @ row + d[k] @ col - scal * d[k]))
         rhs_c = ds[k] @ s_w - ds[k] @ row - ds[k] @ col + w.colsum(k) * ds[k]
-        res_wc.append(residual(s_w @ ds[k], rhs_c))
+        res_wc.append(compare(s_w @ ds[k], rhs_c))
     return [
-        max(residual(ds[k] @ d[k] + d[k] @ ds[k], eye) for k in range(n)),
-        max(residual(n_u @ d[k], d[k] @ n_u - u(k) * d[k]) for k in range(n)),
-        max(residual(n_u @ ds[k], ds[k] @ n_u + u(k) * ds[k]) for k in range(n)),
-        max(residual(lhs, rhs) for lhs, rhs in sides_wa),
+        max(compare(ds[k] @ d[k] + d[k] @ ds[k], eye) for k in range(n)),
+        max(compare(n_u @ d[k], d[k] @ n_u - u(k) * d[k]) for k in range(n)),
+        max(compare(n_u @ ds[k], ds[k] @ n_u + u(k) * ds[k]) for k in range(n)),
+        max(compare(lhs, rhs) for lhs, rhs in sides_wa),
         max(res_wc),
-        control(*sides_wa[0]),
+        control(*map(table, sides_wa[0])),
     ]
 
 

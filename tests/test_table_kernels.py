@@ -9,16 +9,21 @@ structure and ``lam_vector`` for the norms. Every output must keep the table
 invariants. The mask evaluators behind the diagonals and norms are checked
 against the scalar oracles on masks that use all 63 bits. The one-call
 ``materialize_apply``, which tags each basis column in the mask bits above
-n, is checked against a literal column-by-column sweep of every kernel.
+n, is checked against a literal column-by-column sweep of every kernel, and
+the matrix tables of random expression trees against scipy products of leaf
+matrices written from their definitions.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import pathlib
 import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +32,10 @@ from chaoscalc import operators, verifier, weights
 from chaoscalc.basis import Subset, lam, lam_at, lam_vector, popcount_at, popcount_vector
 from chaoscalc.functionals import Functional, GrowthBound, check_growth
 from chaoscalc.operators import (
+    Compose,
     Diagonal,
+    Scale,
+    Sum,
     annihilate,
     apply_annihilate,
     apply_create,
@@ -36,12 +44,14 @@ from chaoscalc.operators import (
     gwn_expr,
     hop_apply,
     hop_expr,
+    identity,
     l2_annihilate,
     l2_create,
     l2_wn1d_apply,
     l2_wn_apply,
     materialize,
     materialize_apply,
+    matrix_table,
     number,
     number_apply,
     number_series_partial,
@@ -51,6 +61,7 @@ from chaoscalc.operators import (
     series_partial_2d,
     wn1d_apply,
     wn1d_expr,
+    zero,
 )
 from chaoscalc.verifier import (
     check_commutation_1d,
@@ -392,6 +403,100 @@ def test_materialize_apply_caps_the_tag_at_31(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# expression trees against scipy products of the leaf definitions
+# ---------------------------------------------------------------------------
+#
+# Every value below is a small dyadic number, so each sum and product is
+# exact in any order and the two routes must agree entry for entry.
+
+
+def scipy_ladder(k: int, n: int, create: bool):
+    """Row r reads column r - {k} (create, k in r) or r + {k} (annihilate)."""
+    rows = np.arange(1 << n)
+    rows = rows[((rows >> k & 1) == 1) == create]
+    return sp.csr_matrix(
+        (np.ones(len(rows), dtype=complex), (rows, rows ^ 1 << k)), shape=(1 << n, 1 << n)
+    )
+
+
+def scipy_diagonal(values):
+    return sp.diags(np.asarray(values, dtype=complex), format="csr")
+
+
+@st.composite
+def expression_trees(draw):
+    """(n, expression, its CSR matrix built here from the definitions)."""
+    n = draw(st.integers(1, 5))
+    size = 1 << n
+    index = st.integers(0, n - 1)
+    value = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    w = Weight2D(draw(st.dictionaries(st.tuples(index, index), value, max_size=4)))
+    u = Weight1D(draw(st.dictionaries(index, value, max_size=3)))
+    masks = range(size)
+    leaves = st.one_of(
+        index.map(lambda k: (annihilate(k), scipy_ladder(k, n, create=False))),
+        index.map(lambda k: (create(k), scipy_ladder(k, n, create=True))),
+        # two entries in some rows and columns, so products meet and sum
+        st.tuples(index, index).map(
+            lambda jk: (
+                annihilate(jk[0]) + create(jk[1]),
+                scipy_ladder(jk[0], n, create=False) + scipy_ladder(jk[1], n, create=True),
+            )
+        ),
+        st.just((gwn_expr(w), scipy_diagonal([theta_double_sum(w, m) for m in masks]))),
+        st.just((wn1d_expr(u), scipy_diagonal([sum(map(u, Subset(m))) for m in masks]))),
+        st.just((number(), scipy_diagonal([bin(m).count("1") for m in masks]))),
+        st.just((identity(), sp.identity(size, dtype=complex, format="csr"))),
+        st.just((zero(), sp.csr_matrix((size, size), dtype=complex))),
+    )
+
+    def combined(kind, reduce):
+        def build(parts):
+            exprs, matrices = zip(*parts)
+            return kind(exprs), functools.reduce(reduce, matrices)
+
+        return build
+
+    def extend(children):
+        parts = st.lists(children, min_size=1, max_size=3)
+        factor = st.sampled_from([2.0, -1.0, 0.5j, 1.0 - 1.0j])
+        return st.one_of(
+            parts.map(combined(Sum, operator.add)),
+            parts.map(combined(Compose, operator.matmul)),
+            st.tuples(factor, children).map(lambda fc: (Scale(fc[0], fc[1][0]), fc[0] * fc[1][1])),
+        )
+
+    expr, matrix = draw(st.recursive(leaves, extend, max_leaves=6))
+    return n, expr, matrix
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression_trees())
+def test_materialize_matches_scipy_products_of_the_leaves(case):
+    n, expr, matrix = case
+    table = matrix_table(expr, n)
+    assert table.truncation == 2 * n
+    assert_invariants(table)
+    got = materialize(expr, n)
+    assert isinstance(got, sp.csr_matrix) and got.shape == (1 << n, 1 << n)
+    assert np.array_equal(got.toarray(), matrix.toarray())
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_left_factor_with_two_entries_in_a_column(n):
+    # annihilate(0) + create(1) holds two entries in some columns, so the
+    # product joins a run of left entries per right entry and sums them
+    left = annihilate(0) + create(1)
+    right = 2.0 * create(0) + annihilate(1) + number()
+    a0, c1 = scipy_ladder(0, n, create=False), scipy_ladder(1, n, create=True)
+    c0, a1 = scipy_ladder(0, n, create=True), scipy_ladder(1, n, create=False)
+    count = scipy_diagonal([bin(m).count("1") for m in range(1 << n)])
+    a_sum, b_sum = a0 + c1, 2.0 * c0 + a1 + count
+    assert np.array_equal(materialize(left @ right, n).toarray(), (a_sum @ b_sum).toarray())
+    assert np.array_equal(materialize(right @ left, n).toarray(), (b_sum @ a_sum).toarray())
+
+
+# ---------------------------------------------------------------------------
 # the square-integrable side never routes through the transform side
 # ---------------------------------------------------------------------------
 
@@ -428,8 +533,12 @@ def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
         # verifier holds its own references to the kernels it imports
         if hasattr(verifier, name):
             monkeypatch.setattr(verifier, name, forbidden)
-    monkeypatch.setattr(operators, "_ladder_matrix", forbidden)
+    # nor the transform side's matrix tables: ladder and diagonal leaves
+    monkeypatch.setattr(operators, "_ladder_table", forbidden)
     monkeypatch.setattr(operators.Diagonal, "materialize", forbidden)
+    monkeypatch.setattr(operators.Diagonal, "table", forbidden)
+    monkeypatch.setattr(operators, "matrix_table", forbidden)
+    monkeypatch.setattr(verifier, "matrix_table", forbidden)
     for k, (down, up) in enumerate(ladders):
         assert_matches(l2_annihilate(k, xi), down)
         assert_matches(l2_create(k, xi), up)
@@ -446,6 +555,7 @@ L2_KERNELS = (
     "l2_wn_apply",
     "l2_wn1d_apply",
     "materialize_apply",
+    "apply_table",
 )
 
 
@@ -461,7 +571,9 @@ def test_transform_side_is_independent_of_l2_kernels(monkeypatch):
 
     for name in L2_KERNELS:
         monkeypatch.setattr(operators, name, forbidden)
-        monkeypatch.setattr(verifier, name, forbidden)
+        # verifier holds its own references to the kernels it imports
+        if hasattr(verifier, name):
+            monkeypatch.setattr(verifier, name, forbidden)
     for reports in (
         check_commutation_2d(w, n),
         check_commutation_1d(u, n),

@@ -8,7 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import chaoscalc
 from chaoscalc import verifier
@@ -52,6 +51,16 @@ from chaoscalc.verifier import (
 from chaoscalc.weights import Weight1D, Weight2D
 
 
+def stacked(dense, blocks: int = 1) -> Functional:
+    """A dense stack of equal square row blocks as a tagged matrix table:
+    entry (r, c) of block b under mask ``(b << 2n) | (c << n) | r``."""
+    arr = np.asarray(dense, dtype=complex)
+    size = arr.shape[1]
+    flat = arr.reshape(blocks, size, size).transpose(0, 2, 1).ravel()
+    masks = np.flatnonzero(flat)
+    return Functional._from_arrays(masks, flat[masks], 2 * (size.bit_length() - 1))
+
+
 @pytest.fixture(scope="module")
 def rnd_weight():
     return random_weight2d(np.random.default_rng(123), 4)
@@ -68,12 +77,12 @@ class TestResidualHelpers:
         assert residual(2.0, 1.0) == pytest.approx(0.5)
 
     def test_matrix_and_functional(self):
-        a = sp.csr_matrix(np.eye(3, dtype=complex))
+        a = np.eye(3, dtype=complex)
         assert residual(a, a) == 0.0
-        assert max_abs(sp.csr_matrix((3, 3), dtype=complex)) == 0.0
-        # stored duplicates are one entry: 2 + 2 at (0, 1), in CSR or COO form
-        dup = sp.csr_matrix(([2.0, 2.0, -3.0], [1, 1, 0], [0, 2, 3, 3]), shape=(3, 3))
-        assert max_abs(dup) == max_abs(dup.tocoo()) == 4.0
+        assert max_abs(np.zeros((3, 3), dtype=complex)) == 0.0
+        # 4 at (0, 1) and -3 at (1, 0), as an array or a matrix table
+        summed = np.array([[0.0, 4.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
+        assert max_abs(summed[:3, :3]) == max_abs(stacked(summed)) == 4.0
         phi = Functional({0: 2.0}, 2)
         assert residual(phi, Functional({0: 1.0}, 2)) == pytest.approx(0.5)
 
@@ -83,7 +92,7 @@ class TestResidualHelpers:
         rhs[3, 0] += 1.0
         # block 1 is rows 2 and 3, normalized by its own largest entry, 10
         assert residual(lhs, rhs, blocks=2) == residual(lhs[2:], rhs[2:]) == 1.0 / 10.0
-        assert residual(sp.csr_matrix(lhs), sp.csr_matrix(rhs), blocks=2) == 0.1
+        assert residual(stacked(lhs, 2), stacked(rhs, 2), blocks=2) == 0.1
         # one block is the unblocked residual, normalized by the whole stack
         assert residual(lhs, rhs, blocks=1) == residual(lhs, rhs) == 1.0 / 100.0
         # a 1D array splits into equal runs
@@ -119,16 +128,20 @@ class TestResidualHelpers:
 
     def test_residual_empty_and_broken_blocks(self):
         # block 0 of the stack stores no entry; block 1 differs by 2 of 4
-        lhs = sp.csr_matrix(np.array([[0, 0], [0, 0], [4, 0], [0, 1]], dtype=complex))
-        rhs = sp.csr_matrix(np.array([[0, 0], [0, 0], [4, 2], [0, 1]], dtype=complex))
+        lhs = stacked(np.array([[0, 0], [0, 0], [4, 0], [0, 1]]), 2)
+        rhs = stacked(np.array([[0, 0], [0, 0], [4, 2], [0, 1]]), 2)
         assert residual(lhs, rhs, blocks=2) == 0.5
-        assert residual(lhs[:2], rhs[:2]) == residual(lhs, lhs, blocks=2) == 0.0
+        first = verifier._first(lhs), verifier._first(rhs)
+        assert residual(*first) == residual(lhs, lhs, blocks=2) == 0.0
         assert residual(np.zeros((4, 0)), np.zeros((4, 0)), blocks=2) == 0.0
         # NaN in the last block: a fold that keeps the first value would hide it
-        for wrap in (np.asarray, sp.csr_matrix):
-            broken = np.eye(4, dtype=complex)
-            broken[3, 3] = np.nan
-            assert np.isnan(residual(wrap(np.eye(4, dtype=complex)), wrap(broken), blocks=4))
+        broken = np.eye(4, dtype=complex)
+        broken[3, 3] = np.nan
+        assert np.isnan(residual(np.eye(4, dtype=complex), broken, blocks=4))
+        two = np.vstack([np.eye(2, dtype=complex)] * 2)
+        cracked = two.copy()
+        cracked[3, 1] = np.nan
+        assert np.isnan(residual(stacked(two, 2), stacked(cracked, 2), blocks=2))
         with pytest.raises(ValueError, match="equal row blocks"):
             residual(np.zeros((3, 2)), np.zeros((3, 2)), blocks=2)
 
@@ -141,7 +154,7 @@ class TestResidualHelpers:
         table = Functional._from_arrays(np.array([0b01, 0b110]), np.array([1.0, bad + 0j]), 2)
         with np.errstate(invalid="ignore"):  # inf - inf
             assert np.isnan(residual(complex(bad), complex(bad)))
-            for wrap in (np.asarray, sp.csr_matrix):
+            for wrap in (np.asarray, stacked):
                 assert np.isnan(residual(wrap(arr), wrap(arr.copy())))
                 assert np.isnan(residual(wrap(arr), wrap(arr.copy()), blocks=4))
             assert np.isnan(residual(table, table))
@@ -151,8 +164,8 @@ class TestResidualHelpers:
         assert perturbed(0.0) == 1e-6
         arr = perturbed(np.zeros((2, 2)))
         assert arr[0, 0] == 1e-6 and arr.sum() == 1e-6
-        mat = perturbed(sp.csr_matrix((2, 2), dtype=complex))
-        assert mat[0, 0] == 1e-6
+        mat = perturbed(stacked(np.zeros((2, 2))))
+        assert mat.fock(0) == 1e-6  # entry (0, 0)
         phi = perturbed(Functional({0b10: 1.0}, 2))
         assert phi.fock(0b10) == 1.0 + 1e-6
         empty = perturbed(Functional.zero(1))
@@ -181,8 +194,8 @@ class TestResidualHelpers:
         assert not VerificationReport("x", "s", broken, 1e-12).ok
 
     def test_family_reports_builds_the_control(self):
-        lhs = sp.csr_matrix(np.array([[3e8, 0.0], [0.0, 1.0]], dtype=complex))
-        rhs = lhs.copy()
+        lhs = stacked(np.array([[3e8, 0.0], [0.0, 1.0]]))
+        rhs = stacked(np.array([[3e8, 0.0], [0.0, 1.0]]))
         reports = family_reports(
             {"n": 1}, 1e-12, [("c", "s", residual(lhs, rhs))], ("c-control", "c", lhs, rhs)
         )
