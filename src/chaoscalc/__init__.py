@@ -8,11 +8,11 @@ number operators on both the coefficient and the square-integrable side),
 `qms` (a Lindblad-type generator built from the exclusion jump operators),
 and `verifier` (the identity-check engine behind the CLI).
 
-`scipy.sparse` and `scipy.special` are written out in full after a plain
-``import scipy``: SciPy loads a submodule on its first attribute access, so
-the numpy-only commands (`simulate`, `apply`, `norms`, `qms`, `verify`) run
-without them. Only the public CSR matrices (`materialize`,
-`materialize_apply`, `transfer_matrix`) load `scipy.sparse`.
+No module imports SciPy at load, so the numpy-only commands (`simulate`,
+`apply`, `norms`, `qms`, `verify`) run without it. The public CSR matrices
+(`materialize`, `materialize_apply`, `transfer_matrix`) import
+`scipy.sparse` inside `operators.table_csr`, and `lambda_series_bound`
+imports `scipy.special`, on first use.
 """
 
 from .basis import (

@@ -12,7 +12,6 @@ import os
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy
 
 _DEFAULT_MAX_TRUNCATION = 20
 _UINT64_MAX = 2**64 - 1
@@ -247,4 +246,6 @@ def lambda_series_bound(r: float) -> float:
     """Upper bound exp(zeta(r)) for the full series, finite for r > 1."""
     if not r > 1:
         raise ValueError(f"series bound requires r > 1, got {r}")
+    import scipy.special  # loaded on first use: no command takes a zeta
+
     return math.exp(float(scipy.special.zeta(r)))

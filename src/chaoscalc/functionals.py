@@ -46,6 +46,23 @@ def _moduli(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
+def _tag_sums(masks: np.ndarray, terms: np.ndarray, n: int, blocks: int) -> np.ndarray:
+    """The sum of ``terms`` over each tag ``masks >> n`` below ``blocks``,
+    each bit-identical to ``np.sum`` over that tag's terms alone: one block
+    is ``np.sum``, equally full tags are the rows of one reshape (a row sum
+    adds in ``np.sum``'s order, which ``np.add.reduceat`` does not), and
+    tags of different sizes are summed one by one."""
+    if blocks == 1:
+        return np.sum(terms, keepdims=True)
+    bounds = np.searchsorted(masks >> n, np.arange(blocks + 1))
+    if bounds[-1] < len(masks):
+        raise ValueError(f"tag {masks[-1] >> n} lies outside {blocks} blocks")
+    sizes = np.diff(bounds)
+    if (sizes == sizes[0]).all():
+        return terms.reshape(blocks, sizes[0]).sum(axis=1)
+    return np.array([np.sum(terms[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
 class _CoeffView(Mapping):
     """Read-only ``{mask: complex}`` view of a table's mask and value arrays."""
 
@@ -195,7 +212,9 @@ class Functional:
             return Functional._from_arrays(other.masks, theirs, n)
         if np.array_equal(self.masks, other.masks):
             return Functional._dropping_zeros(self.masks, self.values + theirs, n)
-        masks = np.union1d(self.masks, other.masks)
+        # both runs are sorted, so a stable sort of the two merges them
+        masks = np.sort(np.concatenate([self.masks, other.masks]), kind="stable")
+        masks = masks[np.append(True, masks[1:] != masks[:-1])]
         values = np.zeros(len(masks), dtype=complex)
         values[np.searchsorted(masks, self.masks)] = self.values
         values[np.searchsorted(masks, other.masks)] += theirs
@@ -229,33 +248,45 @@ class Functional:
 
     # -- norms and duality ---------------------------------------------------
 
-    def _graded_norm(self, power: float) -> float:
+    def _graded_norm(self, power: float, blocks: int | None):
         # Overflow (huge |p| or coefficients) gives inf or nan rather than a
         # warning; callers that print norms check them.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = lam_at(self.masks) ** power
-            return float(np.sqrt(np.sum(weights * _moduli(self.values) ** 2)))
+            weights = lam_at(self.masks & ((1 << self.truncation) - 1)) ** power
+            terms = weights * _moduli(self.values) ** 2
+            norms = np.sqrt(_tag_sums(self.masks, terms, self.truncation, blocks or 1))
+        return float(norms[0]) if blocks is None else norms
 
-    def norm(self, p: float) -> float:
-        """Graded norm with weight lambda^(2p); p = 0 is the plain l2 norm."""
-        return self._graded_norm(2 * p)
+    def norm(self, p: float, blocks: int | None = None):
+        """Graded norm with weight lambda^(2p); p = 0 is the plain l2 norm.
 
-    def dual_norm(self, p: float) -> float:
+        With ``blocks``, the table is a stack of that many tables, table t's
+        coefficient at sigma under mask ``(t << truncation) | sigma``, and
+        the result is the array of their norms, each equal to the table's
+        own ``norm(p)``; the same holds for :meth:`dual_norm` and
+        :meth:`pair`.
+        """
+        return self._graded_norm(2 * p, blocks)
+
+    def dual_norm(self, p: float, blocks: int | None = None):
         """Dual-side norm with weight lambda^(-2p)."""
-        return self._graded_norm(-2 * p)
+        return self._graded_norm(-2 * p, blocks)
 
     def conjugated(self) -> "Functional":
         """Coefficient-wise complex conjugate; realizes the duality embedding."""
         return Functional._from_arrays(self.masks, self.values.conj(), self.truncation)
 
-    def pair(self, xi: "Functional") -> complex:
+    def pair(self, xi: "Functional", blocks: int | None = None):
         """Bilinear pairing: sum of products of coefficients, no conjugation."""
         if np.array_equal(self.masks, xi.masks):  # one support, the same products in order
-            return complex(np.sum(self.values * xi.values))
-        _, mine, theirs = np.intersect1d(
-            self.masks, xi.masks, assume_unique=True, return_indices=True
-        )
-        return complex(np.sum(self.values[mine] * xi.values[theirs]))
+            masks, products = self.masks, self.values * xi.values
+        else:
+            _, mine, theirs = np.intersect1d(
+                self.masks, xi.masks, assume_unique=True, return_indices=True
+            )
+            masks, products = self.masks[mine], self.values[mine] * xi.values[theirs]
+        sums = _tag_sums(masks, products, self.truncation, blocks or 1)
+        return complex(sums[0]) if blocks is None else sums
 
     # -- serialization -------------------------------------------------------
 

@@ -17,25 +17,27 @@ input subset mask. Inside the package a matrix is a matrix table, the same
 mask and value arrays at truncation 2n with entry (r, c) under mask
 ``(c << n) | r``, row block b of a stack above bit 2n: leaves are built from their own bit arithmetic, sums and
 scalings are the table's, and :func:`table_product` multiplies by a gather
-and a sort. A matrix known only through a kernel comes from
+(and a sort when a factor has two entries in a column). A matrix known only through a kernel comes from
 :func:`apply_table`, which applies the kernel once to the whole basis with
 each mask's column tagged in the bits above n; every kernel therefore
 changes only bits below n and evaluates diagonals at those bits. The public
 :func:`materialize` and :func:`materialize_apply` convert a table to scipy
-CSR in one step, :func:`table_csr`, and only that step loads
+CSR in one step, :func:`table_csr`, and only that step imports
 ``scipy.sparse``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy
 
 from .basis import as_index, check_truncation, popcount_at
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 _MAX_TAGGED_TRUNCATION = 31  # 2n tag bits stay clear of an int64 mask's sign bit
 
@@ -213,20 +215,36 @@ def _basis(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.int64)
 
 
+def _one_per_column(columns: np.ndarray) -> bool:
+    """Whether sorted ``(block << n) | column`` keys name each column once."""
+    return bool((columns[1:] != columns[:-1]).all())
+
+
 def table_product(left: Functional, right: Functional) -> Functional:
     """Blockwise product of two matrix tables: block b of the result is
     left's block b times right's block b.
 
     Each entry of right at (m, c) meets the entries of left's column m, one
     run of left's sorted masks, and lands at their rows. Every ladder,
-    diagonal and stack of them has at most one entry per column, so the
-    product is a gather and one sort. Products that meet one output entry
-    are summed in increasing m, the order of a CSR product.
+    diagonal and stack of them has at most one entry per column; when both
+    factors do, the product is one gather through a dense lookup from
+    (block, column) to left's entry, and keeps right's mask order. Otherwise
+    the runs are found by search and the products sorted; products that
+    meet one output entry are summed in increasing m, the order of a CSR
+    product.
     """
     n = right.truncation // 2
     low = (1 << n) - 1
     keys = left.masks >> n  # (b << n) | column
     wanted = right.masks >> 2 * n << n | (right.masks & low)  # (b << n) | row
+    if len(keys) and len(wanted) and _one_per_column(keys) and _one_per_column(right.masks >> n):
+        lookup = np.full(max(keys[-1], wanted.max()) + 1, -1)
+        lookup[keys] = np.arange(len(keys))
+        at = lookup[wanted]
+        hit = at >= 0
+        at = at[hit]
+        masks = (right.masks[hit] & ~low) | (left.masks[at] & low)
+        return Functional._dropping_zeros(masks, left.values[at] * right.values[hit], right.truncation)
     start = np.searchsorted(keys, wanted)
     count = np.searchsorted(keys, wanted, side="right") - start
     source = np.repeat(np.arange(len(wanted)), count)
@@ -268,6 +286,8 @@ def table_dense(table: Functional) -> np.ndarray:
 
 def table_csr(table: Functional) -> scipy.sparse.csr_matrix:
     """A one-block matrix table as scipy CSR: the package's public matrix form."""
+    import scipy.sparse  # loaded on first use: only this boundary needs it
+
     n = table.truncation // 2
     size = 1 << n
     return scipy.sparse.csr_matrix(

@@ -21,9 +21,9 @@ through basic-slicing views, and B itself is only an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy
 
 from .basis import as_index, check_truncation, popcount_vector
 from .functionals import Functional
@@ -39,6 +39,9 @@ from .operators import (
 )
 from .reports import TOLERANCE, family_level, family_reports, family_trials, residual
 from .weights import Weight2D
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:

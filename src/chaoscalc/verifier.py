@@ -27,11 +27,10 @@ against a ladder pair stack by stack, and the equal-time relation of the
 pair; the three commutation families hand it matrices from the expression
 engine, car its ladders too, the l2 lemmas matrices from the ``l2_*``
 kernels.
-The riesz family stacks its probes the same way: as many as fill
-``_STACK_ROWS`` entries go into one tagged table, probe t's coefficient at
-sigma under mask ``(t << n) | sigma`` (the column tag of
-``apply_table``), each kernel runs once per k on the whole table, and
-each probe's residual is read off its own tag.
+riesz checks its intertwinings on stacks of basis columns, column c holding
+a random z_c at row c under ``apply_table``'s column tag, a residual per
+tag. Probes go into tagged tables, probe t at ``(t << n) | sigma``, and
+``Functional`` reads their norms and pairings per tag.
 Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
@@ -45,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import check_truncation, lam_vector, popcount_vector
-from .functionals import Functional, GrowthBound, check_growth, pair, riesz_embed
+from .functionals import Functional, GrowthBound, _moduli, check_growth, riesz_embed
 from .operators import (
     annihilate,
     apply_annihilate,
@@ -122,13 +121,13 @@ def _ladder_matrices(n: int):
 # stacked operands
 # ---------------------------------------------------------------------------
 
-# Rows of one stacked operand, or entries of one tagged probe table. Each
-# table product and kernel call has a fixed Python-level cost, so the matrix
-# families stack their per-k operands and make one product per identity, and
-# riesz applies each kernel to a stack of probes; the budget caps what a stack
-# holds. At n = 8 every identity fits one or two stacks and a probe table
-# holds 32 probes, at n = 12 a stack holds two blocks or probes, and from
-# n = 13 on one, so memory stays that of a few blocks at any n.
+# Rows of one stacked operand, or entries of one tagged table of probes or
+# basis columns. Each table product, kernel call and norm has a fixed
+# Python-level cost, so the matrix families stack their per-k operands, riesz
+# applies each kernel to a stack of basis columns, and the probed families
+# read norms off stacks of probes. At n = 8 an identity fits one or two
+# stacks, a probe table holds 32 probes and a column table the whole basis;
+# from n = 13 a stack holds one block or probe, so memory stays bounded.
 _STACK_ROWS = 1 << 13
 
 
@@ -491,12 +490,11 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
         ),
     ]
     if w.is_exact():
-        oracle = np.array([theta_double_sum(w, int(m)) for m in masks])
         checks.append(
             (
                 "theta-vs-double-sum",
                 "rearranged theta equals the literal double sum over entries",
-                residual(theta, oracle),
+                residual(theta, theta_double_sum(w, masks)),
             )
         )
     return family_reports(
@@ -607,16 +605,22 @@ def check_riesz_intertwining(
     n = family_level(n)
     trials = family_trials(trials)
     rng = np.random.default_rng(seed)
-    worst_a, worst_c, worst_w, worst_pair = [], [], [], []
+    worst_pair = []
     for stack in _chunks(range(trials), n):
         probes = [random_functional(rng, n) for _ in stack]
-        if not worst_a:
+        if not worst_pair:
             first = probes[0]
             control = riesz_embed(l2_annihilate(0, first)), apply_annihilate(0, riesz_embed(first))
-        # a tagged table sums over its probes, so the pairing stays per probe
-        worst_pair.extend(residual(pair(riesz_embed(xi), xi), xi.norm(0) ** 2) for xi in probes)
-        blocks = len(probes)
-        table = _tagged(probes, n)
+        table, blocks = _tagged(probes, n), len(probes)
+        # a float's ** 2, libm's pow, as the per-probe check squared: numpy's square can differ
+        squares = np.array([norm**2 for norm in table.norm(0, blocks).tolist()])
+        worst_pair.append(residual(riesz_embed(table).pair(table, blocks), squares, blocks))
+    z = random_functional(rng, n)
+    worst_a, worst_c, worst_w = [], [], []
+    for lo in range(0, len(z.masks), _STACK_ROWS):
+        cols, values = z.masks[lo : lo + _STACK_ROWS], z.values[lo : lo + _STACK_ROWS]
+        blocks = len(cols)
+        table = Functional._from_arrays(np.arange(blocks) << n | cols, values, n)
         embedded = riesz_embed(table)
         for k in range(n):
             lhs = riesz_embed(l2_annihilate(k, table))
@@ -864,45 +868,41 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
     lam_vec = lam_vector(n)
     grid = (0.0, 0.5, 1.0, 2.0)
     worst_mono, worst_dual, worst_cs, worst_growth, isometry = [], [], [], [], []
-    for _ in range(trials):
-        xi = random_functional(rng, n)
-        phi = random_functional(rng, n)
-        norms = [xi.norm(p) for p in grid]
+    for stack in _chunks(range(trials), n):
+        xis, phis = [], []
+        for _ in stack:
+            xis.append(random_functional(rng, n))
+            phis.append(random_functional(rng, n))
+            modulus = rng.uniform(0.0, 1.0, size=1 << n)
+            sample = modulus * np.exp(2j * np.pi * rng.uniform(size=1 << n))
+            # |coeff| <= 2 lambda^1 must pass the growth check and its dual-norm consequence
+            bounded = Functional.from_vector(2.0 * lam_vec * sample, n)
+            outcome = check_growth(bounded, GrowthBound(2.0, 1.0))
+            worst_growth.append(excess(outcome.worst_excess, 0.0))
+            worst_growth.append(excess(outcome.dual_norm_at_next, outcome.dual_norm_cap))
+        blocks = len(stack)
+        xi, phi = _tagged(xis, n), _tagged(phis, n)
+        # row i holds each probe's norm at grid[i]; p = 0, 1, 2 sit at rows 0, 2, 3
+        norms = np.array([xi.norm(p, blocks) for p in grid])
         worst_mono.append(excess(norms[:-1], norms[1:]))
-        duals = [xi.dual_norm(p) for p in grid]
+        duals = np.array([xi.dual_norm(p, blocks) for p in grid])
         worst_dual.append(excess(duals[1:], duals[:-1]))
-        # p = 0, 1, 2 sit at grid positions 0, 2, 3
         embedded = riesz_embed(xi)
-        isometry.append(
-            (
-                np.array([embedded.dual_norm(p) for p in (0, 1, 2)]),
-                np.array([duals[0], duals[2], duals[3]]),
-            )
-        )
-        pairing = abs(pair(phi, xi))
+        lhs = np.array([embedded.dual_norm(p, blocks) for p in (0, 1, 2)]).T
+        rhs = duals[[0, 2, 3]].T
+        if not isometry:
+            control = lhs[0], rhs[0]
+        isometry.append(residual(lhs, rhs, blocks))
+        pairing = _moduli(phi.pair(xi, blocks))
         for p, norm in ((0, norms[0]), (1, norms[2])):
-            worst_cs.append(excess(pairing, phi.dual_norm(p) * norm))
-        # a table built to satisfy |coeff| <= scale * lambda^order must pass
-        # the growth check together with its dual-norm consequence
-        scale, order = 2.0, 1.0
-        sample = rng.uniform(0.0, 1.0, size=1 << n) * np.exp(
-            2j * np.pi * rng.uniform(size=1 << n)
-        )
-        bounded = Functional.from_vector(scale * lam_vec**order * sample, n)
-        outcome = check_growth(bounded, GrowthBound(scale, order))
-        worst_growth.append(excess(outcome.worst_excess, 0.0))
-        worst_growth.append(excess(outcome.dual_norm_at_next, outcome.dual_norm_cap))
+            worst_cs.append(excess(pairing, phi.dual_norm(p, blocks) * norm))
     return family_reports(
         {"n": n, "trials": trials, "seed": seed},
         TOLERANCE,
         [
             ("norm-monotone", "norm(xi, p) is nondecreasing in p", _worst(worst_mono)),
             ("dual-norm-antitone", "dual_norm(xi, p) is nonincreasing in p", _worst(worst_dual)),
-            (
-                "riesz-isometry",
-                "conjugation preserves every dual norm",
-                _worst([residual(lhs, rhs) for lhs, rhs in isometry]),
-            ),
+            ("riesz-isometry", "conjugation preserves every dual norm", _worst(isometry)),
             (
                 "pairing-cauchy-schwarz",
                 "|pair(phi, xi)| <= dual_norm(phi, p) norm(xi, p)",
@@ -919,7 +919,7 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
         (
             "functional-invariant-negative-control",
             "dual norms at p = 0, 1, 2 of the first conjugated probe against its own",
-            *isometry[0],
+            *control,
         ),
     )
 

@@ -357,15 +357,19 @@ class Weight2D:
             raise ValueError(f"malformed dense weight JSON: {exc}") from exc
 
 
-def theta_double_sum(w: Weight2D, sigma) -> float:
+def theta_double_sum(w: Weight2D, sigma):
     """Literal double-sum evaluation of theta, term by term.
 
     Slower than :meth:`Weight2D.theta` and unable to use closed-form column
     sums, but independent of the rearranged formula; kept as the oracle the
-    verification suite compares against.
+    verification suite compares against. ``sigma`` is one subset, or an
+    int64 array of masks, which gives the array of theta at each, every
+    value as the one subset gives it.
     """
-    mask = _mask_of(sigma)
-    total = 0.0
+    if isinstance(sigma, np.ndarray):
+        mask, total = sigma, np.zeros(sigma.shape)
+    else:
+        mask, total = _mask_of(sigma), 0.0
     for (j, k), v in sorted(w.entries.items()):
         inside_j = mask >> j & 1
         inside_k = mask >> k & 1

@@ -350,9 +350,9 @@ def test_out_of_memory_is_one_error_line():
 
 def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
     # simulate (both modes), apply, norms, qms and verify run on numpy alone,
-    # so a cold start skips scipy.sparse (about 18 MB and 0.16 s to load),
-    # scipy.special and scipy.linalg; the first public CSR matrix loads
-    # scipy.sparse and the first zeta scipy.special
+    # so a cold start skips scipy itself (about 12 ms to import), scipy.sparse
+    # (about 18 MB and 0.16 s), scipy.special and scipy.linalg; the first
+    # public CSR matrix loads scipy.sparse and the first zeta scipy.special
     x = np.arange(16, dtype=complex).reshape(4, 4)
     h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
     expr = {
@@ -383,7 +383,7 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
         import json, sys
         import chaoscalc
         from chaoscalc.cli import main
-        lazy = ("scipy.sparse", "scipy.special", "scipy.linalg")
+        lazy = ("scipy", "scipy.sparse", "scipy.special", "scipy.linalg")
         loaded = {{}}
         for argv in {numpy_only!r}:
             assert main([*argv, "--out", {out!r}]) == 0, argv
@@ -406,8 +406,8 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
     assert seen["loaded"] == {
         "numpy-only": [],
         "verify": [],
-        "materialize": ["scipy.sparse"],
-        "bound": ["scipy.sparse", "scipy.special"],
+        "materialize": ["scipy", "scipy.sparse"],
+        "bound": ["scipy", "scipy.sparse", "scipy.special"],
     }
     assert seen["bound"] == math.exp(math.pi**2 / 6)
 

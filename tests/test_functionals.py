@@ -115,6 +115,50 @@ class TestNorms:
             assert phi.dual_norm(-p) == pytest.approx(xi.norm(p), rel=1e-13)
 
 
+def tagged(tables, n: int) -> Functional:
+    """tables[t]'s coefficient at sigma under mask ``(t << n) | sigma``."""
+    masks = np.concatenate([t << n | table.masks for t, table in enumerate(tables)])
+    values = np.concatenate([table.values for table in tables])
+    return Functional._from_arrays(masks, values, n)
+
+
+def sparse_functional(rng: np.random.Generator, n: int, keep: float) -> Functional:
+    vec = random_functional(rng, n).as_vector() * (rng.uniform(size=1 << n) < keep)
+    return Functional.from_vector(vec * 10.0 ** rng.integers(-6, 6, size=1 << n), n)
+
+
+class TestPerTag:
+    """A stack's per-tag norms and pairings are each table's own, exactly."""
+
+    @pytest.mark.parametrize("full", [True, False], ids=["equal-tags", "unequal-tags"])
+    def test_norms_and_pairings_equal_each_tables_own(self, full):
+        rng = np.random.default_rng(31)
+        n = 9  # 512 entries a full tag: several of numpy's pairwise-sum blocks
+        if full:
+            xis = [random_functional(rng, n) for _ in range(6)]
+            phis = [random_functional(rng, n) for _ in range(6)]
+        else:
+            # tags of different sizes, one of them empty, and supports that
+            # differ between phi and xi
+            xis = [sparse_functional(rng, n, keep) for keep in (0.9, 0.0, 0.3, 1.0, 0.05)]
+            phis = [sparse_functional(rng, n, keep) for keep in (0.5, 0.7, 1.0, 0.2, 0.0)]
+        blocks = len(xis)
+        xi, phi = tagged(xis, n), tagged(phis, n)
+        for p in (0.0, 0.5, 1.0, 2.0, -1.0):
+            assert xi.norm(p, blocks).tolist() == [t.norm(p) for t in xis]
+            assert xi.dual_norm(p, blocks).tolist() == [t.dual_norm(p) for t in xis]
+        assert phi.pair(xi, blocks).tolist() == [f.pair(t) for f, t in zip(phis, xis)]
+        embedded = riesz_embed(xi)
+        assert embedded.pair(xi, blocks).tolist() == [riesz_embed(t).pair(t) for t in xis]
+
+    def test_a_tag_outside_the_blocks_raises(self):
+        xi = tagged([random_functional(np.random.default_rng(2), 3)] * 3, 3)
+        with pytest.raises(ValueError, match="tag 2 lies outside 2 blocks"):
+            xi.norm(0, 2)
+        with pytest.raises(ValueError, match="tag 2 lies outside 2 blocks"):
+            xi.pair(xi, 2)
+
+
 class TestRieszAndPairing:
     def test_conjugation(self):
         xi = Functional({Subset.of(0): 1 + 2j, Subset(): -3j}, 1)

@@ -1,13 +1,15 @@
-"""The stacked routes of the verifier against per-k and per-probe oracles.
+"""The stacked routes of the verifier against per-k and per-column oracles.
 
 car, hop, the three commutation families and the l2 lemmas stack their per-k
 matrix tables and read each k's residual off a block tag. The oracle below
 makes the same comparisons one k (or one pair) at a time, with scipy CSR
 products of unstacked matrices, in the order the families once looped; each
 side goes into ``residual`` as an untagged matrix table. The riesz family
-puts a stack of probes into one tagged table and reads each probe's
-residual off its tag; its oracle compares one untagged probe at a time. Every residual, and every
-control's, must come out equal as floats, not merely close.
+checks its intertwinings on the whole basis, one tagged table of basis
+columns a stack, and reads each column's residual off its tag; its oracle
+compares one untagged column at a time, and its pairing one probe at a
+time. Every residual, and every control's, must come out equal as floats,
+not merely close.
 """
 from __future__ import annotations
 
@@ -244,20 +246,25 @@ def test_chunking_is_invisible_in_the_reports(monkeypatch, blocks):
 
 
 def oracle_riesz(w, n, trials, seed):
-    """The riesz comparisons one untagged probe at a time, through the
-    transform-side kernels ``verifier`` calls."""
+    """The riesz comparisons one untagged table at a time, through the
+    transform-side kernels ``verifier`` calls: each basis column c alone,
+    holding the z_c drawn after the probes, for the intertwinings, and each
+    probe alone for the pairing and the control."""
     rng = np.random.default_rng(seed)
     probes = [verifier.random_functional(rng, n) for _ in range(trials)]
-    res_a, res_c, res_w, res_pair = [], [], [], []
-    for xi in probes:
-        embedded = riesz_embed(xi)
+    z = verifier.random_functional(rng, n)
+    res_a, res_c, res_w = [], [], []
+    for c, z_c in zip(z.masks.tolist(), z.values.tolist()):
+        column = Functional({c: z_c}, n)
+        embedded = riesz_embed(column)
         for k in range(n):
-            lhs = riesz_embed(l2_annihilate(k, xi))
+            lhs = riesz_embed(l2_annihilate(k, column))
             res_a.append(residual(lhs, verifier.apply_annihilate(k, embedded)))
-            lhs = riesz_embed(l2_create(k, xi))
+            lhs = riesz_embed(l2_create(k, column))
             res_c.append(residual(lhs, verifier.apply_create(k, embedded)))
-        res_w.append(residual(riesz_embed(l2_wn_apply(w, xi)), verifier.gwn_apply(w, embedded)))
-        res_pair.append(residual(pair(embedded, xi), xi.norm(0) ** 2))
+        lhs = riesz_embed(l2_wn_apply(w, column))
+        res_w.append(residual(lhs, verifier.gwn_apply(w, embedded)))
+    res_pair = [residual(pair(riesz_embed(xi), xi), xi.norm(0) ** 2) for xi in probes]
     first = probes[0]
     return [
         max(res_a),
@@ -273,7 +280,7 @@ def oracle_riesz(w, n, trials, seed):
 
 def skewed(kernel):
     """kernel with each output value scaled by 1 + 1e-9 * (sigma mod 5), sigma
-    its low n bits: every probe then reads its own nonzero residual."""
+    its low n bits: every column then reads its own nonzero residual."""
 
     def apply(*args):
         out = kernel(*args)
@@ -310,16 +317,21 @@ def riesz_cases(draw):
     return w, n, trials, seed, draw(st.booleans())
 
 
-@pytest.mark.parametrize("probes", [1, 3, None], ids=["one-probe", "three-probes", "default"])
+# stack budgets in entries: one column or probe a stack; three columns (a
+# short last stack) and one probe; three probes and every column; the default
+@pytest.mark.parametrize(
+    "rows", [lambda n: 1, lambda n: 3, lambda n: 3 << n, None],
+    ids=["one-entry", "three-columns", "three-probes", "default"],
+)
 @settings(max_examples=20, deadline=None)
 @given(case=riesz_cases())
-def test_tagged_riesz_residuals_equal_the_per_probe_oracle(probes, case):
+def test_whole_basis_riesz_residuals_equal_the_per_column_oracle(rows, case):
     # skewed kernels make every intertwining residual nonzero and different
-    # per probe, so a table normalized as a whole would not match
+    # per column, so a table normalized as a whole would not match
     w, n, trials, seed, skew = case
     with pytest.MonkeyPatch.context() as mp:
-        if probes is not None:
-            mp.setattr(verifier, "_STACK_ROWS", probes << n)
+        if rows is not None:
+            mp.setattr(verifier, "_STACK_ROWS", rows(n))
         if skew:
             for name in TRANSFORM_KERNELS:
                 mp.setattr(verifier, name, skewed(getattr(verifier, name)))

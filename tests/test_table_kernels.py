@@ -496,6 +496,44 @@ def test_a_left_factor_with_two_entries_in_a_column(n):
     assert np.array_equal(materialize(right @ left, n).toarray(), (b_sum @ a_sum).toarray())
 
 
+# tiny values, so that products underflow to zeros, which a product drops
+nonzero = st.one_of(
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-300 + 0j, -1e-300j, 5e-324 + 0j]),
+)
+
+
+@st.composite
+def monomial_stacks(draw, n: int):
+    """A stack of one to three random matrix tables with at most one entry
+    per column, row block b above bit 2n, as the stacked ladders are."""
+    masks, values = [], []
+    for b in range(draw(st.integers(1, 3))):
+        for c in range(1 << n):
+            if draw(st.booleans()):
+                r = draw(st.integers(0, (1 << n) - 1))
+                masks.append(b << 2 * n | c << n | r)
+                values.append(draw(nonzero))
+    return Functional._from_arrays(
+        np.array(masks, dtype=np.int64), np.array(values, dtype=complex), 2 * n
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_monomial_products_gather_what_the_general_path_sums(data):
+    # the gather is taken whenever both factors have at most one entry per
+    # column; the general path, forced here, must give the same table
+    n = data.draw(st.integers(1, 4))
+    left, right = data.draw(monomial_stacks(n)), data.draw(monomial_stacks(n))
+    gathered = operators.table_product(left, right)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_one_per_column", lambda columns: False)
+        searched = operators.table_product(left, right)
+    assert gathered == searched
+    assert np.all(np.diff(gathered.masks) > 0) and np.all(gathered.values != 0)
+
+
 # ---------------------------------------------------------------------------
 # the square-integrable side never routes through the transform side
 # ---------------------------------------------------------------------------
