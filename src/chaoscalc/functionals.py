@@ -46,6 +46,15 @@ def _moduli(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
+def _tag_bounds(masks: np.ndarray, n: int, blocks: int) -> np.ndarray:
+    """Where each tag ``masks >> n`` below ``blocks`` starts in sorted
+    ``masks``, and where the last ends; a tag at or above ``blocks`` raises
+    ``ValueError``."""
+    if len(masks) and masks[-1] >> n >= blocks:
+        raise ValueError(f"tag {masks[-1] >> n} lies outside {blocks} blocks")
+    return np.searchsorted(masks >> n, np.arange(blocks + 1))
+
+
 def _tag_sums(masks: np.ndarray, terms: np.ndarray, n: int, blocks: int) -> np.ndarray:
     """The sum of ``terms`` over each tag ``masks >> n`` below ``blocks``,
     each bit-identical to ``np.sum`` over that tag's terms alone: one block
@@ -54,9 +63,7 @@ def _tag_sums(masks: np.ndarray, terms: np.ndarray, n: int, blocks: int) -> np.n
     tags of different sizes are summed one by one."""
     if blocks == 1:
         return np.sum(terms, keepdims=True)
-    bounds = np.searchsorted(masks >> n, np.arange(blocks + 1))
-    if bounds[-1] < len(masks):
-        raise ValueError(f"tag {masks[-1] >> n} lies outside {blocks} blocks")
+    bounds = _tag_bounds(masks, n, blocks)
     sizes = np.diff(bounds)
     if (sizes == sizes[0]).all():
         return terms.reshape(blocks, sizes[0]).sum(axis=1)
@@ -248,7 +255,7 @@ class Functional:
 
     # -- norms and duality ---------------------------------------------------
 
-    def _graded_norm(self, power: float, blocks: int | None):
+    def _graded_norm(self, power: float, blocks: int | None) -> float | np.ndarray:
         # Overflow (huge |p| or coefficients) gives inf or nan rather than a
         # warning; callers that print norms check them.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -257,7 +264,7 @@ class Functional:
             norms = np.sqrt(_tag_sums(self.masks, terms, self.truncation, blocks or 1))
         return float(norms[0]) if blocks is None else norms
 
-    def norm(self, p: float, blocks: int | None = None):
+    def norm(self, p: float, blocks: int | None = None) -> float | np.ndarray:
         """Graded norm with weight lambda^(2p); p = 0 is the plain l2 norm.
 
         With ``blocks``, the table is a stack of that many tables, table t's
@@ -268,7 +275,7 @@ class Functional:
         """
         return self._graded_norm(2 * p, blocks)
 
-    def dual_norm(self, p: float, blocks: int | None = None):
+    def dual_norm(self, p: float, blocks: int | None = None) -> float | np.ndarray:
         """Dual-side norm with weight lambda^(-2p)."""
         return self._graded_norm(-2 * p, blocks)
 
@@ -276,7 +283,7 @@ class Functional:
         """Coefficient-wise complex conjugate; realizes the duality embedding."""
         return Functional._from_arrays(self.masks, self.values.conj(), self.truncation)
 
-    def pair(self, xi: "Functional", blocks: int | None = None):
+    def pair(self, xi: "Functional", blocks: int | None = None) -> complex | np.ndarray:
         """Bilinear pairing: sum of products of coefficients, no conjugation."""
         if np.array_equal(self.masks, xi.masks):  # one support, the same products in order
             masks, products = self.masks, self.values * xi.values

@@ -17,10 +17,11 @@ input subset mask. Inside the package a matrix is a matrix table, the same
 mask and value arrays at truncation 2n with entry (r, c) under mask
 ``(c << n) | r``, row block b of a stack above bit 2n: leaves are built from their own bit arithmetic, sums and
 scalings are the table's, and :func:`table_product` multiplies by a gather
-(and a sort when a factor has two entries in a column). A matrix known only through a kernel comes from
-:func:`apply_table`, which applies the kernel once to the whole basis with
-each mask's column tagged in the bits above n; every kernel therefore
-changes only bits below n and evaluates diagonals at those bits. The public
+(and a sort when a factor has two entries in a column). A matrix known only
+through a kernel comes from :func:`apply_table`, which applies the kernel
+once to the whole basis with each mask's column tagged in the bits above n;
+every kernel therefore changes only bits below n and evaluates diagonals at
+those bits. The public
 :func:`materialize` and :func:`materialize_apply` convert a table to scipy
 CSR in one step, :func:`table_csr`, and only that step imports
 ``scipy.sparse``.
@@ -244,7 +245,8 @@ def table_product(left: Functional, right: Functional) -> Functional:
         hit = at >= 0
         at = at[hit]
         masks = (right.masks[hit] & ~low) | (left.masks[at] & low)
-        return Functional._dropping_zeros(masks, left.values[at] * right.values[hit], right.truncation)
+        values = left.values[at] * right.values[hit]
+        return Functional._dropping_zeros(masks, values, right.truncation)
     start = np.searchsorted(keys, wanted)
     count = np.searchsorted(keys, wanted, side="right") - start
     source = np.repeat(np.arange(len(wanted)), count)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import check_truncation
-from .functionals import Functional, _moduli
+from .functionals import Functional, _moduli, _tag_bounds
 
 CHECK = "check"
 NEGATIVE_CONTROL = "negative-control"
@@ -46,10 +46,7 @@ def _block_max_abs(x, blocks: int) -> np.ndarray:
     blocks of an array, or the tags ``masks >> truncation`` of a tagged
     table; an empty block reads 0, a NaN entry gives NaN."""
     if isinstance(x, Functional):
-        tags = x.masks >> x.truncation
-        if len(tags) and tags[-1] >= blocks:
-            raise ValueError(f"tag {tags[-1]} lies outside {blocks} blocks")
-        bounds = np.searchsorted(tags, np.arange(blocks + 1))
+        bounds = _tag_bounds(x.masks, x.truncation, blocks)
         out = np.zeros(blocks)
         filled = bounds[:-1] < bounds[1:]
         if filled.any():

@@ -357,7 +357,7 @@ class Weight2D:
             raise ValueError(f"malformed dense weight JSON: {exc}") from exc
 
 
-def theta_double_sum(w: Weight2D, sigma):
+def theta_double_sum(w: Weight2D, sigma) -> float | np.ndarray:
     """Literal double-sum evaluation of theta, term by term.
 
     Slower than :meth:`Weight2D.theta` and unable to use closed-form column

@@ -48,17 +48,11 @@ def residuals(n: int, seed: int = 42, weight: dict | None = None) -> list:
 
 
 if __name__ == "__main__":
-    runs = [
-        {"flags": flags, "args": args, "residuals": residuals(**args)}
-        for flags, args in INVOCATIONS
-    ]
     # one report a line, so a regenerated file diffs report by report
-    body = ",\n".join(
-        "  {"
-        f'"flags": {json.dumps(run["flags"])}, "args": {json.dumps(run["args"])},'
-        ' "residuals": [\n'
-        + ",\n".join(f"    {json.dumps(entry)}" for entry in run["residuals"])
-        + "\n  ]}"
-        for run in runs
-    )
+    runs = []
+    for flags, args in INVOCATIONS:
+        head = json.dumps({"flags": flags, "args": args})[:-1]
+        lines = ",\n".join(f"    {json.dumps(entry)}" for entry in residuals(**args))
+        runs.append(f'  {head}, "residuals": [\n{lines}\n  ]}}')
+    body = ",\n".join(runs)
     RESIDUALS.write_text(f'{{"numpy": {json.dumps(np.__version__)}, "runs": [\n{body}\n]}}\n')

@@ -498,7 +498,9 @@ def test_a_left_factor_with_two_entries_in_a_column(n):
 
 # tiny values, so that products underflow to zeros, which a product drops
 nonzero = st.one_of(
-    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(
+        min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
+    ),
     st.sampled_from([1e-300 + 0j, -1e-300j, 5e-324 + 0j]),
 )
 
