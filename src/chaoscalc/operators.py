@@ -15,16 +15,17 @@ be applied directly (sparse: selections and gathers on a table's mask and
 value arrays) or materialized over the truncated basis, columns indexed by
 input subset mask. Inside the package a matrix is a matrix table, the same
 mask and value arrays at truncation 2n with entry (r, c) under mask
-``(c << n) | r``, row block b of a stack above bit 2n: leaves are built from their own bit arithmetic, sums and
-scalings are the table's, and :func:`table_product` multiplies by a gather
-(and a sort when a factor has two entries in a column). A matrix known only
-through a kernel comes from :func:`apply_table`, which applies the kernel
-once to the whole basis with each mask's column tagged in the bits above n;
-every kernel therefore changes only bits below n and evaluates diagonals at
-those bits. The public
-:func:`materialize` and :func:`materialize_apply` convert a table to scipy
-CSR in one step, :func:`table_csr`, and only that step imports
-``scipy.sparse``.
+``(c << n) | r``, row block b of a stack above bit 2n. The leaves (ladders
+and diagonals) build theirs from their own bit arithmetic; every other
+expression's table, like any matrix known only through a kernel, comes from
+:func:`apply_table`, which applies it once to the whole basis with each
+mask's column tagged in the bits above n; every kernel therefore changes
+only bits below n and evaluates diagonals at those bits.
+:func:`table_product` multiplies tables with at most one entry per column,
+as ladders, diagonals, their products and stacks of them are, by one
+gather. The public :func:`materialize` and :func:`materialize_apply`
+convert a table to scipy CSR in one step, :func:`table_csr`, and only that
+step imports ``scipy.sparse``.
 """
 from __future__ import annotations
 
@@ -216,56 +217,34 @@ def _basis(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.int64)
 
 
-def _one_per_column(columns: np.ndarray) -> bool:
-    """Whether sorted ``(block << n) | column`` keys name each column once."""
-    return bool((columns[1:] != columns[:-1]).all())
-
-
 def table_product(left: Functional, right: Functional) -> Functional:
     """Blockwise product of two matrix tables: block b of the result is
     left's block b times right's block b.
 
-    Each entry of right at (m, c) meets the entries of left's column m, one
-    run of left's sorted masks, and lands at their rows. Every ladder,
-    diagonal and stack of them has at most one entry per column; when both
-    factors do, the product is one gather through a dense lookup from
-    (block, column) to left's entry, and keeps right's mask order. Otherwise
-    the runs are found by search and the products sorted; products that
-    meet one output entry are summed in increasing m, the order of a CSR
-    product.
+    Both factors must have at most one entry per column, as every ladder,
+    diagonal, jump operator, product and stack of them has; a factor with
+    two entries in a column raises ValueError (a sum of such matrices is
+    multiplied by applying it, see :func:`apply_table`). Each entry of right
+    at (m, c) then meets at most left's one entry in column m, so the
+    product is one gather through a dense lookup from (block, column) to
+    left's entry, and keeps right's mask order.
     """
     n = right.truncation // 2
     low = (1 << n) - 1
     keys = left.masks >> n  # (b << n) | column
+    for side, columns in (("left", keys), ("right", right.masks >> n)):
+        if (columns[1:] == columns[:-1]).any():
+            raise ValueError(f"the {side} factor of a table product has two entries in a column")
+    if not (len(keys) and len(right.masks)):
+        return Functional._from_arrays(right.masks[:0], right.values[:0], right.truncation)
     wanted = right.masks >> 2 * n << n | (right.masks & low)  # (b << n) | row
-    if len(keys) and len(wanted) and _one_per_column(keys) and _one_per_column(right.masks >> n):
-        lookup = np.full(max(keys[-1], wanted.max()) + 1, -1)
-        lookup[keys] = np.arange(len(keys))
-        at = lookup[wanted]
-        hit = at >= 0
-        at = at[hit]
-        masks = (right.masks[hit] & ~low) | (left.masks[at] & low)
-        values = left.values[at] * right.values[hit]
-        return Functional._dropping_zeros(masks, values, right.truncation)
-    start = np.searchsorted(keys, wanted)
-    count = np.searchsorted(keys, wanted, side="right") - start
-    source = np.repeat(np.arange(len(wanted)), count)
-    ends = np.cumsum(count)
-    at = np.arange(ends[-1] if len(ends) else 0) + np.repeat(start - ends + count, count)
-    masks = (right.masks[source] & ~low) | (left.masks[at] & low)
-    values = left.values[at] * right.values[source]
-    order = np.argsort(masks, kind="stable")
-    masks, values = masks[order], values[order]
-    first = np.ones(len(masks), dtype=bool)
-    first[1:] = masks[1:] != masks[:-1]
-    if not first.all():
-        # the k-th product of an entry is added in the k-th pass
-        group = np.cumsum(first) - 1
-        rank = np.arange(len(masks)) - np.flatnonzero(first)[group]
-        masks, summed = masks[first], values[first]
-        for k in range(1, int(rank.max()) + 1):
-            summed[group[rank == k]] += values[rank == k]
-        values = summed
+    lookup = np.full(max(keys[-1], wanted.max()) + 1, -1)
+    lookup[keys] = np.arange(len(keys))
+    at = lookup[wanted]
+    hit = at >= 0
+    at = at[hit]
+    masks = (right.masks[hit] & ~low) | (left.masks[at] & low)
+    values = left.values[at] * right.values[hit]
     return Functional._dropping_zeros(masks, values, right.truncation)
 
 
@@ -336,8 +315,9 @@ class OperatorExpr:
         raise NotImplementedError
 
     def table(self, n: int) -> Functional:
-        """The matrix table over the truncated basis (column = input)."""
-        raise NotImplementedError
+        """The matrix table over the truncated basis (column = input): the
+        expression applied once to the column-tagged basis."""
+        return apply_table(self.apply, n)
 
     def materialize(self, n: int) -> scipy.sparse.csr_matrix:
         return table_csr(self.table(n))
@@ -450,10 +430,6 @@ class Identity(OperatorExpr):
     def apply(self, phi):
         return Functional._from_arrays(phi.masks, phi.values, phi.truncation)
 
-    def table(self, n):
-        cols = _basis(check_truncation(n))
-        return _matrix(cols << n | cols, np.ones(len(cols), dtype=complex), n)
-
     def to_json(self):
         return {"op": "identity"}
 
@@ -462,10 +438,6 @@ class Identity(OperatorExpr):
 class Zero(OperatorExpr):
     def apply(self, phi):
         return Functional.zero(phi.truncation)
-
-    def table(self, n):
-        n = check_truncation(n)
-        return _matrix(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex), n)
 
     def to_json(self):
         return {"op": "zero"}
@@ -481,12 +453,6 @@ class Sum(OperatorExpr):
             out = out + term.apply(phi)
         return out
 
-    def table(self, n):
-        out = Zero().table(n)
-        for term in self.terms:
-            out = out + term.table(n)
-        return out
-
     def to_json(self):
         return {"op": "sum", "args": [t.to_json() for t in self.terms]}
 
@@ -498,9 +464,6 @@ class Scale(OperatorExpr):
 
     def apply(self, phi):
         return self.factor * self.arg.apply(phi)
-
-    def table(self, n):
-        return self.factor * self.arg.table(n)
 
     def to_json(self):
         return {
@@ -520,14 +483,6 @@ class Compose(OperatorExpr):
         out = phi
         for factor in reversed(self.factors):
             out = factor.apply(out)
-        return out
-
-    def table(self, n):
-        if not self.factors:
-            return Identity().table(n)
-        out = self.factors[0].table(n)
-        for factor in self.factors[1:]:
-            out = table_product(out, factor.table(n))
         return out
 
     def to_json(self):

@@ -521,19 +521,56 @@ def monomial_stacks(draw, n: int):
     )
 
 
+def scipy_blockwise_product(left: Functional, right: Functional, n: int) -> Functional:
+    """Block b of left times block b of right as scipy CSR products, one per
+    block of a three-block stack, read back into a stacked matrix table."""
+    size = 1 << n
+    masks, values = [], []
+    for b in range(3):
+
+        def block(table):
+            at = table.masks >> 2 * n == b
+            rows, cols = table.masks[at] & size - 1, table.masks[at] >> n & size - 1
+            return sp.csr_matrix((table.values[at], (rows, cols)), shape=(size, size))
+
+        product = (block(left) @ block(right)).tocoo()
+        kept = product.data != 0
+        rows, cols = product.row[kept].astype(np.int64), product.col[kept].astype(np.int64)
+        masks.append(b << 2 * n | cols << n | rows)
+        values.append(product.data[kept])
+    masks, values = np.concatenate(masks), np.concatenate(values)
+    order = np.argsort(masks)
+    return Functional._from_arrays(masks[order], values[order].astype(complex), 2 * n)
+
+
 @SETTINGS
 @given(st.data())
-def test_monomial_products_gather_what_the_general_path_sums(data):
-    # the gather is taken whenever both factors have at most one entry per
-    # column; the general path, forced here, must give the same table
+def test_monomial_products_gather_the_blockwise_scipy_product(data):
+    # each entry of a product of monomial factors is one left value times one
+    # right value. scipy may fuse a complex product's multiply-add (one ulp
+    # apart in an imaginary part was seen), so values agree to a few ulps of
+    # the product's modulus; which entries survive must agree exactly. The
+    # tiny values are real or imaginary, so their underflows match too.
     n = data.draw(st.integers(1, 4))
     left, right = data.draw(monomial_stacks(n)), data.draw(monomial_stacks(n))
     gathered = operators.table_product(left, right)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_one_per_column", lambda columns: False)
-        searched = operators.table_product(left, right)
-    assert gathered == searched
+    expected = scipy_blockwise_product(left, right, n)
+    assert gathered.truncation == expected.truncation
+    assert np.array_equal(gathered.masks, expected.masks)
+    assert np.allclose(gathered.values, expected.values, rtol=4 * np.finfo(float).eps, atol=0)
     assert np.all(np.diff(gathered.masks) > 0) and np.all(gathered.values != 0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_factor_with_two_entries_in_a_column_is_refused(side):
+    # the product is only a gather; a sum with two entries in a column is
+    # multiplied by applying it, through the expression's own table
+    n = 2
+    two = matrix_table(annihilate(0) + create(1), n)  # column 0b01 holds both
+    one = matrix_table(create(0), n)
+    factors = (two, one) if side == "left" else (one, two)
+    with pytest.raises(ValueError, match=f"the {side} factor"):
+        operators.table_product(*factors)
 
 
 # ---------------------------------------------------------------------------
