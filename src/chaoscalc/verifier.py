@@ -35,11 +35,8 @@ Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +66,6 @@ from .operators import (
     table_transpose,
     wn1d_apply,
     wn1d_expr,
-    zero,
 )
 from .qms import check_generator_structure, check_sum_identity
 from .reports import TOLERANCE, excess, family_level, family_reports, family_trials, residual
@@ -199,7 +195,7 @@ def check_car(n: int) -> list:
     n = family_level(n)
     a, c = _ladder_matrices(n)
     masks = np.arange(1 << n, dtype=np.int64)
-    nothing = matrix_table(zero(), n)
+    nothing = Functional._from_arrays(masks[:0], np.zeros(0, dtype=complex), 2 * n)
     nilpotent, occ, adjoint = [], [], []
 
     def beside(ks, stack_a, stack_c, occupied):
@@ -952,69 +948,53 @@ def fixture_weights1d(n: int, seed: int) -> dict:
     }
 
 
-class _Run(NamedTuple):
-    n: int
-    seed: int
-    weights2d: dict
-    weights1d: dict
-    u: Weight1D  # the 1D weight of the families that take one
-
-
-# Fixture fan-outs: each maps a run to the {tag: weight} fixtures of a family.
-_each_2d = attrgetter("weights2d")
-_each_1d = attrgetter("weights1d")
-
-
-def _once(run):
-    return {None: None}
-
-
-def _series_fixture(run):
-    """The running weight, or the first 2D fixture when they were overridden."""
-    tag = "running" if "running" in run.weights2d else next(iter(run.weights2d))
-    return {tag: run.weights2d[tag]}
-
-
-def _random_fixture(run):
-    """The first random weight, or the series fixture when they were overridden."""
-    if "rnd0" in run.weights2d:
-        return {"rnd0": run.weights2d["rnd0"]}
-    return _series_fixture(run)
-
-
-def _qms_family(run, w):
-    qn = min(run.n, QMS_MAX_N)
-    return check_sum_identity(w, qn) + check_generator_structure(
-        w, qn, trials=20, seed=run.seed
-    )
-
-
-# (family, fixture fan-out, call(run, weight, tag)), in run order. Adjacent
-# entries with the same fan-out run fixture by fixture, so commutation-2d and
-# spectral-shift alternate over the 2D fixtures. The calls look the check
-# functions up when they run, so wrappers installed on this module see them.
-_REGISTRY = (
-    ("car", _once, lambda r, w, tag: check_car(r.n)),
-    ("hop", _once, lambda r, w, tag: check_hop(r.n)),
-    ("commutation-2d", _each_2d, lambda r, w, tag: check_commutation_2d(w, r.n, tag)),
-    ("spectral-shift", _each_2d, lambda r, w, tag: check_spectral_shifts(w, r.n, tag)),
-    ("commutation-1d", _each_1d, lambda r, u, tag: check_commutation_1d(u, r.n, tag)),
-    ("commutation-number", _once, lambda r, w, tag: check_commutation_number(r.n)),
-    ("representation", _series_fixture,
-     lambda r, w, tag: check_representations(w, r.u, r.n, tag)),
-    ("riesz", _random_fixture,
-     lambda r, w, tag: check_riesz_intertwining(w, r.n, seed=r.seed, tag=tag)),
-    ("norm-bound", _random_fixture,
-     lambda r, w, tag: check_norm_bounds(w, r.u, r.n, seed=r.seed, tag=tag)),
-    ("l2", _random_fixture, lambda r, w, tag: check_l2_lemmas(w, r.u, r.n, tag)),
-    ("weight-invariant", _each_2d,
-     lambda r, w, tag: check_weight_invariants(w, r.u, r.n, tag)),
-    ("functional-invariant", _once,
-     lambda r, w, tag: check_functional_invariants(r.n, 50, r.seed)),
-    ("qms", _series_fixture, lambda r, w, tag: _qms_family(r, w)),
+FAMILY_NAMES = (
+    "car",
+    "hop",
+    "commutation-2d",
+    "spectral-shift",
+    "commutation-1d",
+    "commutation-number",
+    "representation",
+    "riesz",
+    "norm-bound",
+    "l2",
+    "weight-invariant",
+    "functional-invariant",
+    "qms",
 )
 
-FAMILY_NAMES = tuple(family for family, _, _ in _REGISTRY)
+
+def _family_runs(n: int, seed: int, weights2d: dict):
+    """(family, call) for every family run, in run order; commutation-2d and
+    spectral-shift alternate over the 2D fixtures. The series fixture is the
+    running weight and the random one rnd0, each the first 2D fixture when
+    the fixtures were overridden. A call looks its check function up when it
+    runs, so wrappers installed on this module see it."""
+    weights1d = fixture_weights1d(n, seed)
+    u = weights1d["rnd"]
+    series = "running" if "running" in weights2d else next(iter(weights2d))
+    rnd = "rnd0" if "rnd0" in weights2d else series
+    w_series, w_rnd = weights2d[series], weights2d[rnd]
+    yield "car", lambda: check_car(n)
+    yield "hop", lambda: check_hop(n)
+    for tag, w in weights2d.items():
+        yield "commutation-2d", lambda w=w, tag=tag: check_commutation_2d(w, n, tag)
+        yield "spectral-shift", lambda w=w, tag=tag: check_spectral_shifts(w, n, tag)
+    for tag, v in weights1d.items():
+        yield "commutation-1d", lambda v=v, tag=tag: check_commutation_1d(v, n, tag)
+    yield "commutation-number", lambda: check_commutation_number(n)
+    yield "representation", lambda: check_representations(w_series, u, n, series)
+    yield "riesz", lambda: check_riesz_intertwining(w_rnd, n, seed=seed, tag=rnd)
+    yield "norm-bound", lambda: check_norm_bounds(w_rnd, u, n, seed=seed, tag=rnd)
+    yield "l2", lambda: check_l2_lemmas(w_rnd, u, n, rnd)
+    for tag, w in weights2d.items():
+        yield "weight-invariant", lambda w=w, tag=tag: check_weight_invariants(w, u, n, tag)
+    yield "functional-invariant", lambda: check_functional_invariants(n, 50, seed)
+    qn = min(n, QMS_MAX_N)
+    yield "qms", lambda: check_sum_identity(w_series, qn) + check_generator_structure(
+        w_series, qn, trials=20, seed=seed
+    )
 
 
 def run_all(n: int = 8, seed: int = 42, only=None, weight_override: Weight2D | None = None):
@@ -1046,17 +1026,14 @@ def run_all(n: int = 8, seed: int = 42, only=None, weight_override: Weight2D | N
         weights2d = {"custom": weight_override}
     else:
         weights2d = fixture_weights(n, seed)
-    weights1d = fixture_weights1d(n, seed)
-    run = _Run(n, seed, weights2d, weights1d, weights1d["rnd"])
     reports, timings, counts = [], {}, {}
-    for fan_out, entries in itertools.groupby(_REGISTRY, key=lambda entry: entry[1]):
-        entries = [entry for entry in entries if only is None or entry[0] in only]
-        for tag, w in fan_out(run).items():
-            for family, _, call in entries:
-                index = counts.get(family, 0)
-                counts[family] = index + 1
-                label = family if index == 0 else f"{family}#{index}"
-                start = time.perf_counter()
-                reports.extend(call(run, w, tag))
-                timings[label] = time.perf_counter() - start
+    for family, call in _family_runs(n, seed, weights2d):
+        if only is not None and family not in only:
+            continue
+        index = counts.get(family, 0)
+        counts[family] = index + 1
+        label = family if index == 0 else f"{family}#{index}"
+        start = time.perf_counter()
+        reports.extend(call())
+        timings[label] = time.perf_counter() - start
     return reports, timings

@@ -260,6 +260,11 @@ class TestFamilies:
                 assert rep.tolerance == 0.0
                 assert rep.residual == 0.0
 
+    def test_car_runs_where_2n_passes_the_truncation_cap(self):
+        # a matrix table has truncation 2n, above the default cap of 20 from
+        # n = 11, so car's empty table cannot come from Functional.zero(2 * n)
+        assert all_ok(check_car(11))
+
     def test_zero_weight_edge(self):
         w, u = Weight2D.zero(), Weight1D.zero()
         assert all_ok(check_commutation_2d(w, 3))
@@ -566,6 +571,14 @@ class TestRunAll:
         for family, counts in FAN_OUT.items():
             kinds = [r.kind for r in run_all(n=5, seed=11, only=[family])[0]]
             assert (kinds.count(CHECK), kinds.count(NEGATIVE_CONTROL)) == counts, family
+
+    @pytest.mark.parametrize("override", [None, Weight2D({(0, 1): 2.0})])
+    def test_family_names_follow_the_run_order(self, override):
+        # FAMILY_NAMES is written out by hand; it must list the families in
+        # the order the runs first reach them, with or without an override
+        weights2d = fixture_weights(5, 11) if override is None else {"custom": override}
+        families = [family for family, _ in verifier._family_runs(5, 11, weights2d)]
+        assert tuple(dict.fromkeys(families)) == FAMILY_NAMES
 
     def test_each_family_pins_its_tolerance(self):
         # no caller passes a tolerance, so only this notices a drifted constant
