@@ -21,7 +21,6 @@ from .basis import (
     check_truncation,
     enumerate_basis,
     lam,
-    lam_exact,
     lam_vector,
     lambda_series_bound,
     lambda_series_partial,
@@ -108,7 +107,6 @@ __all__ = [
     "l2_create",
     "l2_wn_apply",
     "lam",
-    "lam_exact",
     "lam_vector",
     "lambda_series_bound",
     "lambda_series_partial",

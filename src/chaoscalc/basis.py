@@ -14,7 +14,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _DEFAULT_MAX_TRUNCATION = 20
-_UINT64_MAX = 2**64 - 1
 
 
 def max_truncation() -> int:
@@ -149,22 +148,6 @@ def lam(sigma) -> float:
             out *= k + 1
         mask >>= 1
         k += 1
-    return out
-
-
-def lam_exact(sigma) -> int:
-    """Exact integer version of :func:`lam`.
-
-    Raises OverflowError once the product no longer fits in an unsigned
-    64-bit integer, so callers never get a silently wrapped value.
-    """
-    out = 1
-    for k in Subset(_mask_of(sigma)):
-        out *= k + 1
-        if out > _UINT64_MAX:
-            raise OverflowError(
-                f"lambda exceeds 2**64 - 1 on subset {Subset(_mask_of(sigma))!r}"
-            )
     return out
 
 

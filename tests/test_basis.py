@@ -21,7 +21,6 @@ from chaoscalc.basis import (
     enumerate_basis,
     indicator,
     lam,
-    lam_exact,
     lam_vector,
     lambda_series_bound,
     lambda_series_partial,
@@ -107,7 +106,6 @@ class TestLambda:
         assert lam(Subset()) == 1.0
         assert lam(Subset.of(0, 2)) == 3.0
         assert lam(Subset.of(1, 3, 4)) == 40.0
-        assert lam_exact(Subset.of(1, 3, 4)) == 40
 
     def test_accepts_raw_mask(self):
         assert lam(0b101) == 3.0
@@ -119,13 +117,6 @@ class TestLambda:
             lam(True)  # bools are not masks
         with pytest.raises(ValueError):
             lam("01")
-
-    def test_exact_overflow(self):
-        # product over {0..20} is 21! > 2**64 - 1
-        with pytest.raises(OverflowError):
-            lam_exact(Subset.from_indices(range(21)))
-        # 20! still fits
-        assert lam_exact(Subset.from_indices(range(20))) == math.factorial(20)
 
     @given(st.sets(st.integers(min_value=0, max_value=30), max_size=8))
     @settings(max_examples=60)
