@@ -521,19 +521,20 @@ def monomial_stacks(draw, n: int):
     )
 
 
+def scipy_block(table: Functional, n: int, b: int):
+    """Row block b of a stacked matrix table as scipy CSR."""
+    size = 1 << n
+    at = table.masks >> 2 * n == b
+    rows, cols = table.masks[at] & size - 1, table.masks[at] >> n & size - 1
+    return sp.csr_matrix((table.values[at], (rows, cols)), shape=(size, size))
+
+
 def scipy_blockwise_product(left: Functional, right: Functional, n: int) -> Functional:
     """Block b of left times block b of right as scipy CSR products, one per
     block of a three-block stack, read back into a stacked matrix table."""
-    size = 1 << n
     masks, values = [], []
     for b in range(3):
-
-        def block(table):
-            at = table.masks >> 2 * n == b
-            rows, cols = table.masks[at] & size - 1, table.masks[at] >> n & size - 1
-            return sp.csr_matrix((table.values[at], (rows, cols)), shape=(size, size))
-
-        product = (block(left) @ block(right)).tocoo()
+        product = (scipy_block(left, n, b) @ scipy_block(right, n, b)).tocoo()
         kept = product.data != 0
         rows, cols = product.row[kept].astype(np.int64), product.col[kept].astype(np.int64)
         masks.append(b << 2 * n | cols << n | rows)
