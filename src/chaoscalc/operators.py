@@ -235,10 +235,8 @@ def table_product(left: Functional, right: Functional) -> Functional:
     for side, columns in (("left", keys), ("right", right.masks >> n)):
         if (columns[1:] == columns[:-1]).any():
             raise ValueError(f"the {side} factor of a table product has two entries in a column")
-    if not (len(keys) and len(right.masks)):
-        return Functional._from_arrays(right.masks[:0], right.values[:0], right.truncation)
     wanted = right.masks >> 2 * n << n | (right.masks & low)  # (b << n) | row
-    lookup = np.full(max(keys[-1], wanted.max()) + 1, -1)
+    lookup = np.full(max(keys.max(initial=-1), wanted.max(initial=-1)) + 1, -1)
     lookup[keys] = np.arange(len(keys))
     at = lookup[wanted]
     hit = at >= 0
