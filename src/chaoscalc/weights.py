@@ -16,6 +16,7 @@ accounted for at all.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -367,12 +368,14 @@ def theta_double_sum(w: Weight2D, sigma) -> float | np.ndarray:
     value as the one subset gives it.
     """
     if isinstance(sigma, np.ndarray):
-        mask, total = sigma, np.zeros(sigma.shape)
+        # numpy cannot shift by a count past int64, and an int64 mask holds
+        # no index at or above _MASK_BITS, so those indices read as absent
+        mask, total, top = sigma, np.zeros(sigma.shape), _MASK_BITS
     else:
-        mask, total = _mask_of(sigma), 0.0
+        mask, total, top = _mask_of(sigma), 0.0, math.inf
     for (j, k), v in sorted(w.entries.items()):
-        inside_j = mask >> j & 1
-        inside_k = mask >> k & 1
+        inside_j = mask >> j & 1 if j < top else 0
+        inside_k = mask >> k & 1 if k < top else 0
         if j == k:
             total += v * inside_j
         else:

@@ -145,6 +145,8 @@ def files(tmp_path_factory):
 @example(case=("verify --weight", DEEP))
 @example(case=("norms --functional", b'["truncation"]'))
 @example(case=("apply --functional", b'["truncation"]'))
+# an index past int64 in a weight: the theta oracle once shifted by it
+@example(case=("verify --weight", b'{"kind": "dense", "entries": [[9223372036854775808, 1, 2.0]]}'))
 def test_json_flags_keep_the_exit_code_contract(files, case):
     flag, content = case
     files[FUZZ].write_bytes(content)
