@@ -238,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check that the Bernoulli basis is orthonormal and that each step "
         "has conditional mean 0 and second moment 1. Exact mode (the default) holds a "
         f"few vectors of 2^n values and handles n up to {_EXACT_VECTOR_CAP}; sampled "
-        "mode (--samples) counts how often each of the 2^n outcomes is drawn, weights "
-        "one table of basis products over the drawn outcomes by those counts, and "
-        f"handles n up to {_MC_BASIS_CAP}.",
+        "mode (--samples) draws how often each of the 2^n outcomes occurs (2^n - 1 "
+        "binomial draws, whatever --samples is) and weights one table of basis products "
+        f"over the drawn outcomes by those counts; it handles n up to {_MC_BASIS_CAP}.",
     )
     simulate.add_argument("--theta", default="0.5", help='float literal or JSON file (default "0.5")')
     simulate.add_argument("--n", type=int, default=8)

@@ -11,10 +11,10 @@ are Kronecker products of per-step 2 x 2 factors. The Gram's largest
 deviation from the identity is read off those factors without building the
 Gram, and the conditional moments take one step's values over the atoms at
 a time, so the exact checks hold only a few vectors of 2**n values. Sampled
-mode draws paths with a counter-based generator. A path is one of the 2**n
-atoms and its basis products are the same numbers every time that atom is
-drawn, so the sampled Gram counts the draws per atom and weights one table
-of basis products over the drawn atoms by those counts.
+mode draws how often each of the 2**n atoms occurs, one binomial split per
+step on a counter-based generator, and weights one table of basis products
+over the drawn atoms by those counts: every draw of an atom carries the same
+products.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_truncation
+from .basis import as_index, check_truncation
 from .functionals import Functional
 
 # The exact tables over the 2**n basis products (the Gram, z_matrix) take
@@ -37,11 +37,8 @@ _EXACT_ENUMERATION_CAP = 13
 _EXACT_VECTOR_CAP = 20
 # The sampled Gram and its second moments are two 2**n x 2**n tables, 1 MiB
 # at n = 8, built from a table of basis products over the drawn atoms, at
-# most as large again. A sample costs O(n) to draw and count, whatever n.
+# most as large again; the counts per atom take 2**n - 1 binomial draws.
 _MC_BASIS_CAP = 8
-# Samples drawn per block: _BLOCK_ROWS * n uniforms, at most 1 MiB at
-# n = _MC_BASIS_CAP, so memory does not grow with the sample count.
-_BLOCK_ROWS = 1 << 14
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -331,24 +328,30 @@ def conditional_moments(params: BernoulliParams) -> MomentReport:
     return MomentReport(tuple(mean_devs), tuple(second_devs))
 
 
-def _sample_blocks(params: BernoulliParams, samples: int, seed: int, stream: int, rows: int):
-    """Yield which steps took their positive branch, a boolean table ``rows``
-    samples at a time, drawn in order from one stream, so the blocks
-    concatenate to the same draws whatever ``rows`` is."""
-    if samples <= 0:
-        raise ValueError(f"samples must be positive, got {samples}")
-    rng = rng_stream(seed, stream)
-    t = np.asarray(params.thetas)
-    for start in range(0, samples, rows):
-        yield rng.random((min(rows, samples - start), params.n)) < t
+def _check_samples(samples: int) -> int:
+    samples = as_index(samples, "samples")
+    if not 1 <= samples < 1 << 63:  # the atom counts are int64
+        raise ValueError(f"samples must lie in [1, 2**63 - 1], got {samples}")
+    return samples
 
 
 def sample_steps(
     params: BernoulliParams, samples: int, seed: int, stream: int = 0
 ) -> np.ndarray:
     """Draw (samples, n) step outcomes from the product measure."""
-    (hits,) = _sample_blocks(params, samples, seed, stream, rows=samples)
+    hits = rng_stream(seed, stream).random((_check_samples(samples), params.n)) < params.thetas
     return np.where(hits, params.plus_values(), params.minus_values())
+
+
+def _atom_counts(params: BernoulliParams, samples: int, seed: int, stream: int = 0) -> np.ndarray:
+    """How often each atom occurs in ``samples`` paths: at step k every count
+    splits by one binomial draw into its paths with bit k clear and bit k set."""
+    counts = np.array([_check_samples(samples)], dtype=np.int64)
+    rng = rng_stream(seed, stream)
+    for theta in params.thetas:
+        hits = rng.binomial(counts, theta)
+        counts = np.concatenate([counts - hits, hits])
+    return counts
 
 
 def monte_carlo_gram(
@@ -356,13 +359,12 @@ def monte_carlo_gram(
 ) -> tuple:
     """Sampled Gram matrix plus a per-entry standard error estimate.
 
-    The draws of :func:`sample_steps` are counted per atom (bit k set = step
-    k took its positive branch), one block of samples at a time, so memory
-    does not grow with ``samples``. Every draw of an atom carries the same
-    basis products, so the sums over samples are the sums over the drawn
-    atoms of count times products: one table of products over at most 2**n
-    atoms, built by the same recursion as for a single sample, gives the
-    Gram and the second moments. Atoms never drawn never enter a product.
+    ``samples`` paths, at most 2**63 - 1, are drawn as counts per atom, so
+    neither time nor memory grows with ``samples``. Every draw of an atom
+    carries the same basis products, so the sums over samples are the sums
+    over the drawn atoms of count times products: one table of products over
+    the at most 2**n drawn atoms, built by the same recursion as for a single
+    sample, gives the Gram and the second moments.
     """
     n = params.n
     if n > _MC_BASIS_CAP:
@@ -372,10 +374,7 @@ def monte_carlo_gram(
             f"bytes each; capped at n = {_MC_BASIS_CAP} "
             f"({_mib(8 * 4**_MC_BASIS_CAP)} each), got {n}"
         )
-    bit_weights = 1 << np.arange(n, dtype=np.int64)
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for hits in _sample_blocks(params, samples, seed, stream, _BLOCK_ROWS):
-        counts += np.bincount(hits @ bit_weights, minlength=1 << n)
+    counts = _atom_counts(params, samples, seed, stream)
     seen = np.flatnonzero(counts)
     weights = counts[seen].astype(float)[:, None]
     z = _products_over_masks(psi_matrix(params)[seen])

@@ -1,9 +1,11 @@
 """Negative controls shared by the library and CLI tests: step values that
-break the orthonormality of the Bernoulli basis."""
+break the orthonormality of the Bernoulli basis, and sampled draws that do
+not follow the product measure."""
 from __future__ import annotations
 
 import pytest
 
+from chaoscalc import martingale
 from chaoscalc.martingale import BernoulliParams
 
 
@@ -34,3 +36,16 @@ def swapped_step(monkeypatch):
     monkeypatch.setattr(
         BernoulliParams, "minus_values", swapped_at_step_2(minus_values, plus_values)
     )
+
+
+@pytest.fixture
+def shifted_draws(monkeypatch):
+    """Sampled atom counts with step 0 drawn at theta + 0.02, while the basis
+    products keep the stated theta."""
+    atom_counts = martingale._atom_counts
+
+    def shifted(params, *args, **kwargs):
+        thetas = (params.thetas[0] + 0.02, *params.thetas[1:])
+        return atom_counts(BernoulliParams(thetas), *args, **kwargs)
+
+    monkeypatch.setattr(martingale, "_atom_counts", shifted)

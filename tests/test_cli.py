@@ -494,6 +494,12 @@ class TestSimulate:
         assert payload["mode"] == "monte-carlo"
         assert payload["worst_excess_over_4se"] <= 0.0
 
+    def test_shifted_draws_fail(self, capsys, shifted_draws):
+        # a negative control: the 4-standard-error rule sees step 0 drawn at
+        # theta + 0.02
+        code, payload, _ = run_cli(capsys, "simulate", "--n", "6", "--samples", "100000")
+        assert code == 1 and not payload["passed"]
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range(self, capsys, seed):
         code, payload, err = run_cli(

@@ -166,3 +166,26 @@ def test_json_flags_keep_the_exit_code_contract(files, case):
     else:
         assert code == 0
         json.loads(out.getvalue(), parse_constant=_reject)  # strict JSON: no NaN
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(-3, 3000) | st.sampled_from([2**63 - 1, 2**63, 10**20]))
+# 0 and 10**20 lie outside [1, 2**63 - 1], the range of the int64 draw counts;
+# 10**18 costs no more than 10 samples and must pass
+@example(samples=0)
+@example(samples=10**20)
+@example(samples=10**18)
+def test_sample_count_keeps_the_exit_code_contract(samples):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--n", "2", "--samples", str(samples)])
+    if not 1 <= samples < 2**63:
+        lines = err.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1, err.getvalue()
+        assert lines[0].startswith("error: samples must")
+        assert out.getvalue() == ""
+    else:
+        report = json.loads(out.getvalue(), parse_constant=_reject)
+        assert code == (0 if report["passed"] else 1)
+        if samples == 10**18:
+            assert code == 0

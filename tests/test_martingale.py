@@ -6,14 +6,13 @@ theta = 1/2 gives steps +/- 1 with equal weight; theta = 1/4 gives
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoscalc import martingale
@@ -166,17 +165,50 @@ class TestGram:
         assert np.max(np.abs(g - np.eye(len(g)))) < 1e-13
 
 
-@contextlib.contextmanager
-def blocking(rows: int):
-    """Blocks of ``rows`` samples."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(martingale, "_BLOCK_ROWS", rows)
-        yield
-
-
 def dense_gram(params):
     z, p = z_matrix(params), atom_probs(params)
     return z.T @ (p[:, None] * z)
+
+
+def tree_counts(params, samples, seed):
+    """Draw counts per atom node by node down the tree of steps: each count
+    splits with one scalar binomial draw into the paths that took step k's
+    negative branch and those that took its positive one, in the order of
+    the vectorized draws and on the same stream."""
+    rng = rng_stream(seed)
+    counts = [samples]
+    for theta in params.thetas:
+        hits = [int(rng.binomial(count, theta)) for count in counts]
+        counts = [count - hit for count, hit in zip(counts, hits)] + hits
+    return counts
+
+
+def sample_means(z):
+    """The mean over the rows of z of z[:, A] * z[:, B], for every (A, B), each
+    a pairwise sum (numpy's, along a contiguous axis), so its rounding error
+    grows with the log of the sample count."""
+    columns = np.ascontiguousarray(z.T)
+    return np.array([(columns * column).sum(axis=1) for column in columns]) / len(z)
+
+
+def path_counts(params, samples, seed):
+    """Draw counts per atom from :func:`sample_steps`' paths."""
+    positive = sample_steps(params, samples, seed) > 0
+    return np.bincount(positive @ (1 << np.arange(params.n)), minlength=1 << params.n)
+
+
+# The chi-square statistic with 15 degrees of freedom, 2**4 atoms less one,
+# exceeds this with probability 1e-6.
+CHI_SQUARE_CRITICAL = 56.49
+
+
+def chi_square(draw):
+    """Chi-square statistic of the atom counts ``draw(params, samples, seed)``
+    pooled over 20 seeds of 5000 samples, against :func:`atom_probs`."""
+    params = BernoulliParams((0.25, 1 / 3, 0.9, 0.6))
+    counts = sum(draw(params, 5000, seed) for seed in range(20))
+    expected = 100_000 * atom_probs(params)
+    return float(np.sum((counts - expected) ** 2 / expected))
 
 
 def traced_peak(fn, *args):
@@ -207,26 +239,46 @@ class TestBlockedGram:
         mixed = exact_gram(BernoulliParams.cycling((0.25, 1 / 3, 0.9), n))
         assert np.array_equal(mixed, mixed.T)
 
-    @pytest.mark.parametrize("thetas", [(0.5,) * 6, (0.25, 1 / 3, 2 / 3, 0.9, 0.6, 0.1)])
-    def test_sampled_matches_one_shot_oracle(self, thetas):
-        params, samples = BernoulliParams(thetas), 20017  # 4 blocks of 4096 and 3633
-        steps = sample_steps(params, samples, seed=5)
-        z = np.ones((samples, 64))
-        for mask in range(64):
-            for k in range(6):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        thetas=st.integers(0, 8).flatmap(
+            lambda n: st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)
+        ),
+        samples=st.integers(1, 5000),
+    )
+    @example(thetas=[0.5] * 6, samples=20_000)
+    @example(thetas=[0.25, 1 / 3, 2 / 3, 0.9, 0.6, 0.1], samples=20_000)
+    def test_sampled_matches_tree_oracle(self, thetas, samples):
+        params = BernoulliParams(tuple(thetas))
+        n = params.n
+        atoms = np.repeat(np.arange(1 << n), tree_counts(params, samples, seed=5))
+        positive = (atoms[:, None] >> np.arange(n)) & 1 == 1
+        steps = np.where(positive, params.plus_values(), params.minus_values())
+        z = np.ones((samples, 1 << n))
+        for mask in range(1 << n):
+            for k in range(n):
                 if mask >> k & 1:
                     z[:, mask] *= steps[:, k]
-        gram_ref = z.T @ z / samples
-        second_ref = (z * z).T @ (z * z) / samples
+        gram_ref, second_ref = sample_means(z), sample_means(z * z)
         stderr_ref = np.sqrt(np.maximum(second_ref - gram_ref**2, 0.0) / samples)
-        with blocking(4096):
-            gram, stderr = monte_carlo_gram(params, samples, seed=5)
+        gram, stderr = monte_carlo_gram(params, samples, seed=5)
         assert np.array_equal(gram, gram.T) and np.array_equal(stderr, stderr.T)
-        if thetas[0] == 0.5:
+        if all(t == 0.5 for t in thetas):
             # every product is +-1: the sums are exact in any order
             assert np.array_equal(gram, gram_ref) and np.array_equal(stderr, stderr_ref)
-        assert np.allclose(gram, gram_ref, rtol=0, atol=1e-13)
-        assert np.allclose(stderr, stderr_ref, rtol=0, atol=1e-13)
+        # 1e-13 of the size of the summed terms: the mean of |z_A z_B| for
+        # the Gram, of z_A**2 z_B**2 for the variance
+        scale = sample_means(np.abs(z))
+        assert np.all(np.abs(gram - gram_ref) <= 1e-13 * scale)
+        variance, variance_ref = samples * stderr**2, samples * stderr_ref**2
+        assert np.all(np.abs(variance - variance_ref) <= 1e-13 * second_ref)
+
+    def test_counts_follow_atom_probs(self):
+        assert chi_square(martingale._atom_counts) < CHI_SQUARE_CRITICAL
+        assert chi_square(path_counts) < CHI_SQUARE_CRITICAL
+
+    def test_shifted_counts_fail(self, shifted_draws):
+        assert chi_square(martingale._atom_counts) > CHI_SQUARE_CRITICAL
 
     def test_memory_is_bounded(self):
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6)
@@ -244,10 +296,10 @@ class TestBlockedGram:
 
     def test_one_block_alive(self):
         # the exact Gram is built in place and the expansion maps work on
-        # vectors of 2**n values; the sampled Gram holds one block of draws
-        # (1 MiB of uniforms at n = 8) and a few 256 x 256 tables over the
-        # drawn atoms: 3.0 MiB measured, bounded with 1 MiB of margin (a
-        # table of products per sample would take 39 MiB here)
+        # vectors of 2**n values; the sampled Gram holds the 256 draw counts
+        # and a few 256 x 256 tables over the drawn atoms: 3.0 MiB measured,
+        # bounded with 1 MiB of margin (a table of products per sample would
+        # take 39 MiB here)
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
         assert traced_peak(exact_gram, params) < 1.05 * 8 * 4**11
         phi = Functional.from_vector(np.arange(2048.0), 11)
@@ -255,22 +307,6 @@ class TestBlockedGram:
         assert traced_peak(chaotic_expand, lambda path: path[0], params) < 12 * 2**20
         sampled = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 8)
         assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 4 * 2**20
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_block_size_is_invisible(self, data):
-        # the Gram comes from integer draw counts, which do not depend on
-        # how the draws are split into blocks
-        n = data.draw(st.integers(0, 8), label="n")
-        thetas = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
-        samples = data.draw(st.integers(1, 5000), label="samples")
-        params = BernoulliParams(tuple(thetas))
-        gram, stderr = monte_carlo_gram(params, samples, seed=9)
-        for rows in (1, 7):
-            with blocking(rows):
-                other_gram, other_stderr = monte_carlo_gram(params, samples, seed=9)
-            assert np.array_equal(gram, other_gram)
-            assert np.array_equal(stderr, other_stderr)
 
     def test_products_only_over_atoms(self, monkeypatch):
         rows_seen = []
@@ -414,6 +450,12 @@ class TestSampling:
         params = BernoulliParams.constant(0.5, 2)
         with pytest.raises(ValueError):
             sample_steps(params, 0, seed=1)
+        # True was taken as one sample and 2.5 was a TypeError
+        for sampler in (sample_steps, monte_carlo_gram):
+            for samples in (True, 2.5, 0, 2**63):
+                with pytest.raises(ValueError, match="samples must"):
+                    sampler(params, samples, seed=1)
+        assert monte_carlo_gram(params, 2**63 - 1, seed=1)[0].shape == (4, 4)
         with pytest.raises(ValueError):
             monte_carlo_gram(BernoulliParams.constant(0.5, 9), 10, seed=1)
 
@@ -429,8 +471,12 @@ class TestSampling:
         params = BernoulliParams((theta, 0.5))
         minus = params.minus_values()[0]
         assert sample_steps(params, 1, seed=11)[0, 0] == minus
-        gram, _ = monte_carlo_gram(params, 1, seed=11)
-        assert gram[0, 1] == minus
+        # one sample: the Gram is the outer product of the drawn atom's
+        # basis products
+        atoms = z_matrix(params)
+        for seed in range(8):
+            gram, _ = monte_carlo_gram(params, 1, seed)
+            assert sum(np.array_equal(gram, np.outer(z, z)) for z in atoms) == 1
 
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_rng_stream_key_range(self, seed, stream):
