@@ -191,6 +191,35 @@ def sample_means(z):
     return np.array([(columns * column).sum(axis=1) for column in columns]) / len(z)
 
 
+def check_one_shot_oracle(thetas, samples):
+    """monte_carlo_gram at seed 5 against a table of basis products per
+    sample, over the paths that tree_counts draws; returns both results."""
+    params = BernoulliParams(tuple(thetas))
+    n = params.n
+    atoms = np.repeat(np.arange(1 << n), tree_counts(params, samples, seed=5))
+    positive = (atoms[:, None] >> np.arange(n)) & 1 == 1
+    steps = np.where(positive, params.plus_values(), params.minus_values())
+    z = np.ones((samples, 1 << n))
+    for mask in range(1 << n):
+        for k in range(n):
+            if mask >> k & 1:
+                z[:, mask] *= steps[:, k]
+    gram_ref, second_ref = sample_means(z), sample_means(z * z)
+    stderr_ref = np.sqrt(np.maximum(second_ref - gram_ref**2, 0.0) / samples)
+    gram, stderr = monte_carlo_gram(params, samples, seed=5)
+    assert np.array_equal(gram, gram.T) and np.array_equal(stderr, stderr.T)
+    if all(t == 0.5 for t in thetas):
+        # every product is +-1: the sums are exact in any order
+        assert np.array_equal(gram, gram_ref) and np.array_equal(stderr, stderr_ref)
+    # 1e-13 of the size of the summed terms: the mean of |z_A z_B| for
+    # the Gram, of z_A**2 z_B**2 for the variance
+    scale = sample_means(np.abs(z))
+    assert np.all(np.abs(gram - gram_ref) <= 1e-13 * scale)
+    variance, variance_ref = samples * stderr**2, samples * stderr_ref**2
+    assert np.all(np.abs(variance - variance_ref) <= 1e-13 * second_ref)
+    return gram, stderr, gram_ref, stderr_ref
+
+
 def path_counts(params, samples, seed):
     """Draw counts per atom from :func:`sample_steps`' paths."""
     positive = sample_steps(params, samples, seed) > 0
@@ -239,6 +268,12 @@ class TestBlockedGram:
         mixed = exact_gram(BernoulliParams.cycling((0.25, 1 / 3, 0.9), n))
         assert np.array_equal(mixed, mixed.T)
 
+    @pytest.mark.parametrize("thetas", [(0.5,) * 6, (0.25, 1 / 3, 2 / 3, 0.9, 0.6, 0.1)])
+    def test_sampled_matches_one_shot_oracle(self, thetas):
+        gram, stderr, gram_ref, stderr_ref = check_one_shot_oracle(thetas, 20_000)
+        assert np.allclose(gram, gram_ref, rtol=0, atol=1e-13)
+        assert np.allclose(stderr, stderr_ref, rtol=0, atol=1e-13)
+
     @settings(max_examples=40, deadline=None)
     @given(
         thetas=st.integers(0, 8).flatmap(
@@ -246,32 +281,13 @@ class TestBlockedGram:
         ),
         samples=st.integers(1, 5000),
     )
-    @example(thetas=[0.5] * 6, samples=20_000)
-    @example(thetas=[0.25, 1 / 3, 2 / 3, 0.9, 0.6, 0.1], samples=20_000)
-    def test_sampled_matches_tree_oracle(self, thetas, samples):
+    def test_block_size_is_invisible(self, thetas, samples):
+        # the counts do not depend on whether a step's splits are drawn as
+        # one vectorized block or one node at a time
         params = BernoulliParams(tuple(thetas))
-        n = params.n
-        atoms = np.repeat(np.arange(1 << n), tree_counts(params, samples, seed=5))
-        positive = (atoms[:, None] >> np.arange(n)) & 1 == 1
-        steps = np.where(positive, params.plus_values(), params.minus_values())
-        z = np.ones((samples, 1 << n))
-        for mask in range(1 << n):
-            for k in range(n):
-                if mask >> k & 1:
-                    z[:, mask] *= steps[:, k]
-        gram_ref, second_ref = sample_means(z), sample_means(z * z)
-        stderr_ref = np.sqrt(np.maximum(second_ref - gram_ref**2, 0.0) / samples)
-        gram, stderr = monte_carlo_gram(params, samples, seed=5)
-        assert np.array_equal(gram, gram.T) and np.array_equal(stderr, stderr.T)
-        if all(t == 0.5 for t in thetas):
-            # every product is +-1: the sums are exact in any order
-            assert np.array_equal(gram, gram_ref) and np.array_equal(stderr, stderr_ref)
-        # 1e-13 of the size of the summed terms: the mean of |z_A z_B| for
-        # the Gram, of z_A**2 z_B**2 for the variance
-        scale = sample_means(np.abs(z))
-        assert np.all(np.abs(gram - gram_ref) <= 1e-13 * scale)
-        variance, variance_ref = samples * stderr**2, samples * stderr_ref**2
-        assert np.all(np.abs(variance - variance_ref) <= 1e-13 * second_ref)
+        counts = martingale._atom_counts(params, samples, seed=5)
+        assert np.array_equal(counts, tree_counts(params, samples, seed=5))
+        check_one_shot_oracle(thetas, samples)
 
     def test_counts_follow_atom_probs(self):
         assert chi_square(martingale._atom_counts) < CHI_SQUARE_CRITICAL
