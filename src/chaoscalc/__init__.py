@@ -9,20 +9,17 @@ number operators on both the coefficient and the square-integrable side),
 and `verifier` (the identity-check engine behind the CLI).
 
 No module imports SciPy at load, so the numpy-only commands (`simulate`,
-`apply`, `norms`, `qms`, `verify`) run without it. The public CSR matrices
-(`materialize`, `materialize_apply`, `transfer_matrix`) import
-`scipy.sparse` inside `operators.table_csr`, and `lambda_series_bound`
-imports `scipy.special`, on first use.
+`apply`, `norms`, `qms`, `verify`) run without it. Only the public CSR
+matrices (`materialize`, `materialize_apply`, `transfer_matrix`) use SciPy:
+they import `scipy.sparse` inside `operators.table_csr` on first use.
 """
 
 from .basis import (
     Subset,
     basis_size,
     check_truncation,
-    enumerate_basis,
     lam,
     lam_vector,
-    lambda_series_bound,
     lambda_series_partial,
     max_truncation,
 )
@@ -31,7 +28,6 @@ from .functionals import (
     GrowthBound,
     GrowthCheckResult,
     check_growth,
-    pair,
     riesz_embed,
 )
 from .martingale import (
@@ -53,14 +49,12 @@ from .operators import (
     gwn_expr,
     hop_apply,
     hop_expr,
-    identity,
     l2_annihilate,
     l2_create,
     l2_wn_apply,
     materialize,
     number,
     number_apply,
-    occupation,
     occupation_apply,
     parse_expr,
     wn1d_apply,
@@ -94,7 +88,6 @@ __all__ = [
     "check_truncation",
     "conditional_moments",
     "create",
-    "enumerate_basis",
     "exact_gram",
     "format_line",
     "generator_apply",
@@ -102,22 +95,18 @@ __all__ = [
     "gwn_expr",
     "hop_apply",
     "hop_expr",
-    "identity",
     "l2_annihilate",
     "l2_create",
     "l2_wn_apply",
     "lam",
     "lam_vector",
-    "lambda_series_bound",
     "lambda_series_partial",
     "materialize",
     "max_truncation",
     "monte_carlo_gram",
     "number",
     "number_apply",
-    "occupation",
     "occupation_apply",
-    "pair",
     "parse_expr",
     "reconstruct",
     "riesz_embed",

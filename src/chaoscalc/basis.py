@@ -7,7 +7,6 @@ ordering of the truncated basis: position == mask.
 """
 from __future__ import annotations
 
-import math
 import os
 from typing import Iterable, Iterator
 
@@ -97,10 +96,6 @@ class Subset:
     def indices(self) -> tuple:
         return tuple(k for k in range(self.mask.bit_length()) if self.mask >> k & 1)
 
-    def indicator(self, k: int) -> int:
-        """1 if k is in the subset, else 0."""
-        return self.mask >> k & 1
-
     def __contains__(self, k) -> bool:
         return isinstance(k, (int, np.integer)) and k >= 0 and bool(self.mask >> int(k) & 1)
 
@@ -130,14 +125,6 @@ def _mask_of(sigma) -> int:
     raise ValueError(f"expected a Subset, a bitmask or indices, got {sigma!r}")
 
 
-def cardinality(sigma) -> int:
-    return _mask_of(sigma).bit_count()
-
-
-def indicator(sigma, k: int) -> int:
-    return _mask_of(sigma) >> k & 1
-
-
 def lam(sigma) -> float:
     """Product of (k + 1) over k in sigma; equals 1 on the empty set."""
     out = 1.0
@@ -149,12 +136,6 @@ def lam(sigma) -> float:
         mask >>= 1
         k += 1
     return out
-
-
-def enumerate_basis(n: int) -> list:
-    """All subsets of {0, ..., n-1} in mask order (position == mask)."""
-    n = check_truncation(n)
-    return [Subset(mask) for mask in range(1 << n)]
 
 
 def basis_size(n: int) -> int:
@@ -223,12 +204,3 @@ def lambda_series_partial(r: float, n: int) -> float:
     for k in range(n):
         out *= 1.0 + float(k + 1) ** (-r)
     return out
-
-
-def lambda_series_bound(r: float) -> float:
-    """Upper bound exp(zeta(r)) for the full series, finite for r > 1."""
-    if not r > 1:
-        raise ValueError(f"series bound requires r > 1, got {r}")
-    import scipy.special  # loaded on first use: no command takes a zeta
-
-    return math.exp(float(scipy.special.zeta(r)))

@@ -109,6 +109,8 @@ def _require_finite(deviations) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     params = _theta_params(args.theta, args.n)
     started = time.perf_counter()
     # an overflow is reported below as one error, not as numpy warnings
@@ -246,7 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--n", type=int, default=8)
     simulate.add_argument("--samples", type=int, help="Monte Carlo samples (default: exact)")
     simulate.add_argument("--seed", type=int, default=42)
-    simulate.add_argument("--tol", type=float, default=TOLERANCE)
+    simulate.add_argument(
+        "--tol",
+        type=float,
+        default=TOLERANCE,
+        help=f"largest Gram and moment deviation that passes, exact mode only "
+        f"(default {TOLERANCE:g}); sampled mode ignores it and allows 4 standard "
+        "errors plus 1e-12 per entry",
+    )
     simulate.add_argument("--out")
     simulate.set_defaults(func=cmd_simulate)
 

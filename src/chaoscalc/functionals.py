@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .basis import (
-    Subset, _mask_of, basis_size, check_truncation, lam, lam_at, lambda_series_partial
+    Subset, _mask_of, basis_size, check_truncation, lam_at, lambda_series_partial
 )
 
 # Masks are stored as int64, so a table's truncation level stays below 63.
@@ -190,9 +190,6 @@ class Functional:
         """Coefficient (transform value) at sigma; zero off the support."""
         return self.coeffs.get(_mask_of(sigma), 0j)
 
-    def support(self) -> list:
-        return [Subset(m) for m in self.masks.tolist()]
-
     def as_vector(self) -> np.ndarray:
         out = np.zeros(basis_size(self.truncation), dtype=complex)
         out[self.masks] = self.values
@@ -339,10 +336,6 @@ def riesz_embed(xi: Functional) -> Functional:
     return xi.conjugated()
 
 
-def pair(phi: Functional, xi: Functional) -> complex:
-    return phi.pair(xi)
-
-
 @dataclass(frozen=True)
 class GrowthBound:
     """Pointwise bound |phi(sigma)| <= scale * lambda(sigma)**order."""
@@ -355,9 +348,6 @@ class GrowthBound:
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
         if self.order < 0:
             raise ValueError(f"order must be nonnegative, got {self.order}")
-
-    def value(self, sigma) -> float:
-        return self.scale * lam(sigma) ** self.order
 
 
 @dataclass(frozen=True)
@@ -372,10 +362,10 @@ def check_growth(phi: Functional, bound: GrowthBound) -> GrowthCheckResult:
     """Measure the pointwise growth bound and its norm consequence; the
     caller judges both against its own tolerance.
 
-    ``worst_excess`` is the largest |phi(sigma)| - bound.value(sigma), or 0
-    when none is positive, and ``witness`` the smallest mask attaining it, or
-    None. The consequence probed is: a bound of order p caps the dual norm
-    one level up, ``dual_norm_at_next`` = dual_norm(phi, p + 1) <=
+    ``worst_excess`` is the largest |phi(sigma)| - scale * lambda(sigma)**order,
+    or 0 when none is positive, and ``witness`` the smallest mask attaining
+    it, or None. The consequence probed is: a bound of order p caps the dual
+    norm one level up, ``dual_norm_at_next`` = dual_norm(phi, p + 1) <=
     ``dual_norm_cap`` = scale * sqrt(sum over the truncated basis of
     lambda^(-2)), since each coefficient contributes at most
     (scale * lambda^p)^2 * lambda^(-2(p+1)). The sum is taken in its product

@@ -105,9 +105,6 @@ class BernoulliParams:
         t = np.asarray(self.thetas)
         return -np.sqrt(t / (1.0 - t))
 
-    def to_json(self) -> dict:
-        return {"thetas": list(self.thetas)}
-
     @classmethod
     def from_json(cls, data: dict) -> "BernoulliParams":
         """Parameters from their JSON form; ValueError on any malformed payload."""
@@ -333,14 +330,6 @@ def _check_samples(samples: int) -> int:
     if not 1 <= samples < 1 << 63:  # the atom counts are int64
         raise ValueError(f"samples must lie in [1, 2**63 - 1], got {samples}")
     return samples
-
-
-def sample_steps(
-    params: BernoulliParams, samples: int, seed: int, stream: int = 0
-) -> np.ndarray:
-    """Draw (samples, n) step outcomes from the product measure."""
-    hits = rng_stream(seed, stream).random((_check_samples(samples), params.n)) < params.thetas
-    return np.where(hits, params.plus_values(), params.minus_values())
 
 
 def _atom_counts(params: BernoulliParams, samples: int, seed: int, stream: int = 0) -> np.ndarray:

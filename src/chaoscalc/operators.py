@@ -10,8 +10,8 @@ Two families act on :class:`~chaoscalc.functionals.Functional`:
   the verification suite can compare the two routes instead of testing a
   function against itself.
 
-Expressions compose with ``@``, add with ``+`` and scale with ``*``; they can
-be applied directly (sparse: selections and gathers on a table's mask and
+Expression trees (:func:`parse_expr` reads one from its JSON form) can be
+applied directly (sparse: selections and gathers on a table's mask and
 value arrays) or materialized over the truncated basis, columns indexed by
 input subset mask. Inside the package a matrix is a matrix table, the same
 mask and value arrays at truncation 2n with entry (r, c) under mask
@@ -317,37 +317,6 @@ class OperatorExpr:
         expression applied once to the column-tagged basis."""
         return apply_table(self.apply, n)
 
-    def materialize(self, n: int) -> scipy.sparse.csr_matrix:
-        return table_csr(self.table(n))
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    def __add__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return Sum((self, other))
-
-    def __sub__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return Sum((self, Scale(-1.0, other)))
-
-    def __mul__(self, scalar):
-        if isinstance(scalar, OperatorExpr):
-            return NotImplemented
-        return Scale(complex(scalar), self)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scale(-1.0, self)
-
-    def __matmul__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return Compose((self, other))
-
 
 def _ladder_table(k: int, n: int, create: bool) -> Functional:
     """Matrix table of create(k) or annihilate(k) over the truncated basis.
@@ -373,9 +342,6 @@ class Annihilate(OperatorExpr):
         _check_index(self.k, n, "annihilate")
         return _ladder_table(self.k, n, create=False)
 
-    def to_json(self):
-        return {"op": "annihilate", "k": self.k}
-
 
 @dataclass(frozen=True)
 class Create(OperatorExpr):
@@ -389,9 +355,6 @@ class Create(OperatorExpr):
         _check_index(self.k, n, "create")
         return _ladder_table(self.k, n, create=True)
 
-    def to_json(self):
-        return {"op": "create", "k": self.k}
-
 
 @dataclass(frozen=True, eq=False)
 class Diagonal(OperatorExpr):
@@ -399,12 +362,10 @@ class Diagonal(OperatorExpr):
 
     ``values_at(masks)`` evaluates it at an int64 array of subset masks: a
     table's own masks when applied, every mask below ``2**n`` when
-    materialized. ``json_form`` makes the node serializable when the
-    function has one.
+    materialized.
     """
 
     values_at: Callable[[np.ndarray], np.ndarray]
-    json_form: dict | None = None
 
     def apply(self, phi):
         return _times(phi, np.asarray(self.values_at(_subset_masks(phi)), dtype=float))
@@ -415,30 +376,17 @@ class Diagonal(OperatorExpr):
         kept = np.flatnonzero(values)
         return _matrix(kept << n | kept, values[kept].astype(complex), n)
 
-    def to_json(self):
-        if self.json_form is None:
-            raise ValueError(
-                "only named diagonal forms (gwn/wn1d/number) serialize to JSON"
-            )
-        return dict(self.json_form)
-
 
 @dataclass(frozen=True)
 class Identity(OperatorExpr):
     def apply(self, phi):
         return Functional._from_arrays(phi.masks, phi.values, phi.truncation)
 
-    def to_json(self):
-        return {"op": "identity"}
-
 
 @dataclass(frozen=True)
 class Zero(OperatorExpr):
     def apply(self, phi):
         return Functional.zero(phi.truncation)
-
-    def to_json(self):
-        return {"op": "zero"}
 
 
 @dataclass(frozen=True)
@@ -451,9 +399,6 @@ class Sum(OperatorExpr):
             out = out + term.apply(phi)
         return out
 
-    def to_json(self):
-        return {"op": "sum", "args": [t.to_json() for t in self.terms]}
-
 
 @dataclass(frozen=True)
 class Scale(OperatorExpr):
@@ -462,13 +407,6 @@ class Scale(OperatorExpr):
 
     def apply(self, phi):
         return self.factor * self.arg.apply(phi)
-
-    def to_json(self):
-        return {
-            "op": "scale",
-            "c": [self.factor.real, self.factor.imag],
-            "arg": self.arg.to_json(),
-        }
 
 
 @dataclass(frozen=True)
@@ -483,9 +421,6 @@ class Compose(OperatorExpr):
             out = factor.apply(out)
         return out
 
-    def to_json(self):
-        return {"op": "compose", "args": [f.to_json() for f in self.factors]}
-
 
 # -- expression constructors -------------------------------------------------
 
@@ -498,20 +433,6 @@ def create(k: int) -> Create:
     return Create(as_index(k))
 
 
-def identity() -> Identity:
-    return Identity()
-
-
-def zero() -> Zero:
-    return Zero()
-
-
-def occupation(k: int) -> Compose:
-    """create(k) @ annihilate(k); symbol is the membership indicator."""
-    k = as_index(k)
-    return Compose((Create(k), Annihilate(k)))
-
-
 def hop_expr(j: int, k: int) -> Compose:
     """The four-fold product create(k) @ annihilate(j) @ create(j) @ annihilate(k)."""
     j, k = as_index(j), as_index(k)
@@ -519,17 +440,17 @@ def hop_expr(j: int, k: int) -> Compose:
 
 
 def number() -> Diagonal:
-    return Diagonal(popcount_at, {"op": "number"})
+    return Diagonal(popcount_at)
 
 
 def gwn_expr(w: Weight2D) -> Diagonal:
     """Expression form of the 2D weighted number operator (diagonal theta)."""
-    return Diagonal(w.theta_at, {"op": "gwn", "weight": w.to_json()})
+    return Diagonal(w.theta_at)
 
 
 def wn1d_expr(u: Weight1D) -> Diagonal:
     """Expression form of the 1D weighted number operator (diagonal count)."""
-    return Diagonal(u.count_at, {"op": "wn1d", "weight": u.to_json()})
+    return Diagonal(u.count_at)
 
 
 def matrix_table(expr: OperatorExpr, n: int) -> Functional:
@@ -539,11 +460,11 @@ def matrix_table(expr: OperatorExpr, n: int) -> Functional:
 
 def materialize(expr: OperatorExpr, n: int) -> scipy.sparse.csr_matrix:
     """CSR matrix of an expression over the truncated basis (column = input)."""
-    return expr.materialize(n)
+    return table_csr(expr.table(n))
 
 
-# Trees are applied, materialized and serialized recursively, so parsing
-# caps their depth well inside Python's recursion limit.
+# Trees are applied recursively, so parsing caps their depth well inside
+# Python's recursion limit.
 _MAX_EXPR_DEPTH = 100
 
 

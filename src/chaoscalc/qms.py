@@ -141,12 +141,6 @@ def _apply_with_diagonal(w: Weight2D, n: int, x: np.ndarray, h) -> np.ndarray:
     return out
 
 
-def dissipator_apply(w: Weight2D, n: int, x: np.ndarray) -> np.ndarray:
-    """The rate-weighted jump part of the generator applied to an observable."""
-    n = check_truncation(n)
-    return _apply_with_diagonal(w, n, _observable(x, n), 0.0)
-
-
 def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     """Full generator: commutator with the Hamiltonian plus the dissipator.
 

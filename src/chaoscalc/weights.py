@@ -99,10 +99,6 @@ class Weight1D:
         n = check_truncation(n)
         return cls({k: value for k in range(n)}, sup_bound=float(value))
 
-    @classmethod
-    def zero(cls) -> "Weight1D":
-        return cls({})
-
     def __call__(self, k: int) -> float:
         return self.values.get(int(k), 0.0)
 
@@ -127,13 +123,6 @@ class Weight1D:
     def support_bound(self) -> int:
         """1 + largest listed index (0 when empty)."""
         return 1 + max(self.values, default=-1)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "diag1d",
-            "entries": [[k, self.values[k]] for k in sorted(self.values)],
-            "sup_bound": self.sup_bound,
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight1D":
@@ -310,20 +299,6 @@ class Weight2D:
     def is_exact(self) -> bool:
         """True when all mass is listed: no tail, no closed-form slack."""
         return self._unlisted_mass_bound() == 0.0
-
-    def to_json(self) -> dict:
-        data = {
-            "kind": "dense",
-            "entries": [
-                [j, k, self.entries[(j, k)]] for (j, k) in sorted(self.entries)
-            ],
-            "tail_bound": self.tail_bound,
-        }
-        if self.column_sums is None:
-            data["column_sums"] = "from_entries"
-        else:
-            data["column_sums"] = {str(k): self.column_sums[k] for k in sorted(self.column_sums)}
-        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "Weight2D":

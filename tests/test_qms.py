@@ -21,7 +21,6 @@ from chaoscalc.qms import (
     GeneratorSpec,
     check_generator_structure,
     check_sum_identity,
-    dissipator_apply,
     generator_apply,
     matrix_from_json,
     matrix_to_json,
@@ -35,6 +34,11 @@ from chaoscalc.weights import Weight2D
 def count_hamiltonian(n):
     """Dense form of the default Hamiltonian: diagonal subset cardinality."""
     return np.diag([complex(bin(m).count("1")) for m in range(1 << n)])
+
+
+def dissipator(w, n, x):
+    """The rate-weighted jump part alone: the generator with a zero Hamiltonian."""
+    return generator_apply(GeneratorSpec(w, n, np.zeros((1 << n, 1 << n))), x)
 
 
 def literal_generator(h, rate_table, x):
@@ -147,7 +151,7 @@ class TestHandOracle:
         w, x = self.random_case(rng, n)
         no_hamiltonian = np.zeros((1 << n, 1 << n))
         expect = literal_generator(no_hamiltonian, jump_rate_table(w, n), x)
-        assert np.max(np.abs(dissipator_apply(w, n, x) - expect)) < 1e-12
+        assert np.max(np.abs(dissipator(w, n, x) - expect)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_literal_expansion_catches_one_rate_off(self, n):
@@ -165,7 +169,7 @@ class TestHandOracle:
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = count_hamiltonian(2)
         assert np.allclose(generator_apply(spec, x), 1j * (h @ x - x @ h), atol=1e-14)
-        assert np.max(np.abs(dissipator_apply(Weight2D.zero(), 2, x))) == 0.0
+        assert np.max(np.abs(dissipator(Weight2D.zero(), 2, x))) == 0.0
 
 
 class TestSumIdentity:
@@ -249,14 +253,14 @@ class TestStructure:
         identity = np.eye(1 << n)
         spec = GeneratorSpec(weight=w, truncation=n, hamiltonian=h)
         assert np.max(np.abs(generator_apply(spec, identity))) == 0.0
-        assert np.max(np.abs(dissipator_apply(w, n, identity))) == 0.0
+        assert np.max(np.abs(dissipator(w, n, identity))) == 0.0
 
     @pytest.mark.parametrize("entry", [(5, 0), (0, 5)])
     def test_weight_past_the_truncation_is_rejected(self, entry):
         w = Weight2D({entry: 1.0})
         message = "weight support bound 6 exceeds truncation 3"
         with pytest.raises(ValueError, match=message):
-            dissipator_apply(w, 3, np.eye(8))
+            dissipator(w, 3, np.eye(8))
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=3)
         spec.weight = w
         with pytest.raises(ValueError, match=message):
@@ -321,7 +325,7 @@ class TestLayouts:
         applies = {
             "default hamiltonian": lambda x: generator_apply(GeneratorSpec(w, n), x),
             "dense hamiltonian": lambda x: generator_apply(GeneratorSpec(w, n, h), x),
-            "dissipator": lambda x: dissipator_apply(w, n, x),
+            "dissipator": lambda x: dissipator(w, n, x),
         }
         for layout, x in self.layouts(rng, n).items():
             copy = np.ascontiguousarray(x, dtype=complex)

@@ -1,0 +1,159 @@
+"""Every function in the package is reached by a command, or is pinned here.
+
+The five subcommands run in a fresh interpreter under ``sys.setprofile``,
+installed before ``import chaoscalc`` so that work done at import counts,
+on small inputs plus one rejected input per size cap, which reaches the
+helpers that only build error messages. Every function or method defined
+in ``src/chaoscalc`` that no run entered, dunders aside, must be one of
+``UNREACHED``, each with the reason it stays. A new function that no
+command reaches, or a pinned one that a command now reaches, fails here.
+"""
+from __future__ import annotations
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+
+import chaoscalc
+from chaoscalc.qms import matrix_to_json
+
+PACKAGE = pathlib.Path(chaoscalc.__file__).parent
+
+UNREACHED = {
+    # the paper's chaos expansion, to be checked by simulate
+    "martingale.chaotic_expand": "the chaos expansion of a path functional",
+    "martingale.reconstruct": "the inverse chaos expansion",
+    "martingale._apply_steps": "the per-step Kronecker kernel of both expansions",
+    "martingale.z_matrix": "the dense oracle the expansion checks will compare against",
+    # the library API that tests/test_acceptance.py calls
+    "operators.materialize": "acceptance gate: the CSR matrix of an expression",
+    "operators.materialize_apply": "acceptance gate: the CSR matrix of a kernel",
+    "operators.table_csr": "the one scipy boundary behind both CSR forms",
+    "operators.OperatorExpr.table": "acceptance gate: a composite's table, via materialize",
+    "operators.hop_expr": "acceptance gate: the four-fold product as an expression",
+    "martingale.exact_gram": "acceptance gate: the whole Gram, built in place",
+    "martingale.BernoulliParams.cycling": "acceptance gate: cycling theta sequences",
+    # the jump-operator oracle of the generator benchmark
+    "qms.transfer_matrix": "the generator benchmark checks its output against it",
+    # the README quick tour
+    "functionals.Functional.fock": "the coefficient lookup of the quick tour",
+    "basis.Subset.of": "an index list as a subset, as the quick tour passes [1]",
+    "operators.OperatorExpr.apply": "abstract: every expression node overrides it",
+}
+
+DENSE = {"kind": "dense", "entries": [[0, 1, 2.0], [1, 1, 3.0], [2, 0, 0.5]]}
+DIAG1D = {"kind": "diag1d", "entries": [[0, 1.0], [2, 0.5]]}
+LADDERS = [{"op": "create", "k": 1}, {"op": "annihilate", "k": 0}]
+EXPR = {
+    "op": "sum",
+    "args": [
+        {"op": "compose", "args": LADDERS},
+        {"op": "scale", "c": [2.0, -1.0], "arg": {"op": "gwn", "weight": DENSE}},
+        {"op": "wn1d", "weight": DIAG1D},
+        {"op": "number"},
+        {"op": "identity"},
+        {"op": "zero"},
+    ],
+}
+PHI = {"truncation": 3, "coefficients": [[[0, 1], 1.0, 0.5], [[2], -2.0, 0.0]]}
+
+
+def defined_functions() -> dict:
+    """``module.Qual.name`` of every function and method defined in the
+    package, by (file name, first line of its code object)."""
+    found = {}
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", path)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # a decorated function's code starts at its first decorator
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path.name, first)] = f"{prefix}{child.name}"
+                visit(child, f"{prefix}{child.name}.", path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), f"{path.stem}.", path)
+    return found
+
+
+def entered_functions(tmp_path) -> set:
+    """(file name, first line) of every package function that the
+    subcommands enter, from a fresh interpreter."""
+
+    def write(name, data):
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    x = np.arange(64.0).reshape(8, 8)
+    dense, diag1d = write("dense.json", DENSE), write("diag1d.json", DIAG1D)
+    expr, phi = write("expr.json", EXPR), write("phi.json", PHI)
+    x_path = write("x.json", matrix_to_json(x, 3))
+    h_path = write("h.json", matrix_to_json(np.diag(np.arange(8.0)), 3))
+    thetas = write("thetas.json", [0.3, 0.5, 0.7])
+    runs = [
+        (0, {}, ["verify", "--n", "4"]),
+        (0, {}, ["verify", "--n", "3", "--weight", dense]),
+        (0, {}, ["verify", "--n", "3", "--weight", diag1d, "--only", "l2,qms"]),
+        (0, {}, ["simulate", "--n", "3", "--theta", thetas]),
+        (0, {}, ["simulate", "--n", "3", "--samples", "1000", "--seed", "7"]),
+        (0, {}, ["apply", "--expr", expr, "--functional", phi]),
+        (0, {}, ["norms", "--functional", phi, "--p", "0", "1.5"]),
+        (0, {}, ["qms", "--weight", dense, "--x", x_path]),
+        (0, {}, ["qms", "--weight", dense, "--x", x_path, "--hamiltonian", h_path]),
+        # one rejected input per size cap
+        (2, {}, ["verify", "--n", "21"]),
+        (2, {"CHAOSCALC_MAX_N": "21"}, ["simulate", "--n", "21"]),
+        (2, {}, ["simulate", "--n", "9", "--samples", "10"]),
+        (2, {"CHAOSCALC_MAX_N": "63"}, ["norms", "--functional", write(
+            "wide.json", {"truncation": 63, "coefficients": []})]),
+    ]
+    script = textwrap.dedent(f"""
+        import json, os, sys
+        package = {str(PACKAGE)!r}
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                code = frame.f_code
+                entered.add((os.path.basename(code.co_filename), code.co_firstlineno))
+
+        sys.setprofile(profile)
+        from chaoscalc.cli import main
+        for code, env, argv in {runs!r}:
+            os.environ.update(env)
+            assert main(argv + ["--out", os.devnull]) == code, argv
+            for key in env:
+                del os.environ[key]
+        sys.setprofile(None)
+        print(json.dumps(sorted(entered)))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("CHAOSCALC_MAX_N", None)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return {tuple(item) for item in json.loads(result.stdout.splitlines()[-1])}
+
+
+def is_dunder(qualname: str) -> bool:
+    name = qualname.rsplit(".", 1)[-1]
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_function_is_reached_or_pinned(tmp_path):
+    defined = defined_functions()
+    entered = entered_functions(tmp_path)
+    unreached = {
+        name for key, name in defined.items() if key not in entered and not is_dunder(name)
+    }
+    assert unreached == set(UNREACHED)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoscalc import verifier
-from chaoscalc.functionals import Functional, pair, riesz_embed
+from chaoscalc.functionals import Functional, riesz_embed
 from chaoscalc.operators import (
     annihilate,
     create,
@@ -264,7 +264,7 @@ def oracle_riesz(w, n, trials, seed):
             res_c.append(residual(lhs, verifier.apply_create(k, embedded)))
         lhs = riesz_embed(l2_wn_apply(w, column))
         res_w.append(residual(lhs, verifier.gwn_apply(w, embedded)))
-    res_pair = [residual(pair(riesz_embed(xi), xi), xi.norm(0) ** 2) for xi in probes]
+    res_pair = [residual(riesz_embed(xi).pair(xi), xi.norm(0) ** 2) for xi in probes]
     first = probes[0]
     return [
         max(res_a),

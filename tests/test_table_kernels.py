@@ -34,8 +34,10 @@ from chaoscalc.functionals import Functional, GrowthBound, check_growth
 from chaoscalc.operators import (
     Compose,
     Diagonal,
+    Identity,
     Scale,
     Sum,
+    Zero,
     annihilate,
     apply_annihilate,
     apply_create,
@@ -44,7 +46,6 @@ from chaoscalc.operators import (
     gwn_expr,
     hop_apply,
     hop_expr,
-    identity,
     l2_annihilate,
     l2_create,
     l2_wn1d_apply,
@@ -55,13 +56,11 @@ from chaoscalc.operators import (
     number,
     number_apply,
     number_series_partial,
-    occupation,
     occupation_apply,
     series_partial_1d,
     series_partial_2d,
     wn1d_apply,
     wn1d_expr,
-    zero,
 )
 from chaoscalc.verifier import (
     check_commutation_1d,
@@ -144,7 +143,8 @@ def test_index_moves_match_csr(phi, data):
     assert_matches(apply_create(k, phi), up)
     assert_matches(l2_annihilate(k, phi), down)
     assert_matches(l2_create(k, phi), up)
-    assert_matches(occupation_apply(k, phi), materialize(occupation(k), n) @ vec)
+    occupation = Compose((create(k), annihilate(k)))
+    assert_matches(occupation_apply(k, phi), materialize(occupation, n) @ vec)
     assert_matches(hop_apply(j, k, phi), materialize(hop_expr(j, k), n) @ vec)
 
 
@@ -213,7 +213,7 @@ def test_growth_witness_is_smallest_worst_mask(phi, scale, order):
     # beats every earlier one and zero
     worst, witness = 0.0, None
     for m, c in sorted(phi.coeffs.items()):
-        excess = abs(c) - GrowthBound(scale, order).value(m)
+        excess = abs(c) - scale * lam(m) ** order
         if excess > worst:
             worst, witness = excess, Subset(m)
     result = check_growth(phi, GrowthBound(scale, order))
@@ -439,15 +439,15 @@ def expression_trees(draw):
         # two entries in some rows and columns, so products meet and sum
         st.tuples(index, index).map(
             lambda jk: (
-                annihilate(jk[0]) + create(jk[1]),
+                Sum((annihilate(jk[0]), create(jk[1]))),
                 scipy_ladder(jk[0], n, create=False) + scipy_ladder(jk[1], n, create=True),
             )
         ),
         st.just((gwn_expr(w), scipy_diagonal([theta_double_sum(w, m) for m in masks]))),
         st.just((wn1d_expr(u), scipy_diagonal([sum(map(u, Subset(m))) for m in masks]))),
         st.just((number(), scipy_diagonal([bin(m).count("1") for m in masks]))),
-        st.just((identity(), sp.identity(size, dtype=complex, format="csr"))),
-        st.just((zero(), sp.csr_matrix((size, size), dtype=complex))),
+        st.just((Identity(), sp.identity(size, dtype=complex, format="csr"))),
+        st.just((Zero(), sp.csr_matrix((size, size), dtype=complex))),
     )
 
     def combined(kind, reduce):
@@ -486,14 +486,14 @@ def test_materialize_matches_scipy_products_of_the_leaves(case):
 def test_a_left_factor_with_two_entries_in_a_column(n):
     # annihilate(0) + create(1) holds two entries in some columns, so the
     # product joins a run of left entries per right entry and sums them
-    left = annihilate(0) + create(1)
-    right = 2.0 * create(0) + annihilate(1) + number()
+    left = Sum((annihilate(0), create(1)))
+    right = Sum((Scale(2.0, create(0)), annihilate(1), number()))
     a0, c1 = scipy_ladder(0, n, create=False), scipy_ladder(1, n, create=True)
     c0, a1 = scipy_ladder(0, n, create=True), scipy_ladder(1, n, create=False)
     count = scipy_diagonal([bin(m).count("1") for m in range(1 << n)])
     a_sum, b_sum = a0 + c1, 2.0 * c0 + a1 + count
-    assert np.array_equal(materialize(left @ right, n).toarray(), (a_sum @ b_sum).toarray())
-    assert np.array_equal(materialize(right @ left, n).toarray(), (b_sum @ a_sum).toarray())
+    for first, second, want in ((left, right, a_sum @ b_sum), (right, left, b_sum @ a_sum)):
+        assert np.array_equal(materialize(Compose((first, second)), n).toarray(), want.toarray())
 
 
 # tiny values, so that products underflow to zeros, which a product drops
@@ -567,7 +567,7 @@ def test_a_factor_with_two_entries_in_a_column_is_refused(side):
     # the product is only a gather; a sum with two entries in a column is
     # multiplied by applying it, through the expression's own table
     n = 2
-    two = matrix_table(annihilate(0) + create(1), n)  # column 0b01 holds both
+    two = matrix_table(Sum((annihilate(0), create(1))), n)  # column 0b01 holds both
     one = matrix_table(create(0), n)
     factors = (two, one) if side == "left" else (one, two)
     with pytest.raises(ValueError, match=f"the {side} factor"):
@@ -613,7 +613,6 @@ def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
             monkeypatch.setattr(verifier, name, forbidden)
     # nor the transform side's matrix tables: ladder and diagonal leaves
     monkeypatch.setattr(operators, "_ladder_table", forbidden)
-    monkeypatch.setattr(operators.Diagonal, "materialize", forbidden)
     monkeypatch.setattr(operators.Diagonal, "table", forbidden)
     monkeypatch.setattr(operators, "matrix_table", forbidden)
     monkeypatch.setattr(verifier, "matrix_table", forbidden)

@@ -266,7 +266,7 @@ class TestFamilies:
         assert all_ok(check_car(11))
 
     def test_zero_weight_edge(self):
-        w, u = Weight2D.zero(), Weight1D.zero()
+        w, u = Weight2D.zero(), Weight1D({})
         assert all_ok(check_commutation_2d(w, 3))
         assert all_ok(check_spectral_shifts(w, 3))
         assert all_ok(check_weight_invariants(w, u, 3))
@@ -314,14 +314,14 @@ LEVEL_CALLS = [
     lambda n: check_car(n),
     lambda n: check_hop(n),
     lambda n: check_commutation_2d(Weight2D.zero(), n),
-    lambda n: check_commutation_1d(Weight1D.zero(), n),
+    lambda n: check_commutation_1d(Weight1D({}), n),
     lambda n: check_commutation_number(n),
     lambda n: check_spectral_shifts(Weight2D.zero(), n),
-    lambda n: check_representations(Weight2D.zero(), Weight1D.zero(), n),
+    lambda n: check_representations(Weight2D.zero(), Weight1D({}), n),
     lambda n: check_riesz_intertwining(Weight2D.zero(), n, trials=2),
-    lambda n: check_norm_bounds(Weight2D.zero(), Weight1D.zero(), n, trials=2),
-    lambda n: check_l2_lemmas(Weight2D.zero(), Weight1D.zero(), n),
-    lambda n: check_weight_invariants(Weight2D.zero(), Weight1D.zero(), n),
+    lambda n: check_norm_bounds(Weight2D.zero(), Weight1D({}), n, trials=2),
+    lambda n: check_l2_lemmas(Weight2D.zero(), Weight1D({}), n),
+    lambda n: check_weight_invariants(Weight2D.zero(), Weight1D({}), n),
     lambda n: check_functional_invariants(n, trials=2),
     lambda n: check_sum_identity(Weight2D.zero(), n),
     lambda n: check_generator_structure(Weight2D.zero(), n, trials=2),
@@ -340,7 +340,7 @@ def test_each_family_needs_n_at_least_one(call):
     "call",
     [
         lambda trials: check_riesz_intertwining(Weight2D.zero(), 3, trials=trials),
-        lambda trials: check_norm_bounds(Weight2D.zero(), Weight1D.zero(), 3, trials=trials),
+        lambda trials: check_norm_bounds(Weight2D.zero(), Weight1D({}), 3, trials=trials),
         lambda trials: check_functional_invariants(3, trials=trials),
         lambda trials: check_generator_structure(Weight2D.zero(), 3, trials=trials),
     ],

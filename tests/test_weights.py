@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chaoscalc.basis import Subset, cardinality, enumerate_basis
+from chaoscalc.basis import Subset
 from chaoscalc.weights import Weight1D, Weight2D, theta_double_sum
 
 
@@ -40,13 +40,13 @@ class TestWeight1D:
         u = Weight1D.constant(1.0, 4)
         assert u.beta() == 1.0
         assert u.count(Subset.of(0, 2, 3)) == 3.0
-        assert Weight1D.zero().beta() == 0.0
+        assert Weight1D({}).beta() == 0.0
         assert Weight1D({0: 3.0}, sup_bound=7.0).beta() == 7.0
 
     def test_count_vector_matches_scalar(self):
         u = Weight1D({0: 0.5, 2: 1.5, 5: 4.0})
         vec = u.count_vector(4)
-        for sigma in enumerate_basis(4):
+        for sigma in map(Subset, range(1 << 4)):
             assert vec[sigma.mask] == pytest.approx(u.count(sigma), abs=1e-15)
 
     def test_validation(self):
@@ -60,12 +60,10 @@ class TestWeight1D:
             Weight1D({0: float("inf")})
 
     def test_json_roundtrip(self):
-        u = Weight1D({3: 1.5, 0: 2.0}, sup_bound=2.5)
-        data = u.to_json()
-        assert data["kind"] == "diag1d"
-        assert data["entries"] == [[0, 2.0], [3, 1.5]]
+        data = {"kind": "diag1d", "entries": [[0, 2.0], [3, 1.5]], "sup_bound": 2.5}
         v = Weight1D.from_json(data)
-        assert v.values == u.values and v.beta() == 2.5
+        assert v.values == {0: 2.0, 3: 1.5} and v.beta() == 2.5
+        assert Weight1D.from_json({"kind": "diag1d", "entries": [[1, 4.0]]}).beta() == 4.0
         with pytest.raises(ValueError):
             Weight1D.from_json({"kind": "dense", "entries": []})
         with pytest.raises(ValueError):
@@ -113,21 +111,21 @@ class TestTheta:
     def test_diagonal_lift_counts(self):
         u = Weight1D({0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0})
         w = Weight2D.from_weight1d(u)
-        for sigma in enumerate_basis(4):
-            assert w.theta(sigma) == cardinality(sigma)
+        for sigma in map(Subset, range(1 << 4)):
+            assert w.theta(sigma) == len(sigma)
 
     def test_lift_matches_count_general(self):
         rng = np.random.default_rng(7)
         u = Weight1D({k: float(rng.random()) for k in range(5)})
         w = Weight2D.from_weight1d(u)
-        for sigma in enumerate_basis(5):
+        for sigma in map(Subset, range(1 << 5)):
             assert w.theta(sigma) == pytest.approx(u.count(sigma), abs=1e-14)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_double_sum_oracle(self, seed):
         rng = np.random.default_rng(seed)
         w = random_weight(rng, 6)
-        for sigma in enumerate_basis(6):
+        for sigma in map(Subset, range(1 << 6)):
             assert w.theta(sigma) == pytest.approx(
                 theta_double_sum(w, sigma), abs=1e-13
             )
@@ -138,10 +136,10 @@ class TestTheta:
         rng = np.random.default_rng(seed)
         w = random_weight(rng, 6)
         two_alpha = 2.0 * w.alpha()
-        for sigma in enumerate_basis(6):
+        for sigma in map(Subset, range(1 << 6)):
             value = w.theta(sigma)
             assert value >= -1e-15
-            assert value <= two_alpha * cardinality(sigma) + 1e-12
+            assert value <= two_alpha * len(sigma) + 1e-12
         assert w.theta(Subset()) == 0.0
 
     def test_vectors_are_read_only(self, running):
@@ -159,7 +157,7 @@ class TestTheta:
         rng = np.random.default_rng(11)
         for w in (running, random_weight(rng, 5)):
             vec = w.theta_vector(5)
-            for sigma in enumerate_basis(5):
+            for sigma in map(Subset, range(1 << 5)):
                 assert vec[sigma.mask] == pytest.approx(w.theta(sigma), abs=1e-13)
 
     def test_closed_form_columns_enter_theta(self):
@@ -226,8 +224,7 @@ class TestValidation:
 
 class TestJson:
     def test_roundtrip_dense(self, running):
-        data = running.to_json()
-        assert data == {
+        data = {
             "kind": "dense",
             "entries": [[0, 1, 2.0], [1, 1, 3.0]],
             "column_sums": "from_entries",
@@ -235,18 +232,23 @@ class TestJson:
         }
         w = Weight2D.from_json(data)
         assert w.entries == running.entries
+        assert w.column_sums is None and w.alpha() == running.alpha()
+        # column_sums and tail_bound default to the listed entries and 0
+        assert Weight2D.from_json({"kind": "dense", "entries": data["entries"]}).alpha() == 5.0
 
     def test_roundtrip_with_sums(self):
-        w = Weight2D({(0, 0): 1.0}, column_sums={0: 2.0, 3: 1.0}, tail_bound=0.5)
-        data = w.to_json()
-        assert data["column_sums"] == {"0": 2.0, "3": 1.0}
+        data = {
+            "kind": "dense",
+            "entries": [[0, 0, 1.0]],
+            "column_sums": {"0": 2.0, "3": 1.0},
+            "tail_bound": 0.5,
+        }
         back = Weight2D.from_json(data)
         assert back.colsum(0) == 2.0 and back.colsum(3) == 1.0
         assert back.tail_bound == 0.5
 
     def test_diag1d_promotes(self):
-        u = Weight1D({2: 4.0})
-        w = Weight2D.from_json(u.to_json())
+        w = Weight2D.from_json({"kind": "diag1d", "entries": [[2, 4.0]]})
         assert w.entries == {(2, 2): 4.0}
 
     def test_bad_payloads(self):
