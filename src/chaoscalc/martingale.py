@@ -332,20 +332,18 @@ def _check_samples(samples: int) -> int:
     return samples
 
 
-def _atom_counts(params: BernoulliParams, samples: int, seed: int, stream: int = 0) -> np.ndarray:
+def _atom_counts(params: BernoulliParams, samples: int, seed: int) -> np.ndarray:
     """How often each atom occurs in ``samples`` paths: at step k every count
     splits by one binomial draw into its paths with bit k clear and bit k set."""
     counts = np.array([_check_samples(samples)], dtype=np.int64)
-    rng = rng_stream(seed, stream)
+    rng = rng_stream(seed)
     for theta in params.thetas:
         hits = rng.binomial(counts, theta)
         counts = np.concatenate([counts - hits, hits])
     return counts
 
 
-def monte_carlo_gram(
-    params: BernoulliParams, samples: int, seed: int, stream: int = 0
-) -> tuple:
+def monte_carlo_gram(params: BernoulliParams, samples: int, seed: int) -> tuple:
     """Sampled Gram matrix plus a per-entry standard error estimate.
 
     ``samples`` paths, at most 2**63 - 1, are drawn as counts per atom, so
@@ -363,7 +361,7 @@ def monte_carlo_gram(
             f"bytes each; capped at n = {_MC_BASIS_CAP} "
             f"({_mib(8 * 4**_MC_BASIS_CAP)} each), got {n}"
         )
-    counts = _atom_counts(params, samples, seed, stream)
+    counts = _atom_counts(params, samples, seed)
     seen = np.flatnonzero(counts)
     weights = counts[seen].astype(float)[:, None]
     z = _products_over_masks(psi_matrix(params)[seen])

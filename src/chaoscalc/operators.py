@@ -15,12 +15,11 @@ applied directly (sparse: selections and gathers on a table's mask and
 value arrays) or materialized over the truncated basis, columns indexed by
 input subset mask. Inside the package a matrix is a matrix table, the same
 mask and value arrays at truncation 2n with entry (r, c) under mask
-``(c << n) | r``, row block b of a stack above bit 2n. The leaves (ladders
-and diagonals) build theirs from their own bit arithmetic; every other
-expression's table, like any matrix known only through a kernel, comes from
-:func:`apply_table`, which applies it once to the whole basis with each
-mask's column tagged in the bits above n; every kernel therefore changes
-only bits below n and evaluates diagonals at those bits.
+``(c << n) | r``, row block b of a stack above bit 2n. Every table, an
+expression's or a kernel's, comes from :func:`apply_table`, which applies
+the operator once to the whole basis with each mask's column tagged in the
+bits above n; every kernel therefore changes only bits below n and
+evaluates diagonals at those bits.
 :func:`table_product` multiplies tables with at most one entry per column,
 as ladders, diagonals, their products and stacks of them are, by one
 gather. The public :func:`materialize` and :func:`materialize_apply`
@@ -203,10 +202,6 @@ def l2_wn1d_apply(u: Weight1D, xi: Functional) -> Functional:
 # ---------------------------------------------------------------------------
 
 
-def _matrix(masks: np.ndarray, values: np.ndarray, n: int) -> Functional:
-    return Functional._from_arrays(masks, values, 2 * n)
-
-
 def _basis(n: int) -> np.ndarray:
     """Every mask below 2^n; a matrix table takes 2n bits of an int64 mask."""
     if n > _MAX_TAGGED_TRUNCATION:
@@ -291,7 +286,7 @@ def apply_table(apply_fn: Callable[[Functional], Functional], n: int) -> Functio
     """
     cols = _basis(check_truncation(n))
     image = apply_fn(Functional._from_arrays(cols << n | cols, np.ones(1 << n, dtype=complex), n))
-    return _matrix(image.masks, image.values, n)
+    return Functional._from_arrays(image.masks, image.values, 2 * n)
 
 
 def materialize_apply(
@@ -312,23 +307,6 @@ class OperatorExpr:
     def apply(self, phi: Functional) -> Functional:
         raise NotImplementedError
 
-    def table(self, n: int) -> Functional:
-        """The matrix table over the truncated basis (column = input): the
-        expression applied once to the column-tagged basis."""
-        return apply_table(self.apply, n)
-
-
-def _ladder_table(k: int, n: int, create: bool) -> Functional:
-    """Matrix table of create(k) or annihilate(k) over the truncated basis.
-
-    Column c holds a single 1, in row c ^ 2**k, when bit k of c is clear
-    (create) or set (annihilate); half the columns are empty.
-    """
-    bit = 1 << k
-    cols = _basis(n)
-    cols = cols[((cols & bit) == 0) == create]
-    return _matrix(cols << n | (cols ^ bit), np.ones(len(cols), dtype=complex), n)
-
 
 @dataclass(frozen=True)
 class Annihilate(OperatorExpr):
@@ -336,11 +314,6 @@ class Annihilate(OperatorExpr):
 
     def apply(self, phi):
         return apply_annihilate(self.k, phi)
-
-    def table(self, n):
-        n = check_truncation(n)
-        _check_index(self.k, n, "annihilate")
-        return _ladder_table(self.k, n, create=False)
 
 
 @dataclass(frozen=True)
@@ -350,31 +323,19 @@ class Create(OperatorExpr):
     def apply(self, phi):
         return apply_create(self.k, phi)
 
-    def table(self, n):
-        n = check_truncation(n)
-        _check_index(self.k, n, "create")
-        return _ladder_table(self.k, n, create=True)
-
 
 @dataclass(frozen=True, eq=False)
 class Diagonal(OperatorExpr):
     """Multiplication by a real function of the subset.
 
-    ``values_at(masks)`` evaluates it at an int64 array of subset masks: a
-    table's own masks when applied, every mask below ``2**n`` when
-    materialized.
+    ``values_at(masks)`` evaluates it at an int64 array of subset masks, a
+    table's own masks below bit n.
     """
 
     values_at: Callable[[np.ndarray], np.ndarray]
 
     def apply(self, phi):
         return _times(phi, np.asarray(self.values_at(_subset_masks(phi)), dtype=float))
-
-    def table(self, n):
-        n = check_truncation(n)
-        values = np.asarray(self.values_at(_basis(n)), dtype=float)
-        kept = np.flatnonzero(values)
-        return _matrix(kept << n | kept, values[kept].astype(complex), n)
 
 
 @dataclass(frozen=True)
@@ -453,14 +414,9 @@ def wn1d_expr(u: Weight1D) -> Diagonal:
     return Diagonal(u.count_at)
 
 
-def matrix_table(expr: OperatorExpr, n: int) -> Functional:
-    """Matrix table of an expression over the truncated basis (column = input)."""
-    return expr.table(n)
-
-
 def materialize(expr: OperatorExpr, n: int) -> scipy.sparse.csr_matrix:
     """CSR matrix of an expression over the truncated basis (column = input)."""
-    return table_csr(expr.table(n))
+    return materialize_apply(expr.apply, n)
 
 
 # Trees are applied recursively, so parsing caps their depth well inside
@@ -484,7 +440,7 @@ def parse_expr(data: dict, _depth: int = 0) -> OperatorExpr:
 
     if op in ("annihilate", "create"):
         k = as_index(field("k"), f"{op} index 'k'")
-        return Annihilate(k) if op == "annihilate" else Create(k)
+        return annihilate(k) if op == "annihilate" else create(k)
     if op == "identity":
         return Identity()
     if op == "zero":

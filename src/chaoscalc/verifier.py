@@ -3,8 +3,8 @@
 Each ``check_*`` function verifies one family of operator identities on the
 truncated basis and returns a list of reports. Families never test a formula
 against its own implementation: closed forms are compared with literal
-compositions, rearranged sums with term-by-term oracles, expression-tree
-matrices with matrices materialized from the independent application routes.
+compositions, rearranged sums with term-by-term oracles, the transform-side
+kernels with the independent square-integrable ones.
 
 Every residual comes from ``reports``: a two-sided check is a ``residual``,
 a bound, monotonicity or range check an ``excess``. Every family also names
@@ -15,7 +15,8 @@ that passes means the check could not have caught a real defect, and
 poisons the run exactly like a failed check.
 
 The matrix families (car, hop, the three commutation families and the l2
-lemmas) work on matrix tables (see ``operators``) and make one table
+lemmas) work on matrix tables (see ``operators``), each built by
+``apply_table`` from one call of a kernel, and make one table
 product per identity side, not one per index: the per-k operands go into
 one stack, block b tagged above bit 2n (a stack multiplies blockwise, so it
 is also the block diagonal of its blocks; a fixed factor is repeated down
@@ -24,9 +25,9 @@ read off its own tag with ``residual(..., blocks=b)``. A stack holds at
 most ``_STACK_ROWS`` rows, so memory stays bounded at any n; no family
 loads ``scipy.sparse``. One kernel, ``_commutators``, checks a diagonal D
 against a ladder pair stack by stack, and the equal-time relation of the
-pair; the three commutation families hand it matrices from the expression
-engine, car its ladders too, the l2 lemmas matrices from the ``l2_*``
-kernels.
+pair; the three commutation families and car hand it tables of the
+transform kernels (``apply_*``, ``gwn_apply``, ``wn1d_apply``,
+``number_apply``), the l2 lemmas tables of the ``l2_*`` kernels.
 riesz checks its intertwinings on stacks of basis columns, column c holding
 a random z_c at row c under ``apply_table``'s column tag, a residual per
 tag. Probes go into tagged tables, probe t at ``(t << n) | sigma``, and
@@ -43,21 +44,16 @@ import numpy as np
 from .basis import check_truncation, lam_vector, popcount_vector
 from .functionals import Functional, GrowthBound, _moduli, check_growth, riesz_embed
 from .operators import (
-    annihilate,
     apply_annihilate,
     apply_create,
     apply_table,
-    create,
     gwn_apply,
-    gwn_expr,
     hop_apply,
     l2_annihilate,
     l2_create,
     l2_hop,
     l2_wn1d_apply,
     l2_wn_apply,
-    matrix_table,
-    number,
     number_apply,
     number_series_partial,
     series_partial_1d,
@@ -65,7 +61,6 @@ from .operators import (
     table_product,
     table_transpose,
     wn1d_apply,
-    wn1d_expr,
 )
 from .qms import check_generator_structure, check_sum_identity
 from .reports import TOLERANCE, excess, family_level, family_reports, family_trials, residual
@@ -107,10 +102,14 @@ def random_functional(rng: np.random.Generator, n: int) -> Functional:
     return Functional.from_vector(vec, n)
 
 
-def _ladder_matrices(n: int):
-    a = [matrix_table(annihilate(k), n) for k in range(n)]
-    c = [matrix_table(create(k), n) for k in range(n)]
-    return a, c
+def _table(kernel, arg, n: int) -> Functional:
+    """The matrix table of ``kernel(arg, .)``, from one call of the kernel."""
+    return apply_table(lambda f: kernel(arg, f), n)
+
+
+def _ladder_matrices(n: int, lower, upper):
+    """One side's ladder tables, ``lower(k, .)`` and ``upper(k, .)`` for every k < n."""
+    return [_table(lower, k, n) for k in range(n)], [_table(upper, k, n) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def check_car(n: int) -> list:
     stacks beside it.
     """
     n = family_level(n)
-    a, c = _ladder_matrices(n)
+    a, c = _ladder_matrices(n, apply_annihilate, apply_create)
     masks = np.arange(1 << n, dtype=np.int64)
     nothing = Functional._from_arrays(masks[:0], np.zeros(0, dtype=complex), 2 * n)
     nilpotent, occ, adjoint = [], [], []
@@ -261,9 +260,9 @@ def check_car(n: int) -> list:
 def check_hop(n: int) -> list:
     """Closed form of the four-fold ladder product against literal composition.
 
-    The literal side multiplies the ladder matrix tables in the factor order
-    create(k) annihilate(j) create(j) annihilate(k) of ``hop_expr``; only the
-    ladders of one stack's pairs are alive.
+    The literal side multiplies the tables of the ladder kernels in the factor
+    order create(k) annihilate(j) create(j) annihilate(k) of ``hop_expr``;
+    only the ladders of one stack's pairs are alive.
     """
     n = family_level(n)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -271,8 +270,8 @@ def check_hop(n: int) -> list:
     for pairs in _chunks(((j, k) for j in range(n) for k in range(n)), n):
         blocks = len(pairs)
         js, ks = zip(*pairs)
-        ann = {i: matrix_table(annihilate(i), n) for i in {*js, *ks}}
-        cre = {i: matrix_table(create(i), n) for i in {*js, *ks}}
+        ann = {i: _table(apply_annihilate, i, n) for i in {*js, *ks}}
+        cre = {i: _table(apply_create, i, n) for i in {*js, *ks}}
         closed = _stack([apply_table(lambda f: hop_apply(j, k, f), n) for j, k in pairs])
         literal = _stack([cre[k] for k in ks])
         for factor in ([ann[j] for j in js], [cre[j] for j in js], [ann[k] for k in ks]):
@@ -313,14 +312,14 @@ def check_hop(n: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _gwn_relation(w: Weight2D, big, wn1d_matrix, n: int) -> tuple:
-    """The relation of gwn(w), materialized as ``big``, with the slices
-    wn1d(row_k) and wn1d(col_k) materialized by ``wn1d_matrix``."""
+def _gwn_relation(w: Weight2D, wn, wn1d, n: int) -> tuple:
+    """The relation of one side's 2D weighted number kernel ``wn(w, .)`` with
+    its 1D kernel ``wn1d`` at the slices row_k and col_k, as tables."""
     return (
-        big,
+        _table(wn, w, n),
         [2.0 * w(k, k) + w.colsum(k) for k in range(n)],
         [w.colsum(k) for k in range(n)],
-        (lambda k: wn1d_matrix(w.row_slice(k)), lambda k: wn1d_matrix(w.col_slice(k))),
+        (lambda k: _table(wn1d, w.row_slice(k), n), lambda k: _table(wn1d, w.col_slice(k), n)),
     )
 
 
@@ -332,7 +331,8 @@ def _commutators(lower, upper, relations, occupation=False, car=False, beside=No
         D L(k) = L(k) D + sum of L(k) S(k) - s[k] L(k),
         D U(k) = U(k) D - sum of U(k) S(k) + t[k] U(k),
 
-    with D and each S(k) = slice(k) matrix tables, slices summed in order.
+    with D and each S(k) = slice(k) matrix tables of one side's kernels
+    (see ``_ladder_matrices`` and ``_gwn_relation``), slices summed in order.
     Returns one (L worst, U worst, occupation worst) per relation, the last
     that of D U(k) L(k) = U(k) L(k) D with ``occupation``; the first
     relation's L sides at k = 0, for the control; and, with ``car``, the
@@ -381,10 +381,9 @@ def _commutators(lower, upper, relations, occupation=False, car=False, beside=No
 def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
     n = family_level(n)
-    big = matrix_table(gwn_expr(w), n)
-    relation = _gwn_relation(w, big, lambda v: matrix_table(wn1d_expr(v), n), n)
+    relation = _gwn_relation(w, gwn_apply, wn1d_apply, n)
     [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
-        *_ladder_matrices(n), [relation], occupation=True
+        *_ladder_matrices(n, apply_annihilate, apply_create), [relation], occupation=True
     )
     return family_reports(
         {"n": n, "weight": tag},
@@ -412,9 +411,9 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
     n = family_level(n)
     shifts = [u(k) for k in range(n)]
-    relation = (matrix_table(wn1d_expr(u), n), shifts, shifts, ())
+    relation = (_table(wn1d_apply, u, n), shifts, shifts, ())
     [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
-        *_ladder_matrices(n), [relation], occupation=True
+        *_ladder_matrices(n, apply_annihilate, apply_create), [relation], occupation=True
     )
     return family_reports(
         {"n": n, "weight": tag},
@@ -431,8 +430,10 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
 def check_commutation_number(n: int) -> list:
     """The unweighted special case: number operator against the ladder pair."""
     n = family_level(n)
-    relation = (matrix_table(number(), n), [1.0] * n, [1.0] * n, ())
-    [(worst_a, worst_c, _)], control, _ = _commutators(*_ladder_matrices(n), [relation])
+    relation = (apply_table(number_apply, n), [1.0] * n, [1.0] * n, ())
+    [(worst_a, worst_c, _)], control, _ = _commutators(
+        *_ladder_matrices(n, apply_annihilate, apply_create), [relation]
+    )
     return family_reports(
         {"n": n},
         TOLERANCE,
@@ -518,7 +519,7 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
             f"series checks need weight support within the truncation "
             f"(support bound {max(w.support_bound(), u.support_bound())}, n = {n})"
         )
-    target = matrix_table(gwn_expr(w), n)
+    target = _table(gwn_apply, w, n)
     stabilized = []
     diagonals = []
     for cut in range(n + 1):
@@ -541,7 +542,7 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
         return out
 
     l2_mat = apply_table(l2_series, n)
-    l2_target = apply_table(lambda xi: l2_wn_apply(w, xi), n)
+    l2_target = _table(l2_wn_apply, w, n)
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,
@@ -754,24 +755,18 @@ def check_norm_bounds(
 def check_l2_lemmas(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
     """The ladder/number lemmas written on the square-integrable side.
 
-    All matrices here are materialized from the l2_* application functions,
-    the code path that never touches the expression engine; a test runs this
-    family with expression-tree materialization forbidden.
+    Every table here comes from an l2_* kernel through the helpers the
+    transform-side families use, so only the kernels differ; a test runs
+    this family with every transform kernel forbidden.
     """
     n = family_level(n)
-    d = [apply_table(lambda f, k=k: l2_annihilate(k, f), n) for k in range(n)]
-    ds = [apply_table(lambda f, k=k: l2_create(k, f), n) for k in range(n)]
     shifts = [u(k) for k in range(n)]
-
-    def l2_wn1d(v):
-        return apply_table(lambda f: l2_wn1d_apply(v, f), n)
-
     relations = [
-        _gwn_relation(w, apply_table(lambda f: l2_wn_apply(w, f), n), l2_wn1d, n),
-        (l2_wn1d(u), shifts, shifts, ()),
+        _gwn_relation(w, l2_wn_apply, l2_wn1d_apply, n),
+        (_table(l2_wn1d_apply, u, n), shifts, shifts, ()),
     ]
     [(worst_wa, worst_wc, _), (worst_ua, worst_uc, _)], control, (car, _) = _commutators(
-        d, ds, relations, car=True
+        *_ladder_matrices(n, l2_annihilate, l2_create), relations, car=True
     )
     return family_reports(
         {"n": n, "weight": tag},

@@ -35,7 +35,6 @@ UNREACHED = {
     "operators.materialize": "acceptance gate: the CSR matrix of an expression",
     "operators.materialize_apply": "acceptance gate: the CSR matrix of a kernel",
     "operators.table_csr": "the one scipy boundary behind both CSR forms",
-    "operators.OperatorExpr.table": "acceptance gate: a composite's table, via materialize",
     "operators.hop_expr": "acceptance gate: the four-fold product as an expression",
     "martingale.exact_gram": "acceptance gate: the whole Gram, built in place",
     "martingale.BernoulliParams.cycling": "acceptance gate: cycling theta sequences",

@@ -11,7 +11,10 @@ against the scalar oracles on masks that use all 63 bits. The one-call
 ``materialize_apply``, which tags each basis column in the mask bits above
 n, is checked against a literal column-by-column sweep of every kernel, and
 the matrix tables of random expression trees against scipy products of leaf
-matrices written from their definitions.
+matrices written from their definitions. Those scipy ladders are also the
+oracle of both sides' index moves: every table in the package comes from
+applying a kernel, so a table from the package would test a kernel against
+itself.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from chaoscalc.operators import (
     annihilate,
     apply_annihilate,
     apply_create,
+    apply_table,
     create,
     gwn_apply,
     gwn_expr,
@@ -52,7 +56,6 @@ from chaoscalc.operators import (
     l2_wn_apply,
     materialize,
     materialize_apply,
-    matrix_table,
     number,
     number_apply,
     number_series_partial,
@@ -63,9 +66,11 @@ from chaoscalc.operators import (
     wn1d_expr,
 )
 from chaoscalc.verifier import (
+    check_car,
     check_commutation_1d,
     check_commutation_2d,
     check_commutation_number,
+    check_hop,
     check_l2_lemmas,
 )
 from chaoscalc.weights import Weight1D, Weight2D, theta_double_sum
@@ -119,6 +124,15 @@ def assert_matches(phi: Functional, dense: np.ndarray):
     assert np.array_equal(phi.as_vector(), dense)
 
 
+def scipy_ladder(k: int, n: int, create: bool):
+    """Row r reads column r - {k} (create, k in r) or r + {k} (annihilate)."""
+    rows = np.arange(1 << n)
+    rows = rows[((rows >> k & 1) == 1) == create]
+    return sp.csr_matrix(
+        (np.ones(len(rows), dtype=complex), (rows, rows ^ 1 << k)), shape=(1 << n, 1 << n)
+    )
+
+
 @SETTINGS
 @given(tables())
 def test_constructor_invariants(phi):
@@ -137,15 +151,14 @@ def test_index_moves_match_csr(phi, data):
     k = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1))
     vec = phi.as_vector()
-    down = materialize(annihilate(k), n) @ vec
-    up = materialize(create(k), n) @ vec
-    assert_matches(apply_annihilate(k, phi), down)
-    assert_matches(apply_create(k, phi), up)
-    assert_matches(l2_annihilate(k, phi), down)
-    assert_matches(l2_create(k, phi), up)
-    occupation = Compose((create(k), annihilate(k)))
-    assert_matches(occupation_apply(k, phi), materialize(occupation, n) @ vec)
-    assert_matches(hop_apply(j, k, phi), materialize(hop_expr(j, k), n) @ vec)
+    a = [scipy_ladder(i, n, create=False) for i in range(n)]
+    c = [scipy_ladder(i, n, create=True) for i in range(n)]
+    assert_matches(apply_annihilate(k, phi), a[k] @ vec)
+    assert_matches(apply_create(k, phi), c[k] @ vec)
+    assert_matches(l2_annihilate(k, phi), a[k] @ vec)
+    assert_matches(l2_create(k, phi), c[k] @ vec)
+    assert_matches(occupation_apply(k, phi), c[k] @ a[k] @ vec)
+    assert_matches(hop_apply(j, k, phi), c[k] @ a[j] @ c[j] @ a[k] @ vec)
 
 
 @SETTINGS
@@ -410,15 +423,6 @@ def test_materialize_apply_caps_the_tag_at_31(monkeypatch):
 # exact in any order and the two routes must agree entry for entry.
 
 
-def scipy_ladder(k: int, n: int, create: bool):
-    """Row r reads column r - {k} (create, k in r) or r + {k} (annihilate)."""
-    rows = np.arange(1 << n)
-    rows = rows[((rows >> k & 1) == 1) == create]
-    return sp.csr_matrix(
-        (np.ones(len(rows), dtype=complex), (rows, rows ^ 1 << k)), shape=(1 << n, 1 << n)
-    )
-
-
 def scipy_diagonal(values):
     return sp.diags(np.asarray(values, dtype=complex), format="csr")
 
@@ -474,7 +478,7 @@ def expression_trees(draw):
 @given(expression_trees())
 def test_materialize_matches_scipy_products_of_the_leaves(case):
     n, expr, matrix = case
-    table = matrix_table(expr, n)
+    table = apply_table(expr.apply, n)
     assert table.truncation == 2 * n
     assert_invariants(table)
     got = materialize(expr, n)
@@ -567,8 +571,8 @@ def test_a_factor_with_two_entries_in_a_column_is_refused(side):
     # the product is only a gather; a sum with two entries in a column is
     # multiplied by applying it, through the expression's own table
     n = 2
-    two = matrix_table(Sum((annihilate(0), create(1))), n)  # column 0b01 holds both
-    one = matrix_table(create(0), n)
+    two = apply_table(Sum((annihilate(0), create(1))).apply, n)  # column 0b01 holds both
+    one = apply_table(create(0).apply, n)
     factors = (two, one) if side == "left" else (one, two)
     with pytest.raises(ValueError, match=f"the {side} factor"):
         operators.table_product(*factors)
@@ -578,6 +582,7 @@ def test_a_factor_with_two_entries_in_a_column_is_refused(side):
 # the square-integrable side never routes through the transform side
 # ---------------------------------------------------------------------------
 
+# every transform-side table, an expression's included, comes from these
 TRANSFORM_KERNELS = (
     "apply_annihilate",
     "apply_create",
@@ -591,8 +596,7 @@ TRANSFORM_KERNELS = (
 
 
 def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
-    # the oracles are built first: they materialize expression trees, which
-    # the square-integrable side, check_l2_lemmas included, never does
+    # the ladder oracles are scipy matrices written from the definitions
     n = 4
     rng = np.random.default_rng(5)
     w = Weight2D({(0, 1): 2.0, (1, 1): 3.0, (3, 0): 0.5, (2, 2): 1.0})
@@ -600,7 +604,8 @@ def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     xi = Functional.from_vector(vec, n)
     ladders = [
-        (materialize(annihilate(k), n) @ vec, materialize(create(k), n) @ vec) for k in range(n)
+        (scipy_ladder(k, n, create=False) @ vec, scipy_ladder(k, n, create=True) @ vec)
+        for k in range(n)
     ]
 
     def forbidden(*args, **kwargs):
@@ -611,11 +616,6 @@ def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
         # verifier holds its own references to the kernels it imports
         if hasattr(verifier, name):
             monkeypatch.setattr(verifier, name, forbidden)
-    # nor the transform side's matrix tables: ladder and diagonal leaves
-    monkeypatch.setattr(operators, "_ladder_table", forbidden)
-    monkeypatch.setattr(operators.Diagonal, "table", forbidden)
-    monkeypatch.setattr(operators, "matrix_table", forbidden)
-    monkeypatch.setattr(verifier, "matrix_table", forbidden)
     for k, (down, up) in enumerate(ladders):
         assert_matches(l2_annihilate(k, xi), down)
         assert_matches(l2_create(k, xi), up)
@@ -631,14 +631,13 @@ L2_KERNELS = (
     "l2_hop",
     "l2_wn_apply",
     "l2_wn1d_apply",
-    "materialize_apply",
-    "apply_table",
 )
 
 
 def test_transform_side_is_independent_of_l2_kernels(monkeypatch):
-    # the converse: the commutation families build every matrix from
-    # expression trees
+    # the converse: car, hop and the commutation families build every matrix
+    # from the transform kernels; both sides share apply_table, which
+    # test_one_call_materialize_matches_column_sweep checks on its own
     n = 4
     w = Weight2D({(0, 1): 2.0, (1, 1): 3.0, (3, 0): 0.5, (2, 2): 1.0})
     u = Weight1D({0: 0.5, 2: 1.5, 3: 2.0})
@@ -652,6 +651,8 @@ def test_transform_side_is_independent_of_l2_kernels(monkeypatch):
         if hasattr(verifier, name):
             monkeypatch.setattr(verifier, name, forbidden)
     for reports in (
+        check_car(n),
+        check_hop(n),
         check_commutation_2d(w, n),
         check_commutation_1d(u, n),
         check_commutation_number(n),

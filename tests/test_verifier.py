@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chaoscalc
-from chaoscalc import verifier
+from chaoscalc import operators, verifier
 from chaoscalc.basis import Subset
 from chaoscalc.functionals import Functional, GrowthCheckResult
 from chaoscalc.operators import hop_apply, hop_expr, materialize, materialize_apply
@@ -427,6 +427,27 @@ def test_hop_holds_one_pair_of_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 16 * pair_bytes
+
+
+@pytest.mark.parametrize("name, full", [("apply_create", True), ("apply_annihilate", False)])
+def test_car_and_hop_catch_a_ladder_kernel_skewed_at_one_mask(monkeypatch, name, full):
+    # car and hop build their ladders by applying the kernels that the apply
+    # command runs, so one entry off by 1e-9 fails both exact families. The
+    # skew sits where the kernel's output lands: a creator's output is never
+    # the empty set, an annihilator's never the full one.
+    real = getattr(operators, name)
+
+    def skewed(k, phi):
+        out = real(k, phi)
+        low = (1 << out.truncation) - 1
+        hit = (out.masks & low) == (low if full else 0)
+        return Functional._from_arrays(out.masks, out.values * (1 + 1e-9 * hit), out.truncation)
+
+    for module in (operators, verifier):
+        monkeypatch.setattr(module, name, skewed)
+    for n in (4, 6):
+        failed = {r.name for r in check_car(n) + check_hop(n) if not r.ok}
+        assert {"car-equal-time", "hop-closed-form"} <= failed, (n, failed)
 
 
 @pytest.mark.parametrize(
