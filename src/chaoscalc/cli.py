@@ -3,12 +3,17 @@
 Subcommands: verify (identity-check families), simulate (Bernoulli noise
 Gram/moment checks), apply (operator expression to a functional), norms,
 qms (generator application, sized by --x). Exit codes: 0 everything passed,
-1 at least one genuine check failed, 2 bad input or no memory: a bad flag, a
+1 at least one genuine check failed, 2 bad input or no memory: a bad flag
+(an unknown or missing flag or subcommand, or a value of the wrong type), a
 file that is unreadable, not UTF-8 JSON, nested too deep or malformed
-(loaders raise ValueError), or a run out of memory; :func:`main` alone turns
-either into one ``error:`` line. All reports are JSON with sorted keys;
-wall-clock data lives in a single "timing" field so that two runs with the
-same config and seed agree byte for byte elsewhere.
+(the parser and the loaders raise ValueError), or a run out of memory;
+:func:`main` alone turns either into one ``error:`` line and returns 2.
+``--help`` prints help on stdout and exits 0. All reports are JSON with
+sorted keys; wall-clock data lives in a single "timing" field so that two
+runs with the same config and seed agree byte for byte elsewhere.
+
+The parser is built once, at import, as :data:`PARSER`; every :func:`main`
+call parses with it. Its help text reads only module constants.
 """
 from __future__ import annotations
 
@@ -206,8 +211,16 @@ def cmd_qms(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line as ValueError, for :func:`main` to report;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaoscalc",
         description="Verification and simulation tools for the truncated chaotic calculus.",
     )
@@ -267,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     norms = sub.add_parser("norms", help="graded and dual norms of a functional")
     norms.add_argument("--functional", required=True)
-    norms.add_argument("--p", type=float, nargs="+", default=[0.0, 1.0, 2.0])
+    norms.add_argument("--p", type=float, nargs="+", default=(0.0, 1.0, 2.0))
     norms.add_argument("--out")
     norms.set_defaults(func=cmd_norms)
 
@@ -280,17 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = PARSER.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
+        command = args.command if args else PARSER.prog
         at = f" at n = {args.n}" if hasattr(args, "n") else ""
-        print(f"error: {args.command}{at} ran out of memory", file=sys.stderr)
+        print(f"error: {command}{at} ran out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the console entry point via main(argv)."""
 from __future__ import annotations
 
+import argparse
 import datetime
 import json
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import chaoscalc
+from chaoscalc import cli
 from chaoscalc.basis import Subset, lam
 from chaoscalc.cli import main
 from chaoscalc.functionals import Functional
@@ -700,3 +702,86 @@ def test_missing_field_is_named(tmp_path, capsys):
     code, _, err = run_cli(capsys, "apply", "--expr", e_path, "--functional", f_path)
     assert code == 2
     assert err == "error: operator 'gwn' requires a 'weight' field\n"
+
+
+def outside_timing(payload):
+    return {key: value for key, value in payload.items() if key != "timing"}
+
+
+BAD_FLAGS = {
+    "not-an-int": ["simulate", "--n", "abc"],
+    "unknown-flag": ["simulate", "--bogus"],
+    "missing-required-flag": ["apply", "--expr", "expr.json"],
+    "unknown-subcommand": ["frobnicate"],
+    "no-subcommand": [],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_FLAGS.values()), ids=list(BAD_FLAGS))
+def test_bad_flag_is_one_error_line(capsys, argv):
+    # main returns 2 itself: argparse's usage block and SystemExit(2) never
+    # reach the caller
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 2 and payload is None
+    assert_one_error_line(err)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["simulate", "--help"])
+    captured = capsys.readouterr()
+    assert exited.value.code == 0
+    assert captured.out.startswith("usage: chaoscalc simulate") and captured.err == ""
+
+
+def test_repeated_calls_leak_no_state(tmp_path, capsys):
+    # main parses every call with the one parser built at import, so no call
+    # may leave a default, an appended list or an error behind for the next
+    f_path = write_json(tmp_path / "phi.json", PHI)
+    exact = ["simulate", "--n", "4", "--theta", "0.3"]
+    code, first_exact, _ = run_cli(capsys, *exact)
+    assert code == 0
+
+    code, payload, _ = run_cli(capsys, "norms", "--functional", f_path, "--p", "3")
+    assert code == 0 and [row["p"] for row in payload["norms"]] == [3.0]
+    code, payload, _ = run_cli(capsys, "norms", "--functional", f_path)
+    assert code == 0 and [row["p"] for row in payload["norms"]] == [0.0, 1.0, 2.0]
+
+    code, first_verify, _ = run_cli(capsys, "verify", "--n", "3")
+    assert code == 0
+    code, payload, _ = run_cli(capsys, "verify", "--n", "3", "--only", "car")
+    assert code == 0 and len(payload["checks"]) < len(first_verify["checks"])
+    code, payload, _ = run_cli(capsys, "verify", "--n", "3")
+    assert code == 0 and payload["config"]["only"] is None
+    assert outside_timing(payload) == outside_timing(first_verify)
+
+    assert run_cli(capsys, "simulate", "--n", "abc")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    capsys.readouterr()
+    code, payload, _ = run_cli(capsys, *exact)
+    assert code == 0 and outside_timing(payload) == outside_timing(first_exact)
+
+    code, sampled, _ = run_cli(capsys, "simulate", "--n", "4", "--samples", "1000")
+    assert code == 0 and sampled["mode"] == "monte-carlo"
+    code, payload, _ = run_cli(capsys, *exact)
+    assert code == 0 and outside_timing(payload) == outside_timing(first_exact)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["simulate", "--n", "3", "--out", os.devnull]) == 0
+
+
+def test_out_of_memory_while_parsing_is_one_error_line(monkeypatch, capsys):
+    def no_memory(argv):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.PARSER, "parse_args", no_memory)
+    code, payload, err = run_cli(capsys, "simulate", "--n", "3")
+    assert code == 2 and payload is None
+    assert err == "error: chaoscalc ran out of memory\n"

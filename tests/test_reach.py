@@ -112,6 +112,8 @@ def entered_functions(tmp_path) -> set:
         (2, {}, ["verify", "--n", "21"]),
         (2, {"CHAOSCALC_MAX_N": "21"}, ["simulate", "--n", "21"]),
         (2, {}, ["simulate", "--n", "9", "--samples", "10"]),
+        # a bad flag value, which the parser's error method turns into ValueError
+        (2, {}, ["simulate", "--n", "abc"]),
         (2, {"CHAOSCALC_MAX_N": "63"}, ["norms", "--functional", write(
             "wide.json", {"truncation": 63, "coefficients": []})]),
     ]
