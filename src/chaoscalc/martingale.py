@@ -9,12 +9,14 @@ bitmask, bit k set = the positive branch): atom probabilities and basis
 products both factor over steps, so the Gram matrix and the expansion maps
 are Kronecker products of per-step 2 x 2 factors. The Gram's largest
 deviation from the identity is read off those factors without building the
-Gram, and the conditional moments take one step's values over the atoms at
-a time, so the exact checks hold only a few vectors of 2**n values. Sampled
+Gram. The conditional moments fold the atom law from the top step down:
+splitting the law of steps 0..m by step m gives, per past, the chance of
+each of step m's two values, which settles both moments. The fold costs
+O(2**n) and holds at most one and a half vectors of 2**n values. Sampled
 mode draws how often each of the 2**n atoms occurs, one binomial split per
 step on a counter-based generator, and weights one table of basis products
-over the drawn atoms by those counts: every draw of an atom carries the same
-products.
+over the drawn atoms by those counts: every draw of an atom carries the
+same products.
 """
 from __future__ import annotations
 
@@ -26,14 +28,16 @@ import numpy as np
 
 from .basis import as_index, check_truncation
 from .functionals import Functional
+from .reports import _worst
 
 # The exact tables over the 2**n basis products (the Gram, z_matrix) take
 # 8 * 4**n bytes: 512 MiB at n = 13. They stop at 13, as do psi_matrix and
 # the expansion maps.
 _EXACT_ENUMERATION_CAP = 13
-# The atom probabilities and the conditional moments, and so exact simulate,
-# hold a few vectors of 2**n values, 8 * 2**n bytes each: 8 MiB at n = 20.
-# A constant, so raising CHAOSCALC_MAX_N does not lift it.
+# The atom probabilities and the fold of them that gives the conditional
+# moments, and so exact simulate, hold at most one and a half vectors of 2**n
+# values, 8 * 2**n bytes each: 8 MiB at n = 20, 12 MiB at the peak. A
+# constant, so raising CHAOSCALC_MAX_N does not lift it.
 _EXACT_VECTOR_CAP = 20
 # The sampled Gram and its second moments are two 2**n x 2**n tables, 1 MiB
 # at n = 8, built from a table of basis products over the drawn atoms, at
@@ -147,11 +151,19 @@ def _mib(nbytes: int) -> str:
 
 
 def atom_probs(params: BernoulliParams) -> np.ndarray:
-    """Probability of every outcome bitmask, length 2**n."""
-    _check_vector_size(params.n)
-    probs = np.ones(1, dtype=float)
-    for t in params.thetas:
-        probs = np.concatenate([probs * (1.0 - t), probs * t])
+    """Probability of every outcome bitmask, length 2**n.
+
+    Built in place by the doubling recursion: after step k the first 2**k
+    entries hold the law of steps 0..k-1; step k writes them times theta_k
+    into the next 2**k, then scales them by 1 - theta_k. The result is the
+    only vector held.
+    """
+    probs = np.empty(1 << _check_vector_size(params.n))
+    probs[0] = 1.0
+    for k, t in enumerate(params.thetas):
+        h = 1 << k
+        np.multiply(probs[:h], t, out=probs[h : 2 * h])
+        probs[:h] *= 1.0 - t
     return probs
 
 
@@ -225,8 +237,8 @@ def exact_gram(params: BernoulliParams) -> np.ndarray:
 
 def _step_grams(params: BernoulliParams):
     """Yield each step's 2 x 2 Gram ``(g00, g01, g11)``: E[s**(i + j)] over
-    the step's two atoms."""
-    steps = zip(params.thetas, params.minus_values(), params.plus_values())
+    the step's two atoms, as Python floats."""
+    steps = zip(params.thetas, params.minus_values().tolist(), params.plus_values().tolist())
     for theta, minus, plus in steps:
         g00 = (1.0 - theta) + theta
         g01 = (1.0 - theta) * minus + theta * plus
@@ -244,16 +256,21 @@ def gram_deviation(params: BernoulliParams) -> float:
     monotone, so the extremes over all 4**n products follow the steps: the
     largest and smallest all-diagonal products (every diagonal factor is
     positive) and the largest off-diagonal magnitude, a product with at
-    least one ``g01`` step. The maxima propagate NaN, so a non-finite
-    factor shows in the result.
+    least one ``g01`` step. The maxima keep NaN, so a non-finite factor
+    shows in the result; ``dmin`` may drop it, as ``dmax`` keeps it.
     """
     dmax = dmin = 1.0
     omax = 0.0
     for g00, g01, g11 in _step_grams(params):
-        a01 = np.abs(g01)
-        omax = np.maximum(omax * np.maximum(np.maximum(g00, a01), g11), dmax * a01)
-        dmax, dmin = dmax * np.maximum(g00, g11), dmin * np.minimum(g00, g11)
-    return float(np.maximum(np.maximum(dmax - 1.0, 1.0 - dmin), omax))
+        a01 = abs(g01)
+        omax = _nan_max(omax * _nan_max(_nan_max(g00, a01), g11), dmax * a01)
+        dmax, dmin = dmax * _nan_max(g00, g11), dmin * min(g00, g11)
+    return _nan_max(_nan_max(dmax - 1.0, 1.0 - dmin), omax)
+
+
+def _nan_max(a: float, b: float) -> float:
+    """The larger of two floats, NaN if either is NaN."""
+    return a if a > b or a != a else b
 
 
 def _apply_steps(vector: np.ndarray, factors) -> np.ndarray:
@@ -284,11 +301,11 @@ class MomentReport:
 
     @property
     def max_mean_dev(self) -> float:
-        return max(self.mean_dev_per_step, default=0.0)
+        return _worst(self.mean_dev_per_step)
 
     @property
     def max_second_dev(self) -> float:
-        return max(self.second_dev_per_step, default=0.0)
+        return _worst(self.second_dev_per_step)
 
     def to_json(self) -> dict:
         return {
@@ -302,26 +319,40 @@ class MomentReport:
 def conditional_moments(params: BernoulliParams) -> MomentReport:
     """Conditional mean and second moment of each step given its past.
 
-    Atoms are grouped by their low-order bits (the outcomes of the earlier
-    steps); within each group the conditional mean must vanish and the
-    conditional second moment must be 1, for every step. Both hold exactly up
-    to floating point, whatever the theta sequence.
+    The past of step m is the outcome of steps 0..m-1, the low m bits of an
+    atom; given it, the conditional mean must vanish and the conditional
+    second moment must be 1, for every step. Both hold exactly up to floating
+    point, whatever the theta sequence.
+
+    A fold of :func:`atom_probs` from the top step down reads both. The law
+    of steps 0..m splits into ``lo`` (step m negative) and ``hi`` (step m
+    positive), one entry per past; ``lo + hi`` is the law of the steps below
+    m, summed in place over one half, and feeds the next step. With ``v1``
+    the step value of larger magnitude, ``v0`` the other, and ``r`` the
+    conditional probability of ``v1``'s branch (``hi / (lo + hi)`` or
+    ``lo / (lo + hi)``), both deviations are affine in r,
+    ``|v0 + r (v1 - v0)|`` and ``|v0**2 + r (v1**2 - v0**2) - 1|``, with
+    every term about 1 at most, so they round at that scale. Rounding keeps
+    them monotone in r, so each step's worst past is at ``r.min()`` or
+    ``r.max()``. The fold takes O(2**n) time and holds at most one and a
+    half vectors of 2**n values: the atom law and the ratios ``r``.
     """
     n = _check_vector_size(params.n)
-    p = atom_probs(params)
-    plus, minus = params.plus_values(), params.minus_values()
-    step = np.empty_like(p)
-    mean_devs, second_devs = [], []
-    for m in range(n):
-        groups = 1 << m
-        # the outcome of step m on every atom, picked by bit m of the atom
-        branches = step.reshape(-1, 2, groups)
-        branches[:, 0], branches[:, 1] = minus[m], plus[m]
-        den = p.reshape(-1, groups).sum(axis=0)
-        num1 = (p * step).reshape(-1, groups).sum(axis=0)
-        num2 = (p * step**2).reshape(-1, groups).sum(axis=0)
-        mean_devs.append(float(np.max(np.abs(num1 / den))))
-        second_devs.append(float(np.max(np.abs(num2 / den - 1.0))))
+    law = atom_probs(params)
+    ratios = np.empty(len(law) // 2)
+    plus, minus = params.plus_values().tolist(), params.minus_values().tolist()
+    mean_devs, second_devs = [0.0] * n, [0.0] * n
+    for m in reversed(range(n)):
+        lo, hi = law[: 1 << m], law[1 << m :]
+        v0, v1, branch, law = minus[m], plus[m], hi, lo
+        if abs(v0) > abs(v1):
+            v0, v1, branch, law = v1, v0, lo, hi
+        law += branch
+        r = np.divide(branch, law, out=ratios[: 1 << m])
+        low, high = float(r.min()), float(r.max())
+        d1, d2 = v1 - v0, v1 * v1 - v0 * v0
+        mean_devs[m] = _nan_max(abs(v0 + low * d1), abs(v0 + high * d1))
+        second_devs[m] = _nan_max(abs(v0 * v0 + low * d2 - 1.0), abs(v0 * v0 + high * d2 - 1.0))
     return MomentReport(tuple(mean_devs), tuple(second_devs))
 
 

@@ -99,6 +99,14 @@ def excess(value, bound) -> float:
     return float(np.max(over, initial=0.0))
 
 
+def _worst(values) -> float:
+    """The largest value as ``max`` picks it, 0 for none, but NaN when any
+    is NaN: ``max`` keeps a NaN only in first place, so a comparison that
+    broke later on would read as a pass."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def perturbed(x):
     """A copy of x with its first entry nudged by
     PERTURBATION * max(1, max_abs(x)), for negative controls."""

@@ -36,7 +36,6 @@ Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -63,7 +62,15 @@ from .operators import (
     wn1d_apply,
 )
 from .qms import check_generator_structure, check_sum_identity
-from .reports import TOLERANCE, excess, family_level, family_reports, family_trials, residual
+from .reports import (
+    TOLERANCE,
+    _worst,
+    excess,
+    family_level,
+    family_reports,
+    family_trials,
+    residual,
+)
 from .weights import Weight1D, Weight2D, theta_double_sum
 
 # Each family's tolerance is fixed by the family, not by the caller: car and
@@ -160,14 +167,6 @@ def _diagonals(values, n: int) -> Functional:
     at = np.flatnonzero(values)
     rows = at & ((1 << n) - 1)
     return Functional._from_arrays(at >> n << 2 * n | rows << n | rows, values[at], 2 * n)
-
-
-def _worst(values) -> float:
-    """The largest value as ``max`` picks it, 0 for none, but NaN when any
-    is NaN: ``max`` keeps a NaN only in first place, so a comparison that
-    broke later on would read as a pass."""
-    values = list(values)
-    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def _shifted(values, stack: Functional) -> Functional:

@@ -415,12 +415,91 @@ class TestGramControls:
         assert abs(factorized - dense) <= 1e-12
 
 
+def fsum_moments(params):
+    """Per-step conditional-moment deviations summed atom by atom: for every
+    step and every past, math.fsum of p * v and p * v**2 over the atoms that
+    share that past, divided by the fsum of their p."""
+    n, p = params.n, martingale.atom_probs(params)
+    plus, minus = params.plus_values(), params.minus_values()
+    mean_devs, second_devs = [], []
+    for m in range(n):
+        groups = {}
+        for atom in range(1 << n):
+            v = plus[m] if atom >> m & 1 else minus[m]
+            group = groups.setdefault(atom & ((1 << m) - 1), ([], [], []))
+            for terms, term in zip(group, (p[atom], p[atom] * v, p[atom] * v * v)):
+                terms.append(term)
+        sums = [tuple(map(math.fsum, group)) for group in groups.values()]
+        mean_devs.append(max(abs(first / mass) for mass, first, _ in sums))
+        second_devs.append(max(abs(second / mass - 1.0) for mass, _, second in sums))
+    return mean_devs, second_devs
+
+
 class TestMoments:
     @pytest.mark.parametrize("theta", [0.5, 0.25, 0.9])
     def test_constant(self, theta):
         report = conditional_moments(BernoulliParams.constant(theta, 5))
         assert report.max_mean_dev < 1e-14
         assert report.max_second_dev < 1e-14
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            *(BernoulliParams.constant(theta, 8) for theta in (0.5, 0.05, 0.01)),
+            BernoulliParams.cycling((0.1, 0.5, 0.9), 8),
+            BernoulliParams.cycling((0.1, 0.5, 0.9), 1),
+        ],
+    )
+    def test_matches_fsum_oracle(self, params):
+        self.check_fsum_oracle(params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(thetas=st.lists(st.one_of(st.floats(0.01, 0.99), EXTREME_THETAS), max_size=8))
+    def test_random_thetas_match_fsum_oracle(self, thetas):
+        self.check_fsum_oracle(BernoulliParams(tuple(thetas)))
+
+    @staticmethod
+    def check_fsum_oracle(params):
+        report = conditional_moments(params)
+        mean_devs, second_devs = fsum_moments(params)
+        assert np.allclose(report.mean_dev_per_step, mean_devs, rtol=0, atol=1e-15)
+        assert np.allclose(report.second_dev_per_step, second_devs, rtol=0, atol=1e-15)
+
+    def test_reads_the_atom_law(self, monkeypatch):
+        # a law that is no product: 0.01 moved from atom 0b11 to atom 0b01
+        # makes step 1 positive less often after a positive step 0, and each
+        # later step after the past 0b11 less often negative; the per-atom
+        # sums read 0.06804 on step 1 and 0.48447 on step 5
+        params = BernoulliParams.cycling((0.3, 0.6), 6)
+        gram_dev = gram_deviation(params)
+        product_law = martingale.atom_probs
+
+        def moved_mass(params):
+            probs = product_law(params)
+            probs[0b11] -= 0.01
+            probs[0b01] += 0.01
+            return probs
+
+        monkeypatch.setattr(martingale, "atom_probs", moved_mass)
+        report = conditional_moments(params)
+        self.check_fsum_oracle(params)
+        assert report.mean_dev_per_step[1] == pytest.approx(0.06804, abs=1e-5)
+        assert report.max_mean_dev == report.mean_dev_per_step[5]
+        assert report.max_mean_dev == pytest.approx(0.48447, abs=1e-5)
+        assert gram_deviation(params) == gram_dev
+
+    def test_max_keeps_a_late_nan(self):
+        report = martingale.MomentReport((1e-16, math.nan), (math.nan, 1e-16))
+        assert math.isnan(report.max_mean_dev)
+        assert math.isnan(report.max_second_dev)
+        assert martingale.MomentReport((), ()).max_mean_dev == 0.0
+
+    def test_memory_is_bounded(self):
+        # the atom law and the ratios r: 1.5 vectors of 8 * 2**20 bytes;
+        # summing p * v per step over all atoms held 4.75
+        params = BernoulliParams.cycling((0.3, 0.5, 0.7), 20)
+        assert traced_peak(atom_probs, params) < 1.1 * 8 * 2**20
+        assert traced_peak(conditional_moments, params) < 1.6 * 8 * 2**20
 
     def test_random_thetas(self):
         rng = np.random.default_rng(1)
