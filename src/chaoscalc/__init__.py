@@ -3,14 +3,16 @@
 The package is organized bottom-up: `basis` (subsets, weight products,
 series), `weights` (1D/2D summable weight tables), `functionals`
 (coefficient tables with graded norms), `operators` (ladder and weighted
-number operators on both the coefficient and the square-integrable side),
+number operators on both the coefficient and the square-integrable side,
+and the operator expressions of `apply`, each the function it applies),
 `martingale` (discrete Bernoulli noise, exact and sampled Gram matrices),
 `qms` (a Lindblad-type generator built from the exclusion jump operators),
 and `verifier` (the identity-check engine behind the CLI).
 
 No module imports SciPy at load, so the numpy-only commands (`simulate`,
 `apply`, `norms`, `qms`, `verify`) run without it. Only the public CSR
-matrices (`materialize`, `materialize_apply`, `transfer_matrix`) use SciPy:
+matrices (`materialize`, also named `materialize_apply`, and
+`transfer_matrix`) use SciPy:
 they import `scipy.sparse` inside `operators.table_csr` on first use.
 """
 

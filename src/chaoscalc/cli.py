@@ -165,7 +165,7 @@ def cmd_apply(args) -> int:
     phi = Functional.from_json(_load_json(args.functional))
     # an overflow is reported below as one error, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        result = expr.apply(phi)
+        result = expr(phi)
     if not np.isfinite(result.values).all():
         raise ValueError("the result has a non-finite coefficient (overflow)")
     _emit({"command": "apply", **result.to_json()}, args.out)

@@ -2,33 +2,36 @@
 
 Two families act on :class:`~chaoscalc.functionals.Functional`:
 
-* transform-side operators (``apply_*``, expression trees): the annihilator
-  moves mass from ``sigma + {k}`` down to ``sigma``, the creator gates on
-  membership, diagonal operators multiply by a function of the subset;
+* transform-side operators (``apply_*`` kernels and the expressions built
+  on them): the annihilator moves mass from ``sigma + {k}`` down to
+  ``sigma``, the creator gates on membership, diagonal operators multiply
+  by a function of the subset;
 * square-integrable-side operators (``l2_*``): the same index moves written
   against the orthonormal product basis, kept as an independent code path so
   the verification suite can compare the two routes instead of testing a
   function against itself.
 
-Expression trees (:func:`parse_expr` reads one from its JSON form) can be
-applied directly (sparse: selections and gathers on a table's mask and
-value arrays) or materialized over the truncated basis, columns indexed by
-input subset mask. Inside the package a matrix is a matrix table, the same
-mask and value arrays at truncation 2n with entry (r, c) under mask
-``(c << n) | r``, row block b of a stack above bit 2n. Every table, an
-expression's or a kernel's, comes from :func:`apply_table`, which applies
-the operator once to the whole basis with each mask's column tagged in the
-bits above n; every kernel therefore changes only bits below n and
-evaluates diagonals at those bits.
+An expression (:func:`parse_expr` reads one from its JSON form) is the
+function ``Functional -> Functional`` it applies: each leaf calls its
+kernel, and sums, scalings and compositions combine those calls. An
+expression or a kernel can be applied directly (sparse: selections and
+gathers on a table's mask and value arrays) or materialized over the
+truncated basis, columns indexed by input subset mask. Inside the package a
+matrix is a matrix table, the same mask and value arrays at truncation 2n
+with entry (r, c) under mask ``(c << n) | r``, row block b of a stack above
+bit 2n. Every table comes from :func:`apply_table`, which applies the
+operator once to the whole basis with each mask's column tagged in the bits
+above n; every kernel therefore changes only bits below n and evaluates
+diagonals at those bits.
 :func:`table_product` multiplies tables with at most one entry per column,
 as ladders, diagonals, their products and stacks of them are, by one
-gather. The public :func:`materialize` and :func:`materialize_apply`
-convert a table to scipy CSR in one step, :func:`table_csr`, and only that
+gather. The public :func:`materialize` (also named ``materialize_apply``)
+converts a table to scipy CSR in one step, :func:`table_csr`, and only that
 step imports ``scipy.sparse``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -289,144 +292,72 @@ def apply_table(apply_fn: Callable[[Functional], Functional], n: int) -> Functio
     return Functional._from_arrays(image.masks, image.values, 2 * n)
 
 
-def materialize_apply(
-    apply_fn: Callable[[Functional], Functional], n: int
-) -> scipy.sparse.csr_matrix:
-    """CSR matrix of an operator given only its action (see :func:`apply_table`)."""
-    return table_csr(apply_table(apply_fn, n))
+def materialize(expr: Callable[[Functional], Functional], n: int) -> scipy.sparse.csr_matrix:
+    """CSR matrix of an operator given only its action, an expression or a
+    kernel, over the truncated basis (column = input; see :func:`apply_table`)."""
+    return table_csr(apply_table(expr, n))
+
+
+materialize_apply = materialize
 
 
 # ---------------------------------------------------------------------------
-# expression trees
+# expressions: an expression is the function Functional -> Functional it
+# applies. A leaf reads its kernel from this module's globals when it is
+# applied, not at parse time, so a kernel replaced on the module (a test's
+# stand-in, a mutant) is the one `chaoscalc apply` runs.
 # ---------------------------------------------------------------------------
 
 
-class OperatorExpr:
-    """Base class: a symbolic operator applicable to functionals."""
-
-    def apply(self, phi: Functional) -> Functional:
-        raise NotImplementedError
+def annihilate(k: int) -> Callable[[Functional], Functional]:
+    k = as_index(k)
+    return lambda phi: apply_annihilate(k, phi)
 
 
-@dataclass(frozen=True)
-class Annihilate(OperatorExpr):
-    k: int
-
-    def apply(self, phi):
-        return apply_annihilate(self.k, phi)
+def create(k: int) -> Callable[[Functional], Functional]:
+    k = as_index(k)
+    return lambda phi: apply_create(k, phi)
 
 
-@dataclass(frozen=True)
-class Create(OperatorExpr):
-    k: int
+def _compose(factors: tuple) -> Callable[[Functional], Functional]:
+    """Operator product, leftmost factor applied last."""
 
-    def apply(self, phi):
-        return apply_create(self.k, phi)
+    def product(phi: Functional) -> Functional:
+        for factor in reversed(factors):
+            phi = factor(phi)
+        return phi
 
-
-@dataclass(frozen=True, eq=False)
-class Diagonal(OperatorExpr):
-    """Multiplication by a real function of the subset.
-
-    ``values_at(masks)`` evaluates it at an int64 array of subset masks, a
-    table's own masks below bit n.
-    """
-
-    values_at: Callable[[np.ndarray], np.ndarray]
-
-    def apply(self, phi):
-        return _times(phi, np.asarray(self.values_at(_subset_masks(phi)), dtype=float))
+    return product
 
 
-@dataclass(frozen=True)
-class Identity(OperatorExpr):
-    def apply(self, phi):
-        return Functional._from_arrays(phi.masks, phi.values, phi.truncation)
-
-
-@dataclass(frozen=True)
-class Zero(OperatorExpr):
-    def apply(self, phi):
-        return Functional.zero(phi.truncation)
-
-
-@dataclass(frozen=True)
-class Sum(OperatorExpr):
-    terms: tuple
-
-    def apply(self, phi):
-        out = Functional.zero(phi.truncation)
-        for term in self.terms:
-            out = out + term.apply(phi)
-        return out
-
-
-@dataclass(frozen=True)
-class Scale(OperatorExpr):
-    factor: complex
-    arg: OperatorExpr
-
-    def apply(self, phi):
-        return self.factor * self.arg.apply(phi)
-
-
-@dataclass(frozen=True)
-class Compose(OperatorExpr):
-    """Composition, leftmost factor applied last (operator product order)."""
-
-    factors: tuple
-
-    def apply(self, phi):
-        out = phi
-        for factor in reversed(self.factors):
-            out = factor.apply(out)
-        return out
-
-
-# -- expression constructors -------------------------------------------------
-
-
-def annihilate(k: int) -> Annihilate:
-    return Annihilate(as_index(k))
-
-
-def create(k: int) -> Create:
-    return Create(as_index(k))
-
-
-def hop_expr(j: int, k: int) -> Compose:
+def hop_expr(j: int, k: int) -> Callable[[Functional], Functional]:
     """The four-fold product create(k) @ annihilate(j) @ create(j) @ annihilate(k)."""
     j, k = as_index(j), as_index(k)
-    return Compose((Create(k), Annihilate(j), Create(j), Annihilate(k)))
+    return _compose((create(k), annihilate(j), create(j), annihilate(k)))
 
 
-def number() -> Diagonal:
-    return Diagonal(popcount_at)
+def number() -> Callable[[Functional], Functional]:
+    return lambda phi: number_apply(phi)
 
 
-def gwn_expr(w: Weight2D) -> Diagonal:
+def gwn_expr(w: Weight2D) -> Callable[[Functional], Functional]:
     """Expression form of the 2D weighted number operator (diagonal theta)."""
-    return Diagonal(w.theta_at)
+    return lambda phi: gwn_apply(w, phi)
 
 
-def wn1d_expr(u: Weight1D) -> Diagonal:
+def wn1d_expr(u: Weight1D) -> Callable[[Functional], Functional]:
     """Expression form of the 1D weighted number operator (diagonal count)."""
-    return Diagonal(u.count_at)
+    return lambda phi: wn1d_apply(u, phi)
 
 
-def materialize(expr: OperatorExpr, n: int) -> scipy.sparse.csr_matrix:
-    """CSR matrix of an expression over the truncated basis (column = input)."""
-    return materialize_apply(expr.apply, n)
-
-
-# Trees are applied recursively, so parsing caps their depth well inside
-# Python's recursion limit.
+# Expressions are applied recursively, so parsing caps their depth well
+# inside Python's recursion limit.
 _MAX_EXPR_DEPTH = 100
 
 
-def parse_expr(data: dict, _depth: int = 0) -> OperatorExpr:
-    """Rebuild an expression tree from its JSON form; ValueError on any
-    malformed payload, including one nested deeper than ``_MAX_EXPR_DEPTH``."""
+def parse_expr(data: dict, _depth: int = 0) -> Callable[[Functional], Functional]:
+    """Rebuild an expression from its JSON form; ValueError on any malformed
+    payload, including one nested deeper than ``_MAX_EXPR_DEPTH``."""
     if not isinstance(data, dict) or "op" not in data:
         raise ValueError(f"operator JSON must be an object with an 'op' key, got {data!r}")
     if _depth > _MAX_EXPR_DEPTH:
@@ -442,9 +373,9 @@ def parse_expr(data: dict, _depth: int = 0) -> OperatorExpr:
         k = as_index(field("k"), f"{op} index 'k'")
         return annihilate(k) if op == "annihilate" else create(k)
     if op == "identity":
-        return Identity()
+        return lambda phi: phi
     if op == "zero":
-        return Zero()
+        return lambda phi: Functional.zero(phi.truncation)
     if op == "number":
         return number()
     if op == "gwn":
@@ -456,7 +387,9 @@ def parse_expr(data: dict, _depth: int = 0) -> OperatorExpr:
         if not isinstance(args, list):
             raise ValueError(f"operator {op!r} requires an 'args' list, got {args!r}")
         parsed = tuple(parse_expr(arg, _depth + 1) for arg in args)
-        return Sum(parsed) if op == "sum" else Compose(parsed)
+        if op == "compose":
+            return _compose(parsed)
+        return lambda phi: sum((term(phi) for term in parsed), Functional.zero(phi.truncation))
     if op == "scale":
         c = field("c")
         try:
@@ -464,5 +397,8 @@ def parse_expr(data: dict, _depth: int = 0) -> OperatorExpr:
             factor = complex(float(re), float(im))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"scale factor 'c' must be [re, im], got {c!r}") from exc
-        return Scale(factor, parse_expr(field("arg"), _depth + 1))
+        if not cmath.isfinite(factor):
+            raise ValueError(f"scale factor 'c' must be finite, got {c!r}")
+        arg = parse_expr(field("arg"), _depth + 1)
+        return lambda phi: factor * arg(phi)
     raise ValueError(f"unknown operator kind {op!r}")

@@ -704,6 +704,20 @@ def test_missing_field_is_named(tmp_path, capsys):
     assert err == "error: operator 'gwn' requires a 'weight' field\n"
 
 
+@pytest.mark.parametrize("c", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "phi", [{"truncation": 3, "coefficients": []}, PHI], ids=["empty", "nonempty"]
+)
+def test_non_finite_scale_factor_is_one_error_line(tmp_path, capsys, c, phi):
+    e_path = tmp_path / "expr.json"
+    e_path.write_text(f'{{"op": "scale", "c": [{c}, 0], "arg": {{"op": "identity"}}}}')
+    f_path = write_json(tmp_path / "phi.json", phi)
+    code, payload, err = run_cli(capsys, "apply", "--expr", str(e_path), "--functional", f_path)
+    assert code == 2 and payload is None
+    assert_one_error_line(err)
+    assert "'c'" in err
+
+
 def outside_timing(payload):
     return {key: value for key, value in payload.items() if key != "timing"}
 

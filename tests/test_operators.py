@@ -10,15 +10,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from chaoscalc.basis import Subset, lam, lam_at
+from chaoscalc import operators
+from chaoscalc.basis import Subset, popcount_at
 from chaoscalc.functionals import Functional, riesz_embed
 from chaoscalc.operators import (
-    Compose,
-    Diagonal,
-    Identity,
-    Scale,
-    Sum,
-    Zero,
     annihilate,
     apply_annihilate,
     apply_create,
@@ -64,6 +59,22 @@ def random_weight(rng, size, density=0.5):
             if rng.random() < density:
                 entries[(j, k)] = float(rng.random())
     return Weight2D(entries)
+
+
+def weight_json(w: Weight2D) -> dict:
+    return {"kind": "dense", "entries": [[j, k, v] for (j, k), v in w.entries.items()]}
+
+
+def ladder_json(op: str, k: int) -> dict:
+    return {"op": op, "k": k}
+
+
+def node_json(op: str, *args: dict) -> dict:
+    return {"op": op, "args": list(args)}
+
+
+def scale_json(c: complex, arg: dict) -> dict:
+    return {"op": "scale", "c": [c.real, c.imag], "arg": arg}
 
 
 class TestLadderActions:
@@ -119,11 +130,6 @@ class TestLadderActions:
 
 
 class TestDiagonalActions:
-    def test_lambda_multiplier(self):
-        phi = Functional.delta(Subset.of(0, 2), 3)
-        out = Diagonal(lam_at).apply(phi)
-        assert out.fock(Subset.of(0, 2)) == lam(Subset.of(0, 2)) == 3.0
-
     def test_gwn_hand_cases(self, running):
         n = 3
         assert gwn_apply(Weight2D.zero(), Functional.delta(Subset.of(1), n)) == (
@@ -147,7 +153,10 @@ class TestDiagonalActions:
         n = 3
         for sigma in map(Subset, range(1 << n)):
             for k in range(n):
-                via_expr = Compose((create(k), annihilate(k))).apply(Functional.delta(sigma, n))
+                occupation = node_json(
+                    "compose", ladder_json("create", k), ladder_json("annihilate", k)
+                )
+                via_expr = parse_expr(occupation)(Functional.delta(sigma, n))
                 direct = occupation_apply(k, Functional.delta(sigma, n))
                 expect = int(k in sigma) * Functional.delta(sigma, n)
                 assert via_expr == expect
@@ -186,7 +195,7 @@ class TestHop:
                 expr = hop_expr(j, k)
                 for sigma in map(Subset, range(1 << n)):
                     delta = Functional.delta(sigma, n)
-                    assert hop_apply(j, k, delta) == expr.apply(delta)
+                    assert hop_apply(j, k, delta) == expr(delta)
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
@@ -309,23 +318,26 @@ class TestMaterialize:
         assert np.array_equal(mat, np.array([[0, 0], [1, 0]], dtype=complex))
 
     def test_identity_zero_diag(self):
-        assert abs(materialize(Identity(), 2) - sp.identity(4)).max() == 0.0
-        assert materialize(Zero(), 2).nnz == 0
-        lam_mat = materialize(Diagonal(lam_at), 3).toarray()
-        for sigma in map(Subset, range(1 << 3)):
-            assert lam_mat[sigma.mask, sigma.mask] == lam(sigma)
+        assert abs(materialize(parse_expr({"op": "identity"}), 2) - sp.identity(4)).max() == 0.0
+        assert materialize(parse_expr({"op": "zero"}), 2).nnz == 0
 
     def test_compose_matches_matmul(self):
         n = 3
-        expr = Compose((create(1), annihilate(1)))
+        expr = parse_expr(
+            node_json("compose", ladder_json("create", 1), ladder_json("annihilate", 1))
+        )
         direct = materialize(expr, n)
         by_hand = materialize(create(1), n) @ materialize(annihilate(1), n)
         assert abs(direct - by_hand).max() == 0.0
 
     def test_sum_scale(self):
         n = 2
-        expr = Sum((Scale(2.0, annihilate(0)), Scale(1 - 1j, create(0))))
-        mat = materialize(expr, n).toarray()
+        expr = node_json(
+            "sum",
+            scale_json(2.0, ladder_json("annihilate", 0)),
+            scale_json(1 - 1j, ladder_json("create", 0)),
+        )
+        mat = materialize(parse_expr(expr), n).toarray()
         expect = 2.0 * materialize(annihilate(0), n).toarray() + (
             1 - 1j
         ) * materialize(create(0), n).toarray()
@@ -337,22 +349,23 @@ class TestMaterialize:
         rng = np.random.default_rng(seed)
         n = 4
         leaves = [
-            annihilate(int(rng.integers(n))),
-            create(int(rng.integers(n))),
-            number(),
-            gwn_expr(random_weight(rng, n)),
-            wn1d_expr(Weight1D({int(rng.integers(n)): 1.5})),
-            Identity(),
+            ladder_json("annihilate", int(rng.integers(n))),
+            ladder_json("create", int(rng.integers(n))),
+            {"op": "number"},
+            {"op": "gwn", "weight": weight_json(random_weight(rng, n))},
+            {"op": "wn1d", "weight": {"kind": "diag1d", "entries": [[int(rng.integers(n)), 1.5]]}},
+            {"op": "identity"},
         ]
-        expr = Compose(
-            (
-                Sum((leaves[int(rng.integers(6))], leaves[int(rng.integers(6))])),
-                Scale(complex(rng.standard_normal(), rng.standard_normal()),
+        expr = parse_expr(
+            node_json(
+                "compose",
+                node_json("sum", leaves[int(rng.integers(6))], leaves[int(rng.integers(6))]),
+                scale_json(complex(rng.standard_normal(), rng.standard_normal()),
                       leaves[int(rng.integers(6))]),
             )
         )
         phi = random_functional(rng, n)
-        via_apply = expr.apply(phi).as_vector()
+        via_apply = expr(phi).as_vector()
         via_matrix = materialize(expr, n) @ phi.as_vector()
         assert np.max(np.abs(via_apply - via_matrix)) < 1e-12
 
@@ -367,9 +380,14 @@ class TestMaterialize:
         # theta vanishes wherever bit 1 is clear and the count wherever bit 2
         # is: those zeros are dropped, as scipy's diags drops them
         masks = np.arange(1 << n, dtype=np.int64)
-        for leaf in (gwn_expr(running), wn1d_expr(Weight1D({2: 1.5})), number()):
+        u = Weight1D({2: 1.5})
+        for leaf, values_at in (
+            (gwn_expr(running), running.theta_at),
+            (wn1d_expr(u), u.count_at),
+            (number(), popcount_at),
+        ):
             got = materialize(leaf, n)
-            want = sp.diags(leaf.values_at(masks).astype(complex), format="csr")
+            want = sp.diags(values_at(masks).astype(complex), format="csr")
             for part in ("data", "indices", "indptr"):
                 mine, theirs = getattr(got, part), getattr(want, part)
                 assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
@@ -447,19 +465,16 @@ class TestJson:
                 {"op": "zero"},
             ],
         }
-        expr = Sum(
-            (
-                Compose((create(1), annihilate(0))),
-                Scale(2 - 1j, gwn_expr(running)),
-                wn1d_expr(Weight1D({0: 1.0})),
-                number(),
-                Identity(),
-                Zero(),
-            )
-        )
         rng = np.random.default_rng(13)
         phi = random_functional(rng, 3)
-        assert residual(parse_expr(data).apply(phi), expr.apply(phi)) <= 1e-14
+        by_kernels = (
+            apply_create(1, apply_annihilate(0, phi))
+            + (2 - 1j) * gwn_apply(running, phi)
+            + wn1d_apply(Weight1D({0: 1.0}), phi)
+            + number_apply(phi)
+            + phi
+        )
+        assert residual(parse_expr(data)(phi), by_kernels) <= 1e-14
 
     def test_named_diagonals_parse(self, running):
         rng = np.random.default_rng(14)
@@ -471,9 +486,27 @@ class TestJson:
             ({"op": "gwn", "weight": dense}, gwn_apply(running, phi)),
             ({"op": "wn1d", "weight": diag1d}, wn1d_apply(Weight1D({0: 1.0, 2: 0.5}), phi)),
         ):
-            expr = parse_expr(data)
-            assert isinstance(expr, Diagonal)
-            assert expr.apply(phi) == direct
+            assert parse_expr(data)(phi) == direct
+
+    def test_leaves_apply_the_verified_kernels(self, monkeypatch):
+        # each parsed leaf calls its kernel in this module when applied, so a
+        # kernel the verifier checks is the kernel that apply runs
+        dense = {"kind": "dense", "entries": [[0, 1, 2.0], [1, 1, 3.0]]}
+        leaves = {
+            "apply_annihilate": parse_expr({"op": "annihilate", "k": 0}),
+            "apply_create": parse_expr({"op": "create", "k": 0}),
+            "gwn_apply": parse_expr({"op": "gwn", "weight": dense}),
+            "wn1d_apply": parse_expr({"op": "wn1d", "weight": {"kind": "diag1d", "entries": []}}),
+            "number_apply": parse_expr({"op": "number"}),
+        }
+        phi = Functional.delta(Subset.of(0, 1), 2)
+        for kernel, expr in leaves.items():
+            def stand_in(*args, kernel=kernel):
+                raise RuntimeError(kernel)
+
+            monkeypatch.setattr(operators, kernel, stand_in)
+            with pytest.raises(RuntimeError, match=kernel):
+                expr(phi)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -494,6 +527,8 @@ class TestJson:
             ({"op": "scale", "c": 2.0, "arg": {"op": "zero"}}, "'c'"),
             ({"op": "scale", "c": [1.0, "i"], "arg": {"op": "zero"}}, "'c'"),
             ({"op": "scale", "c": [1.0, 0.0]}, "'arg'"),
+            ({"op": "scale", "c": [float("nan"), 0], "arg": {"op": "identity"}}, "'c'"),
+            ({"op": "scale", "c": [float("inf"), 0], "arg": {"op": "identity"}}, "'c'"),
         ):
             with pytest.raises(ValueError, match=field):
                 parse_expr(bad)
@@ -502,6 +537,6 @@ class TestJson:
         expr = {"op": "zero"}
         for _ in range(100):
             expr = {"op": "sum", "args": [expr]}
-        assert parse_expr(expr).apply(Functional.delta([0], 2)) == Functional.zero(2)
+        assert parse_expr(expr)(Functional.delta([0], 2)) == Functional.zero(2)
         with pytest.raises(ValueError, match="deeper than 100"):
             parse_expr({"op": "scale", "c": [1.0, 0.0], "arg": expr})

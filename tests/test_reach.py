@@ -32,8 +32,7 @@ UNREACHED = {
     "martingale._apply_steps": "the per-step Kronecker kernel of both expansions",
     "martingale.z_matrix": "the dense oracle the expansion checks will compare against",
     # the library API that tests/test_acceptance.py calls
-    "operators.materialize": "acceptance gate: the CSR matrix of an expression",
-    "operators.materialize_apply": "acceptance gate: the CSR matrix of a kernel",
+    "operators.materialize": "acceptance gate: the CSR matrix of an expression or a kernel",
     "operators.table_csr": "the one scipy boundary behind both CSR forms",
     "operators.hop_expr": "acceptance gate: the four-fold product as an expression",
     "martingale.exact_gram": "acceptance gate: the whole Gram, built in place",
@@ -43,7 +42,6 @@ UNREACHED = {
     # the README quick tour
     "functionals.Functional.fock": "the coefficient lookup of the quick tour",
     "basis.Subset.of": "an index list as a subset, as the quick tour passes [1]",
-    "operators.OperatorExpr.apply": "abstract: every expression node overrides it",
 }
 
 DENSE = {"kind": "dense", "entries": [[0, 1, 2.0], [1, 1, 3.0], [2, 0, 0.5]]}

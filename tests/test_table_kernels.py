@@ -10,8 +10,9 @@ invariants. The mask evaluators behind the diagonals and norms are checked
 against the scalar oracles on masks that use all 63 bits. The one-call
 ``materialize_apply``, which tags each basis column in the mask bits above
 n, is checked against a literal column-by-column sweep of every kernel, and
-the matrix tables of random expression trees against scipy products of leaf
-matrices written from their definitions. Those scipy ladders are also the
+the matrix tables of random JSON expression trees, read by ``parse_expr`` as
+``chaoscalc apply`` reads them, against scipy products of leaf matrices
+written from their definitions. Those scipy ladders are also the
 oracle of both sides' index moves: every table in the package comes from
 applying a kernel, so a table from the package would test a kernel against
 itself.
@@ -35,13 +36,6 @@ from chaoscalc import operators, verifier, weights
 from chaoscalc.basis import Subset, lam, lam_at, lam_vector, popcount_at, popcount_vector
 from chaoscalc.functionals import Functional, GrowthBound, check_growth
 from chaoscalc.operators import (
-    Compose,
-    Diagonal,
-    Identity,
-    Scale,
-    Sum,
-    Zero,
-    annihilate,
     apply_annihilate,
     apply_create,
     apply_table,
@@ -60,6 +54,7 @@ from chaoscalc.operators import (
     number_apply,
     number_series_partial,
     occupation_apply,
+    parse_expr,
     series_partial_1d,
     series_partial_2d,
     wn1d_apply,
@@ -172,12 +167,12 @@ def test_diagonals_match_vectors(data):
     theta, count = w.theta_vector(n) * vec, u.count_vector(n) * vec
     assert_matches(gwn_apply(w, phi), theta)
     assert_matches(l2_wn_apply(w, phi), theta)
-    assert_matches(gwn_expr(w).apply(phi), theta)
+    assert_matches(gwn_expr(w)(phi), theta)
     assert_matches(wn1d_apply(u, phi), count)
     assert_matches(l2_wn1d_apply(u, phi), count)
-    assert_matches(wn1d_expr(u).apply(phi), count)
+    assert_matches(wn1d_expr(u)(phi), count)
     assert_matches(number_apply(phi), popcount_vector(n) * vec)
-    assert_matches(number().apply(phi), popcount_vector(n) * vec)
+    assert_matches(number()(phi), popcount_vector(n) * vec)
 
 
 @SETTINGS
@@ -368,14 +363,13 @@ def test_one_call_materialize_matches_column_sweep(data):
         "apply_create": lambda f: apply_create(k, f),
         "occupation_apply": lambda f: occupation_apply(k, f),
         "hop_apply": lambda f: hop_apply(j, k, f),
-        "hop_expr": hop_expr(j, k).apply,
+        "hop_expr": hop_expr(j, k),
         "gwn_apply": lambda f: gwn_apply(w, f),
         "wn1d_apply": lambda f: wn1d_apply(u, f),
         "number_apply": number_apply,
-        "gwn_expr": gwn_expr(w).apply,
-        "wn1d_expr": wn1d_expr(u).apply,
-        "number": number().apply,
-        "Diagonal(lam_at)": Diagonal(lam_at).apply,
+        "gwn_expr": gwn_expr(w),
+        "wn1d_expr": wn1d_expr(u),
+        "number": number(),
         "series_partial_2d": lambda f: series_partial_2d(w, f, cut),
         "series_partial_1d": lambda f: series_partial_1d(u, f, cut),
         "number_series_partial": lambda f: number_series_partial(f, cut),
@@ -427,37 +421,59 @@ def scipy_diagonal(values):
     return sp.diags(np.asarray(values, dtype=complex), format="csr")
 
 
+def ladder_json(op: str, k: int) -> dict:
+    return {"op": op, "k": k}
+
+
+def node_json(op: str, *args: dict) -> dict:
+    return {"op": op, "args": list(args)}
+
+
+def scale_json(c: complex, arg: dict) -> dict:
+    return {"op": "scale", "c": [c.real, c.imag], "arg": arg}
+
+
 @st.composite
 def expression_trees(draw):
-    """(n, expression, its CSR matrix built here from the definitions)."""
+    """(n, an expression's JSON form, its CSR matrix built here from the
+    definitions)."""
     n = draw(st.integers(1, 5))
     size = 1 << n
     index = st.integers(0, n - 1)
     value = st.sampled_from([0.5, 1.0, 2.0, 3.0])
-    w = Weight2D(draw(st.dictionaries(st.tuples(index, index), value, max_size=4)))
-    u = Weight1D(draw(st.dictionaries(index, value, max_size=3)))
+    w_entries = draw(st.dictionaries(st.tuples(index, index), value, max_size=4))
+    u_values = draw(st.dictionaries(index, value, max_size=3))
+    w, u = Weight2D(w_entries), Weight1D(u_values)
+    w_json = {"kind": "dense", "entries": [[j, k, v] for (j, k), v in w_entries.items()]}
+    u_json = {"kind": "diag1d", "entries": [[k, v] for k, v in u_values.items()]}
     masks = range(size)
     leaves = st.one_of(
-        index.map(lambda k: (annihilate(k), scipy_ladder(k, n, create=False))),
-        index.map(lambda k: (create(k), scipy_ladder(k, n, create=True))),
+        index.map(lambda k: (ladder_json("annihilate", k), scipy_ladder(k, n, create=False))),
+        index.map(lambda k: (ladder_json("create", k), scipy_ladder(k, n, create=True))),
         # two entries in some rows and columns, so products meet and sum
         st.tuples(index, index).map(
             lambda jk: (
-                Sum((annihilate(jk[0]), create(jk[1]))),
+                node_json("sum", ladder_json("annihilate", jk[0]), ladder_json("create", jk[1])),
                 scipy_ladder(jk[0], n, create=False) + scipy_ladder(jk[1], n, create=True),
             )
         ),
-        st.just((gwn_expr(w), scipy_diagonal([theta_double_sum(w, m) for m in masks]))),
-        st.just((wn1d_expr(u), scipy_diagonal([sum(map(u, Subset(m))) for m in masks]))),
-        st.just((number(), scipy_diagonal([bin(m).count("1") for m in masks]))),
-        st.just((Identity(), sp.identity(size, dtype=complex, format="csr"))),
-        st.just((Zero(), sp.csr_matrix((size, size), dtype=complex))),
+        st.just(
+            ({"op": "gwn", "weight": w_json},
+             scipy_diagonal([theta_double_sum(w, m) for m in masks]))
+        ),
+        st.just(
+            ({"op": "wn1d", "weight": u_json},
+             scipy_diagonal([sum(map(u, Subset(m))) for m in masks]))
+        ),
+        st.just(({"op": "number"}, scipy_diagonal([bin(m).count("1") for m in masks]))),
+        st.just(({"op": "identity"}, sp.identity(size, dtype=complex, format="csr"))),
+        st.just(({"op": "zero"}, sp.csr_matrix((size, size), dtype=complex))),
     )
 
-    def combined(kind, reduce):
+    def combined(op, reduce):
         def build(parts):
             exprs, matrices = zip(*parts)
-            return kind(exprs), functools.reduce(reduce, matrices)
+            return node_json(op, *exprs), functools.reduce(reduce, matrices)
 
         return build
 
@@ -465,20 +481,23 @@ def expression_trees(draw):
         parts = st.lists(children, min_size=1, max_size=3)
         factor = st.sampled_from([2.0, -1.0, 0.5j, 1.0 - 1.0j])
         return st.one_of(
-            parts.map(combined(Sum, operator.add)),
-            parts.map(combined(Compose, operator.matmul)),
-            st.tuples(factor, children).map(lambda fc: (Scale(fc[0], fc[1][0]), fc[0] * fc[1][1])),
+            parts.map(combined("sum", operator.add)),
+            parts.map(combined("compose", operator.matmul)),
+            st.tuples(factor, children).map(
+                lambda fc: (scale_json(fc[0], fc[1][0]), fc[0] * fc[1][1])
+            ),
         )
 
-    expr, matrix = draw(st.recursive(leaves, extend, max_leaves=6))
-    return n, expr, matrix
+    data, matrix = draw(st.recursive(leaves, extend, max_leaves=6))
+    return n, data, matrix
 
 
 @settings(max_examples=150, deadline=None)
 @given(expression_trees())
 def test_materialize_matches_scipy_products_of_the_leaves(case):
-    n, expr, matrix = case
-    table = apply_table(expr.apply, n)
+    n, data, matrix = case
+    expr = parse_expr(data)
+    table = apply_table(expr, n)
     assert table.truncation == 2 * n
     assert_invariants(table)
     got = materialize(expr, n)
@@ -490,14 +509,20 @@ def test_materialize_matches_scipy_products_of_the_leaves(case):
 def test_a_left_factor_with_two_entries_in_a_column(n):
     # annihilate(0) + create(1) holds two entries in some columns, so the
     # product joins a run of left entries per right entry and sums them
-    left = Sum((annihilate(0), create(1)))
-    right = Sum((Scale(2.0, create(0)), annihilate(1), number()))
+    left = node_json("sum", ladder_json("annihilate", 0), ladder_json("create", 1))
+    right = node_json(
+        "sum",
+        scale_json(2.0, ladder_json("create", 0)),
+        ladder_json("annihilate", 1),
+        {"op": "number"},
+    )
     a0, c1 = scipy_ladder(0, n, create=False), scipy_ladder(1, n, create=True)
     c0, a1 = scipy_ladder(0, n, create=True), scipy_ladder(1, n, create=False)
     count = scipy_diagonal([bin(m).count("1") for m in range(1 << n)])
     a_sum, b_sum = a0 + c1, 2.0 * c0 + a1 + count
     for first, second, want in ((left, right, a_sum @ b_sum), (right, left, b_sum @ a_sum)):
-        assert np.array_equal(materialize(Compose((first, second)), n).toarray(), want.toarray())
+        got = materialize(parse_expr(node_json("compose", first, second)), n)
+        assert np.array_equal(got.toarray(), want.toarray())
 
 
 # tiny values, so that products underflow to zeros, which a product drops
@@ -571,8 +596,9 @@ def test_a_factor_with_two_entries_in_a_column_is_refused(side):
     # the product is only a gather; a sum with two entries in a column is
     # multiplied by applying it, through the expression's own table
     n = 2
-    two = apply_table(Sum((annihilate(0), create(1))).apply, n)  # column 0b01 holds both
-    one = apply_table(create(0).apply, n)
+    two_in_a_column = node_json("sum", ladder_json("annihilate", 0), ladder_json("create", 1))
+    two = apply_table(parse_expr(two_in_a_column), n)  # column 0b01 holds both
+    one = apply_table(create(0), n)
     factors = (two, one) if side == "left" else (one, two)
     with pytest.raises(ValueError, match=f"the {side} factor"):
         operators.table_product(*factors)
