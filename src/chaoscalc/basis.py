@@ -42,6 +42,17 @@ def as_index(k, what: str = "index") -> int:
     return int(k)
 
 
+def as_real(x, what: str = "value") -> float:
+    """x as a float; a string, a bool or anything else that is not a real
+    number is a ValueError naming ``what``, never parsed or cast."""
+    if not isinstance(x, (str, bytes, bool, np.bool_)):
+        try:
+            return float(x)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {x!r}")
+
+
 def check_truncation(n: int) -> int:
     """Validate a truncation level and return it as a plain int."""
     n = as_index(n, "truncation level")

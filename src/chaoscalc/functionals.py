@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .basis import (
-    Subset, _mask_of, basis_size, check_truncation, lam_at, lambda_series_partial
+    Subset, _mask_of, as_real, basis_size, check_truncation, lam_at, lambda_series_partial
 )
 
 # Masks are stored as int64, so a table's truncation level stays below 63.
@@ -106,7 +106,9 @@ class Functional:
     ``Functional(mapping, n)`` validates every key and value; operator
     outputs that already meet the invariants skip that through
     :meth:`_from_arrays`. Tables are values: the arrays are shared between a
-    table and the tables derived from it, and nothing writes into them.
+    table and the tables derived from it, and nothing writes into them. So a
+    table computes its coefficient moduli once, on first use, and keeps
+    them (:meth:`moduli`); a derived table computes its own.
     """
 
     coeffs: Mapping
@@ -139,6 +141,7 @@ class Functional:
         self.masks = masks
         self.values = values
         self.coeffs = _CoeffView(masks, values)
+        self._abs = None
 
     @classmethod
     def _from_arrays(cls, masks: np.ndarray, values: np.ndarray, n: int) -> "Functional":
@@ -172,12 +175,16 @@ class Functional:
 
     @classmethod
     def from_vector(cls, vec, n: int) -> "Functional":
+        """The table of a length-2^n vector, zeros dropped. A (blocks, 2^n)
+        array gives one tagged table holding row t as table t, its entry at
+        sigma under mask ``(t << n) | sigma`` (see :meth:`norm`)."""
         n = _table_truncation(n)
         vec = np.asarray(vec)
-        if vec.shape != (1 << n,):
+        if vec.shape[-1:] != (1 << n,) or vec.ndim > 2:
             raise ValueError(
                 f"vector length {vec.shape} does not match basis size {1 << n}"
             )
+        vec = vec.ravel()
         masks = np.flatnonzero(vec).astype(np.int64)
         values = np.asarray(vec[masks], dtype=complex)
         if not np.isfinite(values).all():
@@ -195,8 +202,14 @@ class Functional:
         out[self.masks] = self.values
         return out
 
+    def moduli(self) -> np.ndarray:
+        """|value| of every entry, in mask order; computed once per table."""
+        if self._abs is None:
+            self._abs = _moduli(self.values)
+        return self._abs
+
     def max_abs(self) -> float:
-        return float(np.max(_moduli(self.values))) if len(self.values) else 0.0
+        return float(np.max(self.moduli())) if len(self.values) else 0.0
 
     def __iter__(self) -> Iterator:
         for m, c in zip(self.masks.tolist(), self.values.tolist()):
@@ -257,7 +270,7 @@ class Functional:
         # warning; callers that print norms check them.
         with np.errstate(over="ignore", invalid="ignore"):
             weights = lam_at(self.masks & ((1 << self.truncation) - 1)) ** power
-            terms = weights * _moduli(self.values) ** 2
+            terms = weights * self.moduli() ** 2
             norms = np.sqrt(_tag_sums(self.masks, terms, self.truncation, blocks or 1))
         return float(norms[0]) if blocks is None else norms
 
@@ -323,11 +336,9 @@ class Functional:
             if mask in coeffs:
                 raise ValueError(f"duplicate coefficient for subset {indices!r}")
             try:
-                coeffs[mask] = complex(float(re), float(im))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(
-                    f"coefficient at {indices!r} needs real re and im parts: {exc}"
-                ) from exc
+                coeffs[mask] = complex(as_real(re, "re"), as_real(im, "im"))
+            except ValueError as exc:
+                raise ValueError(f"coefficient at {indices!r}: {exc}") from None
         return cls(coeffs, n)
 
 
@@ -358,7 +369,9 @@ class GrowthCheckResult:
     dual_norm_cap: float
 
 
-def check_growth(phi: Functional, bound: GrowthBound) -> GrowthCheckResult:
+def check_growth(
+    phi: Functional, bound: GrowthBound, blocks: int | None = None
+) -> GrowthCheckResult | list:
     """Measure the pointwise growth bound and its norm consequence; the
     caller judges both against its own tolerance.
 
@@ -370,15 +383,25 @@ def check_growth(phi: Functional, bound: GrowthBound) -> GrowthCheckResult:
     lambda^(-2)), since each coefficient contributes at most
     (scale * lambda^p)^2 * lambda^(-2(p+1)). The sum is taken in its product
     form, :func:`~chaoscalc.basis.lambda_series_partial`.
+
+    With ``blocks``, phi is a stack of that many tables, as for
+    :meth:`Functional.norm`, and the result is the list of their results,
+    each equal to ``check_growth`` on the table alone.
     """
-    excess = _moduli(phi.values) - bound.scale * lam_at(phi.masks) ** bound.order
-    worst = 0.0
-    witness = None
-    if len(excess):
-        # argmax takes the first, i.e. smallest, mask attaining the worst excess
-        i = int(np.argmax(excess))
-        if excess[i] > 0:
-            worst = float(excess[i])
-            witness = Subset(int(phi.masks[i]))
-    cap = bound.scale * math.sqrt(lambda_series_partial(2.0, phi.truncation))
-    return GrowthCheckResult(worst, witness, phi.dual_norm(bound.order + 1), cap)
+    n = phi.truncation
+    low = (1 << n) - 1
+    excess = phi.moduli() - bound.scale * lam_at(phi.masks & low) ** bound.order
+    cap = bound.scale * math.sqrt(lambda_series_partial(2.0, n))
+    bounds = _tag_bounds(phi.masks, n, blocks or 1)
+    results = []
+    for lo, hi, dual in zip(bounds[:-1], bounds[1:], phi.dual_norm(bound.order + 1, blocks or 1)):
+        worst = 0.0
+        witness = None
+        if hi > lo:
+            # argmax takes the first, i.e. smallest, mask attaining the worst excess
+            i = lo + int(np.argmax(excess[lo:hi]))
+            if excess[i] > 0:
+                worst = float(excess[i])
+                witness = Subset(int(phi.masks[i]) & low)
+        results.append(GrowthCheckResult(worst, witness, float(dual), cap))
+    return results[0] if blocks is None else results

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import as_index, check_truncation
+from .basis import as_index, as_real, check_truncation
 from .functionals import Functional
 from .reports import _worst
 
@@ -66,7 +66,7 @@ class BernoulliParams:
     thetas: tuple
 
     def __post_init__(self):
-        cleaned = tuple(float(t) for t in self.thetas)
+        cleaned = tuple(as_real(t, "theta") for t in self.thetas)
         for t in cleaned:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"theta values must lie strictly in (0, 1), got {t}")
@@ -115,11 +115,7 @@ class BernoulliParams:
         thetas = data.get("thetas") if isinstance(data, dict) else None
         if not isinstance(thetas, list):
             raise ValueError("theta JSON must be an object with a 'thetas' list")
-        try:
-            values = tuple(float(t) for t in thetas)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"'thetas' must hold numbers: {exc}") from exc
-        return cls(values)
+        return cls(tuple(thetas))
 
 
 def _check_table_size(n: int) -> int:

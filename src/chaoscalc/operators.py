@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .basis import as_index, check_truncation, popcount_at
+from .basis import as_index, as_real, check_truncation, popcount_at
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
 
@@ -394,8 +394,8 @@ def parse_expr(data: dict, _depth: int = 0) -> Callable[[Functional], Functional
         c = field("c")
         try:
             re, im = c
-            factor = complex(float(re), float(im))
-        except (TypeError, ValueError, OverflowError) as exc:
+            factor = complex(as_real(re), as_real(im))
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"scale factor 'c' must be [re, im], got {c!r}") from exc
         if not cmath.isfinite(factor):
             raise ValueError(f"scale factor 'c' must be finite, got {c!r}")

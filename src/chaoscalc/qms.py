@@ -16,7 +16,9 @@ D is the masks with bit k set and bit j clear (only bit k set when j == k),
 and t clears bit k and sets bit j. So on the (2,)*2n view of X, with one
 axis per bit on each side, B'XB is X sliced at the image bits and placed at
 the domain bits, and B'B is the domain's indicator: the dissipator is applied
-through basic-slicing views, and B itself is only an oracle.
+through basic-slicing views, and B itself is only an oracle. The views and
+the diagonal factors make a plan, read from the weight when it is made:
+``generator_apply`` plans on every call, the structure check once.
 """
 from __future__ import annotations
 
@@ -108,36 +110,50 @@ def _observable(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _apply_with_diagonal(w: Weight2D, n: int, x: np.ndarray, h) -> np.ndarray:
-    """Jump terms plus i (H X - X H) - 1/2 (X occ + occ X) for a diagonal H
-    given by its vector h, where occ = sum of w(j,k) B'B.
+def _generator_plan(spec: GeneratorSpec) -> tuple:
+    """(n, jump terms, diagonal factors, dense Hamiltonian or None) of the
+    generator of ``spec``: each term a rate with its domain and image views
+    on the (2,)*2n view of X, in sorted order, and the factors ``half + i h``
+    and ``rest - i h``, h the default Hamiltonian's diagonal, else 0."""
+    w, n = spec.weight, spec.truncation
+    _check_support(w, n)
+    occ = np.zeros(1 << n)
+    ov = occ.reshape((2,) * n)
+    terms = []
+    for (j, k), rate in sorted(w.entries.items()):
+        if j == k:
+            dom = img = _bit_view({k: 1}, n)
+        else:
+            dom, img = _bit_view({k: 1, j: 0}, n), _bit_view({k: 0, j: 1}, n)
+        terms.append((rate, dom + dom, img + img))
+        ov[dom] += rate
+    h = popcount_vector(n) if spec.hamiltonian is None else 0.0
+    # half + rest == -occ exactly, also where halving a subnormal rounds
+    half = -0.5 * occ
+    rest = -occ - half
+    return n, terms, half + 1j * h, rest - 1j * h, spec.hamiltonian
+
+
+def _apply_plan(plan: tuple, x: np.ndarray) -> np.ndarray:
+    """The generator of a plan applied to an observable of its size.
 
     The jump terms are summed into zeros in the order occ is summed, and the
     diagonal product is added last. Then on the diagonal of L(I) the terms
     and -occ are the same rounded sum, so the generator kills the identity
     exactly; adding each term onto the diagonal product breaks that.
     """
-    _check_support(w, n)
-    shape = (2,) * n
-    xv = x.reshape(shape + shape)
+    n, terms, left, right, hamiltonian = plan
+    shape = (2,) * 2 * n
+    xv = x.reshape(shape)
     acc = np.zeros(x.shape, dtype=complex)  # C order: its bit view writes through
-    av = acc.reshape(shape + shape)
-    occ = np.zeros(1 << n)
-    ov = occ.reshape(shape)
-    for (j, k), rate in sorted(w.entries.items()):
-        if j == k:
-            dom = img = _bit_view({k: 1}, n)
-        else:
-            dom, img = _bit_view({k: 1, j: 0}, n), _bit_view({k: 0, j: 1}, n)
-        av[dom + dom] += rate * xv[img + img]
-        ov[dom] += rate
-    # half + rest == -occ exactly, also where halving a subnormal rounds;
-    # for any other occ the two are equal
-    half = -0.5 * occ
-    rest = -occ - half
-    out = np.add.outer(half + 1j * h, rest - 1j * h)
+    av = acc.reshape(shape)
+    for rate, dom, img in terms:
+        av[dom] += rate * xv[img]
+    out = np.add.outer(left, right)
     out *= x
     out += acc
+    if hamiltonian is not None:
+        out += 1j * (hamiltonian @ x - x @ hamiltonian)
     return out
 
 
@@ -151,12 +167,7 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     added after the jump terms, which keeps L(I) exactly 0. A given
     Hamiltonian is multiplied densely.
     """
-    n = spec.truncation
-    x = _observable(x, n)
-    if spec.hamiltonian is None:
-        return _apply_with_diagonal(spec.weight, n, x, popcount_vector(n))
-    h = spec.hamiltonian
-    return _apply_with_diagonal(spec.weight, n, x, 0.0) + 1j * (h @ x - x @ h)
+    return _apply_plan(_generator_plan(spec), _observable(x, spec.truncation))
 
 
 # ---------------------------------------------------------------------------
@@ -224,22 +235,20 @@ def check_generator_structure(
     n = family_level(n)
     trials = family_trials(trials)
     size = 1 << n
-    spec = GeneratorSpec(weight=w, truncation=n)
+    plan = _generator_plan(GeneratorSpec(weight=w, truncation=n))
     rng = np.random.default_rng(seed)
     inputs = {"n": n, "weight": tag, "trials": trials, "seed": seed}
 
-    unital = generator_apply(spec, np.eye(size, dtype=complex))
+    unital = _apply_plan(plan, np.eye(size, dtype=complex))
 
     herm, lin = [], []
     for _ in range(trials):
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        lx = generator_apply(spec, x)
-        herm.append(residual(generator_apply(spec, x.conj().T), lx.conj().T))
+        lx = _apply_plan(plan, x)
+        herm.append(residual(_apply_plan(plan, x.conj().T), lx.conj().T))
         a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-        lin.append(
-            residual(generator_apply(spec, a * x + b * y), a * lx + b * generator_apply(spec, y))
-        )
+        lin.append(residual(_apply_plan(plan, a * x + b * y), a * lx + b * _apply_plan(plan, y)))
 
     diag_entries = {(j, k): v for (j, k), v in w.entries.items() if j == k}
     if not diag_entries:

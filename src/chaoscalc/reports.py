@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import check_truncation
-from .functionals import Functional, _moduli, _tag_bounds
+from .functionals import Functional, _tag_bounds
 
 CHECK = "check"
 NEGATIVE_CONTROL = "negative-control"
@@ -50,7 +50,7 @@ def _block_max_abs(x, blocks: int) -> np.ndarray:
         out = np.zeros(blocks)
         filled = bounds[:-1] < bounds[1:]
         if filled.any():
-            out[filled] = np.maximum.reduceat(_moduli(x.values), bounds[:-1][filled])
+            out[filled] = np.maximum.reduceat(x.moduli(), bounds[:-1][filled])
         return out
     shape = np.shape(x)
     rows = shape[0] if shape else 0

@@ -28,10 +28,14 @@ against a ladder pair stack by stack, and the equal-time relation of the
 pair; the three commutation families and car hand it tables of the
 transform kernels (``apply_*``, ``gwn_apply``, ``wn1d_apply``,
 ``number_apply``), the l2 lemmas tables of the ``l2_*`` kernels.
+In one ``run_all``, car, hop and the three commutation families share one
+transform ladder pair, built on its first use in the run.
 riesz checks its intertwinings on stacks of basis columns, column c holding
 a random z_c at row c under ``apply_table``'s column tag, a residual per
-tag. Probes go into tagged tables, probe t at ``(t << n) | sigma``, and
-``Functional`` reads their norms and pairings per tag.
+tag. riesz and functional-invariant draw each stack's probes straight into
+one tagged table, probe t at ``(t << n) | sigma``, in the order drawing them
+one at a time would take, and ``Functional`` reads their norms, pairings and
+growth bounds per tag.
 Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
@@ -119,6 +123,11 @@ def _ladder_matrices(n: int, lower, upper):
     return [_table(lower, k, n) for k in range(n)], [_table(upper, k, n) for k in range(n)]
 
 
+def _transform_ladders(n: int, ladders):
+    """The transform-side ladder pair ``ladders``, built here when None."""
+    return ladders or _ladder_matrices(n, apply_annihilate, apply_create)
+
+
 # ---------------------------------------------------------------------------
 # stacked operands
 # ---------------------------------------------------------------------------
@@ -182,16 +191,18 @@ def _shifted(values, stack: Functional) -> Functional:
 # ---------------------------------------------------------------------------
 
 
-def check_car(n: int) -> list:
+def check_car(n: int, ladders=None) -> list:
     """Anticommutation at equal indices, commutation across indices, nilpotency.
 
     All matrices involved have disjoint 0/1 entries, so these residuals are
     exactly zero, not merely small; the tolerance is 0. The equal-time
     relation is the commutator kernel's; the other per-k checks run on its
-    stacks beside it.
+    stacks beside it. ``ladders`` is the transform ladder pair as
+    ``_ladder_matrices`` builds it, or None to build it here; the same holds
+    for hop and the three commutation families.
     """
     n = family_level(n)
-    a, c = _ladder_matrices(n, apply_annihilate, apply_create)
+    a, c = _transform_ladders(n, ladders)
     masks = np.arange(1 << n, dtype=np.int64)
     nothing = Functional._from_arrays(masks[:0], np.zeros(0, dtype=complex), 2 * n)
     nilpotent, occ, adjoint = [], [], []
@@ -256,12 +267,12 @@ def check_car(n: int) -> list:
     )
 
 
-def check_hop(n: int) -> list:
+def check_hop(n: int, ladders=None) -> list:
     """Closed form of the four-fold ladder product against literal composition.
 
     The literal side multiplies the tables of the ladder kernels in the factor
-    order create(k) annihilate(j) create(j) annihilate(k) of ``hop_expr``;
-    only the ladders of one stack's pairs are alive.
+    order create(k) annihilate(j) create(j) annihilate(k) of ``hop_expr``.
+    Given no ``ladders``, it builds only those of one stack's pairs at a time.
     """
     n = family_level(n)
     masks = np.arange(1 << n, dtype=np.int64)
@@ -269,14 +280,16 @@ def check_hop(n: int) -> list:
     for pairs in _chunks(((j, k) for j in range(n) for k in range(n)), n):
         blocks = len(pairs)
         js, ks = zip(*pairs)
-        ann = {i: _table(apply_annihilate, i, n) for i in {*js, *ks}}
-        cre = {i: _table(apply_create, i, n) for i in {*js, *ks}}
+        if ladders is None:
+            # only the ladders of one stack's pairs are alive
+            ann = {i: _table(apply_annihilate, i, n) for i in {*js, *ks}}
+            cre = {i: _table(apply_create, i, n) for i in {*js, *ks}}
+        else:
+            ann, cre = ladders
         closed = _stack([apply_table(lambda f: hop_apply(j, k, f), n) for j, k in pairs])
         literal = _stack([cre[k] for k in ks])
         for factor in ([ann[j] for j in js], [cre[j] for j in js], [ann[k] for k in ks]):
             literal = table_product(literal, _stack(factor))
-        # drop what the stacks no longer need, so the peak stays a few pairs
-        del ann, cre
         if not worst_closed:
             control = (_first(closed), _first(literal))
         worst_closed.append(residual(closed, literal, blocks))
@@ -377,12 +390,12 @@ def _commutators(lower, upper, relations, occupation=False, car=False, beside=No
     return worst_relations, control, (_worst(equal_time), car_control)
 
 
-def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
+def check_commutation_2d(w: Weight2D, n: int, tag: str = "w", ladders=None) -> list:
     """Commutators of the 2D weighted number operator with the ladder pair."""
     n = family_level(n)
     relation = _gwn_relation(w, gwn_apply, wn1d_apply, n)
     [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
-        *_ladder_matrices(n, apply_annihilate, apply_create), [relation], occupation=True
+        *_transform_ladders(n, ladders), [relation], occupation=True
     )
     return family_reports(
         {"n": n, "weight": tag},
@@ -406,13 +419,13 @@ def check_commutation_2d(w: Weight2D, n: int, tag: str = "w") -> list:
     )
 
 
-def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
+def check_commutation_1d(u: Weight1D, n: int, tag: str = "u", ladders=None) -> list:
     """Commutators of the 1D weighted number operator with the ladder pair."""
     n = family_level(n)
     shifts = [u(k) for k in range(n)]
     relation = (_table(wn1d_apply, u, n), shifts, shifts, ())
     [(worst_a, worst_c, worst_occ)], control, _ = _commutators(
-        *_ladder_matrices(n, apply_annihilate, apply_create), [relation], occupation=True
+        *_transform_ladders(n, ladders), [relation], occupation=True
     )
     return family_reports(
         {"n": n, "weight": tag},
@@ -426,12 +439,12 @@ def check_commutation_1d(u: Weight1D, n: int, tag: str = "u") -> list:
     )
 
 
-def check_commutation_number(n: int) -> list:
+def check_commutation_number(n: int, ladders=None) -> list:
     """The unweighted special case: number operator against the ladder pair."""
     n = family_level(n)
     relation = (apply_table(number_apply, n), [1.0] * n, [1.0] * n, ())
     [(worst_a, worst_c, _)], control, _ = _commutators(
-        *_ladder_matrices(n, apply_annihilate, apply_create), [relation]
+        *_transform_ladders(n, ladders), [relation]
     )
     return family_reports(
         {"n": n},
@@ -603,11 +616,13 @@ def check_riesz_intertwining(
     rng = np.random.default_rng(seed)
     worst_pair = []
     for stack in _chunks(range(trials), n):
-        probes = [random_functional(rng, n) for _ in stack]
+        blocks = len(stack)
+        # probe t's real and imaginary parts, in the order random_functional draws them
+        parts = rng.standard_normal((blocks, 2, 1 << n))
+        table = Functional.from_vector(parts[:, 0] + 1j * parts[:, 1], n)
         if not worst_pair:
-            first = probes[0]
+            first = _first(table)
             control = riesz_embed(l2_annihilate(0, first)), apply_annihilate(0, riesz_embed(first))
-        table, blocks = _tagged(probes, n), len(probes)
         # a float's ** 2, libm's pow, as the per-probe check squared: numpy's square can differ
         squares = np.array([norm**2 for norm in table.norm(0, blocks).tolist()])
         worst_pair.append(residual(riesz_embed(table).pair(table, blocks), squares, blocks))
@@ -859,19 +874,25 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
     grid = (0.0, 0.5, 1.0, 2.0)
     worst_mono, worst_dual, worst_cs, worst_growth, isometry = [], [], [], [], []
     for stack in _chunks(range(trials), n):
-        xis, phis = [], []
-        for _ in stack:
-            xis.append(random_functional(rng, n))
-            phis.append(random_functional(rng, n))
-            modulus = rng.uniform(0.0, 1.0, size=1 << n)
-            sample = modulus * np.exp(2j * np.pi * rng.uniform(size=1 << n))
-            # |coeff| <= 2 lambda^1 must pass the growth check and its dual-norm consequence
-            bounded = Functional.from_vector(2.0 * lam_vec * sample, n)
-            outcome = check_growth(bounded, GrowthBound(2.0, 1.0))
-            worst_growth.append(excess(outcome.worst_excess, 0.0))
-            worst_growth.append(excess(outcome.dual_norm_at_next, outcome.dual_norm_cap))
         blocks = len(stack)
-        xi, phi = _tagged(xis, n), _tagged(phis, n)
+        # per probe, in draw order: xi's and phi's real and imaginary parts
+        # (as random_functional draws them), then a modulus and a phase
+        xs, phis, polar = (np.empty((blocks, 2, 1 << n)) for _ in range(3))
+        for t in range(blocks):
+            rng.standard_normal(out=xs[t])
+            rng.standard_normal(out=phis[t])
+            rng.random(out=polar[t])
+        xi = Functional.from_vector(xs[:, 0] + 1j * xs[:, 1], n)
+        phi = Functional.from_vector(phis[:, 0] + 1j * phis[:, 1], n)
+        sample = polar[:, 0] * np.exp(2j * np.pi * polar[:, 1])
+        # |coeff| <= 2 lambda^1 must pass the growth check and its dual-norm consequence
+        bounded = Functional.from_vector(2.0 * lam_vec * sample, n)
+        del xs, phis, polar, sample  # free the raw draws before the norms: the tables suffice
+        growth = check_growth(bounded, GrowthBound(2.0, 1.0), blocks)
+        worst_growth.append(excess([g.worst_excess for g in growth], 0.0))
+        worst_growth.append(
+            excess([g.dual_norm_at_next for g in growth], [g.dual_norm_cap for g in growth])
+        )
         # row i holds each probe's norm at grid[i]; p = 0, 1, 2 sit at rows 0, 2, 3
         norms = np.array([xi.norm(p, blocks) for p in grid])
         worst_mono.append(excess(norms[:-1], norms[1:]))
@@ -964,20 +985,30 @@ def _family_runs(n: int, seed: int, weights2d: dict):
     spectral-shift alternate over the 2D fixtures. The series fixture is the
     running weight and the random one rnd0, each the first 2D fixture when
     the fixtures were overridden. A call looks its check function up when it
-    runs, so wrappers installed on this module see it."""
+    runs, so wrappers installed on this module see it. car, hop and the
+    three commutation families share one transform ladder pair, built on its
+    first use in the run, from the kernels this module holds then."""
     weights1d = fixture_weights1d(n, seed)
     u = weights1d["rnd"]
     series = "running" if "running" in weights2d else next(iter(weights2d))
     rnd = "rnd0" if "rnd0" in weights2d else series
     w_series, w_rnd = weights2d[series], weights2d[rnd]
-    yield "car", lambda: check_car(n)
-    yield "hop", lambda: check_hop(n)
+    pair = []
+
+    def ladders():
+        if not pair:
+            pair.append(_ladder_matrices(n, apply_annihilate, apply_create))
+        return pair[0]
+
+    yield "car", lambda: check_car(n, ladders())
+    yield "hop", lambda: check_hop(n, ladders())
     for tag, w in weights2d.items():
-        yield "commutation-2d", lambda w=w, tag=tag: check_commutation_2d(w, n, tag)
+        yield "commutation-2d", lambda w=w, tag=tag: check_commutation_2d(w, n, tag, ladders())
         yield "spectral-shift", lambda w=w, tag=tag: check_spectral_shifts(w, n, tag)
     for tag, v in weights1d.items():
-        yield "commutation-1d", lambda v=v, tag=tag: check_commutation_1d(v, n, tag)
-    yield "commutation-number", lambda: check_commutation_number(n)
+        yield "commutation-1d", lambda v=v, tag=tag: check_commutation_1d(v, n, tag, ladders())
+    yield "commutation-number", lambda: check_commutation_number(n, ladders())
+    pair.clear()  # the last family that reads the pair has run
     yield "representation", lambda: check_representations(w_series, u, n, series)
     yield "riesz", lambda: check_riesz_intertwining(w_rnd, n, seed=seed, tag=rnd)
     yield "norm-bound", lambda: check_norm_bounds(w_rnd, u, n, seed=seed, tag=rnd)

@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import Subset, _mask_of, as_index, check_truncation
+from .basis import Subset, _mask_of, as_index, as_real, check_truncation
 
 _REL_TOL = 1e-12
 
@@ -59,7 +59,7 @@ def _sum_inside(masks, pairs, terms) -> np.ndarray:
 
 
 def _as_clean_float(v, what: str) -> float:
-    value = float(v)
+    value = as_real(v, what)
     if not np.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
     if value < 0:

@@ -684,16 +684,61 @@ def write_input(path, content):
     return str(path)
 
 
-@pytest.mark.parametrize("case", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
-def test_bad_input_is_one_error_line(tmp_path, capsys, case):
-    command, files = case
+def input_argv(tmp_path, command, files):
+    """argv for command at n = 3, with files written for its flags and valid
+    inputs for the required flags that files leaves out."""
     argv = [command, "--n", "3"] if command in ("verify", "simulate") else [command]
     for flag in dict.fromkeys(REQUIRED.get(command, []) + list(files)):
         content = files.get(flag, VALID.get(flag))
         argv += [flag, write_input(tmp_path / f"{flag[2:]}.json", content)]
-    code, payload, err = run_cli(capsys, *argv)
+    return argv
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_bad_input_is_one_error_line(tmp_path, capsys, case):
+    command, files = case
+    code, payload, err = run_cli(capsys, *input_argv(tmp_path, command, files))
     assert code == 2 and payload is None
     assert_one_error_line(err)
+
+
+def coefficient(value):
+    return {"truncation": 3, "coefficients": [[[1], value, 0.0]]}
+
+
+# a number given as a JSON string or boolean, which float() would take,
+# and the field its error names
+QUOTED_NUMBERS = {
+    "norms-coefficient-string": (
+        "norms", {"--functional": coefficient("1.0")}, "coefficient at [1]: re"
+    ),
+    "norms-coefficient-true": (
+        "norms", {"--functional": coefficient(True)}, "coefficient at [1]: re"
+    ),
+    "verify-dense-entry": (
+        "verify", {"--weight": {"kind": "dense", "entries": [[0, 1, "2.0"]]}},
+        "weight value at (0, 1)",
+    ),
+    "verify-diag1d-entry": (
+        "verify", {"--weight": {"kind": "diag1d", "entries": [[0, "2.0"]]}}, "weight value at 0"
+    ),
+    "qms-dense-entry": (
+        "qms", {"--weight": {"kind": "dense", "entries": [[0, 1, True]]}}, "weight value at (0, 1)"
+    ),
+    "apply-scale-factor": (
+        "apply", {"--expr": {"op": "scale", "c": ["2", "1e2"], "arg": {"op": "identity"}}}, "'c'"
+    ),
+    "simulate-theta": ("simulate", {"--theta": ["0.5", 0.5, 0.5]}, "theta"),
+}
+
+
+@pytest.mark.parametrize("case", list(QUOTED_NUMBERS.values()), ids=list(QUOTED_NUMBERS))
+def test_a_quoted_number_is_one_error_line_naming_its_field(tmp_path, capsys, case):
+    command, files, field = case
+    code, payload, err = run_cli(capsys, *input_argv(tmp_path, command, files))
+    assert code == 2 and payload is None
+    assert_one_error_line(err)
+    assert field in err
 
 
 def test_missing_field_is_named(tmp_path, capsys):

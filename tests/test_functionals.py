@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoscalc.basis import Subset, lam, lam_vector
 from chaoscalc.functionals import (
@@ -233,6 +235,33 @@ class TestGrowth:
         res = check_growth(phi, GrowthBound(0.0, 2.0))
         assert (res.worst_excess, res.witness) == (1.0, Subset.of(0))
 
+    @pytest.mark.parametrize("order", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.0, 1.5])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_a_stack_measures_each_table_as_alone(self, scale, order, data):
+        # tags of unequal sizes, one of them empty; small whole values tie
+        # moduli, so the witness must be the first mask of its own tag
+        n = data.draw(st.integers(0, 5))
+        part = st.one_of(st.sampled_from([0.0, 1.0, -2.0, 3.0]), st.floats(-9.0, 9.0))
+        coefficient = st.builds(complex, part, part)
+        tables = [
+            Functional(coeffs, n)
+            for coeffs in data.draw(
+                st.lists(st.dictionaries(st.integers(0, (1 << n) - 1), coefficient), max_size=4)
+            )
+        ]
+        tables.insert(data.draw(st.integers(0, len(tables))), Functional.zero(n))
+        bound = GrowthBound(scale, order)
+        stacked = check_growth(tagged(tables, n), bound, len(tables))
+        assert len(stacked) == len(tables)
+        for got, table in zip(stacked, tables):
+            alone = check_growth(table, bound)
+            assert got.worst_excess == alone.worst_excess
+            assert got.witness == alone.witness
+            assert got.dual_norm_at_next == alone.dual_norm_at_next
+            assert got.dual_norm_cap == alone.dual_norm_cap
+
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             GrowthBound(-1.0, 0.0)
@@ -281,3 +310,12 @@ class TestJson:
         ):
             with pytest.raises(ValueError):
                 Functional.from_json(bad)
+
+    @pytest.mark.parametrize("value", ["1.0", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_a_quoted_number_is_rejected(self, part, value):
+        # float() takes "1.0" and True, so a mistyped part used to load as 1.0
+        item = [[0], 1.0, 0.0]
+        item[1 if part == "re" else 2] = value
+        with pytest.raises(ValueError, match=rf"coefficient at \[0\]: {part} must be a number"):
+            Functional.from_json({"truncation": 2, "coefficients": [item]})

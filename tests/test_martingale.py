@@ -94,6 +94,12 @@ class TestParams:
         with pytest.raises(ValueError):
             BernoulliParams.from_json(data)
 
+    @pytest.mark.parametrize("theta", ["0.5", True], ids=["string", "bool"])
+    def test_json_quoted_number_is_rejected(self, theta):
+        # float() takes "0.5" and True (1.0, then out of range for the wrong reason)
+        with pytest.raises(ValueError, match="theta must be a number"):
+            BernoulliParams.from_json({"thetas": [theta, 0.5]})
+
 
 class TestAtoms:
     def test_probs_single_step(self):

@@ -526,6 +526,9 @@ class TestJson:
             ({"op": "compose", "args": {"op": "zero"}}, "'args'"),
             ({"op": "scale", "c": 2.0, "arg": {"op": "zero"}}, "'c'"),
             ({"op": "scale", "c": [1.0, "i"], "arg": {"op": "zero"}}, "'c'"),
+            # float() would take these: a number must not come quoted or as a bool
+            ({"op": "scale", "c": ["2", "1e2"], "arg": {"op": "zero"}}, "'c'"),
+            ({"op": "scale", "c": [True, 0.0], "arg": {"op": "zero"}}, "'c'"),
             ({"op": "scale", "c": [1.0, 0.0]}, "'arg'"),
             ({"op": "scale", "c": [float("nan"), 0], "arg": {"op": "identity"}}, "'c'"),
             ({"op": "scale", "c": [float("inf"), 0], "arg": {"op": "identity"}}, "'c'"),

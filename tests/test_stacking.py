@@ -8,10 +8,14 @@ side goes into ``residual`` as an untagged matrix table. The riesz family
 checks its intertwinings on the whole basis, one tagged table of basis
 columns a stack, and reads each column's residual off its tag; its oracle
 compares one untagged column at a time, and its pairing one probe at a
-time. Every residual, and every control's, must come out equal as floats,
-not merely close.
+time. riesz and functional-invariant draw each stack's probes straight into
+one tagged table; their oracles draw and check one probe at a time, as the
+families once did. Every residual, and every control's, must come out equal
+as floats, not merely close.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoscalc import verifier
-from chaoscalc.functionals import Functional, riesz_embed
+from chaoscalc.basis import Subset, lam_at, lam_vector, lambda_series_partial
+from chaoscalc.functionals import Functional, GrowthBound, riesz_embed
 from chaoscalc.operators import (
     annihilate,
     create,
@@ -35,7 +40,7 @@ from chaoscalc.operators import (
     number,
     wn1d_expr,
 )
-from chaoscalc.reports import perturbed, residual
+from chaoscalc.reports import excess, perturbed, residual
 from chaoscalc.weights import Weight1D, Weight2D
 
 
@@ -364,3 +369,76 @@ def test_a_kernel_leaking_into_the_next_tag_fails(monkeypatch, kernel, name):
     monkeypatch.setattr(verifier, kernel, leaky(getattr(verifier, kernel)))
     reports = verifier.check_riesz_intertwining(w, 4, trials=5)
     assert [r.name for r in reports if not r.ok] == [name]
+
+
+def growth_of_one(phi, bound):
+    """(worst excess, its witness, dual norm one level up, cap) of one
+    untagged table, written out as check_growth measured a single probe."""
+    moduli = np.hypot(phi.values.real, phi.values.imag)
+    over = moduli - bound.scale * lam_at(phi.masks) ** bound.order
+    worst, witness = 0.0, None
+    if len(over):
+        i = int(np.argmax(over))
+        if over[i] > 0:
+            worst, witness = float(over[i]), Subset(int(phi.masks[i]))
+    cap = bound.scale * math.sqrt(lambda_series_partial(2.0, phi.truncation))
+    return worst, witness, phi.dual_norm(bound.order + 1), cap
+
+
+def oracle_functional_invariants(n, trials, seed):
+    """The functional-invariant comparisons one probe at a time, each probe
+    drawn as its own untagged tables in the family's draw order."""
+    rng = np.random.default_rng(seed)
+    lam_vec = lam_vector(n)
+    grid = (0.0, 0.5, 1.0, 2.0)
+    mono, dual, iso, cs, growth = [], [], [], [], []
+    for _ in range(trials):
+        xi = verifier.random_functional(rng, n)
+        phi = verifier.random_functional(rng, n)
+        modulus = rng.uniform(0.0, 1.0, size=1 << n)
+        sample = modulus * np.exp(2j * np.pi * rng.uniform(size=1 << n))
+        bounded = Functional.from_vector(2.0 * lam_vec * sample, n)
+        worst, _, at_next, cap = growth_of_one(bounded, verifier.GrowthBound(2.0, 1.0))
+        growth += [excess(worst, 0.0), excess(at_next, cap)]
+        norms = [xi.norm(p) for p in grid]
+        mono.append(excess(norms[:-1], norms[1:]))
+        duals = [xi.dual_norm(p) for p in grid]
+        dual.append(excess(duals[1:], duals[:-1]))
+        embedded = verifier.riesz_embed(xi)
+        lhs = np.array([embedded.dual_norm(p) for p in (0, 1, 2)])
+        rhs = np.array([duals[0], duals[2], duals[3]])
+        if not iso:
+            first = lhs, rhs
+        iso.append(residual(lhs, rhs))
+        pairing = abs(phi.pair(xi))
+        for p, norm in ((0, norms[0]), (1, norms[2])):
+            cs.append(excess(pairing, phi.dual_norm(p) * norm))
+    return [max(mono), max(dual), max(iso), max(cs), max(growth), control(*first)]
+
+
+# stack budgets: one probe a stack, three probes a stack (a short last
+# stack), the default (every probe in one stack at these n)
+@pytest.mark.parametrize(
+    "rows",
+    [lambda n: 1 << n, lambda n: 3 << n, None],
+    ids=["one-probe", "three-probes", "default"],
+)
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    trials=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    skew=st.booleans(),
+)
+def test_stacked_probe_residuals_equal_the_per_probe_oracle(rows, n, trials, seed, skew):
+    # skewed, the conjugation misses each probe's isometry by its own amount
+    # and the growth bound is a quarter of the one the probes meet, so the
+    # growth and isometry residuals are nonzero and differ per probe
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(verifier, "_STACK_ROWS", rows(n))
+        if skew:
+            mp.setattr(verifier, "riesz_embed", skewed(riesz_embed))
+            mp.setattr(verifier, "GrowthBound", lambda scale, order: GrowthBound(scale / 4, order))
+        reports = verifier.check_functional_invariants(n, trials=trials, seed=seed)
+        assert [r.residual for r in reports] == oracle_functional_invariants(n, trials, seed)

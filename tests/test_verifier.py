@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import chaoscalc
-from chaoscalc import operators, verifier
+from chaoscalc import operators, qms, verifier
 from chaoscalc.basis import Subset
 from chaoscalc.functionals import Functional, GrowthCheckResult
 from chaoscalc.operators import hop_apply, hop_expr, materialize, materialize_apply
@@ -367,8 +367,8 @@ def test_probe_families_need_a_trial(call):
 def test_growth_residual_reads_what_check_growth_measured(
     monkeypatch, measured, residual_read
 ):
-    # the family judges check_growth's two measurements with excess
-    monkeypatch.setattr(verifier, "check_growth", lambda phi, bound: measured)
+    # the family judges check_growth's two measurements of each tag with excess
+    monkeypatch.setattr(verifier, "check_growth", lambda phi, bound, blocks: [measured] * blocks)
     reports = check_functional_invariants(3, trials=2)
     growth = next(r for r in reports if r.name == "growth-dual-bound")
     assert growth.residual == residual_read and not growth.ok
@@ -541,6 +541,62 @@ def test_commutator_kernel_holds_one_stack_of_ladders(monkeypatch, call):
         finally:
             tracemalloc.stop()
     assert peaks[0] < peaks[1] / 2
+
+
+@pytest.mark.parametrize("rows", [1, 3, None], ids=["one-probe", "three-probes", "default"])
+def test_functional_invariants_check_growth_once_a_stack(monkeypatch, rows):
+    n, trials = 4, 7
+    if rows is not None:
+        monkeypatch.setattr(verifier, "_STACK_ROWS", rows << n)
+    real, calls = verifier.check_growth, []
+
+    def counting(phi, bound, blocks):
+        calls.append(blocks)
+        return real(phi, bound, blocks)
+
+    monkeypatch.setattr(verifier, "check_growth", counting)
+    assert all_ok(check_functional_invariants(n, trials))
+    assert calls == [len(stack) for stack in verifier._chunks(range(trials), n)]
+
+
+def test_generator_structure_plans_each_weight_once(monkeypatch):
+    # 20 trials apply the generator 81 times; all of them share one plan, and
+    # the diagonal reduction, on its own weight, makes the second
+    real, planned = qms._generator_plan, []
+
+    def counting(spec):
+        planned.append(spec.weight)
+        return real(spec)
+
+    monkeypatch.setattr(qms, "_generator_plan", counting)
+    w = Weight2D({(0, 1): 1.0, (1, 1): 0.5})
+    assert all_ok(check_generator_structure(w, 3, trials=20))
+    assert len(planned) == 2 and planned[0] is w
+    assert planned[1].entries == {(1, 1): 0.5}
+
+
+def test_run_all_builds_one_transform_ladder_pair(monkeypatch):
+    # kernels patched before run_all are the ones the shared pair is built
+    # from, each ladder table once; a run that needs no pair builds none
+    kernels = {}
+    for name in ("apply_annihilate", "apply_create"):
+        kernels[name] = lambda k, phi, real=getattr(verifier, name): real(k, phi)
+        monkeypatch.setattr(verifier, name, kernels[name])
+    real, built = verifier._table, []
+
+    def counting(kernel, arg, n):
+        if kernel in kernels.values():
+            built.append((kernel, arg))
+        return real(kernel, arg, n)
+
+    monkeypatch.setattr(verifier, "_table", counting)
+    n = 4
+    expected = {(kernel, k) for kernel in kernels.values() for k in range(n)}
+    for only, count in ((None, 2 * n), (["hop", "commutation-1d"], 2 * n), (["riesz", "qms"], 0)):
+        built.clear()
+        reports, _ = run_all(n=n, only=only)
+        assert all_ok(reports)
+        assert len(built) == len(set(built)) == count and set(built) <= expected, only
 
 
 # (checks, negative controls) per family in run_all(n=5): one family run per

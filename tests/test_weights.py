@@ -6,6 +6,8 @@ theta({0,1}) = 3 + (5 - 5) = 3.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,19 @@ class TestJson:
         ):
             with pytest.raises(ValueError):
                 Weight2D.from_json(bad)
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"kind": "dense", "entries": [[0, 1, "2.0"]]}, "weight value at (0, 1)"),
+            ({"kind": "dense", "entries": [[0, 1, True]]}, "weight value at (0, 1)"),
+            ({"kind": "dense", "entries": [], "column_sums": {"0": "1"}}, "column sum at 0"),
+            ({"kind": "dense", "entries": [], "tail_bound": False}, "tail_bound"),
+            ({"kind": "diag1d", "entries": [[0, "2.0"]]}, "weight value at 0"),
+            ({"kind": "diag1d", "entries": [[0, 1.0]], "sup_bound": True}, "sup_bound"),
+        ],
+    )
+    def test_a_quoted_number_is_rejected(self, bad, field):
+        # float() takes "2.0" and True, so a mistyped value used to load
+        with pytest.raises(ValueError, match=rf"{re.escape(field)} must be a number"):
+            Weight2D.from_json(bad)
