@@ -40,7 +40,6 @@ from .martingale import (
     monte_carlo_gram,
     reconstruct,
     rng_stream,
-    z_matrix,
 )
 from .operators import (
     annihilate,
@@ -119,5 +118,4 @@ __all__ = [
     "transfer_matrix",
     "wn1d_apply",
     "wn1d_expr",
-    "z_matrix",
 ]

@@ -105,25 +105,17 @@ def _theta_params(raw: str, n: int) -> BernoulliParams:
     return params
 
 
-def _require_finite(deviations) -> None:
-    if not np.isfinite(deviations).all():
-        raise ValueError(
-            "the Gram or moment deviations are not finite: the thetas overflow "
-            "double precision"
-        )
-
-
 def cmd_simulate(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     params = _theta_params(args.theta, args.n)
     started = time.perf_counter()
-    # an overflow is reported below as one error, not as numpy warnings
+    # a deviation that overflowed would read non-finite and fail, without
+    # numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if args.samples is None:
             moments = conditional_moments(params)
             gram_dev = gram_deviation(params)
-            _require_finite([gram_dev, *moments.mean_dev_per_step, *moments.second_dev_per_step])
             passed = (
                 gram_dev <= args.tol
                 and moments.max_mean_dev <= args.tol
@@ -136,7 +128,6 @@ def cmd_simulate(args) -> int:
             gram[np.diag_indices(size)] -= 1.0
             dev = np.abs(gram, out=gram)
             slack = dev - 4.0 * stderr
-            _require_finite(slack)
             worst = int(np.argmax(slack))
             passed = bool(slack.flat[worst] <= 1e-12)
             body = {

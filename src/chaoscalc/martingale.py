@@ -30,14 +30,14 @@ from .basis import as_index, as_real, check_truncation
 from .functionals import Functional
 from .reports import _worst
 
-# The exact tables over the 2**n basis products (the Gram, z_matrix) take
-# 8 * 4**n bytes: 512 MiB at n = 13. They stop at 13, as do psi_matrix and
-# the expansion maps.
+# The exact Gram over the 2**n basis products takes 8 * 4**n bytes: 512 MiB
+# at n = 13. It stops at 13, as does psi_matrix.
 _EXACT_ENUMERATION_CAP = 13
 # The atom probabilities and the fold of them that gives the conditional
 # moments, and so exact simulate, hold at most one and a half vectors of 2**n
-# values, 8 * 2**n bytes each: 8 MiB at n = 20, 12 MiB at the peak. A
-# constant, so raising CHAOSCALC_MAX_N does not lift it.
+# values, 8 * 2**n bytes each: 8 MiB at n = 20, 12 MiB at the peak. The chaos
+# expansion and its inverse work on a few such vectors. A constant, so
+# raising CHAOSCALC_MAX_N does not lift it.
 _EXACT_VECTOR_CAP = 20
 # The sampled Gram and its second moments are two 2**n x 2**n tables, 1 MiB
 # at n = 8, built from a table of basis products over the drawn atoms, at
@@ -186,15 +186,6 @@ def _products_over_masks(step_values: np.ndarray) -> np.ndarray:
         # masks with top bit k: the products over the lower bits times step k
         np.multiply(out[:, :h], step_values[:, k : k + 1], out=out[:, h : 2 * h])
     return out
-
-
-def z_matrix(params: BernoulliParams) -> np.ndarray:
-    """Exact table of basis-product values: entry (atom, mask).
-
-    The whole 2**n x 2**n table, kept as the dense reference; the exact
-    functions below use its per-step Kronecker factors instead.
-    """
-    return _products_over_masks(psi_matrix(params))
 
 
 def _mirror_upper(gram: np.ndarray) -> None:
@@ -403,18 +394,21 @@ def monte_carlo_gram(params: BernoulliParams, samples: int, seed: int) -> tuple:
     return gram, stderr
 
 
-def chaotic_expand(f, params: BernoulliParams) -> Functional:
+def chaotic_expand(values, params: BernoulliParams) -> Functional:
     """Coefficients of a functional of the noise path against the product basis.
 
-    ``f`` maps a tuple of step values (one full path) to a number and is
-    called once per atom; the coefficient at sigma is the expectation of f
-    times the basis product, computed exactly over the finite sample space.
-    The table of basis products is the Kronecker product of the per-step
+    ``values`` holds the functional on each of the 2**n atoms (atom a is the
+    path whose step k took its positive branch where bit k of a is set); the
+    coefficient at sigma is the expectation of the values times the basis
+    product, computed exactly over the finite sample space. The table of
+    basis products is the Kronecker product of the per-step
     ``[[1, minus], [1, plus]]``, so its transpose is applied to the
     probability-weighted values one step at a time.
     """
-    n = _check_table_size(params.n)
-    values = np.array([complex(f(tuple(row))) for row in psi_matrix(params)])
+    n = _check_vector_size(params.n)
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (1 << n,):
+        raise ValueError(f"atom values shape {values.shape} does not match the {1 << n} atoms")
     weighted = atom_probs(params) * values
     factors = [((1.0, 1.0), (minus, plus))
                for minus, plus in zip(params.minus_values(), params.plus_values())]
@@ -431,7 +425,7 @@ def reconstruct(phi: Functional, params: BernoulliParams) -> np.ndarray:
         raise ValueError(
             f"truncation {phi.truncation} does not match parameter length {params.n}"
         )
-    _check_table_size(params.n)
+    _check_vector_size(params.n)
     factors = [((1.0, minus), (1.0, plus))
                for minus, plus in zip(params.minus_values(), params.plus_values())]
     return _apply_steps(phi.as_vector().astype(complex), factors)

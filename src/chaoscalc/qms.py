@@ -17,12 +17,12 @@ and t clears bit k and sets bit j. So on the (2,)*2n view of X, with one
 axis per bit on each side, B'XB is X sliced at the image bits and placed at
 the domain bits, and B'B is the domain's indicator: the dissipator is applied
 through basic-slicing views, and B itself is only an oracle. The views and
-the diagonal factors make a plan, read from the weight when it is made:
-``generator_apply`` plans on every call, the structure check once.
+the diagonal factors make the plan that a ``GeneratorSpec`` reads from its
+weight when it is built; ``generator_apply`` is the one route that applies it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,20 +62,30 @@ def _transfer_table(j: int, k: int, n: int) -> Functional:
     return apply_table(lambda xi: l2_create(j, l2_annihilate(k, xi)), n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorSpec:
-    """Weight (jump rates), truncation and optional Hamiltonian."""
+    """Weight (jump rates), truncation and optional Hamiltonian, and the
+    generator's plan, read from them when the spec is built: the jump terms
+    in sorted order, each a rate with its domain and image views on the
+    (2,)*2n view of X, and the diagonal factors ``half + i d`` and
+    ``rest - i d``, d the default Hamiltonian's diagonal, else 0."""
 
     weight: Weight2D
     truncation: int
     hamiltonian: np.ndarray | None = None
+    terms: list = field(init=False, repr=False, compare=False)
+    left: np.ndarray = field(init=False, repr=False, compare=False)
+    right: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.truncation = check_truncation(self.truncation)
-        size = 1 << self.truncation
-        _check_support(self.weight, self.truncation)
-        if self.hamiltonian is not None:
-            h = np.asarray(self.hamiltonian, dtype=complex)
+        n = check_truncation(self.truncation)
+        size = 1 << n
+        w = self.weight
+        if w.support_bound() > n:
+            raise ValueError(f"weight support bound {w.support_bound()} exceeds truncation {n}")
+        h = self.hamiltonian
+        if h is not None:
+            h = np.asarray(h, dtype=complex)
             if h.shape != (size, size):
                 raise ValueError(
                     f"hamiltonian shape {h.shape} does not match basis size {size}"
@@ -85,12 +95,25 @@ class GeneratorSpec:
             gap = residual(h, h.conj().T)
             if gap > TOLERANCE:
                 raise ValueError(f"hamiltonian is not hermitian (residual {gap:.3e})")
-            self.hamiltonian = h
-
-
-def _check_support(w: Weight2D, n: int) -> None:
-    if w.support_bound() > n:
-        raise ValueError(f"weight support bound {w.support_bound()} exceeds truncation {n}")
+        occ = np.zeros(size)
+        ov = occ.reshape((2,) * n)
+        terms = []
+        for (j, k), rate in sorted(w.entries.items()):
+            if j == k:
+                dom = img = _bit_view({k: 1}, n)
+            else:
+                dom, img = _bit_view({k: 1, j: 0}, n), _bit_view({k: 0, j: 1}, n)
+            terms.append((rate, dom + dom, img + img))
+            ov[dom] += rate
+        diag = popcount_vector(n) if h is None else 0.0
+        # half + rest == -occ exactly, also where halving a subnormal rounds
+        half = -0.5 * occ
+        rest = -occ - half
+        object.__setattr__(self, "truncation", n)
+        object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "left", half + 1j * diag)
+        object.__setattr__(self, "right", rest - 1j * diag)
 
 
 def _bit_view(bits: dict, n: int) -> tuple:
@@ -102,72 +125,35 @@ def _bit_view(bits: dict, n: int) -> tuple:
     return tuple(index)
 
 
-def _observable(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    size = 1 << n
-    if x.shape != (size, size):
-        raise ValueError(f"observable shape {x.shape} does not match basis size {size}")
-    return x
-
-
-def _generator_plan(spec: GeneratorSpec) -> tuple:
-    """(n, jump terms, diagonal factors, dense Hamiltonian or None) of the
-    generator of ``spec``: each term a rate with its domain and image views
-    on the (2,)*2n view of X, in sorted order, and the factors ``half + i h``
-    and ``rest - i h``, h the default Hamiltonian's diagonal, else 0."""
-    w, n = spec.weight, spec.truncation
-    _check_support(w, n)
-    occ = np.zeros(1 << n)
-    ov = occ.reshape((2,) * n)
-    terms = []
-    for (j, k), rate in sorted(w.entries.items()):
-        if j == k:
-            dom = img = _bit_view({k: 1}, n)
-        else:
-            dom, img = _bit_view({k: 1, j: 0}, n), _bit_view({k: 0, j: 1}, n)
-        terms.append((rate, dom + dom, img + img))
-        ov[dom] += rate
-    h = popcount_vector(n) if spec.hamiltonian is None else 0.0
-    # half + rest == -occ exactly, also where halving a subnormal rounds
-    half = -0.5 * occ
-    rest = -occ - half
-    return n, terms, half + 1j * h, rest - 1j * h, spec.hamiltonian
-
-
-def _apply_plan(plan: tuple, x: np.ndarray) -> np.ndarray:
-    """The generator of a plan applied to an observable of its size.
-
-    The jump terms are summed into zeros in the order occ is summed, and the
-    diagonal product is added last. Then on the diagonal of L(I) the terms
-    and -occ are the same rounded sum, so the generator kills the identity
-    exactly; adding each term onto the diagonal product breaks that.
-    """
-    n, terms, left, right, hamiltonian = plan
-    shape = (2,) * 2 * n
-    xv = x.reshape(shape)
-    acc = np.zeros(x.shape, dtype=complex)  # C order: its bit view writes through
-    av = acc.reshape(shape)
-    for rate, dom, img in terms:
-        av[dom] += rate * xv[img]
-    out = np.add.outer(left, right)
-    out *= x
-    out += acc
-    if hamiltonian is not None:
-        out += 1j * (hamiltonian @ x - x @ hamiltonian)
-    return out
-
-
 def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     """Full generator: commutator with the Hamiltonian plus the dissipator.
 
     Each jump term B'XB is a slice of X's bit view added to a slice of an
     accumulator, with no index arrays and no gathered copy. The default
     Hamiltonian (occupancy count) is diagonal, so it joins the -1/2 occ of
-    the dissipator in one diagonal factor, applied to X in one product and
-    added after the jump terms, which keeps L(I) exactly 0. A given
+    the dissipator in one diagonal factor, applied to X in one product. The
+    jump terms are summed into zeros in the order occ is summed, and the
+    diagonal product is added last. Then on the diagonal of L(I) the terms
+    and -occ are the same rounded sum, so the generator kills the identity
+    exactly; adding each term onto the diagonal product breaks that. A given
     Hamiltonian is multiplied densely.
     """
-    return _apply_plan(_generator_plan(spec), _observable(x, spec.truncation))
+    n = spec.truncation
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (1 << n, 1 << n):
+        raise ValueError(f"observable shape {x.shape} does not match basis size {1 << n}")
+    shape = (2,) * 2 * n
+    xv = x.reshape(shape)
+    acc = np.zeros(x.shape, dtype=complex)  # C order: its bit view writes through
+    av = acc.reshape(shape)
+    for rate, dom, img in spec.terms:
+        av[dom] += rate * xv[img]
+    out = np.add.outer(spec.left, spec.right)
+    out *= x
+    out += acc
+    if spec.hamiltonian is not None:
+        out += 1j * (spec.hamiltonian @ x - x @ spec.hamiltonian)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +221,21 @@ def check_generator_structure(
     n = family_level(n)
     trials = family_trials(trials)
     size = 1 << n
-    plan = _generator_plan(GeneratorSpec(weight=w, truncation=n))
+    spec = GeneratorSpec(weight=w, truncation=n)
     rng = np.random.default_rng(seed)
     inputs = {"n": n, "weight": tag, "trials": trials, "seed": seed}
 
-    unital = _apply_plan(plan, np.eye(size, dtype=complex))
+    unital = generator_apply(spec, np.eye(size, dtype=complex))
 
     herm, lin = [], []
     for _ in range(trials):
         x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        lx = _apply_plan(plan, x)
-        herm.append(residual(_apply_plan(plan, x.conj().T), lx.conj().T))
+        lx = generator_apply(spec, x)
+        herm.append(residual(generator_apply(spec, x.conj().T), lx.conj().T))
         a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-        lin.append(residual(_apply_plan(plan, a * x + b * y), a * lx + b * _apply_plan(plan, y)))
+        lxy = generator_apply(spec, a * x + b * y)
+        lin.append(residual(lxy, a * lx + b * generator_apply(spec, y)))
 
     diag_entries = {(j, k): v for (j, k), v in w.entries.items() if j == k}
     if not diag_entries:

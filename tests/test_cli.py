@@ -578,6 +578,38 @@ class TestSimulate:
         assert code == 0 and payload["passed"]
         assert payload["gram_deviation"] <= 1e-13
 
+    @pytest.mark.parametrize(
+        "thetas",
+        [[1e-300, 0.5], [1 - 1e-16, 0.5], [1e-38] * 8, [1e-15] * 20],
+        ids=["tiny", "near-one", "tiny-8", "small-20"],
+    )
+    @pytest.mark.parametrize("samples", [None, 1, 2**62], ids=["exact", "one", "2**62"])
+    def test_extreme_accepted_thetas_give_finite_deviations(
+        self, tmp_path, capsys, thetas, samples
+    ):
+        # every theta the loader accepts has finite step values and a normal
+        # atom law, so the deviations come out finite and the verdict is
+        # the run's own; sampled mode reads exit 1 on several of these
+        # (few samples, or never drawing a rare branch), not 2
+        path = write_json(tmp_path / "t.json", thetas)
+        extra = () if samples is None else ("--samples", str(samples))
+        code, payload, err = run_cli(
+            capsys, "simulate", "--n", str(len(thetas)), "--theta", path, *extra
+        )
+        if samples is not None and len(thetas) > 8:
+            assert code == 2 and payload is None
+            assert_one_error_line(err)
+            assert "capped at n = 8" in err
+            return
+        assert code == (0 if payload["passed"] else 1)
+        if samples is None:
+            moments = payload["moments"]
+            values = [payload["gram_deviation"], *moments["mean_dev_per_step"],
+                      *moments["second_dev_per_step"]]
+        else:
+            values = [payload["max_deviation"], payload["worst_excess_over_4se"]]
+        assert all(map(math.isfinite, values))
+
 
 class TestQms:
     def test_matches_library_call(self, tmp_path, capsys):

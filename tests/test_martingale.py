@@ -28,9 +28,14 @@ from chaoscalc.martingale import (
     psi_matrix,
     reconstruct,
     rng_stream,
-    z_matrix,
 )
 from chaoscalc.reports import residual
+
+
+def z_matrix(params):
+    """Dense table of basis-product values, entry (atom, mask): the oracle
+    that the per-step Kronecker factors are checked against."""
+    return martingale._products_over_masks(psi_matrix(params))
 
 
 def sample_steps(params, samples, seed, stream=0):
@@ -139,23 +144,24 @@ class TestAtoms:
             assert np.allclose(z[:, mask], np.prod(psi[:, bits], axis=1), rtol=1e-14, atol=0)
 
     def test_exact_cap(self, monkeypatch):
-        # the 2**n x 2**n tables and the per-atom expansion stop at 13
+        # the 2**n x 2**n Gram and the per-atom step table stop at 13
         params = BernoulliParams.constant(0.5, 14)
-        tables = (
-            exact_gram,
-            psi_matrix,
-            z_matrix,
-            lambda p: chaotic_expand(lambda path: 0.0, p),
-            lambda p: reconstruct(Functional.zero(14), p),
-        )
-        for table in tables:
+        for table in (exact_gram, psi_matrix):
             with pytest.raises(ValueError, match="up to n = 13 .*2048 MiB at n = 14"):
                 table(params)
         assert len(atom_probs(params)) == 1 << 14
+        ones = chaotic_expand(np.ones(1 << 14), params)
+        assert np.array_equal(reconstruct(ones, params), np.ones(1 << 14))
         # the vectors of 2**n values stop at 20 whatever CHAOSCALC_MAX_N allows
         monkeypatch.setenv("CHAOSCALC_MAX_N", "21")
         params = BernoulliParams.constant(0.5, 21)
-        for vector in (atom_probs, conditional_moments):
+        vectors = (
+            atom_probs,
+            conditional_moments,
+            lambda p: chaotic_expand(np.zeros(1), p),
+            lambda p: reconstruct(Functional.zero(21), p),
+        )
+        for vector in vectors:
             with pytest.raises(ValueError, match="up to n = 20 .*16 MiB at n = 21"):
                 vector(params)
 
@@ -320,8 +326,9 @@ class TestBlockedGram:
         assert traced_peak(exact_gram, params) < 2 * gram_bytes
         # z_matrix is as large as the Gram; these never build it
         phi = Functional.from_vector(np.arange(2048.0), 11)
+        values = psi_matrix(params)[:, 0]
         assert traced_peak(reconstruct, phi, params) < gram_bytes
-        assert traced_peak(chaotic_expand, lambda path: path[0], params) < gram_bytes
+        assert traced_peak(chaotic_expand, values, params) < gram_bytes
 
     def test_one_block_alive(self):
         # the exact Gram is built in place and the expansion maps work on
@@ -332,8 +339,9 @@ class TestBlockedGram:
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
         assert traced_peak(exact_gram, params) < 1.05 * 8 * 4**11
         phi = Functional.from_vector(np.arange(2048.0), 11)
+        values = psi_matrix(params)[:, 0]
         assert traced_peak(reconstruct, phi, params) < 12 * 2**20
-        assert traced_peak(chaotic_expand, lambda path: path[0], params) < 12 * 2**20
+        assert traced_peak(chaotic_expand, values, params) < 12 * 2**20
         sampled = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 8)
         assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 4 * 2**20
 
@@ -593,12 +601,12 @@ class TestSampling:
 class TestExpansion:
     def test_constants_and_monomials(self):
         params = BernoulliParams((0.25, 0.6, 0.5))
-        n = params.n
-        ones = chaotic_expand(lambda path: 1.0, params)
+        n, psi = params.n, psi_matrix(params)
+        ones = chaotic_expand(np.ones(1 << n), params)
         assert residual(ones, Functional.delta(0, n)) <= 1e-13
-        step1 = chaotic_expand(lambda path: path[1], params)
+        step1 = chaotic_expand(psi[:, 1], params)
         assert residual(step1, Functional.delta(0b010, n)) <= 1e-13
-        mixed = chaotic_expand(lambda path: path[0] * path[1] + 2.0, params)
+        mixed = chaotic_expand(psi[:, 0] * psi[:, 1] + 2.0, params)
         expect = Functional({0b011: 1.0, 0: 2.0}, n)
         assert residual(mixed, expect) <= 1e-13
 
@@ -607,10 +615,8 @@ class TestExpansion:
         rng = np.random.default_rng(3)
         vec = rng.standard_normal(16)
         phi = Functional.from_vector(vec.astype(complex), 4)
-        values = reconstruct(phi, params)
-        # expansion of the reconstructed path function recovers the table
-        table = {tuple(row): v for row, v in zip(psi_matrix(params), values)}
-        again = chaotic_expand(lambda path: table[tuple(path)], params)
+        # expansion of the reconstructed atom values recovers the table
+        again = chaotic_expand(reconstruct(phi, params), params)
         assert residual(again, phi) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 3, 5, 8])
@@ -619,8 +625,7 @@ class TestExpansion:
         z, p = z_matrix(params), atom_probs(params)
         rng = np.random.default_rng(n)
         vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        table = {tuple(row): v for row, v in zip(psi_matrix(params), vec)}
-        expanded = chaotic_expand(lambda path: table[tuple(path)], params)
+        expanded = chaotic_expand(vec, params)
         values = reconstruct(Functional.from_vector(vec, n), params)
         assert np.allclose(expanded.as_vector(), z.T @ (p * vec), rtol=0, atol=1e-12)
         assert np.allclose(values, z @ vec, rtol=0, atol=1e-12)
@@ -629,3 +634,6 @@ class TestExpansion:
         params = BernoulliParams.constant(0.5, 3)
         with pytest.raises(ValueError):
             reconstruct(Functional.zero(2), params)
+        for values in (np.ones(4), np.ones((2, 8))):
+            with pytest.raises(ValueError, match="does not match the 8 atoms"):
+                chaotic_expand(values, params)

@@ -9,6 +9,7 @@ the exclusion at work, decay only from the state where index 0 is free.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -261,10 +262,21 @@ class TestStructure:
         message = "weight support bound 6 exceeds truncation 3"
         with pytest.raises(ValueError, match=message):
             dissipator(w, 3, np.eye(8))
+        # the plan is read from the weight when the spec is built, so no
+        # field can be swapped under it
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=3)
-        spec.weight = w
-        with pytest.raises(ValueError, match=message):
-            generator_apply(spec, np.eye(8))
+        for name, value in (("weight", w), ("truncation", 4), ("hamiltonian", np.eye(8))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+
+    def test_a_spec_applied_twice_gives_the_same_bits(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        w = Weight2D({(0, 1): 0.7, (2, 2): 1.3, (3, 0): 5e-324})
+        for h in (None, TestHandOracle.random_hermitian(rng, 16)):
+            spec = GeneratorSpec(w, 4, h)
+            first = generator_apply(spec, x)
+            assert np.array_equal(generator_apply(spec, x), first)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

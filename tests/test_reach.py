@@ -30,7 +30,6 @@ UNREACHED = {
     "martingale.chaotic_expand": "the chaos expansion of a path functional",
     "martingale.reconstruct": "the inverse chaos expansion",
     "martingale._apply_steps": "the per-step Kronecker kernel of both expansions",
-    "martingale.z_matrix": "the dense oracle the expansion checks will compare against",
     # the library API that tests/test_acceptance.py calls
     "operators.materialize": "acceptance gate: the CSR matrix of an expression or a kernel",
     "operators.table_csr": "the one scipy boundary behind both CSR forms",

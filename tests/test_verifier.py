@@ -559,20 +559,23 @@ def test_functional_invariants_check_growth_once_a_stack(monkeypatch, rows):
     assert calls == [len(stack) for stack in verifier._chunks(range(trials), n)]
 
 
-def test_generator_structure_plans_each_weight_once(monkeypatch):
-    # 20 trials apply the generator 81 times; all of them share one plan, and
-    # the diagonal reduction, on its own weight, makes the second
-    real, planned = qms._generator_plan, []
+def test_generator_structure_applies_through_generator_apply(monkeypatch):
+    # 20 trials make one unital apply and four a trial on one spec, and the
+    # diagonal reduction one more on its own weight's spec: all 82 go through
+    # the public apply, so the benchmark's tracer sees every one
+    real, specs = qms.generator_apply, []
 
-    def counting(spec):
-        planned.append(spec.weight)
-        return real(spec)
+    def counting(spec, x):
+        specs.append(spec)
+        return real(spec, x)
 
-    monkeypatch.setattr(qms, "_generator_plan", counting)
+    monkeypatch.setattr(qms, "generator_apply", counting)
     w = Weight2D({(0, 1): 1.0, (1, 1): 0.5})
     assert all_ok(check_generator_structure(w, 3, trials=20))
-    assert len(planned) == 2 and planned[0] is w
-    assert planned[1].entries == {(1, 1): 0.5}
+    first, last = specs[0], specs[-1]
+    assert len(specs) == 82 and all(spec is first for spec in specs[:81])
+    assert first.weight is w and last is not first
+    assert last.weight.entries == {(1, 1): 0.5}
 
 
 def test_run_all_builds_one_transform_ladder_pair(monkeypatch):
