@@ -11,14 +11,11 @@ with B the transfer matrix for (j, k) and B' its adjoint. Summing the rates
 against B'B collapses to the diagonal spectral function, which gives the
 verification suite three independent evaluation routes to compare.
 
-B sends each mask m of its domain D to the one mask t(m) = (m - {k}) + {j}.
-D is the masks with bit k set and bit j clear (only bit k set when j == k),
-and t clears bit k and sets bit j. So on the (2,)*2n view of X, with one
-axis per bit on each side, B'XB is X sliced at the image bits and placed at
-the domain bits, and B'B is the domain's indicator: the dissipator is applied
-through basic-slicing views, and B itself is only an oracle. The views and
-the diagonal factors make the plan that a ``GeneratorSpec`` reads from its
-weight when it is built; ``generator_apply`` is the one route that applies it.
+B sends each mask m of its domain (bit k set and bit j clear; only bit k set
+when j == k) to the one mask (m - {k}) + {j}. Both bits lie below the weight's
+support bound s, so B'XB moves whole blocks between the (2,)*2s tile positions
+of X and B'B is the domain's indicator: ``generator_apply`` works on tiles,
+and B itself is only an oracle.
 """
 from __future__ import annotations
 
@@ -30,13 +27,7 @@ import numpy as np
 from .basis import as_index, check_truncation, popcount_vector
 from .functionals import Functional
 from .operators import (
-    apply_table,
-    l2_annihilate,
-    l2_create,
-    l2_hop,
-    table_csr,
-    table_dense,
-    table_product,
+    apply_table, l2_annihilate, l2_create, l2_hop, table_csr, table_dense, table_product,
     table_transpose,
 )
 from .reports import TOLERANCE, _worst, family_level, family_reports, family_trials, residual
@@ -44,6 +35,10 @@ from .weights import Weight2D
 
 if TYPE_CHECKING:
     import scipy.sparse
+
+# Cells per chunk buffer of generator_apply (512 KiB, L2-resident) and its ufunc
+# buffer: numpy's default (8192) copies each strided tile slice through it.
+_TILE_CELLS, _UFUNC_BUFFER = 1 << 15, 256
 
 
 def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:
@@ -65,14 +60,15 @@ def _transfer_table(j: int, k: int, n: int) -> Functional:
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Weight (jump rates), truncation and optional Hamiltonian, and the
-    generator's plan, read from them when the spec is built: the jump terms
-    in sorted order, each a rate with its domain and image views on the
-    (2,)*2n view of X, and the diagonal factors ``half + i d`` and
-    ``rest - i d``, d the default Hamiltonian's diagonal, else 0."""
+    generator's plan, read from them when the spec is built: the support bound
+    ``split`` = s, the sorted jump terms, each a rate with its domain and image
+    slices of the (2,)*2s tile axes, and the diagonal factors ``half + i d``
+    and ``rest - i d``, d the default Hamiltonian's diagonal, else 0."""
 
     weight: Weight2D
     truncation: int
     hamiltonian: np.ndarray | None = None
+    split: int = field(init=False, repr=False, compare=False)
     terms: list = field(init=False, repr=False, compare=False)
     left: np.ndarray = field(init=False, repr=False, compare=False)
     right: np.ndarray = field(init=False, repr=False, compare=False)
@@ -80,77 +76,85 @@ class GeneratorSpec:
     def __post_init__(self):
         n = check_truncation(self.truncation)
         size = 1 << n
-        w = self.weight
-        if w.support_bound() > n:
-            raise ValueError(f"weight support bound {w.support_bound()} exceeds truncation {n}")
+        s = self.weight.support_bound()
+        if s > n:
+            raise ValueError(f"weight support bound {s} exceeds truncation {n}")
         h = self.hamiltonian
         if h is not None:
             h = np.asarray(h, dtype=complex)
             if h.shape != (size, size):
-                raise ValueError(
-                    f"hamiltonian shape {h.shape} does not match basis size {size}"
-                )
+                raise ValueError(f"hamiltonian shape {h.shape} does not match basis size {size}")
             if not np.isfinite(h).all():
                 raise ValueError("hamiltonian entries must be finite")
             gap = residual(h, h.conj().T)
             if gap > TOLERANCE:
                 raise ValueError(f"hamiltonian is not hermitian (residual {gap:.3e})")
         occ = np.zeros(size)
-        ov = occ.reshape((2,) * n)
+        ov = occ.reshape((size >> s,) + (2,) * s)
         terms = []
-        for (j, k), rate in sorted(w.entries.items()):
+        for (j, k), rate in sorted(self.weight.entries.items()):
             if j == k:
-                dom = img = _bit_view({k: 1}, n)
+                dom = img = _bit_view({k: 1}, s)
             else:
-                dom, img = _bit_view({k: 1, j: 0}, n), _bit_view({k: 0, j: 1}, n)
+                dom, img = _bit_view({k: 1, j: 0}, s), _bit_view({k: 0, j: 1}, s)
             terms.append((rate, dom + dom, img + img))
-            ov[dom] += rate
+            ov[(slice(None),) + dom] += rate
         diag = popcount_vector(n) if h is None else 0.0
         # half + rest == -occ exactly, also where halving a subnormal rounds
         half = -0.5 * occ
         rest = -occ - half
         object.__setattr__(self, "truncation", n)
         object.__setattr__(self, "hamiltonian", h)
+        object.__setattr__(self, "split", s)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "left", half + 1j * diag)
         object.__setattr__(self, "right", rest - 1j * diag)
 
 
-def _bit_view(bits: dict, n: int) -> tuple:
-    """Basic-slicing index pinning the given bits on a (2,)*n view of the
-    basis, where axis n-1-b holds bit b."""
-    index = [slice(None)] * n
-    for b, value in bits.items():
-        index[n - 1 - b] = value
-    return tuple(index)
+def _bit_view(bits: dict, s: int) -> tuple:
+    """Basic-slicing index pinning the given bits on (2,)*s, axis s-1-b for bit b."""
+    return tuple(bits.get(s - 1 - axis, slice(None)) for axis in range(s))
 
 
 def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     """Full generator: commutator with the Hamiltonian plus the dissipator.
 
-    Each jump term B'XB is a slice of X's bit view added to a slice of an
-    accumulator, with no index arrays and no gathered copy. The default
-    Hamiltonian (occupancy count) is diagonal, so it joins the -1/2 occ of
-    the dissipator in one diagonal factor, applied to X in one product. The
-    jump terms are summed into zeros in the order occ is summed, and the
-    diagonal product is added last. Then on the diagonal of L(I) the terms
-    and -occ are the same rounded sum, so the generator kills the identity
-    exactly; adding each term onto the diagonal product breaks that. A given
-    Hamiltonian is multiplied densely.
+    X, viewed as (A, S, A, S) with A = 2^(n-s) and S = 2^s, is copied in chunks
+    of high-bit row groups into tile-major order (S, S, rows, A), where each
+    jump term B'XB is a slice of the (2,)*2s tile axes with a contiguous inner
+    block. The default Hamiltonian (occupancy count) joins the -1/2 occ of the
+    dissipator in one diagonal factor, applied to the chunk's rows in one
+    product. The terms are summed into zeros in the order occ is summed and the
+    diagonal product is added last: on L(I)'s diagonal both are the same rounded
+    sum, so L(I) is exactly 0. A given Hamiltonian is multiplied densely.
     """
-    n = spec.truncation
+    n, s = spec.truncation, spec.split
     x = np.asarray(x, dtype=complex)
     if x.shape != (1 << n, 1 << n):
         raise ValueError(f"observable shape {x.shape} does not match basis size {1 << n}")
-    shape = (2,) * 2 * n
-    xv = x.reshape(shape)
-    acc = np.zeros(x.shape, dtype=complex)  # C order: its bit view writes through
-    av = acc.reshape(shape)
-    for rate, dom, img in spec.terms:
-        av[dom] += rate * xv[img]
-    out = np.add.outer(spec.left, spec.right)
-    out *= x
-    out += acc
+    a, t = 1 << (n - s), 1 << s
+    rows = min(a, max(1, _TILE_CELLS // (t << n)))
+    xv = x.reshape(a, t, a, t)
+    out = np.empty(x.shape, dtype=complex)
+    xt, acc = np.empty((2, t, t, rows, a), dtype=complex)
+    tiles = (2,) * 2 * s + (rows, a)
+    bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        for lo in range(0, a, rows):
+            r = min(rows, a - lo)
+            np.copyto(xt[:, :, :r], xv[lo : lo + r].transpose(1, 3, 0, 2))
+            acc.fill(0)
+            xtv, av = xt.reshape(tiles)[..., :r, :], acc.reshape(tiles)[..., :r, :]
+            for rate, dom, img in spec.terms:
+                av[dom] += rate * xtv[img]
+            band = slice(lo * t, (lo + r) * t)
+            chunk = out[band]
+            np.add.outer(spec.left[band], spec.right, out=chunk)
+            chunk *= x[band]
+            chunk = chunk.reshape(r, t, a, t)
+            chunk += acc[:, :, :r].transpose(2, 0, 3, 1)
+    finally:
+        np.setbufsize(bufsize)
     if spec.hamiltonian is not None:
         out += 1j * (spec.hamiltonian @ x - x @ spec.hamiltonian)
     return out
@@ -238,10 +242,7 @@ def check_generator_structure(
         lin.append(residual(lxy, a * lx + b * generator_apply(spec, y)))
 
     diag_entries = {(j, k): v for (j, k), v in w.entries.items() if j == k}
-    if not diag_entries:
-        diag_entries = {(k, k): 1.0 for k in range(n)}
-    diag_weight = Weight2D(diag_entries)
-    diag_spec = GeneratorSpec(weight=diag_weight, truncation=n)
+    diag_spec = GeneratorSpec(Weight2D(diag_entries or {(k, k): 1.0 for k in range(n)}), n)
     x_diag = np.diag(rng.standard_normal(size).astype(complex))
     image = generator_apply(diag_spec, x_diag)
 
@@ -290,10 +291,8 @@ def matrix_to_json(x: np.ndarray, n: int) -> dict:
     size = 1 << check_truncation(n)
     if x.shape != (size, size):
         raise ValueError(f"matrix shape {x.shape} does not match basis size {size}")
-    return {
-        "n": n,
-        "rows": [[[float(v.real), float(v.imag)] for v in row] for row in x],
-    }
+    pairs = np.ascontiguousarray(x).view(float).reshape(size, size, 2)
+    return {"n": n, "rows": pairs.tolist()}
 
 
 def matrix_from_json(data: dict) -> tuple:

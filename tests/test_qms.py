@@ -10,6 +10,7 @@ the exclusion at work, decay only from the state where index 0 is free.
 from __future__ import annotations
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoscalc import qms
+from chaoscalc.basis import popcount_vector
 from chaoscalc.qms import (
     GeneratorSpec,
     check_generator_structure,
@@ -48,6 +50,44 @@ def literal_generator(h, rate_table, x):
     for b, rate in rate_table:
         bb = b.conj().T @ b
         out = out + rate * (b.conj().T @ x @ b - 0.5 * (x @ bb + bb @ x))
+    return out
+
+
+def bitview_generator(w, n, h, x):
+    """The generator on the (2,)*2n bit view of X, one axis per bit on each
+    side: the reference for the summation order. Each jump term is summed
+    into zeros in sorted order, occ in the same order, and the diagonal
+    product is added last, so a kernel that keeps this order per element
+    gives the same bytes."""
+    size = 1 << n
+    x = np.asarray(x, dtype=complex)
+    occ = np.zeros(size)
+    ov = occ.reshape((2,) * n)
+    acc = np.zeros((size, size), dtype=complex)
+    av, xv = acc.reshape((2,) * 2 * n), x.reshape((2,) * 2 * n)
+
+    def pinned(bits):
+        index = [slice(None)] * n
+        for b, value in bits.items():
+            index[n - 1 - b] = value
+        return tuple(index)
+
+    for (j, k), rate in sorted(w.entries.items()):
+        if j == k:
+            dom = img = pinned({k: 1})
+        else:
+            dom, img = pinned({k: 1, j: 0}), pinned({k: 0, j: 1})
+        av[dom + dom] += rate * xv[img + img]
+        ov[dom] += rate
+    diag = popcount_vector(n) if h is None else 0.0
+    half = -0.5 * occ
+    rest = -occ - half
+    out = np.add.outer(half + 1j * diag, rest - 1j * diag)
+    out *= x
+    out += acc
+    if h is not None:
+        h = np.asarray(h, dtype=complex)
+        out += 1j * (h @ x - x @ h)
     return out
 
 
@@ -278,6 +318,20 @@ class TestStructure:
             first = generator_apply(spec, x)
             assert np.array_equal(generator_apply(spec, x), first)
 
+    def test_ufunc_buffer_size_is_restored(self):
+        # the apply shrinks numpy's ufunc buffer while it runs, and hands
+        # back whatever size the caller had
+        spec = GeneratorSpec(Weight2D({(0, 1): 0.7, (2, 2): 1.3}), 4)
+        default = np.getbufsize()
+        generator_apply(spec, np.eye(16))
+        assert np.getbufsize() == default
+        old = np.setbufsize(4096)
+        try:
+            generator_apply(spec, np.eye(16))
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             GeneratorSpec(weight=Weight2D({(0, 5): 1.0}), truncation=2)
@@ -309,6 +363,62 @@ class TestStructure:
         spec = GeneratorSpec(weight=Weight2D.zero(), truncation=2)
         with pytest.raises(ValueError):
             generator_apply(spec, np.eye(3))
+
+
+def supported_weight(rng, n, support):
+    """Random rates on the index pairs below the support bound, the pair
+    (support - 1, 0) always among them, so the bound is exactly support."""
+    pairs = [(j, k) for j in range(support) for k in range(support)]
+    entries = {p: float(rng.random()) for p in pairs if rng.random() < 0.5}
+    if support:
+        entries[(support - 1, 0)] = float(rng.random())
+    return Weight2D(entries)
+
+
+def observable_with_signed_zeros(rng, size):
+    """A random complex observable with a share of its entries -0.0 - 0.0j,
+    so a kernel that skips adding the zero accumulator somewhere shows."""
+    x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    x[rng.random((size, size)) < 0.1] = complex(-0.0, -0.0)
+    return x
+
+
+class TestBitViewOracle:
+    """Every image from the tile-major kernel is byte-equal to the bit-view
+    reference, whatever the support bound and chunking."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=rate_tables(), seed=st.integers(0, 2**32 - 1), hermitian=st.booleans())
+    def test_rate_tables(self, table, seed, hermitian):
+        n, entries = table
+        w = Weight2D(entries)
+        rng = np.random.default_rng(seed)
+        x = observable_with_signed_zeros(rng, 1 << n)
+        h = TestHandOracle.random_hermitian(rng, 1 << n) if hermitian else None
+        got = generator_apply(GeneratorSpec(w, n, h), x)
+        assert got.tobytes() == bitview_generator(w, n, h, x).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_seeded_supports(self, n):
+        rng = np.random.default_rng(60 + n)
+        for support in (0, 1, 4, n - 1, n):
+            w = supported_weight(rng, n, support)
+            assert GeneratorSpec(w, n).split == support
+            x = observable_with_signed_zeros(rng, 1 << n)
+            got = generator_apply(GeneratorSpec(w, n), x)
+            assert got.tobytes() == bitview_generator(w, n, None, x).tobytes(), support
+
+    @pytest.mark.parametrize("n, support, rows", [(6, 2, 3), (7, 3, 5), (5, 2, 1)])
+    def test_partial_last_chunk(self, monkeypatch, n, support, rows):
+        # a budget of `rows` high-bit row groups, which does not divide
+        # 2^(n - support), so the last chunk is partial
+        monkeypatch.setattr(qms, "_TILE_CELLS", rows << (n + support))
+        rng = np.random.default_rng(n + support)
+        w = supported_weight(rng, n, support)
+        x = observable_with_signed_zeros(rng, 1 << n)
+        for h in (None, TestHandOracle.random_hermitian(rng, 1 << n)):
+            got = generator_apply(GeneratorSpec(w, n, h), x)
+            assert got.tobytes() == bitview_generator(w, n, h, x).tobytes(), h is None
 
 
 class TestLayouts:
@@ -355,6 +465,22 @@ class TestMatrixJson:
         back, n = matrix_from_json(matrix_to_json(x, 2))
         assert n == 2
         assert np.allclose(back, x, atol=0)
+
+    def test_json_bytes_match_the_entrywise_form(self):
+        # -0.0, a subnormal and a non-contiguous input keep their exact
+        # bytes against the per-entry float form
+        rng = np.random.default_rng(3)
+        big = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        x = big[::2, 1::2]
+        x[0, 0] = complex(-0.0, 5e-324)
+        x[1, 2] = complex(-5e-324, -0.0)
+        assert not x.flags.c_contiguous
+        entrywise = [[[float(v.real), float(v.imag)] for v in row] for row in x]
+        payload = matrix_to_json(x, 2)
+        assert json.dumps(payload) == json.dumps({"n": 2, "rows": entrywise})
+        assert json.dumps(payload["rows"][0][0]) == "[-0.0, 5e-324]"
+        assert json.dumps(payload["rows"][1][2]) == "[-5e-324, -0.0]"
+        assert json.dumps(matrix_to_json(x.real, 2)["rows"][0][0]) == "[-0.0, 0.0]"
 
     def test_bad_payloads(self):
         with pytest.raises(ValueError):
