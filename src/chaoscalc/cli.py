@@ -8,8 +8,8 @@ qms (generator application, sized by --x). Exit codes: 0 everything passed,
 file that is unreadable, not UTF-8 JSON, nested too deep or malformed
 (the parser and the loaders raise ValueError), or a run out of memory;
 :func:`main` alone turns either into one ``error:`` line and returns 2.
-``--help`` prints help on stdout and exits 0. All reports are JSON with
-sorted keys; wall-clock data lives in a single "timing" field so that two
+``--help`` prints help on stdout and exits 0. All reports are one line of
+JSON with sorted keys; wall-clock data lives in a single "timing" field so that two
 runs with the same config and seed agree byte for byte elsewhere.
 
 The parser is built once, at import, as :data:`PARSER`; every :func:`main`
@@ -54,7 +54,8 @@ def _load_json(path: str):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    # one line: with an indent, json.dumps falls back to its pure-Python encoder
+    text = json.dumps(payload, sort_keys=True)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -203,8 +204,15 @@ def cmd_qms(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises a bad command line as ValueError, for :func:`main` to report;
-    subparsers inherit the class."""
+    """Raises a bad command line as ValueError, for :func:`main` to report,
+    and reads every negative float literal, ``-1e-3`` too, as a value, not a
+    flag; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher knows only the -1 and -.5 forms; this one
+        # takes one minus sign before any _FLOAT_LITERAL without a sign
+        self._negative_number_matcher = re.compile(rf"-(?![+-]){_FLOAT_LITERAL.pattern}\Z")
 
     def error(self, message):
         raise ValueError(message)

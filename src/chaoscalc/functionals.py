@@ -208,9 +208,6 @@ class Functional:
             self._abs = _moduli(self.values)
         return self._abs
 
-    def max_abs(self) -> float:
-        return float(np.max(self.moduli())) if len(self.values) else 0.0
-
     def __iter__(self) -> Iterator:
         for m, c in zip(self.masks.tolist(), self.values.tolist()):
             yield Subset(m), c

@@ -136,13 +136,16 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     rows = min(a, max(1, _TILE_CELLS // (t << n)))
     xv = x.reshape(a, t, a, t)
     out = np.empty(x.shape, dtype=complex)
-    xt, acc = np.empty((2, t, t, rows, a), dtype=complex)
+    acc = np.empty((t, t, rows, a), dtype=complex)
+    # at A = 1, X is already its one tile-major chunk
+    xt = xv.transpose(1, 3, 0, 2) if a == 1 else np.empty_like(acc)
     tiles = (2,) * 2 * s + (rows, a)
     bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
         for lo in range(0, a, rows):
             r = min(rows, a - lo)
-            np.copyto(xt[:, :, :r], xv[lo : lo + r].transpose(1, 3, 0, 2))
+            if a > 1:
+                np.copyto(xt[:, :, :r], xv[lo : lo + r].transpose(1, 3, 0, 2))
             acc.fill(0)
             xtv, av = xt.reshape(tiles)[..., :r, :], acc.reshape(tiles)[..., :r, :]
             for rate, dom, img in spec.terms:

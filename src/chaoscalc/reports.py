@@ -31,32 +31,25 @@ TOLERANCE = 1e-12
 PERTURBATION = 1e-6
 
 
-def max_abs(x) -> float:
-    """Largest entry magnitude of a scalar, array or coefficient table."""
+def _block_max_abs(x, blocks: int = 1) -> np.ndarray:
+    """Largest entry magnitude in each of ``blocks`` blocks; an empty block
+    reads 0, a NaN entry gives NaN. A scalar or 0-d array is one block, an
+    array splits into equal row blocks and a table into the tags
+    ``masks >> truncation``; with one block the whole table is the block,
+    a tagged stack included."""
     if isinstance(x, Functional):
-        return x.max_abs()
-    arr = np.asarray(x)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr)))
-
-
-def _block_max_abs(x, blocks: int) -> np.ndarray:
-    """Largest entry magnitude in each of ``blocks`` blocks: the equal row
-    blocks of an array, or the tags ``masks >> truncation`` of a tagged
-    table; an empty block reads 0, a NaN entry gives NaN."""
-    if isinstance(x, Functional):
+        if blocks == 1:
+            return x.moduli().max(initial=0.0, keepdims=True)
         bounds = _tag_bounds(x.masks, x.truncation, blocks)
         out = np.zeros(blocks)
         filled = bounds[:-1] < bounds[1:]
         if filled.any():
             out[filled] = np.maximum.reduceat(x.moduli(), bounds[:-1][filled])
         return out
-    shape = np.shape(x)
-    rows = shape[0] if shape else 0
-    if rows == 0 or rows % blocks:
-        raise ValueError(f"{rows} rows do not split into {blocks} equal row blocks")
     arr = np.abs(np.asarray(x))
+    rows = len(arr) if arr.ndim else 0
+    if blocks > 1 and (rows == 0 or rows % blocks):
+        raise ValueError(f"{rows} rows do not split into {blocks} equal row blocks")
     return arr.reshape(blocks, arr.size // blocks).max(axis=1, initial=0.0)
 
 
@@ -77,18 +70,12 @@ def residual(lhs, rhs, blocks: int = 1) -> float:
     infinite entry on either side leaves a NaN or infinite gap, so a zero
     gap means finite sides, which no normalization moves off 0.
     """
-    if blocks == 1:
-        gap = max_abs(lhs - rhs)
-        if gap == 0.0:
-            return gap
-        return gap / max(1.0, max_abs(lhs), max_abs(rhs))
     gap = _block_max_abs(lhs - rhs, blocks)
     if not gap.any():
         return 0.0
     scale = np.maximum(_block_max_abs(lhs, blocks), _block_max_abs(rhs, blocks))
-    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as for one block
-        per_block = gap / np.maximum(1.0, scale)
-    return float(np.max(per_block))
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN
+        return float((gap / np.maximum(1.0, scale)).max())
 
 
 def excess(value, bound) -> float:
@@ -109,8 +96,8 @@ def _worst(values) -> float:
 
 def perturbed(x):
     """A copy of x with its first entry nudged by
-    PERTURBATION * max(1, max_abs(x)), for negative controls."""
-    eps = PERTURBATION * max(1.0, max_abs(x))
+    PERTURBATION * max(1, largest magnitude of x), for negative controls."""
+    eps = PERTURBATION * max(1.0, _block_max_abs(x).item())
     if isinstance(x, Functional):
         target = x.masks[:1] if len(x.masks) else np.zeros(1, dtype=np.int64)
         return x + Functional._from_arrays(target, np.array([eps], dtype=complex), x.truncation)

@@ -36,6 +36,8 @@ tag. riesz and functional-invariant draw each stack's probes straight into
 one tagged table, probe t at ``(t << n) | sigma``, in the order drawing them
 one at a time would take, and ``Functional`` reads their norms, pairings and
 growth bounds per tag.
+spectral-shift and weight-invariant compare their per-k arrays, all of
+one length, as the row blocks of one ``residual(..., blocks=n)``.
 Every fold over comparisons keeps a NaN, wherever it falls.
 """
 from __future__ import annotations
@@ -467,35 +469,32 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
     n = family_level(n)
     masks = np.arange(1 << n, dtype=np.int64)
     theta = w.theta_vector(n)
-    sides_add, worst_remove = [], []
-    for k in range(n):
-        bit = 1 << k
-        row_count = w.row_slice(k).count_vector(n)
-        col_count = w.col_slice(k).count_vector(n)
-        outside = (masks & bit) == 0
-        sides_add.append(
-            (
-                theta[masks[outside] | bit],
-                (theta - row_count - col_count + w.colsum(k))[outside],
-            )
-        )
-        inside = ~outside
-        lhs_r = theta[masks[inside] ^ bit]
-        rhs_r = (theta + row_count + col_count - 2.0 * w(k, k) - w.colsum(k))[inside]
-        worst_remove.append(residual(lhs_r, rhs_r))
+    # row k of each (n, 2^n) array belongs to index k; its masks outside
+    # (inside) k are block k of the stacked add (remove) comparison, and
+    # row 0 of the (n, 2^(n-1)) add sides is the control's k = 0
+    bits = 1 << np.arange(n, dtype=np.int64)[:, None]
+    outside = (masks & bits) == 0
+    row_count = np.array([w.row_slice(k).count_vector(n) for k in range(n)])
+    col_count = np.array([w.col_slice(k).count_vector(n) for k in range(n)])
+    colsum = np.array([[w.colsum(k)] for k in range(n)])
+    diagonal = np.array([[w(k, k)] for k in range(n)])
+    add_l = theta[(masks | bits)[outside]].reshape(n, -1)
+    add_r = (theta - row_count - col_count + colsum)[outside].reshape(n, -1)
+    remove_l = theta[(masks ^ bits)[~outside]]
+    remove_r = (theta + row_count + col_count - 2.0 * diagonal - colsum)[~outside]
 
     checks = [
         (
             "spectral-shift-add",
             "theta(sigma + {k}) = theta(sigma) - count(row_k, sigma)"
             " - count(col_k, sigma) + colsum(k), for k outside sigma",
-            _worst([residual(lhs, rhs) for lhs, rhs in sides_add]),
+            residual(add_l, add_r, n),
         ),
         (
             "spectral-shift-remove",
             "theta(sigma - {k}) = theta(sigma) + count(row_k, sigma)"
             " + count(col_k, sigma) - 2 w(k,k) - colsum(k), for k in sigma",
-            _worst(worst_remove),
+            residual(remove_l, remove_r, n),
         ),
     ]
     if w.is_exact():
@@ -510,7 +509,7 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
         {"n": n, "weight": tag},
         SHIFT_TOLERANCE,
         checks,
-        ("spectral-shift-negative-control", "index-addition shift at k = 0", *sides_add[0]),
+        ("spectral-shift-negative-control", "index-addition shift at k = 0", add_l[0], add_r[0]),
     )
 
 
@@ -533,13 +532,11 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
         )
     target = _table(gwn_apply, w, n)
     stabilized = []
-    diagonals = []
+    diagonals = np.zeros((n + 1, 1 << n))
     for cut in range(n + 1):
         partial = apply_table(lambda f: series_partial_2d(w, f, cut), n)
         rows, cols = partial.masks & ((1 << n) - 1), partial.masks >> n
-        diagonal = np.zeros(1 << n)
-        diagonal[rows[rows == cols]] = partial.values[rows == cols].real
-        diagonals.append(diagonal)
+        diagonals[cut, rows[rows == cols]] = partial.values[rows == cols].real
         if cut >= w.support_bound():
             stabilized.append(partial)
 
@@ -568,7 +565,7 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
             (
                 "gwn-series-monotone",
                 "diagonal of the partial sums is nondecreasing in the cutoff",
-                _worst([excess(prev, cur) for prev, cur in zip(diagonals, diagonals[1:])]),
+                excess(diagonals[:-1], diagonals[1:]),
             ),
             (
                 "wn1d-series",
@@ -820,11 +817,11 @@ def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") ->
     lift = Weight2D.from_weight1d(u).theta_vector(n)
 
     masks = np.arange(1 << n, dtype=np.int64)
-    additive = []
-    for k in range(n):
-        bit = 1 << k
-        outside = (masks & bit) == 0
-        additive.append(residual(count[masks[outside] | bit], count[outside] + u(k)))
+    # row k belongs to index k, its masks outside k being block k
+    bits = 1 << np.arange(n, dtype=np.int64)[:, None]
+    outside = (masks & bits) == 0
+    shifted = (count + np.array([[u(k)] for k in range(n)]))[outside]
+    additive = residual(count[(masks | bits)[outside]], shifted, n)
 
     return family_reports(
         {"n": n, "weight": tag},
@@ -848,7 +845,7 @@ def check_weight_invariants(w: Weight2D, u: Weight1D, n: int, tag: str = "w") ->
             (
                 "count-additive",
                 "count(sigma + {k}) = count(sigma) + u(k) for k outside sigma",
-                _worst(additive),
+                additive,
             ),
             (
                 "theta-empty",

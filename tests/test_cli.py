@@ -270,6 +270,19 @@ class TestNorms:
         assert_one_error_line(err)
         assert "p = " in err
 
+    @pytest.mark.parametrize("p", ["-1e-3", "-2E1", "-0.001", "-.5", "-3", "-1."])
+    def test_negative_p_in_every_float_form(self, tmp_path, capsys, p):
+        # argparse alone reads -1e-3 and -2E1 as flags: "expected at least
+        # one argument"
+        f_path = write_json(
+            tmp_path / "phi.json", {"truncation": 2, "coefficients": [[[1], 1.0, 0.0]]}
+        )
+        assert main(["norms", "--functional", f_path, "--p", p, "2"]) == 0
+        out = capsys.readouterr().out
+        # the payload is one line of JSON
+        assert out.count("\n") == 1
+        assert [row["p"] for row in json.loads(out)["norms"]] == [float(p), 2.0]
+
     @pytest.mark.parametrize("p", ["nan", "inf"])
     def test_non_finite_p(self, tmp_path, capsys, p):
         f_path = write_json(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -407,6 +408,23 @@ class TestBitViewOracle:
             x = observable_with_signed_zeros(rng, 1 << n)
             got = generator_apply(GeneratorSpec(w, n), x)
             assert got.tobytes() == bitview_generator(w, n, None, x).tobytes(), support
+
+    def test_full_support_reads_the_observable_in_place(self):
+        # support bound s = n, so A = 1 and X is already its one tile-major
+        # chunk: the apply holds the image and the accumulator, each the
+        # size of X, and no copy of X besides
+        n = 8
+        w = Weight2D({(n - 1, 0): 0.5, (2, 2): 1.5})
+        spec = GeneratorSpec(w, n)
+        x = observable_with_signed_zeros(np.random.default_rng(8), 1 << n)
+        tracemalloc.start()
+        try:
+            got = generator_apply(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * x.nbytes
+        assert got.tobytes() == bitview_generator(w, n, None, x).tobytes()
 
     @pytest.mark.parametrize("n, support, rows", [(6, 2, 3), (7, 3, 5), (5, 2, 1)])
     def test_partial_last_chunk(self, monkeypatch, n, support, rows):

@@ -10,7 +10,9 @@ columns a stack, and reads each column's residual off its tag; its oracle
 compares one untagged column at a time, and its pairing one probe at a
 time. riesz and functional-invariant draw each stack's probes straight into
 one tagged table; their oracles draw and check one probe at a time, as the
-families once did. Every residual, and every control's, must come out equal
+families once did. spectral-shift and weight-invariant compare every k's
+equal-length arrays as row blocks of one residual; their oracle compares one
+k at a time. Every residual, and every control's, must come out equal
 as floats, not merely close.
 """
 from __future__ import annotations
@@ -235,6 +237,41 @@ def test_stacked_residuals_equal_the_per_k_oracle(case):
             mp.setattr(verifier, "_STACK_ROWS", blocks << n)
         for family, (call, oracle) in families(w, u, n).items():
             assert [r.residual for r in call()] == oracle(), family
+
+
+def oracle_index_shifts(w, u, n):
+    """spectral-shift's and count-additive's residuals, one k at a time."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    theta, count = w.theta_vector(n), u.count_vector(n)
+    add, remove, additive = [], [], []
+    for k in range(n):
+        bit = 1 << k
+        row_count = w.row_slice(k).count_vector(n)
+        col_count = w.col_slice(k).count_vector(n)
+        outside, inside = (masks & bit) == 0, (masks & bit) != 0
+        add.append(
+            (theta[masks[outside] | bit], (theta - row_count - col_count + w.colsum(k))[outside])
+        )
+        shifted = theta + row_count + col_count - 2.0 * w(k, k) - w.colsum(k)
+        remove.append(residual(theta[masks[inside] ^ bit], shifted[inside]))
+        additive.append(residual(count[masks[outside] | bit], count[outside] + u(k)))
+    return {
+        "spectral-shift-add": max(residual(*sides) for sides in add),
+        "spectral-shift-remove": max(remove),
+        "spectral-shift-negative-control": control(*add[0]),
+        "count-additive": max(additive),
+    }
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=cases())
+def test_stacked_index_shifts_equal_the_per_k_oracle(case):
+    # spectral-shift and weight-invariant compare every k in one residual
+    # over n row blocks; at scale 1e3 the shifts read nonzero residuals
+    w, u, n, _ = case
+    reports = verifier.check_spectral_shifts(w, n) + verifier.check_weight_invariants(w, u, n)
+    oracle = oracle_index_shifts(w, u, n)
+    assert {r.name: r.residual for r in reports if r.name in oracle} == oracle
 
 
 @pytest.mark.parametrize("blocks", [1, 3])

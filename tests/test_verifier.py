@@ -19,11 +19,11 @@ from chaoscalc.reports import (
     CHECK,
     NEGATIVE_CONTROL,
     VerificationReport,
+    _block_max_abs,
     all_ok,
     excess,
     family_reports,
     format_line,
-    max_abs,
     perturbed,
     residual,
     run_to_json,
@@ -79,10 +79,10 @@ class TestResidualHelpers:
     def test_matrix_and_functional(self):
         a = np.eye(3, dtype=complex)
         assert residual(a, a) == 0.0
-        assert max_abs(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert _block_max_abs(np.zeros((3, 3), dtype=complex)) == 0.0
         # 4 at (0, 1) and -3 at (1, 0), as an array or a matrix table
         summed = np.array([[0.0, 4.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4])
-        assert max_abs(summed[:3, :3]) == max_abs(stacked(summed)) == 4.0
+        assert _block_max_abs(summed[:3, :3]) == _block_max_abs(stacked(summed)) == 4.0
         phi = Functional({0: 2.0}, 2)
         assert residual(phi, Functional({0: 1.0}, 2)) == pytest.approx(0.5)
 
@@ -376,7 +376,7 @@ def test_growth_residual_reads_what_check_growth_measured(
 
 def test_nan_after_the_first_comparison_fails_spectral_shift(monkeypatch):
     # max(0.0, nan) is 0.0: a NaN past the first comparison of a fold read as
-    # a pass; the second call is the index-removal shift at k = 1
+    # a pass; the second call is the index-removal shift
     real, calls = verifier.residual, []
 
     def second_is_nan(lhs, rhs, *blocks):
@@ -387,6 +387,33 @@ def test_nan_after_the_first_comparison_fails_spectral_shift(monkeypatch):
     reports = check_spectral_shifts(Weight2D.from_entries([(0, 1, 2.0)]), 3)
     assert not all_ok(reports)
     assert [r.name for r in reports if not r.ok] == ["spectral-shift-remove"]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_shifts_catch_one_row_slice_skewed_at_k(monkeypatch, k):
+    # each k is one row block of the stacked add and remove comparisons; a
+    # row slice off by 1e-9 at one k >= 1 fails both, and not the control,
+    # which compares the k = 0 block
+    real = Weight2D.row_slice
+
+    def skewed(self, j):
+        row = real(self, j)
+        return Weight1D({**row.values, 0: row(0) + 1e-9}) if j == k else row
+
+    monkeypatch.setattr(Weight2D, "row_slice", skewed)
+    w = Weight2D.from_entries([(0, 1, 2.0), (1, 1, 3.0), (3, 2, 0.5)])
+    reports = check_spectral_shifts(w, 4)
+    assert [r.name for r in reports if not r.ok] == ["spectral-shift-add", "spectral-shift-remove"]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_stacked_count_additive_catches_one_skewed_weight(k):
+    class Skewed(Weight1D):
+        def __call__(self, j):
+            return super().__call__(j) + (1e-9 if j == k else 0.0)
+
+    reports = check_weight_invariants(Weight2D.zero(), Skewed({0: 1.0, 2: 0.25}), 4)
+    assert [r.name for r in reports if not r.ok] == ["count-additive"]
 
 
 @pytest.mark.parametrize("family,call", FAMILY_CALLS, ids=[f for f, _ in FAMILY_CALLS])
