@@ -188,13 +188,6 @@ def _products_over_masks(step_values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mirror_upper(gram: np.ndarray) -> None:
-    """Overwrite the strict lower triangle of a square matrix with the
-    transpose of its upper triangle."""
-    lower = np.tril_indices(len(gram), -1)
-    gram[lower] = gram.T[lower]
-
-
 def exact_gram(params: BernoulliParams) -> np.ndarray:
     """Gram matrix of the product basis under the exact atom probabilities.
 
@@ -343,21 +336,20 @@ def conditional_moments(params: BernoulliParams) -> MomentReport:
     return MomentReport(tuple(mean_devs), tuple(second_devs))
 
 
-def _check_samples(samples: int) -> int:
+def _atom_counts(params: BernoulliParams, samples: int, seed: int) -> np.ndarray:
+    """How often each atom occurs in ``samples`` paths, built in place like
+    :func:`atom_probs`: step k splits each of the first 2**k counts by one
+    binomial draw, writing its paths with bit k set into the next 2**k."""
     samples = as_index(samples, "samples")
     if not 1 <= samples < 1 << 63:  # the atom counts are int64
         raise ValueError(f"samples must lie in [1, 2**63 - 1], got {samples}")
-    return samples
-
-
-def _atom_counts(params: BernoulliParams, samples: int, seed: int) -> np.ndarray:
-    """How often each atom occurs in ``samples`` paths: at step k every count
-    splits by one binomial draw into its paths with bit k clear and bit k set."""
-    counts = np.array([_check_samples(samples)], dtype=np.int64)
+    counts = np.empty(1 << params.n, dtype=np.int64)
+    counts[0] = samples
     rng = rng_stream(seed)
-    for theta in params.thetas:
-        hits = rng.binomial(counts, theta)
-        counts = np.concatenate([counts - hits, hits])
+    for k, theta in enumerate(params.thetas):
+        h = 1 << k
+        counts[h : 2 * h] = rng.binomial(counts[:h], theta)
+        counts[:h] -= counts[h : 2 * h]
     return counts
 
 
@@ -386,8 +378,10 @@ def monte_carlo_gram(params: BernoulliParams, samples: int, seed: int) -> tuple:
     gram = z.T @ (weights * z)
     z *= z
     second = z.T @ (weights * z)
+    # the upper triangle, mirrored into the strict lower: exactly symmetric
+    lower = np.tri(len(gram), k=-1, dtype=bool)
     for table in (gram, second):
-        _mirror_upper(table)
+        np.copyto(table, table.T, where=lower)
         table /= samples
     variance = np.maximum(second - gram**2, 0.0)
     stderr = np.sqrt(variance / samples)

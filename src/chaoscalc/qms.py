@@ -305,8 +305,13 @@ def matrix_from_json(data: dict) -> tuple:
     size = 1 << n
     try:
         pairs = np.ascontiguousarray(data["rows"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"matrix JSON rows must hold numeric [re, im] pairs: {exc}") from exc
     if pairs.shape != (size, size, 2):
         raise ValueError(f"matrix JSON must be {size} x {size} [re, im] pairs for n = {n}")
+    # numpy also reads "1.5", true and null as floats; only JSON numbers pass
+    for i, row in enumerate(data["rows"]):
+        if {type(cell) for pair in row for cell in pair} - {int, float}:
+            bad = next(cell for pair in row for cell in pair if type(cell) not in (int, float))
+            raise ValueError(f"matrix JSON rows[{i}] must hold numbers only, got {bad!r}")
     return pairs.view(complex)[..., 0], n

@@ -151,20 +151,17 @@ def _chunks(items, n: int) -> list:
     return [items[i : i + per] for i in range(0, len(items), per)]
 
 
-def _tagged(tables, n: int) -> Functional:
+def _stack(tables) -> Functional:
     """One private table holding tables[t]'s entry at sigma under mask
-    ``(t << n) | sigma``, the column tag of ``apply_table``: every
-    kernel keeps the tag and the mask order, and ``residual(..., blocks=b)``
-    reads each table's comparison off its own tag."""
+    ``(t << n) | sigma``, n the truncation of tables[0]: the column tag of
+    ``apply_table``. Every kernel keeps the tag and the mask order, and
+    ``residual(..., blocks=b)`` reads each table's comparison off its own
+    tag. As a matrix table it holds tables[b] as its row block b; blocks
+    multiply blockwise, so a stack is also the block diagonal of its blocks."""
+    n = tables[0].truncation
     masks = np.concatenate([t << n | table.masks for t, table in enumerate(tables)])
     values = np.concatenate([table.values for table in tables])
     return Functional._from_arrays(masks, values, n)
-
-
-def _stack(tables) -> Functional:
-    """One tagged matrix table holding tables[b] as its row block b; blocks
-    multiply blockwise, so a stack is also the block diagonal of its blocks."""
-    return _tagged(tables, tables[0].truncation)
 
 
 def _first(stack: Functional) -> Functional:

@@ -678,6 +678,14 @@ class TestQms:
 PHI = {"truncation": 3, "coefficients": [[[1], 1.0, 0.0]]}
 DEEP = "[" * 200_000 + "]" * 200_000
 
+
+def matrix_cell(value):
+    """The valid n = 2 matrix with the real part of entry (1, 2) set to value."""
+    matrix = matrix_to_json(np.eye(4), 2)
+    matrix["rows"][1][2][0] = value
+    return matrix
+
+
 # Each case: the subcommand and {flag: file content (bytes, text or JSON
 # data)}; the other files the subcommand requires are valid.
 BAD_INPUTS = {
@@ -707,6 +715,7 @@ BAD_INPUTS = {
         "apply", {"--expr": '{"op": "sum", "args": [' * 300 + '{"op": "zero"}' + "]}" * 300}
     ),
     "thetas-not-a-list": ("simulate", {"--theta": {"thetas": 0.5}}),
+    "matrix-int-past-float": ("qms", {"--x": matrix_cell(10**400)}),
 }
 VALID = {
     "--expr": {"op": "identity"},
@@ -751,8 +760,8 @@ def coefficient(value):
     return {"truncation": 3, "coefficients": [[[1], value, 0.0]]}
 
 
-# a number given as a JSON string or boolean, which float() would take,
-# and the field its error names
+# a number given as a JSON string, boolean or null, which float() or numpy
+# would take, and the field its error names
 QUOTED_NUMBERS = {
     "norms-coefficient-string": (
         "norms", {"--functional": coefficient("1.0")}, "coefficient at [1]: re"
@@ -774,6 +783,9 @@ QUOTED_NUMBERS = {
         "apply", {"--expr": {"op": "scale", "c": ["2", "1e2"], "arg": {"op": "identity"}}}, "'c'"
     ),
     "simulate-theta": ("simulate", {"--theta": ["0.5", 0.5, 0.5]}, "theta"),
+    "qms-x-string": ("qms", {"--x": matrix_cell("1.5")}, "rows[1]"),
+    "qms-x-true": ("qms", {"--x": matrix_cell(True)}, "rows[1]"),
+    "qms-hamiltonian-null": ("qms", {"--hamiltonian": matrix_cell(None)}, "rows[1]"),
 }
 
 

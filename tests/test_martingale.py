@@ -239,6 +239,25 @@ def check_one_shot_oracle(thetas, samples):
     return gram, stderr, gram_ref, stderr_ref
 
 
+def index_mirrored_gram(params, samples, seed):
+    """monte_carlo_gram with each table's strict lower triangle overwritten
+    through ``np.tril_indices`` and fancy indexing: the reference for the
+    library's one boolean mask."""
+    counts = martingale._atom_counts(params, samples, seed)
+    seen = np.flatnonzero(counts)
+    weights = counts[seen].astype(float)[:, None]
+    z = martingale._products_over_masks(psi_matrix(params)[seen])
+    gram = z.T @ (weights * z)
+    z *= z
+    second = z.T @ (weights * z)
+    lower = np.tril_indices(len(gram), -1)
+    for table in (gram, second):
+        table[lower] = table.T[lower]
+        table /= samples
+    stderr = np.sqrt(np.maximum(second - gram**2, 0.0) / samples)
+    return gram, stderr
+
+
 def path_counts(params, samples, seed):
     """Draw counts per atom from :func:`sample_steps`' paths."""
     positive = sample_steps(params, samples, seed) > 0
@@ -307,6 +326,21 @@ class TestBlockedGram:
         counts = martingale._atom_counts(params, samples, seed=5)
         assert np.array_equal(counts, tree_counts(params, samples, seed=5))
         check_one_shot_oracle(thetas, samples)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        thetas=st.integers(0, 8).flatmap(
+            lambda n: st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)
+        ),
+        samples=st.sampled_from([1, 2, 10**5, 2**63 - 1]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_mask_mirror_matches_index_mirror(self, thetas, samples, seed):
+        params = BernoulliParams(tuple(thetas))
+        gram, stderr = monte_carlo_gram(params, samples, seed)
+        gram_ref, stderr_ref = index_mirrored_gram(params, samples, seed)
+        assert gram.tobytes() == gram_ref.tobytes()
+        assert stderr.tobytes() == stderr_ref.tobytes()
 
     def test_counts_follow_atom_probs(self):
         assert chi_square(martingale._atom_counts) < CHI_SQUARE_CRITICAL

@@ -26,7 +26,8 @@ from chaoscalc.qms import matrix_to_json
 PACKAGE = pathlib.Path(chaoscalc.__file__).parent
 
 UNREACHED = {
-    # the paper's chaos expansion, to be checked by simulate
+    # the paper's chaos expansion, to be checked by a verify family that
+    # reads the ladders as its gradient and divergence
     "martingale.chaotic_expand": "the chaos expansion of a path functional",
     "martingale.reconstruct": "the inverse chaos expansion",
     "martingale._apply_steps": "the per-step Kronecker kernel of both expansions",

@@ -103,7 +103,7 @@ class TestResidualHelpers:
         # by 0.5 of 2.5: normalized by its own tag, the small gap is not hidden
         big, small = Functional({0: 1e6, 1: 1.0}, 1), Functional({1: 2.0}, 1)
         off = small + Functional({1: 0.5}, 1)
-        lhs, rhs = verifier._tagged([big, small], 1), verifier._tagged([big, off], 1)
+        lhs, rhs = verifier._stack([big, small]), verifier._stack([big, off])
         assert lhs.masks.tolist() == [0b00, 0b01, 0b11]
         assert residual(lhs, rhs, blocks=2) == residual(small, off) == 0.5 / 2.5
         # one block is the unblocked residual, normalized by the whole table
@@ -114,17 +114,17 @@ class TestResidualHelpers:
     def test_residual_empty_and_broken_tags(self):
         empty, probe = Functional.zero(2), Functional({0b10: 4.0}, 2)
         # tag 0 stores nothing on either side and reads 0; tag 1 is off by 1 of 4
-        lhs = verifier._tagged([empty, probe], 2)
-        rhs = verifier._tagged([empty, probe + Functional({0b01: 1.0}, 2)], 2)
+        lhs = verifier._stack([empty, probe])
+        rhs = verifier._stack([empty, probe + Functional({0b01: 1.0}, 2)])
         assert residual(lhs, rhs, blocks=2) == 0.25
         assert residual(lhs, lhs, blocks=3) == residual(empty, empty, blocks=2) == 0.0
         # NaN in the last tag: a fold that keeps the first value would hide it
         broken = Functional._from_arrays(np.array([0b110]), np.array([np.nan + 0j]), 2)
-        stack = verifier._tagged([probe, probe], 2)
+        stack = verifier._stack([probe, probe])
         assert np.isnan(residual(stack, stack + broken, blocks=2))
         # a tag at or above blocks is a table the caller did not count
         with pytest.raises(ValueError, match="tag 2 lies outside 2 blocks"):
-            residual(verifier._tagged([empty, probe, probe], 2), lhs, blocks=2)
+            residual(verifier._stack([empty, probe, probe]), lhs, blocks=2)
 
     def test_residual_empty_and_broken_blocks(self):
         # block 0 of the stack stores no entry; block 1 differs by 2 of 4
