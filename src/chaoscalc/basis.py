@@ -7,6 +7,7 @@ ordering of the truncated basis: position == mask.
 """
 from __future__ import annotations
 
+import json
 import os
 from typing import Iterable, Iterator
 
@@ -36,7 +37,7 @@ def as_index(k, what: str = "index") -> int:
     """k as a plain nonnegative int; a bool, a float such as 1.7 or any other
     non-integer is a ValueError, never truncated."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {k!r}")
+        raise ValueError(f"{what} must be an integer, got {json_spelling(k)}")
     if k < 0:
         raise ValueError(f"{what} must be nonnegative, got {k}")
     return int(k)
@@ -50,7 +51,16 @@ def as_real(x, what: str = "value") -> float:
             return float(x)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise ValueError(f"{what} must be a number, got {x!r}")
+    raise ValueError(f"{what} must be a number, got {json_spelling(x)}")
+
+
+def json_spelling(value) -> str:
+    """value as a JSON file spells it (null, true, "1.5"), for the loaders'
+    errors; the repr of anything JSON cannot hold."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def check_truncation(n: int) -> int:

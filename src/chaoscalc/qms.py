@@ -19,12 +19,14 @@ and B itself is only an oracle.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import as_index, check_truncation, popcount_vector
+from .basis import as_index, check_truncation, json_spelling, popcount_vector
 from .functionals import Functional
 from .operators import (
     apply_table, l2_annihilate, l2_create, l2_hop, table_csr, table_dense, table_product,
@@ -39,6 +41,11 @@ if TYPE_CHECKING:
 # Cells per chunk buffer of generator_apply (512 KiB, L2-resident) and its ufunc
 # buffer: numpy's default (8192) copies each strided tile slice through it.
 _TILE_CELLS, _UFUNC_BUFFER = 1 << 15, 256
+
+# generator_apply's band workers and the (process id, CPU count) they were made
+# for: a forked child, whose copy has no threads, or a new CPU count makes a
+# new pool, and a dropped pool's idle threads exit once it is collected
+_pool = (None, None)
 
 
 def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:
@@ -127,40 +134,86 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     product. The terms are summed into zeros in the order occ is summed and the
     diagonal product is added last: on L(I)'s diagonal both are the same rounded
     sum, so L(I) is exactly 0. A given Hamiltonian is multiplied densely.
+
+    Every jump term moves basis elements only within the low s bits, so each
+    chunk's row band of L(X) reads only the same rows of X. The calling thread
+    and min(bands, CPUs) - 1 pooled worker threads take the bands from one
+    shared iterator, each under the caller's numpy error state; CPUs are those
+    the process may run on. Bands write disjoint rows with the same arithmetic
+    per element, so the image does not depend on how many threads ran. An
+    apply with one band starts no thread.
     """
+    global _pool
     n, s = spec.truncation, spec.split
     x = np.asarray(x, dtype=complex)
     if x.shape != (1 << n, 1 << n):
         raise ValueError(f"observable shape {x.shape} does not match basis size {1 << n}")
     a, t = 1 << (n - s), 1 << s
     rows = min(a, max(1, _TILE_CELLS // (t << n)))
-    xv = x.reshape(a, t, a, t)
+    bands = range(0, a, rows)
+    # the CPUs this process may run on
+    cpus = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    )
     out = np.empty(x.shape, dtype=complex)
+    err = dict(np.geterr(), call=np.geterrcall())
+    args = (spec, x.reshape(a, t, a, t), out, rows, iter(bands), threading.Lock(), err)
+    workers, jobs = min(len(bands), cpus) - 1, []
+    if workers:
+        if _pool[0] != (os.getpid(), cpus):
+            # imported here: concurrent.futures loads logging, about 0.6 MB and
+            # 8 ms, which a process whose applies have one band never needs
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), cpus), ThreadPoolExecutor(cpus - 1)
+        jobs = [_pool[1].submit(_apply_bands, *args) for _ in range(workers)]
+    try:
+        _apply_bands(*args)
+    finally:
+        # no worker is left writing to out when the apply returns or raises
+        for job in jobs:
+            job.exception()
+    for job in jobs:
+        job.result()
+    if spec.hamiltonian is not None:
+        out += 1j * (spec.hamiltonian @ x - x @ spec.hamiltonian)
+    return out
+
+
+def _apply_bands(spec, xv, out, rows, bands, lock, err) -> None:
+    """Write generator_apply's image of X, viewed as xv = (A, S, A, S), on the
+    row bands taken from the shared iterator until it runs out, each band
+    ``rows`` high-bit row groups from its start; numpy runs under the error
+    state ``err`` and the ufunc buffer _UFUNC_BUFFER."""
+    n, s = spec.truncation, spec.split
+    a, t = 1 << (n - s), 1 << s
     acc = np.empty((t, t, rows, a), dtype=complex)
     # at A = 1, X is already its one tile-major chunk
     xt = xv.transpose(1, 3, 0, 2) if a == 1 else np.empty_like(acc)
     tiles = (2,) * 2 * s + (rows, a)
-    bufsize = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        for lo in range(0, a, rows):
-            r = min(rows, a - lo)
-            if a > 1:
-                np.copyto(xt[:, :, :r], xv[lo : lo + r].transpose(1, 3, 0, 2))
-            acc.fill(0)
-            xtv, av = xt.reshape(tiles)[..., :r, :], acc.reshape(tiles)[..., :r, :]
-            for rate, dom, img in spec.terms:
-                av[dom] += rate * xtv[img]
-            band = slice(lo * t, (lo + r) * t)
-            chunk = out[band]
-            np.add.outer(spec.left[band], spec.right, out=chunk)
-            chunk *= x[band]
-            chunk = chunk.reshape(r, t, a, t)
-            chunk += acc[:, :, :r].transpose(2, 0, 3, 1)
-    finally:
-        np.setbufsize(bufsize)
-    if spec.hamiltonian is not None:
-        out += 1j * (spec.hamiltonian @ x - x @ spec.hamiltonian)
-    return out
+    with np.errstate(**err):
+        bufsize = np.setbufsize(_UFUNC_BUFFER)
+        try:
+            while True:
+                with lock:
+                    lo = next(bands, None)
+                if lo is None:
+                    return
+                r = min(rows, a - lo)
+                if a > 1:
+                    np.copyto(xt[:, :, :r], xv[lo : lo + r].transpose(1, 3, 0, 2))
+                acc.fill(0)
+                xtv, av = xt.reshape(tiles)[..., :r, :], acc.reshape(tiles)[..., :r, :]
+                for rate, dom, img in spec.terms:
+                    av[dom] += rate * xtv[img]
+                band = slice(lo * t, (lo + r) * t)
+                chunk = out[band]
+                np.add.outer(spec.left[band], spec.right, out=chunk)
+                chunk = chunk.reshape(r, t, a, t)
+                chunk *= xv[lo : lo + r]
+                chunk += acc[:, :, :r].transpose(2, 0, 3, 1)
+        finally:
+            np.setbufsize(bufsize)
 
 
 # ---------------------------------------------------------------------------
@@ -313,5 +366,7 @@ def matrix_from_json(data: dict) -> tuple:
     for i, row in enumerate(data["rows"]):
         if {type(cell) for pair in row for cell in pair} - {int, float}:
             bad = next(cell for pair in row for cell in pair if type(cell) not in (int, float))
-            raise ValueError(f"matrix JSON rows[{i}] must hold numbers only, got {bad!r}")
+            raise ValueError(
+                f"matrix JSON rows[{i}] must hold numbers only, got {json_spelling(bad)}"
+            )
     return pairs.view(complex)[..., 0], n

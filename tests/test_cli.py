@@ -661,6 +661,16 @@ class TestQms:
         assert_one_error_line(err)
         assert "hamiltonian is sized for n = 3" in err
 
+    def test_overflow_on_a_worker_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # at n = 8 the running weight gives two row bands, so with two CPUs
+        # a worker applies one of them, under the command's error state
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        w_path = write_json(tmp_path / "w.json", RUNNING_WEIGHT)
+        x_path = write_json(tmp_path / "x.json", matrix_to_json(np.full((256, 256), 1e308), 8))
+        code, payload, err = run_cli(capsys, "qms", "--weight", w_path, "--x", x_path)
+        assert code == 2 and payload is None
+        assert_one_error_line(err)
+
     @pytest.mark.parametrize(
         "rows",
         [5, [[[0, 0], [0, 0], [0, 0], [0, 0]]] * 3 + [[[0, 0], [0, 0], [0, 0], 1.5]]],
@@ -761,17 +771,28 @@ def coefficient(value):
 
 
 # a number given as a JSON string, boolean or null, which float() or numpy
-# would take, and the field its error names
+# would take, and a part of its error, which names the field and, where
+# given, spells the value as JSON does
 QUOTED_NUMBERS = {
     "norms-coefficient-string": (
-        "norms", {"--functional": coefficient("1.0")}, "coefficient at [1]: re"
+        "norms", {"--functional": coefficient("1.0")},
+        'coefficient at [1]: re must be a number, got "1.0"',
     ),
     "norms-coefficient-true": (
-        "norms", {"--functional": coefficient(True)}, "coefficient at [1]: re"
+        "norms", {"--functional": coefficient(True)},
+        "coefficient at [1]: re must be a number, got true",
+    ),
+    "norms-coefficient-null": (
+        "norms", {"--functional": coefficient(None)},
+        "coefficient at [1]: re must be a number, got null",
     ),
     "verify-dense-entry": (
         "verify", {"--weight": {"kind": "dense", "entries": [[0, 1, "2.0"]]}},
         "weight value at (0, 1)",
+    ),
+    "verify-dense-entry-null": (
+        "verify", {"--weight": {"kind": "dense", "entries": [[0, 1, None]]}},
+        "weight value at (0, 1) must be a number, got null",
     ),
     "verify-diag1d-entry": (
         "verify", {"--weight": {"kind": "diag1d", "entries": [[0, "2.0"]]}}, "weight value at 0"
@@ -783,19 +804,26 @@ QUOTED_NUMBERS = {
         "apply", {"--expr": {"op": "scale", "c": ["2", "1e2"], "arg": {"op": "identity"}}}, "'c'"
     ),
     "simulate-theta": ("simulate", {"--theta": ["0.5", 0.5, 0.5]}, "theta"),
-    "qms-x-string": ("qms", {"--x": matrix_cell("1.5")}, "rows[1]"),
-    "qms-x-true": ("qms", {"--x": matrix_cell(True)}, "rows[1]"),
-    "qms-hamiltonian-null": ("qms", {"--hamiltonian": matrix_cell(None)}, "rows[1]"),
+    "simulate-theta-false": (
+        "simulate", {"--theta": [False, 0.5, 0.5]}, "theta must be a number, got false"
+    ),
+    "qms-x-string": (
+        "qms", {"--x": matrix_cell("1.5")}, 'rows[1] must hold numbers only, got "1.5"'
+    ),
+    "qms-x-true": ("qms", {"--x": matrix_cell(True)}, "rows[1] must hold numbers only, got true"),
+    "qms-hamiltonian-null": (
+        "qms", {"--hamiltonian": matrix_cell(None)}, "rows[1] must hold numbers only, got null"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(QUOTED_NUMBERS.values()), ids=list(QUOTED_NUMBERS))
 def test_a_quoted_number_is_one_error_line_naming_its_field(tmp_path, capsys, case):
-    command, files, field = case
+    command, files, text = case
     code, payload, err = run_cli(capsys, *input_argv(tmp_path, command, files))
     assert code == 2 and payload is None
     assert_one_error_line(err)
-    assert field in err
+    assert text in err
 
 
 def test_missing_field_is_named(tmp_path, capsys):

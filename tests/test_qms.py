@@ -11,6 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 import warnings
 
@@ -31,7 +37,7 @@ from chaoscalc.qms import (
     transfer_matrix,
 )
 from chaoscalc.reports import all_ok
-from chaoscalc.verifier import fixture_weights
+from chaoscalc.verifier import fixture_weights, run_all
 from chaoscalc.weights import Weight2D
 
 
@@ -474,6 +480,131 @@ class TestLayouts:
                 assert apply(x).tobytes() == apply(copy).tobytes(), (layout, name)
                 assert x.tobytes() == before.tobytes(), (layout, name)
                 assert copy.tobytes() == copy_before.tobytes(), (layout, name)
+
+
+class TestBands:
+    """The row bands of an apply are shared by the calling thread and pooled
+    workers, one fewer than the CPUs the process may run on or the bands."""
+
+    @staticmethod
+    def allow_cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        # a fresh pool, dropped when the test ends
+        monkeypatch.setattr(qms, "_pool", (None, None))
+
+    @staticmethod
+    def case(name):
+        """(weight, n, hamiltonian, observable, bands) of a named case."""
+        rng = np.random.default_rng(90)
+        if name == "benchmark-weight":
+            # rates on 8 of the 16 pairs of a 4 x 4 block, as the generator
+            # benchmark draws them
+            pairs = [(j, k) for j in range(4) for k in range(4)]
+            chosen = rng.choice(len(pairs), size=8, replace=False)
+            w = Weight2D({pairs[c]: float(1.0 - rng.random()) for c in sorted(chosen)})
+            return w, 9, None, observable_with_signed_zeros(rng, 512), 8
+        x = observable_with_signed_zeros(rng, 256)
+        if name == "full-support":
+            return Weight2D({(7, 0): 0.5, (2, 2): 1.5}), 8, None, x, 1
+        h = TestHandOracle.random_hermitian(rng, 256)
+        return supported_weight(rng, 8, 3), 8, h, x, 2
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["benchmark-weight", "full-support", "hamiltonian"])
+    def test_images_do_not_depend_on_the_worker_count(self, monkeypatch, cpus, name):
+        w, n, h, x, bands = self.case(name)
+        self.allow_cpus(monkeypatch, cpus)
+        runners, apply_bands = [], qms._apply_bands
+
+        def counted(*args):
+            runners.append(threading.get_ident())
+            apply_bands(*args)
+
+        monkeypatch.setattr(qms, "_apply_bands", counted)
+        spec = GeneratorSpec(w, n, h)
+        want = bitview_generator(w, n, h, x).tobytes()
+        for _ in range(3):
+            assert generator_apply(spec, x).tobytes() == want
+        # the caller and min(bands, cpus) - 1 workers each apply, and the
+        # pool reuses its workers
+        assert len(runners) == 3 * min(bands, cpus)
+        assert runners.count(threading.get_ident()) == 3
+        assert len(set(runners)) <= min(bands, cpus)
+
+    def test_many_workers_and_frequent_switches_lose_no_band(self, monkeypatch):
+        # more workers than most machines have CPUs, 64 bands of one high-bit
+        # row group each, and thread switches as often as the interpreter
+        # allows: a band lost, or a buffer two threads share, shows in bytes
+        n, support = 8, 2
+        self.allow_cpus(monkeypatch, 8)
+        monkeypatch.setattr(qms, "_TILE_CELLS", 1 << (n + support))
+        rng = np.random.default_rng(91)
+        w = supported_weight(rng, n, support)
+        x = observable_with_signed_zeros(rng, 1 << n)
+        want = bitview_generator(w, n, None, x).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert generator_apply(GeneratorSpec(w, n), x).tobytes() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_verify_starts_no_thread(self, monkeypatch):
+        # verify runs the generator at n = 6, where an apply is one band
+        self.allow_cpus(monkeypatch, 4)
+
+        def start(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert all_ok(run_all(n=8)[0])
+
+    def test_workers_run_under_the_callers_error_state(self, monkeypatch):
+        # at n = 8 the running weight, support bound 2, gives two bands
+        self.allow_cpus(monkeypatch, 2)
+        w = Weight2D({(0, 1): 2.0, (1, 1): 3.0})
+        x = np.full((256, 256), 1e308, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = generator_apply(GeneratorSpec(w, 8), x)
+                want = bitview_generator(w, 8, None, x)
+        assert not np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_applies_with_its_own_workers(self):
+        # The parent's pool is copied into a child without its threads. In a
+        # fresh interpreter, so that the pytest process never forks with live
+        # threads; the alarm ends a child whose apply waits forever.
+        script = textwrap.dedent("""
+            import os, signal, sys, threading, warnings
+            import numpy as np
+            from chaoscalc.qms import GeneratorSpec, generator_apply
+            from chaoscalc.weights import Weight2D
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            spec = GeneratorSpec(Weight2D({(0, 1): 2.0, (1, 1): 3.0}), 8)
+            x = np.arange(65536.0).reshape(256, 256)
+            first = generator_apply(spec, x)
+            assert threading.active_count() == 2
+            with warnings.catch_warnings():
+                # Python 3.12 on warns of a fork with live threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)
+                os._exit(0 if generator_apply(spec, x).tobytes() == first.tobytes() else 1)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            sys.exit(f"child exit code {code}" if code else 0)
+        """)
+        src = str(pathlib.Path(qms.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestMatrixJson:

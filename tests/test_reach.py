@@ -2,11 +2,12 @@
 
 The five subcommands run in a fresh interpreter under ``sys.setprofile``,
 installed before ``import chaoscalc`` so that work done at import counts,
-on small inputs plus one rejected input per size cap, which reaches the
-helpers that only build error messages. Every function or method defined
-in ``src/chaoscalc`` that no run entered, dunders aside, must be one of
-``UNREACHED``, each with the reason it stays. A new function that no
-command reaches, or a pinned one that a command now reaches, fails here.
+on small inputs plus one rejected input per size cap and one JSON value of
+the wrong type, which reach the helpers that only build error messages.
+Every function or method defined in ``src/chaoscalc`` that no run entered,
+dunders aside, must be one of ``UNREACHED``, each with the reason it stays.
+A new function that no command reaches, or a pinned one that a command now
+reaches, fails here.
 """
 from __future__ import annotations
 
@@ -110,6 +111,8 @@ def entered_functions(tmp_path) -> set:
         (2, {}, ["verify", "--n", "21"]),
         (2, {"CHAOSCALC_MAX_N": "21"}, ["simulate", "--n", "21"]),
         (2, {}, ["simulate", "--n", "9", "--samples", "10"]),
+        # a null theta, which the loader's error spells as JSON
+        (2, {}, ["simulate", "--n", "3", "--theta", write("null.json", [None, 0.5, 0.5])]),
         # a bad flag value, which the parser's error method turns into ValueError
         (2, {}, ["simulate", "--n", "abc"]),
         (2, {"CHAOSCALC_MAX_N": "63"}, ["norms", "--functional", write(
