@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _DEFAULT_MAX_TRUNCATION = 20
+_SPELLING_CHARS = 80
 
 
 def max_truncation() -> int:
@@ -54,13 +55,25 @@ def as_real(x, what: str = "value") -> float:
     raise ValueError(f"{what} must be a number, got {json_spelling(x)}")
 
 
+def as_list(x, what: str, length: int | None = None) -> list | tuple:
+    """x itself when it is a list or a tuple, of ``length`` items if given;
+    anything else is a ValueError naming ``what`` and spelling x as JSON."""
+    if isinstance(x, (list, tuple)) and (length is None or len(x) == length):
+        return x
+    items = "" if length is None else f" of {length} items"
+    raise ValueError(f"{what} must be a list{items}, got {json_spelling(x)}")
+
+
 def json_spelling(value) -> str:
     """value as a JSON file spells it (null, true, "1.5"), for the loaders'
-    errors; the repr of anything JSON cannot hold."""
+    errors; the repr of anything JSON cannot hold. Past _SPELLING_CHARS
+    characters it is cut and ends in "...", so one error line stays short
+    whatever a rejected list or object holds."""
     try:
-        return json.dumps(value)
+        text = json.dumps(value)
     except (TypeError, ValueError):
-        return repr(value)
+        text = repr(value)
+    return text if len(text) <= _SPELLING_CHARS else text[:_SPELLING_CHARS] + "..."
 
 
 def check_truncation(n: int) -> int:
@@ -107,9 +120,7 @@ class Subset:
 
     @classmethod
     def from_json(cls, data, n: int | None = None) -> "Subset":
-        if not isinstance(data, (list, tuple)):
-            raise ValueError(f"subset JSON must be a list of indices, got {data!r}")
-        return cls.from_indices(data, n)
+        return cls.from_indices(as_list(data, "subset indices"), n)
 
     def to_json(self) -> list:
         return list(self.indices())

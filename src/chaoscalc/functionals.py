@@ -21,7 +21,8 @@ from typing import Iterator
 import numpy as np
 
 from .basis import (
-    Subset, _mask_of, as_real, basis_size, check_truncation, lam_at, lambda_series_partial
+    Subset, _mask_of, as_list, as_real, basis_size, check_truncation, json_spelling, lam_at,
+    lambda_series_partial
 )
 
 # Masks are stored as int64, so a table's truncation level stays below 63.
@@ -319,23 +320,16 @@ class Functional:
         if not isinstance(data, dict) or "truncation" not in data:
             raise ValueError("functional JSON must be an object with a 'truncation' field")
         n = _table_truncation(data["truncation"])
-        items = data.get("coefficients", [])
-        if not isinstance(items, list):
-            raise ValueError(f"'coefficients' must be a list, got {type(items).__name__}")
         coeffs = {}
-        for item in items:
-            if not isinstance(item, list) or len(item) != 3:
-                raise ValueError(
-                    f"coefficient must be [[indices], re, im], got {item!r}"
-                )
-            indices, re, im = item
+        for item in as_list(data.get("coefficients", []), "'coefficients'"):
+            indices, re, im = as_list(item, "coefficient [[indices], re, im]", 3)
             mask = Subset.from_json(indices, n).mask
             if mask in coeffs:
-                raise ValueError(f"duplicate coefficient for subset {indices!r}")
+                raise ValueError(f"duplicate coefficient at {json_spelling(indices)}")
             try:
                 coeffs[mask] = complex(as_real(re, "re"), as_real(im, "im"))
             except ValueError as exc:
-                raise ValueError(f"coefficient at {indices!r}: {exc}") from None
+                raise ValueError(f"coefficient at {json_spelling(indices)}: {exc}") from None
         return cls(coeffs, n)
 
 

@@ -118,32 +118,29 @@ class BernoulliParams:
         return cls(tuple(thetas))
 
 
-def _check_table_size(n: int) -> int:
+def _check_size(n: int, cap: int, scale: int, what: str, holder: str) -> int:
+    """n, checked against one of the size caps: each ``holder`` takes 8 *
+    scale**n bytes, and the error states the cap, the n asked and the bytes
+    at both."""
     n = check_truncation(n)
-    if n > _EXACT_ENUMERATION_CAP:
+    if n > cap:
         raise ValueError(
-            f"the exact tables handle up to n = {_EXACT_ENUMERATION_CAP} "
-            f"(got {n}): a 2**n x 2**n table such as the Gram takes 8 * 4**n bytes, "
-            f"{_mib(8 * 4**_EXACT_ENUMERATION_CAP)} at n = {_EXACT_ENUMERATION_CAP} "
-            f"and {_mib(8 * 4**n)} at n = {n}"
+            f"{what} handles up to n = {cap} (got {n}): each {holder} takes 8 * {scale}**n "
+            f"bytes, {_mib(8 * scale**cap)} at n = {cap} and {_mib(8 * scale**n)} at n = {n}"
         )
     return n
+
+
+def _check_table_size(n: int) -> int:
+    return _check_size(n, _EXACT_ENUMERATION_CAP, 4, "exact enumeration", "2**n x 2**n table")
 
 
 def _check_vector_size(n: int) -> int:
-    n = check_truncation(n)
-    if n > _EXACT_VECTOR_CAP:
-        raise ValueError(
-            f"exact mode handles up to n = {_EXACT_VECTOR_CAP} (got {n}): "
-            f"each vector over the 2**n atoms takes 8 * 2**n bytes, "
-            f"{_mib(8 * 2**_EXACT_VECTOR_CAP)} at n = {_EXACT_VECTOR_CAP} "
-            f"and {_mib(8 * 2**n)} at n = {n}"
-        )
-    return n
+    return _check_size(n, _EXACT_VECTOR_CAP, 2, "exact mode", "vector over the 2**n atoms")
 
 
 def _mib(nbytes: int) -> str:
-    return f"{nbytes / 2**20:g} MiB"
+    return f"{nbytes / 2**20:.10g} MiB"
 
 
 def atom_probs(params: BernoulliParams) -> np.ndarray:
@@ -363,14 +360,7 @@ def monte_carlo_gram(params: BernoulliParams, samples: int, seed: int) -> tuple:
     the at most 2**n drawn atoms, built by the same recursion as for a single
     sample, gives the Gram and the second moments.
     """
-    n = params.n
-    if n > _MC_BASIS_CAP:
-        raise ValueError(
-            f"the sampled Gram, its second moments and the basis products over "
-            f"the drawn atoms are tables of up to 2**n x 2**n values, 8 * 4**n "
-            f"bytes each; capped at n = {_MC_BASIS_CAP} "
-            f"({_mib(8 * 4**_MC_BASIS_CAP)} each), got {n}"
-        )
+    _check_size(params.n, _MC_BASIS_CAP, 4, "sampled mode", "2**n x 2**n table")
     counts = _atom_counts(params, samples, seed)
     seen = np.flatnonzero(counts)
     weights = counts[seen].astype(float)[:, None]

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .basis import as_index, as_real, check_truncation, popcount_at
+from .basis import as_index, as_list, as_real, check_truncation, json_spelling, popcount_at
 from .functionals import Functional
 from .weights import Weight1D, Weight2D
 
@@ -359,7 +359,9 @@ def parse_expr(data: dict, _depth: int = 0) -> Callable[[Functional], Functional
     """Rebuild an expression from its JSON form; ValueError on any malformed
     payload, including one nested deeper than ``_MAX_EXPR_DEPTH``."""
     if not isinstance(data, dict) or "op" not in data:
-        raise ValueError(f"operator JSON must be an object with an 'op' key, got {data!r}")
+        raise ValueError(
+            f"operator JSON must be an object with an 'op' key, got {json_spelling(data)}"
+        )
     if _depth > _MAX_EXPR_DEPTH:
         raise ValueError(f"operator expression nests deeper than {_MAX_EXPR_DEPTH} levels")
     op = data["op"]
@@ -383,22 +385,17 @@ def parse_expr(data: dict, _depth: int = 0) -> Callable[[Functional], Functional
     if op == "wn1d":
         return wn1d_expr(Weight1D.from_json(field("weight")))
     if op in ("sum", "compose"):
-        args = field("args")
-        if not isinstance(args, list):
-            raise ValueError(f"operator {op!r} requires an 'args' list, got {args!r}")
+        args = as_list(field("args"), f"'args' of operator {op!r}")
         parsed = tuple(parse_expr(arg, _depth + 1) for arg in args)
         if op == "compose":
             return _compose(parsed)
         return lambda phi: sum((term(phi) for term in parsed), Functional.zero(phi.truncation))
     if op == "scale":
         c = field("c")
-        try:
-            re, im = c
-            factor = complex(as_real(re), as_real(im))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"scale factor 'c' must be [re, im], got {c!r}") from exc
+        re, im = as_list(c, "scale factor 'c' [re, im]", 2)
+        factor = complex(as_real(re, "scale factor 'c': re"), as_real(im, "scale factor 'c': im"))
         if not cmath.isfinite(factor):
-            raise ValueError(f"scale factor 'c' must be finite, got {c!r}")
+            raise ValueError(f"scale factor 'c' must be finite, got {json_spelling(c)}")
         arg = parse_expr(field("arg"), _depth + 1)
         return lambda phi: factor * arg(phi)
-    raise ValueError(f"unknown operator kind {op!r}")
+    raise ValueError(f"unknown operator kind {json_spelling(op)}")

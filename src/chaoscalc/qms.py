@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basis import as_index, check_truncation, json_spelling, popcount_vector
+from .basis import as_index, as_list, check_truncation, json_spelling, popcount_vector
 from .functionals import Functional
 from .operators import (
     apply_table, l2_annihilate, l2_create, l2_hop, table_csr, table_dense, table_product,
@@ -351,6 +351,13 @@ def matrix_to_json(x: np.ndarray, n: int) -> dict:
     return {"n": n, "rows": pairs.tolist()}
 
 
+def _reads_as_pairs(row, size: int) -> bool:
+    try:
+        return np.asarray(row, dtype=float).shape == (size, 2)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def matrix_from_json(data: dict) -> tuple:
     if not isinstance(data, dict) or "n" not in data or "rows" not in data:
         raise ValueError("matrix JSON requires 'n' and 'rows'")
@@ -358,8 +365,12 @@ def matrix_from_json(data: dict) -> tuple:
     size = 1 << n
     try:
         pairs = np.ascontiguousarray(data["rows"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"matrix JSON rows must hold numeric [re, im] pairs: {exc}") from exc
+    except (TypeError, ValueError, OverflowError):
+        # numpy reads any list of rows that each read as size pairs, so some row here does not
+        rows = as_list(data["rows"], "matrix JSON rows")
+        i = next(i for i, row in enumerate(rows) if not _reads_as_pairs(row, size))
+        message = f"matrix JSON rows[{i}] must be {size} [re, im] pairs"
+        raise ValueError(f"{message}, got {json_spelling(rows[i])}") from None
     if pairs.shape != (size, size, 2):
         raise ValueError(f"matrix JSON must be {size} x {size} [re, im] pairs for n = {n}")
     # numpy also reads "1.5", true and null as floats; only JSON numbers pass

@@ -46,7 +46,7 @@ import time
 
 import numpy as np
 
-from .basis import check_truncation, lam_vector, popcount_vector
+from .basis import as_index, check_truncation, lam_vector, popcount_vector
 from .functionals import Functional, GrowthBound, _moduli, check_growth, riesz_embed
 from .operators import (
     apply_annihilate,
@@ -1024,7 +1024,7 @@ def run_all(n: int = 8, seed: int = 42, only=None, weight_override: Weight2D | N
     family run, labelled ``family``, ``family#1``, ..., and deliberately kept
     out of the reports themselves.
     """
-    n = check_truncation(n)
+    n, seed = check_truncation(n), as_index(seed, "seed")
     if n < 2:
         raise ValueError(
             f"the check families need n >= 2, got {n}: the fixture weights sit on "

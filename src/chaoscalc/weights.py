@@ -22,15 +22,34 @@ from typing import Mapping
 
 import numpy as np
 
-from .basis import Subset, _mask_of, as_index, as_real, check_truncation
+from .basis import Subset, _mask_of, as_index, as_list, as_real, check_truncation, json_spelling
 
 _REL_TOL = 1e-12
 
 
-def _json_kind(data):
+def _json_kind(data, kinds: tuple) -> str:
+    """The kind of a weight JSON object, one of ``kinds``."""
     if not isinstance(data, dict):
-        raise ValueError(f"weight JSON must be an object, got {type(data).__name__}")
-    return data.get("kind")
+        raise ValueError(f"weight JSON must be an object, got {json_spelling(data)}")
+    kind = data.get("kind")
+    if kind not in kinds:
+        expected = " or ".join(map(repr, kinds))
+        raise ValueError(f"expected kind {expected}, got {json_spelling(kind)}")
+    return kind
+
+
+def _json_entries(data: dict, kind: str, shape: str, indices: int) -> dict:
+    """The ``entries`` list of a weight JSON object as {index tuple: value},
+    each entry ``indices`` indices and a value; every index is checked
+    before it is hashed, and an index tuple may appear once."""
+    entries, entry, index = {}, f"{kind} entry {shape}", f"{kind} entry index"
+    for item in as_list(data.get("entries", []), f"{kind} entries"):
+        *key, value = as_list(item, entry, indices + 1)
+        key = tuple(as_index(i, index) for i in key)
+        if key in entries:
+            raise ValueError(f"duplicate {kind} entry at {json_spelling(list(key))}")
+        entries[key] = value
+    return entries
 
 
 # Masks are nonnegative int64, so no index at or above this is ever inside.
@@ -127,20 +146,9 @@ class Weight1D:
     @classmethod
     def from_json(cls, data: dict) -> "Weight1D":
         """Weights from their JSON form; ValueError on any malformed payload."""
-        if _json_kind(data) != "diag1d":
-            raise ValueError(f"expected kind 'diag1d', got {data.get('kind')!r}")
-        try:
-            values = {}
-            for item in data.get("entries", []):
-                if len(item) != 2:
-                    raise ValueError(f"diag1d entry must be [k, value], got {item!r}")
-                k, v = item
-                if k in values:
-                    raise ValueError(f"duplicate entry for index {k}")
-                values[k] = v
-            return cls(values, sup_bound=data.get("sup_bound"))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed diag1d weight JSON: {exc}") from exc
+        _json_kind(data, ("diag1d",))
+        values = {k: v for (k,), v in _json_entries(data, "diag1d", "[k, value]", 1).items()}
+        return cls(values, sup_bound=data.get("sup_bound"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,34 +311,22 @@ class Weight2D:
     @classmethod
     def from_json(cls, data: dict) -> "Weight2D":
         """Weights from their JSON form; ValueError on any malformed payload."""
-        kind = _json_kind(data)
-        if kind == "diag1d":
+        if _json_kind(data, ("dense", "diag1d")) == "diag1d":
             return cls.from_weight1d(Weight1D.from_json(data))
-        if kind != "dense":
-            raise ValueError(f"expected kind 'dense' or 'diag1d', got {kind!r}")
-        try:
-            entries = {}
-            for item in data.get("entries", []):
-                if len(item) != 3:
-                    raise ValueError(f"dense entry must be [j, k, value], got {item!r}")
-                j, k, v = item
-                if (j, k) in entries:
-                    raise ValueError(f"duplicate entry for pair ({j}, {k})")
-                entries[(j, k)] = v
-            sums = data.get("column_sums", "from_entries")
-            if sums == "from_entries":
-                column_sums = None
-            elif isinstance(sums, dict):
-                if not all(k.isdecimal() for k in sums):
-                    raise ValueError(f"column_sums keys must be indices, got {list(sums)!r}")
-                column_sums = {int(k): v for k, v in sums.items()}
-            else:
-                raise ValueError(
-                    f"column_sums must be 'from_entries' or a mapping, got {sums!r}"
-                )
-            return cls(entries, column_sums=column_sums, tail_bound=data.get("tail_bound", 0.0))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"malformed dense weight JSON: {exc}") from exc
+        entries = _json_entries(data, "dense", "[j, k, value]", 2)
+        sums = data.get("column_sums", "from_entries")
+        if sums == "from_entries":
+            column_sums = None
+        elif isinstance(sums, dict):
+            if not all(k.isdecimal() for k in sums):
+                keys = json_spelling(list(sums))
+                raise ValueError(f"column_sums keys must be indices, got {keys}")
+            column_sums = {int(k): v for k, v in sums.items()}
+        else:
+            raise ValueError(
+                f"column_sums must be 'from_entries' or a mapping, got {json_spelling(sums)}"
+            )
+        return cls(entries, column_sums=column_sums, tail_bound=data.get("tail_bound", 0.0))
 
 
 def theta_double_sum(w: Weight2D, sigma) -> float | np.ndarray:

@@ -117,6 +117,11 @@ class TestVerify:
         assert_one_error_line(err)
         assert message in err
 
+    def test_negative_seed_is_named(self, capsys):
+        code, payload, err = run_cli(capsys, "verify", "--n", "2", "--seed", "-1")
+        assert code == 2 and payload is None
+        assert err == "error: seed must be nonnegative, got -1\n"
+
     def test_huge_finite_weight_passes_without_warning(self, tmp_path, capsys):
         # the norm bounds of a 1e200 entry are finite, and the route probe is
         # scaled by 1 / max |theta|, so no dual norm squares past the range
@@ -612,7 +617,7 @@ class TestSimulate:
         if samples is not None and len(thetas) > 8:
             assert code == 2 and payload is None
             assert_one_error_line(err)
-            assert "capped at n = 8" in err
+            assert "sampled mode handles up to n = 8" in err
             return
         assert code == (0 if payload["passed"] else 1)
         if samples is None:
@@ -824,6 +829,72 @@ def test_a_quoted_number_is_one_error_line_naming_its_field(tmp_path, capsys, ca
     assert code == 2 and payload is None
     assert_one_error_line(err)
     assert text in err
+
+
+def matrix_row(row):
+    """The valid n = 2 matrix with row 1 replaced."""
+    matrix = matrix_to_json(np.eye(4), 2)
+    matrix["rows"][1] = row
+    return matrix
+
+
+# a value of the wrong shape or kind, and the whole message, which spells it
+# as JSON does (null, not None; true, not True)
+JSON_SPELLED = {
+    "norms-coefficient-short": (
+        "norms", {"--functional": {"truncation": 3, "coefficients": [[[1], None]]}},
+        "coefficient [[indices], re, im] must be a list of 3 items, got [[1], null]",
+    ),
+    "norms-subset-null": (
+        "norms", {"--functional": {"truncation": 3, "coefficients": [[None, 1, 0]]}},
+        "subset indices must be a list, got null",
+    ),
+    "verify-diag1d-entry-long": (
+        "verify", {"--weight": {"kind": "diag1d", "entries": [[0, True, None]]}},
+        "diag1d entry [k, value] must be a list of 2 items, got [0, true, null]",
+    ),
+    # a long value is cut after 80 characters, so the line stays short
+    "verify-weight-a-long-list": (
+        "verify", {"--weight": [[0, 1, 2.0]] * 1000},
+        "weight JSON must be an object, got " + json.dumps([[0, 1, 2.0]] * 10)[:80] + "...",
+    ),
+    "verify-kind-null": (
+        "verify", {"--weight": {"kind": None}}, "expected kind 'dense' or 'diag1d', got null"
+    ),
+    "verify-entries-not-a-list": (
+        "verify", {"--weight": {"kind": "dense", "entries": 5}},
+        "dense entries must be a list, got 5",
+    ),
+    "verify-dense-index-a-list": (
+        "verify", {"--weight": {"kind": "dense", "entries": [[[0], 1, 1.0]]}},
+        "dense entry index must be an integer, got [0]",
+    ),
+    "verify-column-sums-null": (
+        "verify", {"--weight": {"kind": "dense", "entries": [], "column_sums": None}},
+        "column_sums must be 'from_entries' or a mapping, got null",
+    ),
+    "apply-scale-factor-null": (
+        "apply", {"--expr": {"op": "scale", "c": [None, 1], "arg": {"op": "identity"}}},
+        "scale factor 'c': re must be a number, got null",
+    ),
+    "apply-args-null": (
+        "apply", {"--expr": {"op": "sum", "args": None}},
+        "'args' of operator 'sum' must be a list, got null",
+    ),
+    "apply-op-null": ("apply", {"--expr": {"op": None}}, "unknown operator kind null"),
+    "qms-x-ragged-row": (
+        "qms", {"--x": matrix_row([[0, 0], 7])},
+        "matrix JSON rows[1] must be 4 [re, im] pairs, got [[0, 0], 7]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_SPELLED.values()), ids=list(JSON_SPELLED))
+def test_a_rejected_value_is_spelled_as_json(tmp_path, capsys, case):
+    command, files, text = case
+    code, payload, err = run_cli(capsys, *input_argv(tmp_path, command, files))
+    assert code == 2 and payload is None
+    assert err == f"error: {text}\n"
 
 
 def test_missing_field_is_named(tmp_path, capsys):

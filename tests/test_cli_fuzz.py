@@ -4,7 +4,9 @@ Every flag that reads a JSON file is handed arbitrary JSON, arbitrary
 bytes, or a valid payload with one field replaced or removed. Whatever the
 file holds, ``main`` must return instead of raising: 2 comes with exactly
 one stderr line starting with ``error:`` and nothing on stdout, and 1 only
-with a JSON report on stdout that records a failed check.
+with a JSON report on stdout that records a failed check. The error line
+spells a rejected value as JSON, never as a Python repr, and never passes
+on the text of a Python exception.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 import warnings
 
 import numpy as np
@@ -122,6 +125,15 @@ CASES = st.sampled_from(sorted(FLAGS)).flatmap(
 DEEP = b"[" * 200_000 + b"]" * 200_000
 
 
+# a JSON string, which may hold any word; a long spelling is cut, so its
+# last string may run to the end of the line
+JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*(?:"|$)')
+PYTHON_REPRS = re.compile(r"\b(None|True|False)\b")
+# what Python's own TypeErrors say, which a loader should never pass on
+PYTHON_TEXT = ("unhashable type", "object is not iterable", "not subscriptable",
+               "has no len()", "has no attribute", "argument must be", "inhomogeneous")
+
+
 def _reject(constant):
     raise AssertionError(f"{constant} in a successful report")
 
@@ -147,6 +159,10 @@ def files(tmp_path_factory):
 @example(case=("apply --functional", b'["truncation"]'))
 # an index past int64 in a weight: the theta oracle once shifted by it
 @example(case=("verify --weight", b'{"kind": "dense", "entries": [[9223372036854775808, 1, 2.0]]}'))
+# a list as an index, and a null in a coefficient: the loaders once passed on
+# Python's TypeError text and a repr of the rejected item
+@example(case=("verify --weight", b'{"kind": "dense", "entries": [[[0], 1, 1.0]]}'))
+@example(case=("norms --functional", b'{"truncation": 2, "coefficients": [[[1], null]]}'))
 def test_json_flags_keep_the_exit_code_contract(files, case):
     flag, content = case
     files[FUZZ].write_bytes(content)
@@ -160,6 +176,8 @@ def test_json_flags_keep_the_exit_code_contract(files, case):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
         assert out.getvalue() == "" and not caught, [str(w.message) for w in caught]
+        assert not PYTHON_REPRS.search(JSON_STRING.sub("", lines[0])), lines[0]
+        assert not any(text in lines[0] for text in PYTHON_TEXT), lines[0]
     elif code == 1:
         report = json.loads(out.getvalue())
         assert report.get("all_ok") is False or report.get("passed") is False

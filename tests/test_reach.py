@@ -2,8 +2,9 @@
 
 The five subcommands run in a fresh interpreter under ``sys.setprofile``,
 installed before ``import chaoscalc`` so that work done at import counts,
-on small inputs plus one rejected input per size cap and one JSON value of
-the wrong type, which reach the helpers that only build error messages.
+on small inputs plus one rejected input per size cap, one JSON value of
+the wrong type and one ragged matrix, which reach the helpers that only
+build error messages.
 Every function or method defined in ``src/chaoscalc`` that no run entered,
 dunders aside, must be one of ``UNREACHED``, each with the reason it stays.
 A new function that no command reaches, or a pinned one that a command now
@@ -113,6 +114,9 @@ def entered_functions(tmp_path) -> set:
         (2, {}, ["simulate", "--n", "9", "--samples", "10"]),
         # a null theta, which the loader's error spells as JSON
         (2, {}, ["simulate", "--n", "3", "--theta", write("null.json", [None, 0.5, 0.5])]),
+        # a matrix row numpy cannot read, which the loader names as JSON
+        (2, {}, ["qms", "--weight", dense, "--x", write("ragged.json", {"n": 1, "rows": [
+            [[0, 0], [0, 0]], [[0, 0], 7]]})]),
         # a bad flag value, which the parser's error method turns into ValueError
         (2, {}, ["simulate", "--n", "abc"]),
         (2, {"CHAOSCALC_MAX_N": "63"}, ["norms", "--functional", write(
