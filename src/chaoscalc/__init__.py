@@ -9,11 +9,11 @@ and the operator expressions of `apply`, each the function it applies),
 `qms` (a Lindblad-type generator built from the exclusion jump operators),
 and `verifier` (the identity-check engine behind the CLI).
 
-No module imports SciPy at load, so the numpy-only commands (`simulate`,
-`apply`, `norms`, `qms`, `verify`) run without it. Only the public CSR
-matrices (`materialize`, also named `materialize_apply`, and
-`transfer_matrix`) use SciPy:
-they import `scipy.sparse` inside `operators.table_csr` on first use.
+The package depends on numpy alone: every command (`simulate`, `apply`,
+`norms`, `qms`, `verify`) runs without SciPy. Only the public CSR matrices
+(`materialize`, also named `materialize_apply`, and `transfer_matrix`) use
+it: they import `scipy.sparse` inside `operators.table_csr` on first use,
+and raise ModuleNotFoundError where it is not installed.
 """
 
 from .basis import (

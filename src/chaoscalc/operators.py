@@ -294,7 +294,10 @@ def apply_table(apply_fn: Callable[[Functional], Functional], n: int) -> Functio
 
 def materialize(expr: Callable[[Functional], Functional], n: int) -> scipy.sparse.csr_matrix:
     """CSR matrix of an operator given only its action, an expression or a
-    kernel, over the truncated basis (column = input; see :func:`apply_table`)."""
+    kernel, over the truncated basis (column = input; see :func:`apply_table`).
+
+    One of the three functions that need SciPy, with ``materialize_apply`` and
+    ``qms.transfer_matrix``; without it they raise ModuleNotFoundError."""
     return table_csr(apply_table(expr, n))
 
 

@@ -61,8 +61,8 @@ _CHUNK_CELLS = 1 << 16
 def _sum_inside(masks, pairs, terms) -> np.ndarray:
     """At each nonnegative int64 mask, the sum of the terms whose index pair
     (j, k) lies inside its subset, added in the given order. A term outside
-    adds 0.0, which leaves every sum as it is, so each term is added to a
-    whole chunk of masks at once."""
+    adds 0.0, which leaves every sum as it is, so a chunk of masks is one
+    (terms, masks) table, summed down its columns."""
     masks = np.asarray(masks, dtype=np.int64)
     out = np.zeros(masks.shape, dtype=float)
     kept = [(j, k, t) for (j, k), t in zip(pairs, terms) if max(j, k) < _MASK_BITS]
@@ -70,10 +70,12 @@ def _sum_inside(masks, pairs, terms) -> np.ndarray:
     values = np.array([t for _, _, t in kept], dtype=float)[:, None]
     step = max(1, _CHUNK_CELLS // max(1, len(kept)))
     for lo in range(0, masks.size, step):
-        inside = (masks[lo : lo + step] & bits) == bits
-        chunk = out[lo : lo + step]
-        for row in np.where(inside, values, 0.0):
-            chunk += row
+        chunk = masks[lo : lo + step]
+        # numpy adds a table's rows in order, but sums a lone column pairwise,
+        # in another order: a lone mask is read twice
+        wide = np.broadcast_to(chunk, (max(2, chunk.size),))
+        table = np.where((wide & bits) == bits, values, 0.0)
+        out[lo : lo + step] = table.sum(axis=0)[: chunk.size]
     return out
 
 

@@ -376,7 +376,10 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
     # simulate (both modes), apply, norms, qms and verify run on numpy alone,
     # so a cold start skips scipy itself (about 12 ms to import), scipy.sparse
     # (about 18 MB and 0.16 s), scipy.special and scipy.linalg; the first
-    # public CSR matrix loads scipy.sparse, and nothing loads scipy.special
+    # public CSR matrix loads scipy.sparse, and nothing loads scipy.special.
+    # With scipy blocked, as where it is not installed, every command gives
+    # the same exit code, stdout and --out bytes outside "timing", and the
+    # CSR matrix raises ModuleNotFoundError
     x = np.arange(16, dtype=complex).reshape(4, 4)
     h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
     expr = {
@@ -394,41 +397,57 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
     f_path = write_json(
         tmp_path / "phi.json", {"truncation": 3, "coefficients": [[[0, 1], 1.0, 0.5]]}
     )
-    numpy_only = [
+    commands = [
         ["simulate", "--n", "4"],
         ["simulate", "--n", "4", "--samples", "100"],
         ["apply", "--expr", e_path, "--functional", f_path],
         ["norms", "--functional", f_path],
         ["qms", "--weight", w_path, "--x", x_path],
         ["qms", "--weight", w_path, "--x", x_path, "--hamiltonian", h_path],
+        ["verify", "--n", "4"],
     ]
-    out = str(tmp_path / "out.json")
     script = textwrap.dedent(f"""
-        import json, sys
+        import contextlib, io, json, sys
+        mode = sys.argv[1]
+        if mode == "blocked":
+            sys.modules["scipy"] = None
         import chaoscalc
         from chaoscalc.cli import main
         lazy = ("scipy", "scipy.sparse", "scipy.special", "scipy.linalg")
-        loaded = {{}}
-        for argv in {numpy_only!r}:
-            assert main([*argv, "--out", {out!r}]) == 0, argv
-        loaded["numpy-only"] = [m for m in lazy if m in sys.modules]
-        assert main(["verify", "--n", "4", "--out", {out!r}]) == 0
-        loaded["verify"] = [m for m in lazy if m in sys.modules]
-        chaoscalc.materialize(chaoscalc.annihilate(0), 2)
-        loaded["materialize"] = [m for m in lazy if m in sys.modules]
-        print(json.dumps(loaded))
+        runs = []
+        for i, argv in enumerate({commands!r}):
+            out, stdout = f"{tmp_path}/{{mode}}-{{i}}.json", io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main([*argv, "--out", out])
+            with open(out, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            payload.pop("timing", None)
+            runs.append([code, stdout.getvalue(), json.dumps(payload, sort_keys=True)])
+        loaded = {{"commands": [m for m in lazy if sys.modules.get(m)]}}
+        try:
+            chaoscalc.materialize(chaoscalc.annihilate(0), 2)
+            loaded["materialize"] = [m for m in lazy if sys.modules.get(m)]
+        except ModuleNotFoundError as exc:
+            loaded["materialize"] = f"ModuleNotFoundError: {{exc.name}}"
+        print(json.dumps({{"runs": runs, "loaded": loaded}}))
     """)
     src = str(pathlib.Path(chaoscalc.__file__).parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout.splitlines()[-1])
-    assert loaded == {
-        "numpy-only": [],
-        "verify": [],
-        "materialize": ["scipy", "scipy.sparse"],
+    children = {}
+    for mode in ("plain", "blocked"):
+        result = subprocess.run(
+            [sys.executable, "-c", script, mode], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        children[mode] = json.loads(result.stdout.splitlines()[-1])
+    plain, blocked = children["plain"], children["blocked"]
+    assert [code for code, *_ in plain["runs"]] == [0] * len(commands)
+    for argv, now, then in zip(commands, blocked["runs"], plain["runs"]):
+        assert now == then, argv
+    assert plain["loaded"] == {"commands": [], "materialize": ["scipy", "scipy.sparse"]}
+    # a blocked scipy names the submodule asked for; an absent one names scipy
+    assert blocked["loaded"] == {
+        "commands": [], "materialize": "ModuleNotFoundError: scipy.sparse"
     }
 
 

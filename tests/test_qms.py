@@ -270,6 +270,50 @@ class TestStructure:
         names = {r.name for r in reports}
         assert "qms-unital" in names and "qms-diagonal-reduction" in names
 
+    @pytest.mark.parametrize("tag", ["zero", "diag-ones", "running", "rnd0", "rnd1"])
+    def test_diagonal_reduction_is_the_classical_chain(self, tag):
+        # verify's n = 6 draw: the generator on diag(f) against diag(Q f)
+        w = fixture_weights(6, 42)[tag]
+        reports = check_generator_structure(w, 6, trials=20, seed=42)
+        [reduction] = [r for r in reports if r.name == "qms-diagonal-reduction"]
+        assert reduction.residual <= 1e-15
+
+    def test_diagonal_reduction_by_hand(self, monkeypatch):
+        # w(0, 1) = 1 at n = 2 moves {1} (mask 2) to {0} (mask 1), so
+        # (Q f)({1}) = f({0}) - f({1}) and Q f is 0 elsewhere
+        applied, compared = [], []
+        apply, compare = qms.generator_apply, qms.residual
+        monkeypatch.setattr(qms, "generator_apply", lambda s, x: applied.append(x) or apply(s, x))
+        monkeypatch.setattr(qms, "residual", lambda a, b: compared.append((a, b)) or compare(a, b))
+        check_generator_structure(Weight2D({(0, 1): 1.0}), 2, trials=1)
+        f = np.diag(applied[-1]).real
+        image, expected = compared[-1]
+        assert np.array_equal(expected, np.diag([0.0, 0.0, f[1] - f[2], 0.0]))
+        assert np.array_equal(image, expected)
+
+    @pytest.mark.parametrize("scale, reads", [(2.0, 0.5), (-1.0, 2.0)])
+    def test_wrong_rates_fail_only_the_diagonal_reduction(self, monkeypatch, scale, reads):
+        # every rate doubled, or the dissipator's sign flipped, in the spec's
+        # plan: the generator still kills the identity and stays hermitian
+        # and linear, and only the classical chain tells
+        plan = GeneratorSpec.__post_init__
+
+        def wrong(spec):
+            plan(spec)
+            terms = [(scale * rate, dom, img) for rate, dom, img in spec.terms]
+            object.__setattr__(spec, "terms", terms)
+            for side in ("left", "right"):
+                factor = getattr(spec, side)
+                object.__setattr__(spec, side, scale * factor.real + 1j * factor.imag)
+
+        monkeypatch.setattr(GeneratorSpec, "__post_init__", wrong)
+        for tag in ("running", "rnd0", "rnd1"):
+            w = fixture_weights(6, 42)[tag]
+            reports = check_generator_structure(w, 6, trials=20, seed=42)
+            [failed] = [r for r in reports if not r.ok]
+            assert failed.name == "qms-diagonal-reduction"
+            assert failed.residual == pytest.approx(reads)
+
     def test_a_nan_in_a_later_trial_fails_the_check(self, monkeypatch):
         # trial 1 makes calls 1 and 2; a NaN from trial 2's hermiticity
         # comparison must survive the fold over trials

@@ -28,7 +28,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaoscalc
@@ -307,9 +307,45 @@ def test_mask_evaluators_keep_the_builder_order(monkeypatch):
     count = [count_in_builder_order(u, m) for m in sigmas]
     assert w.theta_at(masks).tolist() == theta and u.count_at(masks).tolist() == count
     assert lam_at(masks).tolist() == [lam(m) for m in sigmas]
-    # the same sums when the masks are worked through a few at a time
+    # the same sums when the masks are worked through a few at a time, and
+    # one at a time, where numpy would sum a lone column pairwise
     monkeypatch.setattr(weights, "_CHUNK_CELLS", 100)
     assert w.theta_at(masks).tolist() == theta and u.count_at(masks).tolist() == count
+    some = range(0, len(sigmas), 37)
+    assert [w.theta_at(masks[i : i + 1])[0] for i in some] == [theta[i] for i in some]
+
+
+# mostly indices a small mask can hold, some past an int64 mask
+index = st.integers(0, 7) | st.integers(0, 70)
+
+
+def sum_inside_by_rows(masks, pairs, terms) -> np.ndarray:
+    """weights._sum_inside one term at a time: each term's row of a (terms,
+    masks) table added to every mask at once, in the given order."""
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.zeros(masks.shape)
+    for (j, k), term in zip(pairs, terms):
+        if max(j, k) < 63:
+            bits = (1 << j) | (1 << k)
+            out += np.where(masks & bits == bits, term, 0.0)
+    return out
+
+
+@SETTINGS
+@given(
+    st.lists(st.integers(0, 255) | st.integers(0, 2**63 - 1), min_size=1, max_size=40),
+    st.lists(st.tuples(index, index, st.floats(-1e6, 1e6)), max_size=40),
+    st.sampled_from([1, 7, 100, 1 << 16]),
+)
+# one mask holding every pair of twelve full-mantissa terms, which a pairwise
+# sum rounds differently
+@example([255], [(j % 8, j // 2, 1 / (j + 3)) for j in range(12)], 1 << 16)
+def test_sum_inside_adds_the_terms_in_order(masks, entries, cells):
+    pairs, terms = [(j, k) for j, k, _ in entries], [t for *_, t in entries]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weights, "_CHUNK_CELLS", cells)
+        got = weights._sum_inside(masks, pairs, terms)
+    assert got.tobytes() == sum_inside_by_rows(masks, pairs, terms).tobytes()
 
 
 def test_package_keeps_no_cache():
