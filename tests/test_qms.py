@@ -36,7 +36,7 @@ from chaoscalc.qms import (
     matrix_to_json,
     transfer_matrix,
 )
-from chaoscalc.reports import all_ok
+from chaoscalc.reports import CHECK, all_ok
 from chaoscalc.verifier import fixture_weights, run_all
 from chaoscalc.weights import Weight2D
 
@@ -259,6 +259,106 @@ class TestSumIdentity:
             check_sum_identity(inexact, 3)
 
 
+def _planned(change):
+    """A slip in GeneratorSpec's plan: ``change(spec)`` runs after the plan is
+    read from the weight."""
+    plan = GeneratorSpec.__post_init__
+
+    def patch(monkeypatch):
+        def slipped(spec):
+            plan(spec)
+            change(spec)
+
+        monkeypatch.setattr(GeneratorSpec, "__post_init__", slipped)
+
+    return patch
+
+
+def _set(spec, **fields):
+    for name, value in fields.items():
+        object.__setattr__(spec, name, value)
+
+
+def _rates_scaled(scale):
+    """Every jump rate and the dissipator's half of the diagonal factors
+    scaled; the Hamiltonian's half is kept."""
+    return _planned(
+        lambda spec: _set(
+            spec,
+            terms=[(scale * rate, dom, img) for rate, dom, img in spec.terms],
+            left=scale * spec.left.real + 1j * spec.left.imag,
+            right=scale * spec.right.real + 1j * spec.right.imag,
+        )
+    )
+
+
+_ADJOINT = "exclusion-sum-adjoint-vs-diagonal"
+_EXPLICIT = "exclusion-sum-explicit-vs-diagonal"
+_ROUTES = "exclusion-sum-adjoint-vs-explicit"
+
+# Each plausible slip in the qms family's code, as (patch, the exact set of
+# checks that fail in run_all(n=6, only=["qms"]), the residual the failed check
+# reads or None). The Hamiltonian's sign is the known survivor: no check
+# compares the commutator with its formula yet (ROADMAP item 20).
+SLIPS = {
+    "table-transpose-skipped": (
+        lambda mp: mp.setattr(qms, "table_transpose", lambda b: b),
+        {_ADJOINT, _ROUTES},
+        None,
+    ),
+    "transfer-table-j-k-swapped": (
+        lambda mp, f=qms._transfer_table: mp.setattr(
+            qms, "_transfer_table", lambda j, k, n: f(k, j, n)
+        ),
+        {_ADJOINT, _ROUTES},
+        None,
+    ),
+    "l2-hop-j-k-swapped": (
+        lambda mp, f=qms.l2_hop: mp.setattr(qms, "l2_hop", lambda j, k, xi: f(k, j, xi)),
+        {_ROUTES, _EXPLICIT},
+        None,
+    ),
+    "one-rate-off-occupation-kept": (
+        _planned(
+            lambda spec: _set(
+                spec, terms=[(spec.terms[0][0] * (1 + 1e-9), *spec.terms[0][1:]), *spec.terms[1:]]
+            )
+        ),
+        {"qms-unital", "qms-diagonal-reduction"},
+        None,
+    ),
+    "image-rows-pinned-at-domain-bits": (
+        # the row half of each image slice (the first s tile axes) read at
+        # the domain's bits
+        _planned(
+            lambda spec: _set(
+                spec,
+                terms=[
+                    (rate, dom, dom[: spec.split] + img[spec.split :])
+                    for rate, dom, img in spec.terms
+                ],
+            )
+        ),
+        {"qms-unital", "qms-hermiticity", "qms-diagonal-reduction"},
+        None,
+    ),
+    "bands-read-x-conjugated": (
+        lambda mp, f=qms._apply_bands: mp.setattr(
+            qms, "_apply_bands", lambda spec, xv, *rest: f(spec, xv.conj(), *rest)
+        ),
+        {"qms-linearity"},
+        None,
+    ),
+    "rates-doubled": (_rates_scaled(2.0), {"qms-diagonal-reduction"}, 0.5),
+    "dissipator-sign-flipped": (_rates_scaled(-1.0), {"qms-diagonal-reduction"}, 2.0),
+    "hamiltonian-sign-flipped": (
+        _planned(lambda spec: _set(spec, left=spec.left.conj(), right=spec.right.conj())),
+        set(),
+        None,
+    ),
+}
+
+
 class TestStructure:
     def test_all_ok_on_random_weight(self):
         rng = np.random.default_rng(21)
@@ -291,28 +391,25 @@ class TestStructure:
         assert np.array_equal(expected, np.diag([0.0, 0.0, f[1] - f[2], 0.0]))
         assert np.array_equal(image, expected)
 
-    @pytest.mark.parametrize("scale, reads", [(2.0, 0.5), (-1.0, 2.0)])
-    def test_wrong_rates_fail_only_the_diagonal_reduction(self, monkeypatch, scale, reads):
-        # every rate doubled, or the dissipator's sign flipped, in the spec's
-        # plan: the generator still kills the identity and stays hermitian
-        # and linear, and only the classical chain tells
-        plan = GeneratorSpec.__post_init__
-
-        def wrong(spec):
-            plan(spec)
-            terms = [(scale * rate, dom, img) for rate, dom, img in spec.terms]
-            object.__setattr__(spec, "terms", terms)
-            for side in ("left", "right"):
-                factor = getattr(spec, side)
-                object.__setattr__(spec, side, scale * factor.real + 1j * factor.imag)
-
-        monkeypatch.setattr(GeneratorSpec, "__post_init__", wrong)
+    @pytest.mark.parametrize("slip", sorted(SLIPS))
+    def test_each_slip_fails_its_checks(self, monkeypatch, slip):
+        # the qms family at verify's draw, on the series weight and on both
+        # random fixtures: each slip fails exactly its checks there, and the
+        # doubled rates and flipped dissipator read the same residual on each
+        patch, fails, reads = SLIPS[slip]
+        patch(monkeypatch)
         for tag in ("running", "rnd0", "rnd1"):
-            w = fixture_weights(6, 42)[tag]
-            reports = check_generator_structure(w, 6, trials=20, seed=42)
-            [failed] = [r for r in reports if not r.ok]
-            assert failed.name == "qms-diagonal-reduction"
-            assert failed.residual == pytest.approx(reads)
+            override = None if tag == "running" else fixture_weights(6, 42)[tag]
+            reports, _ = run_all(n=6, only=["qms"], weight_override=override)
+            failed = [r for r in reports if not r.ok]
+            assert {r.name for r in failed} == fails, tag
+            if reads is not None:
+                assert [r.residual for r in failed] == [pytest.approx(reads)], tag
+
+    def test_every_check_has_a_failing_slip(self):
+        reports, _ = run_all(n=6, only=["qms"])
+        names = {r.name for r in reports if r.kind == CHECK}
+        assert set().union(*(fails for _, fails, _ in SLIPS.values())) == names
 
     def test_a_nan_in_a_later_trial_fails_the_check(self, monkeypatch):
         # trial 1 makes calls 1 and 2; a NaN from trial 2's hermiticity
@@ -459,22 +556,25 @@ class TestBitViewOracle:
             got = generator_apply(GeneratorSpec(w, n), x)
             assert got.tobytes() == bitview_generator(w, n, None, x).tobytes(), support
 
-    def test_full_support_reads_the_observable_in_place(self):
-        # support bound s = n, so A = 1 and X is already its one tile-major
-        # chunk: the apply holds the image and the accumulator, each the
-        # size of X, and no copy of X besides
-        n = 8
-        w = Weight2D({(n - 1, 0): 0.5, (2, 2): 1.5})
-        spec = GeneratorSpec(w, n)
-        x = observable_with_signed_zeros(np.random.default_rng(8), 1 << n)
+    @pytest.mark.parametrize("name", ["benchmark-weight", "full-support"])
+    def test_apply_reads_the_observable_in_place(self, monkeypatch, name):
+        # on one CPU an apply holds the image and one band accumulator, the size
+        # of one of X's row bands, and no copy of X: the benchmark weight at
+        # n = 9 has support bound 4 and 8 bands, and at full support (A = 1)
+        # the one band is all of X. A term's product, at most a quarter of the
+        # accumulator, stays within the half-accumulator margin.
+        w, n, h, x, bands = TestBands.case(name)
+        TestBands.allow_cpus(monkeypatch, 1)
+        spec = GeneratorSpec(w, n, h)
         tracemalloc.start()
         try:
             got = generator_apply(spec, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * x.nbytes
-        assert got.tobytes() == bitview_generator(w, n, None, x).tobytes()
+        beyond_image, accumulator = peak - got.nbytes, x.nbytes // bands
+        assert beyond_image < 1.5 * accumulator
+        assert got.tobytes() == bitview_generator(w, n, h, x).tobytes()
 
     @pytest.mark.parametrize("n, support, rows", [(6, 2, 3), (7, 3, 5), (5, 2, 1)])
     def test_partial_last_chunk(self, monkeypatch, n, support, rows):
