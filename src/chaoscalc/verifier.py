@@ -1011,8 +1011,8 @@ def _family_runs(n: int, seed: int, weights2d: dict):
         yield "weight-invariant", lambda w=w, tag=tag: check_weight_invariants(w, u, n, tag)
     yield "functional-invariant", lambda: check_functional_invariants(n, 50, seed)
     qn = min(n, QMS_MAX_N)
-    yield "qms", lambda: check_sum_identity(w_series, qn) + check_generator_structure(
-        w_series, qn, trials=20, seed=seed
+    yield "qms", lambda: check_sum_identity(w_series, qn, series) + check_generator_structure(
+        w_series, qn, trials=20, seed=seed, tag=series
     )
 
 

@@ -203,12 +203,14 @@ class Weight2D:
 
     @classmethod
     def from_entries(cls, triples, tail_bound: float = 0.0) -> "Weight2D":
-        """Build from an iterable of (j, k, value) triples."""
+        """Build from an iterable of (j, k, value) triples; each index is
+        checked before it is hashed, and a pair may appear once."""
         entries = {}
         for j, k, v in triples:
-            if (j, k) in entries:
-                raise ValueError(f"duplicate entry for pair ({j}, {k})")
-            entries[(j, k)] = v
+            key = (as_index(j, "entry index"), as_index(k, "entry index"))
+            if key in entries:
+                raise ValueError(f"duplicate entry for pair {key}")
+            entries[key] = v
         return cls(entries, tail_bound=tail_bound)
 
     @classmethod

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import chaoscalc
+import cli_inputs
 from chaoscalc import cli
 from chaoscalc.basis import Subset, lam
 from chaoscalc.cli import main
@@ -373,39 +374,15 @@ def test_out_of_memory_is_one_error_line():
 
 
 def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
-    # simulate (both modes), apply, norms, qms and verify run on numpy alone,
+    # the command lines of cli_inputs, which read every JSON flag, run
+    # simulate (both modes), apply, norms, qms and verify on numpy alone,
     # so a cold start skips scipy itself (about 12 ms to import), scipy.sparse
     # (about 18 MB and 0.16 s), scipy.special and scipy.linalg; the first
     # public CSR matrix loads scipy.sparse, and nothing loads scipy.special.
     # With scipy blocked, as where it is not installed, every command gives
     # the same exit code, stdout and --out bytes outside "timing", and the
     # CSR matrix raises ModuleNotFoundError
-    x = np.arange(16, dtype=complex).reshape(4, 4)
-    h = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-    expr = {
-        "op": "compose",
-        "args": [
-            {"op": "gwn", "weight": RUNNING_WEIGHT},
-            {"op": "number"},
-            {"op": "wn1d", "weight": {"kind": "diag1d", "entries": [[1, 1.5]]}},
-        ],
-    }
-    w_path = write_json(tmp_path / "w.json", RUNNING_WEIGHT)
-    x_path = write_json(tmp_path / "x.json", matrix_to_json(x, 2))
-    h_path = write_json(tmp_path / "h.json", matrix_to_json(h, 2))
-    e_path = write_json(tmp_path / "expr.json", expr)
-    f_path = write_json(
-        tmp_path / "phi.json", {"truncation": 3, "coefficients": [[[0, 1], 1.0, 0.5]]}
-    )
-    commands = [
-        ["simulate", "--n", "4"],
-        ["simulate", "--n", "4", "--samples", "100"],
-        ["apply", "--expr", e_path, "--functional", f_path],
-        ["norms", "--functional", f_path],
-        ["qms", "--weight", w_path, "--x", x_path],
-        ["qms", "--weight", w_path, "--x", x_path, "--hamiltonian", h_path],
-        ["verify", "--n", "4"],
-    ]
+    commands = cli_inputs.commands(cli_inputs.write(tmp_path))
     script = textwrap.dedent(f"""
         import contextlib, io, json, sys
         mode = sys.argv[1]
@@ -709,7 +686,7 @@ class TestQms:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-PHI = {"truncation": 3, "coefficients": [[[1], 1.0, 0.0]]}
+PHI = cli_inputs.PAYLOADS["functional.json"]
 DEEP = "[" * 200_000 + "]" * 200_000
 
 
@@ -751,12 +728,8 @@ BAD_INPUTS = {
     "thetas-not-a-list": ("simulate", {"--theta": {"thetas": 0.5}}),
     "matrix-int-past-float": ("qms", {"--x": matrix_cell(10**400)}),
 }
-VALID = {
-    "--expr": {"op": "identity"},
-    "--functional": PHI,
-    "--weight": RUNNING_WEIGHT,
-    "--x": matrix_to_json(np.eye(4), 2),
-}
+VALID = {"--expr": "expr.json", "--functional": "functional.json", "--weight": "dense.json",
+         "--x": "x.json"}
 REQUIRED = {
     "apply": ["--expr", "--functional"], "norms": ["--functional"], "qms": ["--weight", "--x"]
 }
@@ -773,11 +746,11 @@ def write_input(path, content):
 
 
 def input_argv(tmp_path, command, files):
-    """argv for command at n = 3, with files written for its flags and valid
-    inputs for the required flags that files leaves out."""
+    """argv for command at n = 3, with files written for its flags and the
+    table's valid inputs for the required flags that files leaves out."""
     argv = [command, "--n", "3"] if command in ("verify", "simulate") else [command]
     for flag in dict.fromkeys(REQUIRED.get(command, []) + list(files)):
-        content = files.get(flag, VALID.get(flag))
+        content = files.get(flag, cli_inputs.PAYLOADS.get(VALID.get(flag)))
         argv += [flag, write_input(tmp_path / f"{flag[2:]}.json", content)]
     return argv
 

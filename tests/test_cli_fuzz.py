@@ -1,12 +1,12 @@
 """Fuzzing the command line's input contract.
 
 Every flag that reads a JSON file is handed arbitrary JSON, arbitrary
-bytes, or a valid payload with one field replaced or removed. Whatever the
-file holds, ``main`` must return instead of raising: 2 comes with exactly
-one stderr line starting with ``error:`` and nothing on stdout, and 1 only
-with a JSON report on stdout that records a failed check. The error line
-spells a rejected value as JSON, never as a Python repr, and never passes
-on the text of a Python exception.
+bytes, or a valid payload of ``cli_inputs`` with one field replaced or
+removed. Whatever the file holds, ``main`` must return instead of raising:
+2 comes with exactly one stderr line starting with ``error:`` and nothing
+on stdout, and 1 only with a JSON report on stdout that records a failed
+check. The error line spells a rejected value as JSON, never as a Python
+repr, and never passes on the text of a Python exception.
 """
 from __future__ import annotations
 
@@ -17,43 +17,30 @@ import json
 import re
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cli_inputs
 from chaoscalc.cli import main
-from chaoscalc.qms import matrix_to_json
-
-WEIGHT = {"kind": "dense", "entries": [[0, 1, 2.0], [1, 1, 3.0]],
-          "column_sums": {"1": 5.0}, "tail_bound": 0.0}
-VALID = {
-    "weight": WEIGHT,
-    "diag1d": {"kind": "diag1d", "entries": [[0, 0.5], [1, 2.0]], "sup_bound": 2.0},
-    "expr": {"op": "compose", "args": [
-        {"op": "scale", "c": [2.0, -1.0], "arg": {"op": "create", "k": 0}},
-        {"op": "sum", "args": [{"op": "annihilate", "k": 1}, {"op": "number"},
-                               {"op": "gwn", "weight": WEIGHT}, {"op": "identity"}]},
-    ]},
-    "functional": {"truncation": 2, "coefficients": [[[1], 1.0, 0.5], [[0, 1], -2.0, 0.0]]},
-    "x": matrix_to_json(np.arange(16.0).reshape(4, 4), 2),
-    "hamiltonian": matrix_to_json(np.diag([0.0, 1.0, 1.0, 2.0]), 2),
-    "thetas": {"thetas": [0.25, 0.5]},
-}
 
 # flag under test -> (argv with FUZZ where the fuzzed file goes, seed payloads)
 FUZZ = "<fuzzed file>"
+N = str(cli_inputs.N)
 FLAGS = {
-    "verify --weight": (["verify", "--n", "2", "--weight", FUZZ], ["weight", "diag1d"]),
-    "apply --expr": (["apply", "--expr", FUZZ, "--functional", "functional"], ["expr"]),
-    "apply --functional": (["apply", "--expr", "expr", "--functional", FUZZ], ["functional"]),
-    "norms --functional": (["norms", "--functional", FUZZ], ["functional"]),
-    "qms --weight": (["qms", "--weight", FUZZ, "--x", "x"], ["weight", "diag1d"]),
-    "qms --x": (["qms", "--weight", "weight", "--x", FUZZ], ["x"]),
-    "qms --hamiltonian": (
-        ["qms", "--weight", "weight", "--x", "x", "--hamiltonian", FUZZ], ["hamiltonian"]
+    "verify --weight": (["verify", "--n", N, "--weight", FUZZ], ["dense.json", "diag1d.json"]),
+    "apply --expr": (["apply", "--expr", FUZZ, "--functional", "functional.json"], ["expr.json"]),
+    "apply --functional": (
+        ["apply", "--expr", "expr.json", "--functional", FUZZ], ["functional.json"]
     ),
-    "simulate --theta": (["simulate", "--n", "2", "--theta", FUZZ], ["thetas"]),
+    "norms --functional": (["norms", "--functional", FUZZ], ["functional.json"]),
+    "qms --weight": (["qms", "--weight", FUZZ, "--x", "x.json"], ["dense.json", "diag1d.json"]),
+    "qms --x": (["qms", "--weight", "dense.json", "--x", FUZZ], ["x.json"]),
+    "qms --hamiltonian": (
+        ["qms", "--weight", "dense.json", "--x", "x.json", "--hamiltonian", FUZZ],
+        ["hamiltonian.json"],
+    ),
+    "simulate --theta": (["simulate", "--n", N, "--theta", FUZZ], ["thetas.json"]),
 }
 
 WORDS = sorted(
@@ -107,7 +94,7 @@ def _mutate(payload, path, value):
 @st.composite
 def near_valid(draw, seeds):
     """A valid payload with one position replaced or removed."""
-    payload = VALID[draw(st.sampled_from(seeds))]
+    payload = cli_inputs.PAYLOADS[draw(st.sampled_from(seeds))]
     path = draw(st.sampled_from(list(_paths(payload))))
     return _mutate(payload, path, draw(st.just(DELETE) | EDGES | JSON_VALUES))
 
@@ -141,12 +128,7 @@ def _reject(constant):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    paths = {}
-    for name, data in VALID.items():
-        paths[name] = root / f"{name}.json"
-        paths[name].write_text(json.dumps(data))
-    paths[FUZZ] = root / "fuzzed.json"
-    return paths
+    return {**cli_inputs.write(root), FUZZ: root / "fuzzed.json"}
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -2,9 +2,9 @@
 
 The five subcommands run in a fresh interpreter under ``sys.setprofile``,
 installed before ``import chaoscalc`` so that work done at import counts,
-on small inputs plus one rejected input per size cap, one JSON value of
-the wrong type and one ragged matrix, which reach the helpers that only
-build error messages.
+on the command lines of ``cli_inputs`` plus one rejected input per size
+cap, one JSON value of the wrong type and one ragged matrix, which reach
+the helpers that only build error messages.
 Every function or method defined in ``src/chaoscalc`` that no run entered,
 dunders aside, must be one of ``UNREACHED``, each with the reason it stays.
 A new function that no command reaches, or a pinned one that a command now
@@ -20,10 +20,8 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
-
 import chaoscalc
-from chaoscalc.qms import matrix_to_json
+import cli_inputs
 
 PACKAGE = pathlib.Path(chaoscalc.__file__).parent
 
@@ -45,23 +43,6 @@ UNREACHED = {
     "functionals.Functional.fock": "the coefficient lookup of the quick tour",
     "basis.Subset.of": "an index list as a subset, as the quick tour passes [1]",
 }
-
-DENSE = {"kind": "dense", "entries": [[0, 1, 2.0], [1, 1, 3.0], [2, 0, 0.5]]}
-DIAG1D = {"kind": "diag1d", "entries": [[0, 1.0], [2, 0.5]]}
-LADDERS = [{"op": "create", "k": 1}, {"op": "annihilate", "k": 0}]
-EXPR = {
-    "op": "sum",
-    "args": [
-        {"op": "compose", "args": LADDERS},
-        {"op": "scale", "c": [2.0, -1.0], "arg": {"op": "gwn", "weight": DENSE}},
-        {"op": "wn1d", "weight": DIAG1D},
-        {"op": "number"},
-        {"op": "identity"},
-        {"op": "zero"},
-    ],
-}
-PHI = {"truncation": 3, "coefficients": [[[0, 1], 1.0, 0.5], [[2], -2.0, 0.0]]}
-
 
 def defined_functions() -> dict:
     """``module.Qual.name`` of every function and method defined in the
@@ -92,22 +73,9 @@ def entered_functions(tmp_path) -> set:
         path.write_text(json.dumps(data))
         return str(path)
 
-    x = np.arange(64.0).reshape(8, 8)
-    dense, diag1d = write("dense.json", DENSE), write("diag1d.json", DIAG1D)
-    expr, phi = write("expr.json", EXPR), write("phi.json", PHI)
-    x_path = write("x.json", matrix_to_json(x, 3))
-    h_path = write("h.json", matrix_to_json(np.diag(np.arange(8.0)), 3))
-    thetas = write("thetas.json", [0.3, 0.5, 0.7])
-    runs = [
-        (0, {}, ["verify", "--n", "4"]),
-        (0, {}, ["verify", "--n", "3", "--weight", dense]),
-        (0, {}, ["verify", "--n", "3", "--weight", diag1d, "--only", "l2,qms"]),
-        (0, {}, ["simulate", "--n", "3", "--theta", thetas]),
-        (0, {}, ["simulate", "--n", "3", "--samples", "1000", "--seed", "7"]),
-        (0, {}, ["apply", "--expr", expr, "--functional", phi]),
-        (0, {}, ["norms", "--functional", phi, "--p", "0", "1.5"]),
-        (0, {}, ["qms", "--weight", dense, "--x", x_path]),
-        (0, {}, ["qms", "--weight", dense, "--x", x_path, "--hamiltonian", h_path]),
+    paths = cli_inputs.write(tmp_path)
+    dense = paths["dense.json"]
+    runs = [(0, {}, argv) for argv in cli_inputs.commands(paths)] + [
         # one rejected input per size cap
         (2, {}, ["verify", "--n", "21"]),
         (2, {"CHAOSCALC_MAX_N": "21"}, ["simulate", "--n", "21"]),

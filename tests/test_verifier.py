@@ -11,7 +11,7 @@ import pytest
 
 import chaoscalc
 from chaoscalc import operators, qms, verifier
-from chaoscalc.basis import Subset
+from chaoscalc.basis import Subset, popcount_at
 from chaoscalc.functionals import Functional, GrowthCheckResult
 from chaoscalc.operators import hop_apply, hop_expr, materialize, materialize_apply
 from chaoscalc.qms import check_generator_structure, check_sum_identity
@@ -456,25 +456,105 @@ def test_hop_holds_one_pair_of_matrices():
     assert peak < 16 * pair_bytes
 
 
-@pytest.mark.parametrize("name, full", [("apply_create", True), ("apply_annihilate", False)])
-def test_car_and_hop_catch_a_ladder_kernel_skewed_at_one_mask(monkeypatch, name, full):
-    # car and hop build their ladders by applying the kernels that the apply
-    # command runs, so one entry off by 1e-9 fails both exact families. The
-    # skew sits where the kernel's output lands: a creator's output is never
-    # the empty set, an annihilator's never the full one.
-    real = getattr(operators, name)
+def _signed(kernel):
+    """kernel with each entry times (-1)^(bits below k of its subset), the
+    sign of a fermionic ladder; a ladder moves bit k alone, so its input and
+    output agree there."""
+
+    def signed(k, phi):
+        out = kernel(k, phi)
+        sign = 1 - 2 * (popcount_at(out.masks & (1 << k) - 1) & 1)
+        return Functional._from_arrays(out.masks, out.values * sign, out.truncation)
+
+    return signed
+
+
+def _skewed(kernel, full):
+    """kernel with each entry whose subset is full (else empty) times 1 + 1e-9:
+    a creator's output is never the empty set, an annihilator's never the
+    full one."""
 
     def skewed(k, phi):
-        out = real(k, phi)
+        out = kernel(k, phi)
         low = (1 << out.truncation) - 1
         hit = (out.masks & low) == (low if full else 0)
         return Functional._from_arrays(out.masks, out.values * (1 + 1e-9 * hit), out.truncation)
 
-    for module in (operators, verifier):
-        monkeypatch.setattr(module, name, skewed)
+    return skewed
+
+
+def _ungated_annihilate(k, phi):
+    masks = phi.masks ^ 1 << k
+    order = np.argsort(masks)
+    return Functional._from_arrays(masks[order], phi.values[order], phi.truncation)
+
+
+def _create_needing_next_bit_clear(k, phi, f=operators.apply_create):
+    keep = (phi.masks & 1 << k + 1) == 0
+    return f(k, Functional._from_arrays(phi.masks[keep], phi.values[keep], phi.truncation))
+
+
+def _hop_skewed_at_first_entry(j, k, phi):
+    out = operators.hop_apply(j, k, phi)
+    values = out.values.copy()
+    values[:1] *= 1 + 1e-9
+    return Functional._from_arrays(out.masks, values, out.truncation)
+
+
+# the checks that one ladder entry off fails, and those of a hop entry off
+_LADDER_SLIP = {"car-adjoint-transpose", "car-cross-mixed", "car-equal-time",
+                "occupation-symbol", "hop-closed-form"}
+_HOP_SLIP = {"hop-closed-form", "hop-symbol"}
+# slip name -> ({binding on verifier: replacement}, the exact car and hop
+# checks that fail); every car and hop check fails under some slip
+SLIPS = {
+    "create-fermionic-sign": (
+        {"apply_create": _signed(operators.apply_create)}, _LADDER_SLIP | {"car-cross-create"}
+    ),
+    # the fermionic algebra anticommutes across indices
+    "fermionic-algebra": (
+        {"apply_create": _signed(operators.apply_create),
+         "apply_annihilate": _signed(operators.apply_annihilate)},
+        {"car-cross-annihilate", "car-cross-create", "car-cross-mixed"},
+    ),
+    # flips bit k on every mask, present or not
+    "annihilate-ungated": (
+        {"apply_annihilate": _ungated_annihilate}, {"car-adjoint-transpose", "car-nilpotent"}
+    ),
+    "create-needing-next-bit-clear": (
+        {"apply_create": _create_needing_next_bit_clear}, _LADDER_SLIP | {"car-cross-create"}
+    ),
+    "transpose-skipped": ({"table_transpose": lambda table: table}, {"car-adjoint-transpose"}),
+    "hop-gate-ignoring-j": (
+        {"hop_apply": lambda j, k, phi: operators.hop_apply(k, k, phi)}, _HOP_SLIP
+    ),
+    "create-skewed-at-full-mask": (
+        {"apply_create": _skewed(operators.apply_create, True)}, _LADDER_SLIP
+    ),
+    "annihilate-skewed-at-empty-mask": (
+        {"apply_annihilate": _skewed(operators.apply_annihilate, False)}, _LADDER_SLIP
+    ),
+    "hop-skewed-at-first-entry": ({"hop_apply": _hop_skewed_at_first_entry}, _HOP_SLIP),
+}
+
+
+@pytest.mark.parametrize("slip", sorted(SLIPS))
+def test_each_ladder_slip_fails_its_checks(monkeypatch, slip):
+    # car and hop read the kernels that the apply command runs: in run_all
+    # through one shared ladder pair, and alone through their own builders
+    patches, fails = SLIPS[slip]
+    for name, value in patches.items():
+        monkeypatch.setattr(verifier, name, value)
     for n in (4, 6):
-        failed = {r.name for r in check_car(n) + check_hop(n) if not r.ok}
-        assert {"car-equal-time", "hop-closed-form"} <= failed, (n, failed)
+        reports, _ = run_all(n=n, only=["car", "hop"])
+        for run in (reports, check_car(n) + check_hop(n)):
+            assert {r.name for r in run if not r.ok} == fails, n
+
+
+def test_every_car_and_hop_check_has_a_failing_slip():
+    reports, _ = run_all(n=6, only=["car", "hop"])
+    names = {r.name for r in reports if r.kind == CHECK}
+    assert set().union(*(fails for _, fails in SLIPS.values())) == names
 
 
 @pytest.mark.parametrize(
@@ -752,6 +832,18 @@ class TestRunAll:
         tags = {r.inputs.get("weight") for r in reports}
         assert tags == {"custom"}
         assert all_ok(reports)
+
+    @pytest.mark.parametrize("override", [None, Weight2D({(0, 1): 2.0})])
+    def test_every_weight_input_names_a_fixture_of_the_run(self, override):
+        # qms once recorded "w", a name no fixture has
+        weights2d = fixture_weights(4, 42) if override is None else {"custom": override}
+        names = set(weights2d) | set(fixture_weights1d(4, 42))
+        reports, _ = run_all(n=4, weight_override=override)
+        tags = [(r.name, r.inputs["weight"]) for r in reports if "weight" in r.inputs]
+        assert [(name, tag) for name, tag in tags if tag not in names] == []
+        assert {tag for name, tag in tags if name.startswith("qms-")} == {
+            "running" if override is None else "custom"
+        }
 
     def test_override_with_oversized_support_raises(self):
         big = Weight2D({(0, 9): 1.0})

@@ -217,6 +217,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             Weight2D.from_entries([(0, 0, 1.0), (0, 0, 2.0)])
 
+    @pytest.mark.parametrize(
+        "triples, spelled",
+        [
+            ([([0], 1, 2.0)], "[0]"),
+            # a float or bool equal to 1 once hashed as the pair (1, 1)
+            ([(1.0, 1, 2.0), (1, 1, 3.0)], "1.0"),
+            ([(True, 1, 2.0), (1, 1, 3.0)], "true"),
+        ],
+        ids=["list", "float", "bool"],
+    )
+    def test_triple_index_checked_before_hashing(self, triples, spelled):
+        with pytest.raises(ValueError) as raised:
+            Weight2D.from_entries(triples)
+        assert str(raised.value) == f"entry index must be an integer, got {spelled}"
+
     def test_support_bound(self, running):
         assert running.support_bound() == 2
         assert Weight2D.zero().support_bound() == 0
