@@ -56,7 +56,6 @@ from .operators import (
     materialize,
     number,
     number_apply,
-    occupation_apply,
     parse_expr,
     wn1d_apply,
     wn1d_expr,
@@ -107,7 +106,6 @@ __all__ = [
     "monte_carlo_gram",
     "number",
     "number_apply",
-    "occupation_apply",
     "parse_expr",
     "reconstruct",
     "riesz_embed",

@@ -84,18 +84,12 @@ def _times(phi: Functional, factors: np.ndarray) -> Functional:
     return Functional._dropping_zeros(phi.masks, factors * phi.values, phi.truncation)
 
 
-def occupation_apply(k: int, phi: Functional) -> Functional:
-    """create(k) after annihilate(k): multiplies by the membership indicator."""
-    k = _check_index(k, phi.truncation, "occupation")
-    keep = (phi.masks & 1 << k) != 0
-    return Functional._from_arrays(phi.masks[keep], phi.values[keep], phi.truncation)
-
-
 def hop_apply(j: int, k: int, phi: Functional) -> Functional:
     """Closed form of create(k) @ annihilate(j) @ create(j) @ annihilate(k).
 
     Diagonal: sigma keeps its coefficient exactly when k is present and
-    (for j != k) j is absent; for j == k only the presence of k matters.
+    (for j != k) j is absent; for j == k only the presence of k matters, so
+    hop(k, k) is the occupation create(k) @ annihilate(k).
     """
     n = phi.truncation
     j = _check_index(j, n, "hop row")
@@ -139,18 +133,12 @@ def series_partial_2d(w: Weight2D, phi: Functional, m: int) -> Functional:
 
 
 def series_partial_1d(u: Weight1D, phi: Functional, m: int) -> Functional:
-    """Partial sum of u(k) * occupation(k) over k < m."""
-    if m < 0 or m > phi.truncation:
-        raise ValueError(f"partial-sum cutoff {m} outside [0, {phi.truncation}]")
-    total = Functional.zero(phi.truncation)
-    for k, v in sorted(u.values.items()):
-        if k < m:
-            total = total + v * occupation_apply(k, phi)
-    return total
+    """Partial sum of u(k) * hop(k, k) over k < m: the 2D series of u's diagonal lift."""
+    return series_partial_2d(Weight2D.from_weight1d(u), phi, m)
 
 
 def number_series_partial(phi: Functional, m: int) -> Functional:
-    """Partial sum of occupation(k) over k < m; stabilizes at m == truncation."""
+    """Partial sum of hop(k, k) over k < m; stabilizes at m == truncation."""
     return series_partial_1d(Weight1D.constant(1.0, phi.truncation), phi, m)
 
 
@@ -184,6 +172,15 @@ def l2_create(k: int, xi: Functional) -> Functional:
 def l2_hop(j: int, k: int, xi: Functional) -> Functional:
     """The four-fold product d+(k) d(j) d+(j) d(k), composed from the l2 moves."""
     return l2_create(k, l2_annihilate(j, l2_create(j, l2_annihilate(k, xi))))
+
+
+def l2_series_2d(w: Weight2D, xi: Functional) -> Functional:
+    """Sum of w(j, k) * l2_hop(j, k) over the listed entries, in sorted order:
+    the square-integrable side's :func:`series_partial_2d` at full cutoff."""
+    total = Functional.zero(xi.truncation)
+    for (j, k), v in sorted(w.entries.items()):
+        total = total + v * l2_hop(j, k, xi)
+    return total
 
 
 def l2_wn_apply(w: Weight2D, xi: Functional) -> Functional:
@@ -251,14 +248,6 @@ def table_transpose(table: Functional) -> Functional:
     masks = (table.masks & ~((1 << 2 * n) - 1)) | (table.masks & low) << n | table.masks >> n & low
     order = np.argsort(masks)
     return Functional._from_arrays(masks[order], table.values[order], table.truncation)
-
-
-def table_dense(table: Functional) -> np.ndarray:
-    """A one-block matrix table as a dense 2^n x 2^n array."""
-    n = table.truncation // 2
-    out = np.zeros((1 << n, 1 << n), dtype=complex)
-    out[table.masks & ((1 << n) - 1), table.masks >> n] = table.values
-    return out
 
 
 def table_csr(table: Functional) -> scipy.sparse.csr_matrix:

@@ -29,8 +29,7 @@ import numpy as np
 from .basis import as_index, as_list, check_truncation, json_spelling, popcount_vector
 from .functionals import Functional
 from .operators import (
-    apply_table, l2_annihilate, l2_create, l2_hop, table_csr, table_dense, table_product,
-    table_transpose,
+    apply_table, l2_annihilate, l2_create, l2_series_2d, table_csr, table_product, table_transpose,
 )
 from .reports import TOLERANCE, _worst, family_level, family_reports, family_trials, residual
 from .weights import Weight2D
@@ -42,10 +41,12 @@ if TYPE_CHECKING:
 # ufunc buffer: with numpy's default (8192) an apply at n = 9 runs ~30 % longer.
 _TILE_CELLS, _UFUNC_BUFFER = 1 << 15, 256
 
-# generator_apply's band workers and the (process id, CPU count) they were made
-# for: a forked child, whose copy has no threads, or a new CPU count makes a
-# new pool, and a dropped pool's idle threads exit once it is collected
-_pool = (None, None)
+# generator_apply's band workers, under the CPU count they were made for: a new
+# count drops the pool, whose idle threads exit once it is collected, and a
+# forked child drops the copy it inherits, which has no threads
+_pool: dict = {}
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.clear)
 
 
 def transfer_matrix(j: int, k: int, n: int) -> scipy.sparse.csr_matrix:
@@ -144,7 +145,6 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     per element, so the image does not depend on how many threads ran. An
     apply with one band starts no thread.
     """
-    global _pool
     n, s = spec.truncation, spec.split
     x = np.asarray(x, dtype=complex)
     if x.shape != (1 << n, 1 << n):
@@ -161,13 +161,14 @@ def generator_apply(spec: GeneratorSpec, x: np.ndarray) -> np.ndarray:
     args = (spec, x.reshape(a, t, a, t), out, rows, iter(bands), threading.Lock(), err)
     workers, jobs = min(len(bands), cpus) - 1, []
     if workers:
-        if _pool[0] != (os.getpid(), cpus):
+        if cpus not in _pool:
             # imported here: concurrent.futures loads logging, about 0.6 MB and
             # 8 ms, which a process whose applies have one band never needs
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = (os.getpid(), cpus), ThreadPoolExecutor(cpus - 1)
-        jobs = [_pool[1].submit(_apply_bands, *args) for _ in range(workers)]
+            _pool.clear()
+            _pool[cpus] = ThreadPoolExecutor(cpus - 1)
+        jobs = [_pool[cpus].submit(_apply_bands, *args) for _ in range(workers)]
     try:
         _apply_bands(*args)
     finally:
@@ -225,7 +226,8 @@ def check_sum_identity(w: Weight2D, n: int, tag: str = "w") -> list:
 
     Route one multiplies each transfer matrix by its numerical adjoint; route
     two composes the four elementary moves explicitly; route three is the
-    diagonal spectral function. All three must agree entrywise.
+    diagonal spectral function. All three are matrix tables and must agree
+    entrywise.
     """
     n = family_level(n)
     if not w.is_exact() or w.support_bound() > n:
@@ -233,15 +235,14 @@ def check_sum_identity(w: Weight2D, n: int, tag: str = "w") -> list:
             "sum identity needs explicitly listed weights supported within "
             "the truncation"
         )
-    size = 1 << n
-    via_adjoint = np.zeros((size, size), dtype=complex)
-    via_explicit = np.zeros((size, size), dtype=complex)
+    via_adjoint = Functional.zero(2 * n)
     for (j, k), rate in sorted(w.entries.items()):
         b = _transfer_table(j, k, n)
-        via_adjoint += rate * table_dense(table_product(table_transpose(b).conjugated(), b))
-        explicit = apply_table(lambda xi: l2_hop(j, k, xi), n)
-        via_explicit += rate * table_dense(explicit)
-    diagonal = np.diag(w.theta_vector(n).astype(complex))
+        via_adjoint = via_adjoint + rate * table_product(table_transpose(b).conjugated(), b)
+    via_explicit = apply_table(lambda xi: l2_series_2d(w, xi), n)
+    cols = np.arange(1 << n, dtype=np.int64)
+    theta = w.theta_vector(n).astype(complex)
+    diagonal = Functional._dropping_zeros(cols << n | cols, theta, 2 * n)
     return family_reports(
         {"n": n, "weight": tag},
         TOLERANCE,

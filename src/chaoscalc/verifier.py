@@ -56,7 +56,7 @@ from .operators import (
     hop_apply,
     l2_annihilate,
     l2_create,
-    l2_hop,
+    l2_series_2d,
     l2_wn1d_apply,
     l2_wn_apply,
     number_apply,
@@ -541,13 +541,7 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
     probe = random_functional(rng, n)
     wn1d_probe = wn1d_apply(u, probe)
 
-    def l2_series(xi):
-        out = Functional.zero(xi.truncation)
-        for (j, k), v in sorted(w.entries.items()):
-            out = out + v * l2_hop(j, k, xi)
-        return out
-
-    l2_mat = apply_table(l2_series, n)
+    l2_mat = _table(l2_series_2d, w, n)
     l2_target = _table(l2_wn_apply, w, n)
     return family_reports(
         {"n": n, "weight": tag},

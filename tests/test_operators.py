@@ -31,7 +31,6 @@ from chaoscalc.operators import (
     number,
     number_apply,
     number_series_partial,
-    occupation_apply,
     parse_expr,
     series_partial_1d,
     series_partial_2d,
@@ -122,7 +121,7 @@ class TestLadderActions:
         # 1.7 used to act at index 1, and True at index 1
         phi = Functional.delta(Subset.of(1, 2), 3)
         for apply in (lambda: apply_annihilate(1.7, phi), lambda: apply_create(2.0, phi),
-                      lambda: occupation_apply(True, phi), lambda: hop_apply(True, 2.9, phi),
+                      lambda: hop_apply(1, True, phi), lambda: hop_apply(True, 2.9, phi),
                       lambda: l2_annihilate(1.0, phi), lambda: l2_create(False, phi)):
             with pytest.raises(ValueError, match="integer"):
                 apply()
@@ -157,7 +156,7 @@ class TestDiagonalActions:
                     "compose", ladder_json("create", k), ladder_json("annihilate", k)
                 )
                 via_expr = parse_expr(occupation)(Functional.delta(sigma, n))
-                direct = occupation_apply(k, Functional.delta(sigma, n))
+                direct = hop_apply(k, k, Functional.delta(sigma, n))
                 expect = int(k in sigma) * Functional.delta(sigma, n)
                 assert via_expr == expect
                 assert direct == expect
@@ -180,13 +179,6 @@ class TestHop:
             Functional.zero(n)
         )
         assert hop_apply(0, 1, Functional.delta(Subset.of(0), n)) == Functional.zero(n)
-
-    def test_diagonal_case_is_occupation(self):
-        n = 3
-        rng = np.random.default_rng(2)
-        phi = random_functional(rng, n)
-        for j in range(n):
-            assert hop_apply(j, j, phi) == occupation_apply(j, phi)
 
     def test_closed_form_matches_fourfold_composition(self):
         n = 4
@@ -291,7 +283,7 @@ class TestSeries:
         assert residual(series_partial_1d(u, phi, 3), target) <= 1e-14
         assert residual(series_partial_1d(u, phi, n), target) <= 1e-14
         partial = series_partial_1d(u, phi, 1)
-        assert residual(partial, 1.0 * occupation_apply(0, phi)) <= 1e-14
+        assert residual(partial, 1.0 * hop_apply(0, 0, phi)) <= 1e-14
 
     def test_number_series(self):
         rng = np.random.default_rng(7)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaoscalc import qms
+from chaoscalc import operators, qms
 from chaoscalc.basis import popcount_vector
 from chaoscalc.qms import (
     GeneratorSpec,
@@ -314,7 +314,9 @@ SLIPS = {
         None,
     ),
     "l2-hop-j-k-swapped": (
-        lambda mp, f=qms.l2_hop: mp.setattr(qms, "l2_hop", lambda j, k, xi: f(k, j, xi)),
+        lambda mp, f=operators.l2_hop: mp.setattr(
+            operators, "l2_hop", lambda j, k, xi: f(k, j, xi)
+        ),
         {_ROUTES, _EXPLICIT},
         None,
     ),
@@ -634,7 +636,7 @@ class TestBands:
     def allow_cpus(monkeypatch, count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
         # a fresh pool, dropped when the test ends
-        monkeypatch.setattr(qms, "_pool", (None, None))
+        monkeypatch.setattr(qms, "_pool", {})
 
     @staticmethod
     def case(name):
@@ -719,9 +721,11 @@ class TestBands:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_applies_with_its_own_workers(self):
-        # The parent's pool is copied into a child without its threads. In a
-        # fresh interpreter, so that the pytest process never forks with live
-        # threads; the alarm ends a child whose apply waits forever.
+        # The parent's pool is copied into a child without its threads. The
+        # second child reads the parent's pid from os.getpid, as a descendant
+        # given its ancestor's recycled pid would. In a fresh interpreter, so
+        # that the pytest process never forks with live threads; the alarm
+        # ends a child whose apply waits forever.
         script = textwrap.dedent("""
             import os, signal, sys, threading, warnings
             import numpy as np
@@ -729,19 +733,24 @@ class TestBands:
             from chaoscalc.weights import Weight2D
 
             os.sched_getaffinity = lambda pid: {0, 1}
-            spec = GeneratorSpec(Weight2D({(0, 1): 2.0, (1, 1): 3.0}), 8)
-            x = np.arange(65536.0).reshape(256, 256)
+            spec = GeneratorSpec(Weight2D({(0, 1): 2.0, (1, 1): 3.0}), 9)
+            x = np.arange(262144.0).reshape(512, 512)
             first = generator_apply(spec, x)
             assert threading.active_count() == 2
-            with warnings.catch_warnings():
-                # Python 3.12 on warns of a fork with live threads
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                signal.alarm(30)
-                os._exit(0 if generator_apply(spec, x).tobytes() == first.tobytes() else 1)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            sys.exit(f"child exit code {code}" if code else 0)
+            parent = os.getpid()
+            for same_pid in (False, True):
+                with warnings.catch_warnings():
+                    # Python 3.12 on warns of a fork with live threads
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    if same_pid:
+                        os.getpid = lambda: parent
+                    signal.alarm(10)
+                    os._exit(0 if generator_apply(spec, x).tobytes() == first.tobytes() else 1)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code:
+                    sys.exit(f"child exit code {code}, same pid {same_pid}")
         """)
         src = str(pathlib.Path(qms.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}

@@ -131,3 +131,17 @@ def test_every_function_is_reached_or_pinned(tmp_path):
         name for key, name in defined.items() if key not in entered and not is_dunder(name)
     }
     assert unreached == set(UNREACHED)
+
+
+def test_all_lists_every_public_import_and_each_resolves():
+    # ``from chaoscalc import *`` reads __all__: a stale name breaks it, and
+    # a public name __init__ imports but does not list drops out of it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for name in imported if not name.startswith("_")} <= set(chaoscalc.__all__)
+    assert [name for name in chaoscalc.__all__ if not hasattr(chaoscalc, name)] == []

@@ -46,6 +46,7 @@ from chaoscalc.operators import (
     hop_expr,
     l2_annihilate,
     l2_create,
+    l2_series_2d,
     l2_wn1d_apply,
     l2_wn_apply,
     materialize,
@@ -53,7 +54,6 @@ from chaoscalc.operators import (
     number,
     number_apply,
     number_series_partial,
-    occupation_apply,
     parse_expr,
     series_partial_1d,
     series_partial_2d,
@@ -152,7 +152,7 @@ def test_index_moves_match_csr(phi, data):
     assert_matches(apply_create(k, phi), c[k] @ vec)
     assert_matches(l2_annihilate(k, phi), a[k] @ vec)
     assert_matches(l2_create(k, phi), c[k] @ vec)
-    assert_matches(occupation_apply(k, phi), c[k] @ a[k] @ vec)
+    assert_matches(hop_apply(k, k, phi), c[k] @ a[k] @ vec)
     assert_matches(hop_apply(j, k, phi), c[k] @ a[j] @ c[j] @ a[k] @ vec)
 
 
@@ -397,7 +397,7 @@ def test_one_call_materialize_matches_column_sweep(data):
     kernels = {
         "apply_annihilate": lambda f: apply_annihilate(k, f),
         "apply_create": lambda f: apply_create(k, f),
-        "occupation_apply": lambda f: occupation_apply(k, f),
+        "hop_apply(k, k)": lambda f: hop_apply(k, k, f),
         "hop_apply": lambda f: hop_apply(j, k, f),
         "hop_expr": hop_expr(j, k),
         "gwn_apply": lambda f: gwn_apply(w, f),
@@ -415,6 +415,7 @@ def test_one_call_materialize_matches_column_sweep(data):
         "l2_wn_apply": lambda f: l2_wn_apply(w, f),
         "l2_wn1d_apply": lambda f: l2_wn1d_apply(u, f),
         "l2 four-fold hop": l2_hop,
+        "l2_series_2d": lambda f: l2_series_2d(w, f),
         "l2 sum": lambda f: l2_hop(f) + 2.5 * l2_wn_apply(w, l2_annihilate(j, f)),
     }
     for name, kernel in kernels.items():
@@ -648,7 +649,6 @@ def test_a_factor_with_two_entries_in_a_column_is_refused(side):
 TRANSFORM_KERNELS = (
     "apply_annihilate",
     "apply_create",
-    "occupation_apply",
     "hop_apply",
     "gwn_apply",
     "wn1d_apply",
@@ -682,6 +682,9 @@ def test_l2_side_is_independent_of_transform_kernels(monkeypatch):
         assert_matches(l2_annihilate(k, xi), down)
         assert_matches(l2_create(k, xi), up)
     assert_matches(l2_wn_apply(w, xi), w.theta_vector(n) * vec)
+    # the series adds its terms in another order than theta does
+    series = l2_series_2d(w, xi).as_vector()
+    assert np.allclose(series, w.theta_vector(n) * vec, rtol=1e-14, atol=0)
     assert_matches(l2_wn1d_apply(u, xi), u.count_vector(n) * vec)
     reports = check_l2_lemmas(w, u, n)
     assert reports and all(r.ok for r in reports)
@@ -691,6 +694,7 @@ L2_KERNELS = (
     "l2_annihilate",
     "l2_create",
     "l2_hop",
+    "l2_series_2d",
     "l2_wn_apply",
     "l2_wn1d_apply",
 )
