@@ -31,7 +31,10 @@ from .functionals import Functional
 from .operators import (
     apply_table, l2_annihilate, l2_create, l2_series_2d, table_csr, table_product, table_transpose,
 )
-from .reports import TOLERANCE, _worst, family_level, family_reports, family_trials, residual
+from .reports import (
+    TOLERANCE, SplitMix64, _worst, family_level, family_reports, family_trials, residual,
+    uniform_draws,
+)
 from .weights import Weight2D
 
 if TYPE_CHECKING:
@@ -278,30 +281,36 @@ def check_generator_structure(
 ) -> list:
     """Structural facts: unital kernel, hermiticity preservation, linearity,
     and the classical reduction: on diagonal observables the generator is the
-    exclusion chain's generator Q, computed from the weight's entries alone."""
+    exclusion chain's generator Q, computed from the weight's entries alone.
+
+    Each identity holds for every observable, so the trials draw X and Y
+    with real and imaginary parts uniform on [-1, 1), straight from the
+    seed's stream. f is uniform on [-sqrt 3, sqrt 3), of unit variance, so
+    that Q f reaches past 1 in modulus, where the reduction's residual is
+    relative, not absolute."""
     n = family_level(n)
     trials = family_trials(trials)
     size = 1 << n
     spec = GeneratorSpec(weight=w, truncation=n)
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     inputs = {"n": n, "weight": tag, "trials": trials, "seed": seed}
 
     unital = generator_apply(spec, np.eye(size, dtype=complex))
 
     herm, lin = [], []
     for _ in range(trials):
-        x = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        y = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        x = uniform_draws(rng, (size, size), complex)
+        y = uniform_draws(rng, (size, size), complex)
         lx = generator_apply(spec, x)
         herm.append(residual(generator_apply(spec, x.conj().T), lx.conj().T))
-        a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
+        a, b = uniform_draws(rng, 2, complex).tolist()
         lxy = generator_apply(spec, a * x + b * y)
         lin.append(residual(lxy, a * lx + b * generator_apply(spec, y)))
 
     # the classical chain on subsets: (Q f)(sigma) sums w(j, k) [f(sigma - {k} + {j})
     # - f(sigma)] over k in sigma and j not (so j != k), read off the masks, not
     # the spec's plan
-    f = rng.standard_normal(size)
+    f = np.sqrt(3.0) * uniform_draws(rng, size)
     masks, qf = np.arange(size), np.zeros(size)
     for (j, k), rate in sorted(w.entries.items()):
         moves = (masks >> k & 1 == 1) & (masks >> j & 1 == 0)

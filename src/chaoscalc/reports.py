@@ -10,6 +10,10 @@ family with the left side perturbed by a relative PERTURBATION.
 A report is ``ok`` when a plain check passed, or when a negative control
 failed as it should; a report whose residual is not finite is never ``ok``,
 since NaN or infinity shows the comparison itself broke.
+
+The families draw their probes and random fixtures from ``SplitMix64``, a
+seeded stream written with numpy's integer arithmetic alone, so a verify
+run never loads ``numpy.random``.
 """
 from __future__ import annotations
 
@@ -29,6 +33,63 @@ NEGATIVE_CONTROL = "negative-control"
 TOLERANCE = 1e-12
 # A control nudges one entry by this much times max(1, largest magnitude).
 PERTURBATION = 1e-6
+
+# SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): its golden-ratio increment and finalizer factors
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+class SplitMix64:
+    """The seeded stream of the check families: draw i of seed s hashes the
+    state s + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64 through SplitMix64's
+    finalizer and keeps the top 53 bits, a float in [0, 1).
+
+    ``random(size=None, out=None)`` is ``numpy.random.Generator.random``:
+    no size gives one float, a size an array, and ``out``, a C-contiguous
+    float64 array, is filled in place. Draws run on from call to call, so
+    ``random(a)`` then ``random(b)`` reads as ``random(a + b)``. The seed is
+    the starting state, not a counter offset, so nearby seeds share no draws.
+    """
+
+    def __init__(self, seed: int):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+        self._seed, self._drawn = int(seed), 0
+
+    def random(self, size=None, out=None):
+        scalar = size is None and out is None
+        if out is None:
+            out = np.empty(() if size is None else size)
+        elif out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 array")
+        bits = out.reshape(-1).view(np.uint64)
+        # the first state in Python ints: numpy's scalar uint64 multiply warns on overflow
+        start = (self._seed + (self._drawn + 1) * _GOLDEN) % (1 << 64)
+        self._drawn += bits.size
+        scratch = np.arange(bits.size, dtype=np.uint64)
+        np.multiply(scratch, np.uint64(_GOLDEN), out=bits)
+        bits += np.uint64(start)
+        for shift, factor in ((30, _MIX1), (27, _MIX2)):
+            bits ^= np.right_shift(bits, np.uint64(shift), out=scratch)
+            bits *= factor
+        bits ^= np.right_shift(bits, np.uint64(31), out=scratch)
+        bits >>= np.uint64(11)
+        np.multiply(bits, 2.0**-53, out=out.reshape(-1))
+        return float(out) if scalar else out
+
+
+def uniform_draws(rng, shape, dtype=float) -> np.ndarray:
+    """An array of ``shape`` whose entries, or real and imaginary parts, are
+    uniform on [-1, 1), filled in place by ``rng.random``: a complex entry
+    takes two consecutive draws, its real part first."""
+    out = np.empty(shape, dtype)
+    parts = out.reshape(-1).view(float)
+    rng.random(out=parts)
+    parts *= 2.0
+    parts -= 1.0
+    return out
 
 
 def _block_max_abs(x, blocks: int = 1) -> np.ndarray:

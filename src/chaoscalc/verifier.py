@@ -33,9 +33,11 @@ transform ladder pair, built on its first use in the run.
 riesz checks its intertwinings on stacks of basis columns, column c holding
 a random z_c at row c under ``apply_table``'s column tag, a residual per
 tag. riesz and functional-invariant draw each stack's probes straight into
-one tagged table, probe t at ``(t << n) | sigma``, in the order drawing them
-one at a time would take, and ``Functional`` reads their norms, pairings and
-growth bounds per tag.
+one tagged table, probe t at ``(t << n) | sigma``, and ``Functional`` reads
+their norms, pairings and growth bounds per tag.
+Every probe and random fixture comes from a ``reports.SplitMix64`` stream,
+seeded by the run's seed (representation's one probe by 0); a complex
+probe's real and imaginary parts are uniform on [-1, 1).
 spectral-shift and weight-invariant compare their per-k arrays, all of
 one length, as the row blocks of one ``residual(..., blocks=n)``.
 Every fold over comparisons keeps a NaN, wherever it falls.
@@ -70,12 +72,14 @@ from .operators import (
 from .qms import check_generator_structure, check_sum_identity
 from .reports import (
     TOLERANCE,
+    SplitMix64,
     _worst,
     excess,
     family_level,
     family_reports,
     family_trials,
     residual,
+    uniform_draws,
 )
 from .weights import Weight1D, Weight2D, theta_double_sum
 
@@ -95,9 +99,10 @@ _ADJOINT_NOTE = (
 _DUAL_NORM_NOTE = "dual norm: sum of lambda^(-2p) |coeff|^2 (adopted convention)"
 
 
-def random_weight2d(rng: np.random.Generator, size: int) -> Weight2D:
+def random_weight2d(rng, size: int) -> Weight2D:
     """Finitely supported random weights on [0, size) x [0, size): each entry
-    is drawn from [0, 1) with probability 1/2."""
+    is drawn from [0, 1) with probability 1/2. ``rng`` is a
+    :class:`SplitMix64` or a numpy Generator: only its ``random()`` is read."""
     entries = {}
     for j in range(size):
         for k in range(size):
@@ -106,13 +111,21 @@ def random_weight2d(rng: np.random.Generator, size: int) -> Weight2D:
     return Weight2D(entries)
 
 
-def random_weight1d(rng: np.random.Generator, size: int) -> Weight1D:
+def random_weight1d(rng, size: int) -> Weight1D:
     return Weight1D({k: float(rng.random()) for k in range(size)})
 
 
 def random_functional(rng: np.random.Generator, n: int) -> Functional:
+    """Gaussian coefficients from a numpy Generator; the checks draw theirs
+    with ``_probes``."""
     vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return Functional.from_vector(vec, n)
+
+
+def _probes(rng: SplitMix64, n: int, *blocks: int) -> Functional:
+    """A table of 2^n complex coefficients drawn by ``uniform_draws``, or,
+    given a block count, a stack of that many, probe t under tag t."""
+    return Functional.from_vector(uniform_draws(rng, (*blocks, 1 << n), complex), n)
 
 
 def _table(kernel, arg, n: int) -> Functional:
@@ -516,7 +529,9 @@ def check_spectral_shifts(w: Weight2D, n: int, tag: str = "w") -> list:
 
 
 def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> list:
-    """Partial sums of the hop/occupation series stabilize at the support bound."""
+    """Partial sums of the hop/occupation series: the 2D one equals, at every
+    cutoff, the operator of the weight truncated there, and so stabilizes at
+    the support bound."""
     n = family_level(n)
     if not w.is_exact():
         raise ValueError(
@@ -528,17 +543,21 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
             f"(support bound {max(w.support_bound(), u.support_bound())}, n = {n})"
         )
     target = _table(gwn_apply, w, n)
-    stabilized = []
+    truncated = []
     diagonals = np.zeros((n + 1, 1 << n))
     for cut in range(n + 1):
         partial = apply_table(lambda f: series_partial_2d(w, f, cut), n)
         rows, cols = partial.masks & ((1 << n) - 1), partial.masks >> n
         diagonals[cut, rows[rows == cols]] = partial.values[rows == cols].real
-        if cut >= w.support_bound():
-            stabilized.append(partial)
+        if cut < w.support_bound():
+            head = Weight2D({key: v for key, v in w.entries.items() if max(key) < cut})
+            truncated.append(residual(partial, _table(gwn_apply, head, n)))
+        else:
+            truncated.append(residual(partial, target))
+        if cut == w.support_bound():
+            stabilized = partial
 
-    rng = np.random.default_rng(0)
-    probe = random_functional(rng, n)
+    probe = _probes(SplitMix64(0), n)
     wn1d_probe = wn1d_apply(u, probe)
 
     l2_mat = _table(l2_series_2d, w, n)
@@ -549,9 +568,9 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
         [
             (
                 "gwn-series",
-                "sum of w(j,k) hop(j,k) over j,k < m equals gwn(w) once m covers "
-                "the support",
-                _worst([residual(partial, target) for partial in stabilized]),
+                "sum of w(j,k) hop(j,k) over j,k < m equals gwn of w restricted to "
+                "j,k < m at every cutoff m <= n, so gwn(w) once m covers the support",
+                _worst(truncated),
             ),
             (
                 "gwn-series-monotone",
@@ -584,7 +603,7 @@ def check_representations(w: Weight2D, u: Weight1D, n: int, tag: str = "w") -> l
         (
             "representation-negative-control",
             "first stabilized partial sum against gwn(w)",
-            stabilized[0],
+            stabilized,
             target,
         ),
     )
@@ -601,20 +620,18 @@ def check_riesz_intertwining(
     """Conjugation carries the square-integrable operators to the transform side."""
     n = family_level(n)
     trials = family_trials(trials)
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     worst_pair = []
     for stack in _chunks(range(trials), n):
         blocks = len(stack)
-        # probe t's real and imaginary parts, in the order random_functional draws them
-        parts = rng.standard_normal((blocks, 2, 1 << n))
-        table = Functional.from_vector(parts[:, 0] + 1j * parts[:, 1], n)
+        table = _probes(rng, n, blocks)
         if not worst_pair:
             first = _first(table)
             control = riesz_embed(l2_annihilate(0, first)), apply_annihilate(0, riesz_embed(first))
         # a float's ** 2, libm's pow, as the per-probe check squared: numpy's square can differ
         squares = np.array([norm**2 for norm in table.norm(0, blocks).tolist()])
         worst_pair.append(residual(riesz_embed(table).pair(table, blocks), squares, blocks))
-    z = random_functional(rng, n)
+    z = _probes(rng, n)
     worst_a, worst_c, worst_w = [], [], []
     for lo in range(0, len(z.masks), _STACK_ROWS):
         cols, values = z.masks[lo : lo + _STACK_ROWS], z.values[lo : lo + _STACK_ROWS]
@@ -688,7 +705,7 @@ def check_norm_bounds(
     """
     n = family_level(n)
     trials = family_trials(trials)
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     lam_vec = lam_vector(n)
     theta = w.theta_vector(n)
     beta = u.beta()
@@ -698,7 +715,7 @@ def check_norm_bounds(
     scale = 1.0 / max(1.0, float(np.max(np.abs(theta))))
     route = []
     for _ in range(trials):
-        probe = scale * random_functional(rng, n)
+        probe = scale * _probes(rng, n)
         api = gwn_apply(w, probe).dual_norm(2)
         vec = float(np.sqrt(np.sum(lam_vec**-4.0 * np.abs(theta * probe.as_vector()) ** 2)))
         route.append(residual(api, vec))
@@ -857,25 +874,23 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
     """Norm scale structure, pairing bounds and the growth-bound consequence."""
     n = family_level(n)
     trials = family_trials(trials)
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     lam_vec = lam_vector(n)
     grid = (0.0, 0.5, 1.0, 2.0)
     worst_mono, worst_dual, worst_cs, worst_growth, isometry = [], [], [], [], []
     for stack in _chunks(range(trials), n):
         blocks = len(stack)
-        # per probe, in draw order: xi's and phi's real and imaginary parts
-        # (as random_functional draws them), then a modulus and a phase
-        xs, phis, polar = (np.empty((blocks, 2, 1 << n)) for _ in range(3))
-        for t in range(blocks):
-            rng.standard_normal(out=xs[t])
-            rng.standard_normal(out=phis[t])
-            rng.random(out=polar[t])
-        xi = Functional.from_vector(xs[:, 0] + 1j * xs[:, 1], n)
-        phi = Functional.from_vector(phis[:, 0] + 1j * phis[:, 1], n)
-        sample = polar[:, 0] * np.exp(2j * np.pi * polar[:, 1])
+        # one draw a stack, probe by probe: xi's coefficients, phi's, then
+        # pairs read as a modulus |re| in [0, 1] and a phase pi * im, so no
+        # probe depends on how many share its stack
+        draws = uniform_draws(rng, (blocks, 3, 1 << n), complex)
+        xi = Functional.from_vector(draws[:, 0], n)
+        phi = Functional.from_vector(draws[:, 1], n)
+        polar = draws[:, 2]
+        sample = np.abs(polar.real) * np.exp(1j * np.pi * polar.imag)
         # |coeff| <= 2 lambda^1 must pass the growth check and its dual-norm consequence
         bounded = Functional.from_vector(2.0 * lam_vec * sample, n)
-        del xs, phis, polar, sample  # free the raw draws before the norms: the tables suffice
+        del draws, polar, sample  # free the raw draws before the norms: the tables suffice
         growth = check_growth(bounded, GrowthBound(2.0, 1.0), blocks)
         worst_growth.append(excess([g.worst_excess for g in growth], 0.0))
         worst_growth.append(
@@ -930,7 +945,7 @@ def check_functional_invariants(n: int, trials: int = 50, seed: int = 42) -> lis
 
 def fixture_weights(n: int, seed: int) -> dict:
     """Named 2D fixtures: trivial, diagonal, the running two-entry one, random."""
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     out = {
         "zero": Weight2D.zero(),
         "diag-ones": Weight2D.from_weight1d(Weight1D.constant(1.0, n)),
@@ -943,7 +958,7 @@ def fixture_weights(n: int, seed: int) -> dict:
 
 
 def fixture_weights1d(n: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
+    rng = SplitMix64(seed)
     return {
         "ones": Weight1D.constant(1.0, n),
         "ramp": Weight1D({k: float(k) for k in range(n)}),

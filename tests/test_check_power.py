@@ -95,11 +95,12 @@ REPRESENTATION_SLIPS = {
         {operators.number_apply: _first_entry_skewed(operators.number_apply)},
         {"number-series"},
     ),
-    # a survivor: every check reads the partial sums only at cutoffs that
-    # cover the weight's support, where the cutoff m and m + 1 take the same
-    # terms, and one more term of a nonnegative weight keeps the diagonal
-    # monotone; only the acceptance test's cutoff - 1 sum sees it
-    "series-cutoff-one-past": ({operators.series_partial_2d: _cutoff_one_past}, set()),
+    # below the support bound the sum at m takes the terms of m + 1, which
+    # gwn-series compares with the operator of the weight truncated at m; one
+    # more term of a nonnegative weight keeps the diagonal monotone
+    "series-cutoff-one-past": (
+        {operators.series_partial_2d: _cutoff_one_past}, {"gwn-series"}
+    ),
 }
 
 # check name -> why no plausible slip fails it

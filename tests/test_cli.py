@@ -123,6 +123,12 @@ class TestVerify:
         assert code == 2 and payload is None
         assert err == "error: seed must be nonnegative, got -1\n"
 
+    def test_seed_past_64_bits_is_named(self, capsys):
+        # the seed is the stream's 64-bit starting state, as simulate's key word
+        code, payload, err = run_cli(capsys, "verify", "--n", "2", "--seed", str(2**64))
+        assert code == 2 and payload is None
+        assert err == f"error: seed must lie in [0, 2**64), got {2**64}\n"
+
     def test_huge_finite_weight_passes_without_warning(self, tmp_path, capsys):
         # the norm bounds of a 1e200 entry are finite, and the route probe is
         # scaled by 1 / max |theta|, so no dual norm squares past the range
@@ -426,6 +432,34 @@ def test_numpy_only_commands_load_no_scipy_submodule(tmp_path):
     assert blocked["loaded"] == {
         "commands": [], "materialize": "ModuleNotFoundError: scipy.sparse"
     }
+
+
+def test_verify_loads_no_numpy_random(tmp_path):
+    # verify draws its probes and fixtures from reports.SplitMix64, so a run
+    # loads numpy.random (about 6 MB of resident memory) only where importing
+    # numpy already does, as numpy 1.x does; simulate's sampler is the one
+    # command that loads it
+    verify = [argv for argv in cli_inputs.commands(cli_inputs.write(tmp_path)) if argv[0] == "verify"]
+    script = textwrap.dedent(f"""
+        import contextlib, io, json, sys
+        import numpy
+        alone = "numpy.random" in sys.modules
+        from chaoscalc.cli import main
+        codes = []
+        for i, argv in enumerate({[["verify", "--n", "4"], *verify]!r}):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main([*argv, "--out", f"{tmp_path}/verify-{{i}}.json"]))
+        print(json.dumps({{"codes": codes, "loaded": "numpy.random" in sys.modules, "alone": alone}}))
+    """)
+    src = str(pathlib.Path(chaoscalc.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    child = json.loads(result.stdout.splitlines()[-1])
+    assert child["codes"] == [0] * (1 + len(verify))
+    assert child["loaded"] == child["alone"]
 
 
 @pytest.mark.parametrize("command", ["verify", "qms"])

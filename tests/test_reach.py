@@ -37,6 +37,7 @@ UNREACHED = {
     "operators.hop_expr": "acceptance gate: the four-fold product as an expression",
     "martingale.exact_gram": "acceptance gate: the whole Gram, built in place",
     "martingale.BernoulliParams.cycling": "acceptance gate: cycling theta sequences",
+    "verifier.random_functional": "acceptance-gate API: Gaussian probes from a numpy Generator",
     # the jump-operator oracle of the generator benchmark
     "qms.transfer_matrix": "the generator benchmark checks its output against it",
     # the README quick tour

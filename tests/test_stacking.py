@@ -42,7 +42,7 @@ from chaoscalc.operators import (
     number,
     wn1d_expr,
 )
-from chaoscalc.reports import excess, perturbed, residual
+from chaoscalc.reports import SplitMix64, excess, perturbed, residual, uniform_draws
 from chaoscalc.weights import Weight1D, Weight2D
 
 
@@ -291,10 +291,11 @@ def oracle_riesz(w, n, trials, seed):
     """The riesz comparisons one untagged table at a time, through the
     transform-side kernels ``verifier`` calls: each basis column c alone,
     holding the z_c drawn after the probes, for the intertwinings, and each
-    probe alone for the pairing and the control."""
-    rng = np.random.default_rng(seed)
-    probes = [verifier.random_functional(rng, n) for _ in range(trials)]
-    z = verifier.random_functional(rng, n)
+    probe alone for the pairing and the control. Each probe is its own draw
+    from the seed's stream."""
+    rng = SplitMix64(seed)
+    probes = [verifier._probes(rng, n) for _ in range(trials)]
+    z = verifier._probes(rng, n)
     res_a, res_c, res_w = [], [], []
     for c, z_c in zip(z.masks.tolist(), z.values.tolist()):
         column = Functional({c: z_c}, n)
@@ -424,16 +425,17 @@ def growth_of_one(phi, bound):
 
 def oracle_functional_invariants(n, trials, seed):
     """The functional-invariant comparisons one probe at a time, each probe
-    drawn as its own untagged tables in the family's draw order."""
-    rng = np.random.default_rng(seed)
+    drawn as its own untagged tables in the family's draw order: xi, phi,
+    then the modulus and phase pairs of the bounded sample."""
+    rng = SplitMix64(seed)
     lam_vec = lam_vector(n)
     grid = (0.0, 0.5, 1.0, 2.0)
     mono, dual, iso, cs, growth = [], [], [], [], []
     for _ in range(trials):
-        xi = verifier.random_functional(rng, n)
-        phi = verifier.random_functional(rng, n)
-        modulus = rng.uniform(0.0, 1.0, size=1 << n)
-        sample = modulus * np.exp(2j * np.pi * rng.uniform(size=1 << n))
+        xi = verifier._probes(rng, n)
+        phi = verifier._probes(rng, n)
+        polar = uniform_draws(rng, 1 << n, complex)
+        sample = np.abs(polar.real) * np.exp(1j * np.pi * polar.imag)
         bounded = Functional.from_vector(2.0 * lam_vec * sample, n)
         worst, _, at_next, cap = growth_of_one(bounded, verifier.GrowthBound(2.0, 1.0))
         growth += [excess(worst, 0.0), excess(at_next, cap)]
