@@ -17,7 +17,7 @@ accounted for at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -94,11 +94,14 @@ class Weight1D:
 
     values: Mapping[int, float]
     sup_bound: float | None = None
+    # set by the constructors whose keys are already checked plain ints
+    _indices_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _indices_checked):
         cleaned = {}
         for k, v in dict(self.values).items():
-            k = as_index(k, "weight index")
+            if not _indices_checked:
+                k = as_index(k, "weight index")
             value = _as_clean_float(v, f"weight value at {k}")
             if value != 0.0:
                 cleaned[k] = value
@@ -150,7 +153,7 @@ class Weight1D:
         """Weights from their JSON form; ValueError on any malformed payload."""
         _json_kind(data, ("diag1d",))
         values = {k: v for (k,), v in _json_entries(data, "diag1d", "[k, value]", 1).items()}
-        return cls(values, sup_bound=data.get("sup_bound"))
+        return cls(values, sup_bound=data.get("sup_bound"), _indices_checked=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,16 +163,20 @@ class Weight2D:
     entries: Mapping[tuple, float]
     column_sums: Mapping[int, float] | None = None
     tail_bound: float = 0.0
+    # set by the constructors whose keys are already pairs of checked plain ints
+    _indices_checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _indices_checked):
         cleaned = {}
         for key, v in dict(self.entries).items():
-            if len(key) != 2:
-                raise ValueError(f"entry key must be a pair (j, k), got {key!r}")
-            j, k = (as_index(i, f"entry index in {key!r}") for i in key)
+            pair = key
+            if not _indices_checked:
+                if len(key) != 2:
+                    raise ValueError(f"entry key must be a pair (j, k), got {key!r}")
+                pair = tuple(as_index(i, f"entry index in {key!r}") for i in key)
             value = _as_clean_float(v, f"weight value at {key}")
             if value != 0.0:
-                cleaned[(j, k)] = value
+                cleaned[pair] = value
         object.__setattr__(self, "entries", cleaned)
         object.__setattr__(
             self, "tail_bound", _as_clean_float(self.tail_bound, "tail_bound")
@@ -211,12 +218,12 @@ class Weight2D:
             if key in entries:
                 raise ValueError(f"duplicate entry for pair {key}")
             entries[key] = v
-        return cls(entries, tail_bound=tail_bound)
+        return cls(entries, tail_bound=tail_bound, _indices_checked=True)
 
     @classmethod
     def from_weight1d(cls, u: Weight1D) -> "Weight2D":
         """Diagonal lift: w(k, k) = u(k), zero off the diagonal."""
-        return cls({(k, k): v for k, v in u.values.items()})
+        return cls({(k, k): v for k, v in u.values.items()}, _indices_checked=True)
 
     @classmethod
     def zero(cls) -> "Weight2D":
@@ -330,7 +337,7 @@ class Weight2D:
             raise ValueError(
                 f"column_sums must be 'from_entries' or a mapping, got {json_spelling(sums)}"
             )
-        return cls(entries, column_sums=column_sums, tail_bound=data.get("tail_bound", 0.0))
+        return cls(entries, column_sums, data.get("tail_bound", 0.0), _indices_checked=True)
 
 
 def theta_double_sum(w: Weight2D, sigma) -> float | np.ndarray:

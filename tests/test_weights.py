@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from chaoscalc import weights
 from chaoscalc.basis import Subset
 from chaoscalc.weights import Weight1D, Weight2D, theta_double_sum
 
@@ -267,6 +268,33 @@ class TestJson:
     def test_diag1d_promotes(self):
         w = Weight2D.from_json({"kind": "diag1d", "entries": [[2, 4.0]]})
         assert w.entries == {(2, 2): 4.0}
+
+    @pytest.mark.parametrize(
+        "load, payload, indices",
+        [
+            (
+                Weight2D.from_json,
+                {"kind": "dense", "entries": [[0, 1, 2.0], [2, 0, 0.5]], "column_sums": {"1": 5.0}},
+                [0, 1, 2, 0, 1],
+            ),
+            (Weight1D.from_json, {"kind": "diag1d", "entries": [[3, 1.0], [5, 2.0]]}, [3, 5]),
+            (Weight2D.from_json, {"kind": "diag1d", "entries": [[3, 1.0], [5, 2.0]]}, [3, 5]),
+            (Weight2D.from_entries, [(0, 1, 2.0), (2, 0, 0.5)], [0, 1, 2, 0]),
+        ],
+        ids=["dense", "diag1d", "diag1d-as-2d", "triples"],
+    )
+    def test_each_index_is_checked_once(self, monkeypatch, load, payload, indices):
+        # the loader checks each index before hashing it, and the constructor
+        # takes the checked ints as they are
+        checked, check = [], weights.as_index
+
+        def counted(k, what):
+            checked.append(k)
+            return check(k, what)
+
+        monkeypatch.setattr(weights, "as_index", counted)
+        load(payload)
+        assert checked == indices
 
     def test_bad_payloads(self):
         with pytest.raises(ValueError):
