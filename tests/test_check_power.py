@@ -9,7 +9,9 @@ row does not name must fail nothing. A check of such a family that no
 plausible slip fails sits in ``BLUNT`` with its reason, as
 ``tests/test_reach.py``'s ``UNREACHED`` does for code, so a new check
 arrives with its slip. ``LEFT`` names the families with no rows yet; a new
-family adds rows, not a harness.
+family adds rows, not a harness. The representation, car and hop, and qms
+slices keep their coverage tests, and their views of the rows two slices
+share, through ``assert_slip_fails`` and ``assert_covered``.
 """
 from __future__ import annotations
 
@@ -308,14 +310,39 @@ def _failed(family, n) -> list:
     return [{r.name for r in run if not r.ok} for run in runs]
 
 
-@pytest.mark.parametrize("slip", sorted(SLIPS))
-def test_each_slip_fails_its_checks(monkeypatch, slip):
+def assert_slip_fails(monkeypatch, slip, families=COVERED) -> None:
+    """Apply one row: each of ``families`` fails exactly the row's set for it
+    (none if the row does not name it) on every route at n = 4 and 6."""
     patches, fails = SLIPS[slip]
     slip_in(monkeypatch, patches)
-    for family in COVERED:
+    for family in families:
         for n in (4, 6):
             for failed in _failed(family, n):
                 assert failed == fails.get(family, set()), (family, n)
+
+
+def assert_covered(families) -> set:
+    """Every check of ``families`` at n = 6 fails under some row or sits in
+    ``BLUNT``, never both. Returns their check names."""
+    reports, _ = verifier.run_all(n=6, only=list(families))
+    names = {r.name for r in reports if r.kind == CHECK}
+    killed = {name for _, fails in SLIPS.values() for f in families for name in fails.get(f, ())}
+    blunt = names & set(BLUNT)
+    assert killed | blunt == names
+    assert not killed & blunt
+    return names
+
+
+@pytest.mark.parametrize("slip", sorted(SLIPS))
+def test_each_slip_fails_its_checks(monkeypatch, slip):
+    assert_slip_fails(monkeypatch, slip)
+
+
+# the rows the representation slice shares with the car and hop slice, read
+# by the representation family alone
+@pytest.mark.parametrize("slip", ["hop-gate-ignoring-j", "hop-skewed-at-first-entry"])
+def test_each_representation_slip_fails_its_checks(monkeypatch, slip):
+    assert_slip_fails(monkeypatch, slip, ["representation"])
 
 
 @pytest.mark.parametrize("slip, scale", [("rates-doubled", 2.0), ("dissipator-sign-flipped", -1.0)])
@@ -335,8 +362,8 @@ def test_rate_slips_scale_the_classical_chain(monkeypatch, slip, scale):
 
 def test_every_check_fails_under_a_slip_or_is_blunt():
     assert sorted([*COVERED, *LEFT]) == sorted(verifier.FAMILY_NAMES)
-    reports, _ = verifier.run_all(n=6, only=COVERED)
-    names = {r.name for r in reports if r.kind == CHECK}
-    killed = set().union(*(checks for _, fails in SLIPS.values() for checks in fails.values()))
-    assert killed | set(BLUNT) == names
-    assert not killed & set(BLUNT)
+    assert set(BLUNT) <= assert_covered(COVERED)
+
+
+def test_every_representation_check_fails_under_a_slip_or_is_blunt():
+    assert_covered(["representation"])

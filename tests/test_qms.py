@@ -39,6 +39,7 @@ from chaoscalc.qms import (
 from chaoscalc.reports import all_ok
 from chaoscalc.verifier import fixture_weights, run_all
 from chaoscalc.weights import Weight2D
+from test_check_power import assert_covered, assert_slip_fails
 
 
 def count_hamiltonian(n):
@@ -290,6 +291,15 @@ class TestStructure:
         image, expected = compared[-1]
         assert np.array_equal(expected, np.diag([0.0, 0.0, f[1] - f[2], 0.0]))
         assert np.array_equal(image, expected)
+
+    # the row of the one slip table (tests/test_check_power.py) that the qms
+    # slice shares with the car slice, read by qms alone
+    @pytest.mark.parametrize("slip", [pytest.param("transpose-skipped", id="table-transpose-skipped")])
+    def test_each_slip_fails_its_checks(self, monkeypatch, slip):
+        assert_slip_fails(monkeypatch, slip, ["qms"])
+
+    def test_every_check_has_a_failing_slip(self):
+        assert_covered(["qms"])
 
     def test_a_nan_in_a_later_trial_fails_the_check(self, monkeypatch):
         # trial 1 makes calls 1 and 2; a NaN from trial 2's hermiticity

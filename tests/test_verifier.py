@@ -49,6 +49,7 @@ from chaoscalc.verifier import (
     run_all,
 )
 from chaoscalc.weights import Weight1D, Weight2D
+from test_check_power import assert_covered, assert_slip_fails
 
 
 def stacked(dense, blocks: int = 1) -> Functional:
@@ -454,6 +455,18 @@ def test_hop_holds_one_pair_of_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 16 * pair_bytes
+
+
+# the rows of the one slip table (tests/test_check_power.py) that the car
+# and hop slice shares with the representation and qms slices, read by car
+# and hop alone
+@pytest.mark.parametrize("slip", ["hop-gate-ignoring-j", "hop-skewed-at-first-entry", "transpose-skipped"])
+def test_each_ladder_slip_fails_its_checks(monkeypatch, slip):
+    assert_slip_fails(monkeypatch, slip, ["car", "hop"])
+
+
+def test_every_car_and_hop_check_has_a_failing_slip():
+    assert_covered(["car", "hop"])
 
 
 @pytest.mark.parametrize(
