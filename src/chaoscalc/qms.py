@@ -69,7 +69,7 @@ def _transfer_table(j: int, k: int, n: int) -> Functional:
     return apply_table(lambda xi: l2_create(j, l2_annihilate(k, xi)), n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Weight (jump rates), truncation and optional Hamiltonian, and the
     generator's plan, read from them when the spec is built: the support bound
@@ -80,10 +80,10 @@ class GeneratorSpec:
     weight: Weight2D
     truncation: int
     hamiltonian: np.ndarray | None = None
-    split: int = field(init=False, repr=False, compare=False)
-    terms: list = field(init=False, repr=False, compare=False)
-    left: np.ndarray = field(init=False, repr=False, compare=False)
-    right: np.ndarray = field(init=False, repr=False, compare=False)
+    split: int = field(init=False, repr=False)
+    terms: list = field(init=False, repr=False)
+    left: np.ndarray = field(init=False, repr=False)
+    right: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = check_truncation(self.truncation)

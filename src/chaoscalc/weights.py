@@ -124,7 +124,7 @@ class Weight1D:
         return cls({k: value for k in range(n)}, sup_bound=float(value))
 
     def __call__(self, k: int) -> float:
-        return self.values.get(int(k), 0.0)
+        return self.values.get(as_index(k, "weight index"), 0.0)
 
     def beta(self) -> float:
         """Sup bound used in the one-dimensional norm estimates."""
@@ -230,14 +230,14 @@ class Weight2D:
         return cls({})
 
     def __call__(self, j: int, k: int) -> float:
-        return self.entries.get((int(j), int(k)), 0.0)
+        return self.entries.get((as_index(j, "weight index"), as_index(k, "weight index")), 0.0)
 
     def _listed_colsum(self, k: int) -> float:
         return self._listed_sums.get(k, 0.0)
 
     def colsum(self, k: int) -> float:
         """Column sum sum_j w(j, k), using a supplied closed form if present."""
-        k = int(k)
+        k = as_index(k, "column index")
         if self.column_sums is not None and k in self.column_sums:
             return self.column_sums[k]
         return self._listed_colsum(k)
@@ -252,12 +252,13 @@ class Weight2D:
 
     def row_slice(self, k: int) -> Weight1D:
         """The function m -> w(k, m) as one-dimensional weights."""
-        values = {m: v for (j, m), v in self.entries.items() if j == int(k)}
+        k = as_index(k, "row index")
+        values = {m: v for (j, m), v in self.entries.items() if j == k}
         return Weight1D(values, sup_bound=self._slice_sup(values))
 
     def col_slice(self, k: int) -> Weight1D:
         """The function j -> w(j, k) as one-dimensional weights."""
-        values = dict(self._columns.get(int(k), ()))
+        values = dict(self._columns.get(as_index(k, "column index"), ()))
         return Weight1D(values, sup_bound=self._slice_sup(values))
 
     def _slice_sup(self, values: dict) -> float:

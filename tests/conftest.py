@@ -1,7 +1,9 @@
-"""Negative controls shared by the library and CLI tests: step values that
-break the orthonormality of the Bernoulli basis, and sampled draws that do
-not follow the product measure."""
+"""Fixtures shared by the library and CLI tests: negative controls (step
+values that break the orthonormality of the Bernoulli basis, and sampled
+draws that do not follow the product measure) and one memory probe."""
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
@@ -49,3 +51,19 @@ def shifted_draws(monkeypatch):
         return atom_counts(BernoulliParams(thetas), *args, **kwargs)
 
     monkeypatch.setattr(martingale, "_atom_counts", shifted)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args, **kwargs)``: the peak bytes traced while the
+    call runs, its result included, and the result."""
+
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    return peak

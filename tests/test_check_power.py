@@ -9,9 +9,7 @@ row does not name must fail nothing. A check of such a family that no
 plausible slip fails sits in ``BLUNT`` with its reason, as
 ``tests/test_reach.py``'s ``UNREACHED`` does for code, so a new check
 arrives with its slip. ``LEFT`` names the families with no rows yet; a new
-family adds rows, not a harness. The representation, car and hop, and qms
-slices keep their coverage tests, and their views of the rows two slices
-share, through ``assert_slip_fails`` and ``assert_covered``.
+family adds rows, not a harness.
 """
 from __future__ import annotations
 
@@ -26,7 +24,7 @@ from chaoscalc import operators, qms, verifier
 from chaoscalc.basis import popcount_at
 from chaoscalc.functionals import Functional
 from chaoscalc.reports import CHECK
-from chaoscalc.weights import Weight2D
+from chaoscalc.weights import Weight1D, Weight2D
 
 
 def rebind(monkeypatch, original, replacement) -> int:
@@ -132,6 +130,18 @@ def _dropping_last_entry(kernel):
     return lambda w, xi: kernel(Weight2D(dict(sorted(w.entries.items())[:-1])), xi)
 
 
+def _row_one_raised_at_zero(row_slice):
+    def raised(w, k):
+        row = row_slice(w, k)
+        return Weight1D({**row.values, 0: row(0) + 1e-9}) if k == 1 else row
+
+    return raised
+
+
+def _skewed_at_mask_one(double_sum):
+    return lambda w, masks: double_sum(w, masks) * (1 + 1e-9 * (masks == 1))
+
+
 def _planned(change):
     """GeneratorSpec.__post_init__ with the fields that ``change(spec)``
     returns set after the plan is read from the weight."""
@@ -198,6 +208,7 @@ SLIPS = {
     "annihilate-ungated": (
         {_ANNIHILATE: lambda f: _ungated_annihilate},
         {"car": {"car-adjoint-transpose", "car-nilpotent"},
+         "commutation-2d": {"gwn-commute-annihilate"},
          "commutation-1d": {"wn1d-commute-annihilate"},
          "commutation-number": {"number-commute-annihilate"}},
     ),
@@ -212,11 +223,12 @@ SLIPS = {
         {_ANNIHILATE: lambda f: _skewed(f, False)}, {"car": _LADDER_OFF, **_HOP_FORM}
     ),
     # a+(k + 1) a(k) moves an index, so the occupation it stands for no
-    # longer commutes with wn1d(u) where u(k + 1) != u(k); the number
-    # operator counts indices alone and cannot tell
+    # longer commutes with wn1d(u) where u(k + 1) != u(k), nor with gwn(w);
+    # the number operator counts indices alone and cannot tell
     "create-at-next-index": (
         {_CREATE: lambda f: lambda k, phi: f((k + 1) % phi.truncation, phi)},
         {"car": _LADDER_OFF, **_HOP_FORM,
+         "commutation-2d": {"gwn-commute-create", "gwn-commute-occupation"},
          "commutation-1d": {"wn1d-commute-create", "wn1d-commute-occupation"}},
     ),
     "transpose-skipped": (
@@ -238,9 +250,11 @@ SLIPS = {
         {"commutation-number": {"number-commute-annihilate", "number-commute-create"},
          "representation": {"number-series"}},
     ),
+    # the gwn commutators read the row and column slices through wn1d
     "wn1d-apply-skewed": (
         {"operators.wn1d_apply": _first_entry_skewed},
-        {"commutation-1d": {"wn1d-commute-annihilate", "wn1d-commute-create"},
+        {"commutation-2d": {"gwn-commute-annihilate", "gwn-commute-create"},
+         "commutation-1d": {"wn1d-commute-annihilate", "wn1d-commute-create"},
          "representation": {"wn1d-series"}},
     ),
     # total - v * hop for total + v * hop: the 1D series are 2D series too
@@ -262,6 +276,15 @@ SLIPS = {
     "l2-hop-j-k-swapped": (
         {"operators.l2_hop": _j_k_swapped},
         {"representation": {"l2-wn-series"}, "qms": _SUM_EXPLICIT},
+    ),
+    "row-slice-raised": (
+        {"weights.Weight2D.row_slice": _row_one_raised_at_zero},
+        {"spectral-shift": {"spectral-shift-add", "spectral-shift-remove"},
+         "commutation-2d": {"gwn-commute-annihilate", "gwn-commute-create"}},
+    ),
+    "theta-double-sum-skewed": (
+        {"weights.theta_double_sum": _skewed_at_mask_one},
+        {"spectral-shift": {"theta-vs-double-sum"}},
     ),
     "transfer-table-j-k-swapped": ({"qms._transfer_table": _j_k_swapped}, {"qms": _SUM_ADJOINT}),
     "bands-read-x-conjugated": (
@@ -290,8 +313,7 @@ SLIPS = {
 BLUNT: dict = {}
 
 # the families with no rows yet (ROADMAP item 30)
-LEFT = ("commutation-2d", "spectral-shift", "riesz", "norm-bound", "l2", "weight-invariant",
-        "functional-invariant")
+LEFT = ("riesz", "norm-bound", "l2", "weight-invariant", "functional-invariant")
 
 COVERED = sorted({family for _, fails in SLIPS.values() for family in fails})
 
@@ -310,39 +332,16 @@ def _failed(family, n) -> list:
     return [{r.name for r in run if not r.ok} for run in runs]
 
 
-def assert_slip_fails(monkeypatch, slip, families=COVERED) -> None:
-    """Apply one row: each of ``families`` fails exactly the row's set for it
-    (none if the row does not name it) on every route at n = 4 and 6."""
+@pytest.mark.parametrize("slip", sorted(SLIPS))
+def test_each_slip_fails_its_checks(monkeypatch, slip):
+    # each covered family fails exactly the row's set for it (none if the
+    # row does not name it) on every route at n = 4 and 6
     patches, fails = SLIPS[slip]
     slip_in(monkeypatch, patches)
-    for family in families:
+    for family in COVERED:
         for n in (4, 6):
             for failed in _failed(family, n):
                 assert failed == fails.get(family, set()), (family, n)
-
-
-def assert_covered(families) -> set:
-    """Every check of ``families`` at n = 6 fails under some row or sits in
-    ``BLUNT``, never both. Returns their check names."""
-    reports, _ = verifier.run_all(n=6, only=list(families))
-    names = {r.name for r in reports if r.kind == CHECK}
-    killed = {name for _, fails in SLIPS.values() for f in families for name in fails.get(f, ())}
-    blunt = names & set(BLUNT)
-    assert killed | blunt == names
-    assert not killed & blunt
-    return names
-
-
-@pytest.mark.parametrize("slip", sorted(SLIPS))
-def test_each_slip_fails_its_checks(monkeypatch, slip):
-    assert_slip_fails(monkeypatch, slip)
-
-
-# the rows the representation slice shares with the car and hop slice, read
-# by the representation family alone
-@pytest.mark.parametrize("slip", ["hop-gate-ignoring-j", "hop-skewed-at-first-entry"])
-def test_each_representation_slip_fails_its_checks(monkeypatch, slip):
-    assert_slip_fails(monkeypatch, slip, ["representation"])
 
 
 @pytest.mark.parametrize("slip, scale", [("rates-doubled", 2.0), ("dissipator-sign-flipped", -1.0)])
@@ -361,9 +360,11 @@ def test_rate_slips_scale_the_classical_chain(monkeypatch, slip, scale):
 
 
 def test_every_check_fails_under_a_slip_or_is_blunt():
+    # every check of the covered families at n = 6 fails under some row or
+    # sits in BLUNT, never both, and every family is covered or LEFT
     assert sorted([*COVERED, *LEFT]) == sorted(verifier.FAMILY_NAMES)
-    assert set(BLUNT) <= assert_covered(COVERED)
-
-
-def test_every_representation_check_fails_under_a_slip_or_is_blunt():
-    assert_covered(["representation"])
+    reports, _ = verifier.run_all(n=6, only=COVERED)
+    names = {r.name for r in reports if r.kind == CHECK}
+    killed = {name for _, fails in SLIPS.values() for failing in fails.values() for name in failing}
+    assert killed | set(BLUNT) == names
+    assert not killed & set(BLUNT)

@@ -10,7 +10,6 @@ import pathlib
 import subprocess
 import sys
 import textwrap
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -503,18 +502,13 @@ class TestSimulate:
         assert code == 1 and not payload["passed"]
         assert payload["gram_deviation"] > 0.5
 
-    def test_exact_mode_holds_no_table(self, tmp_path):
+    def test_exact_mode_holds_no_table(self, tmp_path, traced_peak):
         # the Gram alone is 128 MiB at n = 12; exact mode holds a few vectors
         # of 4096 values
         argv = ["simulate", "--n", "12", "--theta", "0.3", "--out", str(tmp_path / "out.json")]
         assert main(argv) == 0  # warm-up, so that no first-call allocation counts
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        peak, code = traced_peak(main, argv)
+        assert code == 0 and peak < 2**20
 
     def test_exact_mode_past_the_table_cap(self, capsys, monkeypatch):
         code, payload, _ = run_cli(capsys, "simulate", "--n", "16", "--theta", "0.3")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,16 +277,6 @@ def chi_square(draw):
     return float(np.sum((counts - expected) ** 2 / expected))
 
 
-def traced_peak(fn, *args):
-    """Peak bytes traced while ``fn(*args)`` runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestBlockedGram:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -349,35 +338,35 @@ class TestBlockedGram:
     def test_shifted_counts_fail(self, shifted_draws):
         assert chi_square(martingale._atom_counts) > CHI_SQUARE_CRITICAL
 
-    def test_memory_is_bounded(self):
+    def test_memory_is_bounded(self, traced_peak):
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 6)
-        small = traced_peak(monte_carlo_gram, params, 50_000, 3)
-        large = traced_peak(monte_carlo_gram, params, 400_000, 3)
+        small = traced_peak(monte_carlo_gram, params, 50_000, 3)[0]
+        large = traced_peak(monte_carlo_gram, params, 400_000, 3)[0]
         assert large < 1.1 * small
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
         gram_bytes = 8 * 4**11
         # the dense product held three such tables
-        assert traced_peak(exact_gram, params) < 2 * gram_bytes
+        assert traced_peak(exact_gram, params)[0] < 2 * gram_bytes
         # z_matrix is as large as the Gram; these never build it
         phi = Functional.from_vector(np.arange(2048.0), 11)
         values = psi_matrix(params)[:, 0]
-        assert traced_peak(reconstruct, phi, params) < gram_bytes
-        assert traced_peak(chaotic_expand, values, params) < gram_bytes
+        assert traced_peak(reconstruct, phi, params)[0] < gram_bytes
+        assert traced_peak(chaotic_expand, values, params)[0] < gram_bytes
 
-    def test_one_block_alive(self):
+    def test_one_block_alive(self, traced_peak):
         # the exact Gram is built in place and the expansion maps work on
         # vectors of 2**n values; the sampled Gram holds the 256 draw counts
         # and a few 256 x 256 tables over the drawn atoms: 3.0 MiB measured,
         # bounded with 1 MiB of margin (a table of products per sample would
         # take 39 MiB here)
         params = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 11)
-        assert traced_peak(exact_gram, params) < 1.05 * 8 * 4**11
+        assert traced_peak(exact_gram, params)[0] < 1.05 * 8 * 4**11
         phi = Functional.from_vector(np.arange(2048.0), 11)
         values = psi_matrix(params)[:, 0]
-        assert traced_peak(reconstruct, phi, params) < 12 * 2**20
-        assert traced_peak(chaotic_expand, values, params) < 12 * 2**20
+        assert traced_peak(reconstruct, phi, params)[0] < 12 * 2**20
+        assert traced_peak(chaotic_expand, values, params)[0] < 12 * 2**20
         sampled = BernoulliParams.cycling((0.25, 1 / 3, 0.9), 8)
-        assert traced_peak(monte_carlo_gram, sampled, 20_000, 3) < 4 * 2**20
+        assert traced_peak(monte_carlo_gram, sampled, 20_000, 3)[0] < 4 * 2**20
 
     def test_products_only_over_atoms(self, monkeypatch):
         rows_seen = []
@@ -542,12 +531,12 @@ class TestMoments:
         assert math.isnan(report.max_second_dev)
         assert martingale.MomentReport((), ()).max_mean_dev == 0.0
 
-    def test_memory_is_bounded(self):
+    def test_memory_is_bounded(self, traced_peak):
         # the atom law and the ratios r: 1.5 vectors of 8 * 2**20 bytes;
         # summing p * v per step over all atoms held 4.75
         params = BernoulliParams.cycling((0.3, 0.5, 0.7), 20)
-        assert traced_peak(atom_probs, params) < 1.1 * 8 * 2**20
-        assert traced_peak(conditional_moments, params) < 1.6 * 8 * 2**20
+        assert traced_peak(atom_probs, params)[0] < 1.1 * 8 * 2**20
+        assert traced_peak(conditional_moments, params)[0] < 1.6 * 8 * 2**20
 
     def test_random_thetas(self):
         rng = np.random.default_rng(1)

@@ -127,6 +127,19 @@ class TestLadderActions:
                 apply()
         assert apply_annihilate(np.int64(1), phi) == Functional.delta(Subset.of(2), 3)
 
+    def test_weights_never_truncate_an_index(self, running):
+        # w(0.9, 1.2) used to read w(0, 1) = 2, w(True, 1) w(1, 1), w(-1, 1)
+        # 0 and colsum(1.7) colsum(1) = 5
+        u = running.row_slice(0)
+        for read in (lambda: running(0.9, 1.2), lambda: running(True, 1), lambda: u(1.0),
+                     lambda: running.colsum(1.7), lambda: running.row_slice(False),
+                     lambda: running.col_slice(1.0)):
+            with pytest.raises(ValueError, match="integer"):
+                read()
+        with pytest.raises(ValueError, match="nonnegative"):
+            running(-1, 1)
+        assert running(np.int64(0), 1) == 2.0 and running.colsum(np.int64(1)) == 5.0
+
 
 class TestDiagonalActions:
     def test_gwn_hand_cases(self, running):
@@ -385,9 +398,8 @@ class TestMaterialize:
                 assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
     @pytest.mark.parametrize("leaf", [annihilate, create])
-    def test_cached_ladder_matrix_is_read_only(self, leaf):
-        # each call builds its own matrix, so a write into one never shows
-        # in the next
+    def test_each_call_builds_its_own_ladder_matrix(self, leaf):
+        # a write into one call's matrix never shows in the next
         before = materialize(leaf(1), 3).toarray()
         first = materialize(leaf(1), 3)
         for arr in (first.data, first.indices, first.indptr):

@@ -17,7 +17,6 @@ import subprocess
 import sys
 import textwrap
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,7 +38,6 @@ from chaoscalc.qms import (
 from chaoscalc.reports import all_ok
 from chaoscalc.verifier import fixture_weights, run_all
 from chaoscalc.weights import Weight2D
-from test_check_power import assert_covered, assert_slip_fails
 
 
 def count_hamiltonian(n):
@@ -129,9 +127,8 @@ class TestHandOracle:
     def test_transfer_matrix_matches_hand(self):
         assert np.array_equal(transfer_matrix(0, 1, 2).toarray(), hand_jump_matrix_n2())
 
-    def test_transfer_matrix_is_read_only(self):
-        # each call builds its own matrix, so a write into one never shows
-        # in the next
+    def test_each_call_builds_its_own_transfer_matrix(self):
+        # a write into one call's matrix never shows in the next
         before = transfer_matrix(0, 1, 3).toarray()
         first = transfer_matrix(0, 1, 3)
         for arr in (first.data, first.indices, first.indptr):
@@ -292,15 +289,6 @@ class TestStructure:
         assert np.array_equal(expected, np.diag([0.0, 0.0, f[1] - f[2], 0.0]))
         assert np.array_equal(image, expected)
 
-    # the row of the one slip table (tests/test_check_power.py) that the qms
-    # slice shares with the car slice, read by qms alone
-    @pytest.mark.parametrize("slip", [pytest.param("transpose-skipped", id="table-transpose-skipped")])
-    def test_each_slip_fails_its_checks(self, monkeypatch, slip):
-        assert_slip_fails(monkeypatch, slip, ["qms"])
-
-    def test_every_check_has_a_failing_slip(self):
-        assert_covered(["qms"])
-
     def test_a_nan_in_a_later_trial_fails_the_check(self, monkeypatch):
         # trial 1 makes calls 1 and 2; a NaN from trial 2's hermiticity
         # comparison must survive the fold over trials
@@ -346,6 +334,13 @@ class TestStructure:
         for name, value in (("weight", w), ("truncation", 4), ("hamiltonian", np.eye(8))):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(spec, name, value)
+
+    def test_a_spec_compares_and_hashes_by_identity(self):
+        # comparing fields would take the truth value of a Hamiltonian array
+        w = Weight2D({(0, 1): 0.7})
+        spec, twin = (GeneratorSpec(w, 2, np.eye(4)) for _ in range(2))
+        assert spec == spec and spec != twin
+        assert {spec: 1}[spec] == 1 and hash(spec) != hash(twin)
 
     def test_a_spec_applied_twice_gives_the_same_bits(self):
         rng = np.random.default_rng(5)
@@ -447,7 +442,7 @@ class TestBitViewOracle:
             assert got.tobytes() == bitview_generator(w, n, None, x).tobytes(), support
 
     @pytest.mark.parametrize("name", ["benchmark-weight", "full-support"])
-    def test_apply_reads_the_observable_in_place(self, monkeypatch, name):
+    def test_apply_reads_the_observable_in_place(self, monkeypatch, traced_peak, name):
         # on one CPU an apply holds the image and one band accumulator, the size
         # of one of X's row bands, and no copy of X: the benchmark weight at
         # n = 9 has support bound 4 and 8 bands, and at full support (A = 1)
@@ -455,13 +450,7 @@ class TestBitViewOracle:
         # accumulator, stays within the half-accumulator margin.
         w, n, h, x, bands = TestBands.case(name)
         TestBands.allow_cpus(monkeypatch, 1)
-        spec = GeneratorSpec(w, n, h)
-        tracemalloc.start()
-        try:
-            got = generator_apply(spec, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, got = traced_peak(generator_apply, GeneratorSpec(w, n, h), x)
         beyond_image, accumulator = peak - got.nbytes, x.nbytes // bands
         assert beyond_image < 1.5 * accumulator
         assert got.tobytes() == bitview_generator(w, n, h, x).tobytes()

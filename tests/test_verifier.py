@@ -4,7 +4,6 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +48,6 @@ from chaoscalc.verifier import (
     run_all,
 )
 from chaoscalc.weights import Weight1D, Weight2D
-from test_check_power import assert_covered, assert_slip_fails
 
 
 def stacked(dense, blocks: int = 1) -> Functional:
@@ -441,32 +439,14 @@ def test_every_residual_reaches_a_report(monkeypatch, family, call, rnd_weight, 
         assert not all_ok(call(rnd_weight, rnd_u)), (family, broken, total)
 
 
-def test_hop_holds_one_pair_of_matrices():
+def test_hop_holds_one_pair_of_matrices(traced_peak):
     # each residual is folded as it is computed, and only the j = k = 0
     # pair is kept for the control; all n^2 pairs are about 100 times one
     # pair's bytes at n = 12
     n = 12
     pair = (materialize_apply(lambda f: hop_apply(0, 0, f), n), materialize(hop_expr(0, 0), n))
     pair_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in pair)
-    tracemalloc.start()
-    try:
-        check_hop(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * pair_bytes
-
-
-# the rows of the one slip table (tests/test_check_power.py) that the car
-# and hop slice shares with the representation and qms slices, read by car
-# and hop alone
-@pytest.mark.parametrize("slip", ["hop-gate-ignoring-j", "hop-skewed-at-first-entry", "transpose-skipped"])
-def test_each_ladder_slip_fails_its_checks(monkeypatch, slip):
-    assert_slip_fails(monkeypatch, slip, ["car", "hop"])
-
-
-def test_every_car_and_hop_check_has_a_failing_slip():
-    assert_covered(["car", "hop"])
+    assert traced_peak(check_hop, n)[0] < 16 * pair_bytes
 
 
 @pytest.mark.parametrize(
@@ -491,7 +471,7 @@ def test_norm_bounds_read_the_exact_operator_norm(monkeypatch, cls, method, fact
     assert reports[bound].residual == pytest.approx(expected)
 
 
-def test_norm_bound_holds_one_probe():
+def test_norm_bound_holds_one_probe(traced_peak):
     # the bounds need |theta| / lambda and |count| / lambda alone, and the
     # route probes are drawn one at a time, so 100 probes peak where one does
     n = 12
@@ -499,19 +479,12 @@ def test_norm_bound_holds_one_probe():
     u = random_weight1d(np.random.default_rng(2), 4)
     vector_bytes = 16 << n  # one complex value per basis element
     check_norm_bounds(w, u, n)
-    peaks = []
-    for trials in (1, 100):
-        tracemalloc.start()
-        try:
-            check_norm_bounds(w, u, n, trials=trials)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(check_norm_bounds, w, u, n, trials=trials)[0] for trials in (1, 100)]
     assert peaks[1] < 1.5 * peaks[0]
     assert peaks[1] < 16 * vector_bytes
 
 
-def test_riesz_holds_one_stack_of_probes():
+def test_riesz_holds_one_stack_of_probes(traced_peak):
     # probes are drawn and compared one tagged table at a time: at n = 12 a
     # table holds two probes, so 100 probes peak where one table does, while
     # all 100 at once would be 50 tables' entries
@@ -520,14 +493,7 @@ def test_riesz_holds_one_stack_of_probes():
     assert verifier._chunks(range(100), n)[0] == [0, 1]
     stack_bytes = verifier._STACK_ROWS * (8 + 16)  # int64 mask, complex value
     check_riesz_intertwining(w, n, trials=2)
-    peaks = []
-    for trials in (2, 100):
-        tracemalloc.start()
-        try:
-            check_riesz_intertwining(w, n, trials=trials)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(check_riesz_intertwining, w, n, trials=trials)[0] for trials in (2, 100)]
     assert peaks[1] < 1.5 * peaks[0]
     assert peaks[1] < 16 * stack_bytes
 
@@ -542,7 +508,7 @@ def test_riesz_holds_one_stack_of_probes():
     ],
     ids=["commutation-2d", "commutation-1d", "commutation-number", "l2"],
 )
-def test_commutator_kernel_holds_one_stack_of_ladders(monkeypatch, call):
+def test_commutator_kernel_holds_one_stack_of_ladders(monkeypatch, traced_peak, call):
     # at n = 12 a stack holds two of the twelve ks, so the commutator kernel
     # peaks well under what stacking every k at once takes; the warm call
     # keeps the first import of scipy.sparse out of the peaks
@@ -553,12 +519,7 @@ def test_commutator_kernel_holds_one_stack_of_ladders(monkeypatch, call):
     peaks = []
     for rows in (verifier._STACK_ROWS, 1 << 30):
         monkeypatch.setattr(verifier, "_STACK_ROWS", rows)
-        tracemalloc.start()
-        try:
-            call(w, u, n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(call, w, u, n)[0])
     assert peaks[0] < peaks[1] / 2
 
 
@@ -676,19 +637,6 @@ class TestRunAll:
         weights2d = fixture_weights(5, 11) if override is None else {"custom": override}
         families = [family for family, _ in verifier._family_runs(5, 11, weights2d)]
         assert tuple(dict.fromkeys(families)) == FAMILY_NAMES
-
-    def test_each_family_pins_its_tolerance(self):
-        # no caller passes a tolerance, so only this notices a drifted constant
-        pinned = {"car": 0.0, "hop": 0.0, "spectral-shift": 1e-14}
-        for family in FAMILY_NAMES:
-            reports, _ = run_all(n=5, seed=11, only=[family])
-            assert {r.tolerance for r in reports} == {pinned.get(family, 1e-12)}, family
-
-    def test_fixture_sets(self):
-        ws = fixture_weights(5, seed=1)
-        assert set(ws) == {"zero", "diag-ones", "running", "rnd0", "rnd1"}
-        us = fixture_weights1d(5, seed=1)
-        assert set(us) == {"ones", "ramp", "rnd"}
 
     def test_full_run_ok_and_deterministic(self):
         reports_a, timings_a = run_all(n=5, seed=11)
